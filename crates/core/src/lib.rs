@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// Exact float comparison is a tolerance bug in experiment code; tests
+// may compare values they constructed exactly.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 //! The paper's benchmark suite, assembled on top of the machine, kernel,
 //! storage and network models.

@@ -297,7 +297,8 @@ pub fn mab_local(os: Os, seed: u64) -> MabReport {
         mab_setup(&p, &spec);
         s2.put(run_mab(&p, &spec));
     });
-    sim.run().expect("MAB simulation failed");
+    // The report carries its own phase times; the final clock is not needed.
+    let _ = sim.run().expect("MAB simulation failed");
     slot.take().expect("MAB produced a report")
 }
 

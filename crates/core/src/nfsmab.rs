@@ -68,7 +68,8 @@ pub fn mab_over_nfs_faulty(
         s2.put(run_mab(&p, &spec));
         p.sim().stop(); // Tears down the nfsd daemon.
     });
-    sim.run().expect("MAB/NFS simulation failed");
+    // The report carries its own phase times; the final clock is not needed.
+    let _ = sim.run().expect("MAB/NFS simulation failed");
     slot.take().expect("MAB/NFS produced a report")
 }
 

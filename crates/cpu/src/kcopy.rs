@@ -28,7 +28,6 @@ pub const CHECKSUM_CY_PER_BYTE: f64 = 0.55;
 /// blends one third cached with two thirds uncached traffic, which lands
 /// at ~55 MB/s — consistent with the pipe bandwidths of Table 4 once the
 /// per-chunk syscall costs are added.
-#[must_use]
 pub fn copyin_out(bytes: u64) -> Cycles {
     let per_byte = (2.0 * UNCACHED_COPY_CY_PER_BYTE + CACHED_COPY_CY_PER_BYTE) / 3.0;
     Cycles((bytes as f64 * per_byte).round() as u64)
@@ -36,19 +35,16 @@ pub fn copyin_out(bytes: u64) -> Cycles {
 
 /// Cycles for an entirely cache-warm copy of `bytes` (e.g. buffer-cache
 /// hit feeding a small read).
-#[must_use]
 pub fn cached_copy(bytes: u64) -> Cycles {
     Cycles((bytes as f64 * CACHED_COPY_CY_PER_BYTE).round() as u64)
 }
 
 /// Cycles for an entirely cache-cold copy of `bytes`.
-#[must_use]
 pub fn uncached_copy(bytes: u64) -> Cycles {
     Cycles((bytes as f64 * UNCACHED_COPY_CY_PER_BYTE).round() as u64)
 }
 
 /// Cycles for an Internet checksum over `bytes`.
-#[must_use]
 pub fn checksum(bytes: u64) -> Cycles {
     Cycles((bytes as f64 * CHECKSUM_CY_PER_BYTE).round() as u64)
 }

@@ -1,3 +1,5 @@
+#![warn(clippy::unwrap_used)]
+
 //! tnt-farm: the internet-server load lab.
 //!
 //! The paper's microbenchmarks say *how fast each primitive is*; this

@@ -65,7 +65,6 @@ impl DiskParams {
     }
 
     /// Duration of one platter revolution.
-    #[must_use]
     pub fn rotation(&self) -> Cycles {
         Cycles::from_millis(60_000.0 / self.rpm as f64)
     }
@@ -141,14 +140,12 @@ impl Disk {
     /// (remap spikes included). A deterministic function of the command
     /// sequence alone, so a faithful replay of a capture reproduces it
     /// exactly — the equality experiments x11/x12 assert.
-    #[must_use]
     pub fn busy_cycles(&self) -> Cycles {
         self.state.lock().busy
     }
 
     /// Seek time for a head movement of `dist` blocks, using the classic
     /// square-root seek curve anchored at (1, min), (total/3, avg).
-    #[must_use]
     pub fn seek_time(&self, dist: u64) -> Cycles {
         if dist == 0 {
             return Cycles::ZERO;
@@ -180,7 +177,6 @@ impl Disk {
     }
 
     /// Pure service time of a request, without performing it.
-    #[must_use]
     pub fn service_time(&self, from: u64, addr: u64, blocks: u64) -> Cycles {
         let [seek, rot, xfer] = self.service_phases(from, addr, blocks);
         seek + rot + xfer

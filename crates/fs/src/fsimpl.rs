@@ -727,7 +727,7 @@ mod tests {
 
     #[test]
     fn create_write_read_roundtrip() {
-        run_fs(Os::Linux, |p| {
+        let _ = run_fs(Os::Linux, |p| {
             let fd = p.creat("/f").unwrap();
             assert_eq!(p.write(fd, 3000).unwrap(), 3000);
             p.close(fd).unwrap();
@@ -741,7 +741,7 @@ mod tests {
 
     #[test]
     fn namespace_errors() {
-        run_fs(Os::FreeBsd, |p| {
+        let _ = run_fs(Os::FreeBsd, |p| {
             assert_eq!(
                 p.open("/missing", OpenFlags::rdonly()).err(),
                 Some(Errno::ENOENT)
@@ -760,7 +760,7 @@ mod tests {
 
     #[test]
     fn traversal_through_a_file_is_enotdir() {
-        run_fs(Os::Linux, |p| {
+        let _ = run_fs(Os::Linux, |p| {
             let fd = p.creat("/f").unwrap();
             p.close(fd).unwrap();
             // A file in a directory position poisons every namei form:
@@ -786,7 +786,7 @@ mod tests {
 
     #[test]
     fn exclusive_create() {
-        run_fs(Os::Solaris, |p| {
+        let _ = run_fs(Os::Solaris, |p| {
             let fd = p.creat("/x").unwrap();
             p.close(fd).unwrap();
             let excl = OpenFlags {
@@ -814,12 +814,12 @@ mod tests {
             // dead disk and the syscall reports it.
             assert_eq!(p.creat("/f").err(), Some(Errno::EIO));
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
     fn truncate_resets_size() {
-        run_fs(Os::Linux, |p| {
+        let _ = run_fs(Os::Linux, |p| {
             let fd = p.creat("/t").unwrap();
             p.write(fd, 5000).unwrap();
             p.close(fd).unwrap();
@@ -831,7 +831,7 @@ mod tests {
 
     #[test]
     fn readdir_lists_sorted() {
-        run_fs(Os::FreeBsd, |p| {
+        let _ = run_fs(Os::FreeBsd, |p| {
             p.mkdir("/dir").unwrap();
             for n in ["b", "a", "c"] {
                 let fd = p.creat(&format!("/dir/{n}")).unwrap();
@@ -890,7 +890,7 @@ mod tests {
                 crtdel_iter(&p, 1024);
             }
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         let (hits, misses) = fs.cache().stats();
         let _ = (hits, misses);
         assert!(
@@ -975,7 +975,7 @@ mod tests {
             assert_eq!(fs2.cache().dirty_bytes(), 0);
             p.close(fd).unwrap();
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -993,7 +993,7 @@ mod tests {
                     p.close(fd).unwrap();
                 }
             });
-            sim.run().unwrap();
+            let _ = sim.run().unwrap();
             fs.crash_report()
         };
         let ext2 = survey(Os::Linux);
@@ -1027,12 +1027,12 @@ mod tests {
             assert_eq!(after.durable_entries, after.entries);
             assert_eq!(after.durable_data_blocks, after.data_blocks);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
     fn rename_moves_and_replaces() {
-        run_fs(Os::Linux, |p| {
+        let _ = run_fs(Os::Linux, |p| {
             p.mkdir("/a").unwrap();
             p.mkdir("/b").unwrap();
             let fd = p.creat("/a/x").unwrap();
@@ -1053,7 +1053,7 @@ mod tests {
 
     #[test]
     fn rename_to_self_is_a_noop() {
-        run_fs(Os::Linux, |p| {
+        let _ = run_fs(Os::Linux, |p| {
             let fd = p.creat("/same").unwrap();
             p.write(fd, 777).unwrap();
             p.close(fd).unwrap();
@@ -1065,7 +1065,7 @@ mod tests {
 
     #[test]
     fn rename_onto_directory_is_eisdir() {
-        run_fs(Os::FreeBsd, |p| {
+        let _ = run_fs(Os::FreeBsd, |p| {
             p.mkdir("/d").unwrap();
             let fd = p.creat("/f").unwrap();
             p.close(fd).unwrap();
@@ -1101,7 +1101,7 @@ mod tests {
 
     #[test]
     fn deep_paths_resolve() {
-        run_fs(Os::Linux, |p| {
+        let _ = run_fs(Os::Linux, |p| {
             p.mkdir("/a").unwrap();
             p.mkdir("/a/b").unwrap();
             p.mkdir("/a/b/c").unwrap();

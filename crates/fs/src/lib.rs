@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 //! Storage stack of the reproduction: disk models, the unified buffer
 //! cache, and the three filesystem personalities of Section 7.

@@ -274,7 +274,8 @@ fn x5_crash_consistency(scale: &Scale) -> ExperimentOutput {
                 p.close(fd).unwrap();
             }
         });
-        sim.run().expect("crash survey run");
+        // The survey reads the crash report, not the clock.
+        let _ = sim.run().expect("crash survey run");
         fs.crash_report()
     };
     let mut text = String::new();
@@ -365,7 +366,8 @@ fn x6_event_counters(scale: &Scale) -> ExperimentOutput {
             }
             let _ = k2;
         });
-        sim.run().expect("counter run");
+        // The survey reads event counters, not the clock.
+        let _ = sim.run().expect("counter run");
         let ks = kernel.stats();
         let (dreads, dwrites, _) = fs.cache().disk_stats();
         text.push_str(&format!(

@@ -20,6 +20,8 @@
 //! cycle-attribution breakdown and folded-stack exports land next to
 //! the CSVs.
 
+#![warn(clippy::float_cmp)]
+
 use std::fs;
 use std::process::ExitCode;
 
@@ -43,6 +45,17 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // One fallible step for every mode that writes output: a bad `--out`
+    // is a usage error, not a panic.
+    if !matches!(cli.mode, Mode::Help | Mode::List | Mode::Check) {
+        if let Err(err) = fs::create_dir_all(&cli.out_dir) {
+            eprintln!(
+                "reproduce: cannot create output directory {}: {err}",
+                cli.out_dir.display()
+            );
+            return ExitCode::from(2);
+        }
+    }
     // Arm the ambient fault profile before any experiment (and before the
     // worker pool spawns): every `boot`/`boot_cluster` in this process
     // picks it up. The default `off` is the byte-identical no-op.
@@ -140,7 +153,6 @@ fn replay_cmd(cli: &Cli) -> ExitCode {
     if !cli.faults.is_off() {
         println!("faults: {} (deterministic, seed-driven)\n", cli.faults.name());
     }
-    fs::create_dir_all(&cli.out_dir).expect("create output directory");
 
     let mut targets: Vec<(String, Trace)> = Vec::new();
     if let Some(id) = &cli.record {
@@ -244,7 +256,6 @@ fn replay_cmd(cli: &Cli) -> ExitCode {
 /// produce the identical outcome, with no deadlocks or lost wakeups.
 fn explore_cmd(cli: &Cli) -> ExitCode {
     println!("tnt explore — exhaustive schedule exploration (happens-before armed)\n");
-    fs::create_dir_all(&cli.out_dir).expect("create output directory");
     // `--all` and an empty selection both mean "every canned scenario";
     // the flag exists so CI invocations read as intent, not omission.
     let names = if cli.explore_all {
@@ -292,7 +303,6 @@ fn farm(cli: &Cli) -> ExitCode {
     let scale = cli.scale();
     let jobs = cli.effective_jobs();
     banner(cli, &scale, jobs);
-    fs::create_dir_all(&cli.out_dir).expect("create output directory");
     let sweep = farm_sweep(&scale, cli.faults.name(), jobs);
     println!("{}", sweep.text);
     for (name, contents) in &sweep.csv {
@@ -341,8 +351,10 @@ fn run(cli: &Cli) -> ExitCode {
     let scale = cli.scale();
     let jobs = cli.effective_jobs();
     banner(cli, &scale, jobs);
-    fs::create_dir_all(&cli.out_dir).expect("create output directory");
-    // audit:allow(wallclock) host-side progress timing, never simulated state audit:allow(nondet-taint) prints "done in N s" only; no recorded statistic reads it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side progress timing, never simulated state: prints \"done in N s\" only; no recorded statistic reads it"
+    )]
     let t0 = std::time::Instant::now();
     let results = run_suite(cli, &scale, jobs);
     let mut md = String::from(
@@ -413,7 +425,6 @@ fn bless(cli: &Cli) -> ExitCode {
     let scale = cli.scale();
     let jobs = cli.effective_jobs();
     banner(cli, &scale, jobs);
-    fs::create_dir_all(&cli.out_dir).expect("create output directory");
     let results = run_suite(cli, &scale, jobs);
     for result in &results {
         if let Some(err) = &result.error {
@@ -510,14 +521,19 @@ fn bench(cli: &Cli) -> ExitCode {
     let scale = cli.scale();
     let jobs = cli.effective_jobs();
     banner(cli, &scale, jobs);
-    fs::create_dir_all(&cli.out_dir).expect("create output directory");
 
-    // audit:allow(wallclock) bench mode measures host time by definition
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench mode measures host time by definition"
+    )]
     let t0 = std::time::Instant::now();
     let serial = run_suite(cli, &scale, 1);
     let serial_s = t0.elapsed().as_secs_f64();
 
-    // audit:allow(wallclock) bench mode measures host time by definition
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench mode measures host time by definition"
+    )]
     let t1 = std::time::Instant::now();
     let parallel = run_suite(cli, &scale, jobs);
     let parallel_s = t1.elapsed().as_secs_f64();
@@ -577,7 +593,6 @@ fn ring_json(r: &RingResult) -> Value {
 }
 
 fn bench_engine(cli: &Cli) -> ExitCode {
-    fs::create_dir_all(&cli.out_dir).expect("create output directory");
     println!("tnt bench-engine — threaded baton engine vs lite cooperative scheduler\n");
 
     // Head-to-head at a size the threaded engine can still host (one OS
@@ -629,46 +644,6 @@ fn bench_engine(cli: &Cli) -> ExitCode {
         hb.wall_s,
     );
 
-    // Wall-clock regression gate: the whole --quick suite, timed end to
-    // end against the recorded pre-overhaul baseline
-    // (results/BENCH_engine_before.json). The hot-path work — timer
-    // wheel, batched charging, arena trace ring, parker fast path,
-    // stream extrapolation — is a throughput claim, and ring
-    // micro-benches alone would not notice a regression that only bites
-    // the full figure suite. The gate trips when the suite stops
-    // finishing within QUICK_GATE_FRACTION of the baseline wall clock;
-    // the fraction leaves ~1.7x of the measured ~3x speedup as headroom
-    // for slower CI hosts.
-    println!("\ntiming the --quick figure suite (serial)...");
-    let ids = all_ids();
-    // audit:allow(wallclock) bench mode measures host time by definition
-    let t0 = std::time::Instant::now();
-    let quick_results = execute(plan(&ids, &Scale::quick()), 1);
-    let quick_wall = t0.elapsed().as_secs_f64();
-    let quick_errors: Vec<String> = quick_results
-        .iter()
-        .filter_map(|r| r.error.as_ref().map(|e| format!("{}: {e}", r.id)))
-        .collect();
-    let baseline = quick_baseline_s();
-    let quick_gate_ok = match baseline {
-        // A missing baseline file (running outside the repo root) skips
-        // the gate rather than failing a build that never claimed one.
-        None => true,
-        Some(base) => quick_wall <= base * QUICK_GATE_FRACTION,
-    };
-    match baseline {
-        Some(base) => println!(
-            "quick suite: {quick_wall:.2}s vs {base:.2}s pre-overhaul baseline \
-             ({:.2}x speedup; gate <= {:.2}s)",
-            base / quick_wall.max(1e-9),
-            base * QUICK_GATE_FRACTION,
-        ),
-        None => println!(
-            "quick suite: {quick_wall:.2}s (no recorded baseline at \
-             {QUICK_BASELINE_PATH}; wall-clock gate skipped)"
-        ),
-    }
-
     let doc = Value::Obj(vec![
         ("bench".into(), Value::Str("engine".into())),
         ("procs".into(), Value::Num(f64::from(procs))),
@@ -682,22 +657,6 @@ fn bench_engine(cli: &Cli) -> ExitCode {
         ("hb_overhead_ratio".into(), Value::Num(hb_ratio)),
         ("hb_identical".into(), Value::Bool(hb_identical)),
         ("byte_identical".into(), Value::Bool(identical)),
-        (
-            "quick_suite".into(),
-            Value::Obj(vec![
-                ("wall_s".into(), Value::Num(quick_wall)),
-                (
-                    "baseline_wall_s".into(),
-                    baseline.map_or(Value::Null, Value::Num),
-                ),
-                (
-                    "speedup".into(),
-                    baseline.map_or(Value::Null, |b| Value::Num(b / quick_wall.max(1e-9))),
-                ),
-                ("gate_fraction".into(), Value::Num(QUICK_GATE_FRACTION)),
-                ("gate_passed".into(), Value::Bool(quick_gate_ok)),
-            ]),
-        ),
     ]);
     let path = cli.out_dir.join("BENCH_engine.json");
     fs::write(&path, doc.render()).expect("write bench artifact");
@@ -718,40 +677,11 @@ fn bench_engine(cli: &Cli) -> ExitCode {
         );
         ok = false;
     }
-    for err in &quick_errors {
-        eprintln!("reproduce bench-engine: quick suite failed: {err}");
-        ok = false;
-    }
-    if !quick_gate_ok {
-        let base = baseline.unwrap_or(f64::NAN);
-        eprintln!(
-            "reproduce bench-engine: quick suite took {quick_wall:.2}s, over the \
-             {:.2}s wall-clock gate ({QUICK_GATE_FRACTION:.2} x {base:.2}s baseline)",
-            base * QUICK_GATE_FRACTION,
-        );
-        ok = false;
-    }
     if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Where the pre-overhaul suite timing is recorded (committed to the
-/// repo, so CI can upload the before/after pair side by side).
-const QUICK_BASELINE_PATH: &str = "results/BENCH_engine_before.json";
-
-/// The baseline `--quick` suite wall clock, if the recorded artifact is
-/// readable from the working directory.
-fn quick_baseline_s() -> Option<f64> {
-    let text = fs::read_to_string(QUICK_BASELINE_PATH).ok()?;
-    Value::parse(&text)
-        .ok()?
-        .get("quick_suite")?
-        .get("wall_s")?
-        .as_f64()
-        .filter(|s| s.is_finite() && *s > 0.0)
 }
 
 /// Ceiling on the armed happens-before slowdown of the threaded ring.
@@ -763,9 +693,3 @@ fn quick_baseline_s() -> Option<f64> {
 /// engine read ~2.5x. 4x keeps that headroom while still catching an
 /// accidentally quadratic hook, which blows past 10x.
 const HB_OVERHEAD_GATE: f64 = 4.0;
-
-/// The `--quick` suite must finish within this fraction of the recorded
-/// pre-overhaul baseline wall clock. The overhaul measured ~3x on the
-/// recording host; gating at 0.6x asserts a durable >= 1.67x while
-/// absorbing host-speed variance between the recording machine and CI.
-const QUICK_GATE_FRACTION: f64 = 0.6;

@@ -44,7 +44,10 @@ fn ring_sim(seed: u64) -> Sim {
 
 /// Runs the ring with one host thread per simulated process.
 pub fn threaded_ring(procs: u32, rounds: u32, seed: u64) -> RingResult {
-    // audit:allow(wallclock) bench mode measures host time by definition
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench mode measures host time by definition"
+    )]
     let t0 = std::time::Instant::now();
     let sim = ring_sim(seed);
     let mut tids = Vec::new();
@@ -77,7 +80,10 @@ pub fn threaded_ring(procs: u32, rounds: u32, seed: u64) -> RingResult {
 /// bound the *armed* slowdown (see `hb_overhead_ratio` in
 /// `BENCH_engine.json`).
 pub fn threaded_ring_hb(procs: u32, rounds: u32, seed: u64) -> RingResult {
-    // audit:allow(wallclock) bench mode measures host time by definition
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench mode measures host time by definition"
+    )]
     let t0 = std::time::Instant::now();
     let sim = ring_sim(seed);
     sim.arm_race_detector();
@@ -106,7 +112,10 @@ pub fn threaded_ring_hb(procs: u32, rounds: u32, seed: u64) -> RingResult {
 
 /// Runs the same ring as lite processes in one engine slot.
 pub fn lite_ring(procs: u32, rounds: u32, seed: u64) -> RingResult {
-    // audit:allow(wallclock) bench mode measures host time by definition
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench mode measures host time by definition"
+    )]
     let t0 = std::time::Instant::now();
     let sim = ring_sim(seed);
     let mut sched = LiteScheduler::new(&sim);

@@ -160,7 +160,10 @@ type CurveSampler = Arc<dyn Fn(f64, u64) -> f64 + Send + Sync>;
 
 /// A table experiment: one cell per (row × seed), rendered into a
 /// paper-style table with an extracted record.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one positional builder for every table experiment; each argument is a distinct table field"
+)]
 fn table_plan(
     id: &'static str,
     title: &'static str,
@@ -226,7 +229,10 @@ fn table_plan(
 /// A figure experiment: one cell per (curve × x), each covering all
 /// seeds, rendered into an ASCII figure + CSV with an extracted
 /// record.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one positional builder for every figure experiment; each argument is a distinct figure field"
+)]
 fn figure_plan(
     id: &'static str,
     title: &'static str,

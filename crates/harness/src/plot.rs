@@ -162,10 +162,8 @@ impl Figure {
 }
 
 fn human(v: f64) -> String {
-    // audit:allow(float-eq) axis labels: exact power-of-two multiples get the K/M suffix, near-misses intentionally fall through
     if v >= 1024.0 * 1024.0 && v % (1024.0 * 1024.0) == 0.0 {
         format!("{}M", v / 1024.0 / 1024.0)
-    // audit:allow(float-eq) same: exact-multiple check for the K suffix
     } else if v >= 1024.0 && v % 1024.0 == 0.0 {
         format!("{}K", v / 1024.0)
     } else {

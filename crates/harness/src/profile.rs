@@ -229,7 +229,8 @@ pub fn profile_experiment(id: &str, scale: &Scale) -> Option<Vec<ProfiledSample>
                     let _ = p.stat("/");
                     p.sim().stop();
                 });
-                sim.run().expect("timeout sim failed");
+                // The traced session records the sample; the final clock is not needed.
+                let _ = sim.run().expect("timeout sim failed");
             }));
         }
         _ => return None,

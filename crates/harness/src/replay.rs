@@ -390,7 +390,8 @@ pub(crate) fn capture_video(os: Os, scale: &Scale, seed: u64) -> (Trace, Cycles)
         p.close(fd).expect("close table");
         p.unlink("/table.db").expect("drop table");
     });
-    sim.run().expect("video capture run");
+    // Capture reads the disk's busy time, not the final clock.
+    let _ = sim.run().expect("video capture run");
     let busy = fs.cache().disk().busy_cycles();
     (sim.recorder().take(), busy)
 }
@@ -426,7 +427,8 @@ pub(crate) fn capture_compile(os: Os, scale: &Scale, seed: u64) -> (Trace, Cycle
             p.close(fd).expect("close object");
         }
     });
-    sim.run().expect("compile capture run");
+    // Capture reads the disk's busy time, not the final clock.
+    let _ = sim.run().expect("compile capture run");
     let busy = fs.cache().disk().busy_cycles();
     (sim.recorder().take(), busy)
 }
@@ -732,7 +734,7 @@ mod tests {
         // Recover: a fresh unrelated run right after must not be captured.
         let (sim, kernel) = boot(Os::Linux, 0);
         kernel.spawn_user("innocent", |p| p.compute(Cycles(1_000)));
-        sim.run().expect("post-panic run");
+        let _ = sim.run().expect("post-panic run");
         assert!(
             tnt_sim::replay::drain().is_empty(),
             "no capture may leak into the next pool job"

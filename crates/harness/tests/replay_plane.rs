@@ -52,7 +52,7 @@ fn recording_is_off_by_default() {
         p.write(fd, 64 * 1024).expect("write");
         p.close(fd).expect("close");
     });
-    sim.run().expect("run");
+    let _ = sim.run().expect("run");
     assert!(!sim.recorder().is_enabled(), "recorder armed without --record");
     assert!(sim.recorder().is_empty(), "events recorded while disabled");
     assert!(tnt_sim::replay::drain().is_empty(), "published while disabled");

@@ -155,6 +155,22 @@ fn unknown_flags_exit_with_usage_not_a_silent_run() {
 }
 
 #[test]
+fn an_uncreatable_output_directory_is_a_usage_error_not_a_panic() {
+    let dir = temp_dir("badout");
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, "x").expect("create regular file");
+    let out = reproduce(&["--out", file.to_str().unwrap(), "t1"], &dir);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("cannot create output directory"),
+        "names the problem:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "must not panic:\n{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bless_then_check_roundtrip_passes_and_perturbation_fails() {
     let dir = temp_dir("gate");
     let res = dir.join("res");

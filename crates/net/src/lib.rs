@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 //! Network stack models for Sections 9 and 10 of the paper.
 //!

@@ -8,7 +8,10 @@
 //! protocol stacks); Ethernet transmissions serialise on the shared wire
 //! at 10 Mb/s plus framing overhead.
 
-// audit:allow(hashmap-iter) port bindings are keyed lookup/insert/remove only, never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "port bindings are keyed lookup/insert/remove only, never iterated"
+)]
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -59,7 +62,10 @@ type BindKey = (u32, u16, Proto);
 pub(crate) struct NetInner {
     pub hosts: Mutex<Vec<HostEntry>>,
     ether: Mutex<Ether>,
-    // audit:allow(hashmap-iter) keyed lookup only; results never depend on map order
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only; results never depend on map order"
+    )]
     pub bindings: Mutex<HashMap<BindKey, Arc<dyn PortSink>>>,
 }
 
@@ -98,7 +104,7 @@ impl Net {
                     loss: 0.0,
                     dropped: 0,
                 }),
-                // audit:allow(hashmap-iter) see NetInner::bindings
+                #[expect(clippy::disallowed_types, reason = "see NetInner::bindings")]
                 bindings: Mutex::new(HashMap::new()),
             }),
         }
@@ -157,7 +163,6 @@ impl Net {
 
     /// Reserves wire time for a cross-host frame of `bytes` payload and
     /// returns its arrival instant. Loopback (same host) returns `now`.
-    #[must_use]
     pub(crate) fn transit(&self, env: &KEnv, from: u32, to: u32, bytes: u64) -> Cycles {
         let now = env.sim.now();
         if from == to {
@@ -173,7 +178,6 @@ impl Net {
     /// Wire time of one maximum-size frame (MTU payload plus framing) —
     /// the unit of fault-injected delivery delay. Zero on a wireless
     /// (loopback-only) network.
-    #[must_use]
     pub(crate) fn max_frame_time(&self) -> Cycles {
         let bps = self.inner.ether.lock().bps;
         if bps <= 0.0 {
@@ -228,7 +232,7 @@ mod tests {
             let arrival = n2.transit(&env, 0, 0, 1500);
             assert_eq!(arrival, p.sim().now());
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -247,7 +251,7 @@ mod tests {
             assert!((a1 - p.sim().now()).as_micros() - per_frame_us < 1.0);
             assert!(((a2 - a1).as_micros() - per_frame_us).abs() < 1.0);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]

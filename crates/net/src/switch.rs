@@ -190,7 +190,7 @@ mod tests {
             let d = sw.send(s, 2, 0, SWITCH_MTU);
             assert_eq!(d, Delivery::Delivered(Cycles(t0 + 2 * f)));
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -209,7 +209,7 @@ mod tests {
                 Delivery::Delivered(Cycles(t0 + 2 * frame_cy()))
             );
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -236,7 +236,7 @@ mod tests {
             assert!(dropped > 0, "overload must overflow the drop-tail queue");
             assert_eq!(sw2.queue_drops(), dropped);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         assert_eq!(sw.fault_drops(), 0);
     }
 
@@ -260,7 +260,7 @@ mod tests {
             s.sleep(Cycles(4 * frame_cy()));
             assert!(matches!(sw.send(s, 0, 1, SWITCH_MTU), Delivery::Delivered(_)));
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -285,7 +285,7 @@ mod tests {
                 Delivery::Dropped => panic!("nothing should drop"),
             }
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -305,7 +305,7 @@ mod tests {
                     s.sleep(Cycles(frame_cy()));
                 }
             });
-            sim.run().unwrap();
+            let _ = sim.run().unwrap();
             sw.fault_drops()
         };
         let (a, b) = (run(), run());

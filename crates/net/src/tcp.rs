@@ -465,7 +465,7 @@ mod tests {
             let elapsed = p.sim().now() - t0;
             *r2.lock() = tnt_sim::mbit_per_sec(total, elapsed);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         let v = *result.lock();
         v
     }
@@ -495,7 +495,7 @@ mod tests {
             p.waitpid(child);
             assert_eq!(*total.lock(), 100_000);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -515,7 +515,7 @@ mod tests {
             );
             assert!(matches!(r.err(), Some(Errno::ECONNREFUSED)));
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -540,7 +540,7 @@ mod tests {
             conn.close();
             p.waitpid(child);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]

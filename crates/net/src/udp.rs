@@ -352,7 +352,7 @@ mod tests {
             )
             .unwrap();
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -372,7 +372,7 @@ mod tests {
             }
             let _ = p;
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -389,7 +389,7 @@ mod tests {
             }
             assert_eq!(rx.drops(), 1);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -401,7 +401,7 @@ mod tests {
             let tx = UdpSocket::bind(&n2, &k2, 0, 1).unwrap();
             assert_eq!(tx.send_sized(Addr { host: 0, port: 99 }, 100).unwrap(), 100);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -416,7 +416,7 @@ mod tests {
                 Some(Errno::EADDRINUSE)
             );
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -434,7 +434,7 @@ mod tests {
             rx.close();
             p.waitpid(child);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -464,7 +464,7 @@ mod tests {
             )
             .unwrap();
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         // 8 KB at 10 Mb/s is ~6.6 ms of wire time.
         let ms = *done.lock();
         assert!(ms > 6.0, "cross-host packet had to cross the wire: {ms}ms");

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 //! NFS over SunRPC/UDP — the Section 10 experiments.
 //!

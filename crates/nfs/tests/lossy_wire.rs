@@ -54,7 +54,7 @@ fn run_client(rig: &Rig, f: impl FnOnce(&UProc) + Send + 'static) {
         f(&p);
         p.sim().stop();
     });
-    rig.sim.run().unwrap();
+    let _ = rig.sim.run().unwrap();
 }
 
 #[test]

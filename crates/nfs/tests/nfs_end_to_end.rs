@@ -42,14 +42,14 @@ fn run_nfs(client_os: Os, server_os: Os, f: impl FnOnce(&UProc) + Send + 'static
         *e2.lock() = p.sim().now() - t0;
         p.sim().stop(); // Tears down the nfsd daemon.
     });
-    sim.run().unwrap();
+    let _ = sim.run().unwrap();
     let t = *elapsed.lock();
     (t, mount.rpc_total())
 }
 
 #[test]
 fn file_operations_work_over_nfs() {
-    run_nfs(Os::FreeBsd, Os::Linux, |p| {
+    let _ = run_nfs(Os::FreeBsd, Os::Linux, |p| {
         p.mkdir("/proj").unwrap();
         let fd = p.creat("/proj/data").unwrap();
         assert_eq!(p.write(fd, 20_000).unwrap(), 20_000);
@@ -80,7 +80,7 @@ fn file_operations_work_over_nfs() {
 
 #[test]
 fn rename_works_over_nfs() {
-    run_nfs(Os::FreeBsd, Os::Linux, |p| {
+    let _ = run_nfs(Os::FreeBsd, Os::Linux, |p| {
         p.mkdir("/src").unwrap();
         p.mkdir("/dst").unwrap();
         let fd = p.creat("/src/lib.o.tmp").unwrap();
@@ -98,7 +98,7 @@ fn rename_works_over_nfs() {
 
 #[test]
 fn nfs_errors_propagate() {
-    run_nfs(Os::Solaris, Os::Linux, |p| {
+    let _ = run_nfs(Os::Solaris, Os::Linux, |p| {
         assert_eq!(
             p.open("/ghost", OpenFlags::rdonly()).err(),
             Some(Errno::ENOENT)

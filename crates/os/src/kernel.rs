@@ -367,7 +367,6 @@ impl UProc {
 
     /// `getrusage(2)`-style self CPU time: cycles this process has been
     /// charged, including its share of kernel work done on its behalf.
-    #[must_use]
     pub fn rusage_self(&self) -> Cycles {
         self.charge_syscall();
         self.sim().proc_cpu(self.pid)
@@ -724,7 +723,7 @@ mod tests {
             p.waitpid(child);
             t.store(got.len() as u64, Ordering::SeqCst);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         assert_eq!(total.load(Ordering::SeqCst), 20);
     }
 
@@ -747,7 +746,7 @@ mod tests {
             assert_eq!(got, b"late data", "child's write end kept the pipe alive");
             p.waitpid(child);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -767,7 +766,7 @@ mod tests {
                 "EOF after child exit"
             );
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -782,7 +781,7 @@ mod tests {
             p.waitpid(child);
             w.store(p.sim().now().0, Ordering::SeqCst);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         assert!(
             when.load(Ordering::SeqCst) >= 500_000,
             "parent waited for child CPU time"
@@ -807,7 +806,7 @@ mod tests {
                 "read from write end"
             );
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -816,7 +815,7 @@ mod tests {
         kernel.spawn_user("p", |p| {
             assert_eq!(p.open("/x", OpenFlags::rdonly()).err(), Some(Errno::ENOSYS));
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -840,7 +839,7 @@ mod tests {
             }
             assert_eq!(all, b"via dup!");
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -859,7 +858,7 @@ mod tests {
             p.close(w1).unwrap();
             p.waitpid(child);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -872,7 +871,7 @@ mod tests {
             assert!(ready.is_empty());
             assert!((p.sim().now() - t0).0 >= 50_000);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -885,7 +884,7 @@ mod tests {
             assert_eq!(ready, vec![rfd], "EOF counts as readable");
             assert_eq!(p.read(rfd, 8).unwrap(), 0);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -895,7 +894,7 @@ mod tests {
             let (_r, w) = p.pipe();
             assert_eq!(p.select_read(&[w], None).err(), Some(Errno::EINVAL));
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -912,7 +911,7 @@ mod tests {
                 t.lock().push((p.sim().now() - t0).as_micros());
             });
         }
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         let v = times.lock().clone();
         assert_eq!(v.len(), 2);
         // Machine 0 is Linux (2.31us/call), machine 1 Solaris (3.52).

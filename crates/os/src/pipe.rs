@@ -227,7 +227,7 @@ mod tests {
             assert_eq!(got, (0..200u8).collect::<Vec<u8>>());
             p3.close_reader(&env.sim);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -256,7 +256,7 @@ mod tests {
             }
             assert_eq!(total, 3 * cap);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -273,7 +273,7 @@ mod tests {
                 "EOF after writer closed"
             );
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -285,7 +285,7 @@ mod tests {
             p2.close_reader(&env.sim);
             assert_eq!(p2.write(&env, b"x"), Err(Errno::EPIPE));
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -303,7 +303,7 @@ mod tests {
         sim.spawn("closer", move |_| {
             p3.close_reader(&env.sim);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]

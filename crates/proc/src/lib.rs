@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 //! Cooperative state-machine processes for crowd-scale simulation.
 //!

@@ -71,7 +71,10 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 }
 
 fn run_job<T>(index: usize, work: Work<T>) -> JobOutcome<T> {
-    // audit:allow(nondet-taint) feeds wall_ms only, which bless never stores and check never diffs
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "feeds wall_ms only, which bless never stores and check never diffs"
+    )]
     let start = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(work)).map_err(|payload| JobPanic {
         index,
@@ -116,6 +119,10 @@ pub fn run_ordered<T: Send + 'static>(jobs: Vec<Job<T>>, workers: usize) -> Vec<
     let results: Vec<Mutex<Option<JobOutcome<T>>>> =
         (0..n_jobs).map(|_| Mutex::new(None)).collect();
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the worker pool's job is running whole experiments on host threads"
+    )]
     std::thread::scope(|scope| {
         for me in 0..n_workers {
             let slots = &slots;
@@ -161,7 +168,6 @@ pub fn run_ordered<T: Send + 'static>(jobs: Vec<Job<T>>, workers: usize) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -216,7 +222,12 @@ mod tests {
             })
             .collect();
         let out = run_ordered(jobs, 4);
-        let tids: HashSet<_> = out.into_iter().map(|o| o.result.unwrap()).collect();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "counts distinct host thread ids; never iterated into an output"
+        )]
+        let tids: std::collections::HashSet<_> =
+            out.into_iter().map(|o| o.result.unwrap()).collect();
         assert!(!tids.is_empty());
     }
 

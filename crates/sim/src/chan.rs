@@ -147,7 +147,7 @@ mod tests {
                 s.advance(Cycles(25));
             }
         });
-        s.run().unwrap();
+        let _ = s.run().unwrap();
         assert!(ch.is_empty());
     }
 
@@ -190,7 +190,7 @@ mod tests {
             }));
         }
         sched.start("clients");
-        s.run().unwrap();
+        let _ = s.run().unwrap();
         assert_eq!(&*served.lock(), &[0, 1, 2]);
     }
 }

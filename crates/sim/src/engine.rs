@@ -717,6 +717,10 @@ impl Sim {
         };
         let sim = self.clone();
         let thread_parker = parker;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the engine's job is hosting simulated processes on real threads"
+        )]
         let handle = std::thread::Builder::new()
             .name(format!("sim-{name}"))
             .stack_size(512 * 1024)
@@ -741,7 +745,9 @@ impl Sim {
     /// [`Sim::stop`], a deadlock is detected, or a process panics.
     ///
     /// Returns the final simulated time on success. Must be called from the
-    /// host (non-simulated) thread that built the simulation.
+    /// host (non-simulated) thread that built the simulation. A caller that
+    /// reads its results from the processes instead discards the final
+    /// time with `let _ =`.
     pub fn run(&self) -> Result<Cycles, SimError> {
         assert!(
             CURRENT.with(|c| c.get()).is_none(),
@@ -810,7 +816,6 @@ impl Sim {
     }
 
     /// Current simulated time.
-    #[must_use]
     pub fn now(&self) -> Cycles {
         self.lock_state().now
     }
@@ -837,7 +842,6 @@ impl Sim {
     /// Like [`Sim::charge`] but returns the scaled amount actually
     /// advanced — the lite scheduler mirrors it into its per-process
     /// accounts so threaded and lite accounting stay byte-identical.
-    #[must_use]
     pub(crate) fn charge_scaled(&self, c: Cycles) -> Cycles {
         // The hottest call in the engine — every modelled cost goes
         // through it. When nothing can observe individual charges (no
@@ -1210,7 +1214,6 @@ impl Sim {
 
     /// Total CPU cycles charged while `tid` held the baton (its rusage).
     /// Returns zero for unknown tids.
-    #[must_use]
     pub fn proc_cpu(&self, tid: Tid) -> Cycles {
         self.lock_state()
             .procs
@@ -2155,7 +2158,7 @@ mod tests {
                 order.lock().push(name);
             });
         }
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         assert_eq!(*order.lock(), vec!["first", "second", "third", "fourth"]);
     }
 
@@ -2201,7 +2204,7 @@ mod tests {
             o2.lock().push("waking");
             assert!(s.wakeup_one(q));
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         assert_eq!(*order.lock(), vec!["waiting", "waking", "woken"]);
     }
 
@@ -2223,7 +2226,7 @@ mod tests {
                 s.yield_now();
             }
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         assert_eq!(*order.lock(), vec![0, 1, 2]);
     }
 
@@ -2277,7 +2280,7 @@ mod tests {
             s.wakeup_one_at(q, Cycles(100));
             s.advance(Cycles(500)); // The timer fires inside this charge.
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         // The waiter was made runnable at t=100 and ran after busy's charge.
         assert_eq!(hits.load(Ordering::SeqCst), 500);
     }
@@ -2335,7 +2338,7 @@ mod tests {
             s.sleep(Cycles(10_000)); // Waiting is not CPU.
         });
         let lazy = sim.spawn("lazy", |s| s.advance(Cycles(42)));
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         assert_eq!(sim.proc_cpu(busy), Cycles(700));
         assert_eq!(sim.proc_cpu(lazy), Cycles(42));
         assert_eq!(sim.proc_cpu(crate::Tid(999)), Cycles::ZERO);
@@ -2356,7 +2359,7 @@ mod tests {
             );
             assert_eq!(s.waiters(q), 0, "timeout removed us from the queue");
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -2372,7 +2375,7 @@ mod tests {
             s.advance(Cycles(100));
             s.wakeup_one(q);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -2389,7 +2392,7 @@ mod tests {
             assert!(!woken);
             assert_eq!(s.now(), Cycles(10_100), "full second timeout elapsed");
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -2406,7 +2409,7 @@ mod tests {
             s.advance(Cycles(10));
             s.wakeup_one(b);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -2420,7 +2423,7 @@ mod tests {
             assert_eq!(s.now(), Cycles(2_000));
             assert_eq!(s.waiters(a) + s.waiters(b), 0);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 
     #[test]
@@ -2448,7 +2451,7 @@ mod tests {
             s.advance(Cycles(10));
             s.wakeup_one(a); // Must reach the genuine waiter.
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         assert_eq!(reached.load(Ordering::SeqCst), 1);
     }
 
@@ -2468,7 +2471,7 @@ mod tests {
             s.yield_now(); // Let the waiters enqueue first (FIFO policy).
             assert_eq!(s.wakeup_all(q), 5);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         assert_eq!(count.load(Ordering::SeqCst), 5);
     }
 }

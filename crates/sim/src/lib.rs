@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 //! Deterministic process-oriented discrete-event simulation core.
 //!

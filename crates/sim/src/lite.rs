@@ -424,7 +424,7 @@ mod tests {
             s.sleep(Cycles(7_000));
             s.wakeup_one(q);
         });
-        s.run().unwrap();
+        let _ = s.run().unwrap();
         assert_eq!(woken_at.load(Ordering::Relaxed), 7_000);
     }
 
@@ -509,7 +509,7 @@ mod tests {
             s.sleep(Cycles(4_000));
             s.wakeup_one(q);
         });
-        s.run().unwrap();
+        let _ = s.run().unwrap();
         assert_eq!(
             log.lock().clone(),
             vec![(4_000, Wake::Queue(0)), (25_000, Wake::Timeout)]
@@ -533,7 +533,7 @@ mod tests {
             Step::Done
         }));
         sched.start("sched");
-        s.run().unwrap();
+        let _ = s.run().unwrap();
         assert_eq!(*woke.lock(), (9_000, Wake::Timeout));
     }
 
@@ -559,7 +559,7 @@ mod tests {
             s.sleep(Cycles(3_000));
             s.wakeup_one(qb);
         });
-        s.run().unwrap();
+        let _ = s.run().unwrap();
         assert_eq!(*woke.lock(), (3_000, Wake::Queue(1)));
     }
 
@@ -594,7 +594,7 @@ mod tests {
             s.sleep(Cycles(8_000));
             s.wakeup_one(q); // lands after the RTO: lost, as on a real wire
         });
-        s.run().unwrap();
+        let _ = s.run().unwrap();
         assert_eq!(
             log.lock().clone(),
             vec![(5_000, Wake::Timeout), (20_000, Wake::Timeout)]
@@ -638,7 +638,7 @@ mod tests {
                     }
                 }
             });
-            s.run().unwrap();
+            let _ = s.run().unwrap();
             let got = outcomes.lock().clone();
             got
         };

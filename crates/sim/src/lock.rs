@@ -110,7 +110,7 @@ mod tests {
                 lock.unlock(s);
             });
         }
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         let log = log.lock();
         assert_eq!(log.len(), 6);
         // Sections never interleave: every "in" is followed by its "out".
@@ -146,6 +146,6 @@ mod tests {
             l2.unlock(s);
             assert!(!l2.is_locked());
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
     }
 }

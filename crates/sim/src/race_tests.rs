@@ -37,7 +37,7 @@ fn detector_is_disarmed_by_default() {
         s.race_write("anything", 7);
         s.advance(Cycles(10));
     });
-    s.run().unwrap();
+    let _ = s.run().unwrap();
 }
 
 #[test]
@@ -74,7 +74,7 @@ fn mutex_ordered_user_writes_do_not_race() {
             m.unlock(s);
         });
     }
-    s.run().unwrap();
+    let _ = s.run().unwrap();
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn channel_ordered_user_writes_do_not_race() {
         let _ = rx.recv(s);
         s.race_write("handoff", 0);
     });
-    s.run().unwrap();
+    let _ = s.run().unwrap();
 }
 
 // ----------------------------------------------------------------------
@@ -118,7 +118,7 @@ fn mutant_unlocked_ring_write_is_caught_by_the_checker() {
         }
         s.run()
     };
-    run(false).expect("disciplined ring writes never race");
+    let _ = run(false).expect("disciplined ring writes never race");
     let err = run(true).unwrap_err();
     match err {
         SimError::ProcPanic(msg) => {

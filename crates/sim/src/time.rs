@@ -19,6 +19,10 @@ pub const MEGABYTE: f64 = 1024.0 * 1024.0;
 pub const MEGABIT: f64 = 1_000_000.0;
 
 /// A duration (or instant, measured from simulation start) in CPU cycles.
+///
+/// `#[must_use]`: a dropped `Cycles` is a silently lost charge, which
+/// breaks cycle conservation.
+#[must_use]
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(pub u64);
 
@@ -30,25 +34,21 @@ impl Cycles {
     pub const MAX: Cycles = Cycles(u64::MAX);
 
     /// Converts a duration in microseconds to cycles, rounding to nearest.
-    #[must_use]
     pub fn from_micros(us: f64) -> Cycles {
         Cycles((us * CPU_HZ as f64 / 1e6).round() as u64)
     }
 
     /// Converts a duration in milliseconds to cycles, rounding to nearest.
-    #[must_use]
     pub fn from_millis(ms: f64) -> Cycles {
         Cycles::from_micros(ms * 1e3)
     }
 
     /// Converts a duration in seconds to cycles, rounding to nearest.
-    #[must_use]
     pub fn from_secs(s: f64) -> Cycles {
         Cycles::from_micros(s * 1e6)
     }
 
     /// Converts a duration in nanoseconds to cycles, rounding to nearest.
-    #[must_use]
     pub fn from_nanos(ns: f64) -> Cycles {
         Cycles((ns * CPU_HZ as f64 / 1e9).round() as u64)
     }
@@ -69,19 +69,16 @@ impl Cycles {
     }
 
     /// Saturating subtraction; clamps at zero instead of wrapping.
-    #[must_use]
     pub fn saturating_sub(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
     }
 
     /// Saturating addition; clamps at `Cycles::MAX` instead of wrapping.
-    #[must_use]
     pub fn saturating_add(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.saturating_add(rhs.0))
     }
 
     /// Scales this duration by a floating point factor, rounding to nearest.
-    #[must_use]
     pub fn scale(self, factor: f64) -> Cycles {
         Cycles((self.0 as f64 * factor).round().max(0.0) as u64)
     }

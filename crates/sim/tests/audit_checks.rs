@@ -127,7 +127,7 @@ fn consistent_lock_order_is_fine() {
             }
         });
     }
-    s.run().expect("consistent order must not trip the checker");
+    let _ = s.run().expect("consistent order must not trip the checker");
 }
 
 #[test]
@@ -212,5 +212,5 @@ fn host_guard_released_before_handoff_is_fine() {
         s.yield_now();
         s.sleep(Cycles(100));
     });
-    s.run().expect("released guard must not trip the checker");
+    let _ = s.run().expect("released guard must not trip the checker");
 }

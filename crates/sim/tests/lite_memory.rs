@@ -59,7 +59,7 @@ fn ten_thousand_lite_procs_fit_in_a_bounded_heap() {
         );
     }
     sched.start("crowd");
-    sim.run().expect("crowd run failed");
+    let _ = sim.run().expect("crowd run failed");
 
     let peak = PEAK.load(Ordering::Relaxed).saturating_sub(before);
     // 10k threaded processes would need ~5 GB of stacks alone

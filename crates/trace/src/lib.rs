@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 //! Cycle-attributed kernel tracing for the `tnt` simulation.
 //!

@@ -23,7 +23,7 @@ fn rusage_attributes_cpu_to_the_right_process() {
         p.waitpid(child);
         u2.lock().0 = p.rusage_self();
     });
-    sim.run().unwrap();
+    let _ = sim.run().unwrap();
     let (parent, child) = *usages.lock();
     assert!(child.0 >= 500_000, "child burned its cycles: {child:?}");
     assert!(
@@ -59,7 +59,7 @@ fn tcp_across_the_wire_pays_ethernet_time() {
         *e2.lock() = p.sim().now() - t0;
         p.sim().stop();
     });
-    sim.run().unwrap();
+    let _ = sim.run().unwrap();
     // 256 KB over 10 Mb/s is >= ~210 ms of wire time alone.
     let ms = elapsed.lock().as_millis();
     assert!(ms > 200.0, "cross-host TCP is wire-bound: {ms:.0}ms");
@@ -84,7 +84,7 @@ fn tcp_write_after_peer_close_is_epipe() {
         let r = conn.write(100);
         assert_eq!(r.err(), Some(Errno::EPIPE));
     });
-    sim.run().unwrap();
+    let _ = sim.run().unwrap();
 }
 
 #[test]
@@ -100,7 +100,7 @@ fn null_device_semantics() {
         let (r2, _) = p.pipe();
         assert_eq!(r2, 0, "hole reused");
     });
-    sim.run().unwrap();
+    let _ = sim.run().unwrap();
 }
 
 #[test]
@@ -119,7 +119,7 @@ fn lseek_past_eof_reads_zero_and_write_extends() {
         p.close(fd).unwrap();
         assert_eq!(p.stat("/f").unwrap().size, 5_100, "write extends the file");
     });
-    sim.run().unwrap();
+    let _ = sim.run().unwrap();
 }
 
 #[test]
@@ -140,7 +140,7 @@ fn mount_table_routes_longest_prefix() {
         assert!(!names.contains(&"scratch".to_string()));
         assert_eq!(p.readdir("/tmp").unwrap(), vec!["scratch"]);
     });
-    sim.run().unwrap();
+    let _ = sim.run().unwrap();
 }
 
 #[test]
@@ -153,7 +153,7 @@ fn cross_mount_rename_is_rejected() {
         p.close(fd).unwrap();
         assert_eq!(p.rename("/file", "/tmp/file").err(), Some(Errno::EINVAL));
     });
-    sim.run().unwrap();
+    let _ = sim.run().unwrap();
 }
 
 #[test]
@@ -174,7 +174,7 @@ fn kernel_stats_count_what_happened() {
         assert_eq!(stats.forks, 1);
         assert_eq!(stats.execs, 1);
     });
-    sim.run().unwrap();
+    let _ = sim.run().unwrap();
 }
 
 #[test]
@@ -214,5 +214,5 @@ fn deep_nfs_paths_resolve_through_dnlc() {
         );
         p.sim().stop();
     });
-    sim.run().unwrap();
+    let _ = sim.run().unwrap();
 }

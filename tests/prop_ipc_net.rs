@@ -42,7 +42,7 @@ proptest! {
             }
             p.waitpid(child);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         prop_assert_eq!(&*received.lock(), &expected);
     }
 
@@ -79,7 +79,7 @@ proptest! {
             conn.close();
             p.waitpid(child);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         prop_assert_eq!(*received.lock(), total);
     }
 
@@ -111,7 +111,7 @@ proptest! {
             }
             p.waitpid(child);
         });
-        sim.run().unwrap();
+        let _ = sim.run().unwrap();
         prop_assert_eq!(&*got.lock(), &expected);
     }
 

@@ -128,7 +128,7 @@ fn run_nfs(client_os: Os, server_os: Os, ops: Vec<FsOp>) -> Vec<String> {
         }
         p.sim().stop();
     });
-    sim.run().unwrap();
+    let _ = sim.run().unwrap();
     let result = out.lock().clone();
     result
 }
