@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use crate::machine::{run_bare, timed, ResultSlot};
+use crate::machine::{run_bare, run_bare_task, timed, ResultSlot};
 use tnt_fs::SimFs;
 use tnt_net::{connect, Addr, Net, Recv, TcpListener, UdpSocket};
 use tnt_nfs::{serve, NfsCall, NfsReply, NfsServerConfig};
@@ -16,24 +16,24 @@ use tnt_sim::Cycles;
 /// lmbench `lat_pipe`: one byte bounced between two processes through a
 /// pair of pipes. Returns µs per round trip.
 pub fn lat_pipe_us(os: Os, round_trips: u32, seed: u64) -> f64 {
-    run_bare(os, seed, move |p| {
+    run_bare_task(os, seed, move |p| async move {
         let (rd_a, wr_a) = p.pipe(); // parent -> child
         let (rd_b, wr_b) = p.pipe(); // child -> parent
-        let child = p.fork("pong", move |c| {
+        let child = p.fork_task("pong", move |c| async move {
             for _ in 0..round_trips {
-                if c.read(rd_a, 1).unwrap() == 0 {
+                if c.read_async(rd_a, 1).await.unwrap() == 0 {
                     break;
                 }
-                c.write(wr_b, 1).unwrap();
+                c.write_async(wr_b, 1).await.unwrap();
             }
         });
-        let (_, d) = timed(p, || {
-            for _ in 0..round_trips {
-                p.write(wr_a, 1).unwrap();
-                p.read(rd_b, 1).unwrap();
-            }
-        });
-        p.waitpid(child);
+        let t0 = p.sim().now();
+        for _ in 0..round_trips {
+            p.write_async(wr_a, 1).await.unwrap();
+            p.read_async(rd_b, 1).await.unwrap();
+        }
+        let d = p.sim().now() - t0;
+        p.waitpid_async(child).await;
         d.as_micros() / round_trips as f64
     })
 }

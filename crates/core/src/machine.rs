@@ -1,5 +1,6 @@
 //! Helpers for booting benchmark machines and extracting results.
 
+use std::future::Future;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -57,24 +58,49 @@ where
     finish(sim, kernel, f)
 }
 
+/// [`run_bare`] for a benchmark written as a future: it and every child
+/// it forks with `fork_task` run as engine tasks, so passing the baton
+/// between them costs no host thread switch.
+pub fn run_bare_task<T, F, Fut>(os: Os, seed: u64, f: F) -> T
+where
+    T: Send + 'static,
+    F: FnOnce(UProc) -> Fut + Send + 'static,
+    Fut: Future<Output = T> + Send + 'static,
+{
+    run_bare_task_with(OsCosts::for_os(os), seed, f)
+}
+
+/// [`run_bare_task`] with an explicit cost table, as [`run_bare_with`].
+pub fn run_bare_task_with<T, F, Fut>(costs: OsCosts, seed: u64, f: F) -> T
+where
+    T: Send + 'static,
+    F: FnOnce(UProc) -> Fut + Send + 'static,
+    Fut: Future<Output = T> + Send + 'static,
+{
+    let (sim, kernel) = boot_with(costs, seed);
+    finish_with(sim, |slot| {
+        kernel.spawn_user_task("bench", move |p| async move { slot.put(f(p).await) });
+    })
+}
+
 fn finish<T, F>(sim: Sim, kernel: Kernel, f: F) -> T
 where
     T: Send + 'static,
     F: FnOnce(&UProc) -> T + Send + 'static,
 {
-    let slot: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-    let s2 = slot.clone();
-    kernel.spawn_user("bench", move |p| {
-        let result = f(&p);
-        *s2.lock() = Some(result);
-    });
+    finish_with(sim, |slot| {
+        kernel.spawn_user("bench", move |p| slot.put(f(&p)));
+    })
+}
+
+/// Spawns the benchmark process with `spawn`, which hands it the slot
+/// for its result, runs the simulation and returns the result.
+fn finish_with<T>(sim: Sim, spawn: impl FnOnce(ResultSlot<T>)) -> T {
+    let slot = ResultSlot::new();
+    spawn(slot.clone());
     // The benchmark times its own interval; the final clock is not needed.
     let _ = sim.run().expect("benchmark simulation failed");
-    let result = slot
-        .lock()
-        .take()
-        .expect("benchmark did not produce a result");
-    result
+    slot.take().expect("benchmark did not produce a result")
 }
 
 /// A shared result slot for benchmarks whose measurement lives in a

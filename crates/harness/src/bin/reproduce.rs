@@ -23,14 +23,15 @@
 #![warn(clippy::float_cmp)]
 
 use std::fs;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use tnt_harness::cli::{self, Cli, Mode};
 use tnt_harness::{
     all_ids, capture_experiment, conservation_audit, execute, explore_ids, explore_json,
     extra_ids, farm_sweep, lite_ring, plan, profile_one, render_explore, replay_fixture_ids,
-    replay_trace, run_explore, threaded_ring, threaded_ring_hb, ExperimentResult, RingResult,
-    ReplayOptions, ReplayReport, Scale,
+    replay_trace, run_explore, task_ring, threaded_ring, threaded_ring_hb, ExperimentResult,
+    RingResult, ReplayOptions, ReplayReport, Scale,
 };
 use tnt_runner::{json::Value, BaselineStore, ExperimentRecord};
 use tnt_sim::replay::Trace;
@@ -66,10 +67,10 @@ fn main() -> ExitCode {
     if cli.audit {
         tnt_sim::race::set_ambient(true);
     }
-    match cli.mode {
+    let outcome = match cli.mode {
         Mode::Help => {
             println!("{}", cli::usage());
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Mode::List => {
             // Both paper experiments and ablation ids: --help names the
@@ -87,17 +88,37 @@ fn main() -> ExitCode {
             for id in replay_fixture_ids() {
                 println!("replay/{id}");
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Mode::Run => run(&cli),
         Mode::Bless => bless(&cli),
-        Mode::Check => check(&cli),
+        Mode::Check => Ok(check(&cli)),
         Mode::Bench => bench(&cli),
         Mode::BenchEngine => bench_engine(&cli),
         Mode::Farm => farm(&cli),
         Mode::Explore => explore_cmd(&cli),
         Mode::Replay => replay_cmd(&cli),
-    }
+    };
+    // An output file that cannot be written is a usage error (a bad
+    // `--out` or `--markdown`), not a panic.
+    outcome.unwrap_or_else(|WriteError { path, err }| {
+        eprintln!("reproduce: cannot write {}: {err}", path.display());
+        ExitCode::from(2)
+    })
+}
+
+/// An output file or directory that could not be written.
+struct WriteError {
+    path: PathBuf,
+    err: std::io::Error,
+}
+
+/// Writes one output file.
+fn write(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), WriteError> {
+    fs::write(path, contents).map_err(|err| WriteError {
+        path: path.to_path_buf(),
+        err,
+    })
 }
 
 /// Resolves one `replay` operand to a trace: a literal file path, or a
@@ -147,7 +168,7 @@ fn replay_json(r: &ReplayReport) -> Value {
 
 /// Replays traces (vendored fixtures, files, or fresh `--record`
 /// captures) through the disk model on every benchmarked OS.
-fn replay_cmd(cli: &Cli) -> ExitCode {
+fn replay_cmd(cli: &Cli) -> Result<ExitCode, WriteError> {
     let scale = cli.scale();
     println!("tnt replay — trace-driven workload replay (docs/TRACE_FORMAT.md)\n");
     if !cli.faults.is_off() {
@@ -161,14 +182,17 @@ fn replay_cmd(cli: &Cli) -> ExitCode {
         let traces = capture_experiment(id, &scale);
         if traces.is_empty() {
             eprintln!("reproduce replay: --record {id} captured no disk or namespace activity");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         let dir = cli.out_dir.join("traces");
-        fs::create_dir_all(&dir).expect("create trace directory");
+        fs::create_dir_all(&dir).map_err(|err| WriteError {
+            path: dir.clone(),
+            err,
+        })?;
         for (k, trace) in traces.iter().enumerate() {
             let name = format!("{id}_{k}");
             let path = dir.join(format!("{name}.tntrace"));
-            fs::write(&path, trace.to_bytes()).expect("write capture");
+            write(&path, trace.to_bytes())?;
             println!(
                 "  [captured {} event(s) -> {}]",
                 trace.len(),
@@ -183,7 +207,7 @@ fn replay_cmd(cli: &Cli) -> ExitCode {
             Ok(target) => targets.push(target),
             Err(err) => {
                 eprintln!("reproduce replay: {err}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         }
     }
@@ -192,7 +216,7 @@ fn replay_cmd(cli: &Cli) -> ExitCode {
             "reproduce replay: name a fixture or trace file, or pass --record ID\n{}",
             cli::usage()
         );
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
 
     let ms = |cy: u64| cy as f64 * 1_000.0 / CPU_HZ as f64;
@@ -246,15 +270,15 @@ fn replay_cmd(cli: &Cli) -> ExitCode {
         ("replays".into(), Value::Arr(docs)),
     ]);
     let path = cli.out_dir.join("REPLAY.json");
-    fs::write(&path, doc.render()).expect("write replay artifact");
+    write(&path, doc.render())?;
     println!("replay artifact written to {}", path.display());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Exhaustive schedule exploration of the canned concurrency scenarios:
 /// every interleaving of contended dispatches (sleep-set pruned) must
 /// produce the identical outcome, with no deadlocks or lost wakeups.
-fn explore_cmd(cli: &Cli) -> ExitCode {
+fn explore_cmd(cli: &Cli) -> Result<ExitCode, WriteError> {
     println!("tnt explore — exhaustive schedule exploration (happens-before armed)\n");
     // `--all` and an empty selection both mean "every canned scenario";
     // the flag exists so CI invocations read as intent, not omission.
@@ -270,7 +294,7 @@ fn explore_cmd(cli: &Cli) -> ExitCode {
         Ok(o) => o,
         Err(err) => {
             eprintln!("reproduce explore: {err}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     for o in &outcomes {
@@ -278,7 +302,7 @@ fn explore_cmd(cli: &Cli) -> ExitCode {
     }
     let doc = explore_json(&outcomes);
     let path = cli.out_dir.join("EXPLORE.json");
-    fs::write(&path, doc.render()).expect("write explore artifact");
+    write(&path, doc.render())?;
     println!("explore artifact written to {}", path.display());
     let failed: Vec<&str> = outcomes
         .iter()
@@ -286,20 +310,19 @@ fn explore_cmd(cli: &Cli) -> ExitCode {
         .map(|o| o.name)
         .collect();
     if failed.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "reproduce explore: {} scenario(s) FAILED: {}",
-            failed.len(),
-            failed.join(", ")
-        );
-        ExitCode::FAILURE
+        return Ok(ExitCode::SUCCESS);
     }
+    eprintln!(
+        "reproduce explore: {} scenario(s) FAILED: {}",
+        failed.len(),
+        failed.join(", ")
+    );
+    Ok(ExitCode::FAILURE)
 }
 
 /// The full internet-server rate sweep: per-OS capacity and tail-latency
 /// curves for the TCP and NFS workloads, on the worker pool.
-fn farm(cli: &Cli) -> ExitCode {
+fn farm(cli: &Cli) -> Result<ExitCode, WriteError> {
     let scale = cli.scale();
     let jobs = cli.effective_jobs();
     banner(cli, &scale, jobs);
@@ -307,13 +330,13 @@ fn farm(cli: &Cli) -> ExitCode {
     println!("{}", sweep.text);
     for (name, contents) in &sweep.csv {
         let path = cli.out_dir.join(name);
-        fs::write(&path, contents).expect("write farm CSV");
+        write(&path, contents)?;
         println!("  [series written to {}]", path.display());
     }
     let path = cli.out_dir.join("BENCH_farm.json");
-    fs::write(&path, sweep.doc.render()).expect("write farm artifact");
+    write(&path, sweep.doc.render())?;
     println!("farm artifact written to {}", path.display());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Runs the suite and returns the per-experiment results.
@@ -347,7 +370,7 @@ fn banner(cli: &Cli, scale: &Scale, jobs: usize) {
     println!();
 }
 
-fn run(cli: &Cli) -> ExitCode {
+fn run(cli: &Cli) -> Result<ExitCode, WriteError> {
     let scale = cli.scale();
     let jobs = cli.effective_jobs();
     banner(cli, &scale, jobs);
@@ -374,7 +397,7 @@ fn run(cli: &Cli) -> ExitCode {
             ));
             for (name, contents) in &output.csv {
                 let path = cli.out_dir.join(name);
-                fs::write(&path, contents).expect("write CSV");
+                write(&path, contents)?;
                 println!("  [series written to {}]\n", path.display());
                 md.push_str(&format!("\nSeries: [`{}`]({})\n", name, path.display()));
             }
@@ -384,7 +407,7 @@ fn run(cli: &Cli) -> ExitCode {
                     md.push_str(&format!("\n```text\n{}```\n", p.text));
                     for (name, contents) in &p.files {
                         let path = cli.out_dir.join(name);
-                        fs::write(&path, contents).expect("write folded stacks");
+                        write(&path, contents)?;
                         println!("  [folded stacks written to {}]\n", path.display());
                     }
                 }
@@ -392,7 +415,7 @@ fn run(cli: &Cli) -> ExitCode {
         }
     }
     if let Some(path) = &cli.markdown {
-        fs::write(path, md).expect("write markdown report");
+        write(path, md)?;
         println!("markdown report written to {}", path.display());
     }
     if cli.audit {
@@ -407,21 +430,20 @@ fn run(cli: &Cli) -> ExitCode {
     }
     println!("done in {:.1}s (host time)", t0.elapsed().as_secs_f64());
     if failures.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("\n{} experiment(s) FAILED:", failures.len());
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        ExitCode::FAILURE
+        return Ok(ExitCode::SUCCESS);
     }
+    eprintln!("\n{} experiment(s) FAILED:", failures.len());
+    for f in &failures {
+        eprintln!("  {f}");
+    }
+    Ok(ExitCode::FAILURE)
 }
 
 fn baselines_path(cli: &Cli) -> std::path::PathBuf {
     cli.out_dir.join("baselines.json")
 }
 
-fn bless(cli: &Cli) -> ExitCode {
+fn bless(cli: &Cli) -> Result<ExitCode, WriteError> {
     let scale = cli.scale();
     let jobs = cli.effective_jobs();
     banner(cli, &scale, jobs);
@@ -430,7 +452,7 @@ fn bless(cli: &Cli) -> ExitCode {
         if let Some(err) = &result.error {
             eprintln!("reproduce bless: {}: {err}", result.id);
             eprintln!("refusing to bless a run with failed experiments");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
     let store = BaselineStore {
@@ -438,7 +460,7 @@ fn bless(cli: &Cli) -> ExitCode {
         records: records_of(&results),
     };
     let path = baselines_path(cli);
-    fs::write(&path, store.to_json()).expect("write baselines");
+    write(&path, store.to_json())?;
     println!(
         "blessed {} experiment record(s) -> {}",
         store.records.len(),
@@ -453,7 +475,7 @@ fn bless(cli: &Cli) -> ExitCode {
             rec.wall_ms
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn check(cli: &Cli) -> ExitCode {
@@ -463,7 +485,7 @@ fn check(cli: &Cli) -> ExitCode {
             Ok(store) => store,
             Err(err) => {
                 eprintln!("reproduce check: {} is corrupt: {err}", path.display());
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             }
         },
         Err(err) => {
@@ -471,7 +493,7 @@ fn check(cli: &Cli) -> ExitCode {
                 "reproduce check: cannot read {} ({err}); run `reproduce bless` first",
                 path.display()
             );
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let scale = cli.scale();
@@ -517,7 +539,7 @@ fn check(cli: &Cli) -> ExitCode {
     }
 }
 
-fn bench(cli: &Cli) -> ExitCode {
+fn bench(cli: &Cli) -> Result<ExitCode, WriteError> {
     let scale = cli.scale();
     let jobs = cli.effective_jobs();
     banner(cli, &scale, jobs);
@@ -565,18 +587,17 @@ fn bench(cli: &Cli) -> ExitCode {
         ("byte_identical".into(), Value::Bool(identical)),
     ]);
     let path = cli.out_dir.join("BENCH_runner.json");
-    fs::write(&path, doc.render()).expect("write bench artifact");
+    write(&path, doc.render())?;
     println!(
         "serial {serial_s:.2}s, parallel ({jobs} worker(s)) {parallel_s:.2}s -> {speedup:.2}x; \
          outputs byte-identical: {identical}"
     );
     println!("bench artifact written to {}", path.display());
     if identical {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("reproduce bench: parallel output DIVERGED from serial output");
-        ExitCode::FAILURE
+        return Ok(ExitCode::SUCCESS);
     }
+    eprintln!("reproduce bench: parallel output DIVERGED from serial output");
+    Ok(ExitCode::FAILURE)
 }
 
 fn ring_json(r: &RingResult) -> Value {
@@ -592,30 +613,37 @@ fn ring_json(r: &RingResult) -> Value {
     ])
 }
 
-fn bench_engine(cli: &Cli) -> ExitCode {
-    println!("tnt bench-engine — threaded baton engine vs lite cooperative scheduler\n");
+fn bench_engine(cli: &Cli) -> Result<ExitCode, WriteError> {
+    println!("tnt bench-engine — threaded processes vs engine tasks vs lite processes\n");
 
     // Head-to-head at a size the threaded engine can still host (one OS
-    // thread per process): both backends run the identical simulated
+    // thread per process): every backend runs the identical simulated
     // ring and must agree on the simulated outcome to the byte.
     let (procs, rounds, seed) = (192u32, 200u32, 1996u64);
     let threaded = threaded_ring(procs, rounds, seed);
+    let task = task_ring(procs, rounds, seed);
     let lite = lite_ring(procs, rounds, seed);
+    let task_identical = task.elapsed == threaded.elapsed
+        && task.total_cpu == threaded.total_cpu
+        && task.handoffs == threaded.handoffs;
     let identical =
         threaded.elapsed == lite.elapsed && threaded.total_cpu == lite.total_cpu;
+    let row = |name: &str, r: &RingResult| {
+        format!(
+            "  {name:<9} {:>10.0} handoffs/s  {:>10.0} events/s  {:>7.1} sim-Mcy/s  ({:.3}s)",
+            r.handoffs_per_s(),
+            r.events_per_s(),
+            r.sim_mcycles_per_s(),
+            r.wall_s,
+        )
+    };
     println!(
-        "ring {procs} procs x {rounds} rounds (seed {seed}):\n\
-         \x20 threaded: {:>9.0} handoffs/s  {:>9.0} events/s  {:>7.1} sim-Mcy/s  ({:.3}s)\n\
-         \x20 lite:     {:>9.0} handoffs/s  {:>9.0} events/s  {:>7.1} sim-Mcy/s  ({:.3}s)\n\
-         \x20 simulated outcome byte-identical: {identical}",
-        threaded.handoffs_per_s(),
-        threaded.events_per_s(),
-        threaded.sim_mcycles_per_s(),
-        threaded.wall_s,
-        lite.handoffs_per_s(),
-        lite.events_per_s(),
-        lite.sim_mcycles_per_s(),
-        lite.wall_s,
+        "ring {procs} procs x {rounds} rounds (seed {seed}):\n{}\n{}\n{}\n\
+         \x20 task outcome byte-identical to threaded: {task_identical}\n\
+         \x20 lite outcome byte-identical to threaded: {identical}",
+        row("threaded:", &threaded),
+        row("task:", &task),
+        row("lite:", &lite),
     );
 
     // Crowd scale: far past where per-process threads stop being an
@@ -627,8 +655,10 @@ fn bench_engine(cli: &Cli) -> ExitCode {
         crowd.wall_s,
     );
 
+    let task_ratio = task.handoffs_per_s() / threaded.handoffs_per_s().max(1e-9);
     let ratio = lite.handoffs_per_s() / threaded.handoffs_per_s().max(1e-9);
-    println!("\nlite/threaded handoff throughput: {ratio:.1}x");
+    println!("\ntask/threaded handoff throughput: {task_ratio:.1}x");
+    println!("lite/threaded handoff throughput: {ratio:.1}x");
 
     // Happens-before overhead gate: the same threaded ring with the race
     // detector armed. Disarmed cost is zero by construction (the hooks
@@ -650,18 +680,25 @@ fn bench_engine(cli: &Cli) -> ExitCode {
         ("rounds".into(), Value::Num(f64::from(rounds))),
         ("seed".into(), Value::Num(seed as f64)),
         ("threaded".into(), ring_json(&threaded)),
+        ("task".into(), ring_json(&task)),
         ("lite".into(), ring_json(&lite)),
         ("lite_crowd_10k".into(), ring_json(&crowd)),
         ("threaded_hb".into(), ring_json(&hb)),
+        ("task_handoff_ratio".into(), Value::Num(task_ratio)),
         ("handoff_ratio".into(), Value::Num(ratio)),
         ("hb_overhead_ratio".into(), Value::Num(hb_ratio)),
         ("hb_identical".into(), Value::Bool(hb_identical)),
+        ("task_identical".into(), Value::Bool(task_identical)),
         ("byte_identical".into(), Value::Bool(identical)),
     ]);
     let path = cli.out_dir.join("BENCH_engine.json");
-    fs::write(&path, doc.render()).expect("write bench artifact");
+    write(&path, doc.render())?;
     println!("bench artifact written to {}", path.display());
     let mut ok = true;
+    if !task_identical {
+        eprintln!("reproduce bench-engine: task outcome DIVERGED from threaded outcome");
+        ok = false;
+    }
     if !identical {
         eprintln!("reproduce bench-engine: lite outcome DIVERGED from threaded outcome");
         ok = false;
@@ -677,11 +714,11 @@ fn bench_engine(cli: &Cli) -> ExitCode {
         );
         ok = false;
     }
-    if ok {
+    Ok(if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// Ceiling on the armed happens-before slowdown of the threaded ring.

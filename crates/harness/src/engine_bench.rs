@@ -1,15 +1,16 @@
-//! The two-process-model micro-benchmark behind `reproduce bench-engine`.
+//! The process-model micro-benchmark behind `reproduce bench-engine`.
 //!
-//! Both backends run the *same simulated workload* — a ring of processes
-//! that each charge 37 cycles per round, sleep 1,000 cycles every eighth
-//! round, and yield — once on the threaded baton engine and once as lite
-//! processes inside a single [`LiteScheduler`] slot. The simulated
-//! outcome (final time, total charged CPU) is byte-identical; only the
-//! host cost differs, which is exactly what the benchmark measures:
-//! events/sec, handoffs/sec and simulated Mcycles/sec per backend.
+//! Every backend runs the *same simulated workload* — a ring of
+//! processes that each charge 37 cycles per round, sleep 1,000 cycles
+//! every eighth round, and yield — as threaded processes, as engine
+//! tasks, and as lite processes inside a single [`LiteScheduler`] slot.
+//! The simulated outcome (final time, total charged CPU) is
+//! byte-identical; only the host cost differs, which is exactly what the
+//! benchmark measures: events/sec, handoffs/sec and simulated
+//! Mcycles/sec per backend.
 
 use tnt_sim::proc::{LiteScheduler, ProcCtx, Step, WaitReason};
-use tnt_sim::{Cycles, FifoPolicy, Sim, SimConfig};
+use tnt_sim::{Cycles, FifoPolicy, Sim, SimConfig, Tid};
 
 /// Cycles charged per ring round.
 pub const RING_CHARGE: u64 = 37;
@@ -23,9 +24,10 @@ pub struct RingResult {
     pub elapsed: Cycles,
     /// Total CPU cycles charged across all ring members.
     pub total_cpu: u64,
-    /// Scheduling handoffs: engine dispatches (threaded) or lite polls.
+    /// Scheduling handoffs: engine dispatches (threaded, task) or lite
+    /// polls.
     pub handoffs: u64,
-    /// Charges issued (`procs * rounds`, same on both backends).
+    /// Charges issued (`procs * rounds`, same on every backend).
     pub charges: u64,
     /// Host seconds for the run.
     pub wall_s: f64,
@@ -44,33 +46,7 @@ fn ring_sim(seed: u64) -> Sim {
 
 /// Runs the ring with one host thread per simulated process.
 pub fn threaded_ring(procs: u32, rounds: u32, seed: u64) -> RingResult {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "bench mode measures host time by definition"
-    )]
-    let t0 = std::time::Instant::now();
-    let sim = ring_sim(seed);
-    let mut tids = Vec::new();
-    for p in 0..procs {
-        tids.push(sim.spawn(format!("ring{p}"), move |s| {
-            for r in 0..rounds {
-                s.charge(Cycles(RING_CHARGE));
-                if r % 8 == 3 {
-                    s.sleep(Cycles(RING_SLEEP));
-                }
-                s.yield_now();
-            }
-        }));
-    }
-    let elapsed = sim.run().expect("threaded ring failed");
-    let total_cpu = tids.iter().map(|t| sim.proc_cpu(*t).0).sum();
-    RingResult {
-        elapsed,
-        total_cpu,
-        handoffs: sim.dispatch_count(),
-        charges: u64::from(procs) * u64::from(rounds),
-        wall_s: t0.elapsed().as_secs_f64(),
-    }
+    threaded_ring_on(procs, rounds, seed, false)
 }
 
 /// The threaded ring with the happens-before race detector armed: the
@@ -80,30 +56,73 @@ pub fn threaded_ring(procs: u32, rounds: u32, seed: u64) -> RingResult {
 /// bound the *armed* slowdown (see `hb_overhead_ratio` in
 /// `BENCH_engine.json`).
 pub fn threaded_ring_hb(procs: u32, rounds: u32, seed: u64) -> RingResult {
+    threaded_ring_on(procs, rounds, seed, true)
+}
+
+fn threaded_ring_on(procs: u32, rounds: u32, seed: u64, race_armed: bool) -> RingResult {
     #[expect(
         clippy::disallowed_methods,
         reason = "bench mode measures host time by definition"
     )]
     let t0 = std::time::Instant::now();
     let sim = ring_sim(seed);
-    sim.arm_race_detector();
-    let mut tids = Vec::new();
-    for p in 0..procs {
-        tids.push(sim.spawn(format!("ring{p}"), move |s| {
-            for r in 0..rounds {
-                s.charge(Cycles(RING_CHARGE));
-                if r % 8 == 3 {
-                    s.sleep(Cycles(RING_SLEEP));
-                }
-                s.yield_now();
-            }
-        }));
+    if race_armed {
+        sim.arm_race_detector();
     }
-    let elapsed = sim.run().expect("hb-armed ring failed");
-    let total_cpu = tids.iter().map(|t| sim.proc_cpu(*t).0).sum();
+    let tids: Vec<Tid> = (0..procs)
+        .map(|p| {
+            sim.spawn(format!("ring{p}"), move |s| {
+                for r in 0..rounds {
+                    s.charge(Cycles(RING_CHARGE));
+                    if r % 8 == 3 {
+                        s.sleep(Cycles(RING_SLEEP));
+                    }
+                    s.yield_now();
+                }
+            })
+        })
+        .collect();
+    engine_result(&sim, &tids, procs, rounds, t0)
+}
+
+/// Runs the same ring as engine tasks: the threaded ring's code with
+/// each blocking call awaited, all of it polled on the calling thread.
+pub fn task_ring(procs: u32, rounds: u32, seed: u64) -> RingResult {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench mode measures host time by definition"
+    )]
+    let t0 = std::time::Instant::now();
+    let sim = ring_sim(seed);
+    let tids: Vec<Tid> = (0..procs)
+        .map(|p| {
+            sim.spawn_task(format!("ring{p}"), move |s| async move {
+                for r in 0..rounds {
+                    s.charge(Cycles(RING_CHARGE));
+                    if r % 8 == 3 {
+                        s.sleep_async(Cycles(RING_SLEEP)).await;
+                    }
+                    s.yield_now_async().await;
+                }
+            })
+        })
+        .collect();
+    engine_result(&sim, &tids, procs, rounds, t0)
+}
+
+/// Runs a ring of engine processes and reports it; a handoff is a
+/// dispatch.
+fn engine_result(
+    sim: &Sim,
+    tids: &[Tid],
+    procs: u32,
+    rounds: u32,
+    t0: std::time::Instant,
+) -> RingResult {
+    let elapsed = sim.run().expect("engine ring failed");
     RingResult {
         elapsed,
-        total_cpu,
+        total_cpu: tids.iter().map(|t| sim.proc_cpu(*t).0).sum(),
         handoffs: sim.dispatch_count(),
         charges: u64::from(procs) * u64::from(rounds),
         wall_s: t0.elapsed().as_secs_f64(),
@@ -192,6 +211,20 @@ mod tests {
                 "seed {seed}: charged CPU diverged"
             );
             assert_eq!(threaded.charges, lite.charges);
+        }
+    }
+
+    /// The task twin is the threaded ring with each blocking call
+    /// awaited: same clock, same CPU, and the same dispatches, since
+    /// both are scheduled by the one engine dispatch path.
+    #[test]
+    fn task_and_threaded_rings_are_byte_identical() {
+        for seed in [0, 7, 1996] {
+            let threaded = threaded_ring(24, 40, seed);
+            let task = task_ring(24, 40, seed);
+            assert_eq!(threaded.elapsed, task.elapsed, "seed {seed}: clock diverged");
+            assert_eq!(threaded.total_cpu, task.total_cpu, "seed {seed}: CPU diverged");
+            assert_eq!(threaded.handoffs, task.handoffs, "seed {seed}: dispatches diverged");
         }
     }
 

@@ -44,7 +44,7 @@ mod table;
 pub use ablations::{extra_ids, run_extra};
 pub use audit::{conservation_audit, AuditFinding, AuditReport};
 pub use engine_bench::{
-    lite_ring, threaded_ring, threaded_ring_hb, RingResult, RING_CHARGE, RING_SLEEP,
+    lite_ring, task_ring, threaded_ring, threaded_ring_hb, RingResult, RING_CHARGE, RING_SLEEP,
 };
 pub use explore::{
     explore_ids, explore_json, render_explore, run_explore, ExploreOutcome, ExploreScenario,

@@ -225,11 +225,51 @@ fn check_without_baselines_explains_itself() {
     let dir = temp_dir("nobase");
     let res = dir.join("res");
     let out = reproduce(&["check", "--out", res.to_str().unwrap(), "t1"], &dir);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(
         stderr.contains("reproduce bless"),
         "points at bless:\n{stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn check_against_a_corrupt_baseline_is_a_usage_error() {
+    let dir = temp_dir("corruptbase");
+    let res = dir.join("res");
+    std::fs::create_dir_all(&res).expect("create output dir");
+    std::fs::write(res.join("baselines.json"), "{\"scale\": \"quick\", \"rec").unwrap();
+    let out = reproduce(&["check", "--out", res.to_str().unwrap(), "t1"], &dir);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("is corrupt"), "names the problem:\n{stderr}");
+    assert!(out.stdout.is_empty(), "nothing ran:\n{}", String::from_utf8_lossy(&out.stdout));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unwritable_markdown_report_is_a_usage_error_not_a_panic() {
+    let dir = temp_dir("badmd");
+    let res = dir.join("res");
+    let report = dir.join("report-is-a-dir");
+    std::fs::create_dir_all(&report).expect("create directory");
+    let out = reproduce(
+        &[
+            "--out",
+            res.to_str().unwrap(),
+            "--markdown",
+            report.to_str().unwrap(),
+            "t1",
+        ],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains(&format!("cannot write {}", report.display())),
+        "names the path:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "must not panic:\n{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

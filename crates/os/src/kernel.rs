@@ -7,6 +7,7 @@
 //! and handler costs of the machine's [`OsCosts`] table before doing the
 //! modelled work.
 
+use std::future::Future;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -245,29 +246,50 @@ impl Kernel {
     where
         F: FnOnce(UProc) + Send + 'static,
     {
-        self.spawn_internal(name.into(), f)
+        let kernel = self.clone();
+        self.spawn_internal(name.into(), move |sim, name, tag| {
+            sim.spawn_tagged(name, tag, move |s| {
+                let pid = s.current();
+                f(UProc {
+                    kernel: kernel.clone(),
+                    pid,
+                });
+                kernel.on_proc_exit(pid);
+            })
+        })
     }
 
-    fn spawn_internal<F>(&self, name: String, f: F) -> Pid
+    /// [`Kernel::spawn_user`] for a program written as a future: the
+    /// process runs as an engine task (see `Sim::spawn_task`), so its
+    /// syscalls must be the async forms wherever they can block.
+    pub fn spawn_user_task<F, Fut>(&self, name: impl Into<String>, f: F) -> Pid
     where
-        F: FnOnce(UProc) + Send + 'static,
+        F: FnOnce(UProc) -> Fut + Send + 'static,
+        Fut: Future<Output = ()> + Send + 'static,
     {
         let kernel = self.clone();
-        let sim = self.sim().clone();
-        let exit_q = sim.new_queue();
+        self.spawn_internal(name.into(), move |sim, name, tag| {
+            sim.spawn_task_tagged(name, tag, move |s| async move {
+                let pid = s.current();
+                f(UProc {
+                    kernel: kernel.clone(),
+                    pid,
+                })
+                .await;
+                kernel.on_proc_exit(pid);
+            })
+        })
+    }
+
+    /// Registers a process that `spawn` creates on the engine, given the
+    /// simulation, the process name and this machine's run-policy tag.
+    fn spawn_internal(&self, name: String, spawn: impl FnOnce(&Sim, String, u32) -> Pid) -> Pid {
+        let exit_q = self.sim().new_queue();
         self.inner.tasks.fetch_add(1, Ordering::Relaxed);
         // The process entry must exist before the child can run; we create
-        // it inside the closure guarded by the fact that the spawned
-        // process cannot run until this (currently running) code blocks.
-        let tid = sim.spawn_tagged(name, self.inner.tag, move |s| {
-            let pid = s.current();
-            let uproc = UProc {
-                kernel: kernel.clone(),
-                pid,
-            };
-            f(uproc);
-            kernel.on_proc_exit(pid);
-        });
+        // it after spawning, guarded by the fact that the spawned process
+        // cannot run until this (currently running) code blocks.
+        let tid = spawn(self.sim(), name, self.inner.tag);
         self.inner.procs.lock().insert(
             tid,
             ProcEntry {
@@ -378,6 +400,22 @@ impl UProc {
     where
         F: FnOnce(UProc) + Send + 'static,
     {
+        self.fork_with(|k| k.spawn_user(name, f))
+    }
+
+    /// [`UProc::fork`] with the child as a task: `f` returns the child's
+    /// body as a future (see [`Kernel::spawn_user_task`]).
+    pub fn fork_task<F, Fut>(&self, name: impl Into<String>, f: F) -> Pid
+    where
+        F: FnOnce(UProc) -> Fut + Send + 'static,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        self.fork_with(|k| k.spawn_user_task(name, f))
+    }
+
+    /// Charges the fork, spawns the child with `spawn`, and hands it a
+    /// copy of this process's descriptor table.
+    fn fork_with(&self, spawn: impl FnOnce(&Kernel) -> Pid) -> Pid {
         self.kernel.count(Counter::Syscalls);
         self.kernel.count(Counter::Forks);
         let c = self.kernel.costs();
@@ -386,7 +424,7 @@ impl UProc {
             self.sim().charge(Cycles(c.trap_cy + c.fork_cy));
         }
         let child_fds = self.kernel.with_proc(self.pid, |e| e.fds.fork_clone());
-        let pid = self.kernel.spawn_internal(name.into(), f);
+        let pid = spawn(&self.kernel);
         self.kernel.with_proc(pid, |e| e.fds = child_fds);
         pid
     }
@@ -403,6 +441,11 @@ impl UProc {
 
     /// `waitpid(2)`: blocks until the child exits.
     pub fn waitpid(&self, child: Pid) {
+        self.sim().block_on(self.waitpid_async(child))
+    }
+
+    /// The async form of [`UProc::waitpid`].
+    pub async fn waitpid_async(&self, child: Pid) {
         self.charge_syscall();
         loop {
             let (exited, q) = {
@@ -416,7 +459,7 @@ impl UProc {
                 self.kernel.inner.procs.lock().remove(&child);
                 return;
             }
-            self.sim().wait_on(q, "waitpid");
+            self.sim().wait_on_async(q, "waitpid").await;
         }
     }
 
@@ -457,10 +500,16 @@ impl UProc {
 
     /// `write(2)` of `len` modelled bytes (content zeros).
     pub fn write(&self, fd: Fd, len: u64) -> SysResult<u64> {
+        self.sim().block_on(self.write_async(fd, len))
+    }
+
+    /// The async form of [`UProc::write`]. Only a pipe write is async so
+    /// far; a file write still blocks through the sync filesystem.
+    pub async fn write_async(&self, fd: Fd, len: u64) -> SysResult<u64> {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
-            FileObj::PipeWrite(p) => p.write(self.env(), &vec![0u8; len as usize]),
+            FileObj::PipeWrite(p) => p.write(self.env(), &vec![0u8; len as usize]).await,
             FileObj::Vnode { fs, vnode, flags } => {
                 if !flags.write {
                     return Err(Errno::EBADF);
@@ -480,7 +529,7 @@ impl UProc {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
-            FileObj::PipeWrite(p) => p.write(self.env(), data),
+            FileObj::PipeWrite(p) => self.sim().block_on(p.write(self.env(), data)),
             FileObj::Vnode { .. } | FileObj::Null => self.write_common(&file, data.len() as u64),
             FileObj::PipeRead(_) => Err(Errno::EBADF),
         }
@@ -504,10 +553,16 @@ impl UProc {
 
     /// `read(2)` of up to `len` bytes; returns the byte count.
     pub fn read(&self, fd: Fd, len: u64) -> SysResult<u64> {
+        self.sim().block_on(self.read_async(fd, len))
+    }
+
+    /// The async form of [`UProc::read`]. Only a pipe read is async so
+    /// far; a file read still blocks through the sync filesystem.
+    pub async fn read_async(&self, fd: Fd, len: u64) -> SysResult<u64> {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
-            FileObj::PipeRead(p) => Ok(p.read(self.env(), len)?.len() as u64),
+            FileObj::PipeRead(p) => Ok(p.read(self.env(), len).await?.len() as u64),
             FileObj::Vnode { fs, vnode, flags } => {
                 if !flags.read {
                     return Err(Errno::EBADF);
@@ -527,7 +582,7 @@ impl UProc {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
-            FileObj::PipeRead(p) => p.read(self.env(), len),
+            FileObj::PipeRead(p) => self.sim().block_on(p.read(self.env(), len)),
             _ => Err(Errno::EBADF),
         }
     }
@@ -722,6 +777,36 @@ mod tests {
             assert_eq!(got, b"hello from the child");
             p.waitpid(child);
             t.store(got.len() as u64, Ordering::SeqCst);
+        });
+        let _ = sim.run().unwrap();
+        assert_eq!(total.load(Ordering::SeqCst), 20);
+    }
+
+    #[test]
+    fn task_processes_pipe_through_fds() {
+        // `pipe_through_fds` with parent and child as tasks: the async
+        // syscalls, the task fork and waitpid.
+        let (sim, kernel) = boot(Os::Linux, 0);
+        let total = Arc::new(AtomicU64::new(0));
+        let t = total.clone();
+        kernel.spawn_user_task("parent", move |p| async move {
+            let (rfd, wfd) = p.pipe();
+            let child = p.fork_task("child", move |c| async move {
+                c.close(rfd).unwrap();
+                c.write_async(wfd, 20).await.unwrap();
+                c.close(wfd).unwrap();
+            });
+            p.close(wfd).unwrap();
+            let mut got = 0;
+            loop {
+                let n = p.read_async(rfd, 7).await.unwrap();
+                if n == 0 {
+                    break;
+                }
+                got += n;
+            }
+            p.waitpid_async(child).await;
+            t.store(got, Ordering::SeqCst);
         });
         let _ = sim.run().unwrap();
         assert_eq!(total.load(Ordering::SeqCst), 20);

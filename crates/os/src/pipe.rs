@@ -60,7 +60,7 @@ impl Pipe {
 
     /// Writes all of `data`, blocking as the buffer fills and the reader
     /// drains it. Returns bytes written, or `EPIPE` once no reader exists.
-    pub fn write(&self, env: &KEnv, data: &[u8]) -> SysResult<u64> {
+    pub async fn write(&self, env: &KEnv, data: &[u8]) -> SysResult<u64> {
         {
             let _s = env.sim.span(Class::ProtoCpu);
             env.sim.charge(Cycles(self.costs.write_op_cy));
@@ -73,16 +73,15 @@ impl Pipe {
                     return Err(Errno::EPIPE);
                 }
                 let space = self.costs.capacity as usize - st.buf.len();
-                if space == 0 {
-                    drop(st);
-                    let _w = env.sim.span(Class::PipeWait);
-                    env.sim.wait_on(self.wr_q, "pipe full");
-                    continue;
-                }
                 let n = space.min(data.len() - written as usize);
                 st.buf.extend(&data[written as usize..written as usize + n]);
                 n as u64
             };
+            if moved == 0 {
+                let _w = env.sim.span(Class::PipeWait);
+                env.sim.wait_on_async(self.wr_q, "pipe full").await;
+                continue;
+            }
             {
                 let _s = env.sim.span(Class::DataCopy);
                 env.sim.charge(self.copy_cost(moved));
@@ -99,7 +98,7 @@ impl Pipe {
 
     /// Reads up to `len` bytes, blocking while the pipe is empty and a
     /// writer remains; returns an empty vector at end of file.
-    pub fn read(&self, env: &KEnv, len: u64) -> SysResult<Vec<u8>> {
+    pub async fn read(&self, env: &KEnv, len: u64) -> SysResult<Vec<u8>> {
         {
             let _s = env.sim.span(Class::ProtoCpu);
             env.sim.charge(Cycles(self.costs.read_op_cy));
@@ -110,18 +109,17 @@ impl Pipe {
         loop {
             let out = {
                 let mut st = self.state.lock();
-                if st.buf.is_empty() {
-                    if st.writers == 0 {
-                        return Ok(Vec::new()); // EOF
-                    }
-                    drop(st);
-                    let _w = env.sim.span(Class::PipeWait);
-                    env.sim.wait_on(self.rd_q, "pipe empty");
-                    continue;
+                if st.buf.is_empty() && st.writers == 0 {
+                    return Ok(Vec::new()); // EOF
                 }
                 let n = (len as usize).min(st.buf.len());
                 st.buf.drain(..n).collect::<Vec<u8>>()
             };
+            if out.is_empty() {
+                let _w = env.sim.span(Class::PipeWait);
+                env.sim.wait_on_async(self.rd_q, "pipe empty").await;
+                continue;
+            }
             {
                 let _s = env.sim.span(Class::DataCopy);
                 env.sim.charge(self.copy_cost(out.len() as u64));
@@ -209,16 +207,16 @@ mod tests {
         let pipe = Pipe::new(&sim, env.costs.pipe);
         let p2 = pipe.clone();
         let e2 = env.clone();
-        sim.spawn("writer", move |_| {
+        sim.spawn_task("writer", move |_| async move {
             let data: Vec<u8> = (0..200u8).collect();
-            assert_eq!(p2.write(&e2, &data).unwrap(), 200);
+            assert_eq!(p2.write(&e2, &data).await.unwrap(), 200);
             p2.close_writer(&e2.sim);
         });
         let p3 = pipe.clone();
-        sim.spawn("reader", move |_| {
+        sim.spawn_task("reader", move |_| async move {
             let mut got = Vec::new();
             loop {
-                let chunk = p3.read(&env, 64).unwrap();
+                let chunk = p3.read(&env, 64).await.unwrap();
                 if chunk.is_empty() {
                     break;
                 }
@@ -232,22 +230,24 @@ mod tests {
 
     #[test]
     fn writer_blocks_when_full() {
+        // A threaded writer against a task reader: one pipe, both
+        // process models on its wait queues.
         let (sim, env) = setup(Os::Linux);
         let pipe = Pipe::new(&sim, env.costs.pipe);
         let cap = env.costs.pipe.capacity as usize;
         let p2 = pipe.clone();
         let e2 = env.clone();
-        sim.spawn("writer", move |_| {
+        sim.spawn("writer", move |s| {
             // Write 3x the capacity; must block and resume as drained.
             let data = vec![7u8; 3 * cap];
-            assert_eq!(p2.write(&e2, &data).unwrap() as usize, 3 * cap);
+            assert_eq!(s.block_on(p2.write(&e2, &data)).unwrap() as usize, 3 * cap);
             p2.close_writer(&e2.sim);
         });
         let p3 = pipe.clone();
-        sim.spawn("reader", move |_| {
+        sim.spawn_task("reader", move |_| async move {
             let mut total = 0;
             loop {
-                let chunk = p3.read(&env, u64::MAX >> 1).unwrap();
+                let chunk = p3.read(&env, u64::MAX >> 1).await.unwrap();
                 if chunk.is_empty() {
                     break;
                 }
@@ -264,12 +264,12 @@ mod tests {
         let (sim, env) = setup(Os::FreeBsd);
         let pipe = Pipe::new(&sim, env.costs.pipe);
         let p2 = pipe.clone();
-        sim.spawn("solo", move |_| {
-            p2.write(&env, b"bye").unwrap();
+        sim.spawn_task("solo", move |_| async move {
+            p2.write(&env, b"bye").await.unwrap();
             p2.close_writer(&env.sim);
-            assert_eq!(p2.read(&env, 10).unwrap(), b"bye");
+            assert_eq!(p2.read(&env, 10).await.unwrap(), b"bye");
             assert!(
-                p2.read(&env, 10).unwrap().is_empty(),
+                p2.read(&env, 10).await.unwrap().is_empty(),
                 "EOF after writer closed"
             );
         });
@@ -281,9 +281,9 @@ mod tests {
         let (sim, env) = setup(Os::Solaris);
         let pipe = Pipe::new(&sim, env.costs.pipe);
         let p2 = pipe.clone();
-        sim.spawn("solo", move |_| {
+        sim.spawn("solo", move |s| {
             p2.close_reader(&env.sim);
-            assert_eq!(p2.write(&env, b"x"), Err(Errno::EPIPE));
+            assert_eq!(s.block_on(p2.write(&env, b"x")), Err(Errno::EPIPE));
         });
         let _ = sim.run().unwrap();
     }
@@ -295,30 +295,33 @@ mod tests {
         let cap = env.costs.pipe.capacity as usize;
         let p2 = pipe.clone();
         let e2 = env.clone();
-        sim.spawn("writer", move |_| {
-            let r = p2.write(&e2, &vec![0u8; 2 * cap]);
+        sim.spawn_task("writer", move |_| async move {
+            let r = p2.write(&e2, &vec![0u8; 2 * cap]).await;
             assert_eq!(r, Err(Errno::EPIPE), "woken by reader close");
         });
         let p3 = pipe.clone();
-        sim.spawn("closer", move |_| {
+        sim.spawn_task("closer", move |_| async move {
             p3.close_reader(&env.sim);
         });
         let _ = sim.run().unwrap();
+    }
+
+    /// One process writes one byte and reads it back.
+    fn one_byte_roundtrip(os: Os) -> Cycles {
+        let (sim, env) = setup(os);
+        let pipe = Pipe::new(&sim, env.costs.pipe);
+        sim.spawn_task("self", move |_| async move {
+            pipe.write(&env, &[1]).await.unwrap();
+            pipe.read(&env, 1).await.unwrap();
+        });
+        sim.run().unwrap()
     }
 
     #[test]
     fn solaris_one_byte_roundtrip_costs_80us() {
         // Section 5 calibration: write one byte, read it back, same
         // process, Solaris: ~80us of pipe overhead (excluding traps).
-        let (sim, env) = setup(Os::Solaris);
-        let pipe = Pipe::new(&sim, env.costs.pipe);
-        let p2 = pipe.clone();
-        sim.spawn("self", move |_| {
-            p2.write(&env, &[1]).unwrap();
-            p2.read(&env, 1).unwrap();
-        });
-        let elapsed = sim.run().unwrap();
-        let us = elapsed.as_micros();
+        let us = one_byte_roundtrip(Os::Solaris).as_micros();
         assert!(
             us > 70.0 && us < 90.0,
             "Solaris 1-byte roundtrip ~80us, got {us}"
@@ -327,18 +330,8 @@ mod tests {
 
     #[test]
     fn linux_pipe_much_cheaper_than_solaris() {
-        let cost = |os: Os| {
-            let (sim, env) = setup(os);
-            let pipe = Pipe::new(&sim, env.costs.pipe);
-            let p2 = pipe.clone();
-            sim.spawn("self", move |_| {
-                p2.write(&env, &[1]).unwrap();
-                p2.read(&env, 1).unwrap();
-            });
-            sim.run().unwrap()
-        };
-        let linux = cost(Os::Linux);
-        let solaris = cost(Os::Solaris);
+        let linux = one_byte_roundtrip(Os::Linux);
+        let solaris = one_byte_roundtrip(Os::Solaris);
         assert!(
             solaris.0 > 5 * linux.0,
             "STREAMS pipes are several times dearer"

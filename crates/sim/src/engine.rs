@@ -1,12 +1,22 @@
 //! The deterministic baton-passing process engine.
 //!
-//! Simulated processes are real OS threads, but exactly one of them runs at
-//! any moment: a thread gives up the baton only by calling one of the
-//! blocking primitives (`yield_now`, `sleep_until`, `wait_on`, exit), at
-//! which point the engine picks the next runnable process through the
-//! configured [`RunPolicy`] and hands the baton over. Between two blocking
-//! calls a process executes atomically with respect to all other simulated
-//! processes, exactly like a non-preemptive uniprocessor kernel.
+//! Exactly one simulated process runs at any moment. A process gives up
+//! the baton only by blocking (`yield_now`, `sleep_until`, `wait_on`,
+//! exit), at which point the engine picks the next runnable process
+//! through the configured [`RunPolicy`] and hands the baton over. Between
+//! two blocking calls a process executes atomically with respect to all
+//! other simulated processes, exactly like a non-preemptive uniprocessor
+//! kernel.
+//!
+//! A process is hosted one of two ways. A *threaded* process
+//! ([`Sim::spawn`]) owns a host thread that parks between dispatches. A
+//! *task* ([`Sim::spawn_task`]) is a boxed future that whoever holds the
+//! baton polls inline: the `Sim::run` caller, or a threaded process that
+//! just blocked or exited. Every blocking primitive is one future
+//! (`wait_on_async`, `sleep_until_async`, ...); the sync forms threaded
+//! processes call are [`Sim::block_on`] adapters over it. Both kinds share
+//! one dispatch path and one set of wait queues, and only handing the
+//! baton to a threaded process costs a host context switch.
 //!
 //! Simulated time only advances through explicit [`Sim::advance`] charges
 //! and through the timer queue, so the same seed always produces the same
@@ -15,15 +25,20 @@
 //! Locking discipline: engine state lives behind a single `parking_lot`
 //! mutex that is never held across a baton handoff. Kernel models built on
 //! top (tnt-os and friends) must follow the same rule for their own locks:
-//! never hold a guard across a call that can block.
+//! never hold a guard across a call that can block. For task code the
+//! compiler enforces it: a host `MutexGuard` is `!Send`, so a future that
+//! holds one across an `.await` fails `spawn_task`'s `Send` bound.
 
 use std::cell::Cell;
 // BTreeMap (not a hashed map) everywhere: engine state leaks into
 // outputs — the deadlock diagnostic iterates `procs` — and iteration
 // order must not depend on the hasher.
 use std::collections::{BTreeMap, VecDeque};
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
+use std::pin::{pin, Pin};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
@@ -88,14 +103,14 @@ impl WaitId {
     }
 }
 
-/// An entry on an engine wait queue: either a parked thread-backed
-/// process, or a lite process's wakeup token routed to its scheduler.
-/// One queue can hold both kinds, so every blocking primitive built on
-/// wait queues (SimMutex, pipes, channels) is lite-aware for free.
+/// An entry on an engine wait queue: either a blocked process (threaded
+/// or task), or a lite process's wakeup token routed to its scheduler.
+/// One queue can hold every kind, so every blocking primitive built on
+/// wait queues (SimMutex, pipes, channels) serves them all.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Waiter {
-    /// A threaded process; waking it unparks its thread.
-    Thread(Tid),
+    /// A threaded process or a task; waking it makes it runnable.
+    Proc(Tid),
     /// A lite process: waking it pushes `token` into the owning
     /// scheduler's mailbox and rings the scheduler's doorbell.
     Lite { sched: Tid, token: u64 },
@@ -294,9 +309,21 @@ enum Status {
     Exited,
 }
 
+/// A task's future (see [`Sim::spawn_task`]).
+type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
+
+/// How a simulated process is hosted.
+enum Body {
+    /// On its own host thread, parked while it does not hold the baton.
+    Thread(Arc<Parker>),
+    /// As a future polled inline by whichever thread holds the baton.
+    /// `None` while a poll is in flight and once the task has finished.
+    Task(Option<TaskFuture>),
+}
+
 struct Proc {
     name: String,
-    parker: Arc<Parker>,
+    body: Body,
     status: Status,
     tag: u32,
     /// CPU cycles charged while this process held the baton.
@@ -353,7 +380,6 @@ struct State {
     dispatches: u64,
     finished: bool,
     error: Option<SimError>,
-    shutting_down: bool,
     #[cfg(feature = "audit")]
     audit: AuditState,
     /// The happens-before race detector, when armed (see
@@ -461,9 +487,14 @@ thread_local! {
     /// Virtual pid of the lite process being polled on this thread, if
     /// any: trace events stamp it instead of the scheduler's tid.
     static LITE_PID: Cell<Option<u32>> = const { Cell::new(None) };
-    /// Set while a lite process's `poll` runs; parking primitives check
-    /// it so a lite process that blocks the host thread fails loudly.
-    static IN_LITE_POLL: Cell<bool> = const { Cell::new(false) };
+    /// Set while this thread is borrowed by a poll — a lite process's
+    /// `poll` or a task's — so it must not park: a sync blocking
+    /// primitive called there fails loudly instead of hanging the host
+    /// thread that holds the baton.
+    static NO_PARK: Cell<bool> = const { Cell::new(false) };
+    /// The async form of the blocking primitive that last returned
+    /// `Pending` on this thread, named by the `NO_PARK` failure.
+    static PARKED_IN: Cell<&'static str> = const { Cell::new("") };
 }
 
 /// Scope guard marking "this thread is polling lite process `pid`".
@@ -474,17 +505,66 @@ pub(crate) struct LitePollGuard;
 
 impl LitePollGuard {
     pub(crate) fn new(pid: u32) -> LitePollGuard {
-        LITE_PID.with(|c| c.set(Some(pid)));
-        IN_LITE_POLL.with(|c| c.set(true));
+        LITE_PID.set(Some(pid));
+        NO_PARK.set(true);
         LitePollGuard
     }
 }
 
 impl Drop for LitePollGuard {
     fn drop(&mut self) {
-        LITE_PID.with(|c| c.set(None));
-        IN_LITE_POLL.with(|c| c.set(false));
+        LITE_PID.set(None);
+        NO_PARK.set(false);
     }
+}
+
+/// The one await point of every blocking primitive. The caller has
+/// already queued itself — on a wait queue, a timer, or the run queue
+/// for a yield — so the first poll gives up the baton and the next one,
+/// made by the dispatch that resumes the process, completes. Engine
+/// wait queues and timers decide who is runnable, which is why tasks are
+/// polled with a no-op `Waker`.
+struct Park {
+    /// The primitive's async form, for the `NO_PARK` failure message.
+    form: &'static str,
+    parked: bool,
+}
+
+impl Park {
+    fn new(form: &'static str) -> Park {
+        Park {
+            form,
+            parked: false,
+        }
+    }
+}
+
+impl Future for Park {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        if self.parked {
+            return Poll::Ready(());
+        }
+        self.parked = true;
+        PARKED_IN.set(self.form);
+        Poll::Pending
+    }
+}
+
+/// Why a future that returned `Pending` while its process still held the
+/// baton fails the run: nothing would ever dispatch the process again.
+const PENDING_WITHOUT_BLOCKING: &str = "is pending without blocking on the engine: only the \
+     engine's async primitives (Sim::wait_on_async, Sim::sleep_async, \
+     Sim::yield_now_async, ...) may suspend a simulated process";
+
+/// Opens a new block of the calling process: it gives up the baton with
+/// `status`, and timed wakeups armed for an earlier block go stale.
+/// Returns the new block generation.
+fn begin_block(proc: &mut Proc, status: Status) -> u64 {
+    proc.status = status;
+    proc.block_gen += 1;
+    proc.block_gen
 }
 
 /// Installs (once per program) a panic hook that silences the internal
@@ -540,7 +620,6 @@ impl Sim {
             dispatches: 0,
             finished: false,
             error: None,
-            shutting_down: false,
             #[cfg(feature = "audit")]
             audit: AuditState::default(),
             #[cfg(feature = "audit")]
@@ -655,7 +734,7 @@ impl Sim {
         let now = self.lock_state().now.0;
         let pid = LITE_PID
             .with(|c| c.get())
-            .or_else(|| CURRENT.with(|c| c.get()).map(|t| t.0))
+            .or_else(|| CURRENT.get().map(|t| t.0))
             .unwrap_or(0);
         (now, pid)
     }
@@ -678,62 +757,26 @@ impl Sim {
     {
         let name = name.into();
         let parker = Parker::new();
-        let tid = {
-            let mut st = self.lock_state();
-            assert!(!st.finished, "spawn after simulation finished");
-            let tid = Tid(st.next_tid);
-            st.next_tid += 1;
-            st.procs.insert(
-                tid,
-                Proc {
-                    name: name.clone(),
-                    parker: parker.clone(),
-                    status: Status::Runnable,
-                    tag,
-                    cpu: Cycles::ZERO,
-                    block_gen: 0,
-                    timed_out: false,
-                    woken_by: None,
-                },
-            );
-            st.live += 1;
-            st.policy.enqueue(tid, tag);
-            #[cfg(feature = "audit")]
-            if st.race.is_some() {
-                let parent = race_task();
-                if let Some(d) = st.race.as_mut() {
-                    d.task_start(tid.0, parent);
-                }
-                self.race_protected(&mut st, Loc::RunQueue, AccessKind::Write, "spawn.enqueue");
-            }
-            if self.inner.tracer.is_enabled() {
-                self.inner.tracer.record(Event {
-                    t: st.now.0,
-                    pid: tid.0,
-                    kind: EventKind::Spawn(name.clone()),
-                });
-            }
-            tid
-        };
+        let thread_name = format!("sim-{name}");
+        let tid = self.admit(name, tag, Body::Thread(parker.clone()));
         let sim = self.clone();
-        let thread_parker = parker;
         #[expect(
             clippy::disallowed_methods,
             reason = "the engine's job is hosting simulated processes on real threads"
         )]
         let handle = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
+            .name(thread_name)
             .stack_size(512 * 1024)
             .spawn(move || {
-                if thread_parker.park() == Wake::Kill {
+                if parker.park() == Wake::Kill {
                     return;
                 }
-                CURRENT.with(|c| c.set(Some(tid)));
+                CURRENT.set(Some(tid));
                 let result = panic::catch_unwind(AssertUnwindSafe(|| f(&sim)));
                 match result {
                     Ok(()) => sim.on_exit(tid),
                     Err(payload) if payload.is::<SimKilled>() => {}
-                    Err(payload) => sim.on_panic(tid, panic_message(&*payload)),
+                    Err(payload) => sim.on_panic(panic_message(&*payload)),
                 }
             })
             .expect("failed to spawn simulated process thread");
@@ -741,27 +784,91 @@ impl Sim {
         tid
     }
 
+    /// Spawns a simulated process as a task: `f` receives a handle to
+    /// the simulation and returns the process body as a future. The task
+    /// runs on whichever thread holds the baton when it is dispatched,
+    /// so it costs no host thread; it blocks by awaiting the async
+    /// primitives ([`Sim::wait_on_async`], [`Sim::sleep_async`], ...).
+    /// Calling a sync blocking primitive from a task fails the run.
+    pub fn spawn_task<F, Fut>(&self, name: impl Into<String>, f: F) -> Tid
+    where
+        F: FnOnce(Sim) -> Fut,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        self.spawn_task_tagged(name, 0, f)
+    }
+
+    /// Like [`Sim::spawn_task`] with a run-policy `tag`, as
+    /// [`Sim::spawn_tagged`].
+    pub fn spawn_task_tagged<F, Fut>(&self, name: impl Into<String>, tag: u32, f: F) -> Tid
+    where
+        F: FnOnce(Sim) -> Fut,
+        Fut: Future<Output = ()> + Send + 'static,
+    {
+        let fut: TaskFuture = Box::pin(f(self.clone()));
+        self.admit(name.into(), tag, Body::Task(Some(fut)))
+    }
+
+    /// Registers a new runnable process hosted by `body`.
+    fn admit(&self, name: String, tag: u32, body: Body) -> Tid {
+        let mut st = self.lock_state();
+        assert!(!st.finished, "spawn after simulation finished");
+        let tid = Tid(st.next_tid);
+        st.next_tid += 1;
+        if self.inner.tracer.is_enabled() {
+            self.inner.tracer.record(Event {
+                t: st.now.0,
+                pid: tid.0,
+                kind: EventKind::Spawn(name.clone()),
+            });
+        }
+        st.procs.insert(
+            tid,
+            Proc {
+                name,
+                body,
+                status: Status::Runnable,
+                tag,
+                cpu: Cycles::ZERO,
+                block_gen: 0,
+                timed_out: false,
+                woken_by: None,
+            },
+        );
+        st.live += 1;
+        st.policy.enqueue(tid, tag);
+        #[cfg(feature = "audit")]
+        if st.race.is_some() {
+            let parent = race_task();
+            if let Some(d) = st.race.as_mut() {
+                d.task_start(tid.0, parent);
+            }
+            self.race_protected(&mut st, Loc::RunQueue, AccessKind::Write, "spawn.enqueue");
+        }
+        tid
+    }
+
     /// Runs the simulation until every process has exited, a process calls
     /// [`Sim::stop`], a deadlock is detected, or a process panics.
     ///
     /// Returns the final simulated time on success. Must be called from the
-    /// host (non-simulated) thread that built the simulation. A caller that
-    /// reads its results from the processes instead discards the final
-    /// time with `let _ =`.
+    /// host (non-simulated) thread that built the simulation; that thread
+    /// polls tasks itself until the baton passes to a threaded process. A
+    /// caller that reads its results from the processes instead discards
+    /// the final time with `let _ =`.
     pub fn run(&self) -> Result<Cycles, SimError> {
         assert!(
-            CURRENT.with(|c| c.get()).is_none(),
+            CURRENT.get().is_none(),
             "Sim::run called from a simulated process"
         );
         let (final_now, error) = {
             let mut st = self.lock_state();
-            if !st.finished {
-                if st.current.is_none() {
-                    self.dispatch_locked(&mut st);
-                }
-                while !st.finished {
-                    self.inner.done.wait(&mut st);
-                }
+            if !st.finished && st.current.is_none() {
+                self.dispatch(st, None);
+                st = self.lock_state();
+            }
+            while !st.finished {
+                self.inner.done.wait(&mut st);
             }
             // Join edges: everything every proc did happens-before the
             // host's post-run reads (`proc_cpu`, a follow-up `run`).
@@ -799,8 +906,9 @@ impl Sim {
         }
     }
 
-    /// Terminates the simulation from inside a simulated process, unwinding
-    /// the caller. Remaining processes are destroyed. Never returns.
+    /// Terminates the simulation from inside a simulated process (threaded
+    /// or task), unwinding the caller. The run ends at the current clock
+    /// and remaining processes are destroyed. Never returns.
     pub fn stop(&self) -> ! {
         let tid = current_tid();
         {
@@ -887,7 +995,7 @@ impl Sim {
         {
             return false;
         }
-        CURRENT.with(|c| c.get()).is_some()
+        CURRENT.get().is_some()
             && !self.inner.tracer.is_enabled()
             && !self.inner.recorder.is_enabled()
     }
@@ -967,46 +1075,90 @@ impl Sim {
         f(&mut self.lock_state().rng)
     }
 
+    /// Runs `fut` to completion on the calling threaded process: polls
+    /// it, and each time it is pending — it blocked on the engine —
+    /// hands the baton on and parks the host thread until the process is
+    /// dispatched again. Every sync blocking primitive is this adapter
+    /// over its async form.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fut` would park a thread that must not park: inside a
+    /// task (await the async form instead) or a lite process's `poll`.
+    pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
+        let mut fut = pin!(fut);
+        let mut cx = Context::from_waker(Waker::noop());
+        loop {
+            if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
+                return out;
+            }
+            self.park_current();
+        }
+    }
+
     /// Yields the baton: the caller re-enters the run queue and another
     /// runnable process (possibly the caller again) is dispatched.
     pub fn yield_now(&self) {
-        let tid = current_tid();
-        let mut st = self.lock_state();
-        let tag = st.procs[&tid].tag;
-        st.procs.get_mut(&tid).expect("current proc missing").status = Status::Runnable;
-        st.policy.enqueue(tid, tag);
-        #[cfg(feature = "audit")]
-        self.race_protected(&mut st, Loc::RunQueue, AccessKind::Write, "yield.enqueue");
-        self.block_current(st, tid);
+        self.block_on(self.yield_now_async())
+    }
+
+    /// The async form of [`Sim::yield_now`].
+    pub async fn yield_now_async(&self) {
+        {
+            let tid = current_tid();
+            let mut st = self.lock_state();
+            let proc = st.procs.get_mut(&tid).expect("current proc missing");
+            begin_block(proc, Status::Runnable);
+            let tag = proc.tag;
+            st.policy.enqueue(tid, tag);
+            #[cfg(feature = "audit")]
+            self.race_protected(&mut st, Loc::RunQueue, AccessKind::Write, "yield.enqueue");
+        }
+        Park::new("Sim::yield_now_async").await
     }
 
     /// Blocks the caller until the given simulated instant.
     pub fn sleep_until(&self, at: Cycles) {
-        let tid = current_tid();
-        let mut st = self.lock_state();
-        if at <= st.now {
-            return;
-        }
-        let seq = st.timer_seq;
-        st.timer_seq += 1;
-        st.timers.insert(at, seq, TimerAction::Proc(tid));
-        st.procs.get_mut(&tid).expect("current proc missing").status = Status::Blocked("sleep");
-        #[cfg(feature = "audit")]
+        self.block_on(self.sleep_until_async(at))
+    }
+
+    /// The async form of [`Sim::sleep_until`].
+    pub async fn sleep_until_async(&self, at: Cycles) {
         {
-            self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "sleep.arm");
-            if let Some(d) = st.race.as_deref_mut() {
-                d.release(race_task(), SyncId::Timer(seq));
+            let tid = current_tid();
+            let mut st = self.lock_state();
+            if at <= st.now {
+                return;
+            }
+            let seq = st.timer_seq;
+            st.timer_seq += 1;
+            st.timers.insert(at, seq, TimerAction::Proc(tid));
+            begin_block(
+                st.procs.get_mut(&tid).expect("current proc missing"),
+                Status::Blocked("sleep"),
+            );
+            #[cfg(feature = "audit")]
+            {
+                self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "sleep.arm");
+                if let Some(d) = st.race.as_deref_mut() {
+                    d.release(race_task(), SyncId::Timer(seq));
+                }
             }
         }
-        self.block_current(st, tid);
+        Park::new("Sim::sleep_until_async").await
     }
 
     /// Blocks the caller for the given simulated duration. Unlike
     /// [`Sim::advance`] this does not consume CPU: it models waiting for a
     /// device, not computing.
     pub fn sleep(&self, dur: Cycles) {
-        let deadline = self.lock_state().now + dur;
-        self.sleep_until(deadline);
+        self.block_on(self.sleep_async(dur))
+    }
+
+    /// The async form of [`Sim::sleep`].
+    pub async fn sleep_async(&self, dur: Cycles) {
+        let deadline = self.now() + dur;
+        self.sleep_until_async(deadline).await
     }
 
     /// Allocates a new wait queue.
@@ -1024,45 +1176,67 @@ impl Sim {
     /// atomically between blocking calls, the classic lost-wakeup race
     /// cannot occur: check your condition, then call `wait_on`.
     pub fn wait_on(&self, q: WaitId, reason: &'static str) {
-        let tid = current_tid();
-        let mut st = self.lock_state();
-        st.queues
-            .get_mut(&q.0)
-            .expect("wait queue does not exist")
-            .push_back(Waiter::Thread(tid));
-        st.procs.get_mut(&tid).expect("current proc missing").status = Status::Blocked(reason);
-        #[cfg(feature = "audit")]
-        self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "wait.enqueue");
-        self.block_current(st, tid);
+        self.block_on(self.wait_on_async(q, reason))
+    }
+
+    /// The async form of [`Sim::wait_on`].
+    pub async fn wait_on_async(&self, q: WaitId, reason: &'static str) {
+        {
+            let tid = current_tid();
+            let mut st = self.lock_state();
+            st.queues
+                .get_mut(&q.0)
+                .expect("wait queue does not exist")
+                .push_back(Waiter::Proc(tid));
+            begin_block(
+                st.procs.get_mut(&tid).expect("current proc missing"),
+                Status::Blocked(reason),
+            );
+            #[cfg(feature = "audit")]
+            self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "wait.enqueue");
+        }
+        Park::new("Sim::wait_on_async").await
     }
 
     /// Like [`Sim::wait_on`] but gives up after `timeout`: returns `true`
     /// if woken by [`Sim::wakeup_one`]/[`Sim::wakeup_all`], `false` on
     /// timeout (in which case the caller is no longer on the queue).
     pub fn wait_on_timeout(&self, q: WaitId, timeout: Cycles, reason: &'static str) -> bool {
+        self.block_on(self.wait_on_timeout_async(q, timeout, reason))
+    }
+
+    /// The async form of [`Sim::wait_on_timeout`].
+    pub async fn wait_on_timeout_async(
+        &self,
+        q: WaitId,
+        timeout: Cycles,
+        reason: &'static str,
+    ) -> bool {
         let tid = current_tid();
-        let mut st = self.lock_state();
-        st.queues
-            .get_mut(&q.0)
-            .expect("wait queue does not exist")
-            .push_back(Waiter::Thread(tid));
-        let proc = st.procs.get_mut(&tid).expect("current proc missing");
-        proc.status = Status::Blocked(reason);
-        // The generation this block will run under (block_current bumps).
-        let gen = proc.block_gen + 1;
-        let at = st.now + timeout;
-        let seq = st.timer_seq;
-        st.timer_seq += 1;
-        st.timers.insert(at, seq, TimerAction::ProcGen(tid, gen, q.0));
-        #[cfg(feature = "audit")]
         {
-            self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "wait.enqueue");
-            self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "wait.arm-timeout");
-            if let Some(d) = st.race.as_deref_mut() {
-                d.release(race_task(), SyncId::Timer(seq));
+            let mut st = self.lock_state();
+            st.queues
+                .get_mut(&q.0)
+                .expect("wait queue does not exist")
+                .push_back(Waiter::Proc(tid));
+            let gen = begin_block(
+                st.procs.get_mut(&tid).expect("current proc missing"),
+                Status::Blocked(reason),
+            );
+            let at = st.now + timeout;
+            let seq = st.timer_seq;
+            st.timer_seq += 1;
+            st.timers.insert(at, seq, TimerAction::ProcGen(tid, gen, q.0));
+            #[cfg(feature = "audit")]
+            {
+                self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "wait.enqueue");
+                self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "wait.arm-timeout");
+                if let Some(d) = st.race.as_deref_mut() {
+                    d.release(race_task(), SyncId::Timer(seq));
+                }
             }
         }
-        self.block_current(st, tid);
+        Park::new("Sim::wait_on_timeout_async").await;
         // Back awake: the timer handler flags timeouts (and has already
         // removed us from the queue); a real wakeup popped us normally.
         let mut st = self.lock_state();
@@ -1081,38 +1255,51 @@ impl Sim {
         timeout: Option<Cycles>,
         reason: &'static str,
     ) -> Option<usize> {
+        self.block_on(self.wait_on_any_async(qs, timeout, reason))
+    }
+
+    /// The async form of [`Sim::wait_on_any`].
+    pub async fn wait_on_any_async(
+        &self,
+        qs: &[WaitId],
+        timeout: Option<Cycles>,
+        reason: &'static str,
+    ) -> Option<usize> {
         assert!(!qs.is_empty(), "wait_on_any needs at least one queue");
         let tid = current_tid();
-        let mut st = self.lock_state();
-        for q in qs {
-            st.queues
-                .get_mut(&q.0)
-                .expect("wait queue does not exist")
-                .push_back(Waiter::Thread(tid));
-        }
-        let proc = st.procs.get_mut(&tid).expect("current proc missing");
-        proc.status = Status::Blocked(reason);
-        if let Some(t) = timeout {
-            let gen = proc.block_gen + 1;
-            let at = st.now + t;
-            let seq = st.timer_seq;
-            st.timer_seq += 1;
-            // The timer removes us from the *first* queue; the lazy skip
-            // handles the rest.
-            st.timers.insert(at, seq, TimerAction::ProcGen(tid, gen, qs[0].0));
-            #[cfg(feature = "audit")]
-            {
-                self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "select.arm");
-                if let Some(d) = st.race.as_deref_mut() {
-                    d.release(race_task(), SyncId::Timer(seq));
+        {
+            let mut st = self.lock_state();
+            for q in qs {
+                st.queues
+                    .get_mut(&q.0)
+                    .expect("wait queue does not exist")
+                    .push_back(Waiter::Proc(tid));
+            }
+            let gen = begin_block(
+                st.procs.get_mut(&tid).expect("current proc missing"),
+                Status::Blocked(reason),
+            );
+            if let Some(t) = timeout {
+                let at = st.now + t;
+                let seq = st.timer_seq;
+                st.timer_seq += 1;
+                // The timer removes us from the *first* queue; the lazy
+                // skip handles the rest.
+                st.timers.insert(at, seq, TimerAction::ProcGen(tid, gen, qs[0].0));
+                #[cfg(feature = "audit")]
+                {
+                    self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "select.arm");
+                    if let Some(d) = st.race.as_deref_mut() {
+                        d.release(race_task(), SyncId::Timer(seq));
+                    }
                 }
             }
+            #[cfg(feature = "audit")]
+            for q in qs {
+                self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "select.enqueue");
+            }
         }
-        #[cfg(feature = "audit")]
-        for q in qs {
-            self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "select.enqueue");
-        }
-        self.block_current(st, tid);
+        Park::new("Sim::wait_on_any_async").await;
         // The waker (or the timeout handler) recorded how we were woken;
         // clean our leftover entries off every queue.
         let mut st = self.lock_state();
@@ -1125,7 +1312,7 @@ impl Sim {
         };
         for q in qs {
             if let Some(queue) = st.queues.get_mut(&q.0) {
-                queue.retain(|w| *w != Waiter::Thread(tid));
+                queue.retain(|w| *w != Waiter::Proc(tid));
             }
             #[cfg(feature = "audit")]
             self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "select.cleanup");
@@ -1337,7 +1524,7 @@ impl Sim {
     pub(crate) fn audit_mutex_acquiring(&self, q: WaitId) {
         #[cfg(feature = "audit")]
         {
-            let Some(tid) = CURRENT.with(|c| c.get()) else {
+            let Some(tid) = CURRENT.get() else {
                 return;
             };
             let mut st = self.lock_state();
@@ -1382,7 +1569,7 @@ impl Sim {
     pub(crate) fn audit_mutex_acquired(&self, q: WaitId) {
         #[cfg(feature = "audit")]
         {
-            let Some(tid) = CURRENT.with(|c| c.get()) else {
+            let Some(tid) = CURRENT.get() else {
                 return;
             };
             let mut st = self.lock_state();
@@ -1400,7 +1587,7 @@ impl Sim {
     pub(crate) fn audit_mutex_released(&self, q: WaitId) {
         #[cfg(feature = "audit")]
         {
-            let Some(tid) = CURRENT.with(|c| c.get()) else {
+            let Some(tid) = CURRENT.get() else {
                 return;
             };
             let mut st = self.lock_state();
@@ -1587,49 +1774,127 @@ impl Sim {
     // Internals.
     // ------------------------------------------------------------------
 
-    /// Marks the caller blocked (status must already be set), dispatches
-    /// the next process, releases the lock, and parks until woken.
-    fn block_current(&self, mut st: parking_lot::MutexGuard<'_, State>, tid: Tid) {
+    /// Gives up the baton of the calling threaded process, whose pending
+    /// future has just queued it (blocked or yielded): runs the dispatch
+    /// loop on this thread and parks until dispatched again.
+    fn park_current(&self) {
+        let form = PARKED_IN.get();
         assert!(
-            !IN_LITE_POLL.with(|c| c.get()),
-            "a lite process called a blocking engine primitive from inside poll(); \
-             lite processes block by returning Step::Block, never by parking the \
-             host thread"
+            !NO_PARK.get(),
+            "a blocking engine primitive would park a host thread that must not park: \
+             a task awaits the async form ({form}) and a lite process returns \
+             Step::Block from poll(), neither calls the sync form"
         );
-        #[cfg(feature = "audit")]
-        {
-            let held = crate::audit::held_host_guards();
-            if !held.is_empty() {
-                let name = st.procs[&tid].name.clone();
-                drop(st);
-                panic!(
-                    "audit: host lock guard(s) {held:?} held across a baton handoff by \
-                     process {name}; host mutexes must be released before any blocking \
-                     call (use SimMutex for cross-block mutual exclusion)"
-                );
-            }
-        }
-        st.procs
-            .get_mut(&tid)
-            .expect("current proc missing")
-            .block_gen += 1;
-        let parker = st.procs[&tid].parker.clone();
+        let tid = current_tid();
+        let mut st = self.lock_state();
+        let proc = &st.procs[&tid];
+        assert!(
+            proc.status != Status::Running,
+            "process {} {PENDING_WITHOUT_BLOCKING}",
+            proc.name
+        );
+        let Body::Thread(parker) = &proc.body else {
+            unreachable!("only threaded processes park")
+        };
+        let parker = parker.clone();
         st.current = None;
-        self.dispatch_locked(&mut st);
-        drop(st);
+        if self.dispatch(st, Some(tid)) {
+            return;
+        }
         match parker.park() {
             Wake::Run => {}
             Wake::Kill => panic::panic_any(SimKilled),
         }
     }
 
-    /// Picks and unparks the next runnable process, advancing the clock
-    /// through the timer queue while the system is idle. Detects
-    /// termination and deadlock.
-    fn dispatch_locked(&self, st: &mut State) {
+    /// The dispatch loop, run by whichever thread holds the baton: picks
+    /// the next runnable process, polls a picked task inline, and repeats
+    /// until a threaded process holds the baton or the run is finished.
+    /// `me` is the calling threaded process when it is giving up the
+    /// baton; returns whether the loop handed the baton back to it.
+    fn dispatch<'a>(
+        &'a self,
+        mut st: parking_lot::MutexGuard<'a, State>,
+        me: Option<Tid>,
+    ) -> bool {
+        let host = CURRENT.get();
+        let mine = loop {
+            let Some(tid) = self.pick_locked(&mut st) else {
+                break false;
+            };
+            match &mut st.procs.get_mut(&tid).expect("picked proc missing").body {
+                Body::Thread(_) if me == Some(tid) => break true,
+                Body::Thread(parker) => {
+                    parker.unpark(Wake::Run);
+                    break false;
+                }
+                Body::Task(slot) => {
+                    let fut = slot.take().expect("a dispatched task is already being polled");
+                    drop(st);
+                    st = self.poll_task(tid, fut);
+                }
+            }
+        };
+        CURRENT.set(host);
+        mine
+    }
+
+    /// Polls task `tid` for one timeslice on the calling thread and files
+    /// the outcome. The thread is borrowed: `CURRENT` names the task and
+    /// `NO_PARK` is raised, and a panic is caught here — it fails the run
+    /// but never unwinds the host thread. `CURRENT` still names the task
+    /// on return, so the rest of the dispatch runs on its behalf, as it
+    /// does for a threaded process that blocks.
+    fn poll_task(&self, tid: Tid, mut fut: TaskFuture) -> parking_lot::MutexGuard<'_, State> {
+        CURRENT.set(Some(tid));
+        let outer = NO_PARK.replace(true);
+        let polled = panic::catch_unwind(AssertUnwindSafe(|| {
+            fut.as_mut().poll(&mut Context::from_waker(Waker::noop()))
+        }));
+        NO_PARK.set(outer);
+        // Settles the charges the task batched since its last engine call
+        // while `current` still names it.
+        let mut st = self.lock_state();
+        let done = match polled {
+            Ok(Poll::Pending) if st.procs[&tid].status == Status::Running => {
+                let msg = format!("task {} {PENDING_WITHOUT_BLOCKING}", st.procs[&tid].name);
+                self.fail_locked(&mut st, msg);
+                true
+            }
+            Ok(Poll::Pending) => false,
+            Ok(Poll::Ready(())) => {
+                self.exit_locked(&mut st, tid);
+                true
+            }
+            // `Sim::stop` already ended the run.
+            Err(payload) if payload.is::<SimKilled>() => true,
+            Err(payload) => {
+                self.fail_locked(&mut st, panic_message(&*payload));
+                true
+            }
+        };
+        st.current = None;
+        if done || st.finished {
+            // Never put a future back once the run is over: shutdown may
+            // already have collected the live ones.
+            drop(st);
+            drop_task(tid, fut);
+            return self.lock_state();
+        }
+        if let Body::Task(slot) = &mut st.procs.get_mut(&tid).expect("polled task missing").body {
+            *slot = Some(fut);
+        }
+        st
+    }
+
+    /// Picks the next runnable process and makes it current, advancing
+    /// the clock through the timer queue while the system is idle.
+    /// Returns `None` once the run is finished: every process exited, or
+    /// a deadlock was diagnosed.
+    fn pick_locked(&self, st: &mut State) -> Option<Tid> {
         loop {
             if st.finished {
-                return;
+                return None;
             }
             let pick = {
                 let State {
@@ -1668,9 +1933,7 @@ impl Sim {
                         d.slice_begin(tid.0);
                     }
                 }
-                let proc = st.procs.get_mut(&tid).expect("picked proc missing");
-                proc.parker.unpark(Wake::Run);
-                return;
+                return Some(tid);
             }
             if let Some((at, seq, action)) = st.timers.pop_earliest() {
                 if at > st.now {
@@ -1717,7 +1980,7 @@ impl Sim {
                 )));
             }
             self.inner.done.notify_all();
-            return;
+            return None;
         }
     }
 
@@ -1770,7 +2033,7 @@ impl Sim {
                 };
                 if !stale {
                     if let Some(queue) = st.queues.get_mut(&q) {
-                        queue.retain(|w| *w != Waiter::Thread(tid));
+                        queue.retain(|w| *w != Waiter::Proc(tid));
                     }
                     let proc = st.procs.get_mut(&tid).expect("checked above");
                     proc.status = Status::Runnable;
@@ -1825,7 +2088,7 @@ impl Sim {
             #[cfg(feature = "audit")]
             self.race_protected(st, Loc::WaitQueue(q), AccessKind::Write, "wake.dequeue");
             match waiter {
-                Waiter::Thread(tid) => {
+                Waiter::Proc(tid) => {
                     let proc = st.procs.get_mut(&tid).expect("queued proc missing");
                     // Skip stale entries: a proc that waited on several
                     // queues (`wait_on_any`) was already woken through
@@ -1872,7 +2135,7 @@ impl Sim {
                     }
                     // Ring the scheduler's doorbell so its host thread
                     // (if parked) becomes runnable. The doorbell queue
-                    // only ever holds Thread waiters, so this recursion
+                    // only ever holds Proc waiters, so this recursion
                     // is depth-1. Planted bug (`MUTANT_DROP_DOORBELL`):
                     // deliver the token but skip the ring — the mailbox
                     // fills while the scheduler sleeps forever.
@@ -1887,18 +2150,28 @@ impl Sim {
         }
     }
 
+    /// A threaded process returned: retire it and pass the baton on.
     fn on_exit(&self, tid: Tid) {
         let mut st = self.lock_state();
+        self.exit_locked(&mut st, tid);
+        self.dispatch(st, None);
+    }
+
+    fn exit_locked(&self, st: &mut State, tid: Tid) {
         let proc = st.procs.get_mut(&tid).expect("exiting proc missing");
         proc.status = Status::Exited;
         st.live -= 1;
         st.current = None;
         st.policy.forget(tid);
-        self.dispatch_locked(&mut st);
     }
 
-    fn on_panic(&self, _tid: Tid, msg: String) {
+    /// A threaded process panicked: fail the run.
+    fn on_panic(&self, msg: String) {
         let mut st = self.lock_state();
+        self.fail_locked(&mut st, msg);
+    }
+
+    fn fail_locked(&self, st: &mut State, msg: String) {
         if st.error.is_none() {
             st.error = Some(SimError::ProcPanic(msg));
         }
@@ -1908,20 +2181,43 @@ impl Sim {
 
     /// Destroys any remaining processes and joins all threads.
     fn shutdown(&self) {
-        {
+        let live_tasks: Vec<(Tid, TaskFuture)> = {
             let mut st = self.lock_state();
-            st.shutting_down = true;
-            for proc in st.procs.values() {
-                if proc.status != Status::Exited {
-                    proc.parker.unpark(Wake::Kill);
+            let mut live_tasks = Vec::new();
+            for (tid, proc) in st.procs.iter_mut() {
+                match &mut proc.body {
+                    Body::Thread(parker) if proc.status != Status::Exited => {
+                        parker.unpark(Wake::Kill);
+                    }
+                    Body::Thread(_) => {}
+                    Body::Task(slot) => live_tasks.extend(slot.take().map(|fut| (*tid, fut))),
                 }
             }
+            live_tasks
+        };
+        // A live future owns a `Sim` clone: one never dropped would keep
+        // the whole simulation alive through that cycle.
+        for (tid, fut) in live_tasks {
+            drop_task(tid, fut);
         }
+        CURRENT.set(None);
+        // Settles any charge a destructor batched.
+        drop(self.lock_state());
         let threads = std::mem::take(&mut *self.inner.threads.lock());
         for handle in threads {
             let _ = handle.join();
         }
     }
+}
+
+/// Drops a task's future the way it was polled: outside the state lock,
+/// as its own process, on a thread that must not park. A destructor that
+/// panics is ignored — the run is already over.
+fn drop_task(tid: Tid, fut: TaskFuture) {
+    CURRENT.set(Some(tid));
+    let outer = NO_PARK.replace(true);
+    let _ = panic::catch_unwind(AssertUnwindSafe(move || drop(fut)));
+    NO_PARK.set(outer);
 }
 
 /// For a blocked lite scheduler, summarises what its lite processes are
@@ -1956,7 +2252,7 @@ fn lite_wait_hint(st: &State, tid: Tid) -> String {
 fn lost_wakeup_hint(st: &State, tid: Tid) -> String {
     let mut hints = Vec::new();
     for (q, waiters) in &st.queues {
-        if waiters.iter().any(|w| *w == Waiter::Thread(tid)) {
+        if waiters.iter().any(|w| *w == Waiter::Proc(tid)) {
             if let Some(at) = st.audit.empty_signals.get(q) {
                 hints.push(format!(
                     " [possible lost wakeup: queue {q} was last signalled at t={} with no \
@@ -1985,7 +2281,7 @@ fn current_tid() -> Tid {
 /// they are sequential within it, so the attribution is exact.
 #[cfg(feature = "audit")]
 fn race_task() -> u32 {
-    CURRENT.with(|c| c.get()).map_or(0, |t| t.0)
+    CURRENT.get().map_or(0, |t| t.0)
 }
 
 /// Why a waiter is being woken: a direct signal from the running
@@ -2019,7 +2315,7 @@ fn race_info(st: &State, site: &'static str) -> AccessInfo {
         task: race_task(),
         pid: LITE_PID
             .with(|c| c.get())
-            .or_else(|| CURRENT.with(|c| c.get()).map(|t| t.0))
+            .or_else(|| CURRENT.get().map(|t| t.0))
             .unwrap_or(0),
         dispatch: st.dispatches,
         site,
@@ -2473,5 +2769,230 @@ mod tests {
         });
         let _ = sim.run().unwrap();
         assert_eq!(count.load(Ordering::SeqCst), 5);
+    }
+
+    #[test]
+    fn tasks_run_every_primitive_on_the_run_thread() {
+        let sim = fifo_sim(0);
+        let q = sim.new_queue();
+        let host = std::thread::current().id();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        sim.spawn_task("waiter", move |s| async move {
+            s.wait_on_async(q, "first").await;
+            let woken = s.wait_on_timeout_async(q, Cycles(50), "second").await;
+            let which = s.wait_on_any_async(&[q], Some(Cycles(70)), "third").await;
+            log.lock().push((s.now(), woken, which, std::thread::current().id()));
+        });
+        sim.spawn_task("waker", move |s| async move {
+            s.charge(Cycles(10));
+            s.yield_now_async().await;
+            assert!(s.wakeup_one(q));
+            s.sleep_async(Cycles(5)).await;
+        });
+        // waiter blocks at 0, is woken at 10, times out at 60, then at 130.
+        assert_eq!(sim.run().unwrap(), Cycles(130));
+        assert_eq!(*seen.lock(), vec![(Cycles(130), false, None, host)]);
+    }
+
+    #[test]
+    fn a_task_panic_is_a_proc_panic_that_never_unwinds_its_host() {
+        // Run directly by `Sim::run`.
+        let sim = fifo_sim(0);
+        sim.spawn_task("bad", |_| async { panic!("task boom: {}", 7) });
+        match sim.run() {
+            Err(SimError::ProcPanic(msg)) => assert!(msg.contains("task boom: 7"), "{msg}"),
+            other => panic!("expected a panic error, got {other:?}"),
+        }
+        // Hosted by a threaded process that gave up the baton: the
+        // panic must not unwind that process's stack.
+        let sim = fifo_sim(0);
+        let escaped = Arc::new(Mutex::new(None));
+        let out = escaped.clone();
+        sim.spawn("host", move |s| {
+            let unwound = panic::catch_unwind(AssertUnwindSafe(|| s.yield_now()));
+            let payload = unwound.expect_err("the run ends while the host is parked");
+            *out.lock() = Some(panic_message(&*payload));
+            panic::resume_unwind(payload);
+        });
+        sim.spawn_task("bad", |_| async { panic!("hosted boom") });
+        match sim.run() {
+            Err(SimError::ProcPanic(msg)) => assert!(msg.contains("hosted boom"), "{msg}"),
+            other => panic!("expected a panic error, got {other:?}"),
+        }
+        let seen = escaped.lock().clone().expect("the host was destroyed at shutdown");
+        assert!(!seen.contains("hosted boom"), "task panic unwound its host: {seen}");
+    }
+
+    #[test]
+    fn stop_from_a_task_ends_the_run_at_its_clock() {
+        let sim = fifo_sim(0);
+        let q = sim.new_queue();
+        sim.spawn_task("forever", move |s| async move { s.wait_on_async(q, "held").await });
+        sim.spawn("threaded forever", move |s| s.wait_on(q, "held too"));
+        sim.spawn_task("main", |s| async move {
+            s.advance(Cycles(10));
+            s.yield_now_async().await;
+            s.advance(Cycles(5));
+            s.stop();
+        });
+        assert_eq!(sim.run().unwrap(), Cycles(15));
+    }
+
+    #[test]
+    fn deadlock_lists_a_blocked_task_and_its_reason() {
+        let sim = fifo_sim(0);
+        let q = sim.new_queue();
+        sim.spawn_task("stuck task", move |s| async move {
+            s.wait_on_async(q, "never signalled").await
+        });
+        match sim.run().unwrap_err() {
+            SimError::Deadlock(msg) => {
+                assert!(msg.contains("stuck task (never signalled)"), "{msg}")
+            }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_task_calling_a_sync_primitive_is_told_the_async_form() {
+        let sim = fifo_sim(0);
+        let q = sim.new_queue();
+        sim.spawn_task("confused", move |s| async move { s.wait_on(q, "sync wait") });
+        match sim.run().unwrap_err() {
+            SimError::ProcPanic(msg) => assert!(msg.contains("Sim::wait_on_async"), "{msg}"),
+            other => panic!("expected a panic error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_task_pending_outside_the_engine_fails_the_run() {
+        /// Pending once, as a foreign future (a host channel, a timer
+        /// from another runtime) would be: nothing will ever poll again.
+        struct Foreign(bool);
+        impl Future for Foreign {
+            type Output = ();
+            fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+                if std::mem::replace(&mut self.0, true) {
+                    Poll::Ready(())
+                } else {
+                    Poll::Pending
+                }
+            }
+        }
+        let sim = fifo_sim(0);
+        sim.spawn_task("foreign", |_| Foreign(false));
+        match sim.run().unwrap_err() {
+            SimError::ProcPanic(msg) => {
+                assert!(msg.contains("foreign is pending without blocking"), "{msg}");
+                assert!(msg.contains("Sim::wait_on_async"), "{msg}");
+            }
+            other => panic!("expected a panic error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_queue_of_threads_and_tasks_wakes_in_fifo_order() {
+        let sim = fifo_sim(0);
+        let q = sim.new_queue();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..4 {
+            let o = order.clone();
+            if i % 2 == 0 {
+                sim.spawn(format!("thread{i}"), move |s| {
+                    s.wait_on(q, "mixed");
+                    o.lock().push(i);
+                });
+            } else {
+                sim.spawn_task(format!("task{i}"), move |s| async move {
+                    s.wait_on_async(q, "mixed").await;
+                    o.lock().push(i);
+                });
+            }
+        }
+        sim.spawn_task("waker", move |s| async move {
+            for _ in 0..4 {
+                assert!(s.wakeup_one(q));
+                s.yield_now_async().await;
+            }
+        });
+        let _ = sim.run().unwrap();
+        assert_eq!(*order.lock(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn live_task_futures_are_dropped_at_shutdown_as_their_task() {
+        /// Owns a `Sim` clone, as every live task future does; records
+        /// the process it was dropped as.
+        struct Witness(Sim, Arc<Mutex<Option<Tid>>>);
+        impl Drop for Witness {
+            fn drop(&mut self) {
+                *self.1.lock() = Some(self.0.current());
+            }
+        }
+        let sim = fifo_sim(0);
+        let q = sim.new_queue();
+        let dropped_as = Arc::new(Mutex::new(None));
+        let slot = dropped_as.clone();
+        let tid = sim.spawn_task("blocked", move |s| async move {
+            let _witness = Witness(s.clone(), slot);
+            s.wait_on_async(q, "forever").await;
+        });
+        assert!(matches!(sim.run(), Err(SimError::Deadlock(_))));
+        assert_eq!(*dropped_as.lock(), Some(tid));
+    }
+
+    #[test]
+    fn task_and_threaded_twins_are_byte_identical() {
+        fn ring(seed: u64, tasks: bool) -> (Cycles, u64, Vec<Cycles>) {
+            let sim = Sim::new(
+                Box::new(FifoPolicy::new()),
+                SimConfig {
+                    seed,
+                    jitter: 0.02,
+                    ..SimConfig::default()
+                },
+            );
+            let q = sim.new_queue();
+            let tids: Vec<Tid> = (0..6u64)
+                .map(|p| {
+                    let name = format!("p{p}");
+                    if tasks {
+                        sim.spawn_task(name, move |s| async move {
+                            for r in 0..30u64 {
+                                s.charge(Cycles(37 + p));
+                                match r % 4 {
+                                    0 => s.sleep_async(Cycles(100 * p)).await,
+                                    1 => {
+                                        s.wakeup_one(q);
+                                        let _ = s.wait_on_timeout_async(q, Cycles(90), "t").await;
+                                    }
+                                    _ => s.yield_now_async().await,
+                                }
+                            }
+                        })
+                    } else {
+                        sim.spawn(name, move |s| {
+                            for r in 0..30u64 {
+                                s.charge(Cycles(37 + p));
+                                match r % 4 {
+                                    0 => s.sleep(Cycles(100 * p)),
+                                    1 => {
+                                        s.wakeup_one(q);
+                                        let _ = s.wait_on_timeout(q, Cycles(90), "t");
+                                    }
+                                    _ => s.yield_now(),
+                                }
+                            }
+                        })
+                    }
+                })
+                .collect();
+            let end = sim.run().unwrap();
+            (end, sim.dispatch_count(), tids.iter().map(|t| sim.proc_cpu(*t)).collect())
+        }
+        for seed in [0, 7, 1996] {
+            assert_eq!(ring(seed, true), ring(seed, false), "seed {seed}");
+        }
     }
 }

@@ -9,8 +9,10 @@
 //!
 //! - [`Cycles`]: simulated time in clock cycles of the modelled 100 MHz
 //!   Pentium, with conversions to the paper's reporting units;
-//! - [`Sim`]: a deterministic baton-passing engine in which simulated
-//!   processes are real threads, exactly one of which runs at a time;
+//! - [`Sim`]: a deterministic baton-passing engine in which exactly one
+//!   simulated process runs at a time. A process is either a task — a
+//!   future that the baton holder polls inline ([`Sim::spawn_task`]) —
+//!   or a threaded process on its own host thread ([`Sim::spawn`]);
 //! - [`RunPolicy`]: the pluggable run-queue policy through which the three
 //!   modelled kernels express their scheduler designs;
 //! - [`Summary`], [`Series`] and normalisation helpers matching the
@@ -28,8 +30,20 @@
 //! let elapsed = sim.run().unwrap();
 //! assert_eq!(elapsed, Cycles(231));
 //! ```
+//!
+//! The same process as a task, which never leaves the `Sim::run` thread:
+//!
+//! ```
+//! use tnt_sim::{Cycles, Sim, SimConfig, FifoPolicy};
+//!
+//! let sim = Sim::new(Box::new(FifoPolicy::new()), SimConfig::default());
+//! sim.spawn_task("worker", |s| async move {
+//!     s.sleep_async(Cycles(1_000)).await; // wait for a device
+//!     s.advance(Cycles::from_micros(2.31));
+//! });
+//! assert_eq!(sim.run().unwrap(), Cycles(1_231));
+//! ```
 
-mod audit;
 mod chan;
 mod engine;
 mod lite;
@@ -39,7 +53,6 @@ mod stats;
 mod time;
 mod wheel;
 
-pub use audit::HostGuard;
 pub use chan::SimChannel;
 pub use engine::{Sim, SimConfig, SimError, TraceSpan, WaitId};
 pub use lock::SimMutex;

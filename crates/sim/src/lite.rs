@@ -1,7 +1,7 @@
 //! The lite-scheduler glue: runs a `tnt_proc::Core` inside one engine
 //! slot.
 //!
-//! The baton engine gives every simulated process a host thread; a
+//! The baton engine gives every threaded process a host thread; a
 //! [`LiteScheduler`] is one such process that multiplexes thousands of
 //! cooperative [`LiteProc`] state machines through a single slot. The
 //! two models share everything observable: the engine's clock and run

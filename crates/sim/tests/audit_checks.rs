@@ -1,6 +1,6 @@
 //! Integration tests for the dynamic audit checkers (`audit` feature,
-//! on by default): the SimMutex lock-order graph, the lost-wakeup
-//! diagnosis, and the host-guard-across-handoff detector.
+//! on by default): the SimMutex lock-order graph and the lost-wakeup
+//! diagnosis.
 //!
 //! Each deliberate violation surfaces as `SimError::ProcPanic` (the
 //! checker panics inside the offending simulated process) or as an
@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use tnt_sim::{Cycles, FifoPolicy, HostGuard, Sim, SimConfig, SimError, SimMutex};
+use tnt_sim::{Cycles, FifoPolicy, Sim, SimConfig, SimError, SimMutex};
 
 fn sim() -> Sim {
     Sim::new(Box::new(FifoPolicy::new()), SimConfig::default())
@@ -182,35 +182,4 @@ fn delivered_signal_clears_the_lost_wakeup_record() {
         }
         other => panic!("expected plain deadlock, got {other:?}"),
     }
-}
-
-#[test]
-fn host_guard_across_handoff_trips() {
-    let s = sim();
-    s.spawn("offender", |s| {
-        let _g = HostGuard::new("test.state");
-        s.yield_now(); // handoff with the guard alive
-    });
-    match s.run() {
-        Err(SimError::ProcPanic(msg)) => {
-            assert!(msg.contains("baton handoff"), "got: {msg}");
-            assert!(msg.contains("test.state"), "names the guard: {msg}");
-            assert!(msg.contains("offender"), "names the process: {msg}");
-        }
-        other => panic!("expected host-guard panic, got {other:?}"),
-    }
-}
-
-#[test]
-fn host_guard_released_before_handoff_is_fine() {
-    let s = sim();
-    s.spawn("disciplined", |s| {
-        {
-            let _g = HostGuard::new("test.state");
-            s.advance(Cycles(10)); // advancing is not a handoff
-        }
-        s.yield_now();
-        s.sleep(Cycles(100));
-    });
-    let _ = s.run().expect("released guard must not trip the checker");
 }
