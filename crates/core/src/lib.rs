@@ -60,8 +60,7 @@ pub use getpid::syscall_us;
 pub use latency::{lat_pipe_us, lat_rpc_us, lat_tcp_us, lat_udp_us};
 pub use mab::{mab_local, mab_setup, run_mab, MabFile, MabReport, MabSpec, COMPILE_CY_PER_BYTE};
 pub use machine::{
-    run_bare, run_bare_task, run_bare_task_with, run_bare_with, run_custom, run_with_fs, timed,
-    ResultSlot,
+    run_bare, run_bare_task, run_bare_task_with, run_custom, run_with_fs, timed, ResultSlot,
 };
 pub use membench::{mem_bandwidth, standard_buffer_sizes, TOTAL_TRAFFIC};
 pub use multiuser::{

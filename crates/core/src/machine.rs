@@ -22,17 +22,6 @@ where
     finish(sim, kernel, f)
 }
 
-/// Like [`run_bare`] with an explicit cost table (Section 13 projections
-/// and ablations).
-pub fn run_bare_with<T, F>(costs: OsCosts, seed: u64, f: F) -> T
-where
-    T: Send + 'static,
-    F: FnOnce(&UProc) -> T + Send + 'static,
-{
-    let (sim, kernel) = boot_with(costs, seed);
-    finish(sim, kernel, f)
-}
-
 /// Like [`run_bare`] but with a fresh per-OS filesystem mounted (the
 /// paper's re-made benchmark partition on the HP 3725).
 pub fn run_with_fs<T, F>(os: Os, seed: u64, f: F) -> T
@@ -70,7 +59,8 @@ where
     run_bare_task_with(OsCosts::for_os(os), seed, f)
 }
 
-/// [`run_bare_task`] with an explicit cost table, as [`run_bare_with`].
+/// [`run_bare_task`] with an explicit cost table (Section 13 projections
+/// and ablations).
 pub fn run_bare_task_with<T, F, Fut>(costs: OsCosts, seed: u64, f: F) -> T
 where
     T: Send + 'static,

@@ -83,10 +83,12 @@ impl File {
 }
 
 /// A process's descriptor table. Descriptors are allocated lowest-first,
-/// as UNIX requires.
+/// as UNIX requires. A forked table shares its parent's slots until
+/// either side installs or removes a descriptor, so an N-process pipe
+/// ring holds one copy of its descriptors, not N.
 #[derive(Default)]
 pub struct FdTable {
-    slots: Vec<Option<Arc<File>>>,
+    slots: Arc<Vec<Option<Arc<File>>>>,
 }
 
 impl FdTable {
@@ -97,14 +99,15 @@ impl FdTable {
 
     /// Installs a file at the lowest free descriptor.
     pub fn install(&mut self, file: Arc<File>) -> Fd {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
+        let slots = Arc::make_mut(&mut self.slots);
+        for (i, slot) in slots.iter_mut().enumerate() {
             if slot.is_none() {
                 *slot = Some(file);
                 return i as Fd;
             }
         }
-        self.slots.push(Some(file));
-        (self.slots.len() - 1) as Fd
+        slots.push(Some(file));
+        (slots.len() - 1) as Fd
     }
 
     /// Looks up a descriptor.
@@ -117,22 +120,25 @@ impl FdTable {
 
     /// Removes a descriptor, returning its file.
     pub fn remove(&mut self, fd: Fd) -> SysResult<Arc<File>> {
-        let slot = self.slots.get_mut(fd as usize).ok_or(Errno::EBADF)?;
-        slot.take().ok_or(Errno::EBADF)
+        let file = self.get(fd)?;
+        Arc::make_mut(&mut self.slots)[fd as usize] = None;
+        Ok(file)
     }
 
-    /// Takes every open file (process exit).
-    pub fn drain(&mut self) -> Vec<Arc<File>> {
-        self.slots.drain(..).flatten().collect()
+    /// Takes every open file (process exit), in descriptor order.
+    pub fn drain(&mut self) -> impl Iterator<Item = Arc<File>> {
+        let slots = std::mem::take(&mut self.slots);
+        (0..slots.len()).filter_map(move |i| slots[i].clone())
     }
 
     /// Clones the table for fork: entries are shared, references bumped.
     pub fn fork_clone(&self) -> FdTable {
-        let slots = self.slots.clone();
-        for file in slots.iter().flatten() {
+        for file in self.slots.iter().flatten() {
             file.add_ref();
         }
-        FdTable { slots }
+        FdTable {
+            slots: self.slots.clone(),
+        }
     }
 
     /// Number of open descriptors.
@@ -185,6 +191,19 @@ mod tests {
     }
 
     #[test]
+    fn forked_tables_change_independently() {
+        let mut parent = FdTable::new();
+        let fd = parent.install(null_file());
+        let mut child = parent.fork_clone();
+        child.remove(fd).unwrap();
+        assert!(parent.get(fd).is_ok(), "child close leaves the parent's fd");
+        assert_eq!(parent.install(null_file()), 1);
+        assert_eq!(child.open_count(), 0, "parent open leaves the child");
+        assert_eq!(child.drain().count(), 0);
+        assert_eq!(parent.drain().count(), 2);
+    }
+
+    #[test]
     fn offset_advance() {
         let f = null_file();
         assert_eq!(f.advance_offset(10), 0);
@@ -197,7 +216,7 @@ mod tests {
         let mut t = FdTable::new();
         t.install(null_file());
         t.install(null_file());
-        assert_eq!(t.drain().len(), 2);
+        assert_eq!(t.drain().count(), 2);
         assert_eq!(t.open_count(), 0);
     }
 }

@@ -509,7 +509,7 @@ impl UProc {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
-            FileObj::PipeWrite(p) => p.write(self.env(), &vec![0u8; len as usize]).await,
+            FileObj::PipeWrite(p) => p.write_zeros(self.env(), len).await,
             FileObj::Vnode { fs, vnode, flags } => {
                 if !flags.write {
                     return Err(Errno::EBADF);
@@ -562,7 +562,7 @@ impl UProc {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
-            FileObj::PipeRead(p) => Ok(p.read(self.env(), len).await?.len() as u64),
+            FileObj::PipeRead(p) => p.read_discard(self.env(), len).await,
             FileObj::Vnode { fs, vnode, flags } => {
                 if !flags.read {
                     return Err(Errno::EBADF);

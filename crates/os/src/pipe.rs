@@ -8,6 +8,7 @@
 //! [`PipeCosts`](crate::costs::PipeCosts): buffer capacity, per-operation
 //! entry cost, per-segment handling cost and per-byte inefficiency.
 
+use std::collections::vec_deque::Drain;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -61,76 +62,110 @@ impl Pipe {
     /// Writes all of `data`, blocking as the buffer fills and the reader
     /// drains it. Returns bytes written, or `EPIPE` once no reader exists.
     pub async fn write(&self, env: &KEnv, data: &[u8]) -> SysResult<u64> {
+        self.push(env, data.len(), |buf, at, n| buf.extend(&data[at..at + n]))
+            .await
+    }
+
+    /// [`Pipe::write`] of `len` zero bytes, for callers that only count
+    /// bytes; no source buffer is allocated.
+    pub async fn write_zeros(&self, env: &KEnv, len: u64) -> SysResult<u64> {
+        self.push(env, len as usize, |buf, _, n| buf.resize(buf.len() + n, 0))
+            .await
+    }
+
+    /// Moves `len` bytes into the buffer as space frees up; `fill`
+    /// appends the `n` bytes that start `at` bytes into the write.
+    async fn push(
+        &self,
+        env: &KEnv,
+        len: usize,
+        mut fill: impl FnMut(&mut VecDeque<u8>, usize, usize),
+    ) -> SysResult<u64> {
         {
             let _s = env.sim.span(Class::ProtoCpu);
             env.sim.charge(Cycles(self.costs.write_op_cy));
         }
-        let mut written = 0u64;
-        while (written as usize) < data.len() {
+        let mut written = 0usize;
+        while written < len {
             let moved = {
                 let mut st = self.state.lock();
                 if st.readers == 0 {
                     return Err(Errno::EPIPE);
                 }
                 let space = self.costs.capacity as usize - st.buf.len();
-                let n = space.min(data.len() - written as usize);
-                st.buf.extend(&data[written as usize..written as usize + n]);
-                n as u64
+                let n = space.min(len - written);
+                fill(&mut st.buf, written, n);
+                n
             };
             if moved == 0 {
                 let _w = env.sim.span(Class::PipeWait);
                 env.sim.wait_on_async(self.wr_q, "pipe full").await;
                 continue;
             }
-            {
-                let _s = env.sim.span(Class::DataCopy);
-                env.sim.charge(self.copy_cost(moved));
-            }
-            {
-                let _s = env.sim.span(Class::ProtoCpu);
-                env.sim.charge(self.seg_cost(moved));
-            }
+            self.charge_transfer(env, moved as u64);
             env.sim.wakeup_one(self.rd_q);
             written += moved;
         }
-        Ok(written)
+        Ok(written as u64)
     }
 
     /// Reads up to `len` bytes, blocking while the pipe is empty and a
     /// writer remains; returns an empty vector at end of file.
     pub async fn read(&self, env: &KEnv, len: u64) -> SysResult<Vec<u8>> {
+        let mut out = Vec::new();
+        self.pull(env, len, |bytes| out.extend(bytes)).await?;
+        Ok(out)
+    }
+
+    /// [`Pipe::read`] that drops the bytes and returns how many it read.
+    pub async fn read_discard(&self, env: &KEnv, len: u64) -> SysResult<u64> {
+        self.pull(env, len, |bytes| drop(bytes)).await
+    }
+
+    /// Takes up to `len` buffered bytes through `take` once any are
+    /// there; returns how many, or 0 at end of file.
+    async fn pull(
+        &self,
+        env: &KEnv,
+        len: u64,
+        mut take: impl FnMut(Drain<'_, u8>),
+    ) -> SysResult<u64> {
         {
             let _s = env.sim.span(Class::ProtoCpu);
             env.sim.charge(Cycles(self.costs.read_op_cy));
         }
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(0);
         }
         loop {
-            let out = {
+            let n = {
                 let mut st = self.state.lock();
                 if st.buf.is_empty() && st.writers == 0 {
-                    return Ok(Vec::new()); // EOF
+                    return Ok(0); // EOF
                 }
                 let n = (len as usize).min(st.buf.len());
-                st.buf.drain(..n).collect::<Vec<u8>>()
+                take(st.buf.drain(..n));
+                n as u64
             };
-            if out.is_empty() {
+            if n == 0 {
                 let _w = env.sim.span(Class::PipeWait);
                 env.sim.wait_on_async(self.rd_q, "pipe empty").await;
                 continue;
             }
-            {
-                let _s = env.sim.span(Class::DataCopy);
-                env.sim.charge(self.copy_cost(out.len() as u64));
-            }
-            {
-                let _s = env.sim.span(Class::ProtoCpu);
-                env.sim.charge(self.seg_cost(out.len() as u64));
-            }
+            self.charge_transfer(env, n);
             env.sim.wakeup_one(self.wr_q);
-            return Ok(out);
+            return Ok(n);
         }
+    }
+
+    /// The copy and per-segment costs of moving `bytes` either way.
+    fn charge_transfer(&self, env: &KEnv, bytes: u64) {
+        {
+            let _s = env.sim.span(Class::DataCopy);
+            env.sim.charge(self.copy_cost(bytes));
+        }
+        let _s = env.sim.span(Class::ProtoCpu);
+        env.sim.charge(self.seg_cost(bytes));
     }
 
     /// Registers an extra reader reference (dup/fork of the read end).
