@@ -1,7 +1,7 @@
 //! lmbench's `bw_tcp` (Table 5): 3 MB through a loopback TCP connection
 //! using a 48 KB buffer.
 
-use crate::machine::{run_bare, timed};
+use crate::machine::run_bare_task;
 use tnt_net::{connect, connect_custom, Addr, Net, NetCosts, TcpCosts, TcpListener};
 use tnt_os::Os;
 use tnt_sim::mbit_per_sec;
@@ -14,26 +14,7 @@ pub const BW_TCP_CHUNK: u64 = 48 * 1024;
 
 /// TCP loopback bandwidth in megabits per second.
 pub fn tcp_bandwidth_mbit(os: Os, total: u64, chunk: u64, seed: u64) -> f64 {
-    run_bare(os, seed, move |p| {
-        let kernel = p.kernel().clone();
-        let net = Net::ethernet_10mbit();
-        let host = net.register_host(&kernel);
-        let listener = TcpListener::bind(&net, &kernel, host, 5001).unwrap();
-        let child = p.fork("bw_tcp_srv", move |_| {
-            let conn = listener.accept().unwrap();
-            while conn.read(chunk).unwrap() > 0 {}
-        });
-        let conn = connect(&net, &kernel, host, Addr { host, port: 5001 }).unwrap();
-        let (_, d) = timed(p, || {
-            let mut sent = 0;
-            while sent < total {
-                sent += conn.write(chunk.min(total - sent)).unwrap();
-            }
-            conn.close();
-            p.waitpid(child);
-        });
-        mbit_per_sec(total, d)
-    })
+    bw_tcp(os, None, total, chunk, seed)
 }
 
 /// [`tcp_bandwidth_mbit`] with the send window forced to
@@ -47,30 +28,43 @@ pub fn tcp_bandwidth_with_window(
     seed: u64,
 ) -> f64 {
     assert!(window_packets >= 1);
-    run_bare(os, seed, move |p| {
+    bw_tcp(os, Some(window_packets), total, chunk, seed)
+}
+
+/// One `bw_tcp` run: `total` bytes in `chunk`-sized writes to a forked
+/// reader over loopback, with the negotiated window unless
+/// `window_packets` forces one. Both ends run as engine tasks.
+fn bw_tcp(os: Os, window_packets: Option<u64>, total: u64, chunk: u64, seed: u64) -> f64 {
+    run_bare_task(os, seed, move |p| async move {
         let kernel = p.kernel().clone();
         let net = Net::ethernet_10mbit();
         let host = net.register_host(&kernel);
-        let base = NetCosts::for_os(os).tcp;
-        let costs = TcpCosts {
-            window: base.mss * window_packets,
-            ..base
-        };
         let listener = TcpListener::bind(&net, &kernel, host, 5001).unwrap();
-        let child = p.fork("bw_tcp_srv", move |_| {
-            let conn = listener.accept().unwrap();
-            while conn.read(chunk).unwrap() > 0 {}
+        let child = p.fork_task("bw_tcp_srv", move |_| async move {
+            let conn = listener.accept_async().await.unwrap();
+            while conn.read_async(chunk).await.unwrap() > 0 {}
         });
-        let conn = connect_custom(&net, &kernel, host, Addr { host, port: 5001 }, costs).unwrap();
-        let (_, d) = timed(p, || {
-            let mut sent = 0;
-            while sent < total {
-                sent += conn.write(chunk.min(total - sent)).unwrap();
+        let to = Addr { host, port: 5001 };
+        let conn = match window_packets {
+            None => connect(&net, &kernel, host, to),
+            Some(w) => {
+                let base = NetCosts::for_os(os).tcp;
+                let costs = TcpCosts {
+                    window: base.mss * w,
+                    ..base
+                };
+                connect_custom(&net, &kernel, host, to, costs)
             }
-            conn.close();
-            p.waitpid(child);
-        });
-        mbit_per_sec(total, d)
+        }
+        .unwrap();
+        let t0 = p.sim().now();
+        let mut sent = 0;
+        while sent < total {
+            sent += conn.write_async(chunk.min(total - sent)).await.unwrap();
+        }
+        conn.close();
+        p.waitpid_async(child).await;
+        mbit_per_sec(total, p.sim().now() - t0)
     })
 }
 

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use crate::machine::{run_bare, run_bare_task, timed, ResultSlot};
+use crate::machine::{run_bare_task, timed, ResultSlot};
 use tnt_fs::SimFs;
 use tnt_net::{connect, Addr, Net, Recv, TcpListener, UdpSocket};
 use tnt_nfs::{serve, NfsCall, NfsReply, NfsServerConfig};
@@ -40,61 +40,59 @@ pub fn lat_pipe_us(os: Os, round_trips: u32, seed: u64) -> f64 {
 
 /// lmbench `lat_udp`: a one-byte datagram ping-pong over loopback.
 pub fn lat_udp_us(os: Os, round_trips: u32, seed: u64) -> f64 {
-    run_bare(os, seed, move |p| {
+    run_bare_task(os, seed, move |p| async move {
         let kernel = p.kernel().clone();
         let net = Net::ethernet_10mbit();
         let host = net.register_host(&kernel);
         let ping = UdpSocket::bind(&net, &kernel, host, 9000).unwrap();
         let pong = UdpSocket::bind(&net, &kernel, host, 9001).unwrap();
-        let ping_addr = ping.addr();
         let pong_addr = pong.addr();
-        let child = p.fork("pong", move |_| {
+        let child = p.fork_task("pong", move |_| async move {
             for _ in 0..round_trips {
-                match pong.recv().unwrap() {
+                match pong.recv_async().await.unwrap() {
                     Some(pkt) => {
-                        pong.send_to(pkt.from, vec![1]).unwrap();
+                        pong.send_to_async(pkt.from, vec![1]).await.unwrap();
                     }
                     None => break,
                 }
             }
         });
-        let (_, d) = timed(p, || {
-            for _ in 0..round_trips {
-                ping.send_to(pong_addr, vec![0]).unwrap();
-                ping.recv().unwrap().unwrap();
-            }
-        });
-        p.waitpid(child);
-        let _ = ping_addr;
+        let t0 = p.sim().now();
+        for _ in 0..round_trips {
+            ping.send_to_async(pong_addr, vec![0]).await.unwrap();
+            ping.recv_async().await.unwrap().unwrap();
+        }
+        let d = p.sim().now() - t0;
+        p.waitpid_async(child).await;
         d.as_micros() / round_trips as f64
     })
 }
 
 /// lmbench `lat_tcp`: a one-byte ping-pong over a loopback connection.
 pub fn lat_tcp_us(os: Os, round_trips: u32, seed: u64) -> f64 {
-    run_bare(os, seed, move |p| {
+    run_bare_task(os, seed, move |p| async move {
         let kernel = p.kernel().clone();
         let net = Net::ethernet_10mbit();
         let host = net.register_host(&kernel);
         let listener = TcpListener::bind(&net, &kernel, host, 9002).unwrap();
-        let child = p.fork("pong", move |_| {
-            let conn = listener.accept().unwrap();
+        let child = p.fork_task("pong", move |_| async move {
+            let conn = listener.accept_async().await.unwrap();
             loop {
-                if conn.read(1).unwrap() == 0 {
+                if conn.read_async(1).await.unwrap() == 0 {
                     break;
                 }
-                conn.write(1).unwrap();
+                conn.write_async(1).await.unwrap();
             }
         });
         let conn = connect(&net, &kernel, host, Addr { host, port: 9002 }).unwrap();
-        let (_, d) = timed(p, || {
-            for _ in 0..round_trips {
-                conn.write(1).unwrap();
-                while conn.read(1).unwrap() == 0 {}
-            }
-        });
+        let t0 = p.sim().now();
+        for _ in 0..round_trips {
+            conn.write_async(1).await.unwrap();
+            while conn.read_async(1).await.unwrap() == 0 {}
+        }
+        let d = p.sim().now() - t0;
         conn.close();
-        p.waitpid(child);
+        p.waitpid_async(child).await;
         d.as_micros() / round_trips as f64
     })
 }

@@ -3,10 +3,11 @@
 //!
 //! One simulation = one OS personality at one offered rate. The crowd
 //! of per-request clients runs as lite processes (one engine slot, so
-//! 10k-request crowds stay cheap); the server is a pool of threaded
-//! worker processes on the second cluster machine, sharing that
-//! machine's scheduler personality — Linux's O(n) `schedule()`, the
-//! Solaris dispatch table — and one disk.
+//! 10k-request crowds stay cheap); the server is a pool of worker tasks
+//! on the second cluster machine, sharing that machine's scheduler
+//! personality — Linux's O(n) `schedule()`, the Solaris dispatch table
+//! — and one disk. Neither side owns a host thread: the whole farm runs
+//! on the thread that calls [`run_farm`].
 //!
 //! A request's life: sleep until its precomputed arrival instant, charge
 //! the client-side send path, transmit through the [`Switch`], land in
@@ -401,9 +402,9 @@ impl LiteProc<ProcCtx> for Client {
     }
 }
 
-/// One server worker: threaded process on the server machine, so every
-/// dispatch pays that machine's scheduler personality.
-fn worker_loop(p: &UProc, env: &Arc<Env>) {
+/// One server worker: a task on the server machine, so every dispatch
+/// pays that machine's scheduler personality.
+async fn worker_loop(p: UProc, env: Arc<Env>) {
     let sim = p.sim();
     loop {
         enum Next {
@@ -430,7 +431,7 @@ fn worker_loop(p: &UProc, env: &Arc<Env>) {
         };
         match next {
             Next::Exit => break,
-            Next::Park => sim.wait_on(env.shared.work_q, "farm: worker idle"),
+            Next::Park => sim.wait_on_async(env.shared.work_q, "farm: worker idle").await,
             Next::Serve(req) => {
                 p.compute(Cycles(env.costs.server_recv));
                 p.compute(Cycles(env.service_cy));
@@ -443,13 +444,13 @@ fn worker_loop(p: &UProc, env: &Arc<Env>) {
                         *d = start + Cycles(env.costs.disk);
                         *d
                     };
-                    sim.sleep_until(until);
+                    sim.sleep_until_async(until).await;
                 }
                 p.compute(Cycles(env.costs.server_send));
                 if env.costs.stall > 0 {
                     // One-packet window: the worker sits in the delayed
                     // ack wait; the CPU is free but the worker is not.
-                    sim.sleep(Cycles(env.costs.stall));
+                    sim.sleep_async(Cycles(env.costs.stall)).await;
                 }
                 match env
                     .switch
@@ -532,10 +533,10 @@ fn run_on(cfg: &FarmConfig, sim: Sim, kernels: Vec<Kernel>) -> FarmReport {
     }
     let handle = sched.start("farm-clients");
 
-    // The server pool: threaded procs on machine 1.
+    // The server pool: tasks on machine 1.
     for w in 0..cfg.workers {
         let env = env.clone();
-        kernels[1].spawn_user(format!("worker{w}"), move |p| worker_loop(&p, &env));
+        kernels[1].spawn_user_task(format!("worker{w}"), move |p| worker_loop(p, env));
     }
 
     let elapsed = match sim.run() {

@@ -604,6 +604,7 @@ fn ring_json(r: &RingResult) -> Value {
     Value::Obj(vec![
         ("wall_s".into(), Value::Num(r.wall_s)),
         ("handoffs".into(), Value::Num(r.handoffs as f64)),
+        ("host_handoffs".into(), Value::Num(r.host_handoffs as f64)),
         ("handoffs_per_s".into(), Value::Num(r.handoffs_per_s())),
         ("events_per_s".into(), Value::Num(r.events_per_s())),
         (
@@ -628,19 +629,26 @@ fn bench_engine(cli: &Cli) -> Result<ExitCode, WriteError> {
         && task.handoffs == threaded.handoffs;
     let identical =
         threaded.elapsed == lite.elapsed && threaded.total_cpu == lite.total_cpu;
+    // Only threaded processes may wake another host thread; a task or
+    // lite ring that does has grown a host thread back.
+    let host_handoffs_ok =
+        threaded.host_handoffs > 0 && task.host_handoffs == 0 && lite.host_handoffs == 0;
     let row = |name: &str, r: &RingResult| {
         format!(
-            "  {name:<9} {:>10.0} handoffs/s  {:>10.0} events/s  {:>7.1} sim-Mcy/s  ({:.3}s)",
+            "  {name:<9} {:>10.0} handoffs/s  {:>10.0} events/s  {:>7.1} sim-Mcy/s  \
+             {:>7} host handoffs  ({:.3}s)",
             r.handoffs_per_s(),
             r.events_per_s(),
             r.sim_mcycles_per_s(),
+            r.host_handoffs,
             r.wall_s,
         )
     };
     println!(
         "ring {procs} procs x {rounds} rounds (seed {seed}):\n{}\n{}\n{}\n\
          \x20 task outcome byte-identical to threaded: {task_identical}\n\
-         \x20 lite outcome byte-identical to threaded: {identical}",
+         \x20 lite outcome byte-identical to threaded: {identical}\n\
+         \x20 host handoffs only on the threaded ring: {host_handoffs_ok}",
         row("threaded:", &threaded),
         row("task:", &task),
         row("lite:", &lite),
@@ -690,6 +698,7 @@ fn bench_engine(cli: &Cli) -> Result<ExitCode, WriteError> {
         ("hb_identical".into(), Value::Bool(hb_identical)),
         ("task_identical".into(), Value::Bool(task_identical)),
         ("byte_identical".into(), Value::Bool(identical)),
+        ("host_handoffs_ok".into(), Value::Bool(host_handoffs_ok)),
     ]);
     let path = cli.out_dir.join("BENCH_engine.json");
     write(&path, doc.render())?;
@@ -705,6 +714,14 @@ fn bench_engine(cli: &Cli) -> Result<ExitCode, WriteError> {
     }
     if !hb_identical {
         eprintln!("reproduce bench-engine: hb-armed outcome DIVERGED from plain outcome");
+        ok = false;
+    }
+    if !host_handoffs_ok {
+        eprintln!(
+            "reproduce bench-engine: host handoffs threaded={} task={} lite={}; \
+             only the threaded ring may switch host threads",
+            threaded.host_handoffs, task.host_handoffs, lite.host_handoffs
+        );
         ok = false;
     }
     if hb_ratio >= HB_OVERHEAD_GATE {

@@ -7,9 +7,11 @@
 //! The simulated outcome (final time, total charged CPU) is
 //! byte-identical; only the host cost differs, which is exactly what the
 //! benchmark measures: events/sec, handoffs/sec and simulated
-//! Mcycles/sec per backend.
+//! Mcycles/sec per backend, plus the host handoffs — dispatches that
+//! woke another host thread — which only the threaded ring pays.
 
 use tnt_sim::proc::{LiteScheduler, ProcCtx, Step, WaitReason};
+use tnt_sim::trace::Counter;
 use tnt_sim::{Cycles, FifoPolicy, Sim, SimConfig, Tid};
 
 /// Cycles charged per ring round.
@@ -27,6 +29,9 @@ pub struct RingResult {
     /// Scheduling handoffs: engine dispatches (threaded, task) or lite
     /// polls.
     pub handoffs: u64,
+    /// Dispatches that woke a host thread other than the dispatcher's
+    /// (`Counter::HostHandoffs`): zero unless processes are threaded.
+    pub host_handoffs: u64,
     /// Charges issued (`procs * rounds`, same on every backend).
     pub charges: u64,
     /// Host seconds for the run.
@@ -124,6 +129,7 @@ fn engine_result(
         elapsed,
         total_cpu: tids.iter().map(|t| sim.proc_cpu(*t).0).sum(),
         handoffs: sim.dispatch_count(),
+        host_handoffs: host_handoffs(sim),
         charges: u64::from(procs) * u64::from(rounds),
         wall_s: t0.elapsed().as_secs_f64(),
     }
@@ -167,9 +173,15 @@ pub fn lite_ring(procs: u32, rounds: u32, seed: u64) -> RingResult {
         elapsed,
         total_cpu: stats.cpu_by_pid.iter().map(|(_, cpu)| cpu).sum(),
         handoffs: stats.polls,
+        host_handoffs: host_handoffs(&sim),
         charges: u64::from(procs) * u64::from(rounds),
         wall_s: t0.elapsed().as_secs_f64(),
     }
+}
+
+/// The run's host-handoff count.
+fn host_handoffs(sim: &Sim) -> u64 {
+    sim.tracer().counters().get(Counter::HostHandoffs)
 }
 
 impl RingResult {
@@ -196,7 +208,8 @@ mod tests {
     /// The tentpole's byte-identity claim: the threaded ring and its
     /// lite twin produce the same simulated outcome from the same seed —
     /// final clock and total charged CPU — even with jitter on. Only the
-    /// handoff accounting differs (dispatches vs polls), by design.
+    /// handoff accounting differs (dispatches vs polls), by design, and
+    /// only the threaded ring switches host threads.
     #[test]
     fn threaded_and_lite_rings_are_byte_identical() {
         for seed in [0, 7, 1996] {
@@ -211,6 +224,8 @@ mod tests {
                 "seed {seed}: charged CPU diverged"
             );
             assert_eq!(threaded.charges, lite.charges);
+            assert!(threaded.host_handoffs > 0, "seed {seed}");
+            assert_eq!(lite.host_handoffs, 0, "seed {seed}");
         }
     }
 
@@ -225,6 +240,7 @@ mod tests {
             assert_eq!(threaded.elapsed, task.elapsed, "seed {seed}: clock diverged");
             assert_eq!(threaded.total_cpu, task.total_cpu, "seed {seed}: CPU diverged");
             assert_eq!(threaded.handoffs, task.handoffs, "seed {seed}: dispatches diverged");
+            assert_eq!(task.host_handoffs, 0, "seed {seed}");
         }
     }
 

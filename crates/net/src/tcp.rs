@@ -85,6 +85,11 @@ impl TcpStream {
 
     /// Writes `len` bytes to the stream, blocking on the send window.
     pub fn write(&self, len: u64) -> SysResult<u64> {
+        self.env.sim.block_on(self.write_async(len))
+    }
+
+    /// The async form of [`TcpStream::write`].
+    pub async fn write_async(&self, len: u64) -> SysResult<u64> {
         self.charge_syscall();
         let mut sent = 0;
         while sent < len {
@@ -114,7 +119,7 @@ impl TcpStream {
                         self.env.sim.count(Counter::TcpRetransmits, 1);
                         {
                             let _w = self.env.sim.span(Class::AckWindowWait);
-                            self.env.sim.sleep(TCP_RTO);
+                            self.env.sim.sleep_async(TCP_RTO).await;
                         }
                         available_at =
                             self.net
@@ -130,7 +135,10 @@ impl TcpStream {
                 // (possibly delayed) acknowledgment arrives — the stall
                 // the T5 profile attributes Linux's 0.38x to.
                 let _w = self.env.sim.span(Class::AckWindowWait);
-                self.env.sim.wait_on(self.tx.wr_wait, "tcp send window");
+                self.env
+                    .sim
+                    .wait_on_async(self.tx.wr_wait, "tcp send window")
+                    .await;
             }
             self.env.sim.count(Counter::TcpSegments, 1);
             {
@@ -149,6 +157,11 @@ impl TcpStream {
     /// Reads up to `max` bytes; returns 0 at end of stream. Consuming
     /// data acknowledges it and reopens the peer's send window.
     pub fn read(&self, max: u64) -> SysResult<u64> {
+        self.env.sim.block_on(self.read_async(max))
+    }
+
+    /// The async form of [`TcpStream::read`].
+    pub async fn read_async(&self, max: u64) -> SysResult<u64> {
         self.charge_syscall();
         loop {
             enum StepOutcome {
@@ -214,11 +227,11 @@ impl TcpStream {
                 StepOutcome::Eof => return Ok(0),
                 StepOutcome::WaitUntil(at) => {
                     let _w = self.env.sim.span(Class::WireTransit);
-                    self.env.sim.sleep_until(at);
+                    self.env.sim.sleep_until_async(at).await;
                 }
                 StepOutcome::Wait => {
                     let _w = self.env.sim.span(Class::NetRecvWait);
-                    self.env.sim.wait_on(self.rx.rd_wait, "tcp recv");
+                    self.env.sim.wait_on_async(self.rx.rd_wait, "tcp recv").await;
                 }
             }
         }
@@ -303,6 +316,11 @@ impl TcpListener {
 
     /// Accepts one connection, blocking until a peer connects.
     pub fn accept(&self) -> SysResult<TcpStream> {
+        self.env.sim.block_on(self.accept_async())
+    }
+
+    /// The async form of [`TcpListener::accept`].
+    pub async fn accept_async(&self) -> SysResult<TcpStream> {
         let c = &self.env.costs;
         {
             let _t = self.env.sim.span(Class::TrapEntry);
@@ -328,7 +346,7 @@ impl TcpListener {
                 }
                 None => {
                     let _w = self.env.sim.span(Class::NetRecvWait);
-                    self.env.sim.wait_on(self.q.wait, "tcp accept");
+                    self.env.sim.wait_on_async(self.q.wait, "tcp accept").await;
                 }
             }
         }

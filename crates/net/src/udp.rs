@@ -136,23 +136,35 @@ impl UdpSocket {
 
     /// Sends a datagram carrying `data` to `to`.
     pub fn send_to(&self, to: Addr, data: Vec<u8>) -> SysResult<u64> {
+        self.env.sim.block_on(self.send_to_async(to, data))
+    }
+
+    /// The async form of [`UdpSocket::send_to`].
+    pub async fn send_to_async(&self, to: Addr, data: Vec<u8>) -> SysResult<u64> {
         let len = data.len() as u64;
-        self.send_inner(to, len, data)
+        self.send_inner(to, len, data).await
     }
 
     /// Sends a zero-filled datagram of `len` bytes (bulk benchmarks).
     pub fn send_sized(&self, to: Addr, len: u64) -> SysResult<u64> {
-        self.send_inner(to, len, Vec::new())
+        self.env.sim.block_on(self.send_sized_async(to, len))
+    }
+
+    /// The async form of [`UdpSocket::send_sized`].
+    pub async fn send_sized_async(&self, to: Addr, len: u64) -> SysResult<u64> {
+        self.send_inner(to, len, Vec::new()).await
     }
 
     /// Sends `data` plus `pad` extra payload bytes that are modelled but
     /// not materialised (an NFS write RPC: small header, large payload).
     pub fn send_padded(&self, to: Addr, data: Vec<u8>, pad: u64) -> SysResult<u64> {
         let len = data.len() as u64 + pad;
-        self.send_inner(to, len, data)
+        self.env.sim.block_on(self.send_inner(to, len, data))
     }
 
-    fn send_inner(&self, to: Addr, len: u64, data: Vec<u8>) -> SysResult<u64> {
+    /// The body of every send form; only the loopback backpressure
+    /// yield suspends it.
+    async fn send_inner(&self, to: Addr, len: u64, data: Vec<u8>) -> SysResult<u64> {
         self.charge_syscall();
         let u = &self.costs.udp;
         let frags = len.div_ceil(u.mtu).max(1);
@@ -209,7 +221,7 @@ impl UdpSocket {
             // yield so the receiver's timeslice can drain it (models the
             // scheduler preemption that interleaves ttcp's processes).
             if to.host == self.addr.host && buffered > u.rcvbuf / 2 {
-                self.env.sim.yield_now();
+                self.env.sim.yield_now_async().await;
             }
         }
         Ok(len)
@@ -218,7 +230,12 @@ impl UdpSocket {
     /// Receives one datagram, blocking until one is available. Returns
     /// `None` once the socket is closed and drained.
     pub fn recv(&self) -> SysResult<Option<Packet>> {
-        match self.recv_inner(None)? {
+        self.env.sim.block_on(self.recv_async())
+    }
+
+    /// The async form of [`UdpSocket::recv`].
+    pub async fn recv_async(&self) -> SysResult<Option<Packet>> {
+        match self.recv_inner(None).await? {
             Recv::Packet(p) => Ok(Some(p)),
             Recv::Closed => Ok(None),
             Recv::TimedOut => unreachable!("no timeout was set"),
@@ -228,10 +245,11 @@ impl UdpSocket {
     /// Like [`UdpSocket::recv`] with a deadline — the RPC retransmission
     /// primitive.
     pub fn recv_timeout(&self, timeout: tnt_sim::Cycles) -> SysResult<Recv> {
-        self.recv_inner(Some(timeout))
+        self.env.sim.block_on(self.recv_inner(Some(timeout)))
     }
 
-    fn recv_inner(&self, timeout: Option<tnt_sim::Cycles>) -> SysResult<Recv> {
+    /// The body of every receive form; `timeout` bounds the wait.
+    async fn recv_inner(&self, timeout: Option<tnt_sim::Cycles>) -> SysResult<Recv> {
         self.charge_syscall();
         let deadline = timeout.map(|t| self.env.sim.now() + t);
         loop {
@@ -271,11 +289,11 @@ impl UdpSocket {
                     match deadline {
                         Some(d) if d < at => {
                             if self.env.sim.now() < d {
-                                self.env.sim.sleep_until(d);
+                                self.env.sim.sleep_until_async(d).await;
                             }
                             return Ok(Recv::TimedOut);
                         }
-                        _ => self.env.sim.sleep_until(at),
+                        _ => self.env.sim.sleep_until_async(at).await,
                     }
                 }
                 StepOutcome::Wait => {
@@ -284,16 +302,25 @@ impl UdpSocket {
                         Some(d) => {
                             let left = d.saturating_sub(self.env.sim.now());
                             if left == Cycles::ZERO
-                                || !self.env.sim.wait_on_timeout(
-                                    self.core.rcv_wait,
-                                    left,
-                                    "udp recv (timed)",
-                                )
+                                || !self
+                                    .env
+                                    .sim
+                                    .wait_on_timeout_async(
+                                        self.core.rcv_wait,
+                                        left,
+                                        "udp recv (timed)",
+                                    )
+                                    .await
                             {
                                 return Ok(Recv::TimedOut);
                             }
                         }
-                        None => self.env.sim.wait_on(self.core.rcv_wait, "udp recv"),
+                        None => {
+                            self.env
+                                .sim
+                                .wait_on_async(self.core.rcv_wait, "udp recv")
+                                .await
+                        }
                     }
                 }
             }

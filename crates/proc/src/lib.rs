@@ -3,18 +3,19 @@
 
 //! Cooperative state-machine processes for crowd-scale simulation.
 //!
-//! The baton engine in `tnt-sim` gives every simulated process a real OS
-//! thread — perfect fidelity for the paper's handful of benchmark
-//! processes, but a hard wall at a few thousand. This crate provides the
-//! second process model: a **lite process** is a resumable state machine
-//! implementing [`LiteProc`], and a [`Core`] multiplexes thousands of
-//! them through a single run queue with per-process CPU accounting.
+//! The baton engine in `tnt-sim` hosts each simulated process in its own
+//! engine slot, as a host thread or a task — right for the paper's
+//! handful of benchmark processes, but costly for crowds of thousands.
+//! This crate provides the crowd model: a **lite process** is a
+//! resumable state machine implementing [`LiteProc`], and a [`Core`]
+//! multiplexes thousands of them through a single run queue with
+//! per-process CPU accounting.
 //!
 //! The crate is deliberately engine-agnostic: durations and instants are
 //! raw cycle counts (`u64`) and wait-queue identities are opaque tokens,
 //! so the core is unit-testable without a simulation. `tnt_sim::proc`
 //! re-exports these types next to the glue (`LiteScheduler`) that runs a
-//! `Core` inside one engine slot, sharing the engine's run policy, timer
+//! `Core` inside one engine task, sharing the engine's run policy, timer
 //! queue, trace attribution and fault plane.
 //!
 //! A lite process never parks a host thread: blocking is expressed by

@@ -351,9 +351,9 @@ enum TimerAction {
 }
 
 /// Engine-side registration of one lite scheduler (see `tnt_sim::proc`):
-/// the thread-backed process that multiplexes a crowd of lite processes.
+/// the task that multiplexes a crowd of lite processes.
 struct LiteSched {
-    /// The wait queue the scheduler parks on when no lite process is
+    /// The wait queue the scheduler waits on when no lite process is
     /// runnable; delivered wakeup tokens ring it.
     doorbell: u64,
     /// Wakeup tokens delivered since the scheduler last drained them.
@@ -501,20 +501,26 @@ thread_local! {
 /// While it lives, trace events carry the lite pid and any call into a
 /// parking primitive (`wait_on`, `sleep`, `yield_now`, ...) panics —
 /// lite processes block by *returning* `Step::Block` from `poll`.
-pub(crate) struct LitePollGuard;
+/// Dropping it restores the values it replaced: a lite poll nests inside
+/// the poll of its scheduler's task, which must stay unable to park.
+pub(crate) struct LitePollGuard {
+    outer_pid: Option<u32>,
+    outer_no_park: bool,
+}
 
 impl LitePollGuard {
     pub(crate) fn new(pid: u32) -> LitePollGuard {
-        LITE_PID.set(Some(pid));
-        NO_PARK.set(true);
-        LitePollGuard
+        LitePollGuard {
+            outer_pid: LITE_PID.replace(Some(pid)),
+            outer_no_park: NO_PARK.replace(true),
+        }
     }
 }
 
 impl Drop for LitePollGuard {
     fn drop(&mut self) {
-        LITE_PID.set(None);
-        NO_PARK.set(false);
+        LITE_PID.set(self.outer_pid);
+        NO_PARK.set(self.outer_no_park);
     }
 }
 
@@ -1421,8 +1427,8 @@ impl Sim {
     // deliver wakeups to it as mailbox tokens instead of baton handoffs.
     // ------------------------------------------------------------------
 
-    /// Registers the calling engine process as a lite scheduler whose
-    /// host thread parks on `doorbell`.
+    /// Registers the calling engine process as a lite scheduler that
+    /// waits on `doorbell` while none of its lite processes can run.
     pub(crate) fn register_lite_sched(&self, doorbell: WaitId) {
         let tid = current_tid();
         let mut st = self.lock_state();
@@ -1825,6 +1831,7 @@ impl Sim {
             match &mut st.procs.get_mut(&tid).expect("picked proc missing").body {
                 Body::Thread(_) if me == Some(tid) => break true,
                 Body::Thread(parker) => {
+                    self.inner.tracer.count(Counter::HostHandoffs, 1);
                     parker.unpark(Wake::Run);
                     break false;
                 }
@@ -2133,8 +2140,8 @@ impl Sim {
                     if let Some(d) = st.race.as_deref_mut() {
                         d.wake_edge(cause.src(), sched.0);
                     }
-                    // Ring the scheduler's doorbell so its host thread
-                    // (if parked) becomes runnable. The doorbell queue
+                    // Ring the scheduler's doorbell so the scheduler
+                    // (if waiting) becomes runnable. The doorbell queue
                     // only ever holds Proc waiters, so this recursion
                     // is depth-1. Planted bug (`MUTANT_DROP_DOORBELL`):
                     // deliver the token but skip the ring — the mailbox
@@ -2859,6 +2866,22 @@ mod tests {
         let sim = fifo_sim(0);
         let q = sim.new_queue();
         sim.spawn_task("confused", move |s| async move { s.wait_on(q, "sync wait") });
+        match sim.run().unwrap_err() {
+            SimError::ProcPanic(msg) => assert!(msg.contains("Sim::wait_on_async"), "{msg}"),
+            other => panic!("expected a panic error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_lite_poll_inside_a_task_poll_leaves_the_task_unable_to_park() {
+        // A lite scheduler's task polls lite processes inside its own
+        // poll: ending a lite poll must not let the task park its host.
+        let sim = fifo_sim(0);
+        let q = sim.new_queue();
+        sim.spawn_task("scheduler", move |s| async move {
+            drop(LitePollGuard::new(99));
+            s.wait_on(q, "sync wait after a lite poll");
+        });
         match sim.run().unwrap_err() {
             SimError::ProcPanic(msg) => assert!(msg.contains("Sim::wait_on_async"), "{msg}"),
             other => panic!("expected a panic error, got {other:?}"),

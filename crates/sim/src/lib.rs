@@ -60,8 +60,8 @@ pub use policy::{DispatchEnv, FifoPolicy, Pick, RunPolicy, Tid};
 pub use stats::{normalize_higher_better, normalize_lower_better, Series, Summary};
 
 /// The cooperative lite-process model: `tnt-proc`'s engine-agnostic
-/// core re-exported next to the glue that runs it inside one engine
-/// slot. See DESIGN.md, "Two process models".
+/// core re-exported next to the glue that runs it inside one scheduler
+/// task. See DESIGN.md §12.
 pub mod proc {
     pub use crate::lite::{block_any, block_on, LiteHandle, LiteScheduler, LiteStats, ProcCtx};
     pub use tnt_proc::{Core, Lid, LiteProc, Step, Wake, WaitReason};

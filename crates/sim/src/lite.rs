@@ -1,16 +1,17 @@
 //! The lite-scheduler glue: runs a `tnt_proc::Core` inside one engine
 //! slot.
 //!
-//! The baton engine gives every threaded process a host thread; a
-//! [`LiteScheduler`] is one such process that multiplexes thousands of
-//! cooperative [`LiteProc`] state machines through a single slot. The
-//! two models share everything observable: the engine's clock and run
-//! policy (the scheduler yields the baton whenever threaded processes
-//! are runnable), its timer queue (lite sleeps become scheduler
-//! timeouts), trace attribution (each lite process has its own pid from
-//! the engine's tid namespace), and its wait queues (a lite process
-//! blocking on a `WaitId` parks a mailbox token, never a host thread —
-//! see `Waiter::Lite` in the engine).
+//! A [`LiteScheduler`] is one engine task that multiplexes thousands of
+//! cooperative [`LiteProc`] state machines through a single slot, so a
+//! crowd costs no host thread at all: its drive loop is polled by
+//! whichever thread holds the baton, like every other task. The crowd
+//! shares everything observable with the engine's other processes: the
+//! clock and run policy (the scheduler yields the baton whenever another
+//! engine process is runnable), the timer queue (lite sleeps become
+//! scheduler timeouts), trace attribution (each lite process has its own
+//! pid from the engine's tid namespace), and the wait queues (a lite
+//! process blocking on a `WaitId` parks a mailbox token — see
+//! `Waiter::Lite` in the engine).
 //!
 //! Determinism carries over unchanged: the core's run queue is FIFO, its
 //! sleep heap breaks ties by arming order, and mailbox tokens are
@@ -170,8 +171,10 @@ impl LiteScheduler {
         self.core.spawn(pid, machine)
     }
 
-    /// Spawns the scheduler's engine process (named `name`) and returns
-    /// a handle for post-run statistics.
+    /// Spawns the scheduler's drive loop as an engine task (named
+    /// `name`, see [`Sim::spawn_task`]) and returns a handle for
+    /// post-run statistics. The loop awaits the engine's async
+    /// primitives, so the crowd runs on the thread that holds the baton.
     pub fn start(self, name: impl Into<String>) -> LiteHandle {
         let LiteScheduler {
             sim,
@@ -180,8 +183,8 @@ impl LiteScheduler {
         } = self;
         let stats = Arc::new(Mutex::new(None));
         let out = stats.clone();
-        sim.spawn(name, move |s| {
-            drive(s, &mut core, switch_cost);
+        sim.spawn_task(name, move |s| async move {
+            drive(&s, &mut core, switch_cost).await;
             *out.lock() = Some(LiteStats {
                 polls: core.polls(),
                 cpu_by_pid: core.cpu_by_pid(),
@@ -191,8 +194,8 @@ impl LiteScheduler {
     }
 }
 
-/// The scheduler's drive loop: runs inside the engine process.
-fn drive(sim: &Sim, core: &mut Core<ProcCtx>, switch_cost: Cycles) {
+/// The scheduler's drive loop: the body of its engine task.
+async fn drive(sim: &Sim, core: &mut Core<ProcCtx>, switch_cost: Cycles) {
     let doorbell = sim.new_queue();
     sim.register_lite_sched(doorbell);
     let mut ctx = ProcCtx {
@@ -322,7 +325,7 @@ fn drive(sim: &Sim, core: &mut Core<ProcCtx>, switch_cost: Cycles) {
             // queued runnable, offer the baton. A pure-lite simulation
             // never pays this (the run queue stays empty).
             if sim.runnable_procs() > 0 {
-                sim.yield_now();
+                sim.yield_now_async().await;
             }
             continue;
         }
@@ -330,7 +333,7 @@ fn drive(sim: &Sim, core: &mut Core<ProcCtx>, switch_cost: Cycles) {
         if core.live() == 0 {
             break;
         }
-        // Nothing runnable: park until the next lite sleeper is due or
+        // Nothing runnable: wait until the next lite sleeper is due or
         // the doorbell rings, whichever comes first. The mailbox was
         // drained above and we hold the baton, so no wakeup can slip in
         // between the check and the wait.
@@ -338,10 +341,11 @@ fn drive(sim: &Sim, core: &mut Core<ProcCtx>, switch_cost: Cycles) {
             Some(at) => {
                 let now = sim.now().0;
                 if at > now {
-                    sim.wait_on_timeout(doorbell, Cycles(at - now), "lite sleepers");
+                    sim.wait_on_timeout_async(doorbell, Cycles(at - now), "lite sleepers")
+                        .await;
                 }
             }
-            None => sim.wait_on(doorbell, "lite procs waiting"),
+            None => sim.wait_on_async(doorbell, "lite procs waiting").await,
         }
     }
     sim.unregister_lite_sched();

@@ -173,11 +173,14 @@ pub enum Counter {
     /// Lite-process polls dispatched by cooperative schedulers (the
     /// crowd-scale analogue of `Dispatches`).
     LiteDispatches,
+    /// Dispatches that woke a threaded process's host thread other than
+    /// the dispatcher's own: each one is a host context switch.
+    HostHandoffs,
 }
 
 impl Counter {
     /// Number of counters (array sizing).
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 26;
 
     /// Every counter, in display order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -206,6 +209,7 @@ impl Counter {
         Counter::MemStallCycles,
         Counter::TraceDrops,
         Counter::LiteDispatches,
+        Counter::HostHandoffs,
     ];
 
     /// Short stable label for table footers.
@@ -236,6 +240,7 @@ impl Counter {
             Counter::MemStallCycles => "mem stall cycles",
             Counter::TraceDrops => "trace drops",
             Counter::LiteDispatches => "lite dispatches",
+            Counter::HostHandoffs => "host handoffs",
         }
     }
 }

@@ -354,8 +354,13 @@ mod tests {
             pid: 1,
             kind: EventKind::Charge { cy: 1 },
         });
-        publish(&tr, 1);
-        add_counter(Counter::Forks, 1);
+        {
+            // Holding the gate keeps a session another test opens from
+            // collecting these out-of-session calls.
+            let _gate = GATE.lock();
+            publish(&tr, 1);
+            add_counter(Counter::Forks, 1);
+        }
         let ((), report) = run(16, || {});
         assert_eq!(report.sims, 0);
         assert_eq!(report.counter(Counter::Forks), 0);
