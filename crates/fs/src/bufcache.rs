@@ -7,8 +7,17 @@
 //! accumulate until a high-water mark, then the writing process flushes
 //! them in ascending disk order as clustered sequential transfers (the
 //! classic self-throttling write-behind of 1990s kernels).
+//!
+//! A block is found the way Linux 1.2's `getblk` and 4.4BSD's `bufhash`
+//! find one: an index hashed by block address leads straight to the
+//! buffer, and the buffers are threaded on one doubly linked LRU list,
+//! so a touch, insert, eviction or discard costs a few hash operations.
+//! The index is never iterated, so its hash order decides nothing. The
+//! dirty set stays ordered, because the flush writes in ascending
+//! address order and takes its runs off the front of it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -34,22 +43,106 @@ pub struct CacheParams {
     pub per_block_cpu_cy: u64,
 }
 
+/// The end of the LRU list. Never a block address: those count 1 KB
+/// blocks on a disk far smaller than 2^64 KB.
+const NIL: u64 = u64::MAX;
+
+/// A resident block: its neighbours in LRU order and whether it holds
+/// a delayed write.
 #[derive(Clone, Copy)]
 struct Entry {
-    seq: u64,
+    older: u64,
+    newer: u64,
     dirty: bool,
 }
 
+/// Hashes a block address with one multiply. The keys come from the
+/// filesystem's own allocator, never from outside the program.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("block addresses hash as one u64");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // Buckets come from the low bits, which aligned addresses share:
+        // rotate the well-mixed high half of the product down.
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookup/insert/remove only, never iterated"
+)]
+type BlockIndex = std::collections::HashMap<u64, Entry, BuildHasherDefault<AddrHasher>>;
+
 struct CState {
-    seq: u64,
-    /// addr (in 1 KB disk blocks, block-aligned) -> entry. BTreeMap so
-    /// any future iteration is in address order, never hash order.
-    map: BTreeMap<u64, Entry>,
-    /// LRU order: seq -> addr.
-    order: BTreeMap<u64, u64>,
+    /// addr (in 1 KB disk blocks, block-aligned) -> entry, linked from
+    /// `oldest` to `newest`.
+    map: BlockIndex,
+    oldest: u64,
+    newest: u64,
     dirty: BTreeSet<u64>,
     hits: u64,
     misses: u64,
+}
+
+impl CState {
+    fn entry_mut(&mut self, addr: u64) -> &mut Entry {
+        self.map.get_mut(&addr).expect("neighbour is resident")
+    }
+
+    /// Closes the gap `e` leaves in the LRU list.
+    fn unlink(&mut self, e: Entry) {
+        match e.older {
+            NIL => self.oldest = e.newer,
+            older => self.entry_mut(older).newer = e.newer,
+        }
+        match e.newer {
+            NIL => self.newest = e.older,
+            newer => self.entry_mut(newer).older = e.older,
+        }
+    }
+
+    /// Caches `addr` as the newest block; a resident block moves there
+    /// and takes the new dirty flag.
+    fn insert(&mut self, addr: u64, dirty: bool) {
+        if self.remove(addr).is_some_and(|old| old.dirty && !dirty) {
+            self.dirty.remove(&addr);
+        }
+        let older = self.newest;
+        self.map.insert(
+            addr,
+            Entry {
+                older,
+                newer: NIL,
+                dirty,
+            },
+        );
+        match older {
+            NIL => self.oldest = addr,
+            older => self.entry_mut(older).newer = addr,
+        }
+        self.newest = addr;
+        if dirty {
+            self.dirty.insert(addr);
+        }
+    }
+
+    /// Drops a resident block from the index and the list (not from the
+    /// dirty set) and returns its entry.
+    fn remove(&mut self, addr: u64) -> Option<Entry> {
+        let e = self.map.remove(&addr)?;
+        self.unlink(e);
+        Some(e)
+    }
 }
 
 /// A write-behind LRU buffer cache in front of one disk.
@@ -68,9 +161,9 @@ impl BufferCache {
             disk,
             params,
             state: Mutex::new(CState {
-                seq: 0,
-                map: BTreeMap::new(),
-                order: BTreeMap::new(),
+                map: BlockIndex::default(),
+                oldest: NIL,
+                newest: NIL,
                 dirty: BTreeSet::new(),
                 hits: 0,
                 misses: 0,
@@ -124,41 +217,16 @@ impl BufferCache {
         self.state.lock().dirty.contains(&addr)
     }
 
-    fn touch(st: &mut CState, addr: u64) {
-        if let Some(e) = st.map.get_mut(&addr) {
-            st.order.remove(&e.seq);
-            st.seq += 1;
-            e.seq = st.seq;
-            st.order.insert(st.seq, addr);
-        }
-    }
-
-    fn insert(st: &mut CState, addr: u64, dirty: bool) {
-        st.seq += 1;
-        if let Some(old) = st.map.insert(addr, Entry { seq: st.seq, dirty }) {
-            st.order.remove(&old.seq);
-            if old.dirty && !dirty {
-                st.dirty.remove(&addr);
-            }
-        }
-        st.order.insert(st.seq, addr);
-        if dirty {
-            st.dirty.insert(addr);
-        }
-    }
-
     /// Evicts LRU entries until there is room for `need` more blocks.
     /// Returns the dirty victims that must be written out.
     fn make_room(&self, st: &mut CState, need: u64) -> Vec<u64> {
         let cap = self.capacity_blocks();
         let mut victims = Vec::new();
         while st.map.len() as u64 + need > cap {
-            let (&seq, &addr) = match st.order.iter().next() {
-                Some(kv) => kv,
-                None => break,
+            let addr = st.oldest;
+            let Some(e) = st.remove(addr) else {
+                break;
             };
-            st.order.remove(&seq);
-            let e = st.map.remove(&addr).expect("order/map out of sync");
             if e.dirty {
                 st.dirty.remove(&addr);
                 victims.push(addr);
@@ -180,16 +248,16 @@ impl BufferCache {
         debug_assert_eq!(addr % bs, 0, "unaligned cache read");
         let (hit, write_out) = {
             let mut st = self.state.lock();
-            if st.map.contains_key(&addr) {
+            if let Some(&e) = st.map.get(&addr) {
                 st.hits += 1;
-                Self::touch(&mut st, addr);
+                st.insert(addr, e.dirty);
                 (true, Vec::new())
             } else {
                 st.misses += 1;
                 let n = 1 + readahead;
                 let victims = self.make_room(&mut st, n);
                 for i in 0..n {
-                    Self::insert(&mut st, addr + i * bs, false);
+                    st.insert(addr + i * bs, false);
                 }
                 (false, victims)
             }
@@ -232,7 +300,7 @@ impl BufferCache {
         let write_out = {
             let mut st = self.state.lock();
             let victims = self.make_room(&mut st, 1);
-            Self::insert(&mut st, addr, !sync);
+            st.insert(addr, !sync);
             victims
         };
         self.write_runs(env, &write_out)?;
@@ -272,20 +340,18 @@ impl BufferCache {
     /// and marks it clean; returns (start addr, blocks).
     fn take_run(&self, st: &mut CState) -> Option<(u64, u64)> {
         let bs = self.bs_kb();
-        let first = *st.dirty.iter().next()?;
-        let mut run = vec![first];
-        let mut next = first + bs;
-        while run.len() < self.params.write_cluster_blocks as usize && st.dirty.contains(&next) {
-            run.push(next);
-            next += bs;
+        let first = st.dirty.pop_first()?;
+        let mut n = 1;
+        while n < self.params.write_cluster_blocks && st.dirty.first() == Some(&(first + n * bs)) {
+            st.dirty.pop_first();
+            n += 1;
         }
-        for addr in &run {
-            st.dirty.remove(addr);
-            if let Some(e) = st.map.get_mut(addr) {
+        for i in 0..n {
+            if let Some(e) = st.map.get_mut(&(first + i * bs)) {
                 e.dirty = false;
             }
         }
-        Some((first, run.len() as u64))
+        Some((first, n))
     }
 
     /// Writes evicted dirty victims back, merging contiguous blocks into
@@ -322,10 +388,9 @@ impl BufferCache {
     /// temporary can live and die without ever touching the disk).
     pub fn discard(&self, addrs: &[u64]) {
         let mut st = self.state.lock();
-        for addr in addrs {
-            if let Some(e) = st.map.remove(addr) {
-                st.order.remove(&e.seq);
-                st.dirty.remove(addr);
+        for &addr in addrs {
+            if st.remove(addr).is_some() {
+                st.dirty.remove(&addr);
             }
         }
     }
@@ -334,7 +399,8 @@ impl BufferCache {
     pub fn invalidate_all(&self) {
         let mut st = self.state.lock();
         st.map.clear();
-        st.order.clear();
+        st.oldest = NIL;
+        st.newest = NIL;
         st.dirty.clear();
     }
 }
@@ -344,6 +410,7 @@ mod tests {
     use super::*;
     use crate::disk::DiskParams;
     use tnt_os::{boot, Os};
+    use tnt_sim::replay::{Op, TraceEvent};
 
     fn params() -> CacheParams {
         CacheParams {
@@ -355,17 +422,197 @@ mod tests {
         }
     }
 
-    fn run_with_cache(
+    /// Runs `f` as one user process over a fresh cache with the workload
+    /// recorder armed; returns the final clock, the cache and the block
+    /// commands the disk saw, in issue order.
+    fn run_recorded(
+        os: Os,
+        params: CacheParams,
         f: impl FnOnce(&KEnv, &BufferCache) + Send + 'static,
-    ) -> (Cycles, (u64, u64), (u64, u64, u64)) {
-        let (sim, kernel) = boot(Os::Linux, 0);
+    ) -> (Cycles, Arc<BufferCache>, Vec<TraceEvent>) {
+        let (sim, kernel) = boot(os, 0);
+        sim.recorder().enable();
         let disk = Arc::new(Disk::new(DiskParams::hp3725()));
-        let cache = Arc::new(BufferCache::new(disk.clone(), params()));
+        let cache = Arc::new(BufferCache::new(disk, params));
         let env = kernel.env().clone();
         let c2 = cache.clone();
         kernel.spawn_user("user", move |_| f(&env, &c2));
         let t = sim.run().unwrap();
-        (t, cache.stats(), disk.stats())
+        (t, cache, sim.recorder().take().events)
+    }
+
+    fn run_with_cache(
+        f: impl FnOnce(&KEnv, &BufferCache) + Send + 'static,
+    ) -> (Cycles, (u64, u64), (u64, u64, u64)) {
+        let (t, cache, _) = run_recorded(Os::Linux, params(), f);
+        (t, cache.stats(), cache.disk_stats())
+    }
+
+    /// 64-bit FNV-1a over little-endian words.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Fnv {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Drives a seeded stream of `OPS` cache operations over a cache of
+    /// 40 `block_bytes` blocks and an address range of 96 blocks, and
+    /// folds everything the cache lets an observer see into one digest.
+    fn op_stream_digest(os: Os, block_bytes: u64, seed: u64) -> u64 {
+        const OPS: u64 = 5_000;
+        const SPAN: u64 = 96;
+        let p = CacheParams {
+            capacity_bytes: 40 * block_bytes,
+            block_bytes,
+            dirty_hiwater_bytes: 8 * block_bytes,
+            write_cluster_blocks: 4,
+            per_block_cpu_cy: 100,
+        };
+        let observed = Arc::new(Mutex::new(Fnv::new()));
+        let obs = observed.clone();
+        let (t, cache, events) = run_recorded(os, p, move |env, c| {
+            let bs = block_bytes / 1024;
+            let mut rng = seed;
+            for i in 0..OPS {
+                if i % 100 == 0 {
+                    let mut h = obs.lock();
+                    for b in 0..SPAN {
+                        h.word(u64::from(c.contains(b * bs)) | u64::from(c.is_dirty(b * bs)) << 1);
+                    }
+                }
+                let r = splitmix(&mut rng);
+                let addr = (r % SPAN) * bs;
+                match (r >> 32) % 1000 {
+                    0..=479 => {
+                        let hit = c.read(env, addr, (r >> 48) % 8).unwrap();
+                        obs.lock().word(u64::from(hit));
+                    }
+                    480..=699 => c.write(env, addr, false).unwrap(),
+                    700..=799 => c.write(env, addr, true).unwrap(),
+                    800..=974 => {
+                        let n = 1 + (r >> 48) % 6;
+                        let set: Vec<u64> =
+                            (0..n).map(|_| (splitmix(&mut rng) % SPAN) * bs).collect();
+                        c.discard(&set);
+                    }
+                    975..=994 => c.flush_all(env).unwrap(),
+                    _ => c.invalidate_all(),
+                }
+            }
+        });
+        let mut h = Fnv(observed.lock().0);
+        for e in &events {
+            h.word(e.t);
+            h.word(u64::from(e.pid));
+            h.word(u64::from(e.op.code()));
+            h.word(e.arg);
+            h.word(e.size);
+        }
+        let (hits, misses) = cache.stats();
+        let (reads, writes, moved) = cache.disk_stats();
+        for w in [
+            hits,
+            misses,
+            reads,
+            writes,
+            moved,
+            cache.disk().busy_cycles().0,
+            t.0,
+        ] {
+            h.word(w);
+        }
+        h.0
+    }
+
+    /// Pins everything observable about the cache's replacement and
+    /// write-behind order: which blocks are resident and dirty, which
+    /// reads hit, and every disk command with its issue time.
+    #[test]
+    fn op_stream_digest_is_pinned() {
+        let linux_1k = op_stream_digest(Os::Linux, 1024, 1996);
+        let bsd_8k = op_stream_digest(Os::FreeBsd, 8192, 7);
+        assert_eq!(
+            (linux_1k, bsd_8k),
+            (0xb4e3_ed49_af8d_4da4, 0x2fe5_995f_f2cf_6266)
+        );
+    }
+
+    /// Addresses among `watched` that each successive read of a fresh
+    /// block evicts, in eviction order.
+    fn eviction_order(env: &KEnv, c: &BufferCache, watched: &[u64], fresh: u64) -> Vec<u64> {
+        let mut order = Vec::new();
+        let mut next = fresh;
+        while order.len() < watched.len() {
+            c.read(env, next, 0).unwrap();
+            next += 8;
+            for &a in watched {
+                if !c.contains(a) && !order.contains(&a) {
+                    order.push(a);
+                }
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn discard_then_reinsert_makes_a_block_newest() {
+        let (_, _, _) = run_with_cache(|env, c| {
+            for i in 0..8u64 {
+                c.read(env, i * 8, 0).unwrap();
+            }
+            c.discard(&[0]);
+            c.write(env, 0, false).unwrap();
+            let watched: Vec<u64> = (0..8).map(|i| i * 8).collect();
+            let order = eviction_order(env, c, &watched, 800);
+            assert_eq!(order, [8, 16, 24, 32, 40, 48, 56, 0]);
+        });
+    }
+
+    #[test]
+    fn readahead_relinks_resident_blocks_newest_in_address_order() {
+        let (_, _, _) = run_with_cache(|env, c| {
+            for i in [2u64, 10, 11, 12] {
+                c.read(env, i * 8, 0).unwrap();
+            }
+            // Misses at 0 and brings 0..=3; block 2 was already resident.
+            assert!(!c.read(env, 0, 3).unwrap());
+            let watched: Vec<u64> = [10u64, 11, 12, 0, 1, 2, 3].map(|i| i * 8).to_vec();
+            let order = eviction_order(env, c, &watched, 800);
+            assert_eq!(order, watched);
+        });
+    }
+
+    #[test]
+    fn read_miss_writes_dirty_victims_before_its_read() {
+        let (_, _, events) = run_recorded(Os::Linux, params(), |env, c| {
+            c.write(env, 0, false).unwrap();
+            for i in 1..=8u64 {
+                c.read(env, i * 8, 0).unwrap();
+            }
+            assert!(!c.contains(0));
+        });
+        let tail: Vec<(Op, u64, u64)> = events[events.len() - 2..]
+            .iter()
+            .map(|e| (e.op, e.arg, e.size))
+            .collect();
+        assert_eq!(tail, [(Op::BlockWrite, 0, 8), (Op::BlockRead, 64, 8)]);
     }
 
     #[test]

@@ -440,13 +440,10 @@ impl Filesystem for SimFs {
         }
         let nblocks = plan.len() as u64;
         for (addr, cluster) in plan {
-            if self.cache.contains(addr) {
-                self.cache.read(env, addr, 0)?;
-            } else {
-                // One clustered disk command covers the rest of the run;
-                // the following blocks of this request will then hit.
-                self.cache.read(env, addr, cluster)?;
-            }
+            // A miss reads the rest of the run in one clustered disk
+            // command, so the following blocks of this request hit; a hit
+            // ignores the read-ahead.
+            self.cache.read(env, addr, cluster)?;
         }
         {
             let _s = env.sim.span(Class::DataCopy);
@@ -511,20 +508,16 @@ impl Filesystem for SimFs {
     }
 
     fn getattr(&self, env: &KEnv, vnode: VnodeId) -> SysResult<FileAttr> {
-        let (attr, inode_blk) = {
+        let attr = {
             let st = self.state.lock();
             let node = st.inodes.get(&vnode).ok_or(Errno::ENOENT)?;
-            (
-                FileAttr {
-                    vnode,
-                    size: node.size,
-                    is_dir: node.is_dir,
-                    nlink: node.nlink,
-                },
-                self.inode_block(vnode),
-            )
+            FileAttr {
+                vnode,
+                size: node.size,
+                is_dir: node.is_dir,
+                nlink: node.nlink,
+            }
         };
-        let _ = inode_blk;
         env.sim.charge(Cycles(self.params.per_op_cy));
         if self.params.attr_cache {
             // FreeBSD's separate directory/attribute cache: always warm
