@@ -22,39 +22,46 @@ pub struct BonnieResult {
 /// Runs bonnie with a file of `file_mb` megabytes on a fresh `os`
 /// filesystem, with `nseeks` random operations in the seek phase.
 pub fn bonnie(os: Os, file_mb: u64, nseeks: u32, seed: u64) -> BonnieResult {
-    run_with_fs(os, seed, move |p| bonnie_phases(p, file_mb, nseeks))
+    run_with_fs(os, seed, move |p| async move {
+        bonnie_phases(&p, file_mb, nseeks).await
+    })
 }
 
-fn bonnie_phases(p: &UProc, file_mb: u64, nseeks: u32) -> BonnieResult {
+async fn bonnie_phases(p: &UProc, file_mb: u64, nseeks: u32) -> BonnieResult {
     let file_bytes = file_mb * 1024 * 1024;
     let nblocks = file_bytes / BONNIE_BLOCK;
 
     // Phase 1: sequential write.
-    let fd = p.creat("/bonnie.scratch").unwrap();
-    let (_, wt) = timed(p, || {
+    let fd = p.creat("/bonnie.scratch").await.unwrap();
+    let (_, wt) = timed(p, async {
         for _ in 0..nblocks {
-            p.write(fd, BONNIE_BLOCK).unwrap();
+            p.write(fd, BONNIE_BLOCK).await.unwrap();
         }
-    });
-    p.close(fd).unwrap();
+    })
+    .await;
+    p.close(fd).await.unwrap();
 
     // Phase 2: sequential read.
-    let fd = p.open("/bonnie.scratch", OpenFlags::rdonly()).unwrap();
-    let (_, rt) = timed(p, || {
+    let fd = p
+        .open("/bonnie.scratch", OpenFlags::rdonly())
+        .await
+        .unwrap();
+    let (_, rt) = timed(p, async {
         let mut total = 0;
         loop {
-            let n = p.read(fd, BONNIE_BLOCK).unwrap();
+            let n = p.read(fd, BONNIE_BLOCK).await.unwrap();
             if n == 0 {
                 break;
             }
             total += n;
         }
         assert_eq!(total, file_bytes, "bonnie read the whole file back");
-    });
-    p.close(fd).unwrap();
+    })
+    .await;
+    p.close(fd).await.unwrap();
 
     // Phase 3: random seek, read the block, write it back.
-    let fd = p.open("/bonnie.scratch", OpenFlags::rdwr()).unwrap();
+    let fd = p.open("/bonnie.scratch", OpenFlags::rdwr()).await.unwrap();
     let offsets: Vec<u64> = (0..nseeks)
         .map(|_| {
             p.sim()
@@ -62,16 +69,17 @@ fn bonnie_phases(p: &UProc, file_mb: u64, nseeks: u32) -> BonnieResult {
                 * BONNIE_BLOCK
         })
         .collect();
-    let (_, st) = timed(p, || {
+    let (_, st) = timed(p, async {
         for off in offsets {
             p.lseek(fd, off).unwrap();
-            p.read(fd, BONNIE_BLOCK).unwrap();
+            p.read(fd, BONNIE_BLOCK).await.unwrap();
             p.lseek(fd, off).unwrap();
-            p.write(fd, BONNIE_BLOCK).unwrap();
+            p.write(fd, BONNIE_BLOCK).await.unwrap();
         }
-    });
-    p.close(fd).unwrap();
-    p.unlink("/bonnie.scratch").unwrap();
+    })
+    .await;
+    p.close(fd).await.unwrap();
+    p.unlink("/bonnie.scratch").await.unwrap();
 
     BonnieResult {
         write_mb_s: mb_per_sec(file_bytes, wt),

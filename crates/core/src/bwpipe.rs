@@ -1,7 +1,7 @@
 //! lmbench's `bw_pipe` (Table 4): a parent and child move 50 MB through
 //! a pipe in 64 KB chunks.
 
-use crate::machine::run_bare_task;
+use crate::machine::run_bare;
 use tnt_os::Os;
 use tnt_sim::mbit_per_sec;
 
@@ -14,21 +14,21 @@ pub const BW_PIPE_CHUNK: u64 = 64 * 1024;
 /// Pipe bandwidth in megabits per second for `total` bytes in `chunk`
 /// sized writes.
 pub fn pipe_bandwidth_mbit(os: Os, total: u64, chunk: u64, seed: u64) -> f64 {
-    run_bare_task(os, seed, move |p| async move {
+    run_bare(os, seed, move |p| async move {
         let (rd, wr) = p.pipe();
-        let child = p.fork_task("bw_pipe_writer", move |c| async move {
-            c.close(rd).unwrap();
+        let child = p.fork("bw_pipe_writer", move |c| async move {
+            c.close(rd).await.unwrap();
             let mut sent = 0;
             while sent < total {
-                sent += c.write_async(wr, chunk.min(total - sent)).await.unwrap();
+                sent += c.write(wr, chunk.min(total - sent)).await.unwrap();
             }
-            c.close(wr).unwrap();
+            c.close(wr).await.unwrap();
         });
-        p.close(wr).unwrap();
+        p.close(wr).await.unwrap();
         let t0 = p.sim().now();
         let mut received = 0;
         loop {
-            let n = p.read_async(rd, chunk).await.unwrap();
+            let n = p.read(rd, chunk).await.unwrap();
             if n == 0 {
                 break;
             }
@@ -36,7 +36,7 @@ pub fn pipe_bandwidth_mbit(os: Os, total: u64, chunk: u64, seed: u64) -> f64 {
         }
         let d = p.sim().now() - t0;
         assert_eq!(received, total, "every byte crossed the pipe");
-        p.waitpid_async(child).await;
+        p.waitpid(child).await;
         mbit_per_sec(total, d)
     })
 }

@@ -1,7 +1,7 @@
 //! lmbench's `bw_tcp` (Table 5): 3 MB through a loopback TCP connection
 //! using a 48 KB buffer.
 
-use crate::machine::run_bare_task;
+use crate::machine::run_bare;
 use tnt_net::{connect, connect_custom, Addr, Net, NetCosts, TcpCosts, TcpListener};
 use tnt_os::Os;
 use tnt_sim::mbit_per_sec;
@@ -35,14 +35,14 @@ pub fn tcp_bandwidth_with_window(
 /// reader over loopback, with the negotiated window unless
 /// `window_packets` forces one. Both ends run as engine tasks.
 fn bw_tcp(os: Os, window_packets: Option<u64>, total: u64, chunk: u64, seed: u64) -> f64 {
-    run_bare_task(os, seed, move |p| async move {
+    run_bare(os, seed, move |p| async move {
         let kernel = p.kernel().clone();
         let net = Net::ethernet_10mbit();
         let host = net.register_host(&kernel);
         let listener = TcpListener::bind(&net, &kernel, host, 5001).unwrap();
-        let child = p.fork_task("bw_tcp_srv", move |_| async move {
-            let conn = listener.accept_async().await.unwrap();
-            while conn.read_async(chunk).await.unwrap() > 0 {}
+        let child = p.fork("bw_tcp_srv", move |_| async move {
+            let conn = listener.accept().await.unwrap();
+            while conn.read(chunk).await.unwrap() > 0 {}
         });
         let to = Addr { host, port: 5001 };
         let conn = match window_packets {
@@ -60,10 +60,10 @@ fn bw_tcp(os: Os, window_packets: Option<u64>, total: u64, chunk: u64, seed: u64
         let t0 = p.sim().now();
         let mut sent = 0;
         while sent < total {
-            sent += conn.write_async(chunk.min(total - sent)).await.unwrap();
+            sent += conn.write(chunk.min(total - sent)).await.unwrap();
         }
         conn.close();
-        p.waitpid_async(child).await;
+        p.waitpid(child).await;
         mbit_per_sec(total, p.sim().now() - t0)
     })
 }

@@ -7,12 +7,13 @@ use tnt_os::{OpenFlags, Os, OsCosts, UProc};
 
 /// Milliseconds per create/delete iteration for `file_bytes`-byte files.
 pub fn crtdel_ms(os: Os, file_bytes: u64, iters: u32, seed: u64) -> f64 {
-    run_with_fs(os, seed, move |p| {
-        let (_, d) = timed(p, || {
+    run_with_fs(os, seed, move |p| async move {
+        let (_, d) = timed(&p, async {
             for _ in 0..iters {
-                crtdel_once(p, file_bytes);
+                crtdel_once(&p, file_bytes).await;
             }
-        });
+        })
+        .await;
         d.as_millis() / iters as f64
     })
 }
@@ -20,25 +21,26 @@ pub fn crtdel_ms(os: Os, file_bytes: u64, iters: u32, seed: u64) -> f64 {
 /// [`crtdel_ms`] with explicit kernel costs and filesystem personality
 /// (the `x2` metadata-policy ablation and Section 13 projections).
 pub fn crtdel_ms_with(costs: OsCosts, fs: FsParams, file_bytes: u64, iters: u32, seed: u64) -> f64 {
-    run_custom(costs, fs, seed, move |p| {
-        let (_, d) = timed(p, || {
+    run_custom(costs, fs, seed, move |p| async move {
+        let (_, d) = timed(&p, async {
             for _ in 0..iters {
-                crtdel_once(p, file_bytes);
+                crtdel_once(&p, file_bytes).await;
             }
-        });
+        })
+        .await;
         d.as_millis() / iters as f64
     })
 }
 
 /// One crtdel iteration.
-pub fn crtdel_once(p: &UProc, file_bytes: u64) {
-    let fd = p.creat("/crtdel.tmp").unwrap();
-    p.write(fd, file_bytes).unwrap();
-    p.close(fd).unwrap();
-    let fd = p.open("/crtdel.tmp", OpenFlags::rdonly()).unwrap();
-    p.read(fd, file_bytes).unwrap();
-    p.close(fd).unwrap();
-    p.unlink("/crtdel.tmp").unwrap();
+pub async fn crtdel_once(p: &UProc, file_bytes: u64) {
+    let fd = p.creat("/crtdel.tmp").await.unwrap();
+    p.write(fd, file_bytes).await.unwrap();
+    p.close(fd).await.unwrap();
+    let fd = p.open("/crtdel.tmp", OpenFlags::rdonly()).await.unwrap();
+    p.read(fd, file_bytes).await.unwrap();
+    p.close(fd).await.unwrap();
+    p.unlink("/crtdel.tmp").await.unwrap();
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! Every process is an engine task, so a token pass hands the baton on
 //! without a host thread switch.
 
-use crate::machine::run_bare_task_with;
+use crate::machine::run_bare_with;
 use tnt_os::{Os, OsCosts};
 
 /// Token circulation pattern.
@@ -50,7 +50,7 @@ pub fn ctx_us_with(
 }
 
 fn ring(costs: OsCosts, nprocs: usize, nswitches: u64, seed: u64) -> f64 {
-    run_bare_task_with(costs, seed, move |p| async move {
+    run_bare_with(costs, seed, move |p| async move {
         let rounds = (nswitches / nprocs as u64).max(1);
         // Pipe i is read by process i; process i writes pipe (i+1) % N.
         let pipes: Vec<(u32, u32)> = (0..nprocs).map(|_| p.pipe()).collect();
@@ -58,10 +58,10 @@ fn ring(costs: OsCosts, nprocs: usize, nswitches: u64, seed: u64) -> f64 {
         for i in 1..nprocs {
             let rd = pipes[i].0;
             let wr = pipes[(i + 1) % nprocs].1;
-            children.push(p.fork_task(format!("ring{i}"), move |c| async move {
+            children.push(p.fork(format!("ring{i}"), move |c| async move {
                 for _ in 0..rounds {
-                    c.read_async(rd, 1).await.unwrap();
-                    c.write_async(wr, 1).await.unwrap();
+                    c.read(rd, 1).await.unwrap();
+                    c.write(wr, 1).await.unwrap();
                 }
             }));
         }
@@ -69,19 +69,19 @@ fn ring(costs: OsCosts, nprocs: usize, nswitches: u64, seed: u64) -> f64 {
         let my_wr = pipes[1 % nprocs].1;
         let t0 = p.sim().now();
         for _ in 0..rounds {
-            p.write_async(my_wr, 1).await.unwrap();
-            p.read_async(my_rd, 1).await.unwrap();
+            p.write(my_wr, 1).await.unwrap();
+            p.read(my_rd, 1).await.unwrap();
         }
         let d = p.sim().now() - t0;
         for c in children {
-            p.waitpid_async(c).await;
+            p.waitpid(c).await;
         }
         d.as_micros() / (rounds * nprocs as u64) as f64
     })
 }
 
 fn chain(costs: OsCosts, nprocs: usize, nswitches: u64, seed: u64) -> f64 {
-    run_bare_task_with(costs, seed, move |p| async move {
+    run_bare_with(costs, seed, move |p| async move {
         let passes_per_cycle = 2 * (nprocs as u64 - 1);
         let rounds = (nswitches / passes_per_cycle).max(1);
         // up[i] carries the token i -> i+1, down[i] carries i+1 -> i.
@@ -93,27 +93,27 @@ fn chain(costs: OsCosts, nprocs: usize, nswitches: u64, seed: u64) -> f64 {
             let rd_up = up[i - 1].0;
             let wr_down = down[i - 1].1;
             let (wr_up, rd_down) = if last { (0, 0) } else { (up[i].1, down[i].0) };
-            children.push(p.fork_task(format!("chain{i}"), move |c| async move {
+            children.push(p.fork(format!("chain{i}"), move |c| async move {
                 for _ in 0..rounds {
-                    c.read_async(rd_up, 1).await.unwrap();
+                    c.read(rd_up, 1).await.unwrap();
                     if last {
-                        c.write_async(wr_down, 1).await.unwrap();
+                        c.write(wr_down, 1).await.unwrap();
                     } else {
-                        c.write_async(wr_up, 1).await.unwrap();
-                        c.read_async(rd_down, 1).await.unwrap();
-                        c.write_async(wr_down, 1).await.unwrap();
+                        c.write(wr_up, 1).await.unwrap();
+                        c.read(rd_down, 1).await.unwrap();
+                        c.write(wr_down, 1).await.unwrap();
                     }
                 }
             }));
         }
         let t0 = p.sim().now();
         for _ in 0..rounds {
-            p.write_async(up[0].1, 1).await.unwrap();
-            p.read_async(down[0].0, 1).await.unwrap();
+            p.write(up[0].1, 1).await.unwrap();
+            p.read(down[0].0, 1).await.unwrap();
         }
         let d = p.sim().now() - t0;
         for c in children {
-            p.waitpid_async(c).await;
+            p.waitpid(c).await;
         }
         d.as_micros() / (rounds * passes_per_cycle) as f64
     })

@@ -6,12 +6,13 @@ use tnt_os::Os;
 /// Average time per `getpid()` call, in microseconds, over `iters`
 /// iterations (the paper uses 100 000).
 pub fn syscall_us(os: Os, iters: u32, seed: u64) -> f64 {
-    run_bare(os, seed, move |p| {
-        let (_, d) = timed(p, || {
+    run_bare(os, seed, move |p| async move {
+        let (_, d) = timed(&p, async {
             for _ in 0..iters {
                 p.getpid();
             }
-        });
+        })
+        .await;
         d.as_micros() / iters as f64
     })
 }

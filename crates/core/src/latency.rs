@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use crate::machine::{run_bare_task, timed, ResultSlot};
+use crate::machine::{run_bare, timed, ResultSlot};
 use tnt_fs::SimFs;
 use tnt_net::{connect, Addr, Net, Recv, TcpListener, UdpSocket};
 use tnt_nfs::{serve, NfsCall, NfsReply, NfsServerConfig};
@@ -16,42 +16,42 @@ use tnt_sim::Cycles;
 /// lmbench `lat_pipe`: one byte bounced between two processes through a
 /// pair of pipes. Returns µs per round trip.
 pub fn lat_pipe_us(os: Os, round_trips: u32, seed: u64) -> f64 {
-    run_bare_task(os, seed, move |p| async move {
+    run_bare(os, seed, move |p| async move {
         let (rd_a, wr_a) = p.pipe(); // parent -> child
         let (rd_b, wr_b) = p.pipe(); // child -> parent
-        let child = p.fork_task("pong", move |c| async move {
+        let child = p.fork("pong", move |c| async move {
             for _ in 0..round_trips {
-                if c.read_async(rd_a, 1).await.unwrap() == 0 {
+                if c.read(rd_a, 1).await.unwrap() == 0 {
                     break;
                 }
-                c.write_async(wr_b, 1).await.unwrap();
+                c.write(wr_b, 1).await.unwrap();
             }
         });
         let t0 = p.sim().now();
         for _ in 0..round_trips {
-            p.write_async(wr_a, 1).await.unwrap();
-            p.read_async(rd_b, 1).await.unwrap();
+            p.write(wr_a, 1).await.unwrap();
+            p.read(rd_b, 1).await.unwrap();
         }
         let d = p.sim().now() - t0;
-        p.waitpid_async(child).await;
+        p.waitpid(child).await;
         d.as_micros() / round_trips as f64
     })
 }
 
 /// lmbench `lat_udp`: a one-byte datagram ping-pong over loopback.
 pub fn lat_udp_us(os: Os, round_trips: u32, seed: u64) -> f64 {
-    run_bare_task(os, seed, move |p| async move {
+    run_bare(os, seed, move |p| async move {
         let kernel = p.kernel().clone();
         let net = Net::ethernet_10mbit();
         let host = net.register_host(&kernel);
         let ping = UdpSocket::bind(&net, &kernel, host, 9000).unwrap();
         let pong = UdpSocket::bind(&net, &kernel, host, 9001).unwrap();
         let pong_addr = pong.addr();
-        let child = p.fork_task("pong", move |_| async move {
+        let child = p.fork("pong", move |_| async move {
             for _ in 0..round_trips {
-                match pong.recv_async().await.unwrap() {
+                match pong.recv().await.unwrap() {
                     Some(pkt) => {
-                        pong.send_to_async(pkt.from, vec![1]).await.unwrap();
+                        pong.send_to(pkt.from, vec![1]).await.unwrap();
                     }
                     None => break,
                 }
@@ -59,40 +59,40 @@ pub fn lat_udp_us(os: Os, round_trips: u32, seed: u64) -> f64 {
         });
         let t0 = p.sim().now();
         for _ in 0..round_trips {
-            ping.send_to_async(pong_addr, vec![0]).await.unwrap();
-            ping.recv_async().await.unwrap().unwrap();
+            ping.send_to(pong_addr, vec![0]).await.unwrap();
+            ping.recv().await.unwrap().unwrap();
         }
         let d = p.sim().now() - t0;
-        p.waitpid_async(child).await;
+        p.waitpid(child).await;
         d.as_micros() / round_trips as f64
     })
 }
 
 /// lmbench `lat_tcp`: a one-byte ping-pong over a loopback connection.
 pub fn lat_tcp_us(os: Os, round_trips: u32, seed: u64) -> f64 {
-    run_bare_task(os, seed, move |p| async move {
+    run_bare(os, seed, move |p| async move {
         let kernel = p.kernel().clone();
         let net = Net::ethernet_10mbit();
         let host = net.register_host(&kernel);
         let listener = TcpListener::bind(&net, &kernel, host, 9002).unwrap();
-        let child = p.fork_task("pong", move |_| async move {
-            let conn = listener.accept_async().await.unwrap();
+        let child = p.fork("pong", move |_| async move {
+            let conn = listener.accept().await.unwrap();
             loop {
-                if conn.read_async(1).await.unwrap() == 0 {
+                if conn.read(1).await.unwrap() == 0 {
                     break;
                 }
-                conn.write_async(1).await.unwrap();
+                conn.write(1).await.unwrap();
             }
         });
         let conn = connect(&net, &kernel, host, Addr { host, port: 9002 }).unwrap();
         let t0 = p.sim().now();
         for _ in 0..round_trips {
-            conn.write_async(1).await.unwrap();
-            while conn.read_async(1).await.unwrap() == 0 {}
+            conn.write(1).await.unwrap();
+            while conn.read(1).await.unwrap() == 0 {}
         }
         let d = p.sim().now() - t0;
         conn.close();
-        p.waitpid_async(child).await;
+        p.waitpid(child).await;
         d.as_micros() / round_trips as f64
     })
 }
@@ -118,23 +118,23 @@ pub fn lat_rpc_us(client_os: Os, server_os: Os, round_trips: u32, seed: u64) -> 
     let slot: ResultSlot<f64> = ResultSlot::new();
     let s2 = slot.clone();
     let kernel = kernels[0].clone();
-    kernels[0].spawn_user("lat_rpc", move |p: UProc| {
+    kernels[0].spawn_user("lat_rpc", move |p: UProc| async move {
         let sock = Arc::new(UdpSocket::bind(&net, &kernel, ch, 901).unwrap());
-        let (_, d) = timed(&p, || {
+        let (_, d) = timed(&p, async {
             for xid in 1..=round_trips {
                 let req = tnt_nfs::RpcRequest {
                     xid,
                     call: NfsCall::Null,
                 };
-                sock.send_to(server_addr, req.encode()).unwrap();
+                sock.send_to(server_addr, req.encode()).await.unwrap();
                 // A bare recv() would hang forever if the fault plane
                 // eats the request or the reply; retransmit with the
                 // same xid so the server's dup cache keeps it one call.
                 let pkt = loop {
-                    match sock.recv_timeout(Cycles::from_millis(700.0)).unwrap() {
+                    match sock.recv_timeout(Cycles::from_millis(700.0)).await.unwrap() {
                         Recv::Packet(pkt) => break pkt,
                         Recv::TimedOut => {
-                            sock.send_to(server_addr, req.encode()).unwrap();
+                            sock.send_to(server_addr, req.encode()).await.unwrap();
                         }
                         Recv::Closed => panic!("rpc socket closed mid-benchmark"),
                     }
@@ -142,7 +142,8 @@ pub fn lat_rpc_us(client_os: Os, server_os: Os, round_trips: u32, seed: u64) -> 
                 let reply = tnt_nfs::RpcReply::decode(&pkt.data).unwrap();
                 assert_eq!(reply.reply, NfsReply::Ok);
             }
-        });
+        })
+        .await;
         s2.put(d.as_micros() / round_trips as f64);
         p.sim().stop();
     });

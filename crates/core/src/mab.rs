@@ -141,85 +141,89 @@ pub struct MabReport {
 /// The chunk size of copy/read loops.
 const IO_CHUNK: u64 = 8192;
 
-fn read_all(p: &UProc, path: &str) -> u64 {
-    let fd = p.open(path, OpenFlags::rdonly()).unwrap();
+async fn read_all(p: &UProc, path: &str) -> u64 {
+    let fd = p.open(path, OpenFlags::rdonly()).await.unwrap();
     let mut total = 0;
     loop {
-        let n = p.read(fd, IO_CHUNK).unwrap();
+        let n = p.read(fd, IO_CHUNK).await.unwrap();
         if n == 0 {
             break;
         }
         total += n;
     }
-    p.close(fd).unwrap();
+    p.close(fd).await.unwrap();
     total
 }
 
-fn write_file(p: &UProc, path: &str, bytes: u64) {
-    let fd = p.creat(path).unwrap();
+async fn write_file(p: &UProc, path: &str, bytes: u64) {
+    let fd = p.creat(path).await.unwrap();
     let mut left = bytes;
     while left > 0 {
         let n = IO_CHUNK.min(left);
-        p.write(fd, n).unwrap();
+        p.write(fd, n).await.unwrap();
         left -= n;
     }
-    p.close(fd).unwrap();
+    p.close(fd).await.unwrap();
 }
 
 /// Installs the pristine source tree under `/src` (untimed setup).
-pub fn mab_setup(p: &UProc, spec: &MabSpec) {
-    p.mkdir("/src").unwrap();
+pub async fn mab_setup(p: &UProc, spec: &MabSpec) {
+    p.mkdir("/src").await.unwrap();
     for d in &spec.dirs {
-        p.mkdir(&format!("/src/{d}")).unwrap();
+        p.mkdir(&format!("/src/{d}")).await.unwrap();
     }
     for f in &spec.files {
-        write_file(p, &format!("/src/{}", f.rel), f.bytes);
+        write_file(p, &format!("/src/{}", f.rel), f.bytes).await;
     }
 }
 
 /// Runs the five timed phases against `/src` -> `/work`, with compiler
 /// temporaries under `/tmp`. Requires [`mab_setup`] first.
-pub fn run_mab(p: &UProc, spec: &MabSpec) -> MabReport {
+pub async fn run_mab(p: &UProc, spec: &MabSpec) -> MabReport {
     let mut report = MabReport::default();
 
     // Phase 1: MakeDir.
-    let (_, t1) = timed(p, || {
-        p.mkdir("/work").unwrap();
+    let (_, t1) = timed(p, async {
+        p.mkdir("/work").await.unwrap();
         for d in &spec.dirs {
-            p.mkdir(&format!("/work/{d}")).unwrap();
+            p.mkdir(&format!("/work/{d}")).await.unwrap();
         }
-    });
+    })
+    .await;
 
     // Phase 2: Copy.
-    let (_, t2) = timed(p, || {
+    let (_, t2) = timed(p, async {
         for f in &spec.files {
-            let got = read_all(p, &format!("/src/{}", f.rel));
+            let got = read_all(p, &format!("/src/{}", f.rel)).await;
             assert_eq!(got, f.bytes);
-            write_file(p, &format!("/work/{}", f.rel), f.bytes);
+            write_file(p, &format!("/work/{}", f.rel), f.bytes).await;
         }
-    });
+    })
+    .await;
 
     // Phase 3: ScanDir (ls -lR of the working tree).
-    let (_, t3) = timed(p, || {
-        let top = p.readdir("/work").unwrap();
+    let (_, t3) = timed(p, async {
+        let top = p.readdir("/work").await.unwrap();
         for d in top {
-            let names = p.readdir(&format!("/work/{d}")).unwrap();
+            let names = p.readdir(&format!("/work/{d}")).await.unwrap();
             for n in names {
-                let attr = p.stat(&format!("/work/{d}/{n}")).unwrap();
+                let attr = p.stat(&format!("/work/{d}/{n}")).await.unwrap();
                 assert!(!attr.is_dir);
             }
         }
-    });
+    })
+    .await;
 
     // Phase 4: ReadAll (grep -r over the tree).
-    let (_, t4) = timed(p, || {
+    let (_, t4) = timed(p, async {
         for f in &spec.files {
-            read_all(p, &format!("/work/{}", f.rel));
+            read_all(p, &format!("/work/{}", f.rel)).await;
         }
-    });
+    })
+    .await;
 
     // Phase 5: Compile and link.
-    let (_, t5) = timed(p, || {
+    let (_, t5) = timed(p, async {
         let header_bytes: u64 = spec.headers.iter().map(|&i| spec.files[i].bytes).sum();
         let mut objs: Vec<(String, u64)> = Vec::new();
         for (i, f) in spec.files.iter().enumerate() {
@@ -238,39 +242,40 @@ pub fn run_mab(p: &UProc, spec: &MabSpec) -> MabReport {
             let obj_bytes = (bytes as f64 * OBJ_FRACTION) as u64;
             let asm_bytes = (bytes as f64 * ASM_FRACTION) as u64;
             let op = obj_path.clone();
-            let child = p.fork("cc1", move |c| {
+            let child = p.fork("cc1", move |c| async move {
                 c.exec(); // cc1
-                read_all(&c, &src_path);
+                read_all(&c, &src_path).await;
                 for h in &headers {
-                    read_all(&c, h);
+                    read_all(&c, h).await;
                 }
                 c.compute(Cycles((bytes + header_bytes) * COMPILE_CY_PER_BYTE));
-                write_file(&c, &tmp_path, asm_bytes);
+                write_file(&c, &tmp_path, asm_bytes).await;
                 // The assembler pass.
                 c.exec(); // as
-                read_all(&c, &tmp_path);
+                read_all(&c, &tmp_path).await;
                 c.compute(Cycles(asm_bytes * COMPILE_CY_PER_BYTE / 10));
-                write_file(&c, &op, obj_bytes);
-                c.unlink(&tmp_path).unwrap();
+                write_file(&c, &op, obj_bytes).await;
+                c.unlink(&tmp_path).await.unwrap();
             });
-            p.waitpid(child);
+            p.waitpid(child).await;
             objs.push((obj_path, obj_bytes));
         }
         // Link: ld reads every object and writes the binary.
         let total_obj: u64 = objs.iter().map(|(_, b)| b).sum();
-        let link = p.fork("ld", move |c| {
+        let link = p.fork("ld", move |c| async move {
             c.exec();
             for (o, _) in &objs {
-                read_all(&c, o);
+                read_all(&c, o).await;
             }
             c.compute(Cycles(total_obj * COMPILE_CY_PER_BYTE / 8));
             // ld writes to a temporary and renames it into place, so a
             // crashed link never leaves a truncated a.out.
-            write_file(&c, "/work/a.out.tmp", total_obj);
-            c.rename("/work/a.out.tmp", "/work/a.out").unwrap();
+            write_file(&c, "/work/a.out.tmp", total_obj).await;
+            c.rename("/work/a.out.tmp", "/work/a.out").await.unwrap();
         });
-        p.waitpid(link);
-    });
+        p.waitpid(link).await;
+    })
+    .await;
 
     report.phase_s = [
         t1.as_secs(),
@@ -292,10 +297,10 @@ pub fn mab_local(os: Os, seed: u64) -> MabReport {
     kernel.mount_at("/tmp", SimFs::new(tmp_disk, FsParams::for_os(os)));
     let slot = crate::machine::ResultSlot::new();
     let s2 = slot.clone();
-    kernel.spawn_user("mab", move |p| {
+    kernel.spawn_user("mab", move |p| async move {
         let spec = MabSpec::standard();
-        mab_setup(&p, &spec);
-        s2.put(run_mab(&p, &spec));
+        mab_setup(&p, &spec).await;
+        s2.put(run_mab(&p, &spec).await);
     });
     // The report carries its own phase times; the final clock is not needed.
     let _ = sim.run().expect("MAB simulation failed");

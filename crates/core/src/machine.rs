@@ -5,29 +5,43 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use std::sync::Arc as StdArc;
-
 use tnt_fs::{Disk, DiskParams, FsParams, SimFs};
 use tnt_os::{boot, boot_with, Kernel, Os, OsCosts, UProc};
 use tnt_sim::{Cycles, Sim};
 
-/// Runs `f` as the sole user process on a freshly booted `os` machine and
-/// returns its result. The machine has no filesystem mounted.
-pub fn run_bare<T, F>(os: Os, seed: u64, f: F) -> T
+/// Runs the future `f` returns as the sole user process on a freshly
+/// booted `os` machine and returns its result. The machine has no
+/// filesystem mounted. The benchmark and every child it forks run as
+/// engine tasks, so passing the baton between them costs no host thread
+/// switch.
+pub fn run_bare<T, F, Fut>(os: Os, seed: u64, f: F) -> T
 where
     T: Send + 'static,
-    F: FnOnce(&UProc) -> T + Send + 'static,
+    F: FnOnce(UProc) -> Fut + Send + 'static,
+    Fut: Future<Output = T> + Send + 'static,
 {
-    let (sim, kernel) = boot(os, seed);
+    run_bare_with(OsCosts::for_os(os), seed, f)
+}
+
+/// [`run_bare`] with an explicit cost table (Section 13 projections
+/// and ablations).
+pub fn run_bare_with<T, F, Fut>(costs: OsCosts, seed: u64, f: F) -> T
+where
+    T: Send + 'static,
+    F: FnOnce(UProc) -> Fut + Send + 'static,
+    Fut: Future<Output = T> + Send + 'static,
+{
+    let (sim, kernel) = boot_with(costs, seed);
     finish(sim, kernel, f)
 }
 
 /// Like [`run_bare`] but with a fresh per-OS filesystem mounted (the
 /// paper's re-made benchmark partition on the HP 3725).
-pub fn run_with_fs<T, F>(os: Os, seed: u64, f: F) -> T
+pub fn run_with_fs<T, F, Fut>(os: Os, seed: u64, f: F) -> T
 where
     T: Send + 'static,
-    F: FnOnce(&UProc) -> T + Send + 'static,
+    F: FnOnce(UProc) -> Fut + Send + 'static,
+    Fut: Future<Output = T> + Send + 'static,
 {
     let (sim, kernel) = boot(os, seed);
     kernel.mount(SimFs::fresh_for_os(os));
@@ -36,58 +50,29 @@ where
 
 /// Full custom machine: explicit kernel costs and filesystem personality
 /// on a fresh HP 3725.
-pub fn run_custom<T, F>(costs: OsCosts, fs: FsParams, seed: u64, f: F) -> T
+pub fn run_custom<T, F, Fut>(costs: OsCosts, fs: FsParams, seed: u64, f: F) -> T
 where
     T: Send + 'static,
-    F: FnOnce(&UProc) -> T + Send + 'static,
+    F: FnOnce(UProc) -> Fut + Send + 'static,
+    Fut: Future<Output = T> + Send + 'static,
 {
     let (sim, kernel) = boot_with(costs, seed);
-    let disk = StdArc::new(Disk::new(DiskParams::hp3725()));
+    let disk = Arc::new(Disk::new(DiskParams::hp3725()));
     kernel.mount(SimFs::new(disk, fs));
     finish(sim, kernel, f)
 }
 
-/// [`run_bare`] for a benchmark written as a future: it and every child
-/// it forks with `fork_task` run as engine tasks, so passing the baton
-/// between them costs no host thread switch.
-pub fn run_bare_task<T, F, Fut>(os: Os, seed: u64, f: F) -> T
+/// Spawns `f` as the benchmark process, runs the simulation and returns
+/// the benchmark's result.
+fn finish<T, F, Fut>(sim: Sim, kernel: Kernel, f: F) -> T
 where
     T: Send + 'static,
     F: FnOnce(UProc) -> Fut + Send + 'static,
     Fut: Future<Output = T> + Send + 'static,
 {
-    run_bare_task_with(OsCosts::for_os(os), seed, f)
-}
-
-/// [`run_bare_task`] with an explicit cost table (Section 13 projections
-/// and ablations).
-pub fn run_bare_task_with<T, F, Fut>(costs: OsCosts, seed: u64, f: F) -> T
-where
-    T: Send + 'static,
-    F: FnOnce(UProc) -> Fut + Send + 'static,
-    Fut: Future<Output = T> + Send + 'static,
-{
-    let (sim, kernel) = boot_with(costs, seed);
-    finish_with(sim, |slot| {
-        kernel.spawn_user_task("bench", move |p| async move { slot.put(f(p).await) });
-    })
-}
-
-fn finish<T, F>(sim: Sim, kernel: Kernel, f: F) -> T
-where
-    T: Send + 'static,
-    F: FnOnce(&UProc) -> T + Send + 'static,
-{
-    finish_with(sim, |slot| {
-        kernel.spawn_user("bench", move |p| slot.put(f(&p)));
-    })
-}
-
-/// Spawns the benchmark process with `spawn`, which hands it the slot
-/// for its result, runs the simulation and returns the result.
-fn finish_with<T>(sim: Sim, spawn: impl FnOnce(ResultSlot<T>)) -> T {
     let slot = ResultSlot::new();
-    spawn(slot.clone());
+    let s2 = slot.clone();
+    kernel.spawn_user("bench", move |p| async move { s2.put(f(p).await) });
     // The benchmark times its own interval; the final clock is not needed.
     let _ = sim.run().expect("benchmark simulation failed");
     slot.take().expect("benchmark did not produce a result")
@@ -127,9 +112,9 @@ impl<T> Clone for ResultSlot<T> {
 }
 
 /// Measures the simulated duration of `f` within a process.
-pub fn timed<T>(p: &UProc, f: impl FnOnce() -> T) -> (T, Cycles) {
+pub async fn timed<T>(p: &UProc, f: impl Future<Output = T>) -> (T, Cycles) {
     let t0 = p.sim().now();
-    let r = f();
+    let r = f.await;
     (r, p.sim().now() - t0)
 }
 
@@ -139,17 +124,17 @@ mod tests {
 
     #[test]
     fn run_bare_returns_result() {
-        let pid = run_bare(Os::Linux, 0, |p| p.getpid());
+        let pid = run_bare(Os::Linux, 0, |p| async move { p.getpid() });
         assert!(pid > 0);
     }
 
     #[test]
     fn run_with_fs_can_do_file_io() {
-        let size = run_with_fs(Os::FreeBsd, 0, |p| {
-            let fd = p.creat("/x").unwrap();
-            p.write(fd, 123).unwrap();
-            p.close(fd).unwrap();
-            p.stat("/x").unwrap().size
+        let size = run_with_fs(Os::FreeBsd, 0, |p| async move {
+            let fd = p.creat("/x").await.unwrap();
+            p.write(fd, 123).await.unwrap();
+            p.close(fd).await.unwrap();
+            p.stat("/x").await.unwrap().size
         });
         assert_eq!(size, 123);
     }
@@ -158,8 +143,8 @@ mod tests {
     fn timed_measures_simulated_cycles() {
         // `compute` charges through the per-run jitter factor, so the
         // measured duration is within a few percent of the request.
-        let d = run_bare(Os::Linux, 0, |p| {
-            let (_, d) = timed(p, || p.compute(Cycles(5_000)));
+        let d = run_bare(Os::Linux, 0, |p| async move {
+            let (_, d) = timed(&p, async { p.compute(Cycles(5_000)) }).await;
             d
         });
         let err = (d.0 as f64 - 5_000.0).abs() / 5_000.0;

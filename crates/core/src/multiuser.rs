@@ -8,6 +8,7 @@
 //! own period (jittered per seed) and stealing a sliver of CPU, so
 //! measurements pick up exactly that extra variance.
 
+use std::future::Future;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -60,29 +61,31 @@ fn daemons() -> Vec<Daemon> {
 /// and inflating the live task count (which Linux's O(n) scheduler
 /// feels). The simulation is stopped when `f` returns, as `shutdown(8)`
 /// would.
-pub fn run_multiuser<T, F>(os: Os, seed: u64, f: F) -> T
+pub fn run_multiuser<T, F, Fut>(os: Os, seed: u64, f: F) -> T
 where
     T: Send + 'static,
-    F: FnOnce(&UProc) -> T + Send + 'static,
+    F: FnOnce(UProc) -> Fut + Send + 'static,
+    Fut: Future<Output = T> + Send + 'static,
 {
     let (sim, kernel) = boot(os, seed);
     for (i, d) in daemons().into_iter().enumerate() {
         // Per-seed phase offset so daemons do not tick in lockstep.
         let phase =
             Cycles((seed.wrapping_mul(2_654_435_761).rotate_left(i as u32 * 7)) % d.period.0);
-        kernel.spawn_user(d.name, move |p| {
-            p.sim().sleep(phase);
+        kernel.spawn_user(d.name, move |p| async move {
+            p.sim().sleep_async(phase).await;
             loop {
                 p.compute(d.burst);
-                p.sim().sleep(d.period);
+                p.sim().sleep_async(d.period).await;
             }
         });
     }
     let slot: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
     let s2 = slot.clone();
-    kernel.spawn_user("bench", move |p| {
-        *s2.lock() = Some(f(&p));
-        p.sim().stop(); // Daemons run forever; shut the machine down.
+    kernel.spawn_user("bench", move |p| async move {
+        let sim = p.sim().clone();
+        *s2.lock() = Some(f(p).await);
+        sim.stop(); // Daemons run forever; shut the machine down.
     });
     // The benchmark times its own interval; the final clock is not needed.
     let _ = sim.run().expect("multi-user simulation failed");
@@ -97,7 +100,7 @@ where
 /// noise of Section 3 shows up in benchmarks that block — see
 /// [`pipe_rtt_us_multiuser`].
 pub fn syscall_us_multiuser(os: Os, iters: u32, seed: u64) -> f64 {
-    run_multiuser(os, seed, move |p| {
+    run_multiuser(os, seed, move |p| async move {
         let t0 = p.sim().now();
         for _ in 0..iters {
             p.getpid();
@@ -106,38 +109,36 @@ pub fn syscall_us_multiuser(os: Os, iters: u32, seed: u64) -> f64 {
     })
 }
 
-fn pipe_rtt_body(round_trips: u32) -> impl FnOnce(&UProc) -> f64 + Send + 'static {
-    move |p: &UProc| {
-        let (rd_a, wr_a) = p.pipe();
-        let (rd_b, wr_b) = p.pipe();
-        let child = p.fork("pong", move |c| {
-            for _ in 0..round_trips {
-                if c.read(rd_a, 1).unwrap() == 0 {
-                    break;
-                }
-                c.write(wr_b, 1).unwrap();
-            }
-        });
-        let t0 = p.sim().now();
+async fn pipe_rtt(p: UProc, round_trips: u32) -> f64 {
+    let (rd_a, wr_a) = p.pipe();
+    let (rd_b, wr_b) = p.pipe();
+    let child = p.fork("pong", move |c| async move {
         for _ in 0..round_trips {
-            p.write(wr_a, 1).unwrap();
-            p.read(rd_b, 1).unwrap();
+            if c.read(rd_a, 1).await.unwrap() == 0 {
+                break;
+            }
+            c.write(wr_b, 1).await.unwrap();
         }
-        let rtt = (p.sim().now() - t0).as_micros() / round_trips as f64;
-        p.waitpid(child);
-        rtt
+    });
+    let t0 = p.sim().now();
+    for _ in 0..round_trips {
+        p.write(wr_a, 1).await.unwrap();
+        p.read(rd_b, 1).await.unwrap();
     }
+    let rtt = (p.sim().now() - t0).as_micros() / round_trips as f64;
+    p.waitpid(child).await;
+    rtt
 }
 
 /// One-byte pipe round trips with the daemons ticking: every block point
 /// is a chance for background work to land inside the measurement.
 pub fn pipe_rtt_us_multiuser(os: Os, round_trips: u32, seed: u64) -> f64 {
-    run_multiuser(os, seed, pipe_rtt_body(round_trips))
+    run_multiuser(os, seed, move |p| pipe_rtt(p, round_trips))
 }
 
 /// The single-user baseline of [`pipe_rtt_us_multiuser`].
 pub fn pipe_rtt_us_singleuser(os: Os, round_trips: u32, seed: u64) -> f64 {
-    crate::run_bare(os, seed, pipe_rtt_body(round_trips))
+    crate::run_bare(os, seed, move |p| pipe_rtt(p, round_trips))
 }
 
 #[cfg(test)]

@@ -59,13 +59,13 @@ pub fn mab_over_nfs_faulty(
 
     let slot = ResultSlot::new();
     let s2 = slot.clone();
-    client_k.spawn_user("mab-nfs", move |p| {
+    client_k.spawn_user("mab-nfs", move |p| async move {
         let spec = MabSpec::standard();
-        mab_setup(&p, &spec);
+        mab_setup(&p, &spec).await;
         // The paper's pristine tree was installed long before the run;
         // start the measurement from a cold client cache.
         mount.flush_caches();
-        s2.put(run_mab(&p, &spec));
+        s2.put(run_mab(&p, &spec).await);
         p.sim().stop(); // Tears down the nfsd daemon.
     });
     // The report carries its own phase times; the final clock is not needed.

@@ -9,13 +9,14 @@ use tnt_sim::Cycles;
 
 /// Latency of fork + child exit + waitpid, in microseconds.
 pub fn fork_exit_us(os: Os, iters: u32, seed: u64) -> f64 {
-    run_bare(os, seed, move |p| {
-        let (_, d) = timed(p, || {
+    run_bare(os, seed, move |p| async move {
+        let (_, d) = timed(&p, async {
             for _ in 0..iters {
-                let child = p.fork("child", |_| {});
-                p.waitpid(child);
+                let child = p.fork("child", |_| async {});
+                p.waitpid(child).await;
             }
-        });
+        })
+        .await;
         d.as_micros() / iters as f64
     })
 }
@@ -23,16 +24,17 @@ pub fn fork_exit_us(os: Os, iters: u32, seed: u64) -> f64 {
 /// Latency of fork + exec + exit + waitpid (the `cc1`-launch pattern of
 /// MAB's compile phase), in microseconds.
 pub fn fork_exec_us(os: Os, iters: u32, seed: u64) -> f64 {
-    run_bare(os, seed, move |p| {
-        let (_, d) = timed(p, || {
+    run_bare(os, seed, move |p| async move {
+        let (_, d) = timed(&p, async {
             for _ in 0..iters {
-                let child = p.fork("child", |c| {
+                let child = p.fork("child", |c| async move {
                     c.exec();
                     c.compute(Cycles(1_000)); // A trivial program body.
                 });
-                p.waitpid(child);
+                p.waitpid(child).await;
             }
-        });
+        })
+        .await;
         d.as_micros() / iters as f64
     })
 }

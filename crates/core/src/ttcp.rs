@@ -1,7 +1,7 @@
 //! `ttcp` over UDP (Figure 13): bandwidth as a function of packet size,
 //! 4 MB transferred per run, over the loopback interface.
 
-use crate::machine::{run_bare_task, ResultSlot};
+use crate::machine::{run_bare, ResultSlot};
 use tnt_net::{Net, UdpSocket};
 use tnt_os::Os;
 use tnt_sim::mbit_per_sec;
@@ -17,7 +17,7 @@ pub fn packet_sizes() -> Vec<u64> {
 /// UDP loopback bandwidth in megabits per second at one packet size.
 /// The sender and the forked receiver run as engine tasks.
 pub fn udp_bandwidth_mbit(os: Os, packet: u64, total: u64, seed: u64) -> f64 {
-    run_bare_task(os, seed, move |p| async move {
+    run_bare(os, seed, move |p| async move {
         let kernel = p.kernel().clone();
         let net = Net::ethernet_10mbit();
         let host = net.register_host(&kernel);
@@ -26,11 +26,11 @@ pub fn udp_bandwidth_mbit(os: Os, packet: u64, total: u64, seed: u64) -> f64 {
         let to = rx.addr();
         let slot: ResultSlot<f64> = ResultSlot::new();
         let s2 = slot.clone();
-        let child = p.fork_task("ttcp-r", move |c| async move {
+        let child = p.fork("ttcp-r", move |c| async move {
             let t0 = c.sim().now();
             let mut got = 0;
             while got < total {
-                match rx.recv_async().await.unwrap() {
+                match rx.recv().await.unwrap() {
                     Some(pkt) => got += pkt.len,
                     None => break,
                 }
@@ -40,10 +40,10 @@ pub fn udp_bandwidth_mbit(os: Os, packet: u64, total: u64, seed: u64) -> f64 {
         let mut sent = 0;
         while sent < total {
             let n = packet.min(total - sent);
-            tx.send_sized_async(to, n).await.unwrap();
+            tx.send_sized(to, n).await.unwrap();
             sent += n;
         }
-        p.waitpid_async(child).await;
+        p.waitpid(child).await;
         slot.take().expect("receiver measured")
     })
 }

@@ -536,7 +536,7 @@ fn run_on(cfg: &FarmConfig, sim: Sim, kernels: Vec<Kernel>) -> FarmReport {
     // The server pool: tasks on machine 1.
     for w in 0..cfg.workers {
         let env = env.clone();
-        kernels[1].spawn_user_task(format!("worker{w}"), move |p| worker_loop(p, env));
+        kernels[1].spawn_user(format!("worker{w}"), move |p| worker_loop(p, env));
     }
 
     let elapsed = match sim.run() {

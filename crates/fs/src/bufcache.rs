@@ -239,7 +239,7 @@ impl BufferCache {
     /// cache block size). On a miss, reads `1 + readahead` consecutive
     /// blocks from disk in one command. Returns whether it hit, or the
     /// disk's error if a miss's transfer failed past the retry budget.
-    pub fn read(&self, env: &KEnv, addr: u64, readahead: u64) -> SysResult<bool> {
+    pub async fn read(&self, env: &KEnv, addr: u64, readahead: u64) -> SysResult<bool> {
         {
             let _s = env.sim.span(Class::FsCpu);
             env.sim.charge(Cycles(self.params.per_block_cpu_cy));
@@ -271,8 +271,10 @@ impl BufferCache {
             1,
         );
         if !hit {
-            self.write_runs(env, &write_out)?;
-            self.disk.io(env, IoKind::Read, addr, (1 + readahead) * bs)?;
+            self.write_runs(env, &write_out).await?;
+            self.disk
+                .io(env, IoKind::Read, addr, (1 + readahead) * bs)
+                .await?;
         }
         Ok(hit)
     }
@@ -287,7 +289,7 @@ impl BufferCache {
     /// Errors surface only from the disk commands a write triggers (sync
     /// writes, evictions, high-water flushes); the block itself is cached
     /// before any of those run.
-    pub fn write(&self, env: &KEnv, addr: u64, sync: bool) -> SysResult<()> {
+    pub async fn write(&self, env: &KEnv, addr: u64, sync: bool) -> SysResult<()> {
         {
             let _s = env.sim.span(Class::FsCpu);
             env.sim.charge(Cycles(self.params.per_block_cpu_cy));
@@ -303,21 +305,21 @@ impl BufferCache {
             st.insert(addr, !sync);
             victims
         };
-        self.write_runs(env, &write_out)?;
+        self.write_runs(env, &write_out).await?;
         if sync {
-            return self.disk.io(env, IoKind::Write, addr, bs);
+            return self.disk.io(env, IoKind::Write, addr, bs).await;
         }
         let hiwater_blocks = self.params.dirty_hiwater_bytes / self.params.block_bytes;
         let need_flush = self.state.lock().dirty.len() as u64 > hiwater_blocks;
         if need_flush {
-            self.flush_down_to(env, hiwater_blocks / 2)?;
+            self.flush_down_to(env, hiwater_blocks / 2).await?;
         }
         Ok(())
     }
 
     /// Flushes dirty blocks (ascending disk order, clustered) until at
     /// most `target_blocks` remain dirty.
-    fn flush_down_to(&self, env: &KEnv, target_blocks: u64) -> SysResult<()> {
+    async fn flush_down_to(&self, env: &KEnv, target_blocks: u64) -> SysResult<()> {
         loop {
             let run = {
                 let mut st = self.state.lock();
@@ -330,7 +332,8 @@ impl BufferCache {
                 None => return Ok(()),
                 Some((addr, nblocks)) => {
                     self.disk
-                        .io(env, IoKind::Write, addr, nblocks * self.bs_kb())?;
+                        .io(env, IoKind::Write, addr, nblocks * self.bs_kb())
+                        .await?;
                 }
             }
         }
@@ -357,7 +360,7 @@ impl BufferCache {
     /// Writes evicted dirty victims back, merging contiguous blocks into
     /// clustered commands (sequential workloads evict in address order,
     /// so this behaves like the elevator it models).
-    fn write_runs(&self, env: &KEnv, victims: &[u64]) -> SysResult<()> {
+    async fn write_runs(&self, env: &KEnv, victims: &[u64]) -> SysResult<()> {
         if victims.is_empty() {
             return Ok(());
         }
@@ -370,17 +373,17 @@ impl BufferCache {
             if addr == start + len * bs && len < self.params.write_cluster_blocks {
                 len += 1;
             } else {
-                self.disk.io(env, IoKind::Write, start, len * bs)?;
+                self.disk.io(env, IoKind::Write, start, len * bs).await?;
                 start = addr;
                 len = 1;
             }
         }
-        self.disk.io(env, IoKind::Write, start, len * bs)
+        self.disk.io(env, IoKind::Write, start, len * bs).await
     }
 
     /// Writes out every dirty block (the `sync`/fresh-filesystem path).
-    pub fn flush_all(&self, env: &KEnv) -> SysResult<()> {
-        self.flush_down_to(env, 0)
+    pub async fn flush_all(&self, env: &KEnv) -> SysResult<()> {
+        self.flush_down_to(env, 0).await
     }
 
     /// Drops the given blocks without writing them back — the fate of a
@@ -425,25 +428,31 @@ mod tests {
     /// Runs `f` as one user process over a fresh cache with the workload
     /// recorder armed; returns the final clock, the cache and the block
     /// commands the disk saw, in issue order.
-    fn run_recorded(
+    fn run_recorded<Fut>(
         os: Os,
         params: CacheParams,
-        f: impl FnOnce(&KEnv, &BufferCache) + Send + 'static,
-    ) -> (Cycles, Arc<BufferCache>, Vec<TraceEvent>) {
+        f: impl FnOnce(KEnv, Arc<BufferCache>) -> Fut + Send + 'static,
+    ) -> (Cycles, Arc<BufferCache>, Vec<TraceEvent>)
+    where
+        Fut: std::future::Future<Output = ()> + Send + 'static,
+    {
         let (sim, kernel) = boot(os, 0);
         sim.recorder().enable();
         let disk = Arc::new(Disk::new(DiskParams::hp3725()));
         let cache = Arc::new(BufferCache::new(disk, params));
         let env = kernel.env().clone();
         let c2 = cache.clone();
-        kernel.spawn_user("user", move |_| f(&env, &c2));
+        kernel.spawn_user("user", move |_| f(env, c2));
         let t = sim.run().unwrap();
         (t, cache, sim.recorder().take().events)
     }
 
-    fn run_with_cache(
-        f: impl FnOnce(&KEnv, &BufferCache) + Send + 'static,
-    ) -> (Cycles, (u64, u64), (u64, u64, u64)) {
+    fn run_with_cache<Fut>(
+        f: impl FnOnce(KEnv, Arc<BufferCache>) -> Fut + Send + 'static,
+    ) -> (Cycles, (u64, u64), (u64, u64, u64))
+    where
+        Fut: std::future::Future<Output = ()> + Send + 'static,
+    {
         let (t, cache, _) = run_recorded(Os::Linux, params(), f);
         (t, cache.stats(), cache.disk_stats())
     }
@@ -487,7 +496,7 @@ mod tests {
         };
         let observed = Arc::new(Mutex::new(Fnv::new()));
         let obs = observed.clone();
-        let (t, cache, events) = run_recorded(os, p, move |env, c| {
+        let (t, cache, events) = run_recorded(os, p, move |env, c| async move {
             let bs = block_bytes / 1024;
             let mut rng = seed;
             for i in 0..OPS {
@@ -501,18 +510,18 @@ mod tests {
                 let addr = (r % SPAN) * bs;
                 match (r >> 32) % 1000 {
                     0..=479 => {
-                        let hit = c.read(env, addr, (r >> 48) % 8).unwrap();
+                        let hit = c.read(&env, addr, (r >> 48) % 8).await.unwrap();
                         obs.lock().word(u64::from(hit));
                     }
-                    480..=699 => c.write(env, addr, false).unwrap(),
-                    700..=799 => c.write(env, addr, true).unwrap(),
+                    480..=699 => c.write(&env, addr, false).await.unwrap(),
+                    700..=799 => c.write(&env, addr, true).await.unwrap(),
                     800..=974 => {
                         let n = 1 + (r >> 48) % 6;
                         let set: Vec<u64> =
                             (0..n).map(|_| (splitmix(&mut rng) % SPAN) * bs).collect();
                         c.discard(&set);
                     }
-                    975..=994 => c.flush_all(env).unwrap(),
+                    975..=994 => c.flush_all(&env).await.unwrap(),
                     _ => c.invalidate_all(),
                 }
             }
@@ -556,11 +565,11 @@ mod tests {
 
     /// Addresses among `watched` that each successive read of a fresh
     /// block evicts, in eviction order.
-    fn eviction_order(env: &KEnv, c: &BufferCache, watched: &[u64], fresh: u64) -> Vec<u64> {
+    async fn eviction_order(env: &KEnv, c: &BufferCache, watched: &[u64], fresh: u64) -> Vec<u64> {
         let mut order = Vec::new();
         let mut next = fresh;
         while order.len() < watched.len() {
-            c.read(env, next, 0).unwrap();
+            c.read(env, next, 0).await.unwrap();
             next += 8;
             for &a in watched {
                 if !c.contains(a) && !order.contains(&a) {
@@ -573,38 +582,38 @@ mod tests {
 
     #[test]
     fn discard_then_reinsert_makes_a_block_newest() {
-        let (_, _, _) = run_with_cache(|env, c| {
+        let (_, _, _) = run_with_cache(|env, c| async move {
             for i in 0..8u64 {
-                c.read(env, i * 8, 0).unwrap();
+                c.read(&env, i * 8, 0).await.unwrap();
             }
             c.discard(&[0]);
-            c.write(env, 0, false).unwrap();
+            c.write(&env, 0, false).await.unwrap();
             let watched: Vec<u64> = (0..8).map(|i| i * 8).collect();
-            let order = eviction_order(env, c, &watched, 800);
+            let order = eviction_order(&env, &c, &watched, 800).await;
             assert_eq!(order, [8, 16, 24, 32, 40, 48, 56, 0]);
         });
     }
 
     #[test]
     fn readahead_relinks_resident_blocks_newest_in_address_order() {
-        let (_, _, _) = run_with_cache(|env, c| {
+        let (_, _, _) = run_with_cache(|env, c| async move {
             for i in [2u64, 10, 11, 12] {
-                c.read(env, i * 8, 0).unwrap();
+                c.read(&env, i * 8, 0).await.unwrap();
             }
             // Misses at 0 and brings 0..=3; block 2 was already resident.
-            assert!(!c.read(env, 0, 3).unwrap());
+            assert!(!c.read(&env, 0, 3).await.unwrap());
             let watched: Vec<u64> = [10u64, 11, 12, 0, 1, 2, 3].map(|i| i * 8).to_vec();
-            let order = eviction_order(env, c, &watched, 800);
+            let order = eviction_order(&env, &c, &watched, 800).await;
             assert_eq!(order, watched);
         });
     }
 
     #[test]
     fn read_miss_writes_dirty_victims_before_its_read() {
-        let (_, _, events) = run_recorded(Os::Linux, params(), |env, c| {
-            c.write(env, 0, false).unwrap();
+        let (_, _, events) = run_recorded(Os::Linux, params(), |env, c| async move {
+            c.write(&env, 0, false).await.unwrap();
             for i in 1..=8u64 {
-                c.read(env, i * 8, 0).unwrap();
+                c.read(&env, i * 8, 0).await.unwrap();
             }
             assert!(!c.contains(0));
         });
@@ -617,9 +626,9 @@ mod tests {
 
     #[test]
     fn read_miss_then_hit() {
-        let (_, (hits, misses), (reads, _, _)) = run_with_cache(|env, c| {
-            assert!(!c.read(env, 0, 0).unwrap(), "cold miss");
-            assert!(c.read(env, 0, 0).unwrap(), "now cached");
+        let (_, (hits, misses), (reads, _, _)) = run_with_cache(|env, c| async move {
+            assert!(!c.read(&env, 0, 0).await.unwrap(), "cold miss");
+            assert!(c.read(&env, 0, 0).await.unwrap(), "now cached");
         });
         assert_eq!((hits, misses), (1, 1));
         assert_eq!(reads, 1);
@@ -627,11 +636,11 @@ mod tests {
 
     #[test]
     fn readahead_fills_following_blocks() {
-        let (_, (hits, misses), (reads, _, _)) = run_with_cache(|env, c| {
-            assert!(!c.read(env, 0, 3).unwrap()); // brings 0, 8, 16, 24 (KB)
-            assert!(c.read(env, 8, 0).unwrap());
-            assert!(c.read(env, 16, 0).unwrap());
-            assert!(c.read(env, 24, 0).unwrap());
+        let (_, (hits, misses), (reads, _, _)) = run_with_cache(|env, c| async move {
+            assert!(!c.read(&env, 0, 3).await.unwrap()); // brings 0, 8, 16, 24 (KB)
+            assert!(c.read(&env, 8, 0).await.unwrap());
+            assert!(c.read(&env, 16, 0).await.unwrap());
+            assert!(c.read(&env, 24, 0).await.unwrap());
         });
         assert_eq!((hits, misses), (3, 1));
         assert_eq!(reads, 1, "one clustered disk read");
@@ -639,9 +648,9 @@ mod tests {
 
     #[test]
     fn delayed_write_touches_no_disk() {
-        let (_, _, (reads, writes, _)) = run_with_cache(|env, c| {
-            c.write(env, 0, false).unwrap();
-            c.write(env, 8, false).unwrap();
+        let (_, _, (reads, writes, _)) = run_with_cache(|env, c| async move {
+            c.write(&env, 0, false).await.unwrap();
+            c.write(&env, 8, false).await.unwrap();
             assert_eq!(c.dirty_bytes(), 16 * 1024);
         });
         assert_eq!((reads, writes), (0, 0), "delayed writes stay in cache");
@@ -649,8 +658,8 @@ mod tests {
 
     #[test]
     fn sync_write_hits_disk_immediately() {
-        let (t, _, (_, writes, _)) = run_with_cache(|env, c| {
-            c.write(env, 700_000 * 8, true).unwrap();
+        let (t, _, (_, writes, _)) = run_with_cache(|env, c| async move {
+            c.write(&env, 700_000 * 8, true).await.unwrap();
         });
         assert_eq!(writes, 1);
         assert!(t.as_millis() > 5.0, "a sync metadata write costs a disk op");
@@ -660,9 +669,9 @@ mod tests {
     fn hiwater_flush_clusters_sequential_runs() {
         // Cache hiwater = 4 blocks; writing 6 sequential blocks forces a
         // flush that should need very few disk commands.
-        let (_, _, (_, writes, blocks)) = run_with_cache(|env, c| {
+        let (_, _, (_, writes, blocks)) = run_with_cache(|env, c| async move {
             for i in 0..6u64 {
-                c.write(env, i * 8, false).unwrap();
+                c.write(&env, i * 8, false).await.unwrap();
             }
         });
         assert!(writes <= 2, "clustered flush, got {writes} commands");
@@ -671,9 +680,9 @@ mod tests {
 
     #[test]
     fn eviction_never_exceeds_capacity() {
-        let (_, _, _) = run_with_cache(|env, c| {
+        let (_, _, _) = run_with_cache(|env, c| async move {
             for i in 0..100u64 {
-                c.read(env, i * 8, 0).unwrap();
+                c.read(&env, i * 8, 0).await.unwrap();
             }
             // Capacity is 8 blocks of 8 KB.
             let mut resident = 0;
@@ -689,10 +698,10 @@ mod tests {
 
     #[test]
     fn dirty_eviction_writes_back() {
-        let (_, _, (_, writes, _)) = run_with_cache(|env, c| {
-            c.write(env, 0, false).unwrap(); // one dirty block
+        let (_, _, (_, writes, _)) = run_with_cache(|env, c| async move {
+            c.write(&env, 0, false).await.unwrap(); // one dirty block
             for i in 1..20u64 {
-                c.read(env, i * 8, 0).unwrap(); // push it out
+                c.read(&env, i * 8, 0).await.unwrap(); // push it out
             }
             assert!(!c.contains(0));
         });
@@ -701,19 +710,19 @@ mod tests {
 
     #[test]
     fn flush_all_cleans_everything() {
-        let (_, _, _) = run_with_cache(|env, c| {
+        let (_, _, _) = run_with_cache(|env, c| async move {
             for i in 0..4u64 {
-                c.write(env, i * 8, false).unwrap();
+                c.write(&env, i * 8, false).await.unwrap();
             }
-            c.flush_all(env).unwrap();
+            c.flush_all(&env).await.unwrap();
             assert_eq!(c.dirty_bytes(), 0);
         });
     }
 
     #[test]
     fn invalidate_drops_without_io() {
-        let (_, _, (_, writes, _)) = run_with_cache(|env, c| {
-            c.write(env, 0, false).unwrap();
+        let (_, _, (_, writes, _)) = run_with_cache(|env, c| async move {
+            c.write(&env, 0, false).await.unwrap();
             c.invalidate_all();
             assert_eq!(c.dirty_bytes(), 0);
             assert!(!c.contains(0));

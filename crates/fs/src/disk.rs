@@ -192,7 +192,7 @@ impl Disk {
     /// [`DISK_RETRIES`] times — each retry re-pays full service time —
     /// and surfaces `EIO` only when the budget is spent. With faults off
     /// this is infallible and byte-identical to the faultless model.
-    pub fn io(&self, env: &KEnv, kind: IoKind, addr: u64, blocks: u64) -> SysResult<()> {
+    pub async fn io(&self, env: &KEnv, kind: IoKind, addr: u64, blocks: u64) -> SysResult<()> {
         for _attempt in 0..=DISK_RETRIES {
             let phases = self.issue(env, kind, addr, blocks);
             for (class, t) in [Class::DiskSeek, Class::DiskRotation, Class::DiskMedia]
@@ -201,7 +201,7 @@ impl Disk {
             {
                 if t > Cycles::ZERO {
                     let _s = env.sim.span(class);
-                    env.sim.sleep(t);
+                    env.sim.sleep_async(t).await;
                 }
             }
             if !env.sim.faults().disk_transient() {
@@ -221,7 +221,7 @@ impl Disk {
     /// completed (one transient-fault roll, as in [`Disk::io`]). The
     /// caller owes the drive the phase sum of simulated time — the
     /// trace replayer pays it by *returning* `Step::Block` from a lite
-    /// process's `poll`, where the sleeping [`Disk::io`] is off limits.
+    /// process's `poll`, which cannot await [`Disk::io`].
     ///
     /// Statistics ([`Disk::stats`], [`Disk::busy_cycles`],
     /// [`Disk::fault_stats`]) advance exactly as for one [`Disk::io`]
@@ -341,9 +341,9 @@ mod tests {
         let disk = std::sync::Arc::new(Disk::new(DiskParams::hp3725()));
         let d2 = disk.clone();
         let env = kernel.env().clone();
-        kernel.spawn_user("io", move |_| {
-            d2.io(&env, IoKind::Read, 500_000, 8).unwrap();
-            d2.io(&env, IoKind::Read, 500_008, 8).unwrap(); // sequential: cheap
+        kernel.spawn_user("io", move |_| async move {
+            d2.io(&env, IoKind::Read, 500_000, 8).await.unwrap();
+            d2.io(&env, IoKind::Read, 500_008, 8).await.unwrap(); // sequential: cheap
         });
         let elapsed = sim.run().unwrap();
         let (reads, writes, blocks) = disk.stats();
@@ -378,8 +378,11 @@ mod tests {
         let disk = std::sync::Arc::new(Disk::new(DiskParams::hp3725()));
         let d2 = disk.clone();
         let env = kernel.env().clone();
-        kernel.spawn_user("io", move |_| {
-            assert_eq!(d2.io(&env, IoKind::Write, 0, 8).err(), Some(Errno::EIO));
+        kernel.spawn_user("io", move |_| async move {
+            assert_eq!(
+                d2.io(&env, IoKind::Write, 0, 8).await.err(),
+                Some(Errno::EIO)
+            );
         });
         let elapsed = sim.run().unwrap();
         let (faults, _) = disk.fault_stats();
@@ -404,8 +407,8 @@ mod tests {
             let disk = std::sync::Arc::new(Disk::new(DiskParams::hp3725()));
             let d2 = disk.clone();
             let env = kernel.env().clone();
-            kernel.spawn_user("io", move |_| {
-                d2.io(&env, IoKind::Read, 1000, 8).unwrap();
+            kernel.spawn_user("io", move |_| async move {
+                d2.io(&env, IoKind::Read, 1000, 8).await.unwrap();
             });
             (sim.run().unwrap(), disk.fault_stats())
         };

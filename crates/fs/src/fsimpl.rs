@@ -20,7 +20,7 @@ use crate::bufcache::BufferCache;
 use crate::disk::{Disk, DiskParams};
 use crate::params::FsParams;
 use tnt_cpu::copyin_out;
-use tnt_os::{Errno, FileAttr, Filesystem, KEnv, OpenFlags, Os, SysResult, VnodeId};
+use tnt_os::{Errno, FileAttr, Filesystem, FsFuture, KEnv, OpenFlags, Os, SysResult, VnodeId};
 use tnt_sim::trace::Class;
 use tnt_sim::Cycles;
 
@@ -236,9 +236,9 @@ impl SimFs {
 
     /// Writes the metadata blocks of an operation: the first `sync_count`
     /// go synchronously to the disk, the rest are delayed writes.
-    fn meta_writes(&self, env: &KEnv, addrs: &[u64], sync_count: u32) -> SysResult<()> {
+    async fn meta_writes(&self, env: &KEnv, addrs: &[u64], sync_count: u32) -> SysResult<()> {
         for (i, &addr) in addrs.iter().enumerate() {
-            self.cache.write(env, addr, (i as u32) < sync_count)?;
+            self.cache.write(env, addr, (i as u32) < sync_count).await?;
         }
         Ok(())
     }
@@ -297,410 +297,459 @@ impl SimFs {
     /// Brings `ino` into the in-core inode/attribute cache, charging the
     /// rebuild cost (and a buffer-cache access that may reach the disk)
     /// on a miss. FreeBSD's separate attribute cache skips all of this.
-    fn touch_inode(&self, env: &KEnv, ino: u64) -> SysResult<()> {
+    async fn touch_inode(&self, env: &KEnv, ino: u64) -> SysResult<()> {
         if self.params.attr_cache {
             return Ok(());
         }
         let hit = self.meta.lock().touch(ino);
         if !hit {
             env.sim.charge(Cycles(self.params.getattr_miss_cy));
-            self.cache.read(env, self.inode_block(ino), 0)?;
+            self.cache.read(env, self.inode_block(ino), 0).await?;
         }
         Ok(())
     }
 }
 
 impl Filesystem for SimFs {
-    fn lookup(&self, env: &KEnv, path: &str) -> SysResult<VnodeId> {
-        let (ino, depth) = {
-            let st = self.state.lock();
-            self.resolve(&st, path)?
-        };
-        self.charge_namei(env, depth);
-        self.touch_inode(env, ino)?;
-        Ok(ino)
+    fn lookup<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<VnodeId>> {
+        Box::pin(async move {
+            let (ino, depth) = {
+                let st = self.state.lock();
+                self.resolve(&st, path)?
+            };
+            self.charge_namei(env, depth);
+            self.touch_inode(env, ino).await?;
+            Ok(ino)
+        })
     }
 
-    fn open(&self, env: &KEnv, path: &str, flags: OpenFlags) -> SysResult<VnodeId> {
-        enum Action {
-            Existing(u64, usize),
-            Created {
-                ino: u64,
-                depth: usize,
-                meta: [u64; 2],
-            },
-        }
-        let action = {
-            let mut st = self.state.lock();
-            match self.resolve(&st, path) {
-                Ok((ino, depth)) => {
-                    if flags.create && flags.exclusive {
-                        return Err(Errno::EEXIST);
+    fn open<'a>(
+        &'a self,
+        env: &'a KEnv,
+        path: &'a str,
+        flags: OpenFlags,
+    ) -> FsFuture<'a, SysResult<VnodeId>> {
+        Box::pin(async move {
+            enum Action {
+                Existing(u64, usize),
+                Created {
+                    ino: u64,
+                    depth: usize,
+                    meta: [u64; 2],
+                },
+            }
+            let action = {
+                let mut st = self.state.lock();
+                match self.resolve(&st, path) {
+                    Ok((ino, depth)) => {
+                        if flags.create && flags.exclusive {
+                            return Err(Errno::EEXIST);
+                        }
+                        let node = st.inodes.get_mut(&ino).ok_or(Errno::ENOENT)?;
+                        if node.is_dir && flags.write {
+                            return Err(Errno::EISDIR);
+                        }
+                        if flags.truncate {
+                            node.size = 0;
+                            let old = std::mem::take(&mut node.blocks);
+                            node.last_seq_end = 0;
+                            self.cache.discard(&old);
+                        }
+                        Action::Existing(ino, depth)
                     }
-                    let node = st.inodes.get_mut(&ino).ok_or(Errno::ENOENT)?;
-                    if node.is_dir && flags.write {
-                        return Err(Errno::EISDIR);
+                    Err(Errno::ENOENT) if flags.create => {
+                        let (parent, name, depth) = self.resolve_parent(&st, path)?;
+                        let ino = st.next_ino;
+                        st.next_ino += 1;
+                        st.inodes.insert(ino, Inode::file());
+                        st.inodes
+                            .get_mut(&parent)
+                            .expect("parent vanished")
+                            .children
+                            .insert(name.to_string(), ino);
+                        let dir_blk = self.dir_block(&mut st, parent);
+                        Action::Created {
+                            ino,
+                            depth,
+                            meta: [self.inode_block(ino), dir_blk],
+                        }
                     }
-                    if flags.truncate {
-                        node.size = 0;
-                        let old = std::mem::take(&mut node.blocks);
-                        node.last_seq_end = 0;
-                        self.cache.discard(&old);
-                    }
-                    Action::Existing(ino, depth)
+                    Err(e) => return Err(e),
                 }
-                Err(Errno::ENOENT) if flags.create => {
-                    let (parent, name, depth) = self.resolve_parent(&st, path)?;
-                    let ino = st.next_ino;
-                    st.next_ino += 1;
-                    st.inodes.insert(ino, Inode::file());
-                    st.inodes
-                        .get_mut(&parent)
-                        .expect("parent vanished")
-                        .children
-                        .insert(name.to_string(), ino);
-                    let dir_blk = self.dir_block(&mut st, parent);
-                    Action::Created {
-                        ino,
-                        depth,
-                        meta: [self.inode_block(ino), dir_blk],
-                    }
+            };
+            let opened = match action {
+                Action::Existing(ino, depth) => {
+                    self.charge_namei(env, depth);
+                    self.touch_inode(env, ino).await?;
+                    ino
                 }
-                Err(e) => return Err(e),
-            }
-        };
-        let opened = match action {
-            Action::Existing(ino, depth) => {
-                self.charge_namei(env, depth);
-                self.touch_inode(env, ino)?;
-                ino
-            }
-            Action::Created { ino, depth, meta } => {
-                self.charge_namei(env, depth);
-                // Freshly created: the inode is in core by construction.
-                self.meta.lock().touch(ino);
-                self.meta_writes(env, &meta, self.params.sync_create)?;
-                ino
-            }
-        };
-        // Successful opens are captured as file-layer context markers;
-        // replay groups them with the block commands they precede.
-        env.sim
-            .record_path_event(tnt_sim::replay::Op::FileOpen, path);
-        Ok(opened)
-    }
-
-    fn read(&self, env: &KEnv, vnode: VnodeId, off: u64, len: u64) -> SysResult<u64> {
-        let bs = self.bs();
-        let (n, plan) = {
-            let mut st = self.state.lock();
-            let node = st.inodes.get_mut(&vnode).ok_or(Errno::ENOENT)?;
-            if node.is_dir {
-                return Err(Errno::EISDIR);
-            }
-            if off >= node.size {
-                env.sim.charge(Cycles(self.params.per_op_cy));
-                return Ok(0);
-            }
-            let n = len.min(node.size - off);
-            let sequential = off == node.last_seq_end;
-            node.last_seq_end = off + n;
-            let first = (off / bs) as usize;
-            let last = ((off + n - 1) / bs) as usize;
-            // One entry per block: (addr, cluster) where cluster counts
-            // how many further file blocks are disk-contiguous after this
-            // one — the blocks of this very syscall always cluster into
-            // one disk command, and sequential access additionally
-            // read-ahead beyond the request.
-            let mut plan: Vec<(u64, u64)> = Vec::with_capacity(last - first + 1);
-            for b in first..=last {
-                let addr = node.blocks[b];
-                let mut cluster = 0;
-                let horizon = if sequential {
-                    (last - b) as u64 + self.params.readahead_blocks
-                } else {
-                    (last - b) as u64
-                };
-                while cluster < horizon {
-                    let next = b + 1 + cluster as usize;
-                    if next >= node.blocks.len()
-                        || node.blocks[next] != addr + (cluster + 1) * self.bs_kb()
-                    {
-                        break;
-                    }
-                    cluster += 1;
+                Action::Created { ino, depth, meta } => {
+                    self.charge_namei(env, depth);
+                    // Freshly created: the inode is in core by construction.
+                    self.meta.lock().touch(ino);
+                    self.meta_writes(env, &meta, self.params.sync_create)
+                        .await?;
+                    ino
                 }
-                plan.push((addr, cluster));
-            }
-            (n, plan)
-        };
-        {
-            let _s = env.sim.span(Class::FsCpu);
-            env.sim.charge(Cycles(self.params.per_op_cy));
-        }
-        let nblocks = plan.len() as u64;
-        for (addr, cluster) in plan {
-            // A miss reads the rest of the run in one clustered disk
-            // command, so the following blocks of this request hit; a hit
-            // ignores the read-ahead.
-            self.cache.read(env, addr, cluster)?;
-        }
-        {
-            let _s = env.sim.span(Class::DataCopy);
-            env.sim.charge(copyin_out(n));
-        }
-        {
-            let _s = env.sim.span(Class::FsCpu);
+            };
+            // Successful opens are captured as file-layer context markers;
+            // replay groups them with the block commands they precede.
             env.sim
-                .charge(Cycles(self.params.per_block_read_cy * nblocks));
-        }
-        Ok(n)
+                .record_path_event(tnt_sim::replay::Op::FileOpen, path);
+            Ok(opened)
+        })
     }
 
-    fn write(&self, env: &KEnv, vnode: VnodeId, off: u64, len: u64) -> SysResult<u64> {
-        if len == 0 {
-            return Ok(0);
-        }
-        let bs = self.bs();
-        let (plan, rewrites) = {
-            let mut st = self.state.lock();
-            let node = st.inodes.get(&vnode).ok_or(Errno::ENOENT)?;
-            if node.is_dir {
-                return Err(Errno::EISDIR);
-            }
-            let first = (off / bs) as usize;
-            let last = ((off + len - 1) / bs) as usize;
-            let existing = st.inodes[&vnode].blocks.len();
-            // Allocate any new blocks the range needs.
-            let mut new_addrs = Vec::new();
-            for _ in existing..=last {
-                new_addrs.push(self.alloc_block(&mut st));
-            }
-            let node = st.inodes.get_mut(&vnode).expect("checked above");
-            node.blocks.extend(new_addrs);
-            node.size = node.size.max(off + len);
-            let rewrites = existing.saturating_sub(first).min(last - first + 1) as u64;
-            let plan: Vec<u64> = node.blocks[first..=last].to_vec();
-            (plan, rewrites)
-        };
-        {
-            let _s = env.sim.span(Class::FsCpu);
-            env.sim
-                .charge(Cycles(self.params.per_op_cy + self.params.write_call_cy));
-        }
-        let nblocks = plan.len() as u64;
-        let new_blocks = nblocks - rewrites;
-        {
-            let _s = env.sim.span(Class::DataCopy);
-            env.sim.charge(copyin_out(len));
-        }
-        {
-            let _s = env.sim.span(Class::FsCpu);
-            env.sim.charge(
-                Cycles(self.params.per_block_write_cy * new_blocks)
-                    + Cycles(self.params.overwrite_block_cy * rewrites),
-            );
-        }
-        for addr in plan {
-            self.cache.write(env, addr, false)?;
-        }
-        Ok(len)
-    }
-
-    fn getattr(&self, env: &KEnv, vnode: VnodeId) -> SysResult<FileAttr> {
-        let attr = {
-            let st = self.state.lock();
-            let node = st.inodes.get(&vnode).ok_or(Errno::ENOENT)?;
-            FileAttr {
-                vnode,
-                size: node.size,
-                is_dir: node.is_dir,
-                nlink: node.nlink,
-            }
-        };
-        env.sim.charge(Cycles(self.params.per_op_cy));
-        if self.params.attr_cache {
-            // FreeBSD's separate directory/attribute cache: always warm
-            // once the entry has been created or seen.
-            env.sim.charge(Cycles(self.params.getattr_hit_cy));
-            return Ok(attr);
-        }
-        // The preceding lookup paid any inode-cache miss; reading the
-        // attributes of an in-core inode is cheap.
-        self.touch_inode(env, vnode)?;
-        env.sim.charge(Cycles(self.params.getattr_hit_cy));
-        Ok(attr)
-    }
-
-    fn unlink(&self, env: &KEnv, path: &str) -> SysResult<()> {
-        let (meta, depth) = {
-            let mut st = self.state.lock();
-            let (parent, name, depth) = self.resolve_parent(&st, path)?;
-            let ino = *st.inodes[&parent].children.get(name).ok_or(Errno::ENOENT)?;
-            if st.inodes[&ino].is_dir {
-                return Err(Errno::EISDIR);
-            }
-            st.inodes
-                .get_mut(&parent)
-                .expect("parent")
-                .children
-                .remove(name);
-            let gone = st.inodes.remove(&ino).map(|n| n.blocks).unwrap_or_default();
-            self.cache.discard(&gone);
-            let dir_blk = self.dir_block(&mut st, parent);
-            // FFS frees the inode and updates the cylinder-group bitmap,
-            // both synchronously and both far from the directory data the
-            // head just touched; the lighter UFS/ext2 path updates the
-            // directory block and the inode.
-            if self.params.sync_unlink >= 2 {
-                ([self.inode_block(ino), self.cg_block(ino)], depth)
-            } else {
-                ([dir_blk, self.inode_block(ino)], depth)
-            }
-        };
-        self.charge_namei(env, depth);
-        self.meta_writes(env, &meta, self.params.sync_unlink)?;
-        env.sim
-            .record_path_event(tnt_sim::replay::Op::FileUnlink, path);
-        Ok(())
-    }
-
-    fn mkdir(&self, env: &KEnv, path: &str) -> SysResult<()> {
-        let (meta, depth) = {
-            let mut st = self.state.lock();
-            let (parent, name, depth) = self.resolve_parent(&st, path)?;
-            if st.inodes[&parent].children.contains_key(name) {
-                return Err(Errno::EEXIST);
-            }
-            let ino = st.next_ino;
-            st.next_ino += 1;
-            st.inodes.insert(ino, Inode::dir());
-            st.inodes
-                .get_mut(&parent)
-                .expect("parent")
-                .children
-                .insert(name.to_string(), ino);
-            st.inodes.get_mut(&parent).expect("parent").nlink += 1;
-            let parent_blk = self.dir_block(&mut st, parent);
-            ([self.inode_block(ino), parent_blk], depth)
-        };
-        self.charge_namei(env, depth);
-        self.meta_writes(env, &meta, self.params.sync_mkdir)?;
-        Ok(())
-    }
-
-    fn rmdir(&self, env: &KEnv, path: &str) -> SysResult<()> {
-        let (meta, depth) = {
-            let mut st = self.state.lock();
-            let (parent, name, depth) = self.resolve_parent(&st, path)?;
-            let ino = *st.inodes[&parent].children.get(name).ok_or(Errno::ENOENT)?;
-            let node = st.inodes.get(&ino).ok_or(Errno::ENOENT)?;
-            if !node.is_dir {
-                return Err(Errno::ENOTDIR);
-            }
-            if !node.children.is_empty() {
-                return Err(Errno::ENOTEMPTY);
-            }
-            st.inodes
-                .get_mut(&parent)
-                .expect("parent")
-                .children
-                .remove(name);
-            st.inodes.get_mut(&parent).expect("parent").nlink -= 1;
-            st.inodes.remove(&ino);
-            let parent_blk = self.dir_block(&mut st, parent);
-            ([parent_blk, self.inode_block(ino)], depth)
-        };
-        self.charge_namei(env, depth);
-        self.meta_writes(env, &meta, self.params.sync_mkdir)?;
-        Ok(())
-    }
-
-    fn readdir(&self, env: &KEnv, path: &str) -> SysResult<Vec<String>> {
-        let (names, dir_blk, depth) = {
-            let mut st = self.state.lock();
-            let (ino, depth) = self.resolve(&st, path)?;
-            if !st.inodes[&ino].is_dir {
-                return Err(Errno::ENOTDIR);
-            }
-            let mut names: Vec<String> = st.inodes[&ino].children.keys().cloned().collect();
-            names.sort();
-            let blk = self.dir_block(&mut st, ino);
-            (names, blk, depth)
-        };
-        self.charge_namei(env, depth);
-        self.cache.read(env, dir_blk, 0)?;
-        env.sim
-            .charge(Cycles(self.params.readdir_entry_cy * names.len() as u64));
-        Ok(names)
-    }
-
-    fn rename(&self, env: &KEnv, from: &str, to: &str) -> SysResult<()> {
-        let (meta, depth) = {
-            let mut st = self.state.lock();
-            let (from_parent, from_name, d1) = self.resolve_parent(&st, from)?;
-            let ino = *st.inodes[&from_parent]
-                .children
-                .get(from_name)
-                .ok_or(Errno::ENOENT)?;
-            let (to_parent, to_name, d2) = self.resolve_parent(&st, to)?;
-            // POSIX: an existing non-directory target is replaced; a
-            // directory target must not exist (we do not support
-            // directory-over-directory renames). Renaming a file onto
-            // itself is a successful no-op.
-            if let Some(&existing) = st.inodes[&to_parent].children.get(to_name) {
-                if existing == ino {
-                    drop(st);
-                    env.sim.charge(Cycles(
-                        self.params.per_op_cy + self.params.lookup_cy * d1 as u64,
-                    ));
-                    return Ok(());
-                }
-                if st.inodes[&existing].is_dir {
+    fn read<'a>(
+        &'a self,
+        env: &'a KEnv,
+        vnode: VnodeId,
+        off: u64,
+        len: u64,
+    ) -> FsFuture<'a, SysResult<u64>> {
+        Box::pin(async move {
+            let bs = self.bs();
+            let (n, plan) = {
+                let mut st = self.state.lock();
+                let node = st.inodes.get_mut(&vnode).ok_or(Errno::ENOENT)?;
+                if node.is_dir {
                     return Err(Errno::EISDIR);
                 }
-                let gone = st
-                    .inodes
-                    .remove(&existing)
-                    .map(|n| n.blocks)
-                    .unwrap_or_default();
-                self.cache.discard(&gone);
+                if off >= node.size {
+                    env.sim.charge(Cycles(self.params.per_op_cy));
+                    return Ok(0);
+                }
+                let n = len.min(node.size - off);
+                let sequential = off == node.last_seq_end;
+                node.last_seq_end = off + n;
+                let first = (off / bs) as usize;
+                let last = ((off + n - 1) / bs) as usize;
+                // One entry per block: (addr, cluster) where cluster counts
+                // how many further file blocks are disk-contiguous after this
+                // one — the blocks of this very syscall always cluster into
+                // one disk command, and sequential access additionally
+                // read-ahead beyond the request.
+                let mut plan: Vec<(u64, u64)> = Vec::with_capacity(last - first + 1);
+                for b in first..=last {
+                    let addr = node.blocks[b];
+                    let mut cluster = 0;
+                    let horizon = if sequential {
+                        (last - b) as u64 + self.params.readahead_blocks
+                    } else {
+                        (last - b) as u64
+                    };
+                    while cluster < horizon {
+                        let next = b + 1 + cluster as usize;
+                        if next >= node.blocks.len()
+                            || node.blocks[next] != addr + (cluster + 1) * self.bs_kb()
+                        {
+                            break;
+                        }
+                        cluster += 1;
+                    }
+                    plan.push((addr, cluster));
+                }
+                (n, plan)
+            };
+            {
+                let _s = env.sim.span(Class::FsCpu);
+                env.sim.charge(Cycles(self.params.per_op_cy));
             }
-            st.inodes
-                .get_mut(&from_parent)
-                .expect("parent")
-                .children
-                .remove(from_name);
-            let name = to_name.to_string();
-            st.inodes
-                .get_mut(&to_parent)
-                .expect("parent")
-                .children
-                .insert(name, ino);
-            let from_blk = self.dir_block(&mut st, from_parent);
-            let to_blk = self.dir_block(&mut st, to_parent);
-            ([from_blk, to_blk], d1 + d2)
-        };
-        self.charge_namei(env, depth);
-        // Rename updates both directories with the create-side policy.
-        self.meta_writes(env, &meta, self.params.sync_create)?;
-        Ok(())
+            let nblocks = plan.len() as u64;
+            for (addr, cluster) in plan {
+                // A miss reads the rest of the run in one clustered disk
+                // command, so the following blocks of this request hit; a hit
+                // ignores the read-ahead.
+                self.cache.read(env, addr, cluster).await?;
+            }
+            {
+                let _s = env.sim.span(Class::DataCopy);
+                env.sim.charge(copyin_out(n));
+            }
+            {
+                let _s = env.sim.span(Class::FsCpu);
+                env.sim
+                    .charge(Cycles(self.params.per_block_read_cy * nblocks));
+            }
+            Ok(n)
+        })
     }
 
-    fn fsync(&self, env: &KEnv, vnode: VnodeId) -> SysResult<()> {
-        env.sim.charge(Cycles(self.params.per_op_cy));
-        self.cache.flush_all(env)?;
-        // fsync(2) also commits the inode (size, timestamps): one far
-        // synchronous metadata write — this is what makes each NFS WRITE
-        // against a spec-compliant server so expensive.
-        self.cache.write(env, self.inode_block(vnode), true)?;
-        Ok(())
+    fn write<'a>(
+        &'a self,
+        env: &'a KEnv,
+        vnode: VnodeId,
+        off: u64,
+        len: u64,
+    ) -> FsFuture<'a, SysResult<u64>> {
+        Box::pin(async move {
+            if len == 0 {
+                return Ok(0);
+            }
+            let bs = self.bs();
+            let (plan, rewrites) = {
+                let mut st = self.state.lock();
+                let node = st.inodes.get(&vnode).ok_or(Errno::ENOENT)?;
+                if node.is_dir {
+                    return Err(Errno::EISDIR);
+                }
+                let first = (off / bs) as usize;
+                let last = ((off + len - 1) / bs) as usize;
+                let existing = st.inodes[&vnode].blocks.len();
+                // Allocate any new blocks the range needs.
+                let mut new_addrs = Vec::new();
+                for _ in existing..=last {
+                    new_addrs.push(self.alloc_block(&mut st));
+                }
+                let node = st.inodes.get_mut(&vnode).expect("checked above");
+                node.blocks.extend(new_addrs);
+                node.size = node.size.max(off + len);
+                let rewrites = existing.saturating_sub(first).min(last - first + 1) as u64;
+                let plan: Vec<u64> = node.blocks[first..=last].to_vec();
+                (plan, rewrites)
+            };
+            {
+                let _s = env.sim.span(Class::FsCpu);
+                env.sim
+                    .charge(Cycles(self.params.per_op_cy + self.params.write_call_cy));
+            }
+            let nblocks = plan.len() as u64;
+            let new_blocks = nblocks - rewrites;
+            {
+                let _s = env.sim.span(Class::DataCopy);
+                env.sim.charge(copyin_out(len));
+            }
+            {
+                let _s = env.sim.span(Class::FsCpu);
+                env.sim.charge(
+                    Cycles(self.params.per_block_write_cy * new_blocks)
+                        + Cycles(self.params.overwrite_block_cy * rewrites),
+                );
+            }
+            for addr in plan {
+                self.cache.write(env, addr, false).await?;
+            }
+            Ok(len)
+        })
     }
 
-    fn sync(&self, env: &KEnv) {
-        // sync(2) is fire-and-forget: a failed flush leaves the block
-        // dirty for the next pass, it does not fail the syscall.
-        let _ = self.cache.flush_all(env);
+    fn getattr<'a>(&'a self, env: &'a KEnv, vnode: VnodeId) -> FsFuture<'a, SysResult<FileAttr>> {
+        Box::pin(async move {
+            let attr = {
+                let st = self.state.lock();
+                let node = st.inodes.get(&vnode).ok_or(Errno::ENOENT)?;
+                FileAttr {
+                    vnode,
+                    size: node.size,
+                    is_dir: node.is_dir,
+                    nlink: node.nlink,
+                }
+            };
+            env.sim.charge(Cycles(self.params.per_op_cy));
+            if self.params.attr_cache {
+                // FreeBSD's separate directory/attribute cache: always warm
+                // once the entry has been created or seen.
+                env.sim.charge(Cycles(self.params.getattr_hit_cy));
+                return Ok(attr);
+            }
+            // The preceding lookup paid any inode-cache miss; reading the
+            // attributes of an in-core inode is cheap.
+            self.touch_inode(env, vnode).await?;
+            env.sim.charge(Cycles(self.params.getattr_hit_cy));
+            Ok(attr)
+        })
+    }
+
+    fn unlink<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<()>> {
+        Box::pin(async move {
+            let (meta, depth) = {
+                let mut st = self.state.lock();
+                let (parent, name, depth) = self.resolve_parent(&st, path)?;
+                let ino = *st.inodes[&parent].children.get(name).ok_or(Errno::ENOENT)?;
+                if st.inodes[&ino].is_dir {
+                    return Err(Errno::EISDIR);
+                }
+                st.inodes
+                    .get_mut(&parent)
+                    .expect("parent")
+                    .children
+                    .remove(name);
+                let gone = st.inodes.remove(&ino).map(|n| n.blocks).unwrap_or_default();
+                self.cache.discard(&gone);
+                let dir_blk = self.dir_block(&mut st, parent);
+                // FFS frees the inode and updates the cylinder-group bitmap,
+                // both synchronously and both far from the directory data the
+                // head just touched; the lighter UFS/ext2 path updates the
+                // directory block and the inode.
+                if self.params.sync_unlink >= 2 {
+                    ([self.inode_block(ino), self.cg_block(ino)], depth)
+                } else {
+                    ([dir_blk, self.inode_block(ino)], depth)
+                }
+            };
+            self.charge_namei(env, depth);
+            self.meta_writes(env, &meta, self.params.sync_unlink)
+                .await?;
+            env.sim
+                .record_path_event(tnt_sim::replay::Op::FileUnlink, path);
+            Ok(())
+        })
+    }
+
+    fn mkdir<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<()>> {
+        Box::pin(async move {
+            let (meta, depth) = {
+                let mut st = self.state.lock();
+                let (parent, name, depth) = self.resolve_parent(&st, path)?;
+                if st.inodes[&parent].children.contains_key(name) {
+                    return Err(Errno::EEXIST);
+                }
+                let ino = st.next_ino;
+                st.next_ino += 1;
+                st.inodes.insert(ino, Inode::dir());
+                st.inodes
+                    .get_mut(&parent)
+                    .expect("parent")
+                    .children
+                    .insert(name.to_string(), ino);
+                st.inodes.get_mut(&parent).expect("parent").nlink += 1;
+                let parent_blk = self.dir_block(&mut st, parent);
+                ([self.inode_block(ino), parent_blk], depth)
+            };
+            self.charge_namei(env, depth);
+            self.meta_writes(env, &meta, self.params.sync_mkdir).await?;
+            Ok(())
+        })
+    }
+
+    fn rmdir<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<()>> {
+        Box::pin(async move {
+            let (meta, depth) = {
+                let mut st = self.state.lock();
+                let (parent, name, depth) = self.resolve_parent(&st, path)?;
+                let ino = *st.inodes[&parent].children.get(name).ok_or(Errno::ENOENT)?;
+                let node = st.inodes.get(&ino).ok_or(Errno::ENOENT)?;
+                if !node.is_dir {
+                    return Err(Errno::ENOTDIR);
+                }
+                if !node.children.is_empty() {
+                    return Err(Errno::ENOTEMPTY);
+                }
+                st.inodes
+                    .get_mut(&parent)
+                    .expect("parent")
+                    .children
+                    .remove(name);
+                st.inodes.get_mut(&parent).expect("parent").nlink -= 1;
+                st.inodes.remove(&ino);
+                let parent_blk = self.dir_block(&mut st, parent);
+                ([parent_blk, self.inode_block(ino)], depth)
+            };
+            self.charge_namei(env, depth);
+            self.meta_writes(env, &meta, self.params.sync_mkdir).await?;
+            Ok(())
+        })
+    }
+
+    fn readdir<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<Vec<String>>> {
+        Box::pin(async move {
+            let (names, dir_blk, depth) = {
+                let mut st = self.state.lock();
+                let (ino, depth) = self.resolve(&st, path)?;
+                if !st.inodes[&ino].is_dir {
+                    return Err(Errno::ENOTDIR);
+                }
+                let mut names: Vec<String> = st.inodes[&ino].children.keys().cloned().collect();
+                names.sort();
+                let blk = self.dir_block(&mut st, ino);
+                (names, blk, depth)
+            };
+            self.charge_namei(env, depth);
+            self.cache.read(env, dir_blk, 0).await?;
+            env.sim
+                .charge(Cycles(self.params.readdir_entry_cy * names.len() as u64));
+            Ok(names)
+        })
+    }
+
+    fn rename<'a>(
+        &'a self,
+        env: &'a KEnv,
+        from: &'a str,
+        to: &'a str,
+    ) -> FsFuture<'a, SysResult<()>> {
+        Box::pin(async move {
+            let (meta, depth) = {
+                let mut st = self.state.lock();
+                let (from_parent, from_name, d1) = self.resolve_parent(&st, from)?;
+                let ino = *st.inodes[&from_parent]
+                    .children
+                    .get(from_name)
+                    .ok_or(Errno::ENOENT)?;
+                let (to_parent, to_name, d2) = self.resolve_parent(&st, to)?;
+                // POSIX: an existing non-directory target is replaced; a
+                // directory target must not exist (we do not support
+                // directory-over-directory renames). Renaming a file onto
+                // itself is a successful no-op.
+                if let Some(&existing) = st.inodes[&to_parent].children.get(to_name) {
+                    if existing == ino {
+                        drop(st);
+                        env.sim.charge(Cycles(
+                            self.params.per_op_cy + self.params.lookup_cy * d1 as u64,
+                        ));
+                        return Ok(());
+                    }
+                    if st.inodes[&existing].is_dir {
+                        return Err(Errno::EISDIR);
+                    }
+                    let gone = st
+                        .inodes
+                        .remove(&existing)
+                        .map(|n| n.blocks)
+                        .unwrap_or_default();
+                    self.cache.discard(&gone);
+                }
+                st.inodes
+                    .get_mut(&from_parent)
+                    .expect("parent")
+                    .children
+                    .remove(from_name);
+                let name = to_name.to_string();
+                st.inodes
+                    .get_mut(&to_parent)
+                    .expect("parent")
+                    .children
+                    .insert(name, ino);
+                let from_blk = self.dir_block(&mut st, from_parent);
+                let to_blk = self.dir_block(&mut st, to_parent);
+                ([from_blk, to_blk], d1 + d2)
+            };
+            self.charge_namei(env, depth);
+            // Rename updates both directories with the create-side policy.
+            self.meta_writes(env, &meta, self.params.sync_create)
+                .await?;
+            Ok(())
+        })
+    }
+
+    fn fsync<'a>(&'a self, env: &'a KEnv, vnode: VnodeId) -> FsFuture<'a, SysResult<()>> {
+        Box::pin(async move {
+            env.sim.charge(Cycles(self.params.per_op_cy));
+            self.cache.flush_all(env).await?;
+            // fsync(2) also commits the inode (size, timestamps): one far
+            // synchronous metadata write — this is what makes each NFS WRITE
+            // against a spec-compliant server so expensive.
+            self.cache.write(env, self.inode_block(vnode), true).await?;
+            Ok(())
+        })
+    }
+
+    fn sync<'a>(&'a self, env: &'a KEnv) -> FsFuture<'a, ()> {
+        Box::pin(async move {
+            // sync(2) is fire-and-forget: a failed flush leaves the block
+            // dirty for the next pass, it does not fail the syscall.
+            let _ = self.cache.flush_all(env).await;
+        })
     }
 }
 
@@ -711,82 +760,85 @@ mod tests {
 
     /// Runs `f` as a process on `os` with a fresh fs mounted; returns the
     /// elapsed simulated time.
-    fn run_fs(os: Os, f: impl FnOnce(&UProc) + Send + 'static) -> Cycles {
+    fn run_fs<Fut>(os: Os, f: impl FnOnce(UProc) -> Fut + Send + 'static) -> Cycles
+    where
+        Fut: std::future::Future<Output = ()> + Send + 'static,
+    {
         let (sim, kernel) = boot(os, 0);
         kernel.mount(SimFs::fresh_for_os(os));
-        kernel.spawn_user("fsbench", move |p| f(&p));
+        kernel.spawn_user("fsbench", f);
         sim.run().unwrap()
     }
 
     #[test]
     fn create_write_read_roundtrip() {
-        let _ = run_fs(Os::Linux, |p| {
-            let fd = p.creat("/f").unwrap();
-            assert_eq!(p.write(fd, 3000).unwrap(), 3000);
-            p.close(fd).unwrap();
-            let fd = p.open("/f", OpenFlags::rdonly()).unwrap();
-            assert_eq!(p.read(fd, 10_000).unwrap(), 3000, "short read at EOF");
-            assert_eq!(p.read(fd, 10_000).unwrap(), 0, "EOF");
-            p.close(fd).unwrap();
-            assert_eq!(p.stat("/f").unwrap().size, 3000);
+        let _ = run_fs(Os::Linux, |p| async move {
+            let fd = p.creat("/f").await.unwrap();
+            assert_eq!(p.write(fd, 3000).await.unwrap(), 3000);
+            p.close(fd).await.unwrap();
+            let fd = p.open("/f", OpenFlags::rdonly()).await.unwrap();
+            assert_eq!(p.read(fd, 10_000).await.unwrap(), 3000, "short read at EOF");
+            assert_eq!(p.read(fd, 10_000).await.unwrap(), 0, "EOF");
+            p.close(fd).await.unwrap();
+            assert_eq!(p.stat("/f").await.unwrap().size, 3000);
         });
     }
 
     #[test]
     fn namespace_errors() {
-        let _ = run_fs(Os::FreeBsd, |p| {
+        let _ = run_fs(Os::FreeBsd, |p| async move {
             assert_eq!(
-                p.open("/missing", OpenFlags::rdonly()).err(),
+                p.open("/missing", OpenFlags::rdonly()).await.err(),
                 Some(Errno::ENOENT)
             );
-            p.mkdir("/d").unwrap();
-            assert_eq!(p.mkdir("/d").err(), Some(Errno::EEXIST));
-            let fd = p.creat("/d/f").unwrap();
-            p.close(fd).unwrap();
-            assert_eq!(p.rmdir("/d").err(), Some(Errno::ENOTEMPTY));
-            assert_eq!(p.unlink("/d").err(), Some(Errno::EISDIR));
-            p.unlink("/d/f").unwrap();
-            p.rmdir("/d").unwrap();
-            assert_eq!(p.stat("/d").err(), Some(Errno::ENOENT));
+            p.mkdir("/d").await.unwrap();
+            assert_eq!(p.mkdir("/d").await.err(), Some(Errno::EEXIST));
+            let fd = p.creat("/d/f").await.unwrap();
+            p.close(fd).await.unwrap();
+            assert_eq!(p.rmdir("/d").await.err(), Some(Errno::ENOTEMPTY));
+            assert_eq!(p.unlink("/d").await.err(), Some(Errno::EISDIR));
+            p.unlink("/d/f").await.unwrap();
+            p.rmdir("/d").await.unwrap();
+            assert_eq!(p.stat("/d").await.err(), Some(Errno::ENOENT));
         });
     }
 
     #[test]
     fn traversal_through_a_file_is_enotdir() {
-        let _ = run_fs(Os::Linux, |p| {
-            let fd = p.creat("/f").unwrap();
-            p.close(fd).unwrap();
+        let _ = run_fs(Os::Linux, |p| async move {
+            let fd = p.creat("/f").await.unwrap();
+            p.close(fd).await.unwrap();
             // A file in a directory position poisons every namei form:
             // mid-path, dirname position, and as the directory operand.
             assert_eq!(
-                p.open("/f/deeper/x", OpenFlags::rdonly()).err(),
+                p.open("/f/deeper/x", OpenFlags::rdonly()).await.err(),
                 Some(Errno::ENOTDIR)
             );
-            assert_eq!(p.stat("/f/x").err(), Some(Errno::ENOTDIR));
-            assert_eq!(p.creat("/f/x").err(), Some(Errno::ENOTDIR));
-            assert_eq!(p.mkdir("/f/d").err(), Some(Errno::ENOTDIR));
-            assert_eq!(p.unlink("/f/x").err(), Some(Errno::ENOTDIR));
-            assert_eq!(p.readdir("/f").err(), Some(Errno::ENOTDIR));
-            assert_eq!(p.rmdir("/f").err(), Some(Errno::ENOTDIR));
-            assert_eq!(p.rename("/f/x", "/y").err(), Some(Errno::ENOTDIR));
-            let fd = p.creat("/y").unwrap();
-            p.close(fd).unwrap();
-            assert_eq!(p.rename("/y", "/f/x").err(), Some(Errno::ENOTDIR));
+            assert_eq!(p.stat("/f/x").await.err(), Some(Errno::ENOTDIR));
+            assert_eq!(p.creat("/f/x").await.err(), Some(Errno::ENOTDIR));
+            assert_eq!(p.mkdir("/f/d").await.err(), Some(Errno::ENOTDIR));
+            assert_eq!(p.unlink("/f/x").await.err(), Some(Errno::ENOTDIR));
+            assert_eq!(p.readdir("/f").await.err(), Some(Errno::ENOTDIR));
+            assert_eq!(p.rmdir("/f").await.err(), Some(Errno::ENOTDIR));
+            assert_eq!(p.rename("/f/x", "/y").await.err(), Some(Errno::ENOTDIR));
+            let fd = p.creat("/y").await.unwrap();
+            p.close(fd).await.unwrap();
+            assert_eq!(p.rename("/y", "/f/x").await.err(), Some(Errno::ENOTDIR));
             // The file itself is untouched by all that flailing.
-            assert!(p.stat("/f").unwrap().size == 0 && !p.stat("/f").unwrap().is_dir);
+            assert!(p.stat("/f").await.unwrap().size == 0 && !p.stat("/f").await.unwrap().is_dir);
         });
     }
 
     #[test]
     fn exclusive_create() {
-        let _ = run_fs(Os::Solaris, |p| {
-            let fd = p.creat("/x").unwrap();
-            p.close(fd).unwrap();
+        let _ = run_fs(Os::Solaris, |p| async move {
+            let fd = p.creat("/x").await.unwrap();
+            p.close(fd).await.unwrap();
             let excl = OpenFlags {
                 exclusive: true,
                 ..OpenFlags::creat()
             };
-            assert_eq!(p.open("/x", excl).err(), Some(Errno::EEXIST));
+            assert_eq!(p.open("/x", excl).await.err(), Some(Errno::EEXIST));
         });
     }
 
@@ -802,55 +854,55 @@ mod tests {
         let (sim, kernels) = tnt_os::boot_cluster_with_faults(&[Os::FreeBsd], 0, profile);
         let kernel = kernels[0].clone();
         kernel.mount(SimFs::fresh_for_os(Os::FreeBsd));
-        kernel.spawn_user("eio", move |p| {
+        kernel.spawn_user("eio", move |p| async move {
             // FFS creates synchronously: the metadata write hits the
             // dead disk and the syscall reports it.
-            assert_eq!(p.creat("/f").err(), Some(Errno::EIO));
+            assert_eq!(p.creat("/f").await.err(), Some(Errno::EIO));
         });
         let _ = sim.run().unwrap();
     }
 
     #[test]
     fn truncate_resets_size() {
-        let _ = run_fs(Os::Linux, |p| {
-            let fd = p.creat("/t").unwrap();
-            p.write(fd, 5000).unwrap();
-            p.close(fd).unwrap();
-            let fd = p.creat("/t").unwrap(); // creat truncates
-            p.close(fd).unwrap();
-            assert_eq!(p.stat("/t").unwrap().size, 0);
+        let _ = run_fs(Os::Linux, |p| async move {
+            let fd = p.creat("/t").await.unwrap();
+            p.write(fd, 5000).await.unwrap();
+            p.close(fd).await.unwrap();
+            let fd = p.creat("/t").await.unwrap(); // creat truncates
+            p.close(fd).await.unwrap();
+            assert_eq!(p.stat("/t").await.unwrap().size, 0);
         });
     }
 
     #[test]
     fn readdir_lists_sorted() {
-        let _ = run_fs(Os::FreeBsd, |p| {
-            p.mkdir("/dir").unwrap();
+        let _ = run_fs(Os::FreeBsd, |p| async move {
+            p.mkdir("/dir").await.unwrap();
             for n in ["b", "a", "c"] {
-                let fd = p.creat(&format!("/dir/{n}")).unwrap();
-                p.close(fd).unwrap();
+                let fd = p.creat(&format!("/dir/{n}")).await.unwrap();
+                p.close(fd).await.unwrap();
             }
-            assert_eq!(p.readdir("/dir").unwrap(), vec!["a", "b", "c"]);
+            assert_eq!(p.readdir("/dir").await.unwrap(), vec!["a", "b", "c"]);
         });
     }
 
     /// One crtdel iteration: create, write, close, open, read, delete.
-    fn crtdel_iter(p: &UProc, size: u64) {
-        let fd = p.creat("/tmpfile").unwrap();
-        p.write(fd, size).unwrap();
-        p.close(fd).unwrap();
-        let fd = p.open("/tmpfile", OpenFlags::rdonly()).unwrap();
-        p.read(fd, size).unwrap();
-        p.close(fd).unwrap();
-        p.unlink("/tmpfile").unwrap();
+    async fn crtdel_iter(p: &UProc, size: u64) {
+        let fd = p.creat("/tmpfile").await.unwrap();
+        p.write(fd, size).await.unwrap();
+        p.close(fd).await.unwrap();
+        let fd = p.open("/tmpfile", OpenFlags::rdonly()).await.unwrap();
+        p.read(fd, size).await.unwrap();
+        p.close(fd).await.unwrap();
+        p.unlink("/tmpfile").await.unwrap();
     }
 
     #[test]
     fn crtdel_matches_figure_12() {
         let ms_per_iter = |os: Os| {
-            let t = run_fs(os, |p| {
+            let t = run_fs(os, |p| async move {
                 for _ in 0..10 {
-                    crtdel_iter(p, 1024);
+                    crtdel_iter(&p, 1024).await;
                 }
             });
             t.as_millis() / 10.0
@@ -878,9 +930,9 @@ mod tests {
         let (sim, kernel) = boot(Os::Linux, 0);
         let fs = SimFs::fresh_for_os(Os::Linux);
         kernel.mount(fs.clone());
-        kernel.spawn_user("crtdel", |p| {
+        kernel.spawn_user("crtdel", |p| async move {
             for _ in 0..20 {
-                crtdel_iter(&p, 1024);
+                crtdel_iter(&p, 1024).await;
             }
         });
         let _ = sim.run().unwrap();
@@ -898,19 +950,19 @@ mod tests {
         // cache each time (fresh fs, cache big enough to hold it though —
         // so use a second pass over evicted... simply compare first-pass
         // times with read-ahead on and off via access pattern).
-        let seq = run_fs(Os::Solaris, |p| {
-            let fd = p.creat("/big").unwrap();
-            p.write(fd, 4 << 20).unwrap();
-            p.close(fd).unwrap();
-            p.kernel().root_fs().unwrap().sync(p.kernel().env());
+        let seq = run_fs(Os::Solaris, |p| async move {
+            let fd = p.creat("/big").await.unwrap();
+            p.write(fd, 4 << 20).await.unwrap();
+            p.close(fd).await.unwrap();
+            p.kernel().root_fs().unwrap().sync(p.kernel().env()).await;
             // Invalidate by reading through a fresh fs? Instead: read the
             // file back sequentially; cache already holds it, so force
             // the comparison on cold data by measuring only disk stats.
-            let fd = p.open("/big", OpenFlags::rdonly()).unwrap();
+            let fd = p.open("/big", OpenFlags::rdonly()).await.unwrap();
             let t0 = p.sim().now();
-            while p.read(fd, 8192).unwrap() > 0 {}
+            while p.read(fd, 8192).await.unwrap() > 0 {}
             let _ = p.sim().now() - t0;
-            p.close(fd).unwrap();
+            p.close(fd).await.unwrap();
         });
         assert!(seq > Cycles::ZERO);
     }
@@ -920,12 +972,12 @@ mod tests {
         // Writing far beyond the dirty high-water mark must be much
         // slower per byte than a small write that stays in cache.
         let per_mb = |total_mb: u64| {
-            let t = run_fs(Os::FreeBsd, move |p| {
-                let fd = p.creat("/w").unwrap();
+            let t = run_fs(Os::FreeBsd, move |p| async move {
+                let fd = p.creat("/w").await.unwrap();
                 for _ in 0..total_mb * 128 {
-                    p.write(fd, 8192).unwrap();
+                    p.write(fd, 8192).await.unwrap();
                 }
-                p.close(fd).unwrap();
+                p.close(fd).await.unwrap();
             });
             t.as_millis() / total_mb as f64
         };
@@ -942,9 +994,9 @@ mod tests {
         let (sim, kernel) = boot(Os::FreeBsd, 0);
         let fs = SimFs::fresh_for_os(Os::FreeBsd);
         kernel.mount(fs.clone());
-        kernel.spawn_user("sync-meta", |p| {
-            let fd = p.creat("/f").unwrap();
-            p.close(fd).unwrap();
+        kernel.spawn_user("sync-meta", |p| async move {
+            let fd = p.creat("/f").await.unwrap();
+            p.close(fd).await.unwrap();
         });
         let t = sim.run().unwrap();
         assert!(
@@ -960,13 +1012,13 @@ mod tests {
         let fs = SimFs::fresh_for_os(Os::Linux);
         kernel.mount(fs.clone());
         let fs2 = fs.clone();
-        kernel.spawn_user("fsync", move |p| {
-            let fd = p.creat("/f").unwrap();
-            p.write(fd, 64 * 1024).unwrap();
+        kernel.spawn_user("fsync", move |p| async move {
+            let fd = p.creat("/f").await.unwrap();
+            p.write(fd, 64 * 1024).await.unwrap();
             assert!(fs2.cache().dirty_bytes() > 0);
-            p.fsync(fd).unwrap();
+            p.fsync(fd).await.unwrap();
             assert_eq!(fs2.cache().dirty_bytes(), 0);
-            p.close(fd).unwrap();
+            p.close(fd).await.unwrap();
         });
         let _ = sim.run().unwrap();
     }
@@ -979,11 +1031,11 @@ mod tests {
             let (sim, kernel) = boot(os, 0);
             let fs = SimFs::fresh_for_os(os);
             kernel.mount(fs.clone());
-            kernel.spawn_user("mkfiles", |p| {
+            kernel.spawn_user("mkfiles", |p| async move {
                 for i in 0..10 {
-                    let fd = p.creat(&format!("/f{i}")).unwrap();
-                    p.write(fd, 2048).unwrap();
-                    p.close(fd).unwrap();
+                    let fd = p.creat(&format!("/f{i}")).await.unwrap();
+                    p.write(fd, 2048).await.unwrap();
+                    p.close(fd).await.unwrap();
                 }
             });
             let _ = sim.run().unwrap();
@@ -1009,13 +1061,13 @@ mod tests {
         let fs = SimFs::fresh_for_os(Os::Linux);
         kernel.mount(fs.clone());
         let fs2 = fs.clone();
-        kernel.spawn_user("sync", move |p| {
-            let fd = p.creat("/f").unwrap();
-            p.write(fd, 4096).unwrap();
-            p.close(fd).unwrap();
+        kernel.spawn_user("sync", move |p| async move {
+            let fd = p.creat("/f").await.unwrap();
+            p.write(fd, 4096).await.unwrap();
+            p.close(fd).await.unwrap();
             let before = fs2.crash_report();
             assert_eq!(before.durable_entries, 0);
-            fs2.sync(p.kernel().env());
+            fs2.sync(p.kernel().env()).await;
             let after = fs2.crash_report();
             assert_eq!(after.durable_entries, after.entries);
             assert_eq!(after.durable_data_blocks, after.data_blocks);
@@ -1025,45 +1077,45 @@ mod tests {
 
     #[test]
     fn rename_moves_and_replaces() {
-        let _ = run_fs(Os::Linux, |p| {
-            p.mkdir("/a").unwrap();
-            p.mkdir("/b").unwrap();
-            let fd = p.creat("/a/x").unwrap();
-            p.write(fd, 500).unwrap();
-            p.close(fd).unwrap();
-            p.rename("/a/x", "/b/y").unwrap();
-            assert_eq!(p.stat("/a/x").err(), Some(Errno::ENOENT));
-            assert_eq!(p.stat("/b/y").unwrap().size, 500);
+        let _ = run_fs(Os::Linux, |p| async move {
+            p.mkdir("/a").await.unwrap();
+            p.mkdir("/b").await.unwrap();
+            let fd = p.creat("/a/x").await.unwrap();
+            p.write(fd, 500).await.unwrap();
+            p.close(fd).await.unwrap();
+            p.rename("/a/x", "/b/y").await.unwrap();
+            assert_eq!(p.stat("/a/x").await.err(), Some(Errno::ENOENT));
+            assert_eq!(p.stat("/b/y").await.unwrap().size, 500);
             // Replacing an existing target.
-            let fd = p.creat("/b/z").unwrap();
-            p.write(fd, 9).unwrap();
-            p.close(fd).unwrap();
-            p.rename("/b/y", "/b/z").unwrap();
-            assert_eq!(p.stat("/b/z").unwrap().size, 500);
-            assert_eq!(p.readdir("/b").unwrap(), vec!["z"]);
+            let fd = p.creat("/b/z").await.unwrap();
+            p.write(fd, 9).await.unwrap();
+            p.close(fd).await.unwrap();
+            p.rename("/b/y", "/b/z").await.unwrap();
+            assert_eq!(p.stat("/b/z").await.unwrap().size, 500);
+            assert_eq!(p.readdir("/b").await.unwrap(), vec!["z"]);
         });
     }
 
     #[test]
     fn rename_to_self_is_a_noop() {
-        let _ = run_fs(Os::Linux, |p| {
-            let fd = p.creat("/same").unwrap();
-            p.write(fd, 777).unwrap();
-            p.close(fd).unwrap();
-            p.rename("/same", "/same").unwrap();
-            assert_eq!(p.stat("/same").unwrap().size, 777);
-            assert_eq!(p.readdir("/").unwrap(), vec!["same"]);
+        let _ = run_fs(Os::Linux, |p| async move {
+            let fd = p.creat("/same").await.unwrap();
+            p.write(fd, 777).await.unwrap();
+            p.close(fd).await.unwrap();
+            p.rename("/same", "/same").await.unwrap();
+            assert_eq!(p.stat("/same").await.unwrap().size, 777);
+            assert_eq!(p.readdir("/").await.unwrap(), vec!["same"]);
         });
     }
 
     #[test]
     fn rename_onto_directory_is_eisdir() {
-        let _ = run_fs(Os::FreeBsd, |p| {
-            p.mkdir("/d").unwrap();
-            let fd = p.creat("/f").unwrap();
-            p.close(fd).unwrap();
-            assert_eq!(p.rename("/f", "/d").err(), Some(Errno::EISDIR));
-            assert_eq!(p.rename("/ghost", "/f2").err(), Some(Errno::ENOENT));
+        let _ = run_fs(Os::FreeBsd, |p| async move {
+            p.mkdir("/d").await.unwrap();
+            let fd = p.creat("/f").await.unwrap();
+            p.close(fd).await.unwrap();
+            assert_eq!(p.rename("/f", "/d").await.err(), Some(Errno::EISDIR));
+            assert_eq!(p.rename("/ghost", "/f2").await.err(), Some(Errno::ENOENT));
         });
     }
 
@@ -1073,11 +1125,11 @@ mod tests {
         let time_for = |os: Os| {
             let (sim, kernel) = boot(os, 0);
             kernel.mount(SimFs::fresh_for_os(os));
-            kernel.spawn_user("mv", |p| {
-                let fd = p.creat("/x").unwrap();
-                p.close(fd).unwrap();
+            kernel.spawn_user("mv", |p| async move {
+                let fd = p.creat("/x").await.unwrap();
+                p.close(fd).await.unwrap();
                 let t0 = p.sim().now();
-                p.rename("/x", "/y").unwrap();
+                p.rename("/x", "/y").await.unwrap();
                 assert!(p.sim().now() > t0);
             });
             sim.run().unwrap()
@@ -1094,15 +1146,15 @@ mod tests {
 
     #[test]
     fn deep_paths_resolve() {
-        let _ = run_fs(Os::Linux, |p| {
-            p.mkdir("/a").unwrap();
-            p.mkdir("/a/b").unwrap();
-            p.mkdir("/a/b/c").unwrap();
-            let fd = p.creat("/a/b/c/file").unwrap();
-            p.write(fd, 10).unwrap();
-            p.close(fd).unwrap();
-            assert_eq!(p.stat("/a/b/c/file").unwrap().size, 10);
-            assert_eq!(p.readdir("/a/b").unwrap(), vec!["c"]);
+        let _ = run_fs(Os::Linux, |p| async move {
+            p.mkdir("/a").await.unwrap();
+            p.mkdir("/a/b").await.unwrap();
+            p.mkdir("/a/b/c").await.unwrap();
+            let fd = p.creat("/a/b/c/file").await.unwrap();
+            p.write(fd, 10).await.unwrap();
+            p.close(fd).await.unwrap();
+            assert_eq!(p.stat("/a/b/c/file").await.unwrap().size, 10);
+            assert_eq!(p.readdir("/a/b").await.unwrap(), vec!["c"]);
         });
     }
 }

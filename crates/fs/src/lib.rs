@@ -24,11 +24,11 @@
 //!
 //! let (sim, kernel) = boot(Os::Linux, 0);
 //! kernel.mount(SimFs::fresh_for_os(Os::Linux));
-//! kernel.spawn_user("hello-fs", |p| {
-//!     let fd = p.creat("/hello").unwrap();
-//!     p.write(fd, 4096).unwrap();
-//!     p.close(fd).unwrap();
-//!     assert_eq!(p.stat("/hello").unwrap().size, 4096);
+//! kernel.spawn_user("hello-fs", |p| async move {
+//!     let fd = p.creat("/hello").await.unwrap();
+//!     p.write(fd, 4096).await.unwrap();
+//!     p.close(fd).await.unwrap();
+//!     assert_eq!(p.stat("/hello").await.unwrap().size, 4096);
 //! });
 //! sim.run().unwrap();
 //! ```

@@ -267,11 +267,11 @@ fn x5_crash_consistency(scale: &Scale) -> ExperimentOutput {
         let (sim, kernel) = tnt_os::boot(os, 1);
         let fs = SimFs::fresh_for_os(os);
         kernel.mount(fs.clone());
-        kernel.spawn_user("creator", |p| {
+        kernel.spawn_user("creator", |p| async move {
             for i in 0..25 {
-                let fd = p.creat(&format!("/doc{i}")).unwrap();
-                p.write(fd, 4096).unwrap();
-                p.close(fd).unwrap();
+                let fd = p.creat(&format!("/doc{i}")).await.unwrap();
+                p.write(fd, 4096).await.unwrap();
+                p.close(fd).await.unwrap();
             }
         });
         // The survey reads the crash report, not the clock.
@@ -360,9 +360,9 @@ fn x6_event_counters(scale: &Scale) -> ExperimentOutput {
         let fs = SimFs::fresh_for_os(os);
         kernel.mount(fs.clone());
         let k2 = kernel.clone();
-        kernel.spawn_user("crtdel", move |p| {
+        kernel.spawn_user("crtdel", move |p| async move {
             for _ in 0..iters {
-                tnt_core::crtdel_once(&p, 1024);
+                tnt_core::crtdel_once(&p, 1024).await;
             }
             let _ = k2;
         });

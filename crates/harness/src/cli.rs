@@ -97,9 +97,9 @@ pub fn usage() -> String {
          \x20 bless    run, then write results/baselines.json (the golden baselines)\n\
          \x20 check    run, then fail loudly if any statistic drifted past --tolerance\n\
          \x20 bench    time the suite serially vs --jobs N; write BENCH_runner.json\n\
-         \x20 bench-engine  compare the threaded baton engine against the lite\n\
-         \x20          cooperative scheduler on one workload (events/s, handoffs/s,\n\
-         \x20          simulated Mcycles/s); write BENCH_engine.json\n\
+         \x20 bench-engine  run one ring workload three ways (threaded processes,\n\
+         \x20          engine tasks, lite processes) and compare them (events/s,\n\
+         \x20          handoffs/s, simulated Mcycles/s); write BENCH_engine.json\n\
          \x20 farm     sweep offered request rates over every OS on the tnt-farm\n\
          \x20          internet-server rig (open-loop load, per-request latency\n\
          \x20          histograms): per-OS p50/p95/p99/p999 and saturation\n\

@@ -55,9 +55,8 @@ pub fn threaded_ring(procs: u32, rounds: u32, seed: u64) -> RingResult {
 }
 
 /// The threaded ring with the happens-before race detector armed: the
-/// overhead-gate variant behind `reproduce bench-engine`. Disarmed cost
-/// is zero by construction — without the `audit` feature the detector
-/// is compiled out of the engine entirely — so the gate only needs to
+/// overhead-gate variant behind `reproduce bench-engine`. Disarmed, each
+/// detector hook returns at its first check, so the gate only needs to
 /// bound the *armed* slowdown (see `hb_overhead_ratio` in
 /// `BENCH_engine.json`).
 pub fn threaded_ring_hb(procs: u32, rounds: u32, seed: u64) -> RingResult {

@@ -36,7 +36,7 @@ fn mutex_contention(s: &Sim) -> Collector {
         let m = m.clone();
         let counter = counter.clone();
         s.spawn(name, move |s| {
-            m.lock(s);
+            s.block_on(m.lock(s));
             s.race_write("explore.counter", 0);
             let v = *counter.lock();
             s.advance(Cycles(10));
@@ -63,7 +63,7 @@ fn channel_rendezvous(s: &Sim) -> Collector {
         let tx = ch.clone();
         s.spawn(name, move |s| {
             for i in 1..=2 {
-                tx.send(s, base + i);
+                s.block_on(tx.send(s, base + i));
             }
         });
     }
@@ -72,7 +72,7 @@ fn channel_rendezvous(s: &Sim) -> Collector {
     let rx = ch.clone();
     s.spawn("consumer", move |s| {
         for _ in 0..4 {
-            let v: u64 = rx.recv(s);
+            let v: u64 = s.block_on(rx.recv(s));
             s.advance(Cycles(25));
             let mut g = out.lock();
             g.0 += v;

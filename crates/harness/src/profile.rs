@@ -223,10 +223,10 @@ pub fn profile_experiment(id: &str, scale: &Scale) -> Option<Vec<ProfiledSample>
                     tnt_nfs::NfsClient::mount(&net, &client_k, client_host, server.addr())
                         .expect("mount");
                 client_k.mount(mount);
-                client_k.spawn_user("stat-timeout", |p| {
+                client_k.spawn_user("stat-timeout", |p| async move {
                     // The stat drives the mount's first RPC; with every
                     // reply lost it must come back ETIMEDOUT.
-                    let _ = p.stat("/");
+                    let _ = p.stat("/").await;
                     p.sim().stop();
                 });
                 // The traced session records the sample; the final clock is not needed.

@@ -55,11 +55,6 @@ pub enum ReplayMode {
 pub struct ReplayOptions {
     /// Pacing mode.
     pub mode: ReplayMode,
-    /// Event sampling: keep every `stride`-th event of the trace
-    /// (1 = replay everything). Sampling trades fidelity for speed on
-    /// very large imported traces; a sampled replay no longer carries
-    /// the equality guarantee.
-    pub stride: u64,
 }
 
 impl ReplayOptions {
@@ -67,7 +62,6 @@ impl ReplayOptions {
     pub fn asap() -> ReplayOptions {
         ReplayOptions {
             mode: ReplayMode::Asap,
-            stride: 1,
         }
     }
 
@@ -75,7 +69,6 @@ impl ReplayOptions {
     pub fn timed() -> ReplayOptions {
         ReplayOptions {
             mode: ReplayMode::Timed,
-            stride: 1,
         }
     }
 }
@@ -84,7 +77,7 @@ impl ReplayOptions {
 /// and directly comparable across runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// Events replayed (after sampling).
+    /// Events replayed.
     pub events: u64,
     /// Open/unlink events (counted, not issued to the disk).
     pub file_events: u64,
@@ -100,7 +93,7 @@ pub struct ReplayReport {
     pub busy_cy: u64,
     /// Simulated cycles the whole replay took.
     pub elapsed_cy: u64,
-    /// Recorded span of the (sampled) trace: last timestamp - first.
+    /// Recorded span of the trace: last timestamp - first.
     pub recorded_span_cy: u64,
     /// Transient disk faults hit (nonzero only under `--faults`).
     pub faults: u64,
@@ -172,7 +165,7 @@ impl LiteProc<ProcCtx> for ReplayProc {
                         } else {
                             t.faults += 1;
                             self.attempts += 1;
-                            if self.attempts >= DISK_RETRIES {
+                            if self.attempts > DISK_RETRIES {
                                 t.eio += 1;
                                 self.idx += 1;
                                 self.attempts = 0;
@@ -199,8 +192,7 @@ pub fn replay_trace(trace: &Trace, os: Os, seed: u64, opts: ReplayOptions) -> Re
     let env = kernel.env().clone();
     let disk = Arc::new(Disk::new(DiskParams::hp3725()));
 
-    let stride = opts.stride.max(1) as usize;
-    let events: Vec<TraceEvent> = trace.events.iter().copied().step_by(stride).collect();
+    let events = &trace.events;
     let base = events.iter().map(|e| e.t).min().unwrap_or(0);
     let recorded_span_cy = events.iter().map(|e| e.t).max().unwrap_or(0) - base;
 
@@ -210,7 +202,7 @@ pub fn replay_trace(trace: &Trace, os: Os, seed: u64, opts: ReplayOptions) -> Re
         ReplayMode::Asap => streams.push(("replay".into(), events.clone())),
         ReplayMode::Timed => {
             let mut by_pid: BTreeMap<u32, Vec<TraceEvent>> = BTreeMap::new();
-            for ev in &events {
+            for ev in events {
                 by_pid.entry(ev.pid).or_default().push(*ev);
             }
             for (pid, evs) in by_pid {
@@ -352,43 +344,49 @@ pub(crate) fn capture_video(os: Os, scale: &Scale, seed: u64) -> (Trace, Cycles)
     kernel.mount(fs.clone());
     sim.recorder().enable();
     let frames = scale.replay_video_frames as u64;
-    kernel.spawn_user("playback", move |p| {
-        let fd = p.creat("/movie.raw").expect("creat movie");
+    kernel.spawn_user("playback", move |p| async move {
+        let fd = p.creat("/movie.raw").await.expect("creat movie");
         for _ in 0..frames {
-            p.write(fd, 64 * 1024).expect("write frame");
+            p.write(fd, 64 * 1024).await.expect("write frame");
         }
-        p.close(fd).expect("close movie");
-        let fd = p.open("/movie.raw", OpenFlags::rdonly()).expect("reopen movie");
+        p.close(fd).await.expect("close movie");
+        let fd = p
+            .open("/movie.raw", OpenFlags::rdonly())
+            .await
+            .expect("reopen movie");
         for _ in 0..frames {
             let mut left: u64 = 64 * 1024;
             while left > 0 {
-                let n = p.read(fd, left.min(8_192)).expect("read frame");
+                let n = p.read(fd, left.min(8_192)).await.expect("read frame");
                 assert!(n > 0, "movie ends early");
                 left -= n;
             }
             p.compute(Cycles::from_micros(500.0)); // decode
         }
-        p.close(fd).expect("close movie");
+        p.close(fd).await.expect("close movie");
     });
     let pages = (frames * 2).max(8);
-    kernel.spawn_user("database", move |p| {
-        let fd = p.creat("/table.db").expect("creat table");
+    kernel.spawn_user("database", move |p| async move {
+        let fd = p.creat("/table.db").await.expect("creat table");
         for _ in 0..pages {
-            p.write(fd, 8_192).expect("write page");
+            p.write(fd, 8_192).await.expect("write page");
         }
-        p.close(fd).expect("close table");
-        let fd = p.open("/table.db", OpenFlags::rdwr()).expect("reopen table");
+        p.close(fd).await.expect("close table");
+        let fd = p
+            .open("/table.db", OpenFlags::rdwr())
+            .await
+            .expect("reopen table");
         for i in 0..pages {
             // Deterministic pseudo-random page walk (bonnie's seek
             // pattern without consuming engine randomness).
             let off = (i * 7_919 % pages) * 8_192;
             p.lseek(fd, off).expect("seek");
-            p.read(fd, 8_192).expect("read page");
+            p.read(fd, 8_192).await.expect("read page");
             p.lseek(fd, off).expect("seek back");
-            p.write(fd, 8_192).expect("write page");
+            p.write(fd, 8_192).await.expect("write page");
         }
-        p.close(fd).expect("close table");
-        p.unlink("/table.db").expect("drop table");
+        p.close(fd).await.expect("close table");
+        p.unlink("/table.db").await.expect("drop table");
     });
     // Capture reads the disk's busy time, not the final clock.
     let _ = sim.run().expect("video capture run");
@@ -404,27 +402,33 @@ pub(crate) fn capture_compile(os: Os, scale: &Scale, seed: u64) -> (Trace, Cycle
     kernel.mount(fs.clone());
     sim.recorder().enable();
     let units = scale.replay_compile_files as u64;
-    kernel.spawn_user("cc", move |p| {
-        p.mkdir("/src").expect("mkdir src");
-        p.mkdir("/obj").expect("mkdir obj");
+    kernel.spawn_user("cc", move |p| async move {
+        p.mkdir("/src").await.expect("mkdir src");
+        p.mkdir("/obj").await.expect("mkdir obj");
         for i in 0..units {
             let src = format!("/src/u{i}.c");
-            let fd = p.creat(&src).expect("creat source");
-            p.write(fd, 12 * 1024).expect("write source");
-            p.close(fd).expect("close source");
-            let fd = p.open(&src, OpenFlags::rdonly()).expect("open source");
-            p.read(fd, 12 * 1024).expect("read source");
-            p.close(fd).expect("close source");
+            let fd = p.creat(&src).await.expect("creat source");
+            p.write(fd, 12 * 1024).await.expect("write source");
+            p.close(fd).await.expect("close source");
+            let fd = p
+                .open(&src, OpenFlags::rdonly())
+                .await
+                .expect("open source");
+            p.read(fd, 12 * 1024).await.expect("read source");
+            p.close(fd).await.expect("close source");
             p.compute(Cycles::from_micros(2_000.0)); // the compile itself
             let tmp = format!("/obj/u{i}.tmp");
-            let fd = p.creat(&tmp).expect("creat temp object");
-            p.write(fd, 20 * 1024).expect("write object");
-            p.fsync(fd).expect("sync object");
-            p.close(fd).expect("close temp");
-            p.unlink(&tmp).expect("unlink temp");
-            let fd = p.creat(&format!("/obj/u{i}.o")).expect("creat object");
-            p.write(fd, 20 * 1024).expect("write object");
-            p.close(fd).expect("close object");
+            let fd = p.creat(&tmp).await.expect("creat temp object");
+            p.write(fd, 20 * 1024).await.expect("write object");
+            p.fsync(fd).await.expect("sync object");
+            p.close(fd).await.expect("close temp");
+            p.unlink(&tmp).await.expect("unlink temp");
+            let fd = p
+                .creat(&format!("/obj/u{i}.o"))
+                .await
+                .expect("creat object");
+            p.write(fd, 20 * 1024).await.expect("write object");
+            p.close(fd).await.expect("close object");
         }
     });
     // Capture reads the disk's busy time, not the final clock.
@@ -733,29 +737,11 @@ mod tests {
         );
         // Recover: a fresh unrelated run right after must not be captured.
         let (sim, kernel) = boot(Os::Linux, 0);
-        kernel.spawn_user("innocent", |p| p.compute(Cycles(1_000)));
+        kernel.spawn_user("innocent", |p| async move { p.compute(Cycles(1_000)) });
         let _ = sim.run().expect("post-panic run");
         assert!(
             tnt_sim::replay::drain().is_empty(),
             "no capture may leak into the next pool job"
         );
-    }
-
-    #[test]
-    fn sampling_stride_thins_the_replay() {
-        let trace = desktop_boot_trace();
-        let full = replay_trace(&trace, Os::Linux, 1, ReplayOptions::asap());
-        let thin = replay_trace(
-            &trace,
-            Os::Linux,
-            1,
-            ReplayOptions {
-                mode: ReplayMode::Asap,
-                stride: 3,
-            },
-        );
-        assert_eq!(full.events, trace.len() as u64);
-        assert_eq!(thin.events, trace.len().div_ceil(3) as u64);
-        assert!(thin.commands < full.commands);
     }
 }

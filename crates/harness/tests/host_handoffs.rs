@@ -1,9 +1,9 @@
 //! Host handoffs — dispatches that wake a threaded process's host thread
-//! other than the dispatcher's — per public entry point. Everything the
-//! `farm` host-time workload runs, and the task-based benchmarks, runs
-//! on the caller's thread alone. The benchmarks still built on threaded
-//! processes (the filesystem and NFS models) pay handoffs, which keeps
-//! the check able to fail.
+//! other than the dispatcher's — per public entry point. Every kernel
+//! process is an engine task, so every `tnt_core` benchmark, the farm
+//! rig and trace replay run on the caller's thread alone. The engine
+//! bench's threaded ring still pays handoffs, which keeps the check able
+//! to fail.
 //!
 //! The count is read from a `tnt_trace` session, which folds in every
 //! simulation built while it is open. Every simulation in this binary is
@@ -11,11 +11,13 @@
 //! concurrently never land in each other's reports.
 
 use tnt_core::{
-    bonnie, ctx_us, lat_tcp_us, lat_udp_us, mab_over_nfs, pipe_bandwidth_mbit,
-    tcp_bandwidth_mbit, udp_bandwidth_mbit, CtxPattern, Os, BW_PIPE_CHUNK, BW_TCP_CHUNK,
+    bonnie, crtdel_ms, ctx_us, fork_exec_us, fork_exit_us, lat_pipe_us, lat_rpc_us, lat_tcp_us,
+    lat_udp_us, mab_local, mab_over_nfs, pipe_bandwidth_mbit, pipe_rtt_us_multiuser, syscall_us,
+    syscall_us_multiuser, tcp_bandwidth_mbit, udp_bandwidth_mbit, CtxPattern, Os, BW_PIPE_CHUNK,
+    BW_TCP_CHUNK,
 };
 use tnt_farm::{run_farm, FarmConfig};
-use tnt_harness::{desktop_boot_trace, replay_trace, ReplayOptions};
+use tnt_harness::{desktop_boot_trace, replay_trace, threaded_ring, ReplayOptions};
 use tnt_sim::trace::{session, Counter};
 
 /// Host handoffs across every simulation `f` builds and runs.
@@ -64,10 +66,40 @@ fn pipe_benchmarks_run_on_the_callers_thread() {
     assert_eq!(host_handoffs(|| ctx_us(os, 4, 200, CtxPattern::Ring, 0)), 0, "ctx");
     let bw = host_handoffs(|| pipe_bandwidth_mbit(os, 256 << 10, BW_PIPE_CHUNK, 0));
     assert_eq!(bw, 0, "bw_pipe");
+    assert_eq!(host_handoffs(|| lat_pipe_us(os, 10, 0)), 0, "lat_pipe");
+}
+
+#[test]
+fn filesystem_and_nfs_benchmarks_run_on_the_callers_thread() {
+    let checks = [
+        ("bonnie", host_handoffs(|| bonnie(Os::Linux, 1, 10, 0))),
+        ("crtdel", host_handoffs(|| crtdel_ms(Os::FreeBsd, 1024, 2, 0))),
+        ("mab local", host_handoffs(|| mab_local(Os::Solaris, 0))),
+        ("mab over nfs, linux server", host_handoffs(|| mab_over_nfs(Os::Linux, Os::Linux, 0))),
+        ("mab over nfs, sunos server", host_handoffs(|| mab_over_nfs(Os::Solaris, Os::SunOs, 0))),
+        ("lat_rpc", host_handoffs(|| lat_rpc_us(Os::FreeBsd, Os::Linux, 10, 0))),
+    ];
+    for (name, handoffs) in checks {
+        assert_eq!(handoffs, 0, "{name}");
+    }
+}
+
+#[test]
+fn process_benchmarks_run_on_the_callers_thread() {
+    let os = Os::Linux;
+    let checks = [
+        ("getpid", host_handoffs(|| syscall_us(os, 1_000, 0))),
+        ("fork+exit", host_handoffs(|| fork_exit_us(os, 5, 0))),
+        ("fork+exec", host_handoffs(|| fork_exec_us(os, 5, 0))),
+        ("multiuser getpid", host_handoffs(|| syscall_us_multiuser(os, 1_000, 1))),
+        ("multiuser pipe", host_handoffs(|| pipe_rtt_us_multiuser(os, 50, 1))),
+    ];
+    for (name, handoffs) in checks {
+        assert_eq!(handoffs, 0, "{name}");
+    }
 }
 
 #[test]
 fn threaded_benchmarks_still_hand_off() {
-    assert!(host_handoffs(|| bonnie(Os::Linux, 1, 10, 0)) > 0, "bonnie");
-    assert!(host_handoffs(|| mab_over_nfs(Os::FreeBsd, Os::Linux, 0)) > 0, "mab over nfs");
+    assert!(host_handoffs(|| threaded_ring(8, 10, 0)) > 0, "threaded ring");
 }

@@ -47,10 +47,10 @@ fn recording_is_off_by_default() {
     let _ = tnt_sim::replay::drain();
     let (sim, kernel) = tnt_os::boot(Os::Linux, 1);
     kernel.mount(tnt_fs::SimFs::fresh_for_os(Os::Linux));
-    kernel.spawn_user("writer", |p| {
-        let fd = p.creat("/f").expect("creat");
-        p.write(fd, 64 * 1024).expect("write");
-        p.close(fd).expect("close");
+    kernel.spawn_user("writer", |p| async move {
+        let fd = p.creat("/f").await.expect("creat");
+        p.write(fd, 64 * 1024).await.expect("write");
+        p.close(fd).await.expect("close");
     });
     let _ = sim.run().expect("run");
     assert!(!sim.recorder().is_enabled(), "recorder armed without --record");

@@ -27,13 +27,12 @@
 //! let net = Net::ethernet_10mbit();
 //! let host = net.register_host(&kernel);
 //! let (n2, k2) = (net.clone(), kernel.clone());
-//! kernel.spawn_user("udp", move |p| {
+//! kernel.spawn_user("udp", move |_| async move {
 //!     let tx = UdpSocket::bind(&n2, &k2, host, 1000).unwrap();
 //!     let rx = UdpSocket::bind(&n2, &k2, host, 2000).unwrap();
-//!     tx.send_to(Addr { host, port: 2000 }, b"hello".to_vec()).unwrap();
-//!     let pkt = rx.recv().unwrap().unwrap();
+//!     tx.send_to(Addr { host, port: 2000 }, b"hello".to_vec()).await.unwrap();
+//!     let pkt = rx.recv().await.unwrap().unwrap();
 //!     assert_eq!(pkt.data, b"hello");
-//!     let _ = p;
 //! });
 //! sim.run().unwrap();
 //! ```

@@ -228,7 +228,7 @@ mod tests {
         net.register_host(&kernel);
         let env = kernel.env().clone();
         let n2 = net.clone();
-        kernel.spawn_user("t", move |p| {
+        kernel.spawn_user("t", move |p| async move {
             let arrival = n2.transit(&env, 0, 0, 1500);
             assert_eq!(arrival, p.sim().now());
         });
@@ -243,7 +243,7 @@ mod tests {
         net.register_host(&kernels[1]);
         let env = kernels[0].env().clone();
         let n2 = net.clone();
-        kernels[0].spawn_user("t", move |p| {
+        kernels[0].spawn_user("t", move |p| async move {
             let a1 = n2.transit(&env, 0, 1, 1500);
             let a2 = n2.transit(&env, 0, 1, 1500);
             // 1538 bytes at 10 Mb/s is ~1.23 ms per frame, back to back.

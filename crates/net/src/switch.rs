@@ -173,7 +173,7 @@ mod tests {
     fn frames_serialise_per_link() {
         let (sim, kernel) = boot(Os::Linux, 0);
         let sw = Switch::new(3, 10e6, 64);
-        kernel.spawn_user("t", move |p| {
+        kernel.spawn_user("t", move |p| async move {
             let s = p.sim();
             let f = frame_cy();
             let t0 = s.now().0; // boot charges land before we run
@@ -197,7 +197,7 @@ mod tests {
     fn loopback_is_immediate_and_free() {
         let (sim, kernel) = boot(Os::Linux, 0);
         let sw = Switch::new(2, 10e6, 4);
-        kernel.spawn_user("t", move |p| {
+        kernel.spawn_user("t", move |p| async move {
             let s = p.sim();
             for _ in 0..100 {
                 assert_eq!(sw.send(s, 1, 1, 64 * 1024), Delivery::Delivered(s.now()));
@@ -217,7 +217,7 @@ mod tests {
         let (sim, kernel) = boot(Os::Linux, 0);
         let sw = Switch::new(4, 10e6, 2);
         let sw2 = sw.clone();
-        kernel.spawn_user("t", move |p| {
+        kernel.spawn_user("t", move |p| async move {
             let s = p.sim();
             // Three clients flood host 3's downlink (cap 2 per link
             // direction): uplinks hold 2 frames each, the downlink
@@ -244,7 +244,7 @@ mod tests {
     fn queues_drain_with_time() {
         let (sim, kernel) = boot(Os::Linux, 0);
         let sw = Switch::new(2, 10e6, 2);
-        kernel.spawn_user("t", move |p| {
+        kernel.spawn_user("t", move |p| async move {
             let s = p.sim();
             let t0 = s.now().0;
             assert_eq!(
@@ -257,7 +257,7 @@ mod tests {
             );
             assert_eq!(sw.send(s, 0, 1, SWITCH_MTU), Delivery::Dropped, "uplink full");
             // Once the backlog transmits, the link accepts again.
-            s.sleep(Cycles(4 * frame_cy()));
+            s.sleep_async(Cycles(4 * frame_cy())).await;
             assert!(matches!(sw.send(s, 0, 1, SWITCH_MTU), Delivery::Delivered(_)));
         });
         let _ = sim.run().unwrap();
@@ -267,7 +267,7 @@ mod tests {
     fn multi_frame_sends_fragment_at_the_mtu() {
         let (sim, kernel) = boot(Os::Linux, 0);
         let sw = Switch::new(2, 10e6, 64);
-        kernel.spawn_user("t", move |p| {
+        kernel.spawn_user("t", move |p| async move {
             let s = p.sim();
             // 4000 bytes = 2 full frames + 1 of 1000 bytes. Store and
             // forward: the downlink re-serialises every fragment, so the
@@ -298,11 +298,11 @@ mod tests {
             let (sim, kernels) = boot_cluster_with_faults(&[Os::Linux], 7, profile);
             let sw = Switch::new(2, 10e6, 64);
             let sw2 = sw.clone();
-            kernels[0].spawn_user("t", move |p| {
+            kernels[0].spawn_user("t", move |p| async move {
                 let s = p.sim();
                 for _ in 0..200 {
                     let _ = sw2.send(s, 0, 1, SWITCH_MTU);
-                    s.sleep(Cycles(frame_cy()));
+                    s.sleep_async(Cycles(frame_cy())).await;
                 }
             });
             let _ = sim.run().unwrap();

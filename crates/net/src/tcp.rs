@@ -84,12 +84,7 @@ impl TcpStream {
     }
 
     /// Writes `len` bytes to the stream, blocking on the send window.
-    pub fn write(&self, len: u64) -> SysResult<u64> {
-        self.env.sim.block_on(self.write_async(len))
-    }
-
-    /// The async form of [`TcpStream::write`].
-    pub async fn write_async(&self, len: u64) -> SysResult<u64> {
+    pub async fn write(&self, len: u64) -> SysResult<u64> {
         self.charge_syscall();
         let mut sent = 0;
         while sent < len {
@@ -156,12 +151,7 @@ impl TcpStream {
 
     /// Reads up to `max` bytes; returns 0 at end of stream. Consuming
     /// data acknowledges it and reopens the peer's send window.
-    pub fn read(&self, max: u64) -> SysResult<u64> {
-        self.env.sim.block_on(self.read_async(max))
-    }
-
-    /// The async form of [`TcpStream::read`].
-    pub async fn read_async(&self, max: u64) -> SysResult<u64> {
+    pub async fn read(&self, max: u64) -> SysResult<u64> {
         self.charge_syscall();
         loop {
             enum StepOutcome {
@@ -315,12 +305,7 @@ impl TcpListener {
     }
 
     /// Accepts one connection, blocking until a peer connects.
-    pub fn accept(&self) -> SysResult<TcpStream> {
-        self.env.sim.block_on(self.accept_async())
-    }
-
-    /// The async form of [`TcpListener::accept`].
-    pub async fn accept_async(&self) -> SysResult<TcpStream> {
+    pub async fn accept(&self) -> SysResult<TcpStream> {
         let c = &self.env.costs;
         {
             let _t = self.env.sim.span(Class::TrapEntry);
@@ -457,11 +442,11 @@ mod tests {
         let k2 = kernel.clone();
         let result = Arc::new(Mutex::new(0.0f64));
         let r2 = result.clone();
-        kernel.spawn_user("bw_tcp", move |p| {
+        kernel.spawn_user("bw_tcp", move |p| async move {
             let listener = TcpListener::bind(&n2, &k2, 0, 5001).unwrap();
-            let child = p.fork("server", move |_| {
-                let conn = listener.accept().unwrap();
-                while conn.read(chunk).unwrap() > 0 {}
+            let child = p.fork("server", move |_| async move {
+                let conn = listener.accept().await.unwrap();
+                while conn.read(chunk).await.unwrap() > 0 {}
             });
             let conn = connect(
                 &n2,
@@ -476,10 +461,10 @@ mod tests {
             let t0 = p.sim().now();
             let mut sent = 0;
             while sent < total {
-                sent += conn.write(chunk.min(total - sent)).unwrap();
+                sent += conn.write(chunk.min(total - sent)).await.unwrap();
             }
             conn.close();
-            p.waitpid(child);
+            p.waitpid(child).await;
             let elapsed = p.sim().now() - t0;
             *r2.lock() = tnt_sim::mbit_per_sec(total, elapsed);
         });
@@ -493,14 +478,14 @@ mod tests {
         let (sim, kernel, net) = setup(Os::FreeBsd);
         let n2 = net.clone();
         let k2 = kernel.clone();
-        kernel.spawn_user("pair", move |p| {
+        kernel.spawn_user("pair", move |p| async move {
             let listener = TcpListener::bind(&n2, &k2, 0, 80).unwrap();
             let total = Arc::new(Mutex::new(0u64));
             let t2 = total.clone();
-            let child = p.fork("server", move |_| {
-                let conn = listener.accept().unwrap();
+            let child = p.fork("server", move |_| async move {
+                let conn = listener.accept().await.unwrap();
                 loop {
-                    let n = conn.read(4096).unwrap();
+                    let n = conn.read(4096).await.unwrap();
                     if n == 0 {
                         break;
                     }
@@ -508,9 +493,9 @@ mod tests {
                 }
             });
             let conn = connect(&n2, &k2, 0, Addr { host: 0, port: 80 }).unwrap();
-            conn.write(100_000).unwrap();
+            conn.write(100_000).await.unwrap();
             conn.close();
-            p.waitpid(child);
+            p.waitpid(child).await;
             assert_eq!(*total.lock(), 100_000);
         });
         let _ = sim.run().unwrap();
@@ -521,7 +506,7 @@ mod tests {
         let (sim, kernel, net) = setup(Os::Linux);
         let n2 = net.clone();
         let k2 = kernel.clone();
-        kernel.spawn_user("c", move |_| {
+        kernel.spawn_user("c", move |_| async move {
             let r = connect(
                 &n2,
                 &k2,
@@ -541,22 +526,22 @@ mod tests {
         let (sim, kernel, net) = setup(Os::Linux);
         let n2 = net.clone();
         let k2 = kernel.clone();
-        kernel.spawn_user("pair", move |p| {
+        kernel.spawn_user("pair", move |p| async move {
             let listener = TcpListener::bind(&n2, &k2, 0, 80).unwrap();
-            let child = p.fork("server", move |c| {
-                let conn = listener.accept().unwrap();
+            let child = p.fork("server", move |c| async move {
+                let conn = listener.accept().await.unwrap();
                 c.compute(Cycles(1_000_000)); // 10 ms before reading
-                while conn.read(65536).unwrap() > 0 {}
+                while conn.read(65536).await.unwrap() > 0 {}
             });
             let conn = connect(&n2, &k2, 0, Addr { host: 0, port: 80 }).unwrap();
             let t0 = p.sim().now();
-            conn.write(10_000).unwrap(); // Far beyond the 1988-byte window.
+            conn.write(10_000).await.unwrap(); // Far beyond the 1988-byte window.
             assert!(
                 (p.sim().now() - t0).as_millis() >= 10.0,
                 "sender had to wait for the slow reader's window"
             );
             conn.close();
-            p.waitpid(child);
+            p.waitpid(child).await;
         });
         let _ = sim.run().unwrap();
     }

@@ -135,36 +135,21 @@ impl UdpSocket {
     }
 
     /// Sends a datagram carrying `data` to `to`.
-    pub fn send_to(&self, to: Addr, data: Vec<u8>) -> SysResult<u64> {
-        self.env.sim.block_on(self.send_to_async(to, data))
-    }
-
-    /// The async form of [`UdpSocket::send_to`].
-    pub async fn send_to_async(&self, to: Addr, data: Vec<u8>) -> SysResult<u64> {
-        let len = data.len() as u64;
-        self.send_inner(to, len, data).await
+    pub async fn send_to(&self, to: Addr, data: Vec<u8>) -> SysResult<u64> {
+        self.send_padded(to, data, 0).await
     }
 
     /// Sends a zero-filled datagram of `len` bytes (bulk benchmarks).
-    pub fn send_sized(&self, to: Addr, len: u64) -> SysResult<u64> {
-        self.env.sim.block_on(self.send_sized_async(to, len))
-    }
-
-    /// The async form of [`UdpSocket::send_sized`].
-    pub async fn send_sized_async(&self, to: Addr, len: u64) -> SysResult<u64> {
-        self.send_inner(to, len, Vec::new()).await
+    pub async fn send_sized(&self, to: Addr, len: u64) -> SysResult<u64> {
+        self.send_padded(to, Vec::new(), len).await
     }
 
     /// Sends `data` plus `pad` extra payload bytes that are modelled but
     /// not materialised (an NFS write RPC: small header, large payload).
-    pub fn send_padded(&self, to: Addr, data: Vec<u8>, pad: u64) -> SysResult<u64> {
+    /// The body of every send form; only the loopback backpressure yield
+    /// suspends it.
+    pub async fn send_padded(&self, to: Addr, data: Vec<u8>, pad: u64) -> SysResult<u64> {
         let len = data.len() as u64 + pad;
-        self.env.sim.block_on(self.send_inner(to, len, data))
-    }
-
-    /// The body of every send form; only the loopback backpressure
-    /// yield suspends it.
-    async fn send_inner(&self, to: Addr, len: u64, data: Vec<u8>) -> SysResult<u64> {
         self.charge_syscall();
         let u = &self.costs.udp;
         let frags = len.div_ceil(u.mtu).max(1);
@@ -229,12 +214,7 @@ impl UdpSocket {
 
     /// Receives one datagram, blocking until one is available. Returns
     /// `None` once the socket is closed and drained.
-    pub fn recv(&self) -> SysResult<Option<Packet>> {
-        self.env.sim.block_on(self.recv_async())
-    }
-
-    /// The async form of [`UdpSocket::recv`].
-    pub async fn recv_async(&self) -> SysResult<Option<Packet>> {
+    pub async fn recv(&self) -> SysResult<Option<Packet>> {
         match self.recv_inner(None).await? {
             Recv::Packet(p) => Ok(Some(p)),
             Recv::Closed => Ok(None),
@@ -244,8 +224,8 @@ impl UdpSocket {
 
     /// Like [`UdpSocket::recv`] with a deadline — the RPC retransmission
     /// primitive.
-    pub fn recv_timeout(&self, timeout: tnt_sim::Cycles) -> SysResult<Recv> {
-        self.env.sim.block_on(self.recv_inner(Some(timeout)))
+    pub async fn recv_timeout(&self, timeout: tnt_sim::Cycles) -> SysResult<Recv> {
+        self.recv_inner(Some(timeout)).await
     }
 
     /// The body of every receive form; `timeout` bounds the wait.
@@ -361,12 +341,12 @@ mod tests {
         let (sim, kernel, net) = setup(Os::FreeBsd);
         let n2 = net.clone();
         let k2 = kernel.clone();
-        kernel.spawn_user("pair", move |p| {
+        kernel.spawn_user("pair", move |p| async move {
             let a = UdpSocket::bind(&n2, &k2, 0, 1000).unwrap();
             let b = UdpSocket::bind(&n2, &k2, 0, 2000).unwrap();
             let b2 = b.clone();
-            p.fork("receiver", move |_| {
-                let pkt = b2.recv().unwrap().unwrap();
+            p.fork("receiver", move |_| async move {
+                let pkt = b2.recv().await.unwrap().unwrap();
                 assert_eq!(pkt.data, b"ping");
                 assert_eq!(pkt.from.port, 1000);
             });
@@ -377,6 +357,7 @@ mod tests {
                 },
                 b"ping".to_vec(),
             )
+            .await
             .unwrap();
         });
         let _ = sim.run().unwrap();
@@ -387,14 +368,16 @@ mod tests {
         let (sim, kernel, net) = setup(Os::Linux);
         let n2 = net.clone();
         let k2 = kernel.clone();
-        kernel.spawn_user("pair", move |p| {
+        kernel.spawn_user("pair", move |p| async move {
             let tx = UdpSocket::bind(&n2, &k2, 0, 1).unwrap();
             let rx = UdpSocket::bind(&n2, &k2, 0, 2).unwrap();
             for i in 0..10u8 {
-                tx.send_to(Addr { host: 0, port: 2 }, vec![i]).unwrap();
+                tx.send_to(Addr { host: 0, port: 2 }, vec![i])
+                    .await
+                    .unwrap();
             }
             for i in 0..10u8 {
-                let pkt = rx.recv().unwrap().unwrap();
+                let pkt = rx.recv().await.unwrap().unwrap();
                 assert_eq!(pkt.data, vec![i]);
             }
             let _ = p;
@@ -407,12 +390,14 @@ mod tests {
         let (sim, kernel, net) = setup(Os::FreeBsd);
         let n2 = net.clone();
         let k2 = kernel.clone();
-        kernel.spawn_user("flood", move |_| {
+        kernel.spawn_user("flood", move |_| async move {
             let tx = UdpSocket::bind(&n2, &k2, 0, 1).unwrap();
             let rx = UdpSocket::bind(&n2, &k2, 0, 2).unwrap();
             // No receiver process: 9 x 8 KB overflows the 64 KB buffer.
             for _ in 0..9 {
-                tx.send_sized(Addr { host: 0, port: 2 }, 8192).unwrap();
+                tx.send_sized(Addr { host: 0, port: 2 }, 8192)
+                    .await
+                    .unwrap();
             }
             assert_eq!(rx.drops(), 1);
         });
@@ -424,9 +409,14 @@ mod tests {
         let (sim, kernel, net) = setup(Os::Solaris);
         let n2 = net.clone();
         let k2 = kernel.clone();
-        kernel.spawn_user("lost", move |_| {
+        kernel.spawn_user("lost", move |_| async move {
             let tx = UdpSocket::bind(&n2, &k2, 0, 1).unwrap();
-            assert_eq!(tx.send_sized(Addr { host: 0, port: 99 }, 100).unwrap(), 100);
+            assert_eq!(
+                tx.send_sized(Addr { host: 0, port: 99 }, 100)
+                    .await
+                    .unwrap(),
+                100
+            );
         });
         let _ = sim.run().unwrap();
     }
@@ -436,7 +426,7 @@ mod tests {
         let (sim, kernel, net) = setup(Os::Linux);
         let n2 = net.clone();
         let k2 = kernel.clone();
-        kernel.spawn_user("bind2", move |_| {
+        kernel.spawn_user("bind2", move |_| async move {
             let _a = UdpSocket::bind(&n2, &k2, 0, 7).unwrap();
             assert_eq!(
                 UdpSocket::bind(&n2, &k2, 0, 7).err(),
@@ -451,15 +441,15 @@ mod tests {
         let (sim, kernel, net) = setup(Os::FreeBsd);
         let n2 = net.clone();
         let k2 = kernel.clone();
-        kernel.spawn_user("main", move |p| {
+        kernel.spawn_user("main", move |p| async move {
             let rx = UdpSocket::bind(&n2, &k2, 0, 5).unwrap();
             let rx2 = rx.clone();
-            let child = p.fork("receiver", move |_| {
-                assert!(rx2.recv().unwrap().is_none(), "close delivers EOF");
+            let child = p.fork("receiver", move |_| async move {
+                assert!(rx2.recv().await.unwrap().is_none(), "close delivers EOF");
             });
             p.compute(Cycles(10_000));
             rx.close();
-            p.waitpid(child);
+            p.waitpid(child).await;
         });
         let _ = sim.run().unwrap();
     }
@@ -476,12 +466,12 @@ mod tests {
         let tx = UdpSocket::bind(&net, &kernels[0], 0, 1000).unwrap();
         let done = Arc::new(Mutex::new(0.0f64));
         let d2 = done.clone();
-        kernels[1].spawn_user("server", move |p| {
-            let pkt = rx.recv().unwrap().unwrap();
+        kernels[1].spawn_user("server", move |p| async move {
+            let pkt = rx.recv().await.unwrap().unwrap();
             assert_eq!(pkt.len, 8192);
             *d2.lock() = p.sim().now().as_millis();
         });
-        kernels[0].spawn_user("client", move |_| {
+        kernels[0].spawn_user("client", move |_| async move {
             tx.send_sized(
                 Addr {
                     host: 1,
@@ -489,6 +479,7 @@ mod tests {
                 },
                 8192,
             )
+            .await
             .unwrap();
         });
         let _ = sim.run().unwrap();

@@ -1,8 +1,8 @@
-//! Twin runs of the socket paths. Each workload runs once as threaded
-//! processes calling the sync forms and once as engine tasks awaiting
-//! the async forms. The sync forms are `Sim::block_on` adapters over the
-//! async ones, so both runs must end at the same clock, with the same
-//! per-process CPU and the same dispatch count — jitter included.
+//! The socket paths as engine tasks, pinned. Each workload ends at the
+//! clock, with the per-process CPU and the dispatch count, that the same
+//! workload produced as threaded processes calling the former sync
+//! socket forms (and, identically, as tasks) — jitter included. A change
+//! to how a socket call blocks or wakes moves one of these numbers.
 
 use std::sync::Arc;
 
@@ -15,7 +15,7 @@ use tnt_sim::{Cycles, Sim};
 type Outcome = (Cycles, u64, Vec<Cycles>);
 
 fn outcome(sim: &Sim, parent: Pid, children: &Mutex<Vec<Pid>>) -> Outcome {
-    let end = sim.run().expect("twin run failed");
+    let end = sim.run().expect("pinned run failed");
     let mut pids = vec![parent];
     pids.extend(children.lock().iter().copied());
     let cpu = pids.iter().map(|p| sim.proc_cpu(*p)).collect();
@@ -27,7 +27,7 @@ fn outcome(sim: &Sim, parent: Pid, children: &Mutex<Vec<Pid>>) -> Outcome {
 const TCP_TOTAL: u64 = 40_000;
 const TCP_CHUNK: u64 = 6_000;
 
-fn tcp_stream(seed: u64, tasks: bool) -> Outcome {
+fn tcp_stream(seed: u64) -> Outcome {
     let (sim, kernel) = boot(Os::Linux, seed);
     let net = Net::ethernet_10mbit();
     let host = net.register_host(&kernel);
@@ -35,37 +35,20 @@ fn tcp_stream(seed: u64, tasks: bool) -> Outcome {
     let to = Addr { host, port: 80 };
     let children = Arc::new(Mutex::new(Vec::new()));
     let (k, log) = (kernel.clone(), children.clone());
-    let parent = if tasks {
-        kernel.spawn_user_task("writer", move |p| async move {
-            let child = p.fork_task("reader", move |_| async move {
-                let conn = listener.accept_async().await.unwrap();
-                while conn.read_async(TCP_CHUNK / 2).await.unwrap() > 0 {}
-            });
-            log.lock().push(child);
-            let conn = connect(&net, &k, host, to).unwrap();
-            let mut sent = 0;
-            while sent < TCP_TOTAL {
-                sent += conn.write_async(TCP_CHUNK).await.unwrap();
-            }
-            conn.close();
-            p.waitpid_async(child).await;
-        })
-    } else {
-        kernel.spawn_user("writer", move |p| {
-            let child = p.fork("reader", move |_| {
-                let conn = listener.accept().unwrap();
-                while conn.read(TCP_CHUNK / 2).unwrap() > 0 {}
-            });
-            log.lock().push(child);
-            let conn = connect(&net, &k, host, to).unwrap();
-            let mut sent = 0;
-            while sent < TCP_TOTAL {
-                sent += conn.write(TCP_CHUNK).unwrap();
-            }
-            conn.close();
-            p.waitpid(child);
-        })
-    };
+    let parent = kernel.spawn_user("writer", move |p| async move {
+        let child = p.fork("reader", move |_| async move {
+            let conn = listener.accept().await.unwrap();
+            while conn.read(TCP_CHUNK / 2).await.unwrap() > 0 {}
+        });
+        log.lock().push(child);
+        let conn = connect(&net, &k, host, to).unwrap();
+        let mut sent = 0;
+        while sent < TCP_TOTAL {
+            sent += conn.write(TCP_CHUNK).await.unwrap();
+        }
+        conn.close();
+        p.waitpid(child).await;
+    });
     outcome(&sim, parent, &children)
 }
 
@@ -75,7 +58,7 @@ const ROUNDS: u32 = 6;
 const BURST: u32 = 6;
 const DGRAM: u64 = 8192;
 
-fn udp_ping_pong(seed: u64, tasks: bool) -> Outcome {
+fn udp_ping_pong(seed: u64) -> Outcome {
     let (sim, kernel) = boot(Os::Solaris, seed);
     let net = Net::ethernet_10mbit();
     let host = net.register_host(&kernel);
@@ -84,64 +67,56 @@ fn udp_ping_pong(seed: u64, tasks: bool) -> Outcome {
     let pong_addr = pong.addr();
     let children = Arc::new(Mutex::new(Vec::new()));
     let log = children.clone();
-    let parent = if tasks {
-        kernel.spawn_user_task("ping", move |p| async move {
-            let child = p.fork_task("pong", move |_| async move {
-                for _ in 0..ROUNDS {
-                    let mut from = None;
-                    for _ in 0..BURST {
-                        from = Some(pong.recv_async().await.unwrap().unwrap().from);
-                    }
-                    pong.send_to_async(from.unwrap(), vec![1]).await.unwrap();
-                }
-            });
-            log.lock().push(child);
+    let parent = kernel.spawn_user("ping", move |p| async move {
+        let child = p.fork("pong", move |_| async move {
             for _ in 0..ROUNDS {
+                let mut from = None;
                 for _ in 0..BURST {
-                    ping.send_sized_async(pong_addr, DGRAM).await.unwrap();
+                    from = Some(pong.recv().await.unwrap().unwrap().from);
                 }
-                ping.recv_async().await.unwrap().unwrap();
+                pong.send_to(from.unwrap(), vec![1]).await.unwrap();
             }
-            p.waitpid_async(child).await;
-        })
-    } else {
-        kernel.spawn_user("ping", move |p| {
-            let child = p.fork("pong", move |_| {
-                for _ in 0..ROUNDS {
-                    let mut from = None;
-                    for _ in 0..BURST {
-                        from = Some(pong.recv().unwrap().unwrap().from);
-                    }
-                    pong.send_to(from.unwrap(), vec![1]).unwrap();
-                }
-            });
-            log.lock().push(child);
-            for _ in 0..ROUNDS {
-                for _ in 0..BURST {
-                    ping.send_sized(pong_addr, DGRAM).unwrap();
-                }
-                ping.recv().unwrap().unwrap();
+        });
+        log.lock().push(child);
+        for _ in 0..ROUNDS {
+            for _ in 0..BURST {
+                ping.send_sized(pong_addr, DGRAM).await.unwrap();
             }
-            p.waitpid(child);
-        })
-    };
+            ping.recv().await.unwrap().unwrap();
+        }
+        p.waitpid(child).await;
+    });
     outcome(&sim, parent, &children)
 }
 
 #[test]
 fn tcp_stream_tasks_match_threaded_processes() {
-    for seed in [0, 7, 1996] {
-        let threaded = tcp_stream(seed, false);
-        assert_eq!(threaded.2.len(), 2);
-        assert_eq!(tcp_stream(seed, true), threaded, "seed {seed}");
+    let pinned = [
+        (0, 1_727_635, 331_141, 383_958),
+        (7, 1_730_519, 332_505, 385_506),
+        (1996, 1_730_559, 332_516, 385_535),
+    ];
+    for (seed, end, writer, reader) in pinned {
+        assert_eq!(
+            tcp_stream(seed),
+            (Cycles(end), 57, vec![Cycles(writer), Cycles(reader)]),
+            "seed {seed}"
+        );
     }
 }
 
 #[test]
 fn udp_ping_pong_tasks_match_threaded_processes() {
-    for seed in [0, 7, 1996] {
-        let threaded = udp_ping_pong(seed, false);
-        assert_eq!(threaded.2.len(), 2);
-        assert_eq!(udp_ping_pong(seed, true), threaded, "seed {seed}");
+    let pinned = [
+        (0, 8_334_660, 4_459_030, 3_519_630),
+        (7, 8_410_808, 4_501_596, 3_553_212),
+        (1996, 8_411_858, 4_502_160, 3_553_698),
+    ];
+    for (seed, end, ping, pong) in pinned {
+        assert_eq!(
+            udp_ping_pong(seed),
+            (Cycles(end), 25, vec![Cycles(ping), Cycles(pong)]),
+            "seed {seed}"
+        );
     }
 }

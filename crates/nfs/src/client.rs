@@ -24,7 +24,9 @@ use parking_lot::Mutex;
 use crate::proto::{Fh, NfsCall, NfsReply, RpcReply, RpcRequest};
 use tnt_cpu::copyin_out;
 use tnt_net::{Addr, Net, Recv, UdpSocket};
-use tnt_os::{Errno, FileAttr, Filesystem, KEnv, Kernel, OpenFlags, Os, SysResult, VnodeId};
+use tnt_os::{
+    Errno, FileAttr, Filesystem, FsFuture, KEnv, Kernel, OpenFlags, Os, SysResult, VnodeId,
+};
 use tnt_sim::trace::{Class, Counter};
 use tnt_sim::{Cycles, SimMutex};
 
@@ -213,14 +215,14 @@ impl NfsClient {
 
     /// Issues one RPC and waits for its reply. Serialised per mount, as
     /// the 1995 single-threaded clients effectively were.
-    fn rpc(&self, env: &KEnv, call: NfsCall, pad: u64) -> SysResult<NfsReply> {
-        self.rpc_lock.lock(&env.sim);
-        let result = self.rpc_locked(env, call, pad);
+    async fn rpc(&self, env: &KEnv, call: NfsCall, pad: u64) -> SysResult<NfsReply> {
+        self.rpc_lock.lock(&env.sim).await;
+        let result = self.rpc_locked(env, call, pad).await;
         self.rpc_lock.unlock(&env.sim);
         result
     }
 
-    fn rpc_locked(&self, env: &KEnv, call: NfsCall, pad: u64) -> SysResult<NfsReply> {
+    async fn rpc_locked(&self, env: &KEnv, call: NfsCall, pad: u64) -> SysResult<NfsReply> {
         let xid = {
             let mut st = self.state.lock();
             st.xid += 1;
@@ -245,14 +247,16 @@ impl NfsClient {
                 self.state.lock().retransmits += 1;
                 env.sim.count(Counter::RpcRetransmits, 1);
             }
-            self.sock.send_padded(self.server, bytes.clone(), pad)?;
+            self.sock
+                .send_padded(self.server, bytes.clone(), pad)
+                .await?;
             let deadline = env.sim.now() + timeout;
             loop {
                 let left = deadline.saturating_sub(env.sim.now());
                 if left == Cycles::ZERO {
                     break;
                 }
-                match self.sock.recv_timeout(left)? {
+                match self.sock.recv_timeout(left).await? {
                     Recv::Packet(pkt) => match RpcReply::decode(&pkt.data) {
                         Ok(r) if r.xid == xid => {
                             return match r.reply {
@@ -275,21 +279,24 @@ impl NfsClient {
         Err(Errno::ETIMEDOUT)
     }
 
-    fn root(&self, env: &KEnv) -> SysResult<Fh> {
+    async fn root(&self, env: &KEnv) -> SysResult<Fh> {
         {
             let st = self.state.lock();
             if st.root != 0 {
                 return Ok(st.root);
             }
         }
-        match self.rpc(
-            env,
-            NfsCall::Lookup {
-                dir: 0,
-                name: String::new(),
-            },
-            0,
-        )? {
+        match self
+            .rpc(
+                env,
+                NfsCall::Lookup {
+                    dir: 0,
+                    name: String::new(),
+                },
+                0,
+            )
+            .await?
+        {
             NfsReply::Handle { fh, attr } => {
                 let mut st = self.state.lock();
                 st.root = fh;
@@ -310,8 +317,8 @@ impl NfsClient {
 
     /// Resolves a path to a handle through the name cache, issuing LOOKUP
     /// RPCs for uncached components.
-    fn fh_for(&self, env: &KEnv, path: &str) -> SysResult<Fh> {
-        let mut fh = self.root(env)?;
+    async fn fh_for(&self, env: &KEnv, path: &str) -> SysResult<Fh> {
+        let mut fh = self.root(env).await?;
         let mut walked = String::new();
         for comp in path.split('/').filter(|c| !c.is_empty()) {
             walked.push('/');
@@ -323,14 +330,17 @@ impl NfsClient {
                     fh = hit;
                 }
                 None => {
-                    match self.rpc(
-                        env,
-                        NfsCall::Lookup {
-                            dir: fh,
-                            name: comp.to_string(),
-                        },
-                        0,
-                    )? {
+                    match self
+                        .rpc(
+                            env,
+                            NfsCall::Lookup {
+                                dir: fh,
+                                name: comp.to_string(),
+                            },
+                            0,
+                        )
+                        .await?
+                    {
                         NfsReply::Handle { fh: child, attr } => {
                             let mut st = self.state.lock();
                             st.dnlc.insert(walked.clone(), child);
@@ -410,290 +420,349 @@ impl NfsClient {
 }
 
 impl Filesystem for NfsClient {
-    fn lookup(&self, env: &KEnv, path: &str) -> SysResult<VnodeId> {
-        self.fh_for(env, path)
+    fn lookup<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<VnodeId>> {
+        Box::pin(self.fh_for(env, path))
     }
 
-    fn open(&self, env: &KEnv, path: &str, flags: OpenFlags) -> SysResult<VnodeId> {
-        if flags.create {
+    fn open<'a>(
+        &'a self,
+        env: &'a KEnv,
+        path: &'a str,
+        flags: OpenFlags,
+    ) -> FsFuture<'a, SysResult<VnodeId>> {
+        Box::pin(async move {
+            if flags.create {
+                let (dir, name) = Self::split_parent(path)?;
+                let dir_fh = self.fh_for(env, dir).await?;
+                let reply = self
+                    .rpc(
+                        env,
+                        NfsCall::Create {
+                            dir: dir_fh,
+                            name: name.to_string(),
+                            exclusive: flags.exclusive,
+                        },
+                        0,
+                    )
+                    .await?;
+                match reply {
+                    NfsReply::Handle { fh, attr } => {
+                        let mut st = self.state.lock();
+                        st.dnlc
+                            .insert(format!("{}/{}", dir.trim_end_matches('/'), name), fh);
+                        st.data_hi.remove(&fh);
+                        st.data_order.retain(|f| *f != fh);
+                        drop(st);
+                        self.store_attr(fh, attr);
+                        Ok(fh)
+                    }
+                    _ => Err(Errno::EIO),
+                }
+            } else {
+                let fh = self.fh_for(env, path).await?;
+                // Close-to-open consistency: every open revalidates the
+                // attributes at the server, whatever the attribute cache says.
+                let is_dir = match self.rpc(env, NfsCall::Getattr { fh }, 0).await? {
+                    NfsReply::Attr(attr) => {
+                        self.store_attr(fh, attr);
+                        attr.is_dir
+                    }
+                    _ => return Err(Errno::EIO),
+                };
+                if is_dir && flags.write {
+                    return Err(Errno::EISDIR);
+                }
+                if flags.truncate {
+                    let (dir, name) = Self::split_parent(path)?;
+                    let dir_fh = self.fh_for(env, dir).await?;
+                    self.rpc(
+                        env,
+                        NfsCall::Create {
+                            dir: dir_fh,
+                            name: name.to_string(),
+                            exclusive: false,
+                        },
+                        0,
+                    )
+                    .await?;
+                    self.state.lock().data_hi.remove(&fh);
+                }
+                Ok(fh)
+            }
+        })
+    }
+
+    fn read<'a>(
+        &'a self,
+        env: &'a KEnv,
+        vnode: VnodeId,
+        off: u64,
+        len: u64,
+    ) -> FsFuture<'a, SysResult<u64>> {
+        Box::pin(async move {
+            let attr = self.getattr_cached(env, vnode).await?;
+            if attr.is_dir {
+                return Err(Errno::EISDIR);
+            }
+            let size = attr.size;
+            if off >= size {
+                env.sim.charge(Cycles(self.params.cache_hit_cy));
+                return Ok(0);
+            }
+            let n = len.min(size - off);
+            let cached_hi = self.state.lock().data_hi.get(&vnode).copied().unwrap_or(0);
+            if off + n <= cached_hi {
+                // Served from the client's data cache.
+                env.sim
+                    .charge(Cycles(self.params.cache_hit_cy) + copyin_out(n));
+                return Ok(n);
+            }
+            let mut done = 0;
+            while done < n {
+                let chunk = (n - done).min(self.params.rsize);
+                match self
+                    .rpc(
+                        env,
+                        NfsCall::Read {
+                            fh: vnode,
+                            off: off + done,
+                            len: chunk,
+                        },
+                        0,
+                    )
+                    .await?
+                {
+                    NfsReply::Data { len: got } => {
+                        env.sim.charge(copyin_out(got));
+                        done += got;
+                        if got < chunk {
+                            break;
+                        }
+                    }
+                    _ => return Err(Errno::EIO),
+                }
+            }
+            let hi_now = self.state.lock().data_hi.get(&vnode).copied().unwrap_or(0);
+            if off <= hi_now {
+                self.mark_cached(vnode, hi_now.max(off + done));
+            }
+            Ok(done)
+        })
+    }
+
+    fn write<'a>(
+        &'a self,
+        env: &'a KEnv,
+        vnode: VnodeId,
+        off: u64,
+        len: u64,
+    ) -> FsFuture<'a, SysResult<u64>> {
+        Box::pin(async move {
+            if self.getattr_cached(env, vnode).await?.is_dir {
+                return Err(Errno::EISDIR);
+            }
+            let mut done = 0;
+            while done < len {
+                let chunk = (len - done).min(self.params.wsize);
+                env.sim.charge(copyin_out(chunk));
+                match self
+                    .rpc(
+                        env,
+                        NfsCall::Write {
+                            fh: vnode,
+                            off: off + done,
+                            len: chunk,
+                        },
+                        chunk,
+                    )
+                    .await?
+                {
+                    NfsReply::Wrote { len: wrote } => done += wrote,
+                    _ => return Err(Errno::EIO),
+                }
+            }
+            let hi_now = {
+                let mut st = self.state.lock();
+                if let Some(a) = st.attrs.get_mut(&vnode) {
+                    a.size = a.size.max(off + len);
+                }
+                st.data_hi.get(&vnode).copied().unwrap_or(0)
+            };
+            if off <= hi_now {
+                self.mark_cached(vnode, hi_now.max(off + len));
+            }
+            Ok(len)
+        })
+    }
+
+    fn getattr<'a>(&'a self, env: &'a KEnv, vnode: VnodeId) -> FsFuture<'a, SysResult<FileAttr>> {
+        Box::pin(self.getattr_cached(env, vnode))
+    }
+
+    fn unlink<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<()>> {
+        Box::pin(async move {
             let (dir, name) = Self::split_parent(path)?;
-            let dir_fh = self.fh_for(env, dir)?;
-            let reply = self.rpc(
+            let dir_fh = self.fh_for(env, dir).await?;
+            self.rpc(
                 env,
-                NfsCall::Create {
+                NfsCall::Remove {
                     dir: dir_fh,
                     name: name.to_string(),
-                    exclusive: flags.exclusive,
                 },
                 0,
-            )?;
-            match reply {
+            )
+            .await?;
+            let mut st = self.state.lock();
+            if let Some(fh) = st
+                .dnlc
+                .remove(&format!("{}/{}", dir.trim_end_matches('/'), name))
+            {
+                st.attrs.remove(&fh);
+                st.data_hi.remove(&fh);
+            }
+            Ok(())
+        })
+    }
+
+    fn mkdir<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<()>> {
+        Box::pin(async move {
+            let (dir, name) = Self::split_parent(path)?;
+            let dir_fh = self.fh_for(env, dir).await?;
+            match self
+                .rpc(
+                    env,
+                    NfsCall::Mkdir {
+                        dir: dir_fh,
+                        name: name.to_string(),
+                    },
+                    0,
+                )
+                .await?
+            {
                 NfsReply::Handle { fh, attr } => {
-                    let mut st = self.state.lock();
-                    st.dnlc
+                    self.state
+                        .lock()
+                        .dnlc
                         .insert(format!("{}/{}", dir.trim_end_matches('/'), name), fh);
-                    st.data_hi.remove(&fh);
-                    st.data_order.retain(|f| *f != fh);
-                    drop(st);
                     self.store_attr(fh, attr);
-                    Ok(fh)
+                    Ok(())
                 }
                 _ => Err(Errno::EIO),
             }
-        } else {
-            let fh = self.fh_for(env, path)?;
-            // Close-to-open consistency: every open revalidates the
-            // attributes at the server, whatever the attribute cache says.
-            let is_dir = match self.rpc(env, NfsCall::Getattr { fh }, 0)? {
-                NfsReply::Attr(attr) => {
-                    self.store_attr(fh, attr);
-                    attr.is_dir
-                }
-                _ => return Err(Errno::EIO),
-            };
-            if is_dir && flags.write {
-                return Err(Errno::EISDIR);
-            }
-            if flags.truncate {
-                let (dir, name) = Self::split_parent(path)?;
-                let dir_fh = self.fh_for(env, dir)?;
-                self.rpc(
-                    env,
-                    NfsCall::Create {
-                        dir: dir_fh,
-                        name: name.to_string(),
-                        exclusive: false,
-                    },
-                    0,
-                )?;
-                self.state.lock().data_hi.remove(&fh);
-            }
-            Ok(fh)
-        }
+        })
     }
 
-    fn read(&self, env: &KEnv, vnode: VnodeId, off: u64, len: u64) -> SysResult<u64> {
-        let attr = self.getattr_cached(env, vnode)?;
-        if attr.is_dir {
-            return Err(Errno::EISDIR);
-        }
-        let size = attr.size;
-        if off >= size {
-            env.sim.charge(Cycles(self.params.cache_hit_cy));
-            return Ok(0);
-        }
-        let n = len.min(size - off);
-        let cached_hi = self.state.lock().data_hi.get(&vnode).copied().unwrap_or(0);
-        if off + n <= cached_hi {
-            // Served from the client's data cache.
-            env.sim
-                .charge(Cycles(self.params.cache_hit_cy) + copyin_out(n));
-            return Ok(n);
-        }
-        let mut done = 0;
-        while done < n {
-            let chunk = (n - done).min(self.params.rsize);
-            match self.rpc(
+    fn rmdir<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<()>> {
+        Box::pin(async move {
+            let (dir, name) = Self::split_parent(path)?;
+            let dir_fh = self.fh_for(env, dir).await?;
+            self.rpc(
                 env,
-                NfsCall::Read {
-                    fh: vnode,
-                    off: off + done,
-                    len: chunk,
+                NfsCall::Rmdir {
+                    dir: dir_fh,
+                    name: name.to_string(),
                 },
                 0,
-            )? {
-                NfsReply::Data { len: got } => {
-                    env.sim.charge(copyin_out(got));
-                    done += got;
-                    if got < chunk {
-                        break;
-                    }
-                }
-                _ => return Err(Errno::EIO),
-            }
-        }
-        let hi_now = self.state.lock().data_hi.get(&vnode).copied().unwrap_or(0);
-        if off <= hi_now {
-            self.mark_cached(vnode, hi_now.max(off + done));
-        }
-        Ok(done)
-    }
-
-    fn write(&self, env: &KEnv, vnode: VnodeId, off: u64, len: u64) -> SysResult<u64> {
-        if self.getattr_cached(env, vnode)?.is_dir {
-            return Err(Errno::EISDIR);
-        }
-        let mut done = 0;
-        while done < len {
-            let chunk = (len - done).min(self.params.wsize);
-            env.sim.charge(copyin_out(chunk));
-            match self.rpc(
-                env,
-                NfsCall::Write {
-                    fh: vnode,
-                    off: off + done,
-                    len: chunk,
-                },
-                chunk,
-            )? {
-                NfsReply::Wrote { len: wrote } => done += wrote,
-                _ => return Err(Errno::EIO),
-            }
-        }
-        let hi_now = {
+            )
+            .await?;
             let mut st = self.state.lock();
-            if let Some(a) = st.attrs.get_mut(&vnode) {
-                a.size = a.size.max(off + len);
+            if let Some(fh) = st
+                .dnlc
+                .remove(&format!("{}/{}", dir.trim_end_matches('/'), name))
+            {
+                st.attrs.remove(&fh);
             }
-            st.data_hi.get(&vnode).copied().unwrap_or(0)
-        };
-        if off <= hi_now {
-            self.mark_cached(vnode, hi_now.max(off + len));
-        }
-        Ok(len)
+            Ok(())
+        })
     }
 
-    fn getattr(&self, env: &KEnv, vnode: VnodeId) -> SysResult<FileAttr> {
-        self.getattr_cached(env, vnode)
-    }
-
-    fn unlink(&self, env: &KEnv, path: &str) -> SysResult<()> {
-        let (dir, name) = Self::split_parent(path)?;
-        let dir_fh = self.fh_for(env, dir)?;
-        self.rpc(
-            env,
-            NfsCall::Remove {
-                dir: dir_fh,
-                name: name.to_string(),
-            },
-            0,
-        )?;
-        let mut st = self.state.lock();
-        if let Some(fh) = st
-            .dnlc
-            .remove(&format!("{}/{}", dir.trim_end_matches('/'), name))
-        {
-            st.attrs.remove(&fh);
-            st.data_hi.remove(&fh);
-        }
-        Ok(())
-    }
-
-    fn mkdir(&self, env: &KEnv, path: &str) -> SysResult<()> {
-        let (dir, name) = Self::split_parent(path)?;
-        let dir_fh = self.fh_for(env, dir)?;
-        match self.rpc(
-            env,
-            NfsCall::Mkdir {
-                dir: dir_fh,
-                name: name.to_string(),
-            },
-            0,
-        )? {
-            NfsReply::Handle { fh, attr } => {
-                self.state
-                    .lock()
-                    .dnlc
-                    .insert(format!("{}/{}", dir.trim_end_matches('/'), name), fh);
-                self.store_attr(fh, attr);
-                Ok(())
+    fn readdir<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<Vec<String>>> {
+        Box::pin(async move {
+            let fh = self.fh_for(env, path).await?;
+            match self.rpc(env, NfsCall::Readdir { dir: fh }, 0).await? {
+                NfsReply::Names(names) => Ok(names),
+                _ => Err(Errno::EIO),
             }
-            _ => Err(Errno::EIO),
-        }
+        })
     }
 
-    fn rmdir(&self, env: &KEnv, path: &str) -> SysResult<()> {
-        let (dir, name) = Self::split_parent(path)?;
-        let dir_fh = self.fh_for(env, dir)?;
-        self.rpc(
-            env,
-            NfsCall::Rmdir {
-                dir: dir_fh,
-                name: name.to_string(),
-            },
-            0,
-        )?;
-        let mut st = self.state.lock();
-        if let Some(fh) = st
-            .dnlc
-            .remove(&format!("{}/{}", dir.trim_end_matches('/'), name))
-        {
-            st.attrs.remove(&fh);
-        }
-        Ok(())
-    }
-
-    fn readdir(&self, env: &KEnv, path: &str) -> SysResult<Vec<String>> {
-        let fh = self.fh_for(env, path)?;
-        match self.rpc(env, NfsCall::Readdir { dir: fh }, 0)? {
-            NfsReply::Names(names) => Ok(names),
-            _ => Err(Errno::EIO),
-        }
-    }
-
-    fn fsync(&self, _env: &KEnv, _vnode: VnodeId) -> SysResult<()> {
+    fn fsync<'a>(&'a self, _env: &'a KEnv, _vnode: VnodeId) -> FsFuture<'a, SysResult<()>> {
         // NFSv2 writes are write-through from the client's perspective.
-        Ok(())
+        Box::pin(async { Ok(()) })
     }
 
-    fn sync(&self, _env: &KEnv) {}
-
-    fn rename(&self, env: &KEnv, from: &str, to: &str) -> SysResult<()> {
-        let (from_dir, from_name) = Self::split_parent(from)?;
-        let (to_dir, to_name) = Self::split_parent(to)?;
-        let from_fh = self.fh_for(env, from_dir)?;
-        let to_fh = self.fh_for(env, to_dir)?;
-        self.rpc(
-            env,
-            NfsCall::Rename {
-                from_dir: from_fh,
-                from_name: from_name.to_string(),
-                to_dir: to_fh,
-                to_name: to_name.to_string(),
-            },
-            0,
-        )?;
-        let mut st = self.state.lock();
-        let from_key = format!("{}/{}", from_dir.trim_end_matches('/'), from_name);
-        let to_key = format!("{}/{}", to_dir.trim_end_matches('/'), to_name);
-        // The target's old identity (if any) is gone; the source's handle
-        // moves to the target name.
-        if let Some(clobbered) = st.dnlc.remove(&to_key) {
-            st.attrs.remove(&clobbered);
-            st.data_hi.remove(&clobbered);
-        }
-        if let Some(fh) = st.dnlc.remove(&from_key) {
-            st.dnlc.insert(to_key, fh);
-        }
-        Ok(())
+    fn sync<'a>(&'a self, _env: &'a KEnv) -> FsFuture<'a, ()> {
+        Box::pin(async {})
     }
 
-    fn release(&self, env: &KEnv, vnode: VnodeId) {
-        if self.params.close_commit {
-            // Solaris flushes the file's state on close; against a
-            // spec-compliant server this commits the inode to disk.
-            let _ = self.rpc(
+    fn rename<'a>(
+        &'a self,
+        env: &'a KEnv,
+        from: &'a str,
+        to: &'a str,
+    ) -> FsFuture<'a, SysResult<()>> {
+        Box::pin(async move {
+            let (from_dir, from_name) = Self::split_parent(from)?;
+            let (to_dir, to_name) = Self::split_parent(to)?;
+            let from_fh = self.fh_for(env, from_dir).await?;
+            let to_fh = self.fh_for(env, to_dir).await?;
+            self.rpc(
                 env,
-                NfsCall::Write {
-                    fh: vnode,
-                    off: 0,
-                    len: 0,
+                NfsCall::Rename {
+                    from_dir: from_fh,
+                    from_name: from_name.to_string(),
+                    to_dir: to_fh,
+                    to_name: to_name.to_string(),
                 },
                 0,
-            );
-        }
+            )
+            .await?;
+            let mut st = self.state.lock();
+            let from_key = format!("{}/{}", from_dir.trim_end_matches('/'), from_name);
+            let to_key = format!("{}/{}", to_dir.trim_end_matches('/'), to_name);
+            // The target's old identity (if any) is gone; the source's handle
+            // moves to the target name.
+            if let Some(clobbered) = st.dnlc.remove(&to_key) {
+                st.attrs.remove(&clobbered);
+                st.data_hi.remove(&clobbered);
+            }
+            if let Some(fh) = st.dnlc.remove(&from_key) {
+                st.dnlc.insert(to_key, fh);
+            }
+            Ok(())
+        })
+    }
+
+    fn release<'a>(&'a self, env: &'a KEnv, vnode: VnodeId) -> FsFuture<'a, ()> {
+        Box::pin(async move {
+            if self.params.close_commit {
+                // Solaris flushes the file's state on close; against a
+                // spec-compliant server this commits the inode to disk.
+                let _ = self
+                    .rpc(
+                        env,
+                        NfsCall::Write {
+                            fh: vnode,
+                            off: 0,
+                            len: 0,
+                        },
+                        0,
+                    )
+                    .await;
+            }
+        })
     }
 }
 
 impl NfsClient {
-    fn getattr_cached(&self, env: &KEnv, vnode: VnodeId) -> SysResult<FileAttr> {
+    async fn getattr_cached(&self, env: &KEnv, vnode: VnodeId) -> SysResult<FileAttr> {
         if self.params.attr_cache {
             if let Some(a) = self.state.lock().attrs.get(&vnode) {
                 env.sim.charge(Cycles(self.params.cache_hit_cy));
                 return Ok(*a);
             }
         }
-        match self.rpc(env, NfsCall::Getattr { fh: vnode }, 0)? {
+        match self.rpc(env, NfsCall::Getattr { fh: vnode }, 0).await? {
             NfsReply::Attr(attr) => {
                 let a = FileAttr {
                     vnode,

@@ -121,13 +121,13 @@ pub fn serve(
     }));
     let st2 = state.clone();
     let env = kernel.env().clone();
-    kernel.spawn_user("nfsd", move |_p| {
-        server_loop(&env, &sock, &fs, &st2, config);
+    kernel.spawn_user("nfsd", move |_| async move {
+        server_loop(&env, &sock, &fs, &st2, config).await;
     });
     Ok(NfsServer { addr, state })
 }
 
-fn server_loop(
+async fn server_loop(
     env: &KEnv,
     sock: &UdpSocket,
     fs: &Arc<dyn Filesystem>,
@@ -135,13 +135,13 @@ fn server_loop(
     config: NfsServerConfig,
 ) {
     // Register the export root.
-    let root = match fs.lookup(env, "/") {
+    let root = match fs.lookup(env, "/").await {
         Ok(v) => v,
         Err(_) => return,
     };
     state.lock().paths.insert(root, String::new());
     loop {
-        let pkt = match sock.recv() {
+        let pkt = match sock.recv().await {
             Ok(Some(pkt)) => pkt,
             Ok(None) | Err(_) => return,
         };
@@ -178,7 +178,7 @@ fn server_loop(
         if let Some((bytes, pad)) = replay {
             state.lock().stats.dup_hits += 1;
             if !env.sim.faults().rpc_reply_drop() {
-                let _ = sock.send_padded(pkt.from, bytes, pad);
+                let _ = sock.send_padded(pkt.from, bytes, pad).await;
             }
             continue;
         }
@@ -191,7 +191,9 @@ fn server_loop(
                 _ => {}
             }
         }
-        let (reply, pad) = handle(env, fs, state, root, &req.call, config);
+        let (reply, pad) = execute(env, fs, state, root, &req.call, config)
+            .await
+            .unwrap_or_else(|e| (NfsReply::Error(e), 0));
         let bytes = RpcReply {
             xid: req.xid,
             reply,
@@ -210,7 +212,7 @@ fn server_loop(
         // above, or non-idempotent calls (REMOVE, CREATE) would fail on
         // replay. This is the case the cache exists for.
         if !env.sim.faults().rpc_reply_drop() {
-            let _ = sock.send_padded(pkt.from, bytes, pad);
+            let _ = sock.send_padded(pkt.from, bytes, pad).await;
         }
         if shutdown {
             return;
@@ -232,24 +234,26 @@ fn child_path(state: &Mutex<ServerState>, dir: Fh, name: &str) -> SysResult<Stri
     Ok(format!("{parent}/{name}"))
 }
 
-fn handle(
+/// Executes one call against the exported filesystem; returns the reply
+/// and its datagram padding.
+async fn execute(
     env: &KEnv,
     fs: &Arc<dyn Filesystem>,
     state: &Arc<Mutex<ServerState>>,
     root: Fh,
     call: &NfsCall,
     config: NfsServerConfig,
-) -> (NfsReply, u64) {
-    let result: SysResult<(NfsReply, u64)> = (|| match call {
+) -> SysResult<(NfsReply, u64)> {
+    match call {
         NfsCall::Null | NfsCall::Shutdown => Ok((NfsReply::Ok, 0)),
         NfsCall::Getattr { fh } => {
-            let attr = fs.getattr(env, *fh)?;
+            let attr = fs.getattr(env, *fh).await?;
             Ok((NfsReply::Attr(wire_attr(attr)), 0))
         }
         NfsCall::Lookup { dir, name } => {
             // The mount convention: LOOKUP(0, "") answers the root handle.
             if *dir == 0 && name.is_empty() {
-                let attr = fs.getattr(env, root)?;
+                let attr = fs.getattr(env, root).await?;
                 return Ok((
                     NfsReply::Handle {
                         fh: root,
@@ -259,8 +263,8 @@ fn handle(
                 ));
             }
             let path = child_path(state, *dir, name)?;
-            let fh = fs.lookup(env, &path)?;
-            let attr = fs.getattr(env, fh)?;
+            let fh = fs.lookup(env, &path).await?;
+            let attr = fs.getattr(env, fh).await?;
             state.lock().paths.insert(fh, path);
             Ok((
                 NfsReply::Handle {
@@ -271,13 +275,13 @@ fn handle(
             ))
         }
         NfsCall::Read { fh, off, len } => {
-            let n = fs.read(env, *fh, *off, *len)?;
+            let n = fs.read(env, *fh, *off, *len).await?;
             Ok((NfsReply::Data { len: n }, n))
         }
         NfsCall::Write { fh, off, len } => {
-            let n = fs.write(env, *fh, *off, *len)?;
+            let n = fs.write(env, *fh, *off, *len).await?;
             if config.sync_writes {
-                fs.fsync(env, *fh)?;
+                fs.fsync(env, *fh).await?;
             }
             Ok((NfsReply::Wrote { len: n }, 0))
         }
@@ -291,8 +295,8 @@ fn handle(
                 exclusive: *exclusive,
                 ..OpenFlags::creat()
             };
-            let fh = fs.open(env, &path, flags)?;
-            let attr = fs.getattr(env, fh)?;
+            let fh = fs.open(env, &path, flags).await?;
+            let attr = fs.getattr(env, fh).await?;
             state.lock().paths.insert(fh, path);
             Ok((
                 NfsReply::Handle {
@@ -304,14 +308,14 @@ fn handle(
         }
         NfsCall::Remove { dir, name } => {
             let path = child_path(state, *dir, name)?;
-            fs.unlink(env, &path)?;
+            fs.unlink(env, &path).await?;
             Ok((NfsReply::Ok, 0))
         }
         NfsCall::Mkdir { dir, name } => {
             let path = child_path(state, *dir, name)?;
-            fs.mkdir(env, &path)?;
-            let fh = fs.lookup(env, &path)?;
-            let attr = fs.getattr(env, fh)?;
+            fs.mkdir(env, &path).await?;
+            let fh = fs.lookup(env, &path).await?;
+            let attr = fs.getattr(env, fh).await?;
             state.lock().paths.insert(fh, path);
             Ok((
                 NfsReply::Handle {
@@ -323,7 +327,7 @@ fn handle(
         }
         NfsCall::Rmdir { dir, name } => {
             let path = child_path(state, *dir, name)?;
-            fs.rmdir(env, &path)?;
+            fs.rmdir(env, &path).await?;
             Ok((NfsReply::Ok, 0))
         }
         NfsCall::Rename {
@@ -334,7 +338,7 @@ fn handle(
         } => {
             let from = child_path(state, *from_dir, from_name)?;
             let to = child_path(state, *to_dir, to_name)?;
-            fs.rename(env, &from, &to)?;
+            fs.rename(env, &from, &to).await?;
             // The moved object's handle (if cached) now maps to `to`.
             let mut st = state.lock();
             let moved: Vec<Fh> = st
@@ -350,12 +354,10 @@ fn handle(
         }
         NfsCall::Readdir { dir } => {
             let path = state.lock().paths.get(dir).cloned().ok_or(Errno::EBADF)?;
-            let names = fs.readdir(env, if path.is_empty() { "/" } else { &path })?;
+            let names = fs
+                .readdir(env, if path.is_empty() { "/" } else { &path })
+                .await?;
             Ok((NfsReply::Names(names), 0))
         }
-    })();
-    match result {
-        Ok(ok) => ok,
-        Err(e) => (NfsReply::Error(e), 0),
     }
 }

@@ -5,6 +5,7 @@
 //! loss must surface as `ETIMEDOUT` after the retries are exhausted,
 //! and the whole circus must be byte-deterministic per seed.
 
+use std::future::Future;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -46,42 +47,49 @@ fn rig(faults: FaultProfile, seed: u64) -> Rig {
     }
 }
 
-fn run_client(rig: &Rig, f: impl FnOnce(&UProc) + Send + 'static) {
-    rig.client_kernel.spawn_user("client", move |p| {
-        f(&p);
-        p.sim().stop();
+fn run_client<Fut>(rig: &Rig, f: impl FnOnce(UProc) -> Fut + Send + 'static)
+where
+    Fut: Future<Output = ()> + Send + 'static,
+{
+    rig.client_kernel.spawn_user("client", move |p| async move {
+        let sim = p.sim().clone();
+        f(p).await;
+        sim.stop();
     });
     let _ = rig.sim.run().unwrap();
 }
 
 /// A small non-idempotent workload; returns every observable outcome so
 /// determinism tests can compare whole runs.
-fn workload(p: &UProc) -> Vec<String> {
+async fn workload(p: &UProc) -> Vec<String> {
     let mut out = Vec::new();
-    out.push(format!("{:?}", p.mkdir("/d").err()));
+    out.push(format!("{:?}", p.mkdir("/d").await.err()));
     for i in 0..6 {
-        let fd = p.creat(&format!("/d/f{i}")).unwrap();
-        out.push(format!("{:?}", p.write(fd, 20_000)));
-        p.close(fd).unwrap();
+        let fd = p.creat(&format!("/d/f{i}")).await.unwrap();
+        out.push(format!("{:?}", p.write(fd, 20_000).await));
+        p.close(fd).await.unwrap();
     }
     for i in 0..6 {
-        let fd = p.open(&format!("/d/f{i}"), OpenFlags::rdonly()).unwrap();
+        let fd = p
+            .open(&format!("/d/f{i}"), OpenFlags::rdonly())
+            .await
+            .unwrap();
         let mut total = 0;
         loop {
-            let n = p.read(fd, 8192).unwrap();
+            let n = p.read(fd, 8192).await.unwrap();
             if n == 0 {
                 break;
             }
             total += n;
         }
         out.push(format!("f{i}={total}"));
-        p.close(fd).unwrap();
+        p.close(fd).await.unwrap();
     }
     for i in 0..6 {
-        out.push(format!("{:?}", p.unlink(&format!("/d/f{i}")).err()));
+        out.push(format!("{:?}", p.unlink(&format!("/d/f{i}")).await.err()));
     }
-    out.push(format!("{:?}", p.rmdir("/d").err()));
-    out.push(format!("{:?}", p.stat("/d").err()));
+    out.push(format!("{:?}", p.rmdir("/d").await.err()));
+    out.push(format!("{:?}", p.stat("/d").await.err()));
     out
 }
 
@@ -98,8 +106,8 @@ fn injected_request_loss_retransmits_until_it_lands() {
     );
     let out = Arc::new(Mutex::new(Vec::new()));
     let o2 = out.clone();
-    run_client(&r, move |p| {
-        *o2.lock() = workload(p);
+    run_client(&r, move |p| async move {
+        *o2.lock() = workload(&p).await;
     });
     assert!(
         r.mount.retransmits() > 0,
@@ -130,8 +138,8 @@ fn injected_reply_loss_exercises_the_dup_cache() {
     );
     let out = Arc::new(Mutex::new(Vec::new()));
     let o2 = out.clone();
-    run_client(&r, move |p| {
-        *o2.lock() = workload(p);
+    run_client(&r, move |p| async move {
+        *o2.lock() = workload(&p).await;
     });
     assert!(r.mount.retransmits() > 0, "lost replies look like timeouts");
     assert!(
@@ -160,8 +168,8 @@ fn total_reply_loss_times_out_with_etimedout() {
     );
     let err = Arc::new(Mutex::new(None));
     let e2 = err.clone();
-    run_client(&r, move |p| {
-        *e2.lock() = p.stat("/anything").err();
+    run_client(&r, move |p| async move {
+        *e2.lock() = p.stat("/anything").await.err();
     });
     assert_eq!(*err.lock(), Some(Errno::ETIMEDOUT));
     assert!(
@@ -179,9 +187,9 @@ fn lossy_runs_are_deterministic_per_seed() {
         let r = rig(FaultProfile::lossy(), seed);
         let out = Arc::new(Mutex::new((Vec::new(), 0.0f64)));
         let o2 = out.clone();
-        run_client(&r, move |p| {
+        run_client(&r, move |p| async move {
             let t0 = p.sim().now();
-            let script = workload(p);
+            let script = workload(&p).await;
             *o2.lock() = (script, (p.sim().now() - t0).as_secs());
         });
         let (script, secs) = out.lock().clone();

@@ -2,6 +2,7 @@
 //! vanish; the client's retransmission (same xid, doubling timeout) and
 //! the server's duplicate-request cache must keep the semantics exact.
 
+use std::future::Future;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -49,10 +50,14 @@ fn rig(loss: f64, seed: u64) -> Rig {
     }
 }
 
-fn run_client(rig: &Rig, f: impl FnOnce(&UProc) + Send + 'static) {
-    rig.client_kernel.spawn_user("client", move |p| {
-        f(&p);
-        p.sim().stop();
+fn run_client<Fut>(rig: &Rig, f: impl FnOnce(UProc) -> Fut + Send + 'static)
+where
+    Fut: Future<Output = ()> + Send + 'static,
+{
+    rig.client_kernel.spawn_user("client", move |p| async move {
+        let sim = p.sim().clone();
+        f(p).await;
+        sim.stop();
     });
     let _ = rig.sim.run().unwrap();
 }
@@ -60,34 +65,37 @@ fn run_client(rig: &Rig, f: impl FnOnce(&UProc) + Send + 'static) {
 #[test]
 fn workload_survives_ten_percent_loss() {
     let r = rig(0.10, 42);
-    run_client(&r, |p| {
-        p.mkdir("/d").unwrap();
+    run_client(&r, |p| async move {
+        p.mkdir("/d").await.unwrap();
         for i in 0..8 {
-            let fd = p.creat(&format!("/d/f{i}")).unwrap();
-            p.write(fd, 12_000).unwrap();
-            p.close(fd).unwrap();
+            let fd = p.creat(&format!("/d/f{i}")).await.unwrap();
+            p.write(fd, 12_000).await.unwrap();
+            p.close(fd).await.unwrap();
         }
         for i in 0..8 {
-            let fd = p.open(&format!("/d/f{i}"), OpenFlags::rdonly()).unwrap();
+            let fd = p
+                .open(&format!("/d/f{i}"), OpenFlags::rdonly())
+                .await
+                .unwrap();
             let mut total = 0;
             loop {
-                let n = p.read(fd, 8192).unwrap();
+                let n = p.read(fd, 8192).await.unwrap();
                 if n == 0 {
                     break;
                 }
                 total += n;
             }
             assert_eq!(total, 12_000, "file f{i} intact despite loss");
-            p.close(fd).unwrap();
+            p.close(fd).await.unwrap();
         }
-        let mut names = p.readdir("/d").unwrap();
+        let mut names = p.readdir("/d").await.unwrap();
         names.sort();
         assert_eq!(names.len(), 8);
         for i in 0..8 {
-            p.unlink(&format!("/d/f{i}")).unwrap();
+            p.unlink(&format!("/d/f{i}")).await.unwrap();
         }
-        p.rmdir("/d").unwrap();
-        assert_eq!(p.stat("/d").err(), Some(Errno::ENOENT));
+        p.rmdir("/d").await.unwrap();
+        assert_eq!(p.stat("/d").await.err(), Some(Errno::ENOENT));
     });
     assert!(r.net.dropped_frames() > 0, "the wire really was lossy");
     assert!(r.mount.retransmits() > 0, "the client really retransmitted");
@@ -96,10 +104,10 @@ fn workload_survives_ten_percent_loss() {
 #[test]
 fn lossless_wire_never_retransmits() {
     let r = rig(0.0, 1);
-    run_client(&r, |p| {
-        let fd = p.creat("/f").unwrap();
-        p.write(fd, 64 * 1024).unwrap();
-        p.close(fd).unwrap();
+    run_client(&r, |p| async move {
+        let fd = p.creat("/f").await.unwrap();
+        p.write(fd, 64 * 1024).await.unwrap();
+        p.close(fd).await.unwrap();
     });
     assert_eq!(r.net.dropped_frames(), 0);
     assert_eq!(r.mount.retransmits(), 0);
@@ -112,12 +120,12 @@ fn loss_costs_time_but_not_correctness() {
         let r = rig(loss, 7);
         let t = Arc::new(Mutex::new(0.0f64));
         let t2 = t.clone();
-        run_client(&r, move |p| {
+        run_client(&r, move |p| async move {
             let t0 = p.sim().now();
-            let fd = p.creat("/f").unwrap();
-            p.write(fd, 128 * 1024).unwrap();
-            p.close(fd).unwrap();
-            assert_eq!(p.stat("/f").unwrap().size, 128 * 1024);
+            let fd = p.creat("/f").await.unwrap();
+            p.write(fd, 128 * 1024).await.unwrap();
+            p.close(fd).await.unwrap();
+            assert_eq!(p.stat("/f").await.unwrap().size, 128 * 1024);
             *t2.lock() = (p.sim().now() - t0).as_secs();
         });
         let v = *t.lock();
@@ -140,17 +148,17 @@ fn duplicate_request_cache_replays_nonidempotent_ops() {
     let kernel = r.client_kernel.clone();
     let server_addr = r.server.addr();
     let host = r.client_host;
-    run_client(&r, move |p| {
+    run_client(&r, move |p| async move {
         // Create a file through the normal mount.
-        let fd = p.creat("/victim").unwrap();
-        p.close(fd).unwrap();
+        let fd = p.creat("/victim").await.unwrap();
+        p.close(fd).await.unwrap();
         // Speak raw RPC: look the file up, remove it, then replay the
         // identical REMOVE datagram (same xid).
-        let sock = UdpSocket::bind(&net, &kernel, host, 900).unwrap();
-        let rpc = |call: NfsCall, xid: u32| {
+        let sock = &UdpSocket::bind(&net, &kernel, host, 900).unwrap();
+        let rpc = move |call: NfsCall, xid: u32| async move {
             let req = RpcRequest { xid, call };
-            sock.send_to(server_addr, req.encode()).unwrap();
-            let pkt = sock.recv().unwrap().unwrap();
+            sock.send_to(server_addr, req.encode()).await.unwrap();
+            let pkt = sock.recv().await.unwrap().unwrap();
             RpcReply::decode(&pkt.data).unwrap()
         };
         let root = match rpc(
@@ -160,6 +168,7 @@ fn duplicate_request_cache_replays_nonidempotent_ops() {
             },
             1,
         )
+        .await
         .reply
         {
             NfsReply::Handle { fh, .. } => fh,
@@ -171,7 +180,8 @@ fn duplicate_request_cache_replays_nonidempotent_ops() {
                 name: "victim".into(),
             },
             2,
-        );
+        )
+        .await;
         assert_eq!(first.reply, NfsReply::Ok);
         // The "retransmission": byte-identical request, same xid.
         let replay = rpc(
@@ -180,7 +190,8 @@ fn duplicate_request_cache_replays_nonidempotent_ops() {
                 name: "victim".into(),
             },
             2,
-        );
+        )
+        .await;
         assert_eq!(
             replay.reply,
             NfsReply::Ok,
@@ -193,7 +204,8 @@ fn duplicate_request_cache_replays_nonidempotent_ops() {
                 name: "victim".into(),
             },
             3,
-        );
+        )
+        .await;
         assert_eq!(fresh.reply, NfsReply::Error(Errno::ENOENT));
     });
     assert_eq!(r.server.stats().dup_hits, 1);
@@ -204,23 +216,23 @@ fn duplicate_request_cache_replays_nonidempotent_ops() {
 fn oracle_semantics_hold_under_loss() {
     // The same op script on a clean and a lossy wire observes identical
     // results (only the clock differs).
-    let script = |p: &UProc| -> Vec<String> {
+    let script = |p: UProc| async move {
         let mut out = Vec::new();
-        out.push(format!("{:?}", p.mkdir("/a").err()));
-        let fd = p.creat("/a/x").unwrap();
-        out.push(format!("{:?}", p.write(fd, 30_000)));
-        p.close(fd).unwrap();
-        out.push(format!("{:?}", p.stat("/a/x").map(|a| a.size)));
-        out.push(format!("{:?}", p.unlink("/a/x").err()));
-        out.push(format!("{:?}", p.unlink("/a/x").err()));
+        out.push(format!("{:?}", p.mkdir("/a").await.err()));
+        let fd = p.creat("/a/x").await.unwrap();
+        out.push(format!("{:?}", p.write(fd, 30_000).await));
+        p.close(fd).await.unwrap();
+        out.push(format!("{:?}", p.stat("/a/x").await.map(|a| a.size)));
+        out.push(format!("{:?}", p.unlink("/a/x").await.err()));
+        out.push(format!("{:?}", p.unlink("/a/x").await.err()));
         out
     };
     let run = |loss: f64| {
         let r = rig(loss, 11);
         let out = Arc::new(Mutex::new(Vec::new()));
         let o2 = out.clone();
-        run_client(&r, move |p| {
-            *o2.lock() = script(p);
+        run_client(&r, move |p| async move {
+            *o2.lock() = script(p).await;
         });
         let v = out.lock().clone();
         v

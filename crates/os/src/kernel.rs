@@ -241,55 +241,30 @@ impl Kernel {
     }
 
     /// Spawns the first process of a program (no fork cost charged; think
-    /// of it as already running when the benchmark starts).
-    pub fn spawn_user<F>(&self, name: impl Into<String>, f: F) -> Pid
-    where
-        F: FnOnce(UProc) + Send + 'static,
-    {
-        let kernel = self.clone();
-        self.spawn_internal(name.into(), move |sim, name, tag| {
-            sim.spawn_tagged(name, tag, move |s| {
-                let pid = s.current();
-                f(UProc {
-                    kernel: kernel.clone(),
-                    pid,
-                });
-                kernel.on_proc_exit(pid);
-            })
-        })
-    }
-
-    /// [`Kernel::spawn_user`] for a program written as a future: the
-    /// process runs as an engine task (see `Sim::spawn_task`), so its
-    /// syscalls must be the async forms wherever they can block.
-    pub fn spawn_user_task<F, Fut>(&self, name: impl Into<String>, f: F) -> Pid
+    /// of it as already running when the benchmark starts). The program
+    /// is a future run as an engine task (see `Sim::spawn_task`).
+    pub fn spawn_user<F, Fut>(&self, name: impl Into<String>, f: F) -> Pid
     where
         F: FnOnce(UProc) -> Fut + Send + 'static,
         Fut: Future<Output = ()> + Send + 'static,
     {
+        let exit_q = self.sim().new_queue();
+        self.inner.tasks.fetch_add(1, Ordering::Relaxed);
         let kernel = self.clone();
-        self.spawn_internal(name.into(), move |sim, name, tag| {
-            sim.spawn_task_tagged(name, tag, move |s| async move {
+        // The process entry must exist before the child can run; we create
+        // it after spawning, guarded by the fact that the spawned process
+        // cannot run until this (currently running) code blocks.
+        let tid = self
+            .sim()
+            .spawn_task_tagged(name, self.inner.tag, move |s| async move {
                 let pid = s.current();
                 f(UProc {
                     kernel: kernel.clone(),
                     pid,
                 })
                 .await;
-                kernel.on_proc_exit(pid);
-            })
-        })
-    }
-
-    /// Registers a process that `spawn` creates on the engine, given the
-    /// simulation, the process name and this machine's run-policy tag.
-    fn spawn_internal(&self, name: String, spawn: impl FnOnce(&Sim, String, u32) -> Pid) -> Pid {
-        let exit_q = self.sim().new_queue();
-        self.inner.tasks.fetch_add(1, Ordering::Relaxed);
-        // The process entry must exist before the child can run; we create
-        // it after spawning, guarded by the fact that the spawned process
-        // cannot run until this (currently running) code blocks.
-        let tid = spawn(self.sim(), name, self.inner.tag);
+                kernel.on_proc_exit(pid).await;
+            });
         self.inner.procs.lock().insert(
             tid,
             ProcEntry {
@@ -301,7 +276,7 @@ impl Kernel {
         tid
     }
 
-    fn on_proc_exit(&self, pid: Pid) {
+    async fn on_proc_exit(&self, pid: Pid) {
         let files = {
             let mut procs = self.inner.procs.lock();
             let entry = procs.get_mut(&pid).expect("exiting process has no entry");
@@ -309,7 +284,7 @@ impl Kernel {
             entry.fds.drain()
         };
         for file in files {
-            self.release_file(file);
+            self.release_file(file).await;
         }
         self.inner.tasks.fetch_sub(1, Ordering::Relaxed);
         let q = self.inner.procs.lock().get(&pid).map(|e| e.exit_q);
@@ -318,14 +293,14 @@ impl Kernel {
         }
     }
 
-    fn release_file(&self, file: Arc<File>) {
+    async fn release_file(&self, file: Arc<File>) {
         if !file.drop_ref() {
             return;
         }
         match &file.obj {
             FileObj::PipeRead(p) => p.close_reader(self.sim()),
             FileObj::PipeWrite(p) => p.close_writer(self.sim()),
-            FileObj::Vnode { fs, vnode, .. } => fs.release(self.env(), *vnode),
+            FileObj::Vnode { fs, vnode, .. } => fs.release(self.env(), *vnode).await,
             FileObj::Null => {}
         }
     }
@@ -337,6 +312,7 @@ impl Kernel {
 }
 
 /// A user process: the syscall interface the benchmarks program against.
+/// Every call that can block is async.
 pub struct UProc {
     kernel: Kernel,
     pid: Pid,
@@ -394,28 +370,14 @@ impl UProc {
         self.sim().proc_cpu(self.pid)
     }
 
-    /// `fork(2)`, spawn-style: the child runs `f` with its own [`UProc`].
-    /// The child inherits (shares) the parent's descriptor table entries.
-    pub fn fork<F>(&self, name: impl Into<String>, f: F) -> Pid
-    where
-        F: FnOnce(UProc) + Send + 'static,
-    {
-        self.fork_with(|k| k.spawn_user(name, f))
-    }
-
-    /// [`UProc::fork`] with the child as a task: `f` returns the child's
-    /// body as a future (see [`Kernel::spawn_user_task`]).
-    pub fn fork_task<F, Fut>(&self, name: impl Into<String>, f: F) -> Pid
+    /// `fork(2)`, spawn-style: the child runs the future `f` returns,
+    /// with its own [`UProc`] (see [`Kernel::spawn_user`]). The child
+    /// inherits (shares) the parent's descriptor table entries.
+    pub fn fork<F, Fut>(&self, name: impl Into<String>, f: F) -> Pid
     where
         F: FnOnce(UProc) -> Fut + Send + 'static,
         Fut: Future<Output = ()> + Send + 'static,
     {
-        self.fork_with(|k| k.spawn_user_task(name, f))
-    }
-
-    /// Charges the fork, spawns the child with `spawn`, and hands it a
-    /// copy of this process's descriptor table.
-    fn fork_with(&self, spawn: impl FnOnce(&Kernel) -> Pid) -> Pid {
         self.kernel.count(Counter::Syscalls);
         self.kernel.count(Counter::Forks);
         let c = self.kernel.costs();
@@ -424,7 +386,7 @@ impl UProc {
             self.sim().charge(Cycles(c.trap_cy + c.fork_cy));
         }
         let child_fds = self.kernel.with_proc(self.pid, |e| e.fds.fork_clone());
-        let pid = spawn(&self.kernel);
+        let pid = self.kernel.spawn_user(name, f);
         self.kernel.with_proc(pid, |e| e.fds = child_fds);
         pid
     }
@@ -440,12 +402,7 @@ impl UProc {
     }
 
     /// `waitpid(2)`: blocks until the child exits.
-    pub fn waitpid(&self, child: Pid) {
-        self.sim().block_on(self.waitpid_async(child))
-    }
-
-    /// The async form of [`UProc::waitpid`].
-    pub async fn waitpid_async(&self, child: Pid) {
+    pub async fn waitpid(&self, child: Pid) {
         self.charge_syscall();
         loop {
             let (exited, q) = {
@@ -476,11 +433,11 @@ impl UProc {
         })
     }
 
-    /// `close(2)`.
-    pub fn close(&self, fd: Fd) -> SysResult<()> {
+    /// `close(2)`. Closing the last descriptor of an NFS file may RPC.
+    pub async fn close(&self, fd: Fd) -> SysResult<()> {
         self.charge_syscall();
         let file = self.kernel.with_proc(self.pid, |e| e.fds.remove(fd))?;
-        self.kernel.release_file(file);
+        self.kernel.release_file(file).await;
         Ok(())
     }
 
@@ -498,67 +455,47 @@ impl UProc {
         self.kernel.with_proc(self.pid, |e| e.fds.get(fd))
     }
 
-    /// `write(2)` of `len` modelled bytes (content zeros).
-    pub fn write(&self, fd: Fd, len: u64) -> SysResult<u64> {
-        self.sim().block_on(self.write_async(fd, len))
-    }
-
-    /// The async form of [`UProc::write`]. Only a pipe write is async so
-    /// far; a file write still blocks through the sync filesystem.
-    pub async fn write_async(&self, fd: Fd, len: u64) -> SysResult<u64> {
+    /// `write(2)` of `len` modelled bytes (content zeros). A pipe write
+    /// allocates no byte buffer.
+    pub async fn write(&self, fd: Fd, len: u64) -> SysResult<u64> {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
             FileObj::PipeWrite(p) => p.write_zeros(self.env(), len).await,
-            FileObj::Vnode { fs, vnode, flags } => {
-                if !flags.write {
-                    return Err(Errno::EBADF);
-                }
-                let off = file.offset();
-                let n = fs.write(self.env(), *vnode, off, len)?;
-                file.set_offset(off + n);
-                Ok(n)
-            }
-            FileObj::Null => Ok(len),
-            FileObj::PipeRead(_) => Err(Errno::EBADF),
+            _ => self.write_file(&file, len).await,
         }
     }
 
     /// `write(2)` of real bytes (pipes preserve them for the reader).
-    pub fn write_bytes(&self, fd: Fd, data: &[u8]) -> SysResult<u64> {
+    pub async fn write_bytes(&self, fd: Fd, data: &[u8]) -> SysResult<u64> {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
-            FileObj::PipeWrite(p) => self.sim().block_on(p.write(self.env(), data)),
-            FileObj::Vnode { .. } | FileObj::Null => self.write_common(&file, data.len() as u64),
-            FileObj::PipeRead(_) => Err(Errno::EBADF),
+            FileObj::PipeWrite(p) => p.write(self.env(), data).await,
+            _ => self.write_file(&file, data.len() as u64).await,
         }
     }
 
-    fn write_common(&self, file: &Arc<File>, len: u64) -> SysResult<u64> {
+    /// The non-pipe half of both writes: `len` bytes at the file offset.
+    async fn write_file(&self, file: &File, len: u64) -> SysResult<u64> {
         match &file.obj {
             FileObj::Vnode { fs, vnode, flags } => {
                 if !flags.write {
                     return Err(Errno::EBADF);
                 }
                 let off = file.offset();
-                let n = fs.write(self.env(), *vnode, off, len)?;
+                let n = fs.write(self.env(), *vnode, off, len).await?;
                 file.set_offset(off + n);
                 Ok(n)
             }
             FileObj::Null => Ok(len),
-            _ => Err(Errno::EBADF),
+            FileObj::PipeRead(_) | FileObj::PipeWrite(_) => Err(Errno::EBADF),
         }
     }
 
-    /// `read(2)` of up to `len` bytes; returns the byte count.
-    pub fn read(&self, fd: Fd, len: u64) -> SysResult<u64> {
-        self.sim().block_on(self.read_async(fd, len))
-    }
-
-    /// The async form of [`UProc::read`]. Only a pipe read is async so
-    /// far; a file read still blocks through the sync filesystem.
-    pub async fn read_async(&self, fd: Fd, len: u64) -> SysResult<u64> {
+    /// `read(2)` of up to `len` bytes; returns the byte count. A pipe
+    /// read allocates no byte buffer.
+    pub async fn read(&self, fd: Fd, len: u64) -> SysResult<u64> {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
@@ -568,7 +505,7 @@ impl UProc {
                     return Err(Errno::EBADF);
                 }
                 let off = file.offset();
-                let n = fs.read(self.env(), *vnode, off, len)?;
+                let n = fs.read(self.env(), *vnode, off, len).await?;
                 file.set_offset(off + n);
                 Ok(n)
             }
@@ -578,64 +515,64 @@ impl UProc {
     }
 
     /// `read(2)` returning the actual bytes (pipes only carry real data).
-    pub fn read_bytes(&self, fd: Fd, len: u64) -> SysResult<Vec<u8>> {
+    pub async fn read_bytes(&self, fd: Fd, len: u64) -> SysResult<Vec<u8>> {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
-            FileObj::PipeRead(p) => self.sim().block_on(p.read(self.env(), len)),
+            FileObj::PipeRead(p) => p.read(self.env(), len).await,
             _ => Err(Errno::EBADF),
         }
     }
 
     /// `open(2)`.
-    pub fn open(&self, path: &str, flags: OpenFlags) -> SysResult<Fd> {
+    pub async fn open(&self, path: &str, flags: OpenFlags) -> SysResult<Fd> {
         self.charge_syscall();
         let (fs, rel) = self.kernel.fs_at(path)?;
-        let vnode = fs.open(self.env(), &rel, flags)?;
+        let vnode = fs.open(self.env(), &rel, flags).await?;
         let file = File::new(FileObj::Vnode { fs, vnode, flags });
         Ok(self.kernel.with_proc(self.pid, |e| e.fds.install(file)))
     }
 
     /// `creat(2)`.
-    pub fn creat(&self, path: &str) -> SysResult<Fd> {
-        self.open(path, OpenFlags::creat())
+    pub async fn creat(&self, path: &str) -> SysResult<Fd> {
+        self.open(path, OpenFlags::creat()).await
     }
 
     /// `unlink(2)`.
-    pub fn unlink(&self, path: &str) -> SysResult<()> {
+    pub async fn unlink(&self, path: &str) -> SysResult<()> {
         self.charge_syscall();
         let (fs, rel) = self.kernel.fs_at(path)?;
-        fs.unlink(self.env(), &rel)
+        fs.unlink(self.env(), &rel).await
     }
 
     /// `mkdir(2)`.
-    pub fn mkdir(&self, path: &str) -> SysResult<()> {
+    pub async fn mkdir(&self, path: &str) -> SysResult<()> {
         self.charge_syscall();
         let (fs, rel) = self.kernel.fs_at(path)?;
-        fs.mkdir(self.env(), &rel)
+        fs.mkdir(self.env(), &rel).await
     }
 
     /// `rmdir(2)`.
-    pub fn rmdir(&self, path: &str) -> SysResult<()> {
+    pub async fn rmdir(&self, path: &str) -> SysResult<()> {
         self.charge_syscall();
         let (fs, rel) = self.kernel.fs_at(path)?;
-        fs.rmdir(self.env(), &rel)
+        fs.rmdir(self.env(), &rel).await
     }
 
     /// `stat(2)`.
-    pub fn stat(&self, path: &str) -> SysResult<FileAttr> {
+    pub async fn stat(&self, path: &str) -> SysResult<FileAttr> {
         self.charge_syscall();
         let (fs, rel) = self.kernel.fs_at(path)?;
-        let vnode = fs.lookup(self.env(), &rel)?;
-        fs.getattr(self.env(), vnode)
+        let vnode = fs.lookup(self.env(), &rel).await?;
+        fs.getattr(self.env(), vnode).await
     }
 
     /// `fstat(2)`.
-    pub fn fstat(&self, fd: Fd) -> SysResult<FileAttr> {
+    pub async fn fstat(&self, fd: Fd) -> SysResult<FileAttr> {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
-            FileObj::Vnode { fs, vnode, .. } => fs.getattr(self.env(), *vnode),
+            FileObj::Vnode { fs, vnode, .. } => fs.getattr(self.env(), *vnode).await,
             _ => Err(Errno::EINVAL),
         }
     }
@@ -654,11 +591,11 @@ impl UProc {
     }
 
     /// `fsync(2)`.
-    pub fn fsync(&self, fd: Fd) -> SysResult<()> {
+    pub async fn fsync(&self, fd: Fd) -> SysResult<()> {
         self.charge_syscall();
         let file = self.file(fd)?;
         match &file.obj {
-            FileObj::Vnode { fs, vnode, .. } => fs.fsync(self.env(), *vnode),
+            FileObj::Vnode { fs, vnode, .. } => fs.fsync(self.env(), *vnode).await,
             _ => Err(Errno::EINVAL),
         }
     }
@@ -668,7 +605,7 @@ impl UProc {
     /// subset. `timeout` of `None` blocks indefinitely; on timeout the
     /// result is empty. The single-process Internet servers of Section 5
     /// are built on exactly this call.
-    pub fn select_read(&self, fds: &[Fd], timeout: Option<Cycles>) -> SysResult<Vec<Fd>> {
+    pub async fn select_read(&self, fds: &[Fd], timeout: Option<Cycles>) -> SysResult<Vec<Fd>> {
         self.charge_syscall();
         let mut pipes = Vec::with_capacity(fds.len());
         for &fd in fds {
@@ -703,7 +640,8 @@ impl UProc {
                     Some(left)
                 }
             };
-            if self.sim().wait_on_any(&queues, left, "select").is_none() && deadline.is_some() {
+            let woken = self.sim().wait_on_any_async(&queues, left, "select").await;
+            if woken.is_none() && deadline.is_some() {
                 return Ok(Vec::new());
             }
         }
@@ -712,21 +650,21 @@ impl UProc {
     /// `rename(2)`. Both paths must live on the same mount (EXDEV-style
     /// cross-mount renames are rejected as EINVAL, as `mv` would fall
     /// back to copying).
-    pub fn rename(&self, from: &str, to: &str) -> SysResult<()> {
+    pub async fn rename(&self, from: &str, to: &str) -> SysResult<()> {
         self.charge_syscall();
         let (fs_from, rel_from) = self.kernel.fs_at(from)?;
         let (fs_to, rel_to) = self.kernel.fs_at(to)?;
         if !Arc::ptr_eq(&fs_from, &fs_to) {
             return Err(Errno::EINVAL);
         }
-        fs_from.rename(self.env(), &rel_from, &rel_to)
+        fs_from.rename(self.env(), &rel_from, &rel_to).await
     }
 
     /// Reads a directory's names.
-    pub fn readdir(&self, path: &str) -> SysResult<Vec<String>> {
+    pub async fn readdir(&self, path: &str) -> SysResult<Vec<String>> {
         self.charge_syscall();
         let (fs, rel) = self.kernel.fs_at(path)?;
-        fs.readdir(self.env(), &rel)
+        fs.readdir(self.env(), &rel).await
     }
 }
 
@@ -739,7 +677,7 @@ mod tests {
     fn getpid_costs_match_table2() {
         for (os, expect_us) in [(Os::Linux, 2.31), (Os::FreeBsd, 2.62), (Os::Solaris, 3.52)] {
             let (sim, kernel) = boot(os, 0);
-            kernel.spawn_user("getpid-bench", |p| {
+            kernel.spawn_user("getpid-bench", |p| async move {
                 for _ in 0..1000 {
                     p.getpid();
                 }
@@ -758,24 +696,24 @@ mod tests {
         let (sim, kernel) = boot(Os::Linux, 0);
         let total = Arc::new(AtomicU64::new(0));
         let t = total.clone();
-        kernel.spawn_user("parent", move |p| {
+        kernel.spawn_user("parent", move |p| async move {
             let (rfd, wfd) = p.pipe();
-            let child = p.fork("child", move |c| {
-                c.close(rfd).unwrap();
-                c.write_bytes(wfd, b"hello from the child").unwrap();
-                c.close(wfd).unwrap();
+            let child = p.fork("child", move |c| async move {
+                c.close(rfd).await.unwrap();
+                c.write_bytes(wfd, b"hello from the child").await.unwrap();
+                c.close(wfd).await.unwrap();
             });
-            p.close(wfd).unwrap();
+            p.close(wfd).await.unwrap();
             let mut got = Vec::new();
             loop {
-                let chunk = p.read_bytes(rfd, 7).unwrap();
+                let chunk = p.read_bytes(rfd, 7).await.unwrap();
                 if chunk.is_empty() {
                     break;
                 }
                 got.extend(chunk);
             }
             assert_eq!(got, b"hello from the child");
-            p.waitpid(child);
+            p.waitpid(child).await;
             t.store(got.len() as u64, Ordering::SeqCst);
         });
         let _ = sim.run().unwrap();
@@ -784,28 +722,27 @@ mod tests {
 
     #[test]
     fn task_processes_pipe_through_fds() {
-        // `pipe_through_fds` with parent and child as tasks: the async
-        // syscalls, the task fork and waitpid.
+        // `pipe_through_fds` with the length-only read and write.
         let (sim, kernel) = boot(Os::Linux, 0);
         let total = Arc::new(AtomicU64::new(0));
         let t = total.clone();
-        kernel.spawn_user_task("parent", move |p| async move {
+        kernel.spawn_user("parent", move |p| async move {
             let (rfd, wfd) = p.pipe();
-            let child = p.fork_task("child", move |c| async move {
-                c.close(rfd).unwrap();
-                c.write_async(wfd, 20).await.unwrap();
-                c.close(wfd).unwrap();
+            let child = p.fork("child", move |c| async move {
+                c.close(rfd).await.unwrap();
+                c.write(wfd, 20).await.unwrap();
+                c.close(wfd).await.unwrap();
             });
-            p.close(wfd).unwrap();
+            p.close(wfd).await.unwrap();
             let mut got = 0;
             loop {
-                let n = p.read_async(rfd, 7).await.unwrap();
+                let n = p.read(rfd, 7).await.unwrap();
                 if n == 0 {
                     break;
                 }
                 got += n;
             }
-            p.waitpid_async(child).await;
+            p.waitpid(child).await;
             t.store(got, Ordering::SeqCst);
         });
         let _ = sim.run().unwrap();
@@ -817,19 +754,19 @@ mod tests {
         // If fork didn't bump pipe references, the parent's close would
         // produce a premature EOF.
         let (sim, kernel) = boot(Os::FreeBsd, 0);
-        kernel.spawn_user("parent", move |p| {
+        kernel.spawn_user("parent", move |p| async move {
             let (rfd, wfd) = p.pipe();
-            let child = p.fork("child", move |c| {
+            let child = p.fork("child", move |c| async move {
                 // Child holds both ends; parent closes its write end first.
                 c.compute(Cycles(10_000));
-                c.write_bytes(wfd, b"late data").unwrap();
-                c.close(wfd).unwrap();
-                c.close(rfd).unwrap();
+                c.write_bytes(wfd, b"late data").await.unwrap();
+                c.close(wfd).await.unwrap();
+                c.close(rfd).await.unwrap();
             });
-            p.close(wfd).unwrap();
-            let got = p.read_bytes(rfd, 100).unwrap();
+            p.close(wfd).await.unwrap();
+            let got = p.read_bytes(rfd, 100).await.unwrap();
             assert_eq!(got, b"late data", "child's write end kept the pipe alive");
-            p.waitpid(child);
+            p.waitpid(child).await;
         });
         let _ = sim.run().unwrap();
     }
@@ -837,17 +774,17 @@ mod tests {
     #[test]
     fn exit_closes_fds() {
         let (sim, kernel) = boot(Os::Linux, 0);
-        kernel.spawn_user("parent", move |p| {
+        kernel.spawn_user("parent", move |p| async move {
             let (rfd, wfd) = p.pipe();
-            p.fork("child", move |c| {
-                c.close(rfd).unwrap();
-                c.write_bytes(wfd, b"x").unwrap();
+            p.fork("child", move |c| async move {
+                c.close(rfd).await.unwrap();
+                c.write_bytes(wfd, b"x").await.unwrap();
                 // Exits without closing wfd: exit must close it.
             });
-            p.close(wfd).unwrap();
-            assert_eq!(p.read_bytes(rfd, 10).unwrap(), b"x");
+            p.close(wfd).await.unwrap();
+            assert_eq!(p.read_bytes(rfd, 10).await.unwrap(), b"x");
             assert!(
-                p.read_bytes(rfd, 10).unwrap().is_empty(),
+                p.read_bytes(rfd, 10).await.unwrap().is_empty(),
                 "EOF after child exit"
             );
         });
@@ -859,11 +796,11 @@ mod tests {
         let (sim, kernel) = boot(Os::Solaris, 0);
         let when = Arc::new(AtomicU64::new(0));
         let w = when.clone();
-        kernel.spawn_user("parent", move |p| {
-            let child = p.fork("worker", |c| {
+        kernel.spawn_user("parent", move |p| async move {
+            let child = p.fork("worker", |c| async move {
                 c.compute(Cycles(500_000));
             });
-            p.waitpid(child);
+            p.waitpid(child).await;
             w.store(p.sim().now().0, Ordering::SeqCst);
         });
         let _ = sim.run().unwrap();
@@ -876,17 +813,17 @@ mod tests {
     #[test]
     fn bad_fd_errors() {
         let (sim, kernel) = boot(Os::Linux, 0);
-        kernel.spawn_user("p", |p| {
-            assert_eq!(p.read(42, 1).err(), Some(Errno::EBADF));
-            assert_eq!(p.close(42).err(), Some(Errno::EBADF));
+        kernel.spawn_user("p", |p| async move {
+            assert_eq!(p.read(42, 1).await.err(), Some(Errno::EBADF));
+            assert_eq!(p.close(42).await.err(), Some(Errno::EBADF));
             let (rfd, wfd) = p.pipe();
             assert_eq!(
-                p.write(rfd, 1).err(),
+                p.write(rfd, 1).await.err(),
                 Some(Errno::EBADF),
                 "write to read end"
             );
             assert_eq!(
-                p.read(wfd, 1).err(),
+                p.read(wfd, 1).await.err(),
                 Some(Errno::EBADF),
                 "read from write end"
             );
@@ -897,8 +834,11 @@ mod tests {
     #[test]
     fn open_without_mount_is_enosys() {
         let (sim, kernel) = boot(Os::Linux, 0);
-        kernel.spawn_user("p", |p| {
-            assert_eq!(p.open("/x", OpenFlags::rdonly()).err(), Some(Errno::ENOSYS));
+        kernel.spawn_user("p", |p| async move {
+            assert_eq!(
+                p.open("/x", OpenFlags::rdonly()).await.err(),
+                Some(Errno::ENOSYS)
+            );
         });
         let _ = sim.run().unwrap();
     }
@@ -906,17 +846,17 @@ mod tests {
     #[test]
     fn dup_shares_offset() {
         let (sim, kernel) = boot(Os::Linux, 0);
-        kernel.spawn_user("p", |p| {
+        kernel.spawn_user("p", |p| async move {
             let (rfd, wfd) = p.pipe();
             let wfd2 = p.dup(wfd).unwrap();
-            p.write_bytes(wfd2, b"via dup").unwrap();
-            p.close(wfd).unwrap();
+            p.write_bytes(wfd2, b"via dup").await.unwrap();
+            p.close(wfd).await.unwrap();
             // Pipe must still be writable via the dup.
-            p.write_bytes(wfd2, b"!").unwrap();
-            p.close(wfd2).unwrap();
+            p.write_bytes(wfd2, b"!").await.unwrap();
+            p.close(wfd2).await.unwrap();
             let mut all = Vec::new();
             loop {
-                let c = p.read_bytes(rfd, 64).unwrap();
+                let c = p.read_bytes(rfd, 64).await.unwrap();
                 if c.is_empty() {
                     break;
                 }
@@ -930,18 +870,18 @@ mod tests {
     #[test]
     fn select_returns_the_ready_pipe() {
         let (sim, kernel) = boot(Os::FreeBsd, 0);
-        kernel.spawn_user("selector", |p| {
+        kernel.spawn_user("selector", |p| async move {
             let (r1, w1) = p.pipe();
             let (r2, w2) = p.pipe();
-            let child = p.fork("writer", move |c| {
+            let child = p.fork("writer", move |c| async move {
                 c.compute(Cycles(5_000));
-                c.write_bytes(w2, b"ready").unwrap();
+                c.write_bytes(w2, b"ready").await.unwrap();
             });
-            let ready = p.select_read(&[r1, r2], None).unwrap();
+            let ready = p.select_read(&[r1, r2], None).await.unwrap();
             assert_eq!(ready, vec![r2], "only pipe 2 has data");
-            assert_eq!(p.read_bytes(r2, 16).unwrap(), b"ready");
-            p.close(w1).unwrap();
-            p.waitpid(child);
+            assert_eq!(p.read_bytes(r2, 16).await.unwrap(), b"ready");
+            p.close(w1).await.unwrap();
+            p.waitpid(child).await;
         });
         let _ = sim.run().unwrap();
     }
@@ -949,10 +889,10 @@ mod tests {
     #[test]
     fn select_times_out_empty() {
         let (sim, kernel) = boot(Os::Linux, 0);
-        kernel.spawn_user("selector", |p| {
+        kernel.spawn_user("selector", |p| async move {
             let (r1, _w1) = p.pipe();
             let t0 = p.sim().now();
-            let ready = p.select_read(&[r1], Some(Cycles(50_000))).unwrap();
+            let ready = p.select_read(&[r1], Some(Cycles(50_000))).await.unwrap();
             assert!(ready.is_empty());
             assert!((p.sim().now() - t0).0 >= 50_000);
         });
@@ -962,12 +902,12 @@ mod tests {
     #[test]
     fn select_sees_eof_as_readable() {
         let (sim, kernel) = boot(Os::Solaris, 0);
-        kernel.spawn_user("selector", |p| {
+        kernel.spawn_user("selector", |p| async move {
             let (rfd, wfd) = p.pipe();
-            p.close(wfd).unwrap();
-            let ready = p.select_read(&[rfd], None).unwrap();
+            p.close(wfd).await.unwrap();
+            let ready = p.select_read(&[rfd], None).await.unwrap();
             assert_eq!(ready, vec![rfd], "EOF counts as readable");
-            assert_eq!(p.read(rfd, 8).unwrap(), 0);
+            assert_eq!(p.read(rfd, 8).await.unwrap(), 0);
         });
         let _ = sim.run().unwrap();
     }
@@ -975,9 +915,9 @@ mod tests {
     #[test]
     fn select_rejects_non_pipes() {
         let (sim, kernel) = boot(Os::Linux, 0);
-        kernel.spawn_user("selector", |p| {
+        kernel.spawn_user("selector", |p| async move {
             let (_r, w) = p.pipe();
-            assert_eq!(p.select_read(&[w], None).err(), Some(Errno::EINVAL));
+            assert_eq!(p.select_read(&[w], None).await.err(), Some(Errno::EINVAL));
         });
         let _ = sim.run().unwrap();
     }
@@ -988,7 +928,7 @@ mod tests {
         let times = Arc::new(Mutex::new(Vec::new()));
         for (i, k) in kernels.iter().enumerate() {
             let t = times.clone();
-            k.spawn_user(format!("m{i}"), move |p| {
+            k.spawn_user(format!("m{i}"), move |p| async move {
                 let t0 = p.sim().now();
                 for _ in 0..100 {
                     p.getpid();

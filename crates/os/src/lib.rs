@@ -15,8 +15,9 @@
 //! - a shared pipe implementation parameterised per OS, and
 //! - whatever [`Filesystem`] the experiment mounts (see `tnt-fs`).
 //!
-//! Benchmarks are ordinary Rust closures run as simulated processes; they
-//! receive a [`UProc`] whose methods are the system calls.
+//! Benchmarks are async Rust closures run as simulated processes (engine
+//! tasks); they receive a [`UProc`] whose methods are the system calls,
+//! async wherever a call can block.
 //!
 //! # Examples
 //!
@@ -24,7 +25,7 @@
 //! use tnt_os::{boot, Os};
 //!
 //! let (sim, kernel) = boot(Os::Linux, 0);
-//! kernel.spawn_user("bench", |p| {
+//! kernel.spawn_user("bench", |p| async move {
 //!     for _ in 0..1000 {
 //!         p.getpid();
 //!     }
@@ -50,4 +51,4 @@ pub use kernel::{
     boot, boot_cluster, boot_cluster_with_faults, boot_with, Kernel, KernelStats, Pid, UProc,
 };
 pub use pipe::Pipe;
-pub use vfs::{FileAttr, Filesystem, KEnv, OpenFlags, VnodeId};
+pub use vfs::{FileAttr, Filesystem, FsFuture, KEnv, OpenFlags, VnodeId};

@@ -168,16 +168,6 @@ impl Pipe {
         env.sim.charge(self.seg_cost(bytes));
     }
 
-    /// Registers an extra reader reference (dup/fork of the read end).
-    pub fn add_reader(&self) {
-        self.state.lock().readers += 1;
-    }
-
-    /// Registers an extra writer reference.
-    pub fn add_writer(&self) {
-        self.state.lock().writers += 1;
-    }
-
     /// Drops a reader reference; when the last reader goes, blocked
     /// writers are woken to observe `EPIPE`.
     pub fn close_reader(&self, sim: &Sim) {
@@ -265,17 +255,15 @@ mod tests {
 
     #[test]
     fn writer_blocks_when_full() {
-        // A threaded writer against a task reader: one pipe, both
-        // process models on its wait queues.
         let (sim, env) = setup(Os::Linux);
         let pipe = Pipe::new(&sim, env.costs.pipe);
         let cap = env.costs.pipe.capacity as usize;
         let p2 = pipe.clone();
         let e2 = env.clone();
-        sim.spawn("writer", move |s| {
+        sim.spawn_task("writer", move |_| async move {
             // Write 3x the capacity; must block and resume as drained.
             let data = vec![7u8; 3 * cap];
-            assert_eq!(s.block_on(p2.write(&e2, &data)).unwrap() as usize, 3 * cap);
+            assert_eq!(p2.write(&e2, &data).await.unwrap() as usize, 3 * cap);
             p2.close_writer(&e2.sim);
         });
         let p3 = pipe.clone();
@@ -316,9 +304,9 @@ mod tests {
         let (sim, env) = setup(Os::Solaris);
         let pipe = Pipe::new(&sim, env.costs.pipe);
         let p2 = pipe.clone();
-        sim.spawn("solo", move |s| {
+        sim.spawn_task("solo", move |_| async move {
             p2.close_reader(&env.sim);
-            assert_eq!(s.block_on(p2.write(&env, b"x")), Err(Errno::EPIPE));
+            assert_eq!(p2.write(&env, b"x").await, Err(Errno::EPIPE));
         });
         let _ = sim.run().unwrap();
     }

@@ -5,6 +5,9 @@
 //! sees this trait. Paths are absolute, `/`-separated, and already
 //! resolved relative to the mount point.
 
+use std::future::Future;
+use std::pin::Pin;
+
 use crate::costs::OsCosts;
 use crate::errno::SysResult;
 use tnt_sim::Sim;
@@ -80,58 +83,86 @@ impl OpenFlags {
     }
 }
 
+/// The future a [`Filesystem`] method returns. Boxed, because the
+/// kernel holds filesystems as trait objects.
+pub type FsFuture<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
+
 /// A mounted filesystem as seen by the kernel.
 ///
-/// Methods may block the calling simulated process (disk I/O) and must
-/// charge their CPU and device time through `env`. Implementations model
-/// file *sizes*, not contents — the benchmarks only move byte counts.
+/// Methods may block the calling simulated process (disk I/O, RPCs) and
+/// must charge their CPU and device time through `env`. Implementations
+/// model file *sizes*, not contents — the benchmarks only move byte
+/// counts.
 pub trait Filesystem: Send + Sync {
     /// Resolves a path to a vnode.
-    fn lookup(&self, env: &KEnv, path: &str) -> SysResult<VnodeId>;
+    fn lookup<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<VnodeId>>;
 
     /// Opens (optionally creating/truncating) a file; returns its vnode.
-    fn open(&self, env: &KEnv, path: &str, flags: OpenFlags) -> SysResult<VnodeId>;
+    fn open<'a>(
+        &'a self,
+        env: &'a KEnv,
+        path: &'a str,
+        flags: OpenFlags,
+    ) -> FsFuture<'a, SysResult<VnodeId>>;
 
     /// Reads `len` bytes at `off`; returns bytes actually read (short at
     /// end of file).
-    fn read(&self, env: &KEnv, vnode: VnodeId, off: u64, len: u64) -> SysResult<u64>;
+    fn read<'a>(
+        &'a self,
+        env: &'a KEnv,
+        vnode: VnodeId,
+        off: u64,
+        len: u64,
+    ) -> FsFuture<'a, SysResult<u64>>;
 
     /// Writes `len` bytes at `off`; returns bytes written.
-    fn write(&self, env: &KEnv, vnode: VnodeId, off: u64, len: u64) -> SysResult<u64>;
+    fn write<'a>(
+        &'a self,
+        env: &'a KEnv,
+        vnode: VnodeId,
+        off: u64,
+        len: u64,
+    ) -> FsFuture<'a, SysResult<u64>>;
 
     /// Attributes of a vnode.
-    fn getattr(&self, env: &KEnv, vnode: VnodeId) -> SysResult<FileAttr>;
+    fn getattr<'a>(&'a self, env: &'a KEnv, vnode: VnodeId) -> FsFuture<'a, SysResult<FileAttr>>;
 
     /// Removes a file (not a directory).
-    fn unlink(&self, env: &KEnv, path: &str) -> SysResult<()>;
+    fn unlink<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<()>>;
 
     /// Creates a directory.
-    fn mkdir(&self, env: &KEnv, path: &str) -> SysResult<()>;
+    fn mkdir<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<()>>;
 
     /// Removes an empty directory.
-    fn rmdir(&self, env: &KEnv, path: &str) -> SysResult<()>;
+    fn rmdir<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<()>>;
 
     /// Lists the names in a directory.
-    fn readdir(&self, env: &KEnv, path: &str) -> SysResult<Vec<String>>;
+    fn readdir<'a>(&'a self, env: &'a KEnv, path: &'a str) -> FsFuture<'a, SysResult<Vec<String>>>;
 
     /// Flushes a file's dirty data and metadata to disk.
-    fn fsync(&self, env: &KEnv, vnode: VnodeId) -> SysResult<()>;
+    fn fsync<'a>(&'a self, env: &'a KEnv, vnode: VnodeId) -> FsFuture<'a, SysResult<()>>;
 
     /// Flushes everything (called between benchmark phases, like the
     /// paper's fresh-filesystem discipline).
-    fn sync(&self, env: &KEnv);
+    fn sync<'a>(&'a self, env: &'a KEnv) -> FsFuture<'a, ()>;
 
     /// Called when the last descriptor for `vnode` closes. Default: no
     /// work (the NFS client uses it for close-to-open consistency).
-    fn release(&self, env: &KEnv, vnode: VnodeId) {
+    fn release<'a>(&'a self, env: &'a KEnv, vnode: VnodeId) -> FsFuture<'a, ()> {
         let _ = (env, vnode);
+        Box::pin(async {})
     }
 
     /// Renames `from` to `to` (within this filesystem). An existing
     /// non-directory target is replaced, as POSIX requires.
-    fn rename(&self, env: &KEnv, from: &str, to: &str) -> SysResult<()> {
+    fn rename<'a>(
+        &'a self,
+        env: &'a KEnv,
+        from: &'a str,
+        to: &'a str,
+    ) -> FsFuture<'a, SysResult<()>> {
         let _ = (env, from, to);
-        Err(crate::errno::Errno::ENOSYS)
+        Box::pin(async { Err(crate::errno::Errno::ENOSYS) })
     }
 }
 

@@ -18,7 +18,7 @@
 //!   never changes and no schedule deadlocks.
 //!
 //! The crate is dependency-free and knows nothing about `tnt-sim`; the
-//! engine depends on it (behind the default-on `audit` feature) and
+//! engine depends on it and
 //! re-exports it as `tnt_sim::race`. See `DESIGN.md` §14.
 
 pub mod clock;

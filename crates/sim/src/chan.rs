@@ -1,13 +1,12 @@
-//! A bounded FIFO channel usable from both process models.
+//! A bounded FIFO channel usable from every process model.
 //!
-//! Threaded processes use the blocking [`SimChannel::send`] /
-//! [`SimChannel::recv`]; lite processes use the non-blocking
-//! `try_`-variants and block by returning `Step::Block` on
-//! [`SimChannel::read_queue`] / [`SimChannel::write_queue`] (see
+//! Tasks await [`SimChannel::send`] / [`SimChannel::recv`] (a threaded
+//! process wraps them in `Sim::block_on`); lite processes use the
+//! non-blocking [`SimChannel::try_send`] and block by returning
+//! `Step::Block` on [`SimChannel::write_queue`] (see
 //! [`crate::lite::block_on`]). Wakeups cross the model boundary
-//! transparently: a lite client's `try_send` wakes a threaded server
-//! blocked in `recv`, and a threaded server's `send` rings the lite
-//! scheduler's doorbell.
+//! transparently: a lite client's `try_send` wakes a server blocked in
+//! `recv`, and a server's `send` rings the lite scheduler's doorbell.
 
 use std::collections::VecDeque;
 
@@ -35,16 +34,16 @@ impl<T> SimChannel<T> {
         }
     }
 
-    /// Sends `v`, blocking the calling threaded process while the
-    /// channel is full.
-    pub fn send(&self, sim: &Sim, v: T) {
+    /// Sends `v`, blocking the calling process while the channel is
+    /// full.
+    pub async fn send(&self, sim: &Sim, v: T) {
         loop {
             // Processes are atomic between blocking calls, so this
             // check-then-wait cannot lose a wakeup.
             if self.buf.lock().len() < self.cap {
                 break;
             }
-            sim.wait_on(self.wr_q, "chan send");
+            sim.wait_on_async(self.wr_q, "chan send").await;
         }
         self.buf.lock().push_back(v);
         // One happens-before edge per successful op: the channel's own
@@ -55,16 +54,17 @@ impl<T> SimChannel<T> {
         sim.wakeup_one(self.rd_q);
     }
 
-    /// Receives the oldest item, blocking the calling threaded process
-    /// while the channel is empty.
-    pub fn recv(&self, sim: &Sim) -> T {
+    /// Receives the oldest item, blocking the calling process while the
+    /// channel is empty.
+    pub async fn recv(&self, sim: &Sim) -> T {
         loop {
-            if let Some(v) = self.buf.lock().pop_front() {
+            let v = self.buf.lock().pop_front();
+            if let Some(v) = v {
                 sim.race_channel_op(self.rd_q.raw());
                 sim.wakeup_one(self.wr_q);
                 return v;
             }
-            sim.wait_on(self.rd_q, "chan recv");
+            sim.wait_on_async(self.rd_q, "chan recv").await;
         }
     }
 
@@ -81,17 +81,6 @@ impl<T> SimChannel<T> {
         sim.race_channel_op(self.rd_q.raw());
         sim.wakeup_one(self.rd_q);
         Ok(())
-    }
-
-    /// Non-blocking receive: `None` if the channel is empty (block on
-    /// [`SimChannel::read_queue`] and retry).
-    pub fn try_recv(&self, sim: &Sim) -> Option<T> {
-        let v = self.buf.lock().pop_front();
-        if v.is_some() {
-            sim.race_channel_op(self.rd_q.raw());
-            sim.wakeup_one(self.wr_q);
-        }
-        v
     }
 
     /// The queue signalled when an item arrives.
@@ -136,14 +125,14 @@ mod tests {
         let tx = ch.clone();
         s.spawn("producer", move |s| {
             for i in 0..10u32 {
-                tx.send(s, i);
+                s.block_on(tx.send(s, i));
                 s.advance(Cycles(10));
             }
         });
         let rx = ch.clone();
         s.spawn("consumer", move |s| {
             for i in 0..10u32 {
-                assert_eq!(rx.recv(s), i);
+                assert_eq!(s.block_on(rx.recv(s)), i);
                 s.advance(Cycles(25));
             }
         });
@@ -165,7 +154,7 @@ mod tests {
         let log = served.clone();
         s.spawn("server", move |s| {
             for _ in 0..3 {
-                let req: u32 = rx.recv(s);
+                let req: u32 = s.block_on(rx.recv(s));
                 s.advance(Cycles(100));
                 log.lock().push(req);
                 s.wakeup_all(done_q);

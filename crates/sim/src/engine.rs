@@ -51,7 +51,6 @@ use crate::policy::{DispatchEnv, Pick, RunPolicy, Tid};
 use crate::time::Cycles;
 use crate::wheel::TimerWheel;
 
-#[cfg(feature = "audit")]
 use tnt_race::{AccessInfo, AccessKind, Detector, Loc, SyncId, WakeSrc};
 
 // ----------------------------------------------------------------------
@@ -68,9 +67,6 @@ pub(crate) const MUTANT_DROP_DOORBELL: u8 = 1 << 0;
 pub(crate) const MUTANT_TIMER_TIE_REORDER: u8 = 1 << 1;
 /// Skip the trace-ring lock discipline on the charge path: the ring
 /// write becomes a raw access the happens-before checker can see race.
-/// (Only the audit-gated charge hook reads it; without the feature the
-/// checker it defeats does not exist.)
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 pub(crate) const MUTANT_UNLOCKED_RING_WRITE: u8 = 1 << 2;
 /// Skip cancelling the armed queue tokens of a timed-out
 /// `WaitReason::Any` lite wait: a late signal wakes the process out of
@@ -347,7 +343,6 @@ enum TimerAction {
     /// wait's timeout); also removes it from queue `q`.
     ProcGen(Tid, u64, u64),
     QueueOne(u64),
-    QueueAll(u64),
 }
 
 /// Engine-side registration of one lite scheduler (see `tnt_sim::proc`):
@@ -380,20 +375,17 @@ struct State {
     dispatches: u64,
     finished: bool,
     error: Option<SimError>,
-    #[cfg(feature = "audit")]
     audit: AuditState,
     /// The happens-before race detector, when armed (see
     /// [`Sim::arm_race_detector`]); every call happens under this state
     /// lock, so plain mutable state suffices.
-    #[cfg(feature = "audit")]
     race: Option<Box<Detector>>,
     /// Planted-bug mutant bits (unit tests only).
     #[cfg(test)]
     mutants: u8,
 }
 
-/// State of the dynamic invariant checkers (`audit` feature).
-#[cfg(feature = "audit")]
+/// State of the dynamic invariant checkers.
 #[derive(Default)]
 struct AuditState {
     /// SimMutex queue ids currently held, per process, in acquisition
@@ -408,7 +400,6 @@ struct AuditState {
     empty_signals: BTreeMap<u64, Cycles>,
 }
 
-#[cfg(feature = "audit")]
 impl AuditState {
     /// Is `to` reachable from `from` in the lock-order graph?
     fn reaches(&self, from: u64, to: u64) -> bool {
@@ -626,9 +617,7 @@ impl Sim {
             dispatches: 0,
             finished: false,
             error: None,
-            #[cfg(feature = "audit")]
             audit: AuditState::default(),
-            #[cfg(feature = "audit")]
             race: None,
             #[cfg(test)]
             mutants: 0,
@@ -654,7 +643,6 @@ impl Sim {
         }
         // Mirrors `tnt_fault::set_ambient`: `reproduce --audit` arms the
         // happens-before checker for every simulation it builds.
-        #[cfg(feature = "audit")]
         if tnt_race::ambient() {
             sim.arm_race_detector();
         }
@@ -751,20 +739,10 @@ impl Sim {
     where
         F: FnOnce(&Sim) + Send + 'static,
     {
-        self.spawn_tagged(name, 0, f)
-    }
-
-    /// Like [`Sim::spawn`] with an opaque `tag` that is passed to the
-    /// [`RunPolicy`] on every enqueue of this process (used to route
-    /// processes to per-machine schedulers).
-    pub fn spawn_tagged<F>(&self, name: impl Into<String>, tag: u32, f: F) -> Tid
-    where
-        F: FnOnce(&Sim) + Send + 'static,
-    {
         let name = name.into();
         let parker = Parker::new();
         let thread_name = format!("sim-{name}");
-        let tid = self.admit(name, tag, Body::Thread(parker.clone()));
+        let tid = self.admit(name, 0, Body::Thread(parker.clone()));
         let sim = self.clone();
         #[expect(
             clippy::disallowed_methods,
@@ -804,8 +782,9 @@ impl Sim {
         self.spawn_task_tagged(name, 0, f)
     }
 
-    /// Like [`Sim::spawn_task`] with a run-policy `tag`, as
-    /// [`Sim::spawn_tagged`].
+    /// Like [`Sim::spawn_task`] with an opaque `tag` that is passed to
+    /// the [`RunPolicy`] on every enqueue of this process (used to route
+    /// processes to per-machine schedulers).
     pub fn spawn_task_tagged<F, Fut>(&self, name: impl Into<String>, tag: u32, f: F) -> Tid
     where
         F: FnOnce(Sim) -> Fut,
@@ -843,7 +822,6 @@ impl Sim {
         );
         st.live += 1;
         st.policy.enqueue(tid, tag);
-        #[cfg(feature = "audit")]
         if st.race.is_some() {
             let parent = race_task();
             if let Some(d) = st.race.as_mut() {
@@ -878,7 +856,6 @@ impl Sim {
             }
             // Join edges: everything every proc did happens-before the
             // host's post-run reads (`proc_cpu`, a follow-up `run`).
-            #[cfg(feature = "audit")]
             if st.race.is_some() {
                 let tids: Vec<u32> = st.procs.keys().map(|t| t.0).collect();
                 if let Some(d) = st.race.as_mut() {
@@ -1029,7 +1006,6 @@ impl Sim {
                 proc.cpu += c;
             }
         }
-        #[cfg(feature = "audit")]
         if c > Cycles::ZERO && st.race.is_some() {
             // The charge path touches the trace ring and the running
             // proc's account; both follow the engine's lock discipline
@@ -1117,7 +1093,6 @@ impl Sim {
             begin_block(proc, Status::Runnable);
             let tag = proc.tag;
             st.policy.enqueue(tid, tag);
-            #[cfg(feature = "audit")]
             self.race_protected(&mut st, Loc::RunQueue, AccessKind::Write, "yield.enqueue");
         }
         Park::new("Sim::yield_now_async").await
@@ -1143,12 +1118,9 @@ impl Sim {
                 st.procs.get_mut(&tid).expect("current proc missing"),
                 Status::Blocked("sleep"),
             );
-            #[cfg(feature = "audit")]
-            {
-                self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "sleep.arm");
-                if let Some(d) = st.race.as_deref_mut() {
-                    d.release(race_task(), SyncId::Timer(seq));
-                }
+            self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "sleep.arm");
+            if let Some(d) = st.race.as_deref_mut() {
+                d.release(race_task(), SyncId::Timer(seq));
             }
         }
         Park::new("Sim::sleep_until_async").await
@@ -1198,7 +1170,6 @@ impl Sim {
                 st.procs.get_mut(&tid).expect("current proc missing"),
                 Status::Blocked(reason),
             );
-            #[cfg(feature = "audit")]
             self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "wait.enqueue");
         }
         Park::new("Sim::wait_on_async").await
@@ -1233,13 +1204,10 @@ impl Sim {
             let seq = st.timer_seq;
             st.timer_seq += 1;
             st.timers.insert(at, seq, TimerAction::ProcGen(tid, gen, q.0));
-            #[cfg(feature = "audit")]
-            {
-                self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "wait.enqueue");
-                self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "wait.arm-timeout");
-                if let Some(d) = st.race.as_deref_mut() {
-                    d.release(race_task(), SyncId::Timer(seq));
-                }
+            self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "wait.enqueue");
+            self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "wait.arm-timeout");
+            if let Some(d) = st.race.as_deref_mut() {
+                d.release(race_task(), SyncId::Timer(seq));
             }
         }
         Park::new("Sim::wait_on_timeout_async").await;
@@ -1292,15 +1260,11 @@ impl Sim {
                 // The timer removes us from the *first* queue; the lazy
                 // skip handles the rest.
                 st.timers.insert(at, seq, TimerAction::ProcGen(tid, gen, qs[0].0));
-                #[cfg(feature = "audit")]
-                {
-                    self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "select.arm");
-                    if let Some(d) = st.race.as_deref_mut() {
-                        d.release(race_task(), SyncId::Timer(seq));
-                    }
+                self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "select.arm");
+                if let Some(d) = st.race.as_deref_mut() {
+                    d.release(race_task(), SyncId::Timer(seq));
                 }
             }
-            #[cfg(feature = "audit")]
             for q in qs {
                 self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "select.enqueue");
             }
@@ -1320,7 +1284,6 @@ impl Sim {
             if let Some(queue) = st.queues.get_mut(&q.0) {
                 queue.retain(|w| *w != Waiter::Proc(tid));
             }
-            #[cfg(feature = "audit")]
             self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "select.cleanup");
         }
         if timed_out {
@@ -1335,7 +1298,6 @@ impl Sim {
     pub fn wakeup_one(&self, q: WaitId) -> bool {
         let mut st = self.lock_state();
         let woke = self.wake_from_queue_locked(&mut st, q.0, WakeCause::Signal);
-        #[cfg(feature = "audit")]
         if !woke {
             let now = st.now;
             st.audit.empty_signals.insert(q.0, now);
@@ -1350,7 +1312,6 @@ impl Sim {
         while self.wake_from_queue_locked(&mut st, q.0, WakeCause::Signal) {
             n += 1;
         }
-        #[cfg(feature = "audit")]
         if n == 0 {
             let now = st.now;
             st.audit.empty_signals.insert(q.0, now);
@@ -1364,27 +1325,9 @@ impl Sim {
         let seq = st.timer_seq;
         st.timer_seq += 1;
         st.timers.insert(at, seq, TimerAction::QueueOne(q.0));
-        #[cfg(feature = "audit")]
-        {
-            self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "wakeup-at.arm");
-            if let Some(d) = st.race.as_deref_mut() {
-                d.release(race_task(), SyncId::Timer(seq));
-            }
-        }
-    }
-
-    /// Schedules a wakeup of every waiter on `q` at simulated time `at`.
-    pub fn wakeup_all_at(&self, q: WaitId, at: Cycles) {
-        let mut st = self.lock_state();
-        let seq = st.timer_seq;
-        st.timer_seq += 1;
-        st.timers.insert(at, seq, TimerAction::QueueAll(q.0));
-        #[cfg(feature = "audit")]
-        {
-            self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "wakeup-all-at.arm");
-            if let Some(d) = st.race.as_deref_mut() {
-                d.release(race_task(), SyncId::Timer(seq));
-            }
+        self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "wakeup-at.arm");
+        if let Some(d) = st.race.as_deref_mut() {
+            d.release(race_task(), SyncId::Timer(seq));
         }
     }
 
@@ -1518,8 +1461,7 @@ impl Sim {
     }
 
     // ------------------------------------------------------------------
-    // Dynamic audit hooks (SimMutex lock-order graph). No-ops without
-    // the `audit` feature.
+    // Dynamic audit hooks (SimMutex lock-order graph).
     // ------------------------------------------------------------------
 
     /// Records that the current process is about to acquire the
@@ -1528,104 +1470,85 @@ impl Sim {
     /// simulation fails loudly if the reverse order was ever observed —
     /// the deadlock exists even if this run's interleaving dodges it.
     pub(crate) fn audit_mutex_acquiring(&self, q: WaitId) {
-        #[cfg(feature = "audit")]
-        {
-            let Some(tid) = CURRENT.get() else {
-                return;
-            };
-            let mut st = self.lock_state();
-            let name = st.procs[&tid].name.clone();
-            let held = st.audit.held_locks.get(&tid).cloned().unwrap_or_default();
-            for h in held {
-                let known = h == q.0
-                    || st
-                        .audit
-                        .lock_edges
-                        .get(&h)
-                        .is_some_and(|m| m.contains_key(&q.0));
-                if known {
-                    continue;
-                }
-                if st.audit.reaches(q.0, h) {
-                    let path = st.audit.path(q.0, h);
-                    let chain: Vec<String> =
-                        path.iter().map(|id| format!("mutex#{id}")).collect();
-                    drop(st);
-                    panic!(
-                        "audit: lock-order violation: process {name} acquires mutex#{} \
-                         while holding mutex#{h}, but the order {} is already \
-                         established; a deadlock is one interleaving away",
-                        q.0,
-                        chain.join(" -> "),
-                    );
-                }
-                st.audit
+        let Some(tid) = CURRENT.get() else {
+            return;
+        };
+        let mut st = self.lock_state();
+        let name = st.procs[&tid].name.clone();
+        let held = st.audit.held_locks.get(&tid).cloned().unwrap_or_default();
+        for h in held {
+            let known = h == q.0
+                || st
+                    .audit
                     .lock_edges
-                    .entry(h)
-                    .or_default()
-                    .insert(q.0, name.clone());
+                    .get(&h)
+                    .is_some_and(|m| m.contains_key(&q.0));
+            if known {
+                continue;
             }
+            if st.audit.reaches(q.0, h) {
+                let path = st.audit.path(q.0, h);
+                let chain: Vec<String> =
+                    path.iter().map(|id| format!("mutex#{id}")).collect();
+                drop(st);
+                panic!(
+                    "audit: lock-order violation: process {name} acquires mutex#{} \
+                     while holding mutex#{h}, but the order {} is already \
+                     established; a deadlock is one interleaving away",
+                    q.0,
+                    chain.join(" -> "),
+                );
+            }
+            st.audit
+                .lock_edges
+                .entry(h)
+                .or_default()
+                .insert(q.0, name.clone());
         }
-        #[cfg(not(feature = "audit"))]
-        let _ = q;
     }
 
     /// Records that the current process now holds the SimMutex backed
     /// by queue `q`.
     pub(crate) fn audit_mutex_acquired(&self, q: WaitId) {
-        #[cfg(feature = "audit")]
-        {
-            let Some(tid) = CURRENT.get() else {
-                return;
-            };
-            let mut st = self.lock_state();
-            st.audit.held_locks.entry(tid).or_default().push(q.0);
-            if let Some(d) = st.race.as_deref_mut() {
-                d.acquire(tid.0, SyncId::Lock(q.0));
-            }
+        let Some(tid) = CURRENT.get() else {
+            return;
+        };
+        let mut st = self.lock_state();
+        st.audit.held_locks.entry(tid).or_default().push(q.0);
+        if let Some(d) = st.race.as_deref_mut() {
+            d.acquire(tid.0, SyncId::Lock(q.0));
         }
-        #[cfg(not(feature = "audit"))]
-        let _ = q;
     }
 
     /// Records that the current process released the SimMutex backed by
     /// queue `q`.
     pub(crate) fn audit_mutex_released(&self, q: WaitId) {
-        #[cfg(feature = "audit")]
-        {
-            let Some(tid) = CURRENT.get() else {
-                return;
-            };
-            let mut st = self.lock_state();
-            if let Some(held) = st.audit.held_locks.get_mut(&tid) {
-                if let Some(pos) = held.iter().rposition(|id| *id == q.0) {
-                    held.remove(pos);
-                }
-            }
-            if let Some(d) = st.race.as_deref_mut() {
-                d.release(tid.0, SyncId::Lock(q.0));
+        let Some(tid) = CURRENT.get() else {
+            return;
+        };
+        let mut st = self.lock_state();
+        if let Some(held) = st.audit.held_locks.get_mut(&tid) {
+            if let Some(pos) = held.iter().rposition(|id| *id == q.0) {
+                held.remove(pos);
             }
         }
-        #[cfg(not(feature = "audit"))]
-        let _ = q;
+        if let Some(d) = st.race.as_deref_mut() {
+            d.release(tid.0, SyncId::Lock(q.0));
+        }
     }
 
     // ------------------------------------------------------------------
-    // Happens-before race detection (`tnt_sim::race`). The detector
-    // rides the `audit` feature: without it every entry point below is
-    // a compiled-out no-op returning `false`/nothing.
+    // Happens-before race detection (`tnt_sim::race`).
     // ------------------------------------------------------------------
 
-    /// Arms the happens-before race detector for this simulation.
-    /// Returns whether a detector is now armed (`false` when the
-    /// `audit` feature is compiled out). Arm before spawning; procs
-    /// spawned earlier are conservatively ordered behind the host.
+    /// Arms the happens-before race detector for this simulation. Arm
+    /// before spawning; procs spawned earlier are conservatively ordered
+    /// behind the host.
     /// Armed, every unordered same-location access pair panics the
     /// simulation with both accesses' stacks-of-record. Detection is
     /// pure metadata: it consumes no simulation RNG and never moves the
     /// simulated clock.
-    #[cfg(feature = "audit")]
-    pub fn arm_race_detector(&self) -> bool {
+    pub fn arm_race_detector(&self) {
         let mut st = self.lock_state();
         if st.race.is_none() {
             let mut d = Box::new(Detector::new());
@@ -1635,24 +1558,11 @@ impl Sim {
             }
             st.race = Some(d);
         }
-        true
-    }
-
-    /// Without the `audit` feature the detector does not exist; arming
-    /// reports `false` and costs nothing.
-    #[cfg(not(feature = "audit"))]
-    pub fn arm_race_detector(&self) -> bool {
-        false
     }
 
     /// Whether the happens-before detector is armed on this simulation.
     pub fn race_armed(&self) -> bool {
-        #[cfg(feature = "audit")]
-        {
-            self.lock_state().race.is_some()
-        }
-        #[cfg(not(feature = "audit"))]
-        false
+        self.lock_state().race.is_some()
     }
 
     /// Records a read of the named shared location on the calling
@@ -1661,22 +1571,15 @@ impl Sim {
     /// Models built on the engine sprinkle these on state shared across
     /// simulated processes to prove their synchronization covers it.
     pub fn race_read(&self, name: &'static str, key: u64) {
-        #[cfg(feature = "audit")]
         self.race_user_access(name, key, AccessKind::Read);
-        #[cfg(not(feature = "audit"))]
-        let _ = (name, key);
     }
 
     /// Records a write of the named shared location; see
     /// [`Sim::race_read`].
     pub fn race_write(&self, name: &'static str, key: u64) {
-        #[cfg(feature = "audit")]
         self.race_user_access(name, key, AccessKind::Write);
-        #[cfg(not(feature = "audit"))]
-        let _ = (name, key);
     }
 
-    #[cfg(feature = "audit")]
     fn race_user_access(&self, name: &'static str, key: u64, kind: AccessKind) {
         let mut st = self.lock_state();
         if st.race.is_none() {
@@ -1694,7 +1597,6 @@ impl Sim {
     /// Drains the per-slice footprints the armed detector has gathered
     /// — the schedule explorer's independence oracle. Empty when the
     /// detector is not armed.
-    #[cfg(feature = "audit")]
     pub fn race_footprints(&self) -> Vec<((u32, u32), tnt_race::Footprint)> {
         self.lock_state()
             .race
@@ -1706,7 +1608,6 @@ impl Sim {
     /// release of the channel's sync var, totally ordering all
     /// operations on one channel (the model of the host mutex guarding
     /// its buffer).
-    #[cfg(feature = "audit")]
     pub(crate) fn race_channel_op(&self, id: u64) {
         let mut st = self.lock_state();
         if st.race.is_none() {
@@ -1719,14 +1620,10 @@ impl Sim {
         }
     }
 
-    #[cfg(not(feature = "audit"))]
-    pub(crate) fn race_channel_op(&self, _id: u64) {}
-
     /// A disciplined access to an engine-internal structure: bracketed
     /// in the structure's internal sync var so by-design accesses never
     /// race. Panics on the races only a discipline-skipping mutant (or
     /// regression) can produce.
-    #[cfg(feature = "audit")]
     fn race_protected(&self, st: &mut State, loc: Loc, kind: AccessKind, site: &'static str) {
         if st.race.is_none() {
             return;
@@ -1741,7 +1638,6 @@ impl Sim {
 
     /// A raw, discipline-free access (the unlocked-ring-write mutant's
     /// code path).
-    #[cfg(feature = "audit")]
     fn race_raw(&self, st: &mut State, loc: Loc, kind: AccessKind, site: &'static str) {
         if st.race.is_none() {
             return;
@@ -1933,12 +1829,9 @@ impl Sim {
                 debug_assert_eq!(proc.status, Status::Runnable, "picked a non-runnable proc");
                 proc.status = Status::Running;
                 st.current = Some(tid);
-                #[cfg(feature = "audit")]
-                {
-                    self.race_protected(st, Loc::RunQueue, AccessKind::Write, "dispatch.pick");
-                    if let Some(d) = st.race.as_deref_mut() {
-                        d.slice_begin(tid.0);
-                    }
+                self.race_protected(st, Loc::RunQueue, AccessKind::Write, "dispatch.pick");
+                if let Some(d) = st.race.as_deref_mut() {
+                    d.slice_begin(tid.0);
                 }
                 return Some(tid);
             }
@@ -2007,9 +1900,6 @@ impl Sim {
     }
 
     fn fire_locked(&self, st: &mut State, seq: u64, action: TimerAction) {
-        #[cfg(not(feature = "audit"))]
-        let _ = seq;
-        #[cfg(feature = "audit")]
         self.race_protected(st, Loc::TimerHeap, AccessKind::Write, "timer.pop");
         match action {
             TimerAction::Proc(tid) => {
@@ -2018,18 +1908,15 @@ impl Sim {
                         proc.status = Status::Runnable;
                         let tag = proc.tag;
                         st.policy.enqueue(tid, tag);
-                        #[cfg(feature = "audit")]
-                        {
-                            if let Some(d) = st.race.as_deref_mut() {
-                                d.wake_edge(WakeSrc::Timer(seq), tid.0);
-                            }
-                            self.race_protected(
-                                st,
-                                Loc::RunQueue,
-                                AccessKind::Write,
-                                "timer.wake",
-                            );
+                        if let Some(d) = st.race.as_deref_mut() {
+                            d.wake_edge(WakeSrc::Timer(seq), tid.0);
                         }
+                        self.race_protected(
+                            st,
+                            Loc::RunQueue,
+                            AccessKind::Write,
+                            "timer.wake",
+                        );
                     }
                 }
             }
@@ -2047,52 +1934,32 @@ impl Sim {
                     proc.timed_out = true;
                     let tag = proc.tag;
                     st.policy.enqueue(tid, tag);
-                    #[cfg(feature = "audit")]
-                    {
-                        if let Some(d) = st.race.as_deref_mut() {
-                            d.wake_edge(WakeSrc::Timer(seq), tid.0);
-                        }
-                        self.race_protected(
-                            st,
-                            Loc::WaitQueue(q),
-                            AccessKind::Write,
-                            "timeout.dequeue",
-                        );
-                        self.race_protected(st, Loc::RunQueue, AccessKind::Write, "timeout.wake");
+                    if let Some(d) = st.race.as_deref_mut() {
+                        d.wake_edge(WakeSrc::Timer(seq), tid.0);
                     }
+                    self.race_protected(
+                        st,
+                        Loc::WaitQueue(q),
+                        AccessKind::Write,
+                        "timeout.dequeue",
+                    );
+                    self.race_protected(st, Loc::RunQueue, AccessKind::Write, "timeout.wake");
                 }
             }
             TimerAction::QueueOne(q) => {
-                let woke = self.wake_from_queue_locked(st, q, WakeCause::Timer(seq));
-                #[cfg(feature = "audit")]
-                if !woke {
+                if !self.wake_from_queue_locked(st, q, WakeCause::Timer(seq)) {
                     st.audit.empty_signals.insert(q, st.now);
                 }
-                let _ = woke;
-            }
-            TimerAction::QueueAll(q) => {
-                let mut n = 0;
-                while self.wake_from_queue_locked(st, q, WakeCause::Timer(seq)) {
-                    n += 1;
-                }
-                #[cfg(feature = "audit")]
-                if n == 0 {
-                    st.audit.empty_signals.insert(q, st.now);
-                }
-                let _ = n;
             }
         }
     }
 
     fn wake_from_queue_locked(&self, st: &mut State, q: u64, cause: WakeCause) -> bool {
-        #[cfg(not(feature = "audit"))]
-        let _ = cause;
         loop {
             let waiter = match st.queues.get_mut(&q).and_then(|d| d.pop_front()) {
                 Some(w) => w,
                 None => return false,
             };
-            #[cfg(feature = "audit")]
             self.race_protected(st, Loc::WaitQueue(q), AccessKind::Write, "wake.dequeue");
             match waiter {
                 Waiter::Proc(tid) => {
@@ -2107,16 +1974,12 @@ impl Sim {
                     proc.woken_by = Some(q);
                     let tag = proc.tag;
                     st.policy.enqueue(tid, tag);
-                    #[cfg(feature = "audit")]
-                    {
-                        if let Some(d) = st.race.as_deref_mut() {
-                            d.wake_edge(cause.src(), tid.0);
-                        }
-                        self.race_protected(st, Loc::RunQueue, AccessKind::Write, "wake.enqueue");
+                    if let Some(d) = st.race.as_deref_mut() {
+                        d.wake_edge(cause.src(), tid.0);
                     }
+                    self.race_protected(st, Loc::RunQueue, AccessKind::Write, "wake.enqueue");
                     // A delivered signal supersedes any earlier
                     // into-the-void signal on this queue.
-                    #[cfg(feature = "audit")]
                     st.audit.empty_signals.remove(&q);
                     return true;
                 }
@@ -2136,7 +1999,6 @@ impl Sim {
                     // The waker's clock reaches the *scheduler*: lite
                     // procs run sequentially inside its engine slot, so
                     // the scheduler's task is the unit of ordering.
-                    #[cfg(feature = "audit")]
                     if let Some(d) = st.race.as_deref_mut() {
                         d.wake_edge(cause.src(), sched.0);
                     }
@@ -2149,7 +2011,6 @@ impl Sim {
                     if !mutant_on(st, MUTANT_DROP_DOORBELL) {
                         self.wake_from_queue_locked(st, doorbell, cause);
                     }
-                    #[cfg(feature = "audit")]
                     st.audit.empty_signals.remove(&q);
                     return true;
                 }
@@ -2255,7 +2116,6 @@ fn lite_wait_hint(st: &State, tid: Tid) -> String {
 /// Builds the lost-wakeup diagnosis for a blocked process: names every
 /// queue it waits on whose most recent signal found zero waiters — the
 /// classic signal-before-wait race, surfaced at deadlock time.
-#[cfg(feature = "audit")]
 fn lost_wakeup_hint(st: &State, tid: Tid) -> String {
     let mut hints = Vec::new();
     for (q, waiters) in &st.queues {
@@ -2272,11 +2132,6 @@ fn lost_wakeup_hint(st: &State, tid: Tid) -> String {
     hints.concat()
 }
 
-#[cfg(not(feature = "audit"))]
-fn lost_wakeup_hint(_st: &State, _tid: Tid) -> String {
-    String::new()
-}
-
 fn current_tid() -> Tid {
     CURRENT
         .with(|c| c.get())
@@ -2286,7 +2141,6 @@ fn current_tid() -> Tid {
 /// The detector's task id for the calling thread: the engine tid, or 0
 /// for the host. Lite processes attribute to their scheduler's slot —
 /// they are sequential within it, so the attribution is exact.
-#[cfg(feature = "audit")]
 fn race_task() -> u32 {
     CURRENT.get().map_or(0, |t| t.0)
 }
@@ -2297,13 +2151,11 @@ fn race_task() -> u32 {
 /// clock for signals, the *armer's* clock for timers (the task driving
 /// the simulated clock forward did not order the wakeup).
 #[derive(Clone, Copy)]
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 enum WakeCause {
     Signal,
     Timer(u64),
 }
 
-#[cfg(feature = "audit")]
 impl WakeCause {
     fn src(self) -> WakeSrc {
         match self {
@@ -2316,7 +2168,6 @@ impl WakeCause {
 /// The stack-of-record for an access by the calling thread: task, the
 /// trace pid (a polled lite process overrides its scheduler's tid), the
 /// dispatch index, and the code site.
-#[cfg(feature = "audit")]
 fn race_info(st: &State, site: &'static str) -> AccessInfo {
     AccessInfo {
         task: race_task(),

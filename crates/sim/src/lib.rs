@@ -11,8 +11,9 @@
 //!   Pentium, with conversions to the paper's reporting units;
 //! - [`Sim`]: a deterministic baton-passing engine in which exactly one
 //!   simulated process runs at a time. A process is either a task — a
-//!   future that the baton holder polls inline ([`Sim::spawn_task`]) —
-//!   or a threaded process on its own host thread ([`Sim::spawn`]);
+//!   future that the baton holder polls inline ([`Sim::spawn_task`]),
+//!   as every kernel process is — or a threaded process on its own host
+//!   thread ([`Sim::spawn`]);
 //! - [`RunPolicy`]: the pluggable run-queue policy through which the three
 //!   modelled kernels express their scheduler designs;
 //! - [`Summary`], [`Series`] and normalisation helpers matching the
@@ -70,9 +71,7 @@ pub mod proc {
 /// Race detection and schedule exploration (`tnt-race`), re-exported
 /// next to the engine hooks that feed it: `Sim::arm_race_detector`,
 /// `Sim::race_read`/`race_write`, `Sim::race_footprints`, and the
-/// explorer's [`race::ScriptedPolicy`]. Only present with the
-/// default-on `audit` feature. See DESIGN.md §14.
-#[cfg(feature = "audit")]
+/// explorer's [`race::ScriptedPolicy`]. See DESIGN.md §14.
 pub mod race {
     pub use crate::policy::{ScheduleLog, ScriptedPolicy};
     pub use tnt_race::{

@@ -143,7 +143,6 @@ impl LiteHandle {
 pub struct LiteScheduler {
     sim: Sim,
     core: Core<ProcCtx>,
-    switch_cost: Cycles,
 }
 
 impl LiteScheduler {
@@ -152,15 +151,7 @@ impl LiteScheduler {
         LiteScheduler {
             sim: sim.clone(),
             core: Core::new(),
-            switch_cost: Cycles::ZERO,
         }
-    }
-
-    /// Sets the simulated cost charged per lite dispatch (default zero,
-    /// matching a zero-cost `RunPolicy`).
-    pub fn switch_cost(mut self, cost: Cycles) -> LiteScheduler {
-        self.switch_cost = cost;
-        self
     }
 
     /// Adds a lite process to the initial crowd. Its pid comes from the
@@ -176,15 +167,11 @@ impl LiteScheduler {
     /// post-run statistics. The loop awaits the engine's async
     /// primitives, so the crowd runs on the thread that holds the baton.
     pub fn start(self, name: impl Into<String>) -> LiteHandle {
-        let LiteScheduler {
-            sim,
-            mut core,
-            switch_cost,
-        } = self;
+        let LiteScheduler { sim, mut core } = self;
         let stats = Arc::new(Mutex::new(None));
         let out = stats.clone();
         sim.spawn_task(name, move |s| async move {
-            drive(&s, &mut core, switch_cost).await;
+            drive(&s, &mut core).await;
             *out.lock() = Some(LiteStats {
                 polls: core.polls(),
                 cpu_by_pid: core.cpu_by_pid(),
@@ -195,7 +182,7 @@ impl LiteScheduler {
 }
 
 /// The scheduler's drive loop: the body of its engine task.
-async fn drive(sim: &Sim, core: &mut Core<ProcCtx>, switch_cost: Cycles) {
+async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
     let doorbell = sim.new_queue();
     sim.register_lite_sched(doorbell);
     let mut ctx = ProcCtx {
@@ -252,9 +239,6 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>, switch_cost: Cycles) {
         }
 
         if let Some(lid) = core.next_runnable() {
-            if switch_cost > Cycles::ZERO {
-                sim.charge(switch_cost);
-            }
             sim.count(Counter::LiteDispatches, 1);
             ctx.pid = core.pid(lid);
             ctx.wake = core.wake_of(lid);

@@ -28,18 +28,18 @@ impl SimMutex {
     }
 
     /// Acquires the lock, blocking the calling simulated process while
-    /// another holds it.
+    /// another holds it. A threaded process wraps it in `Sim::block_on`.
     ///
-    /// With the `audit` feature (default) the acquisition is recorded
-    /// in the engine's lock-order graph; establishing both `A -> B` and
-    /// `B -> A` orders across the run fails the simulation loudly even
-    /// when this particular interleaving happens not to deadlock.
-    pub fn lock(&self, sim: &Sim) {
+    /// The acquisition is recorded in the engine's lock-order graph;
+    /// establishing both `A -> B` and `B -> A` orders across the run
+    /// fails the simulation loudly even when this particular
+    /// interleaving happens not to deadlock.
+    pub async fn lock(&self, sim: &Sim) {
         sim.audit_mutex_acquiring(self.waiters);
         // Processes run atomically between blocking calls, so this
         // check-then-set cannot race; the atomic is only for `Sync`.
         while self.held.load(Ordering::Relaxed) {
-            sim.wait_on(self.waiters, "sim mutex");
+            sim.wait_on_async(self.waiters, "sim mutex").await;
         }
         self.held.store(true, Ordering::Relaxed);
         sim.audit_mutex_acquired(self.waiters);
@@ -57,20 +57,6 @@ impl SimMutex {
         );
         sim.audit_mutex_released(self.waiters);
         sim.wakeup_one(self.waiters);
-    }
-
-    /// Attempts to acquire without blocking: the lite-process path.
-    /// On `false`, block by returning `Step::Block` on
-    /// [`SimMutex::wait_queue`] (see `tnt_sim::proc::block_on`) and
-    /// retry on wakeup.
-    pub fn try_lock(&self, sim: &Sim) -> bool {
-        if self.held.load(Ordering::Relaxed) {
-            return false;
-        }
-        sim.audit_mutex_acquiring(self.waiters);
-        self.held.store(true, Ordering::Relaxed);
-        sim.audit_mutex_acquired(self.waiters);
-        true
     }
 
     /// The queue contenders park on; [`SimMutex::unlock`] signals it.
@@ -102,7 +88,7 @@ mod tests {
             let lock = lock.clone();
             let log = log.clone();
             sim.spawn(format!("p{i}"), move |s| {
-                lock.lock(s);
+                s.block_on(lock.lock(s));
                 log.lock().push((i, "in"));
                 s.sleep(Cycles(1_000)); // Blocking inside the section.
                 s.advance(Cycles(10));
@@ -141,7 +127,7 @@ mod tests {
         assert!(!lock.is_locked());
         let l2 = lock.clone();
         sim.spawn("p", move |s| {
-            l2.lock(s);
+            s.block_on(l2.lock(s));
             assert!(l2.is_locked());
             l2.unlock(s);
             assert!(!l2.is_locked());

@@ -97,7 +97,6 @@ impl RunPolicy for FifoPolicy {
 /// [`tnt_race::Choice`] per dispatch at which more than one process was
 /// runnable. The explorer reads it back after each run to learn the
 /// branch points of that schedule.
-#[cfg(feature = "audit")]
 pub type ScheduleLog = std::sync::Arc<parking_lot::Mutex<Vec<tnt_race::Choice>>>;
 
 /// The explorer's controlled scheduler: a zero-cost policy whose every
@@ -111,7 +110,6 @@ pub type ScheduleLog = std::sync::Arc<parking_lot::Mutex<Vec<tnt_race::Choice>>>
 /// candidate's would-be slice number. Singleton picks are forced moves:
 /// not recorded, not script-consuming. Deterministic and RNG-free by
 /// construction.
-#[cfg(feature = "audit")]
 pub struct ScriptedPolicy {
     runnable: std::collections::BTreeSet<Tid>,
     script: Vec<usize>,
@@ -122,7 +120,6 @@ pub struct ScriptedPolicy {
     log: ScheduleLog,
 }
 
-#[cfg(feature = "audit")]
 impl ScriptedPolicy {
     /// Creates a policy replaying `script` and appending every branch
     /// point to `log`.
@@ -137,7 +134,6 @@ impl ScriptedPolicy {
     }
 }
 
-#[cfg(feature = "audit")]
 impl RunPolicy for ScriptedPolicy {
     fn enqueue(&mut self, tid: Tid, _tag: u32) {
         debug_assert!(!self.runnable.contains(&tid), "tid {tid:?} enqueued twice");
@@ -223,7 +219,6 @@ mod tests {
         assert_eq!(p.pick(&mut env).unwrap().cost, Cycles::ZERO);
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn scripted_policy_records_contended_picks_only() {
         let log: ScheduleLog = Default::default();
@@ -256,7 +251,6 @@ mod tests {
         assert_eq!(log.lock()[1].chosen, 0);
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn scripted_policy_clamps_out_of_range_entries() {
         let log: ScheduleLog = Default::default();

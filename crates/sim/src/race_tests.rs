@@ -5,7 +5,6 @@
 //! real bug class the deterministic engine is designed out of: a lost
 //! doorbell wakeup, a broken timer tie-break, an unlocked trace-ring
 //! write, and a stale `WaitReason::Any` queue token.
-#![cfg(feature = "audit")]
 
 use std::sync::Arc;
 
@@ -43,7 +42,7 @@ fn detector_is_disarmed_by_default() {
 #[test]
 fn unordered_user_writes_race() {
     let s = sim();
-    assert!(s.arm_race_detector());
+    s.arm_race_detector();
     for name in ["a", "b"] {
         s.spawn(name, |s| {
             s.advance(Cycles(10));
@@ -63,13 +62,13 @@ fn unordered_user_writes_race() {
 #[test]
 fn mutex_ordered_user_writes_do_not_race() {
     let s = sim();
-    assert!(s.arm_race_detector());
+    s.arm_race_detector();
     let m = Arc::new(SimMutex::new(&s));
     for name in ["a", "b"] {
         let m = m.clone();
         s.spawn(name, move |s| {
             s.advance(Cycles(10));
-            m.lock(s);
+            s.block_on(m.lock(s));
             s.race_write("shared-counter", 0);
             m.unlock(s);
         });
@@ -80,16 +79,16 @@ fn mutex_ordered_user_writes_do_not_race() {
 #[test]
 fn channel_ordered_user_writes_do_not_race() {
     let s = sim();
-    assert!(s.arm_race_detector());
+    s.arm_race_detector();
     let ch = Arc::new(crate::chan::SimChannel::new(&s, 1));
     let tx = ch.clone();
     s.spawn("producer", move |s| {
         s.race_write("handoff", 0);
-        tx.send(s, 1u32);
+        s.block_on(tx.send(s, 1u32));
     });
     let rx = ch.clone();
     s.spawn("consumer", move |s| {
-        let _ = rx.recv(s);
+        let _ = s.block_on(rx.recv(s));
         s.race_write("handoff", 0);
     });
     let _ = s.run().unwrap();
@@ -110,7 +109,7 @@ fn mutant_unlocked_ring_write_is_caught_by_the_checker() {
         if mutant {
             s.set_mutant(MUTANT_UNLOCKED_RING_WRITE);
         }
-        assert!(s.arm_race_detector());
+        s.arm_race_detector();
         for name in ["a", "b"] {
             s.spawn(name, |s| {
                 s.advance(Cycles(100));

@@ -1,14 +1,11 @@
-//! Integration tests for the dynamic audit checkers (`audit` feature,
-//! on by default): the SimMutex lock-order graph and the lost-wakeup
-//! diagnosis.
+//! Integration tests for the dynamic audit checkers: the SimMutex
+//! lock-order graph and the lost-wakeup diagnosis.
 //!
 //! Each deliberate violation surfaces as `SimError::ProcPanic` (the
 //! checker panics inside the offending simulated process) or as an
 //! augmented `SimError::Deadlock` message, so the tests assert on the
 //! error text rather than on raw panics — except one `#[should_panic]`
 //! case that re-raises to prove the failure is loud.
-
-#![cfg(feature = "audit")]
 
 use std::sync::Arc;
 
@@ -28,16 +25,16 @@ fn lock_order_cycle_detected_without_deadlocking() {
     let b = Arc::new(SimMutex::new(&s));
     let (a1, b1) = (a.clone(), b.clone());
     s.spawn("forward", move |s| {
-        a1.lock(s);
-        b1.lock(s);
+        s.block_on(a1.lock(s));
+        s.block_on(b1.lock(s));
         b1.unlock(s);
         a1.unlock(s);
     });
     let (a2, b2) = (a.clone(), b.clone());
     s.spawn("reversed", move |s| {
         s.advance(Cycles(10));
-        b2.lock(s);
-        a2.lock(s); // trips: order a -> b already established
+        s.block_on(b2.lock(s));
+        s.block_on(a2.lock(s)); // trips: order a -> b already established
         a2.unlock(s);
         b2.unlock(s);
     });
@@ -60,17 +57,17 @@ fn ab_ba_interleaving_trips_before_the_deadlock() {
     let b = Arc::new(SimMutex::new(&s));
     let (a1, b1) = (a.clone(), b.clone());
     s.spawn("p1", move |s| {
-        a1.lock(s);
+        s.block_on(a1.lock(s));
         s.yield_now();
-        b1.lock(s);
+        s.block_on(b1.lock(s));
         b1.unlock(s);
         a1.unlock(s);
     });
     let (a2, b2) = (a.clone(), b.clone());
     s.spawn("p2", move |s| {
-        b2.lock(s);
+        s.block_on(b2.lock(s));
         s.yield_now();
-        a2.lock(s);
+        s.block_on(a2.lock(s));
         a2.unlock(s);
         b2.unlock(s);
     });
@@ -90,15 +87,15 @@ fn lock_order_violation_is_loud() {
     let b = Arc::new(SimMutex::new(&s));
     let (a1, b1) = (a.clone(), b.clone());
     s.spawn("fwd", move |s| {
-        a1.lock(s);
-        b1.lock(s);
+        s.block_on(a1.lock(s));
+        s.block_on(b1.lock(s));
         b1.unlock(s);
         a1.unlock(s);
     });
     s.spawn("rev", move |s| {
         s.advance(Cycles(1));
-        b.lock(s);
-        a.lock(s);
+        s.block_on(b.lock(s));
+        s.block_on(a.lock(s));
         a.unlock(s);
         b.unlock(s);
     });
@@ -118,8 +115,8 @@ fn consistent_lock_order_is_fine() {
         let (a, b) = (a.clone(), b.clone());
         s.spawn(format!("p{i}"), move |s| {
             for _ in 0..3 {
-                a.lock(s);
-                b.lock(s);
+                s.block_on(a.lock(s));
+                s.block_on(b.lock(s));
                 s.sleep(Cycles(100));
                 b.unlock(s);
                 a.unlock(s);

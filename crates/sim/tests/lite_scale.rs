@@ -69,7 +69,7 @@ fn run_crowd(n: u32, seed: u64) -> (Cycles, u64, u64, Vec<(u32, u64)>) {
     let rx = ch.clone();
     sim.spawn("server", move |s| {
         for _ in 0..requests {
-            let _req = rx.recv(s);
+            let _req = s.block_on(rx.recv(s));
             s.advance(Cycles(200));
             s.wakeup_all(done);
         }

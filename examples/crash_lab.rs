@@ -25,14 +25,14 @@ fn experiment(os: Os, sync_before_crash: bool) -> (CrashReport, f64) {
     let fs = SimFs::fresh_for_os(os);
     kernel.mount(fs.clone());
     let fs2 = fs.clone();
-    kernel.spawn_user("writer", move |p| {
+    kernel.spawn_user("writer", move |p| async move {
         for i in 0..FILES {
-            let fd = p.creat(&format!("/mail{i}")).unwrap();
-            p.write(fd, FILE_BYTES).unwrap();
-            p.close(fd).unwrap();
+            let fd = p.creat(&format!("/mail{i}")).await.unwrap();
+            p.write(fd, FILE_BYTES).await.unwrap();
+            p.close(fd).await.unwrap();
         }
         if sync_before_crash {
-            fs2.sync(p.kernel().env());
+            fs2.sync(p.kernel().env()).await;
         }
     });
     let elapsed = sim.run().unwrap().as_secs();
@@ -45,11 +45,11 @@ fn experiment_freebsd_21() -> (CrashReport, f64) {
     let disk = Arc::new(Disk::new(DiskParams::hp3725()));
     let fs = SimFs::new(disk, FsParams::ffs_freebsd_21());
     kernel.mount(fs.clone());
-    kernel.spawn_user("writer", move |p| {
+    kernel.spawn_user("writer", move |p| async move {
         for i in 0..FILES {
-            let fd = p.creat(&format!("/mail{i}")).unwrap();
-            p.write(fd, FILE_BYTES).unwrap();
-            p.close(fd).unwrap();
+            let fd = p.creat(&format!("/mail{i}")).await.unwrap();
+            p.write(fd, FILE_BYTES).await.unwrap();
+            p.close(fd).await.unwrap();
         }
     });
     let elapsed = sim.run().unwrap().as_secs();

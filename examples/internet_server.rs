@@ -17,7 +17,7 @@
 //! A third mode scales past anything one-thread-per-process can host:
 //! `crowd [N]` runs N (default 10,000) clients as **lite processes** —
 //! cooperative state machines multiplexed inside a single engine slot —
-//! against a small pool of threaded workers, connected by a
+//! against a small pool of worker processes, connected by a
 //! `SimChannel`:
 //!
 //! ```text
@@ -39,33 +39,33 @@ const SERVICE_CY: u64 = 20_000; // 200 µs
 
 fn serve(os: Os, nclients: usize) -> f64 {
     let (sim, kernel) = boot(os, 1);
-    kernel.spawn_user("acceptor", move |p| {
+    kernel.spawn_user("acceptor", move |p| async move {
         let mut children = Vec::new();
         // One worker pair of pipes per connection (request, reply).
         for i in 0..nclients {
             let (req_rd, req_wr) = p.pipe();
             let (rep_rd, rep_wr) = p.pipe();
             // The connection's worker.
-            children.push(p.fork(format!("worker{i}"), move |w| {
+            children.push(p.fork(format!("worker{i}"), move |w| async move {
                 for _ in 0..REQUESTS {
-                    if w.read(req_rd, 128).unwrap() == 0 {
+                    if w.read(req_rd, 128).await.unwrap() == 0 {
                         break;
                     }
                     w.compute(Cycles(SERVICE_CY));
-                    w.write(rep_wr, 256).unwrap();
+                    w.write(rep_wr, 256).await.unwrap();
                 }
             }));
             // The client driving it.
-            children.push(p.fork(format!("client{i}"), move |c| {
+            children.push(p.fork(format!("client{i}"), move |c| async move {
                 for _ in 0..REQUESTS {
-                    c.write(req_wr, 128).unwrap();
-                    c.read(rep_rd, 256).unwrap();
+                    c.write(req_wr, 128).await.unwrap();
+                    c.read(rep_rd, 256).await.unwrap();
                 }
-                c.close(req_wr).unwrap();
+                c.close(req_wr).await.unwrap();
             }));
         }
         for child in children {
-            p.waitpid(child);
+            p.waitpid(child).await;
         }
     });
     let elapsed = sim.run().unwrap().as_secs();
@@ -76,7 +76,7 @@ fn serve(os: Os, nclients: usize) -> f64 {
 /// connection's request pipe.
 fn serve_select(os: Os, nclients: usize) -> f64 {
     let (sim, kernel) = boot(os, 1);
-    kernel.spawn_user("acceptor", move |p| {
+    kernel.spawn_user("acceptor", move |p| async move {
         let mut req_rds = Vec::new();
         let mut rep_wrs = Vec::new();
         let mut client_ends = Vec::new();
@@ -87,39 +87,39 @@ fn serve_select(os: Os, nclients: usize) -> f64 {
             req_rds.push(req_rd);
             rep_wrs.push(rep_wr);
             client_ends.push((req_wr, rep_rd));
-            children.push(p.fork(format!("client{i}"), move |c| {
+            children.push(p.fork(format!("client{i}"), move |c| async move {
                 for _ in 0..REQUESTS {
-                    c.write(req_wr, 128).unwrap();
-                    c.read(rep_rd, 256).unwrap();
+                    c.write(req_wr, 128).await.unwrap();
+                    c.read(rep_rd, 256).await.unwrap();
                 }
-                c.close(req_wr).unwrap();
+                c.close(req_wr).await.unwrap();
             }));
         }
         // Drop the acceptor's copies of the client-side ends BEFORE
         // forking the server, or the server would inherit write ends and
         // never see EOF — the classic fd-leak server bug.
         for (req_wr, rep_rd) in client_ends {
-            p.close(req_wr).unwrap();
-            p.close(rep_rd).unwrap();
+            p.close(req_wr).await.unwrap();
+            p.close(rep_rd).await.unwrap();
         }
         // The single event loop.
-        children.push(p.fork("event-server", move |srv| {
+        children.push(p.fork("event-server", move |srv| async move {
             let mut open = req_rds.len();
             while open > 0 {
-                let ready = srv.select_read(&req_rds, None).unwrap();
+                let ready = srv.select_read(&req_rds, None).await.unwrap();
                 for fd in ready {
                     let idx = req_rds.iter().position(|r| *r == fd).unwrap();
-                    if srv.read(fd, 128).unwrap() == 0 {
+                    if srv.read(fd, 128).await.unwrap() == 0 {
                         open -= 1;
                         continue;
                     }
                     srv.compute(Cycles(SERVICE_CY));
-                    srv.write(rep_wrs[idx], 256).unwrap();
+                    srv.write(rep_wrs[idx], 256).await.unwrap();
                 }
             }
         }));
         for child in children {
-            p.waitpid(child);
+            p.waitpid(child).await;
         }
     });
     let elapsed = sim.run().unwrap().as_secs();
@@ -133,12 +133,12 @@ const CROWD_REQUESTS: u64 = 3;
 /// Simulated client think time between requests.
 const THINK_CY: u64 = 1_000;
 
-/// Threaded worker processes serving the crowd.
+/// Worker processes serving the crowd.
 const CROWD_WORKERS: usize = 8;
 
 /// The crowd variant: `nclients` lite processes (one engine slot, no
 /// host threads) drive requests through a bounded [`SimChannel`] into a
-/// pool of threaded workers. Returns `(req/s, engine dispatches, lite
+/// pool of worker processes. Returns `(req/s, engine dispatches, lite
 /// polls)` — the dispatch numbers are the point: tens of thousands of
 /// clients cost the baton engine almost nothing.
 fn serve_crowd(os: Os, nclients: usize) -> (f64, u64, u64) {
@@ -156,9 +156,9 @@ fn serve_crowd(os: Os, nclients: usize) -> (f64, u64, u64) {
             + u64::from((w as u64) < total % CROWD_WORKERS as u64);
         let rx = requests.clone();
         let replies = reply_qs.clone();
-        kernel.spawn_user(format!("worker{w}"), move |p| {
+        kernel.spawn_user(format!("worker{w}"), move |p| async move {
             for _ in 0..quota {
-                let client = rx.recv(p.sim());
+                let client = rx.recv(p.sim()).await;
                 p.compute(Cycles(SERVICE_CY));
                 p.sim().wakeup_one(replies[client as usize]);
             }
@@ -210,7 +210,7 @@ fn serve_crowd(os: Os, nclients: usize) -> (f64, u64, u64) {
 }
 
 fn crowd_main(nclients: usize) {
-    println!("== {nclients} lite clients vs {CROWD_WORKERS} threaded workers ==\n");
+    println!("== {nclients} lite clients vs {CROWD_WORKERS} workers ==\n");
     println!(
         "  {:<12} {:>12} {:>16} {:>12}",
         "OS", "req/s", "engine switches", "lite polls"

@@ -25,21 +25,21 @@ fn main() {
     // 2. A tiny custom program: fork a child and talk over a pipe.
     println!("\na pipe conversation on Linux:");
     let (sim, kernel) = boot(Os::Linux, 1);
-    kernel.spawn_user("parent", |p| {
+    kernel.spawn_user("parent", |p| async move {
         let (rd, wr) = p.pipe();
-        let child = p.fork("child", move |c| {
-            c.write_bytes(wr, b"hello from the child").unwrap();
-            c.close(wr).unwrap();
+        let child = p.fork("child", move |c| async move {
+            c.write_bytes(wr, b"hello from the child").await.unwrap();
+            c.close(wr).await.unwrap();
         });
-        p.close(wr).unwrap();
-        let msg = p.read_bytes(rd, 64).unwrap();
+        p.close(wr).await.unwrap();
+        let msg = p.read_bytes(rd, 64).await.unwrap();
         println!(
             "  parent read {:?} at t={}",
             String::from_utf8_lossy(&msg),
             p.sim().now()
         );
         p.compute(Cycles::from_micros(10.0));
-        p.waitpid(child);
+        p.waitpid(child).await;
     });
     let elapsed = sim.run().unwrap();
     println!("  simulated time: {elapsed}");

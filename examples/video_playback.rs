@@ -21,59 +21,61 @@ const FRAMES: u64 = 600; // ~37 MB, beyond the 20 MB cache
 const DB_OPS: u32 = 150;
 
 fn playback(os: Os) -> (u64, f64) {
-    run_with_fs(os, 1, move |p| {
-        let fd = p.creat("/movie.raw").unwrap();
+    run_with_fs(os, 1, move |p| async move {
+        let fd = p.creat("/movie.raw").await.unwrap();
         for _ in 0..FRAMES {
-            p.write(fd, FRAME_BYTES).unwrap();
+            p.write(fd, FRAME_BYTES).await.unwrap();
         }
-        p.close(fd).unwrap();
+        p.close(fd).await.unwrap();
         // Play it back: each frame must arrive within its budget.
-        let fd = p.open("/movie.raw", OpenFlags::rdonly()).unwrap();
+        let fd = p.open("/movie.raw", OpenFlags::rdonly()).await.unwrap();
         let mut dropped = 0;
         let t0 = p.sim().now();
         for _ in 0..FRAMES {
-            let (_, took) = timed(p, || {
+            let (_, took) = timed(&p, async {
                 let mut left = FRAME_BYTES;
                 while left > 0 {
-                    let n = p.read(fd, left.min(8192)).unwrap();
+                    let n = p.read(fd, left.min(8192)).await.unwrap();
                     assert!(n > 0, "file ends early");
                     left -= n;
                 }
                 p.compute(Cycles::from_micros(500.0)); // decode
-            });
+            })
+            .await;
             if took.as_micros() > FRAME_BUDGET_US {
                 dropped += 1;
             }
         }
         let elapsed = (p.sim().now() - t0).as_secs();
-        p.close(fd).unwrap();
+        p.close(fd).await.unwrap();
         let mb_s = (FRAMES * FRAME_BYTES) as f64 / (1024.0 * 1024.0) / elapsed;
         (dropped, mb_s)
     })
 }
 
 fn database(os: Os) -> f64 {
-    run_with_fs(os, 1, move |p| {
-        let fd = p.creat("/table.db").unwrap();
+    run_with_fs(os, 1, move |p| async move {
+        let fd = p.creat("/table.db").await.unwrap();
         let pages = 3_000u64; // 24 MB of 8 KB pages
         for _ in 0..pages {
-            p.write(fd, 8192).unwrap();
+            p.write(fd, 8192).await.unwrap();
         }
-        p.close(fd).unwrap();
-        let fd = p.open("/table.db", OpenFlags::rdwr()).unwrap();
+        p.close(fd).await.unwrap();
+        let fd = p.open("/table.db", OpenFlags::rdwr()).await.unwrap();
         // Random page read-modify-write, the bonnie seek pattern.
         let offsets: Vec<u64> = (0..DB_OPS)
             .map(|_| p.sim().with_rng(|r| rand_page(r, pages)) * 8192)
             .collect();
-        let (_, d) = timed(p, || {
+        let (_, d) = timed(&p, async {
             for off in offsets {
                 p.lseek(fd, off).unwrap();
-                p.read(fd, 8192).unwrap();
+                p.read(fd, 8192).await.unwrap();
                 p.lseek(fd, off).unwrap();
-                p.write(fd, 8192).unwrap();
+                p.write(fd, 8192).await.unwrap();
             }
-        });
-        p.close(fd).unwrap();
+        })
+        .await;
+        p.close(fd).await.unwrap();
         DB_OPS as f64 / d.as_secs()
     })
 }
@@ -127,20 +129,20 @@ fn record_and_replay() {
         let fs = tnt_fs::SimFs::fresh_for_os(os);
         kernel.mount(fs.clone());
         sim.recorder().enable();
-        kernel.spawn_user("playback", move |p| {
-            let fd = p.creat("/movie.raw").unwrap();
+        kernel.spawn_user("playback", move |p| async move {
+            let fd = p.creat("/movie.raw").await.unwrap();
             for _ in 0..frames {
-                p.write(fd, FRAME_BYTES).unwrap();
+                p.write(fd, FRAME_BYTES).await.unwrap();
             }
-            p.close(fd).unwrap();
-            let fd = p.open("/movie.raw", OpenFlags::rdonly()).unwrap();
+            p.close(fd).await.unwrap();
+            let fd = p.open("/movie.raw", OpenFlags::rdonly()).await.unwrap();
             for _ in 0..frames {
                 let mut left = FRAME_BYTES;
                 while left > 0 {
-                    left -= p.read(fd, left.min(8192)).unwrap();
+                    left -= p.read(fd, left.min(8192)).await.unwrap();
                 }
             }
-            p.close(fd).unwrap();
+            p.close(fd).await.unwrap();
         });
         // The replay check compares disk busy time, not the final clock.
         let _ = sim.run().unwrap();

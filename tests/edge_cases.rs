@@ -13,14 +13,14 @@ fn rusage_attributes_cpu_to_the_right_process() {
     let (sim, kernel) = boot(Os::Linux, 0);
     let usages = Arc::new(Mutex::new((Cycles::ZERO, Cycles::ZERO)));
     let u2 = usages.clone();
-    kernel.spawn_user("parent", move |p| {
+    kernel.spawn_user("parent", move |p| async move {
         let u3 = u2.clone();
-        let child = p.fork("burner", move |c| {
+        let child = p.fork("burner", move |c| async move {
             c.compute(Cycles(500_000));
             u3.lock().1 = c.rusage_self();
         });
         p.compute(Cycles(10_000));
-        p.waitpid(child);
+        p.waitpid(child).await;
         u2.lock().0 = p.rusage_self();
     });
     let _ = sim.run().unwrap();
@@ -39,21 +39,21 @@ fn tcp_across_the_wire_pays_ethernet_time() {
     let h0 = net.register_host(&kernels[0]);
     let h1 = net.register_host(&kernels[1]);
     let listener = TcpListener::bind(&net, &kernels[1], h1, 80).unwrap();
-    kernels[1].spawn_user("server", move |_| {
-        let conn = listener.accept().unwrap();
-        while conn.read(65536).unwrap() > 0 {}
+    kernels[1].spawn_user("server", move |_| async move {
+        let conn = listener.accept().await.unwrap();
+        while conn.read(65536).await.unwrap() > 0 {}
     });
     let n2 = net.clone();
     let k0 = kernels[0].clone();
     let elapsed = Arc::new(Mutex::new(Cycles::ZERO));
     let e2 = elapsed.clone();
-    kernels[0].spawn_user("client", move |p| {
+    kernels[0].spawn_user("client", move |p| async move {
         let conn = connect(&n2, &k0, h0, Addr { host: h1, port: 80 }).unwrap();
         let t0 = p.sim().now();
         let total: u64 = 256 * 1024;
         let mut sent = 0;
         while sent < total {
-            sent += conn.write(65536.min(total - sent)).unwrap();
+            sent += conn.write(65536.min(total - sent)).await.unwrap();
         }
         conn.close();
         *e2.lock() = p.sim().now() - t0;
@@ -72,16 +72,16 @@ fn tcp_write_after_peer_close_is_epipe() {
     let host = net.register_host(&kernel);
     let listener = TcpListener::bind(&net, &kernel, host, 81).unwrap();
     let (n2, k2) = (net.clone(), kernel.clone());
-    kernel.spawn_user("main", move |p| {
-        let child = p.fork("closer", move |_| {
-            let conn = listener.accept().unwrap();
+    kernel.spawn_user("main", move |p| async move {
+        let child = p.fork("closer", move |_| async move {
+            let conn = listener.accept().await.unwrap();
             conn.close();
         });
         let conn = connect(&n2, &k2, host, Addr { host, port: 81 }).unwrap();
-        p.waitpid(child);
+        p.waitpid(child).await;
         // The peer's close half-closed their send side; OUR writes go to
         // the direction the peer marked fin.
-        let r = conn.write(100);
+        let r = conn.write(100).await;
         assert_eq!(r.err(), Some(Errno::EPIPE));
     });
     let _ = sim.run().unwrap();
@@ -91,12 +91,12 @@ fn tcp_write_after_peer_close_is_epipe() {
 fn null_device_semantics() {
     // Processes start with no fds; pipe() allocates from 0.
     let (sim, kernel) = boot(Os::FreeBsd, 0);
-    kernel.spawn_user("p", |p| {
+    kernel.spawn_user("p", |p| async move {
         let (r, w) = p.pipe();
         assert_eq!((r, w), (0, 1), "lowest-first allocation");
         let d = p.dup(r).unwrap();
         assert_eq!(d, 2);
-        p.close(r).unwrap();
+        p.close(r).await.unwrap();
         let (r2, _) = p.pipe();
         assert_eq!(r2, 0, "hole reused");
     });
@@ -107,17 +107,21 @@ fn null_device_semantics() {
 fn lseek_past_eof_reads_zero_and_write_extends() {
     let (sim, kernel) = boot(Os::Linux, 0);
     kernel.mount(tnt_fs::SimFs::fresh_for_os(Os::Linux));
-    kernel.spawn_user("p", |p| {
-        let fd = p.creat("/f").unwrap();
-        p.write(fd, 1000).unwrap();
-        p.close(fd).unwrap();
-        let fd = p.open("/f", OpenFlags::rdwr()).unwrap();
+    kernel.spawn_user("p", |p| async move {
+        let fd = p.creat("/f").await.unwrap();
+        p.write(fd, 1000).await.unwrap();
+        p.close(fd).await.unwrap();
+        let fd = p.open("/f", OpenFlags::rdwr()).await.unwrap();
         p.lseek(fd, 5_000).unwrap();
-        assert_eq!(p.read(fd, 100).unwrap(), 0, "read past EOF");
+        assert_eq!(p.read(fd, 100).await.unwrap(), 0, "read past EOF");
         p.lseek(fd, 5_000).unwrap();
-        p.write(fd, 100).unwrap();
-        p.close(fd).unwrap();
-        assert_eq!(p.stat("/f").unwrap().size, 5_100, "write extends the file");
+        p.write(fd, 100).await.unwrap();
+        p.close(fd).await.unwrap();
+        assert_eq!(
+            p.stat("/f").await.unwrap().size,
+            5_100,
+            "write extends the file"
+        );
     });
     let _ = sim.run().unwrap();
 }
@@ -128,17 +132,17 @@ fn mount_table_routes_longest_prefix() {
     kernel.mount(tnt_fs::SimFs::fresh_for_os(Os::Linux));
     let tmp = tnt_fs::SimFs::fresh_for_os(Os::Linux);
     kernel.mount_at("/tmp", tmp);
-    kernel.spawn_user("p", |p| {
-        let fd = p.creat("/tmp/scratch").unwrap();
-        p.write(fd, 10).unwrap();
-        p.close(fd).unwrap();
-        let fd = p.creat("/tmpfile").unwrap(); // NOT under /tmp
-        p.close(fd).unwrap();
+    kernel.spawn_user("p", |p| async move {
+        let fd = p.creat("/tmp/scratch").await.unwrap();
+        p.write(fd, 10).await.unwrap();
+        p.close(fd).await.unwrap();
+        let fd = p.creat("/tmpfile").await.unwrap(); // NOT under /tmp
+        p.close(fd).await.unwrap();
         // Root sees /tmpfile but not /tmp/scratch's entry.
-        let names = p.readdir("/").unwrap();
+        let names = p.readdir("/").await.unwrap();
         assert!(names.contains(&"tmpfile".to_string()));
         assert!(!names.contains(&"scratch".to_string()));
-        assert_eq!(p.readdir("/tmp").unwrap(), vec!["scratch"]);
+        assert_eq!(p.readdir("/tmp").await.unwrap(), vec!["scratch"]);
     });
     let _ = sim.run().unwrap();
 }
@@ -148,10 +152,13 @@ fn cross_mount_rename_is_rejected() {
     let (sim, kernel) = boot(Os::FreeBsd, 0);
     kernel.mount(tnt_fs::SimFs::fresh_for_os(Os::FreeBsd));
     kernel.mount_at("/tmp", tnt_fs::SimFs::fresh_for_os(Os::FreeBsd));
-    kernel.spawn_user("p", |p| {
-        let fd = p.creat("/file").unwrap();
-        p.close(fd).unwrap();
-        assert_eq!(p.rename("/file", "/tmp/file").err(), Some(Errno::EINVAL));
+    kernel.spawn_user("p", |p| async move {
+        let fd = p.creat("/file").await.unwrap();
+        p.close(fd).await.unwrap();
+        assert_eq!(
+            p.rename("/file", "/tmp/file").await.err(),
+            Some(Errno::EINVAL)
+        );
     });
     let _ = sim.run().unwrap();
 }
@@ -160,12 +167,12 @@ fn cross_mount_rename_is_rejected() {
 fn kernel_stats_count_what_happened() {
     let (sim, kernel) = boot(Os::Solaris, 0);
     let k2 = kernel.clone();
-    kernel.spawn_user("p", move |p| {
+    kernel.spawn_user("p", move |p| async move {
         for _ in 0..10 {
             p.getpid();
         }
-        let child = p.fork("c", |c| c.exec());
-        p.waitpid(child);
+        let child = p.fork("c", |c| async move { c.exec() });
+        p.waitpid(child).await;
         let stats = k2.stats();
         assert!(
             stats.syscalls >= 12,
@@ -196,16 +203,16 @@ fn deep_nfs_paths_resolve_through_dnlc() {
     .unwrap();
     let mount = NfsClient::mount(&net, &kernels[0], ch, server.addr()).unwrap();
     kernels[0].mount(mount.clone());
-    kernels[0].spawn_user("p", move |p| {
-        p.mkdir("/a").unwrap();
-        p.mkdir("/a/b").unwrap();
-        p.mkdir("/a/b/c").unwrap();
-        let fd = p.creat("/a/b/c/deep").unwrap();
-        p.write(fd, 123).unwrap();
-        p.close(fd).unwrap();
+    kernels[0].spawn_user("p", move |p| async move {
+        p.mkdir("/a").await.unwrap();
+        p.mkdir("/a/b").await.unwrap();
+        p.mkdir("/a/b/c").await.unwrap();
+        let fd = p.creat("/a/b/c/deep").await.unwrap();
+        p.write(fd, 123).await.unwrap();
+        p.close(fd).await.unwrap();
         let before = mount.rpc_total();
         // Second resolution of the same path: the dnlc absorbs lookups.
-        assert_eq!(p.stat("/a/b/c/deep").unwrap().size, 123);
+        assert_eq!(p.stat("/a/b/c/deep").await.unwrap().size, 123);
         let after = mount.rpc_total();
         assert!(
             after - before <= 2,

@@ -26,21 +26,21 @@ proptest! {
         let (sim, kernel) = boot(os, 1);
         let received = Arc::new(Mutex::new(Vec::new()));
         let r2 = received.clone();
-        kernel.spawn_user("main", move |p| {
+        kernel.spawn_user("main", move |p| async move {
             let (rd, wr) = p.pipe();
-            let child = p.fork("writer", move |c| {
-                c.write_bytes(wr, &data).unwrap();
-                c.close(wr).unwrap();
+            let child = p.fork("writer", move |c| async move {
+                c.write_bytes(wr, &data).await.unwrap();
+                c.close(wr).await.unwrap();
             });
-            p.close(wr).unwrap();
+            p.close(wr).await.unwrap();
             loop {
-                let chunk = p.read_bytes(rd, read_chunk).unwrap();
+                let chunk = p.read_bytes(rd, read_chunk).await.unwrap();
                 if chunk.is_empty() {
                     break;
                 }
                 r2.lock().extend(chunk);
             }
-            p.waitpid(child);
+            p.waitpid(child).await;
         });
         let _ = sim.run().unwrap();
         prop_assert_eq!(&*received.lock(), &expected);
@@ -59,12 +59,12 @@ proptest! {
         let received = Arc::new(Mutex::new(0u64));
         let r2 = received.clone();
         let (n2, k2) = (net.clone(), kernel.clone());
-        kernel.spawn_user("main", move |p| {
+        kernel.spawn_user("main", move |p| async move {
             let listener = TcpListener::bind(&n2, &k2, host, 80).unwrap();
-            let child = p.fork("server", move |_| {
-                let conn = listener.accept().unwrap();
+            let child = p.fork("server", move |_| async move {
+                let conn = listener.accept().await.unwrap();
                 loop {
-                    let n = conn.read(read_chunk).unwrap();
+                    let n = conn.read(read_chunk).await.unwrap();
                     if n == 0 {
                         break;
                     }
@@ -74,10 +74,10 @@ proptest! {
             let conn = connect(&n2, &k2, host, Addr { host, port: 80 }).unwrap();
             let mut sent = 0;
             while sent < total {
-                sent += conn.write(write_chunk.min(total - sent)).unwrap();
+                sent += conn.write(write_chunk.min(total - sent)).await.unwrap();
             }
             conn.close();
-            p.waitpid(child);
+            p.waitpid(child).await;
         });
         let _ = sim.run().unwrap();
         prop_assert_eq!(*received.lock(), total);
@@ -95,21 +95,21 @@ proptest! {
         let got = Arc::new(Mutex::new(Vec::new()));
         let g2 = got.clone();
         let (n2, k2) = (net.clone(), kernel.clone());
-        kernel.spawn_user("main", move |p| {
+        kernel.spawn_user("main", move |p| async move {
             let tx = UdpSocket::bind(&n2, &k2, host, 10).unwrap();
             let rx = UdpSocket::bind(&n2, &k2, host, 20).unwrap();
             let count = messages.len();
             let rx2 = rx.clone();
-            let child = p.fork("rx", move |_| {
+            let child = p.fork("rx", move |_| async move {
                 for _ in 0..count {
-                    let pkt = rx2.recv().unwrap().unwrap();
+                    let pkt = rx2.recv().await.unwrap().unwrap();
                     g2.lock().push(pkt.data);
                 }
             });
             for m in &messages {
-                tx.send_to(Addr { host, port: 20 }, m.clone()).unwrap();
+                tx.send_to(Addr { host, port: 20 }, m.clone()).await.unwrap();
             }
-            p.waitpid(child);
+            p.waitpid(child).await;
         });
         let _ = sim.run().unwrap();
         prop_assert_eq!(&*got.lock(), &expected);

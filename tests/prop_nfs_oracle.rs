@@ -47,52 +47,52 @@ fn op_strategy() -> impl Strategy<Value = FsOp> {
 }
 
 /// Observable outcome of one op, as a comparable string.
-fn apply(p: &UProc, op: &FsOp) -> String {
+async fn apply(p: &UProc, op: &FsOp) -> String {
     match op {
-        FsOp::Create(n) => match p.creat(&name(*n)) {
+        FsOp::Create(n) => match p.creat(&name(*n)).await {
             Ok(fd) => {
-                p.close(fd).unwrap();
+                p.close(fd).await.unwrap();
                 "created".into()
             }
             Err(e) => format!("err:{e}"),
         },
-        FsOp::Append(n, sz) => match p.open(&name(*n), OpenFlags::rdwr()) {
+        FsOp::Append(n, sz) => match p.open(&name(*n), OpenFlags::rdwr()).await {
             Ok(fd) => {
-                let size = p.fstat(fd).map(|a| a.size).unwrap_or(0);
+                let size = p.fstat(fd).await.map(|a| a.size).unwrap_or(0);
                 p.lseek(fd, size).unwrap();
-                let wrote = p.write(fd, *sz);
-                p.close(fd).unwrap();
+                let wrote = p.write(fd, *sz).await;
+                p.close(fd).await.unwrap();
                 format!("wrote:{wrote:?}")
             }
             Err(e) => format!("err:{e}"),
         },
-        FsOp::ReadAll(n) => match p.open(&name(*n), OpenFlags::rdonly()) {
+        FsOp::ReadAll(n) => match p.open(&name(*n), OpenFlags::rdonly()).await {
             Ok(fd) => {
                 let mut total = 0;
                 loop {
-                    match p.read(fd, 4096) {
+                    match p.read(fd, 4096).await {
                         Ok(0) => break,
                         Ok(n) => total += n,
                         Err(e) => {
-                            p.close(fd).unwrap();
+                            p.close(fd).await.unwrap();
                             return format!("readerr:{e}");
                         }
                     }
                 }
-                p.close(fd).unwrap();
+                p.close(fd).await.unwrap();
                 format!("read:{total}")
             }
             Err(e) => format!("err:{e}"),
         },
-        FsOp::Stat(n) => match p.stat(&name(*n)) {
+        FsOp::Stat(n) => match p.stat(&name(*n)).await {
             Ok(a) => format!("stat:{}:{}", a.size, a.is_dir),
             Err(e) => format!("err:{e}"),
         },
-        FsOp::Unlink(n) => format!("{:?}", p.unlink(&name(*n)).err()),
-        FsOp::Mkdir(n) => format!("{:?}", p.mkdir(&name(*n)).err()),
-        FsOp::Rmdir(n) => format!("{:?}", p.rmdir(&name(*n)).err()),
-        FsOp::Rename(a, b) => format!("{:?}", p.rename(&name(*a), &name(*b)).err()),
-        FsOp::List => match p.readdir("/") {
+        FsOp::Unlink(n) => format!("{:?}", p.unlink(&name(*n)).await.err()),
+        FsOp::Mkdir(n) => format!("{:?}", p.mkdir(&name(*n)).await.err()),
+        FsOp::Rmdir(n) => format!("{:?}", p.rmdir(&name(*n)).await.err()),
+        FsOp::Rename(a, b) => format!("{:?}", p.rename(&name(*a), &name(*b)).await.err()),
+        FsOp::List => match p.readdir("/").await {
             Ok(names) => format!("ls:{}", names.join(",")),
             Err(e) => format!("err:{e}"),
         },
@@ -100,7 +100,13 @@ fn apply(p: &UProc, op: &FsOp) -> String {
 }
 
 fn run_local(os: Os, ops: Vec<FsOp>) -> Vec<String> {
-    tnt_core::run_with_fs(os, 1, move |p| ops.iter().map(|op| apply(p, op)).collect())
+    tnt_core::run_with_fs(os, 1, move |p| async move {
+        let mut out = Vec::new();
+        for op in &ops {
+            out.push(apply(&p, op).await);
+        }
+        out
+    })
 }
 
 fn run_nfs(client_os: Os, server_os: Os, ops: Vec<FsOp>) -> Vec<String> {
@@ -122,9 +128,10 @@ fn run_nfs(client_os: Os, server_os: Os, ops: Vec<FsOp>) -> Vec<String> {
     kernels[0].mount(mount);
     let out = Arc::new(Mutex::new(Vec::new()));
     let o2 = out.clone();
-    kernels[0].spawn_user("oracle", move |p| {
+    kernels[0].spawn_user("oracle", move |p| async move {
         for op in &ops {
-            o2.lock().push(apply(&p, op));
+            let outcome = apply(&p, op).await;
+            o2.lock().push(outcome);
         }
         p.sim().stop();
     });
