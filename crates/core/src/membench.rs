@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tnt_cpu::{measure, CacheConfig, MemRoutine, MemSystem, MemTiming};
+use tnt_cpu::{measure, MemRoutine, MemSystem, MemTiming};
 
 /// Total traffic per measurement, as in the paper.
 pub const TOTAL_TRAFFIC: u64 = 8 * 1024 * 1024;
@@ -17,7 +17,7 @@ pub const TOTAL_TRAFFIC: u64 = 8 * 1024 * 1024;
 /// interference), giving the run-to-run spread of the paper's averages.
 pub fn mem_bandwidth(routine: MemRoutine, buf: u64, total: u64, seed: u64) -> f64 {
     let timing = jittered_timing(seed);
-    let mut mem = MemSystem::new(CacheConfig::p54c_l1d(), CacheConfig::plato_l2(), timing);
+    let mut mem = MemSystem::with_timing(timing);
     measure(&mut mem, routine, buf, total).mb_per_sec
 }
 

@@ -101,6 +101,24 @@ pub struct CacheStats {
     pub write_misses: u64,
     /// Dirty lines written back on eviction.
     pub writebacks: u64,
+    /// Fills plus write hits that turned a clean line dirty: every event
+    /// that changes which lines are resident or dirty. A stretch of
+    /// accesses that counts none leaves both as it found them.
+    pub changes: u64,
+}
+
+impl CacheStats {
+    /// The change in every counter since `before`.
+    pub(crate) fn since(&self, before: &CacheStats) -> CacheStats {
+        CacheStats {
+            read_hits: self.read_hits - before.read_hits,
+            read_misses: self.read_misses - before.read_misses,
+            write_hits: self.write_hits - before.write_hits,
+            write_misses: self.write_misses - before.write_misses,
+            writebacks: self.writebacks - before.writebacks,
+            changes: self.changes - before.changes,
+        }
+    }
 }
 
 /// One level of set-associative cache.
@@ -169,6 +187,25 @@ impl Cache {
         self.stats.write_hits += reps * d.write_hits;
         self.stats.write_misses += reps * d.write_misses;
         self.stats.writebacks += reps * d.writebacks;
+        self.stats.changes += reps * d.changes;
+    }
+
+    /// Counts a read hit on a line the caller knows is resident and
+    /// already ordered as the lookup would leave it, without the lookup
+    /// (the line-pair step in `routines`).
+    pub(crate) fn count_read_hit(&mut self) {
+        self.stats.read_hits += 1;
+    }
+
+    /// Counts a write that repeats the outcome of the previous write to
+    /// the same line: a hit on a line that write already dirtied, or a
+    /// non-allocating miss.
+    pub(crate) fn count_write(&mut self, hit: bool) {
+        if hit {
+            self.stats.write_hits += 1;
+        } else {
+            self.stats.write_misses += 1;
+        }
     }
 
     /// Invalidates every line (e.g. a fresh run on a cold machine).
@@ -186,27 +223,27 @@ impl Cache {
         (set * self.ways, tag)
     }
 
-    /// Appends a normalisation of this cache's observable state to `out`:
-    /// per set, the valid lines in most-to-least-recently-used order (the
-    /// absolute LRU clock values and the physical way an invalid slot
-    /// occupies cannot affect any future access, so they are omitted).
-    /// Two caches with equal encodings behave identically forever under
-    /// identical access sequences.
-    pub(crate) fn encode_state(&self, out: &mut Vec<u64>) {
-        self.encode_state_rel(out, 0);
-    }
-
-    /// Like [`Cache::encode_state`] but with every tag expressed relative
-    /// to byte offset `off` (which must be a multiple of
-    /// [`Cache::period_bytes`], so set indices are unaffected). Two
-    /// relative encodings at different offsets are equal exactly when one
-    /// state is the other translated by the offset difference — the
-    /// invariant behind the streaming extrapolation in `routines`.
-    pub(crate) fn encode_state_rel(&self, out: &mut Vec<u64>, off: u64) {
-        debug_assert_eq!(off % self.period_bytes(), 0, "offset must preserve sets");
-        let delta = off >> (self.line_shift + self.tag_shift);
+    /// Appends the normalised state of `count` consecutive sets from
+    /// `first` (wrapping) to `out`: per set, the valid lines in
+    /// most-to-least-recently-used order, each as its tag minus `delta`
+    /// and its dirty bit. The absolute LRU clock values and the physical
+    /// way an invalid slot occupies cannot affect any future access, so
+    /// they are omitted: two caches whose encodings of a set are equal
+    /// behave identically in that set forever under identical accesses.
+    fn encode_sets(&self, first: usize, count: usize, delta: u64, out: &mut Vec<u64>) {
+        if self.ways == 1 {
+            for s in first..first + count {
+                let l = &self.lines[s & self.set_mask];
+                out.push(l.valid as u64);
+                if l.valid {
+                    out.push((l.tag.wrapping_sub(delta) << 1) | l.dirty as u64);
+                }
+            }
+            return;
+        }
         let mut set: Vec<(u64, u64)> = Vec::with_capacity(self.ways);
-        for base in (0..self.lines.len()).step_by(self.ways) {
+        for s in first..first + count {
+            let base = (s & self.set_mask) * self.ways;
             set.clear();
             for l in &self.lines[base..base + self.ways] {
                 if l.valid {
@@ -217,6 +254,28 @@ impl Cache {
             out.push(set.len() as u64);
             out.extend(set.iter().map(|&(_, packed)| packed));
         }
+    }
+
+    /// Appends the whole cache's state to `out`, with every tag expressed
+    /// relative to byte offset `off` (which must be a multiple of
+    /// [`Cache::period_bytes`], so set indices are unaffected). Two
+    /// relative encodings at different offsets are equal exactly when one
+    /// state is the other translated by the offset difference — the
+    /// invariant behind the streaming extrapolation in `routines`.
+    pub(crate) fn encode_state_rel(&self, out: &mut Vec<u64>, off: u64) {
+        debug_assert_eq!(off % self.period_bytes(), 0, "offset must preserve sets");
+        let delta = off >> (self.line_shift + self.tag_shift);
+        self.encode_sets(0, self.set_mask + 1, delta, out);
+    }
+
+    /// Appends the state of just the sets that `[start, start + len)`
+    /// maps to (every set once the range spans a full period). Accesses
+    /// confined to that range cannot change any other set.
+    pub(crate) fn encode_range(&self, out: &mut Vec<u64>, start: u64, len: u64) {
+        let first = start >> self.line_shift;
+        let lines = ((start + len - 1) >> self.line_shift) - first + 1;
+        let count = lines.min(self.set_mask as u64 + 1) as usize;
+        self.encode_sets(first as usize & self.set_mask, count, 0, out);
     }
 
     /// The address span of one full trip around the sets (`size / ways`).
@@ -259,6 +318,7 @@ impl Cache {
         if evicted_dirty {
             self.stats.writebacks += 1;
         }
+        self.stats.changes += 1;
         self.clock += 1;
         *victim = Line {
             tag,
@@ -298,7 +358,10 @@ impl Cache {
             if l.valid && l.tag == tag {
                 self.clock += 1;
                 l.lru = self.clock;
-                l.dirty = true;
+                if !l.dirty {
+                    l.dirty = true;
+                    self.stats.changes += 1;
+                }
                 self.stats.write_hits += 1;
                 return Access::Hit;
             }
@@ -429,6 +492,47 @@ mod tests {
         }
         assert!(c.valid_lines() <= 8);
         assert_eq!(c.valid_lines(), 8, "a big scan fills the cache exactly");
+    }
+
+    #[test]
+    fn encoding_tells_tags_dirt_and_order_apart() {
+        let state = |ways: usize, ops: &[(bool, u64)]| {
+            let mut c = Cache::new(CacheConfig {
+                size: 256,
+                ways,
+                line: 32,
+                write_allocate: false,
+            });
+            for &(write, addr) in ops {
+                if write {
+                    c.write(addr);
+                } else {
+                    c.read(addr);
+                }
+            }
+            let mut out = Vec::new();
+            c.encode_range(&mut out, 0, 256);
+            out
+        };
+        for ways in [1, 2] {
+            // 0x0 and 0x400 share set 0 in both geometries.
+            assert_ne!(state(ways, &[(false, 0)]), state(ways, &[(false, 0x400)]));
+            assert_ne!(
+                state(ways, &[(false, 0)]),
+                state(ways, &[(false, 0), (true, 0)]),
+                "clean versus dirty"
+            );
+        }
+        assert_ne!(
+            state(2, &[(false, 0), (false, 0x80)]),
+            state(2, &[(false, 0x80), (false, 0)]),
+            "LRU order"
+        );
+        assert_eq!(
+            state(2, &[(false, 0), (false, 0x80), (false, 0)]),
+            state(2, &[(false, 0x80), (false, 0)]),
+            "only the order of the LRU stamps is kept"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (~300 MB/s from L1, ~110 MB/s from L2, ~75 MB/s from DRAM for reads;
 //! <50 MB/s for non-allocating writes).
 
-use crate::cache::{Access, Cache, CacheConfig};
+use crate::cache::{Access, Cache, CacheConfig, CacheStats};
 use crate::tlb::Tlb;
 
 /// Cycle costs of the memory system events.
@@ -54,73 +54,100 @@ impl MemTiming {
     }
 }
 
+/// Line size of both P54C cache levels. The memory routines step their
+/// 16-byte chunks in pairs of one line each.
+pub(crate) const LINE: u64 = 32;
+
 /// The modelled CPU-side memory system: data TLB, L1 data cache,
 /// unified L2, DRAM.
+///
+/// The geometry is the P54C's and only the timing varies: the routines'
+/// shortcuts rely on 32-byte lines, a non-allocating L1 and L2, and a
+/// direct-mapped L2 (see `measure`).
 pub struct MemSystem {
     dtlb: Tlb,
     l1d: Cache,
     l2: Cache,
     timing: MemTiming,
     cycles: u64,
+    loop_cycles: u64,
 }
 
 impl MemSystem {
     /// Builds the P54C/Plato memory system with calibrated timing.
     pub fn p54c() -> MemSystem {
-        MemSystem::new(
-            CacheConfig::p54c_l1d(),
-            CacheConfig::plato_l2(),
-            MemTiming::p54c(),
-        )
+        MemSystem::with_timing(MemTiming::p54c())
     }
 
-    /// Builds a memory system with explicit geometry and timing.
-    pub fn new(l1d: CacheConfig, l2: CacheConfig, timing: MemTiming) -> MemSystem {
+    /// Builds the P54C/Plato memory system with explicit event costs.
+    pub fn with_timing(timing: MemTiming) -> MemSystem {
         MemSystem {
             dtlb: Tlb::p54c_dtlb(),
-            l1d: Cache::new(l1d),
-            l2: Cache::new(l2),
+            l1d: Cache::new(CacheConfig::p54c_l1d()),
+            l2: Cache::new(CacheConfig::plato_l2()),
             timing,
             cycles: 0,
+            loop_cycles: 0,
         }
     }
 
-    /// Cycles accumulated by memory-system events (excludes loop costs,
-    /// which the routine models add themselves).
+    /// Cycles accumulated by memory-system events: TLB walks, line fills,
+    /// write drains and writebacks, i.e. the stalls beyond the cost of
+    /// an L1 hit. Loop costs are counted apart, in
+    /// [`MemSystem::loop_cycles`].
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
 
+    /// Cycles the routine models charged for their own instructions
+    /// (loop overhead, remainder loops, call overhead, prefetch loads).
+    pub fn loop_cycles(&self) -> u64 {
+        self.loop_cycles
+    }
+
     /// Charges extra cycles (used by routine models for loop overhead).
     pub fn charge(&mut self, cycles: u64) {
-        self.cycles += cycles;
+        self.loop_cycles += cycles;
     }
 
-    /// Resets the cycle counter without touching cache state.
+    /// Resets both cycle counters without touching cache state.
     pub fn reset_cycles(&mut self) {
         self.cycles = 0;
+        self.loop_cycles = 0;
     }
 
-    /// Appends an exact encoding of the memory system's observable state
-    /// (TLB + both cache levels, LRU order normalised) to `out`. Two
-    /// systems with equal encodings and equal timing charge identical
-    /// cycles for any identical future access sequence.
-    pub(crate) fn encode_state(&self, out: &mut Vec<u64>) {
-        self.dtlb.encode_state(out);
-        self.l1d.encode_state(out);
-        self.l2.encode_state(out);
+    /// The TLB's entry cache, L1 and L2, in that order.
+    fn levels(&self) -> [&Cache; 3] {
+        [&self.dtlb.entries, &self.l1d, &self.l2]
     }
 
-    /// Accounts for `reps` repetitions of a pass whose per-pass deltas
-    /// were already measured: cycle and counter totals advance exactly as
-    /// if the passes had run, and — because the caller has proven the
-    /// cache state to be a fixed point of the pass — the cache state is
-    /// already the state those passes would leave behind.
-    pub(crate) fn skip_steady_passes(&mut self, reps: u64, d: &PassDelta) {
+    fn levels_mut(&mut self) -> [&mut Cache; 3] {
+        [&mut self.dtlb.entries, &mut self.l1d, &mut self.l2]
+    }
+
+    /// Accounts for `reps` repetitions of a pass or stream segment whose
+    /// per-repetition deltas were already measured: cycle and counter
+    /// totals advance exactly as if the accesses had run. The caller has
+    /// proven that the cache state is a fixed point of the repetition,
+    /// or translates it itself ([`MemSystem::skip_stream_segments`]).
+    pub(crate) fn skip_reps(&mut self, reps: u64, d: &PassDelta) {
         self.cycles += reps * d.cycles;
-        self.l1d.add_stats(reps, d.l1);
-        self.l2.add_stats(reps, d.l2);
-        self.dtlb.add_stats(reps, d.tlb_hits, d.tlb_misses);
+        self.loop_cycles += reps * d.loop_cycles;
+        for (c, s) in self.levels_mut().into_iter().zip(d.levels) {
+            c.add_stats(reps, s);
+        }
+    }
+
+    /// Appends the state of every set that the byte ranges `(start, len)`
+    /// map to, in every level (see [`Cache::encode_range`]). After two
+    /// passes confined to those ranges, equal encodings mean equal
+    /// states.
+    pub(crate) fn encode_footprint(&self, out: &mut Vec<u64>, ranges: &[(u64, u64)]) {
+        for c in self.levels() {
+            for &(start, len) in ranges {
+                c.encode_range(out, start, len);
+            }
+        }
     }
 
     /// The address period after which the whole hierarchy's set mapping
@@ -128,19 +155,16 @@ impl MemSystem {
     /// line/translation to the same set with an exactly predictable tag.
     /// All three periods are powers of two, so the lcm is the max.
     pub(crate) fn stream_period_bytes(&self) -> u64 {
-        self.dtlb
-            .period_bytes()
-            .max(self.l1d.period_bytes())
-            .max(self.l2.period_bytes())
+        self.levels().iter().fold(0, |p, c| p.max(c.period_bytes()))
     }
 
     /// Appends the hierarchy's state to `out` with tags expressed
     /// relative to stream offset `off` (a multiple of
     /// [`MemSystem::stream_period_bytes`]).
     pub(crate) fn encode_stream_state(&self, out: &mut Vec<u64>, off: u64) {
-        self.dtlb.encode_state_rel(out, off);
-        self.l1d.encode_state_rel(out, off);
-        self.l2.encode_state_rel(out, off);
+        for c in self.levels() {
+            c.encode_state_rel(out, off);
+        }
     }
 
     /// Accounts for `reps` more stream segments of `seg` bytes whose
@@ -148,25 +172,18 @@ impl MemSystem {
     /// state forward so it is exactly the state full simulation would
     /// have reached at the skipped-to offset.
     pub(crate) fn skip_stream_segments(&mut self, reps: u64, d: &PassDelta, seg: u64) {
-        self.cycles += reps * d.cycles;
-        self.l1d.add_stats(reps, d.l1);
-        self.l2.add_stats(reps, d.l2);
-        self.dtlb.add_stats(reps, d.tlb_hits, d.tlb_misses);
-        let off = reps * seg;
-        self.dtlb.shift_tags(off);
-        self.l1d.shift_tags(off);
-        self.l2.shift_tags(off);
+        self.skip_reps(reps, d);
+        for c in self.levels_mut() {
+            c.shift_tags(reps * seg);
+        }
     }
 
     /// Snapshots the counters that [`PassDelta::since`] diffs.
     pub(crate) fn counters(&self) -> PassDelta {
-        let (tlb_hits, tlb_misses) = self.dtlb.stats();
         PassDelta {
             cycles: self.cycles,
-            l1: self.l1d.stats(),
-            l2: self.l2.stats(),
-            tlb_hits,
-            tlb_misses,
+            loop_cycles: self.loop_cycles,
+            levels: self.levels().map(Cache::stats),
         }
     }
 
@@ -196,6 +213,11 @@ impl MemSystem {
     /// writeback costs. Returns the level that serviced the access.
     pub fn read_word(&mut self, addr: u64) -> Level {
         self.cycles += self.dtlb.access(addr);
+        self.load(addr)
+    }
+
+    /// The cache half of [`MemSystem::read_word`], after translation.
+    fn load(&mut self, addr: u64) -> Level {
         match self.l1d.read(addr) {
             Access::Hit => Level::L1,
             Access::Miss { evicted_dirty } => {
@@ -232,6 +254,11 @@ impl MemSystem {
     /// drain cost to DRAM.
     pub fn write_word(&mut self, addr: u64) -> Level {
         self.cycles += self.dtlb.access(addr);
+        self.store(addr)
+    }
+
+    /// The cache half of [`MemSystem::write_word`], after translation.
+    fn store(&mut self, addr: u64) -> Level {
         match self.l1d.write(addr) {
             Access::Hit => Level::L1,
             Access::MissNoAllocate => match self.l2.write(addr) {
@@ -252,69 +279,130 @@ impl MemSystem {
     /// Loads `n` consecutive words that all lie within one cache line.
     /// Only the first can miss; the rest hit for free.
     pub fn read_words(&mut self, addr: u64, n: u32) -> Level {
-        debug_assert!(same_line(
-            addr,
-            addr + (n.max(1) as u64 - 1) * 4,
-            self.l1d.config().line
-        ));
+        debug_assert!(same_line(addr, addr + (n.max(1) as u64 - 1) * 4));
         self.read_word(addr)
     }
 
     /// Stores `n` consecutive words within one cache line, charging the
     /// per-word drain cost for every word when the line is not in L1.
     pub fn write_words(&mut self, addr: u64, n: u32) -> Level {
-        debug_assert!(same_line(
-            addr,
-            addr + (n.max(1) as u64 - 1) * 4,
-            self.l1d.config().line
-        ));
+        debug_assert!(same_line(addr, addr + (n.max(1) as u64 - 1) * 4));
         let level = self.write_word(addr);
-        let extra = n.saturating_sub(1) as u64;
+        self.drain_words(level, n.saturating_sub(1) as u64);
+        level
+    }
+
+    /// Charges the per-word cost of `words` stores that land at `level`.
+    fn drain_words(&mut self, level: Level, words: u64) {
         match level {
             Level::L1 => {}
-            Level::L2 => self.cycles += extra * self.timing.l2_write_word,
-            Level::Dram => self.cycles += extra * self.timing.dram_write_word,
+            Level::L2 => self.cycles += words * self.timing.l2_write_word,
+            Level::Dram => self.cycles += words * self.timing.dram_write_word,
+        }
+    }
+
+    /// Translates `addr` for a line step: a TLB lookup, or the hit that
+    /// lookup must be when the step repeats the previous step's pages.
+    fn translate(&mut self, addr: u64, step: LineStep) {
+        if step.same_pages {
+            self.dtlb.entries.count_read_hit();
+        } else {
+            self.cycles += self.dtlb.access(addr);
+        }
+    }
+
+    /// Loads the 16-byte chunk at the line-aligned `addr` and, when
+    /// `step` covers the whole line, the chunk after it. The second chunk
+    /// is counted as the TLB and L1 hit it must be, without a lookup: the
+    /// first chunk left its page and line resident, nothing a routine
+    /// does between the two chunks fills, and the LRU bumps it skips
+    /// would leave each set in the order the first chunk's accesses left
+    /// it.
+    pub(crate) fn read_chunks(&mut self, addr: u64, step: LineStep) -> Level {
+        debug_assert!(addr.is_multiple_of(LINE) && (1..=2).contains(&step.chunks));
+        self.translate(addr, step);
+        let level = self.load(addr);
+        if step.chunks == 2 {
+            self.dtlb.entries.count_read_hit();
+            self.l1d.count_read_hit();
         }
         level
     }
 
+    /// Stores the 16-byte chunk at the line-aligned `addr` and, when
+    /// `step` covers the whole line, the chunk after it. The second
+    /// chunk's stores land where the first chunk's did: a store neither
+    /// fills nor evicts, and its page is resident.
+    pub(crate) fn write_chunks(&mut self, addr: u64, step: LineStep) -> Level {
+        debug_assert!(addr.is_multiple_of(LINE) && (1..=2).contains(&step.chunks));
+        self.translate(addr, step);
+        let level = self.store(addr);
+        if step.chunks == 2 {
+            self.dtlb.entries.count_read_hit();
+            self.l1d.count_write(level == Level::L1);
+            if level != Level::L1 {
+                self.l2.count_write(level == Level::L2);
+            }
+        }
+        // Every word after the first costs what the first word did.
+        self.drain_words(level, 4 * step.chunks - 1);
+        level
+    }
+
+    /// [`MemSystem::prefetch_line`] within a line step.
+    pub(crate) fn prefetch_chunk(&mut self, addr: u64, step: LineStep) {
+        self.loop_cycles += 1;
+        self.translate(addr, step);
+        self.load(addr);
+    }
+
     /// Software prefetch of the line containing `addr`: implemented by the
     /// paper's trick of loading one word of the destination line so later
-    /// stores hit. Charges one extra cycle for the load instruction.
+    /// stores hit. Charges one loop cycle for the load instruction.
     pub fn prefetch_line(&mut self, addr: u64) {
-        self.cycles += 1;
+        self.loop_cycles += 1;
         self.read_word(addr);
     }
 }
 
+/// One step of a routine's main loop: the 16-byte chunks of one line.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LineStep {
+    /// How many of the line's chunks the loop covers: 1 or 2.
+    pub(crate) chunks: u64,
+    /// The step touches the pages the previous step of the same pass
+    /// touched, in the same order. Every translation then hits, and the
+    /// LRU bumps of those lookups would leave each TLB set in the order
+    /// the previous step left it, so [`MemSystem::translate`] counts the
+    /// hit without a lookup.
+    pub(crate) same_pages: bool,
+}
+
 /// Per-pass counter totals (or deltas between two snapshots), used by the
-/// steady-state extrapolation in `measure`.
+/// extrapolating shortcuts in `routines`.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct PassDelta {
+    /// Memory-event cycles ([`MemSystem::cycles`]).
     pub(crate) cycles: u64,
-    pub(crate) l1: crate::cache::CacheStats,
-    pub(crate) l2: crate::cache::CacheStats,
-    pub(crate) tlb_hits: u64,
-    pub(crate) tlb_misses: u64,
+    /// Loop cycles ([`MemSystem::loop_cycles`]).
+    pub(crate) loop_cycles: u64,
+    /// TLB, L1 and L2 counters, in that order.
+    pub(crate) levels: [CacheStats; 3],
 }
 
 impl PassDelta {
     /// The change in every counter since `before`.
     pub(crate) fn since(&self, before: &PassDelta) -> PassDelta {
-        let d = |a: crate::cache::CacheStats, b: crate::cache::CacheStats| crate::cache::CacheStats {
-            read_hits: a.read_hits - b.read_hits,
-            read_misses: a.read_misses - b.read_misses,
-            write_hits: a.write_hits - b.write_hits,
-            write_misses: a.write_misses - b.write_misses,
-            writebacks: a.writebacks - b.writebacks,
-        };
         PassDelta {
             cycles: self.cycles - before.cycles,
-            l1: d(self.l1, before.l1),
-            l2: d(self.l2, before.l2),
-            tlb_hits: self.tlb_hits - before.tlb_hits,
-            tlb_misses: self.tlb_misses - before.tlb_misses,
+            loop_cycles: self.loop_cycles - before.loop_cycles,
+            levels: [0, 1, 2].map(|i| self.levels[i].since(&before.levels[i])),
         }
+    }
+
+    /// Fills and clean-to-dirty transitions over every level.
+    pub(crate) fn changes(&self) -> u64 {
+        self.levels.iter().map(|s| s.changes).sum()
     }
 }
 
@@ -329,8 +417,8 @@ pub enum Level {
     Dram,
 }
 
-fn same_line(a: u64, b: u64, line: usize) -> bool {
-    a / line as u64 == b / line as u64
+fn same_line(a: u64, b: u64) -> bool {
+    a / LINE == b / LINE
 }
 
 #[cfg(test)]
@@ -444,6 +532,30 @@ mod tests {
             t.dram_fill + crate::tlb::WALK_CY,
             "second half of the line is free"
         );
+    }
+
+    #[test]
+    fn footprint_covers_both_ranges_and_nothing_else() {
+        // Three lines of page 0x100 and two of page 0x102, in TLB, L1
+        // and L2 sets the other range does not map to.
+        let ranges = [(0x10_0000, 64 + 15), (0x10_2200, 40)];
+        let encode = |m: &MemSystem| {
+            let mut out = Vec::new();
+            m.encode_footprint(&mut out, &ranges);
+            out
+        };
+        let cold = encode(&MemSystem::p54c());
+        for (start, len) in ranges {
+            for addr in [start, start + len - 1] {
+                let mut m = MemSystem::p54c();
+                m.read_word(addr);
+                assert_ne!(encode(&m), cold, "{addr:#x} is in the footprint");
+            }
+        }
+        // TLB set 5, L1 set 64 and L2 set 704: none a range maps to.
+        let mut m = MemSystem::p54c();
+        m.read_word(0x10_5800);
+        assert_eq!(encode(&m), cold);
     }
 
     #[test]

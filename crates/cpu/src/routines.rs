@@ -11,7 +11,8 @@
 //! All loop-cost constants are in CPU cycles and are calibrated against
 //! the plateaus of Figures 2-8 (see `DESIGN.md`).
 
-use crate::memsys::MemSystem;
+use crate::memsys::{LineStep, MemSystem, LINE};
+use crate::tlb::PAGE_BYTES;
 use tnt_sim::trace::{session, Counter};
 
 /// Bytes handled per iteration of the paper's unrolled inner loop.
@@ -115,22 +116,37 @@ pub fn run_pass(mem: &mut MemSystem, routine: MemRoutine, src: u64, dst: u64, le
     }
 }
 
-/// Runs `body(mem, off)` for every `off` in `0, CHUNK, .. < main`,
-/// detecting when the streaming access pattern has become periodic and
-/// accounting the remaining whole periods by multiplication.
+/// Runs `body(mem, off, step)` for every line-aligned `off` in
+/// `0, LINE, .. < main`, where `step` says how many of the line's 16-byte
+/// chunks lie below `main` and whether the streams starting at `bases`
+/// stay on the pages the previous step touched, detecting when the
+/// streaming access pattern has become periodic and accounting the
+/// remaining whole periods by multiplication.
 ///
 /// While a routine streams a buffer far larger than the hierarchy, the
 /// cache/TLB state is *shift-periodic*: after one full period (the lcm of
 /// the set-mapping periods, a power of two for every level), the state is
 /// the previous state with every resident tag advanced by one period.
-/// The loop body is a pure function of `off` with uniform per-chunk
+/// The loop body is a pure function of `off` with uniform per-line
 /// structure, so once the offset-relative state at a period boundary
 /// matches the previous boundary, every further period must repeat the
 /// same hits, misses and cycles. The skipped periods are accounted by
 /// multiplying the measured per-period delta and advancing resident tags
 /// with `shift_tags` — an exact shortcut, bit-identical to simulating
-/// every chunk (same guarantee as the pass-level shortcut in `measure`).
-fn stream_main(mem: &mut MemSystem, main: u64, mut body: impl FnMut(&mut MemSystem, u64)) {
+/// every chunk (same guarantee as the pass-level shortcuts in `measure`).
+fn stream_main(
+    mem: &mut MemSystem,
+    main: u64,
+    bases: &[u64],
+    mut body: impl FnMut(&mut MemSystem, u64, LineStep),
+) {
+    let step = |off: u64| LineStep {
+        chunks: (main - off).min(LINE) / CHUNK,
+        same_pages: off > 0
+            && bases
+                .iter()
+                .all(|b| !(b + off).is_multiple_of(PAGE_BYTES as u64)),
+    };
     let seg = mem.stream_period_bytes();
     let mut off = 0u64;
     // Only engage once there is room for a warm-up segment, a measured
@@ -139,16 +155,16 @@ fn stream_main(mem: &mut MemSystem, main: u64, mut body: impl FnMut(&mut MemSyst
         let mut sig_prev: Vec<u64> = Vec::new();
         let mut sig_cur: Vec<u64> = Vec::new();
         while off < seg {
-            body(mem, off);
-            off += CHUNK;
+            body(mem, off, step(off));
+            off += LINE;
         }
         mem.encode_stream_state(&mut sig_prev, off);
         while main - off >= seg {
             let before = mem.counters();
             let end = off + seg;
             while off < end {
-                body(mem, off);
-                off += CHUNK;
+                body(mem, off, step(off));
+                off += LINE;
             }
             sig_cur.clear();
             mem.encode_stream_state(&mut sig_cur, off);
@@ -165,44 +181,41 @@ fn stream_main(mem: &mut MemSystem, main: u64, mut body: impl FnMut(&mut MemSyst
         }
     }
     while off < main {
-        body(mem, off);
-        off += CHUNK;
+        body(mem, off, step(off));
+        off += LINE;
     }
 }
 
 fn custom_read(mem: &mut MemSystem, base: u64, len: u64) {
     let main = len - len % CHUNK;
-    stream_main(mem, main, |mem, off| {
-        mem.charge(READ_ITER_CY);
-        mem.read_words(base + off, 4);
+    stream_main(mem, main, &[base], |mem, off, step| {
+        mem.charge(step.chunks * READ_ITER_CY);
+        mem.read_chunks(base + off, step);
     });
     remainder_read(mem, base + main, len - main);
 }
 
 fn custom_write(mem: &mut MemSystem, base: u64, len: u64, prefetch: bool) {
-    let line = 32;
     let main = len - len % CHUNK;
-    stream_main(mem, main, |mem, off| {
-        mem.charge(WRITE_ITER_CY);
-        let addr = base + off;
-        if prefetch && addr.is_multiple_of(line) {
-            mem.prefetch_line(addr);
+    stream_main(mem, main, &[base], |mem, off, step| {
+        mem.charge(step.chunks * WRITE_ITER_CY);
+        if prefetch {
+            mem.prefetch_chunk(base + off, step);
         }
-        mem.write_words(addr, 4);
+        mem.write_chunks(base + off, step);
     });
     remainder_write(mem, base + main, len - main);
 }
 
 fn custom_copy(mem: &mut MemSystem, src: u64, dst: u64, len: u64, prefetch: bool) {
-    let line = 32;
     let main = len - len % CHUNK;
-    stream_main(mem, main, |mem, off| {
-        mem.charge(COPY_ITER_CY);
-        if prefetch && (dst + off).is_multiple_of(line) {
-            mem.prefetch_line(dst + off);
+    stream_main(mem, main, &[src, dst], |mem, off, step| {
+        mem.charge(step.chunks * COPY_ITER_CY);
+        if prefetch {
+            mem.prefetch_chunk(dst + off, step);
         }
-        mem.read_words(src + off, 4);
-        mem.write_words(dst + off, 4);
+        mem.read_chunks(src + off, step);
+        mem.write_chunks(dst + off, step);
     });
     // Remainder: read a byte, write a byte.
     let rem_base = main;
@@ -218,9 +231,9 @@ fn libc_memset(mem: &mut MemSystem, base: u64, len: u64, variant: LibcVariant) {
     // `rep stosl`-style fill: slightly tighter than the custom loop, and
     // the tail is handled at word speed (no slow byte loop).
     let main = len - len % CHUNK;
-    stream_main(mem, main, |mem, off| {
-        mem.charge(4);
-        mem.write_words(base + off, 4);
+    stream_main(mem, main, &[base], |mem, off, step| {
+        mem.charge(step.chunks * 4);
+        mem.write_chunks(base + off, step);
     });
     let rem = len - main;
     if rem > 0 {
@@ -232,10 +245,10 @@ fn libc_memset(mem: &mut MemSystem, base: u64, len: u64, variant: LibcVariant) {
 fn libc_memcpy(mem: &mut MemSystem, src: u64, dst: u64, len: u64, variant: LibcVariant) {
     mem.charge(variant.call_overhead_cy());
     let main = len - len % CHUNK;
-    stream_main(mem, main, |mem, off| {
-        mem.charge(COPY_ITER_CY);
-        mem.read_words(src + off, 4);
-        mem.write_words(dst + off, 4);
+    stream_main(mem, main, &[src, dst], |mem, off, step| {
+        mem.charge(step.chunks * COPY_ITER_CY);
+        mem.read_chunks(src + off, step);
+        mem.write_chunks(dst + off, step);
     });
     let rem = len - main;
     if rem > 0 {
@@ -291,17 +304,28 @@ pub fn measure(mem: &mut MemSystem, routine: MemRoutine, buf: u64, total: u64) -
     let (l1_before, l2_before) = (mem.l1d().stats(), mem.l2().stats());
     let passes = total.div_ceil(buf).max(1);
     let (src, dst) = buffer_layout(buf);
+    let ranges = [(src, buf), (dst, buf)];
+    let footprint = &ranges[..if routine.is_copy() { 2 } else { 1 }];
     // Every pass runs the same access sequence, so the cache/TLB state
-    // converges to a fixed point after a pass or two. Once the state at
-    // the end of a pass exactly matches the state at the end of the
-    // previous pass (LRU order normalised), every further pass must
-    // repeat the same hits, misses and cycles — so the remaining passes
-    // are accounted for by multiplication instead of simulation. This is
-    // an exact shortcut, not an approximation: totals and final cache
-    // state are bit-identical to running every pass.
+    // converges to a fixed point after a pass or two. Once a pass leaves
+    // the state (LRU order normalised) exactly as the previous pass left
+    // it, every further pass must repeat the same hits, misses and
+    // cycles, so the remaining passes are accounted for by
+    // multiplication instead of simulation. Two checks find that pass,
+    // both exact, so totals and final state are bit-identical to running
+    // every pass:
+    // - A pass that counts no fill and no clean-to-dirty transition is a
+    //   fixed point with no comparison at all: the resident lines and
+    //   dirty bits are unchanged, and every line it touched was last
+    //   touched at the same point of the previous pass, so the TLB's
+    //   and L1's LRU order is too. (L2 sees a different sequence once L1
+    //   stops missing, but it is direct mapped, so it has no order.)
+    // - Otherwise compare the sets the buffers map to with their state
+    //   after the previous pass; no pass touches any other set. The
+    //   first pass is never compared: it fills, so it cannot leave the
+    //   empty state it started from.
     let mut sig_prev: Vec<u64> = Vec::new();
     let mut sig_cur: Vec<u64> = Vec::new();
-    mem.encode_state(&mut sig_prev);
     let mut done = 0u64;
     while done < passes {
         let before = mem.counters();
@@ -310,20 +334,23 @@ pub fn measure(mem: &mut MemSystem, routine: MemRoutine, buf: u64, total: u64) -
         if done == passes {
             break;
         }
-        sig_cur.clear();
-        mem.encode_state(&mut sig_cur);
-        if sig_cur == sig_prev {
-            let delta = mem.counters().since(&before);
-            mem.skip_steady_passes(passes - done, &delta);
+        let delta = mem.counters().since(&before);
+        let steady = delta.changes() == 0 || {
+            sig_cur.clear();
+            mem.encode_footprint(&mut sig_cur, footprint);
+            std::mem::swap(&mut sig_prev, &mut sig_cur);
+            done > 1 && sig_prev == sig_cur
+        };
+        if steady {
+            mem.skip_reps(passes - done, &delta);
             break;
         }
-        std::mem::swap(&mut sig_prev, &mut sig_cur);
     }
     let bytes = passes * buf;
-    let cycles = mem.cycles();
+    let cycles = mem.cycles() + mem.loop_cycles();
     // This crate has no Sim — the bandwidth loops run outside simulated
     // time — so a profiling session sees them only through the counter
-    // bank: miss totals per level plus the cycles the memory system ate.
+    // bank: miss totals per level plus the memory system's stall cycles.
     if session::active() {
         let (l1, l2) = (mem.l1d().stats(), mem.l2().stats());
         let misses = |after: crate::CacheStats, before: crate::CacheStats| {
@@ -331,7 +358,7 @@ pub fn measure(mem: &mut MemSystem, routine: MemRoutine, buf: u64, total: u64) -
         };
         session::add_counter(Counter::L1Misses, misses(l1, l1_before));
         session::add_counter(Counter::L2Misses, misses(l2, l2_before));
-        session::add_counter(Counter::MemStallCycles, cycles);
+        session::add_counter(Counter::MemStallCycles, mem.cycles());
     }
     let secs = cycles as f64 / crate::CPU_HZ as f64;
     BandwidthPoint {
@@ -468,6 +495,143 @@ mod tests {
         assert!(p.cycles > 0);
         let recomputed = p.bytes as f64 / (1024.0 * 1024.0) / (p.cycles as f64 / 1e8);
         assert!((p.mb_per_sec - recomputed).abs() < 1e-9);
+    }
+
+    /// A shortcut-free reference for `measure`: every chunk of every pass
+    /// is issued in program order through `read_words`/`write_words`
+    /// (one `read_word`/`write_word` each plus the per-word drain cost,
+    /// so counters follow the model's one-access-per-chunk convention),
+    /// with no pass skip, segment skip or line pair.
+    fn oracle(routine: MemRoutine, buf: u64, total: u64) -> MemSystem {
+        use MemRoutine::*;
+        let mut mem = MemSystem::p54c();
+        let m = &mut mem;
+        let (src, dst) = buffer_layout(buf);
+        let main = buf - buf % CHUNK;
+        let chunks = (0..main).step_by(CHUNK as usize);
+        let tail = buf - main;
+        let tail_words = tail.div_ceil(WORD) as u32;
+        for _ in 0..total.div_ceil(buf).max(1) {
+            match routine {
+                CustomRead => {
+                    for off in chunks.clone() {
+                        m.charge(READ_ITER_CY);
+                        m.read_words(src + off, 4);
+                    }
+                    for b in main..buf {
+                        m.charge(REMAINDER_BYTE_CY);
+                        m.read_words(src + b, 1);
+                    }
+                }
+                CustomWriteNaive | CustomWritePrefetch => {
+                    for off in chunks.clone() {
+                        m.charge(WRITE_ITER_CY);
+                        if routine == CustomWritePrefetch && off.is_multiple_of(32) {
+                            m.prefetch_line(src + off);
+                        }
+                        m.write_words(src + off, 4);
+                    }
+                    for b in main..buf {
+                        m.charge(REMAINDER_BYTE_CY);
+                        m.write_words(src + b, 1);
+                    }
+                }
+                CustomCopyNaive | CustomCopyPrefetch => {
+                    for off in chunks.clone() {
+                        m.charge(COPY_ITER_CY);
+                        if routine == CustomCopyPrefetch && off.is_multiple_of(32) {
+                            m.prefetch_line(dst + off);
+                        }
+                        m.read_words(src + off, 4);
+                        m.write_words(dst + off, 4);
+                    }
+                    for b in main..buf {
+                        m.charge(2 * REMAINDER_BYTE_CY);
+                        m.read_words(src + b, 1);
+                        m.write_words(dst + b, 1);
+                    }
+                }
+                LibcMemset(v) => {
+                    m.charge(v.call_overhead_cy());
+                    for off in chunks.clone() {
+                        m.charge(4);
+                        m.write_words(src + off, 4);
+                    }
+                    if tail > 0 {
+                        m.charge(tail);
+                        m.write_words(src + main, tail_words);
+                    }
+                }
+                LibcMemcpy(v) => {
+                    m.charge(v.call_overhead_cy());
+                    for off in chunks.clone() {
+                        m.charge(COPY_ITER_CY);
+                        m.read_words(src + off, 4);
+                        m.write_words(dst + off, 4);
+                    }
+                    if tail > 0 {
+                        m.charge(2 * tail);
+                        m.read_words(src + main, tail_words);
+                        m.write_words(dst + main, tail_words);
+                    }
+                }
+            }
+        }
+        mem
+    }
+
+    /// The whole hierarchy's normalised state.
+    fn state(mem: &MemSystem) -> Vec<u64> {
+        let mut out = Vec::new();
+        mem.encode_stream_state(&mut out, 0);
+        out
+    }
+
+    /// Checks `measure` against [`oracle`] on every routine kind, on
+    /// sizes either side of each threshold (the 16-byte chunk, the line,
+    /// L1, the TLB's reach, L2, the 3-period stream skip) and on totals
+    /// of one pass, two passes and many.
+    fn check_against_oracle(sizes: &[u64]) {
+        let routines = [
+            MemRoutine::CustomRead,
+            MemRoutine::CustomWriteNaive,
+            MemRoutine::CustomWritePrefetch,
+            MemRoutine::CustomCopyNaive,
+            MemRoutine::CustomCopyPrefetch,
+            MemRoutine::LibcMemset(LibcVariant::Linux),
+            MemRoutine::LibcMemcpy(LibcVariant::Solaris),
+        ];
+        for &buf in sizes {
+            for total in [buf, 2 * buf - 1, (6 * buf).max(64 << 10)] {
+                for routine in routines {
+                    let ctx = format!("{routine:?}, {buf} B buffer, {total} B total");
+                    let mut mem = MemSystem::p54c();
+                    let p = measure(&mut mem, routine, buf, total);
+                    let want = oracle(routine, buf, total);
+                    assert_eq!(p.cycles, want.cycles() + want.loop_cycles(), "{ctx}");
+                    assert_eq!(mem.cycles(), want.cycles(), "{ctx}: stall cycles");
+                    assert_eq!(mem.l1d().stats(), want.l1d().stats(), "{ctx}: L1");
+                    assert_eq!(mem.l2().stats(), want.l2().stats(), "{ctx}: L2");
+                    assert_eq!(mem.dtlb().stats(), want.dtlb().stats(), "{ctx}: TLB");
+                    assert!(state(&mem) == state(&want), "{ctx}: final state");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_sweeps_match_the_oracle() {
+        check_against_oracle(&[16, 17, 271, 4 << 10, (8 << 10) + 15]);
+    }
+
+    #[test]
+    fn cache_sized_sweeps_match_the_oracle() {
+        check_against_oracle(&[64 << 10, 256 << 10]);
+    }
+
+    #[test]
+    fn streaming_sweeps_match_the_oracle() {
+        check_against_oracle(&[768 << 10, (1 << 20) + 15, 5 << 19]);
     }
 
     #[test]

@@ -15,11 +15,11 @@ pub const PAGE_BYTES: usize = 4096;
 /// references, usually hitting the caches).
 pub const WALK_CY: u64 = 20;
 
-/// The data TLB.
+/// The data TLB. Its hit and miss counts are its entry cache's read
+/// counts, so the extrapolating shortcuts in `measure` keep one set of
+/// counters in step.
 pub struct Tlb {
-    entries: Cache,
-    misses: u64,
-    hits: u64,
+    pub(crate) entries: Cache,
 }
 
 impl Tlb {
@@ -32,8 +32,6 @@ impl Tlb {
                 line: PAGE_BYTES,
                 write_allocate: true, // Translations load on any access.
             }),
-            misses: 0,
-            hits: 0,
         }
     }
 
@@ -41,46 +39,16 @@ impl Tlb {
     /// (zero on a hit, the walk on a miss).
     pub fn access(&mut self, addr: u64) -> u64 {
         if self.entries.read(addr).is_hit() {
-            self.hits += 1;
             0
         } else {
-            self.misses += 1;
             WALK_CY
         }
     }
 
     /// (hits, misses) so far.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Bumps the counters as if `reps` more passes with per-pass deltas
-    /// `(hits, misses)` had run (steady-state extrapolation).
-    pub(crate) fn add_stats(&mut self, reps: u64, hits: u64, misses: u64) {
-        self.hits += reps * hits;
-        self.misses += reps * misses;
-    }
-
-    /// Appends the TLB's observable state to `out` (see
-    /// [`Cache::encode_state`]).
-    pub(crate) fn encode_state(&self, out: &mut Vec<u64>) {
-        self.entries.encode_state(out);
-    }
-
-    /// Offset-relative state encoding (see [`Cache::encode_state_rel`]).
-    pub(crate) fn encode_state_rel(&self, out: &mut Vec<u64>, off: u64) {
-        self.entries.encode_state_rel(out, off);
-    }
-
-    /// The set-preserving address period (see [`Cache::period_bytes`]).
-    pub(crate) fn period_bytes(&self) -> u64 {
-        self.entries.period_bytes()
-    }
-
-    /// Translates the resident translations `off` bytes forward (see
-    /// [`Cache::shift_tags`]).
-    pub(crate) fn shift_tags(&mut self, off: u64) {
-        self.entries.shift_tags(off);
+        let s = self.entries.stats();
+        (s.read_hits, s.read_misses)
     }
 
     /// Drops every translation (a context switch on the P54C flushes the
