@@ -59,9 +59,7 @@ pub use ctx::{ctx_us, ctx_us_with, CtxPattern};
 pub use getpid::syscall_us;
 pub use latency::{lat_pipe_us, lat_rpc_us, lat_tcp_us, lat_udp_us};
 pub use mab::{mab_local, mab_setup, run_mab, MabFile, MabReport, MabSpec, COMPILE_CY_PER_BYTE};
-pub use machine::{
-    run_bare, run_bare_with, run_custom, run_with_fs, timed, ResultSlot,
-};
+pub use machine::{run_bare, run_bare_with, run_custom, run_with_fs, timed, ResultSlot};
 pub use membench::{mem_bandwidth, standard_buffer_sizes, TOTAL_TRAFFIC};
 pub use multiuser::{
     pipe_rtt_us_multiuser, pipe_rtt_us_singleuser, run_multiuser, syscall_us_multiuser,

@@ -29,7 +29,7 @@ use tnt_fs::FsParams;
 use tnt_net::{Delivery, NetCosts, Switch};
 use tnt_os::{boot_cluster, boot_cluster_with_faults, Kernel, Os, OsCosts, UProc};
 use tnt_sim::fault::FaultProfile;
-use tnt_sim::proc::{block_any, LiteProc, LiteScheduler, ProcCtx, Step, Wake, WaitReason};
+use tnt_sim::proc::{block_any, LiteProc, LiteScheduler, ProcCtx, Step, WaitReason, Wake};
 use tnt_sim::{Cycles, Sim, WaitId, CPU_HZ};
 
 use crate::hist::LatHist;
@@ -431,7 +431,10 @@ async fn worker_loop(p: UProc, env: Arc<Env>) {
         };
         match next {
             Next::Exit => break,
-            Next::Park => sim.wait_on_async(env.shared.work_q, "farm: worker idle").await,
+            Next::Park => {
+                sim.wait_on_async(env.shared.work_q, "farm: worker idle")
+                    .await
+            }
             Next::Serve(req) => {
                 p.compute(Cycles(env.costs.server_recv));
                 p.compute(Cycles(env.service_cy));

@@ -203,7 +203,9 @@ mod tests {
 
     #[test]
     fn merge_conserves_counts_exactly_in_any_order() {
-        let parts: Vec<Vec<u64>> = (0..5).map(|i| stream(i, 1_000 + 137 * i as usize)).collect();
+        let parts: Vec<Vec<u64>> = (0..5)
+            .map(|i| stream(i, 1_000 + 137 * i as usize))
+            .collect();
         let mut forward = LatHist::new();
         let mut backward = LatHist::new();
         for p in &parts {

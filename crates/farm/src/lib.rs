@@ -145,9 +145,16 @@ mod tests {
             ..FarmConfig::tcp(Os::Linux, 5_000.0, 300, 13)
         };
         let r = run_farm(&cfg);
-        assert!(r.backlog_drops > 0, "the 4-deep backlog must overflow: {r:?}");
+        assert!(
+            r.backlog_drops > 0,
+            "the 4-deep backlog must overflow: {r:?}"
+        );
         assert!(r.retries > 0, "drops must trigger retransmissions: {r:?}");
-        assert_eq!(r.completed + r.failed, 300, "every request is accounted for");
+        assert_eq!(
+            r.completed + r.failed,
+            300,
+            "every request is accounted for"
+        );
     }
 
     #[test]

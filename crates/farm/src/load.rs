@@ -83,7 +83,11 @@ impl Arrivals {
             let rps = match *self {
                 Arrivals::Fixed { rps } | Arrivals::Poisson { rps } => rps,
                 Arrivals::Ramp { from_rps, to_rps } => {
-                    let frac = if n > 1 { i as f64 / (n - 1) as f64 } else { 0.0 };
+                    let frac = if n > 1 {
+                        i as f64 / (n - 1) as f64
+                    } else {
+                        0.0
+                    };
                     from_rps + (to_rps - from_rps) * frac
                 }
             };

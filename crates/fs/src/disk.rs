@@ -272,7 +272,8 @@ impl Disk {
             // would see it.
             self.state.lock().remaps += 1;
             env.sim.count(Counter::DiskRemaps, 1);
-            phases[0] = phases[0] + self.seek_time(self.params.total_blocks) + self.params.rotation();
+            phases[0] =
+                phases[0] + self.seek_time(self.params.total_blocks) + self.params.rotation();
         }
         {
             let mut st = self.state.lock();
@@ -361,9 +362,7 @@ mod tests {
         assert!((p.rotation().as_millis() - 13.33).abs() < 0.02);
     }
 
-    fn boot_faulty(
-        profile: tnt_sim::fault::FaultProfile,
-    ) -> (tnt_sim::Sim, tnt_os::Kernel) {
+    fn boot_faulty(profile: tnt_sim::fault::FaultProfile) -> (tnt_sim::Sim, tnt_os::Kernel) {
         let (sim, kernels) = tnt_os::boot_cluster_with_faults(&[Os::Linux], 0, profile);
         (sim, kernels[0].clone())
     }

@@ -101,8 +101,8 @@ fn x1_tcp_window(scale: &Scale) -> ExperimentOutput {
          \x20 constraint; a few packets of window recover most of the gap.\n",
         fig.render()
     );
-    let record =
-        ExperimentRecord::new("x1", "ABLATION x1. TCP window sweep", 1).with_stats(fig.stat_lines());
+    let record = ExperimentRecord::new("x1", "ABLATION x1. TCP window sweep", 1)
+        .with_stats(fig.stat_lines());
     ExperimentOutput {
         id: "x1",
         title: "ABLATION x1. TCP window sweep",
@@ -160,7 +160,11 @@ fn x2_metadata_policy(scale: &Scale) -> ExperimentOutput {
         title: "ABLATION x2. Metadata policy",
         text,
         csv: vec![],
-        record: Some(ExperimentRecord::new("x2", "ABLATION x2. Metadata policy", 1)),
+        record: Some(ExperimentRecord::new(
+            "x2",
+            "ABLATION x2. Metadata policy",
+            1,
+        )),
     }
 }
 
@@ -254,7 +258,11 @@ fn x4_future_releases(scale: &Scale) -> ExperimentOutput {
         title: "PROJECTION x4. Next releases",
         text,
         csv: vec![],
-        record: Some(ExperimentRecord::new("x4", "PROJECTION x4. Next releases", 1)),
+        record: Some(ExperimentRecord::new(
+            "x4",
+            "PROJECTION x4. Next releases",
+            1,
+        )),
     }
 }
 
@@ -328,7 +336,11 @@ fn x5_crash_consistency(scale: &Scale) -> ExperimentOutput {
         title: "ABLATION x5. Crash consistency",
         text,
         csv: vec![],
-        record: Some(ExperimentRecord::new("x5", "ABLATION x5. Crash consistency", 1)),
+        record: Some(ExperimentRecord::new(
+            "x5",
+            "ABLATION x5. Crash consistency",
+            1,
+        )),
     }
 }
 
@@ -402,7 +414,11 @@ fn x6_event_counters(scale: &Scale) -> ExperimentOutput {
         title: "PROJECTION x6. Event counters",
         text,
         csv: vec![],
-        record: Some(ExperimentRecord::new("x6", "PROJECTION x6. Event counters", 1)),
+        record: Some(ExperimentRecord::new(
+            "x6",
+            "PROJECTION x6. Event counters",
+            1,
+        )),
     }
 }
 

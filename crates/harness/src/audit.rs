@@ -105,11 +105,7 @@ mod tests {
         let report = conservation_audit(&Scale::smoke());
         assert!(report.experiments >= 10, "matrix shrank: {report:?}");
         assert!(report.samples > report.experiments);
-        assert!(
-            report.passed(),
-            "conservation drift:\n{}",
-            report.render()
-        );
+        assert!(report.passed(), "conservation drift:\n{}", report.render());
         assert!(report.render().contains("every cycle attributed"));
     }
 
@@ -137,8 +133,6 @@ mod tests {
             ..AuditReport::default()
         };
         assert!(r.render().contains("happens-before race detection: armed"));
-        assert!(!AuditReport::default()
-            .render()
-            .contains("happens-before"));
+        assert!(!AuditReport::default().render().contains("happens-before"));
     }
 }

@@ -28,10 +28,10 @@ use std::process::ExitCode;
 
 use tnt_harness::cli::{self, Cli, Mode};
 use tnt_harness::{
-    all_ids, capture_experiment, conservation_audit, execute, explore_ids, explore_json,
-    extra_ids, farm_sweep, lite_ring, plan, profile_one, render_explore, replay_fixture_ids,
-    replay_trace, run_explore, task_ring, threaded_ring, threaded_ring_hb, ExperimentResult,
-    RingResult, ReplayOptions, ReplayReport, Scale,
+    all_ids, capture_experiment, conservation_audit, execute, explore_ids, explore_json, extra_ids,
+    farm_sweep, lite_ring, plan, profile_one, render_explore, replay_fixture_ids, replay_trace,
+    run_explore, task_ring, threaded_ring, threaded_ring_hb, ExperimentResult, ReplayOptions,
+    ReplayReport, RingResult, Scale,
 };
 use tnt_runner::{json::Value, BaselineStore, ExperimentRecord};
 use tnt_sim::replay::Trace;
@@ -172,7 +172,10 @@ fn replay_cmd(cli: &Cli) -> Result<ExitCode, WriteError> {
     let scale = cli.scale();
     println!("tnt replay — trace-driven workload replay (docs/TRACE_FORMAT.md)\n");
     if !cli.faults.is_off() {
-        println!("faults: {} (deterministic, seed-driven)\n", cli.faults.name());
+        println!(
+            "faults: {} (deterministic, seed-driven)\n",
+            cli.faults.name()
+        );
     }
 
     let mut targets: Vec<(String, Trace)> = Vec::new();
@@ -355,9 +358,7 @@ fn records_of(results: &[ExperimentResult]) -> Vec<ExperimentRecord> {
 }
 
 fn banner(cli: &Cli, scale: &Scale, jobs: usize) {
-    println!(
-        "tnt reproduce — 'A Performance Comparison of UNIX Operating Systems on the Pentium'"
-    );
+    println!("tnt reproduce — 'A Performance Comparison of UNIX Operating Systems on the Pentium'");
     println!(
         "scale: {} ({} run(s) per measurement), {} worker(s)",
         scale.label, scale.runs, jobs
@@ -576,10 +577,7 @@ fn bench(cli: &Cli) -> Result<ExitCode, WriteError> {
     let doc = Value::Obj(vec![
         ("bench".into(), Value::Str("runner".into())),
         ("scale".into(), Value::Str(scale.label.to_string())),
-        (
-            "experiments".into(),
-            Value::Num(serial.len() as f64),
-        ),
+        ("experiments".into(), Value::Num(serial.len() as f64)),
         ("jobs".into(), Value::Num(jobs as f64)),
         ("serial_s".into(), Value::Num(serial_s)),
         ("parallel_s".into(), Value::Num(parallel_s)),
@@ -627,8 +625,7 @@ fn bench_engine(cli: &Cli) -> Result<ExitCode, WriteError> {
     let task_identical = task.elapsed == threaded.elapsed
         && task.total_cpu == threaded.total_cpu
         && task.handoffs == threaded.handoffs;
-    let identical =
-        threaded.elapsed == lite.elapsed && threaded.total_cpu == lite.total_cpu;
+    let identical = threaded.elapsed == lite.elapsed && threaded.total_cpu == lite.total_cpu;
     // Only threaded processes may wake another host thread; a task or
     // lite ring that does has grown a host thread back.
     let host_handoffs_ok =

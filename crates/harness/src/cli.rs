@@ -191,22 +191,24 @@ pub fn parse(args: Vec<String>) -> Result<Cli, String> {
                 })?;
             }
             "--record" => {
-                cli.record = Some(iter.next().ok_or_else(|| {
-                    format!("--record needs an experiment id\n{}", usage())
-                })?);
+                cli.record = Some(
+                    iter.next()
+                        .ok_or_else(|| format!("--record needs an experiment id\n{}", usage()))?,
+                );
             }
             "--jobs" | "-j" => cli.jobs = parse_number("--jobs", iter.next())?,
             "--tolerance" => cli.tolerance_pct = parse_number("--tolerance", iter.next())?,
             "--out" => {
-                cli.out_dir =
-                    PathBuf::from(iter.next().ok_or_else(|| {
-                        format!("--out needs a directory\n{}", usage())
-                    })?);
+                cli.out_dir = PathBuf::from(
+                    iter.next()
+                        .ok_or_else(|| format!("--out needs a directory\n{}", usage()))?,
+                );
             }
             "--markdown" => {
-                cli.markdown = Some(PathBuf::from(iter.next().ok_or_else(|| {
-                    format!("--markdown needs a file\n{}", usage())
-                })?));
+                cli.markdown =
+                    Some(PathBuf::from(iter.next().ok_or_else(|| {
+                        format!("--markdown needs a file\n{}", usage())
+                    })?));
             }
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag {other:?}\n{}", usage()));
@@ -327,7 +329,10 @@ mod tests {
     fn farm_parses_with_flags() {
         let cli = parse(args(&["farm"])).unwrap();
         assert_eq!(cli.mode, Mode::Farm);
-        let cli = parse(args(&["farm", "--full", "--jobs", "4", "--faults", "lossy"])).unwrap();
+        let cli = parse(args(&[
+            "farm", "--full", "--jobs", "4", "--faults", "lossy",
+        ]))
+        .unwrap();
         assert_eq!(cli.mode, Mode::Farm);
         assert_eq!(cli.scale, ScaleKind::Full);
         assert_eq!(cli.jobs, 4);

@@ -236,9 +236,18 @@ mod tests {
         for seed in [0, 7, 1996] {
             let threaded = threaded_ring(24, 40, seed);
             let task = task_ring(24, 40, seed);
-            assert_eq!(threaded.elapsed, task.elapsed, "seed {seed}: clock diverged");
-            assert_eq!(threaded.total_cpu, task.total_cpu, "seed {seed}: CPU diverged");
-            assert_eq!(threaded.handoffs, task.handoffs, "seed {seed}: dispatches diverged");
+            assert_eq!(
+                threaded.elapsed, task.elapsed,
+                "seed {seed}: clock diverged"
+            );
+            assert_eq!(
+                threaded.total_cpu, task.total_cpu,
+                "seed {seed}: CPU diverged"
+            );
+            assert_eq!(
+                threaded.handoffs, task.handoffs,
+                "seed {seed}: dispatches diverged"
+            );
             assert_eq!(task.host_handoffs, 0, "seed {seed}");
         }
     }

@@ -322,11 +322,7 @@ TABLE 1. Disk Partitioning (configuration, reproduced verbatim)
                     title: "TABLE 1. Disk Partitioning",
                     text,
                     csv: vec![],
-                    record: Some(ExperimentRecord::new(
-                        "t1",
-                        "TABLE 1. Disk Partitioning",
-                        1,
-                    )),
+                    record: Some(ExperimentRecord::new("t1", "TABLE 1. Disk Partitioning", 1)),
                 }]
             }),
         },

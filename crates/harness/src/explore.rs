@@ -354,12 +354,7 @@ mod tests {
         let outcomes = run_explore(&[], 512).unwrap();
         assert_eq!(outcomes.len(), explore_ids().len());
         for o in &outcomes {
-            assert!(
-                o.report.passed(),
-                "{}: {:?}",
-                o.name,
-                o.report.failures
-            );
+            assert!(o.report.passed(), "{}: {:?}", o.name, o.report.failures);
             assert_eq!(o.report.distinct_outcomes, 1, "{}", o.name);
             assert!(o.report.schedules >= 1, "{}", o.name);
         }
@@ -382,7 +377,11 @@ mod tests {
         let outcomes = run_explore(&["timer-race".into()], 64).unwrap();
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].name, "timer-race");
-        assert!(outcomes[0].report.passed(), "{:?}", outcomes[0].report.failures);
+        assert!(
+            outcomes[0].report.passed(),
+            "{:?}",
+            outcomes[0].report.failures
+        );
     }
 
     #[test]

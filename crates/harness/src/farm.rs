@@ -326,7 +326,12 @@ pub fn farm_sweep(scale: &Scale, faults_name: &str, jobs: usize) -> FarmSweep {
     for ((workload, os, rate), outcome) in keys.into_iter().zip(outcomes) {
         let m = match outcome.result {
             Ok(m) => m,
-            Err(p) => panic!("farm point {}/{}@{rate} panicked: {}", workload.label(), os.label(), p.message),
+            Err(p) => panic!(
+                "farm point {}/{}@{rate} panicked: {}",
+                workload.label(),
+                os.label(),
+                p.message
+            ),
         };
         points.push((workload, os, rate, m));
     }
@@ -344,9 +349,7 @@ pub fn farm_sweep(scale: &Scale, faults_name: &str, jobs: usize) -> FarmSweep {
             .map(|(_, os, rate, m)| (*os, *rate, m.clone()))
             .collect();
         text.push_str(match workload {
-            Workload::Tcp => {
-                "== TCP request/reply (512 B -> 4 KB replies, open-loop Poisson) ==\n"
-            }
+            Workload::Tcp => "== TCP request/reply (512 B -> 4 KB replies, open-loop Poisson) ==\n",
             Workload::Nfs => "== NFS write RPC (8 KB writes over UDP, sync metadata) ==\n",
         });
         text.push_str(&curve_header());

@@ -46,11 +46,11 @@ pub use audit::{conservation_audit, AuditFinding, AuditReport};
 pub use engine_bench::{
     lite_ring, task_ring, threaded_ring, threaded_ring_hb, RingResult, RING_CHARGE, RING_SLEEP,
 };
+pub use experiments::{all_ids, bonnie_figures, run_many, run_one, ExperimentOutput};
 pub use explore::{
     explore_ids, explore_json, render_explore, run_explore, ExploreOutcome, ExploreScenario,
 };
 pub use farm::{farm_sweep, FarmSweep};
-pub use experiments::{all_ids, bonnie_figures, run_many, run_one, ExperimentOutput};
 pub use plan::{execute, plan, Cell, ExperimentPlan, ExperimentResult, PlanBody};
 pub use plot::{Figure, XScale};
 pub use profile::{

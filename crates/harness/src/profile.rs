@@ -219,9 +219,8 @@ pub fn profile_experiment(id: &str, scale: &Scale) -> Option<Vec<ProfiledSample>
                     tnt_nfs::NfsServerConfig::for_os(Os::SunOs),
                 )
                 .expect("nfsd start");
-                let mount =
-                    tnt_nfs::NfsClient::mount(&net, &client_k, client_host, server.addr())
-                        .expect("mount");
+                let mount = tnt_nfs::NfsClient::mount(&net, &client_k, client_host, server.addr())
+                    .expect("mount");
                 client_k.mount(mount);
                 client_k.spawn_user("stat-timeout", |p| async move {
                     // The stat drives the mount's first RPC; with every

@@ -581,20 +581,25 @@ pub(crate) fn run_replay_experiment(id: &str, scale: &Scale) -> ExperimentOutput
 
 /// Plans x11 as a single shard (a capture plus two replays per OS).
 pub(crate) fn plan_x11(scale: &Scale) -> ExperimentPlan {
-    plan_replay("x11", "ABLATION x11. Video workload record-and-replay", 25_000, scale)
+    plan_replay(
+        "x11",
+        "ABLATION x11. Video workload record-and-replay",
+        25_000,
+        scale,
+    )
 }
 
 /// Plans x12 as a single shard.
 pub(crate) fn plan_x12(scale: &Scale) -> ExperimentPlan {
-    plan_replay("x12", "ABLATION x12. Compile burst record-and-replay", 20_000, scale)
+    plan_replay(
+        "x12",
+        "ABLATION x12. Compile burst record-and-replay",
+        20_000,
+        scale,
+    )
 }
 
-fn plan_replay(
-    id: &'static str,
-    title: &'static str,
-    cost: u64,
-    scale: &Scale,
-) -> ExperimentPlan {
+fn plan_replay(id: &'static str, title: &'static str, cost: u64, scale: &Scale) -> ExperimentPlan {
     let scale = scale.clone();
     ExperimentPlan {
         id,

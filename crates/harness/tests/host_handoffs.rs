@@ -50,8 +50,14 @@ fn trace_replay_runs_on_the_callers_thread() {
 fn socket_benchmarks_run_on_the_callers_thread() {
     let os = Os::Linux;
     let checks = [
-        ("bw_tcp", host_handoffs(|| tcp_bandwidth_mbit(os, 64 << 10, BW_TCP_CHUNK, 0))),
-        ("ttcp", host_handoffs(|| udp_bandwidth_mbit(os, 1024, 64 << 10, 0))),
+        (
+            "bw_tcp",
+            host_handoffs(|| tcp_bandwidth_mbit(os, 64 << 10, BW_TCP_CHUNK, 0)),
+        ),
+        (
+            "ttcp",
+            host_handoffs(|| udp_bandwidth_mbit(os, 1024, 64 << 10, 0)),
+        ),
         ("lat_tcp", host_handoffs(|| lat_tcp_us(os, 10, 0))),
         ("lat_udp", host_handoffs(|| lat_udp_us(os, 10, 0))),
     ];
@@ -63,7 +69,11 @@ fn socket_benchmarks_run_on_the_callers_thread() {
 #[test]
 fn pipe_benchmarks_run_on_the_callers_thread() {
     let os = Os::FreeBsd;
-    assert_eq!(host_handoffs(|| ctx_us(os, 4, 200, CtxPattern::Ring, 0)), 0, "ctx");
+    assert_eq!(
+        host_handoffs(|| ctx_us(os, 4, 200, CtxPattern::Ring, 0)),
+        0,
+        "ctx"
+    );
     let bw = host_handoffs(|| pipe_bandwidth_mbit(os, 256 << 10, BW_PIPE_CHUNK, 0));
     assert_eq!(bw, 0, "bw_pipe");
     assert_eq!(host_handoffs(|| lat_pipe_us(os, 10, 0)), 0, "lat_pipe");
@@ -73,11 +83,23 @@ fn pipe_benchmarks_run_on_the_callers_thread() {
 fn filesystem_and_nfs_benchmarks_run_on_the_callers_thread() {
     let checks = [
         ("bonnie", host_handoffs(|| bonnie(Os::Linux, 1, 10, 0))),
-        ("crtdel", host_handoffs(|| crtdel_ms(Os::FreeBsd, 1024, 2, 0))),
+        (
+            "crtdel",
+            host_handoffs(|| crtdel_ms(Os::FreeBsd, 1024, 2, 0)),
+        ),
         ("mab local", host_handoffs(|| mab_local(Os::Solaris, 0))),
-        ("mab over nfs, linux server", host_handoffs(|| mab_over_nfs(Os::Linux, Os::Linux, 0))),
-        ("mab over nfs, sunos server", host_handoffs(|| mab_over_nfs(Os::Solaris, Os::SunOs, 0))),
-        ("lat_rpc", host_handoffs(|| lat_rpc_us(Os::FreeBsd, Os::Linux, 10, 0))),
+        (
+            "mab over nfs, linux server",
+            host_handoffs(|| mab_over_nfs(Os::Linux, Os::Linux, 0)),
+        ),
+        (
+            "mab over nfs, sunos server",
+            host_handoffs(|| mab_over_nfs(Os::Solaris, Os::SunOs, 0)),
+        ),
+        (
+            "lat_rpc",
+            host_handoffs(|| lat_rpc_us(Os::FreeBsd, Os::Linux, 10, 0)),
+        ),
     ];
     for (name, handoffs) in checks {
         assert_eq!(handoffs, 0, "{name}");
@@ -91,8 +113,14 @@ fn process_benchmarks_run_on_the_callers_thread() {
         ("getpid", host_handoffs(|| syscall_us(os, 1_000, 0))),
         ("fork+exit", host_handoffs(|| fork_exit_us(os, 5, 0))),
         ("fork+exec", host_handoffs(|| fork_exec_us(os, 5, 0))),
-        ("multiuser getpid", host_handoffs(|| syscall_us_multiuser(os, 1_000, 1))),
-        ("multiuser pipe", host_handoffs(|| pipe_rtt_us_multiuser(os, 50, 1))),
+        (
+            "multiuser getpid",
+            host_handoffs(|| syscall_us_multiuser(os, 1_000, 1)),
+        ),
+        (
+            "multiuser pipe",
+            host_handoffs(|| pipe_rtt_us_multiuser(os, 50, 1)),
+        ),
     ];
     for (name, handoffs) in checks {
         assert_eq!(handoffs, 0, "{name}");
@@ -101,5 +129,8 @@ fn process_benchmarks_run_on_the_callers_thread() {
 
 #[test]
 fn threaded_benchmarks_still_hand_off() {
-    assert!(host_handoffs(|| threaded_ring(8, 10, 0)) > 0, "threaded ring");
+    assert!(
+        host_handoffs(|| threaded_ring(8, 10, 0)) > 0,
+        "threaded ring"
+    );
 }

@@ -126,7 +126,9 @@ fn a_panicking_shard_fails_only_its_experiment() {
     let report = &results[1].outputs[0];
     assert!(report.text.contains("FAILED"), "{}", report.text);
     assert!(
-        report.text.contains("other experiments in this run are unaffected"),
+        report
+            .text
+            .contains("other experiments in this run are unaffected"),
         "{}",
         report.text
     );

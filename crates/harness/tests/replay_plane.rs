@@ -53,9 +53,15 @@ fn recording_is_off_by_default() {
         p.close(fd).await.expect("close");
     });
     let _ = sim.run().expect("run");
-    assert!(!sim.recorder().is_enabled(), "recorder armed without --record");
+    assert!(
+        !sim.recorder().is_enabled(),
+        "recorder armed without --record"
+    );
     assert!(sim.recorder().is_empty(), "events recorded while disabled");
-    assert!(tnt_sim::replay::drain().is_empty(), "published while disabled");
+    assert!(
+        tnt_sim::replay::drain().is_empty(),
+        "published while disabled"
+    );
 }
 
 #[test]

@@ -13,10 +13,7 @@ fn reproduce(args: &[&str], dir: &std::path::Path) -> Output {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tnt-reproduce-cli-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("tnt-reproduce-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
@@ -60,7 +57,12 @@ fn replay_fixture_runs_deterministically_and_writes_the_artifact() {
     let res = dir.join("res");
     let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../results/traces/desktop_boot.tntrace");
-    let args = ["replay", fixture.to_str().unwrap(), "--out", res.to_str().unwrap()];
+    let args = [
+        "replay",
+        fixture.to_str().unwrap(),
+        "--out",
+        res.to_str().unwrap(),
+    ];
     let first = reproduce(&args, &dir);
     assert!(
         first.status.success(),
@@ -77,7 +79,10 @@ fn replay_fixture_runs_deterministically_and_writes_the_artifact() {
     assert!(artifact.contains("desktop_boot"), "{artifact}");
     // Byte-determinism: the blessed record is the whole point.
     let second = reproduce(&args, &dir);
-    assert_eq!(first.stdout, second.stdout, "replay output must be byte-stable");
+    assert_eq!(
+        first.stdout, second.stdout,
+        "replay output must be byte-stable"
+    );
 
     // An unknown trace is a usage error naming the fixtures.
     let bad = reproduce(&["replay", "no_such_trace"], &dir);
@@ -109,7 +114,9 @@ fn replay_record_captures_and_replays_an_experiment() {
         .map(|e| e.unwrap().file_name().into_string().unwrap())
         .collect();
     assert!(
-        captures.iter().any(|n| n.starts_with("x5_") && n.ends_with(".tntrace")),
+        captures
+            .iter()
+            .any(|n| n.starts_with("x5_") && n.ends_with(".tntrace")),
         "no captures written: {captures:?}"
     );
     assert!(res.join("REPLAY.json").is_file());
@@ -216,7 +223,10 @@ fn bless_then_check_roundtrip_passes_and_perturbation_fails() {
         stderr.contains("regression gate FAILED"),
         "loud failure:\n{stderr}"
     );
-    assert!(stderr.contains("t2"), "failure names the experiment:\n{stderr}");
+    assert!(
+        stderr.contains("t2"),
+        "failure names the experiment:\n{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -243,8 +253,15 @@ fn check_against_a_corrupt_baseline_is_a_usage_error() {
     let out = reproduce(&["check", "--out", res.to_str().unwrap(), "t1"], &dir);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("is corrupt"), "names the problem:\n{stderr}");
-    assert!(out.stdout.is_empty(), "nothing ran:\n{}", String::from_utf8_lossy(&out.stdout));
+    assert!(
+        stderr.contains("is corrupt"),
+        "names the problem:\n{stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "nothing ran:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -177,7 +177,7 @@ mod tests {
             let s = p.sim();
             let f = frame_cy();
             let t0 = s.now().0; // boot charges land before we run
-            // Two sends from host 0: back to back on 0's uplink.
+                                // Two sends from host 0: back to back on 0's uplink.
             let a = sw.send(s, 0, 2, SWITCH_MTU);
             let b = sw.send(s, 0, 2, SWITCH_MTU);
             assert_eq!(a, Delivery::Delivered(Cycles(t0 + 2 * f)));
@@ -255,10 +255,17 @@ mod tests {
                 sw.send(s, 0, 1, SWITCH_MTU),
                 Delivery::Delivered(Cycles(t0 + 3 * frame_cy()))
             );
-            assert_eq!(sw.send(s, 0, 1, SWITCH_MTU), Delivery::Dropped, "uplink full");
+            assert_eq!(
+                sw.send(s, 0, 1, SWITCH_MTU),
+                Delivery::Dropped,
+                "uplink full"
+            );
             // Once the backlog transmits, the link accepts again.
             s.sleep_async(Cycles(4 * frame_cy())).await;
-            assert!(matches!(sw.send(s, 0, 1, SWITCH_MTU), Delivery::Delivered(_)));
+            assert!(matches!(
+                sw.send(s, 0, 1, SWITCH_MTU),
+                Delivery::Delivered(_)
+            ));
         });
         let _ = sim.run().unwrap();
     }

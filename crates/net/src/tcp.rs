@@ -221,7 +221,10 @@ impl TcpStream {
                 }
                 StepOutcome::Wait => {
                     let _w = self.env.sim.span(Class::NetRecvWait);
-                    self.env.sim.wait_on_async(self.rx.rd_wait, "tcp recv").await;
+                    self.env
+                        .sim
+                        .wait_on_async(self.rx.rd_wait, "tcp recv")
+                        .await;
                 }
             }
         }

@@ -193,7 +193,12 @@ fn lossy_runs_are_deterministic_per_seed() {
             *o2.lock() = (script, (p.sim().now() - t0).as_secs());
         });
         let (script, secs) = out.lock().clone();
-        (script, secs, r.mount.retransmits(), r.server.stats().dup_hits)
+        (
+            script,
+            secs,
+            r.mount.retransmits(),
+            r.server.stats().dup_hits,
+        )
     };
     let a = run(13);
     let b = run(13);

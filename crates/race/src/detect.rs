@@ -487,7 +487,8 @@ mod tests {
         d.wake_edge(WakeSrc::Timer(9), 2);
         assert!(d.access(LOC, AccessKind::Write, info(2, "fired")).is_none());
         assert!(
-            d.access(LOC, AccessKind::Write, info(3, "driver")).is_some(),
+            d.access(LOC, AccessKind::Write, info(3, "driver"))
+                .is_some(),
             "the clock-driving task gained no order from the fire"
         );
     }

@@ -111,7 +111,7 @@ where
             distinct_outcomes: 0,
             outcome: expected.cloned(),
             failures: Vec::new(),
-            },
+        },
         expected_pinned: expected.is_some(),
         outcomes: Vec::new(),
         db: FootprintDb::default(),
@@ -124,9 +124,9 @@ where
     }
     dfs(&mut ctx, &mut run, Vec::new(), BTreeSet::new());
     if ctx.capped {
-        ctx.report
-            .failures
-            .push(format!("run cap of {max_runs} hit before exhausting schedules"));
+        ctx.report.failures.push(format!(
+            "run cap of {max_runs} hit before exhausting schedules"
+        ));
     }
     ctx.report
 }
@@ -309,7 +309,11 @@ mod tests {
                     0
                 } else {
                     let idx = choices.len();
-                    let pick = script.get(idx).copied().unwrap_or(0).min(remaining.len() - 1);
+                    let pick = script
+                        .get(idx)
+                        .copied()
+                        .unwrap_or(0)
+                        .min(remaining.len() - 1);
                     choices.push(Choice {
                         options: remaining.clone(),
                         chosen: pick,
@@ -401,7 +405,11 @@ mod tests {
         );
         assert!(!report.passed());
         assert_eq!(report.distinct_outcomes, 2);
-        assert!(report.failures[0].contains("diverged"), "{:?}", report.failures);
+        assert!(
+            report.failures[0].contains("diverged"),
+            "{:?}",
+            report.failures
+        );
     }
 
     #[test]

@@ -377,7 +377,10 @@ impl Trace {
                 if fields.len() != 5 {
                     return Err(TraceError::Text {
                         line,
-                        msg: format!("ev needs 5 fields (t pid op arg size), got {}", fields.len()),
+                        msg: format!(
+                            "ev needs 5 fields (t pid op arg size), got {}",
+                            fields.len()
+                        ),
                     });
                 }
                 let num = |f: &str, what: &str| {

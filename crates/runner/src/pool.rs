@@ -108,10 +108,8 @@ pub fn run_ordered<T: Send + 'static>(jobs: Vec<Job<T>>, workers: usize) -> Vec<
 
     // Job closures parked in per-index slots; a worker claims one by
     // taking it out of its slot, so each runs exactly once.
-    let slots: Vec<Mutex<Option<Work<T>>>> = jobs
-        .into_iter()
-        .map(|j| Mutex::new(Some(j.work)))
-        .collect();
+    let slots: Vec<Mutex<Option<Work<T>>>> =
+        jobs.into_iter().map(|j| Mutex::new(Some(j.work))).collect();
     let deques: Vec<Mutex<VecDeque<usize>>> = assignment
         .into_iter()
         .map(|q| Mutex::new(q.into_iter().collect()))

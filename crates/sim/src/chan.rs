@@ -165,8 +165,9 @@ mod tests {
         for i in 0..3u32 {
             let tx = ch.clone();
             let mut state = 0u8;
-            sched.spawn(&format!("client{i}"), Box::new(move |ctx: &mut ProcCtx| {
-                match state {
+            sched.spawn(
+                &format!("client{i}"),
+                Box::new(move |ctx: &mut ProcCtx| match state {
                     0 => match tx.try_send(ctx.sim(), i) {
                         Ok(()) => {
                             state = 1;
@@ -175,8 +176,8 @@ mod tests {
                         Err(_) => block_on(tx.write_queue(), "chan full"),
                     },
                     _ => Step::Done,
-                }
-            }));
+                }),
+            );
         }
         sched.start("clients");
         let _ = s.run().unwrap();

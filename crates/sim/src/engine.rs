@@ -676,7 +676,9 @@ impl Sim {
     pub fn record_block(&self, write: bool, addr: u64, blocks: u64) {
         if self.inner.recorder.is_enabled() {
             let (t, pid) = self.stamp();
-            self.inner.recorder.record_block(t, pid, write, addr, blocks);
+            self.inner
+                .recorder
+                .record_block(t, pid, write, addr, blocks);
         }
     }
 
@@ -878,7 +880,9 @@ impl Sim {
         // capture machines) still harvests the same events with
         // `take()` after the run. Disabling stops a second `run` from
         // publishing the trace twice.
-        if tnt_replay::ambient() && self.inner.recorder.is_enabled() && !self.inner.recorder.is_empty()
+        if tnt_replay::ambient()
+            && self.inner.recorder.is_enabled()
+            && !self.inner.recorder.is_empty()
         {
             tnt_replay::publish(self.inner.recorder.snapshot());
             self.inner.recorder.disable();
@@ -1012,7 +1016,12 @@ impl Sim {
             // — except under the planted unlocked-ring-write mutant,
             // whose raw write the checker sees race.
             if mutant_on(st, MUTANT_UNLOCKED_RING_WRITE) {
-                self.race_raw(st, Loc::TraceRing, AccessKind::Write, "charge.ring(unlocked)");
+                self.race_raw(
+                    st,
+                    Loc::TraceRing,
+                    AccessKind::Write,
+                    "charge.ring(unlocked)",
+                );
             } else {
                 self.race_protected(st, Loc::TraceRing, AccessKind::Write, "charge.ring");
             }
@@ -1170,7 +1179,12 @@ impl Sim {
                 st.procs.get_mut(&tid).expect("current proc missing"),
                 Status::Blocked(reason),
             );
-            self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "wait.enqueue");
+            self.race_protected(
+                &mut st,
+                Loc::WaitQueue(q.0),
+                AccessKind::Write,
+                "wait.enqueue",
+            );
         }
         Park::new("Sim::wait_on_async").await
     }
@@ -1203,9 +1217,20 @@ impl Sim {
             let at = st.now + timeout;
             let seq = st.timer_seq;
             st.timer_seq += 1;
-            st.timers.insert(at, seq, TimerAction::ProcGen(tid, gen, q.0));
-            self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "wait.enqueue");
-            self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "wait.arm-timeout");
+            st.timers
+                .insert(at, seq, TimerAction::ProcGen(tid, gen, q.0));
+            self.race_protected(
+                &mut st,
+                Loc::WaitQueue(q.0),
+                AccessKind::Write,
+                "wait.enqueue",
+            );
+            self.race_protected(
+                &mut st,
+                Loc::TimerHeap,
+                AccessKind::Write,
+                "wait.arm-timeout",
+            );
             if let Some(d) = st.race.as_deref_mut() {
                 d.release(race_task(), SyncId::Timer(seq));
             }
@@ -1259,14 +1284,20 @@ impl Sim {
                 st.timer_seq += 1;
                 // The timer removes us from the *first* queue; the lazy
                 // skip handles the rest.
-                st.timers.insert(at, seq, TimerAction::ProcGen(tid, gen, qs[0].0));
+                st.timers
+                    .insert(at, seq, TimerAction::ProcGen(tid, gen, qs[0].0));
                 self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "select.arm");
                 if let Some(d) = st.race.as_deref_mut() {
                     d.release(race_task(), SyncId::Timer(seq));
                 }
             }
             for q in qs {
-                self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "select.enqueue");
+                self.race_protected(
+                    &mut st,
+                    Loc::WaitQueue(q.0),
+                    AccessKind::Write,
+                    "select.enqueue",
+                );
             }
         }
         Park::new("Sim::wait_on_any_async").await;
@@ -1284,7 +1315,12 @@ impl Sim {
             if let Some(queue) = st.queues.get_mut(&q.0) {
                 queue.retain(|w| *w != Waiter::Proc(tid));
             }
-            self.race_protected(&mut st, Loc::WaitQueue(q.0), AccessKind::Write, "select.cleanup");
+            self.race_protected(
+                &mut st,
+                Loc::WaitQueue(q.0),
+                AccessKind::Write,
+                "select.cleanup",
+            );
         }
         if timed_out {
             None
@@ -1333,10 +1369,7 @@ impl Sim {
 
     /// Number of processes currently blocked on the queue.
     pub fn waiters(&self, q: WaitId) -> usize {
-        self.lock_state()
-            .queues
-            .get(&q.0)
-            .map_or(0, |d| d.len())
+        self.lock_state().queues.get(&q.0).map_or(0, |d| d.len())
     }
 
     /// The tid of the calling simulated process.
@@ -1488,8 +1521,7 @@ impl Sim {
             }
             if st.audit.reaches(q.0, h) {
                 let path = st.audit.path(q.0, h);
-                let chain: Vec<String> =
-                    path.iter().map(|id| format!("mutex#{id}")).collect();
+                let chain: Vec<String> = path.iter().map(|id| format!("mutex#{id}")).collect();
                 drop(st);
                 panic!(
                     "audit: lock-order violation: process {name} acquires mutex#{} \
@@ -1714,11 +1746,7 @@ impl Sim {
     /// until a threaded process holds the baton or the run is finished.
     /// `me` is the calling threaded process when it is giving up the
     /// baton; returns whether the loop handed the baton back to it.
-    fn dispatch<'a>(
-        &'a self,
-        mut st: parking_lot::MutexGuard<'a, State>,
-        me: Option<Tid>,
-    ) -> bool {
+    fn dispatch<'a>(&'a self, mut st: parking_lot::MutexGuard<'a, State>, me: Option<Tid>) -> bool {
         let host = CURRENT.get();
         let mine = loop {
             let Some(tid) = self.pick_locked(&mut st) else {
@@ -1732,7 +1760,9 @@ impl Sim {
                     break false;
                 }
                 Body::Task(slot) => {
-                    let fut = slot.take().expect("a dispatched task is already being polled");
+                    let fut = slot
+                        .take()
+                        .expect("a dispatched task is already being polled");
                     drop(st);
                     st = self.poll_task(tid, fut);
                 }
@@ -1911,12 +1941,7 @@ impl Sim {
                         if let Some(d) = st.race.as_deref_mut() {
                             d.wake_edge(WakeSrc::Timer(seq), tid.0);
                         }
-                        self.race_protected(
-                            st,
-                            Loc::RunQueue,
-                            AccessKind::Write,
-                            "timer.wake",
-                        );
+                        self.race_protected(st, Loc::RunQueue, AccessKind::Write, "timer.wake");
                     }
                 }
             }
@@ -2102,10 +2127,7 @@ fn lite_wait_hint(st: &State, tid: Tid) -> String {
     for reason in ls.waiting.values() {
         *by_reason.entry(reason).or_insert(0) += 1;
     }
-    let parts: Vec<String> = by_reason
-        .iter()
-        .map(|(r, n)| format!("{r} x{n}"))
-        .collect();
+    let parts: Vec<String> = by_reason.iter().map(|(r, n)| format!("{r} x{n}")).collect();
     format!(
         " [{} lite proc(s) waiting: {}]",
         ls.waiting.len(),
@@ -2218,7 +2240,13 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn fifo_sim(seed: u64) -> Sim {
-        Sim::new(Box::new(FifoPolicy::new()), SimConfig { seed, ..SimConfig::default() })
+        Sim::new(
+            Box::new(FifoPolicy::new()),
+            SimConfig {
+                seed,
+                ..SimConfig::default()
+            },
+        )
     }
 
     #[test]
@@ -2444,7 +2472,11 @@ mod tests {
         let run = |seed| {
             let sim = Sim::new(
                 Box::new(FifoPolicy::new()),
-                SimConfig { seed, jitter: 0.02, ..SimConfig::default() },
+                SimConfig {
+                    seed,
+                    jitter: 0.02,
+                    ..SimConfig::default()
+                },
             );
             for i in 0..4 {
                 sim.spawn(format!("p{i}"), |s| {
@@ -2640,7 +2672,8 @@ mod tests {
             s.wait_on_async(q, "first").await;
             let woken = s.wait_on_timeout_async(q, Cycles(50), "second").await;
             let which = s.wait_on_any_async(&[q], Some(Cycles(70)), "third").await;
-            log.lock().push((s.now(), woken, which, std::thread::current().id()));
+            log.lock()
+                .push((s.now(), woken, which, std::thread::current().id()));
         });
         sim.spawn_task("waker", move |s| async move {
             s.charge(Cycles(10));
@@ -2678,15 +2711,23 @@ mod tests {
             Err(SimError::ProcPanic(msg)) => assert!(msg.contains("hosted boom"), "{msg}"),
             other => panic!("expected a panic error, got {other:?}"),
         }
-        let seen = escaped.lock().clone().expect("the host was destroyed at shutdown");
-        assert!(!seen.contains("hosted boom"), "task panic unwound its host: {seen}");
+        let seen = escaped
+            .lock()
+            .clone()
+            .expect("the host was destroyed at shutdown");
+        assert!(
+            !seen.contains("hosted boom"),
+            "task panic unwound its host: {seen}"
+        );
     }
 
     #[test]
     fn stop_from_a_task_ends_the_run_at_its_clock() {
         let sim = fifo_sim(0);
         let q = sim.new_queue();
-        sim.spawn_task("forever", move |s| async move { s.wait_on_async(q, "held").await });
+        sim.spawn_task("forever", move |s| async move {
+            s.wait_on_async(q, "held").await
+        });
         sim.spawn("threaded forever", move |s| s.wait_on(q, "held too"));
         sim.spawn_task("main", |s| async move {
             s.advance(Cycles(10));
@@ -2716,7 +2757,10 @@ mod tests {
     fn a_task_calling_a_sync_primitive_is_told_the_async_form() {
         let sim = fifo_sim(0);
         let q = sim.new_queue();
-        sim.spawn_task("confused", move |s| async move { s.wait_on(q, "sync wait") });
+        sim.spawn_task(
+            "confused",
+            move |s| async move { s.wait_on(q, "sync wait") },
+        );
         match sim.run().unwrap_err() {
             SimError::ProcPanic(msg) => assert!(msg.contains("Sim::wait_on_async"), "{msg}"),
             other => panic!("expected a panic error, got {other:?}"),
@@ -2863,7 +2907,11 @@ mod tests {
                 })
                 .collect();
             let end = sim.run().unwrap();
-            (end, sim.dispatch_count(), tids.iter().map(|t| sim.proc_cpu(*t)).collect())
+            (
+                end,
+                sim.dispatch_count(),
+                tids.iter().map(|t| sim.proc_cpu(*t)).collect(),
+            )
         }
         for seed in [0, 7, 1996] {
             assert_eq!(ring(seed, true), ring(seed, false), "seed {seed}");

@@ -65,7 +65,7 @@ pub use stats::{normalize_higher_better, normalize_lower_better, Series, Summary
 /// task. See DESIGN.md §12.
 pub mod proc {
     pub use crate::lite::{block_any, block_on, LiteHandle, LiteScheduler, LiteStats, ProcCtx};
-    pub use tnt_proc::{Core, Lid, LiteProc, Step, Wake, WaitReason};
+    pub use tnt_proc::{Core, Lid, LiteProc, Step, WaitReason, Wake};
 }
 
 /// Race detection and schedule exploration (`tnt-race`), re-exported
@@ -74,11 +74,11 @@ pub mod proc {
 /// explorer's [`race::ScriptedPolicy`]. See DESIGN.md §14.
 pub mod race {
     pub use crate::policy::{ScheduleLog, ScriptedPolicy};
+    pub use tnt_race::{ambient, set_ambient};
     pub use tnt_race::{
         explore, AccessInfo, AccessKind, Choice, Detector, ExploreReport, Footprint, Loc, Outcome,
         Race, RunResult, SyncId, VClock, WakeSrc,
     };
-    pub use tnt_race::{ambient, set_ambient};
 
     use crate::engine::{Sim, SimConfig};
 
@@ -95,10 +95,7 @@ pub mod race {
     /// failed run's partial observables are not comparable), the
     /// recorded branch points, and the per-slice footprints that feed
     /// sleep-set pruning.
-    pub fn run_scripted(
-        script: &[usize],
-        scenario: impl FnOnce(&Sim) -> Collector,
-    ) -> RunResult {
+    pub fn run_scripted(script: &[usize], scenario: impl FnOnce(&Sim) -> Collector) -> RunResult {
         let log: ScheduleLog = ScheduleLog::default();
         let sim = Sim::new(
             Box::new(ScriptedPolicy::new(script.to_vec(), log.clone())),
@@ -138,5 +135,5 @@ pub use tnt_fault as fault;
 // The workload capture/replay plane the engine hosts (`.tntrace`
 // format, per-sim recorder, ambient capture sink), re-exported so the
 // disk/fs models and the harness share one set of trace types.
-pub use tnt_replay as replay;
 pub use time::{mb_per_sec, mbit_per_sec, Cycles, CPU_HZ, MEGABIT, MEGABYTE};
+pub use tnt_replay as replay;

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use tnt_proc::{Core, Lid, LiteProc, Step, Wake, WaitReason};
+use tnt_proc::{Core, Lid, LiteProc, Step, WaitReason, Wake};
 
 use crate::engine::{LitePollGuard, Sim, WaitId, MUTANT_SKIP_ANY_CANCEL};
 use crate::time::Cycles;
@@ -90,7 +90,10 @@ pub fn block_any(
     timeout: Option<Cycles>,
     reason: &'static str,
 ) -> Step {
-    assert!(queues.len() <= 2, "lite Any waits support at most two queues");
+    assert!(
+        queues.len() <= 2,
+        "lite Any waits support at most two queues"
+    );
     assert!(
         !queues.is_empty() || timeout.is_some(),
         "a lite Any wait with no queues and no timeout would never resume"
@@ -352,13 +355,16 @@ mod tests {
         let mut sched = LiteScheduler::new(&s);
         for i in 0..100u32 {
             let mut rounds = 10;
-            sched.spawn(&format!("c{i}"), Box::new(move |_: &mut ProcCtx| {
-                if rounds == 0 {
-                    return Step::Done;
-                }
-                rounds -= 1;
-                Step::Charge(100)
-            }));
+            sched.spawn(
+                &format!("c{i}"),
+                Box::new(move |_: &mut ProcCtx| {
+                    if rounds == 0 {
+                        return Step::Done;
+                    }
+                    rounds -= 1;
+                    Step::Charge(100)
+                }),
+            );
         }
         let handle = sched.start("crowd");
         let elapsed = s.run().unwrap();
@@ -373,20 +379,23 @@ mod tests {
         let s = sim();
         let mut sched = LiteScheduler::new(&s);
         let mut phase = 0;
-        sched.spawn("sleeper", Box::new(move |ctx: &mut ProcCtx| {
-            phase += 1;
-            match phase {
-                1 => Step::Block(WaitReason::Sleep(5_000)),
-                2 => {
-                    assert_eq!(ctx.sim().now(), Cycles(5_000));
-                    Step::Block(WaitReason::Until(12_000))
+        sched.spawn(
+            "sleeper",
+            Box::new(move |ctx: &mut ProcCtx| {
+                phase += 1;
+                match phase {
+                    1 => Step::Block(WaitReason::Sleep(5_000)),
+                    2 => {
+                        assert_eq!(ctx.sim().now(), Cycles(5_000));
+                        Step::Block(WaitReason::Until(12_000))
+                    }
+                    _ => {
+                        assert_eq!(ctx.sim().now(), Cycles(12_000));
+                        Step::Done
+                    }
                 }
-                _ => {
-                    assert_eq!(ctx.sim().now(), Cycles(12_000));
-                    Step::Done
-                }
-            }
-        }));
+            }),
+        );
         sched.start("sched");
         assert_eq!(s.run().unwrap(), Cycles(12_000));
     }
@@ -399,14 +408,17 @@ mod tests {
         let woken = woken_at.clone();
         let mut sched = LiteScheduler::new(&s);
         let mut waited = false;
-        sched.spawn("waiter", Box::new(move |ctx: &mut ProcCtx| {
-            if !waited {
-                waited = true;
-                return block_on(q, "test wait");
-            }
-            woken.store(ctx.sim().now().0, Ordering::Relaxed);
-            Step::Done
-        }));
+        sched.spawn(
+            "waiter",
+            Box::new(move |ctx: &mut ProcCtx| {
+                if !waited {
+                    waited = true;
+                    return block_on(q, "test wait");
+                }
+                woken.store(ctx.sim().now().0, Ordering::Relaxed);
+                Step::Done
+            }),
+        );
         sched.start("sched");
         s.spawn("waker", move |s| {
             s.sleep(Cycles(7_000));
@@ -421,21 +433,27 @@ mod tests {
         let s = sim();
         let mut sched = LiteScheduler::new(&s);
         let mut spawned = false;
-        sched.spawn("parent", Box::new(move |ctx: &mut ProcCtx| {
-            if !spawned {
-                spawned = true;
-                let mut rounds = 2;
-                ctx.spawn("child", Box::new(move |_: &mut ProcCtx| {
-                    if rounds == 0 {
-                        return Step::Done;
-                    }
-                    rounds -= 1;
-                    Step::Charge(10)
-                }));
-                return Step::Yield;
-            }
-            Step::Done
-        }));
+        sched.spawn(
+            "parent",
+            Box::new(move |ctx: &mut ProcCtx| {
+                if !spawned {
+                    spawned = true;
+                    let mut rounds = 2;
+                    ctx.spawn(
+                        "child",
+                        Box::new(move |_: &mut ProcCtx| {
+                            if rounds == 0 {
+                                return Step::Done;
+                            }
+                            rounds -= 1;
+                            Step::Charge(10)
+                        }),
+                    );
+                    return Step::Yield;
+                }
+                Step::Done
+            }),
+        );
         let handle = sched.start("sched");
         assert_eq!(s.run().unwrap(), Cycles(20));
         assert_eq!(handle.stats().cpu_by_pid.len(), 2);
@@ -449,13 +467,16 @@ mod tests {
         let s = sim();
         let mut sched = LiteScheduler::new(&s);
         let mut rounds = 50;
-        sched.spawn("lite", Box::new(move |_: &mut ProcCtx| {
-            if rounds == 0 {
-                return Step::Done;
-            }
-            rounds -= 1;
-            Step::Charge(10)
-        }));
+        sched.spawn(
+            "lite",
+            Box::new(move |_: &mut ProcCtx| {
+                if rounds == 0 {
+                    return Step::Done;
+                }
+                rounds -= 1;
+                Step::Charge(10)
+            }),
+        );
         sched.start("sched");
         s.spawn("threaded", |s| {
             for _ in 0..50 {
@@ -476,22 +497,25 @@ mod tests {
         let out = log.clone();
         let mut sched = LiteScheduler::new(&s);
         let mut phase = 0;
-        sched.spawn("client", Box::new(move |ctx: &mut ProcCtx| {
-            phase += 1;
-            match phase {
-                1 => block_any(ctx, &[q], Some(Cycles(10_000)), "reply or rto"),
-                2 => {
-                    out.lock().push((ctx.sim().now().0, ctx.wake()));
-                    // Block again past the original deadline: a stale
-                    // timeout firing here would resume us early.
-                    Step::Block(WaitReason::Until(25_000))
+        sched.spawn(
+            "client",
+            Box::new(move |ctx: &mut ProcCtx| {
+                phase += 1;
+                match phase {
+                    1 => block_any(ctx, &[q], Some(Cycles(10_000)), "reply or rto"),
+                    2 => {
+                        out.lock().push((ctx.sim().now().0, ctx.wake()));
+                        // Block again past the original deadline: a stale
+                        // timeout firing here would resume us early.
+                        Step::Block(WaitReason::Until(25_000))
+                    }
+                    _ => {
+                        out.lock().push((ctx.sim().now().0, ctx.wake()));
+                        Step::Done
+                    }
                 }
-                _ => {
-                    out.lock().push((ctx.sim().now().0, ctx.wake()));
-                    Step::Done
-                }
-            }
-        }));
+            }),
+        );
         sched.start("sched");
         s.spawn("server", move |s| {
             s.sleep(Cycles(4_000));
@@ -512,14 +536,17 @@ mod tests {
         let out = woke.clone();
         let mut sched = LiteScheduler::new(&s);
         let mut waited = false;
-        sched.spawn("client", Box::new(move |ctx: &mut ProcCtx| {
-            if !waited {
-                waited = true;
-                return block_any(ctx, &[q], Some(Cycles(9_000)), "reply or rto");
-            }
-            *out.lock() = (ctx.sim().now().0, ctx.wake());
-            Step::Done
-        }));
+        sched.spawn(
+            "client",
+            Box::new(move |ctx: &mut ProcCtx| {
+                if !waited {
+                    waited = true;
+                    return block_any(ctx, &[q], Some(Cycles(9_000)), "reply or rto");
+                }
+                *out.lock() = (ctx.sim().now().0, ctx.wake());
+                Step::Done
+            }),
+        );
         sched.start("sched");
         let _ = s.run().unwrap();
         assert_eq!(*woke.lock(), (9_000, Wake::Timeout));
@@ -534,14 +561,17 @@ mod tests {
         let out = woke.clone();
         let mut sched = LiteScheduler::new(&s);
         let mut waited = false;
-        sched.spawn("client", Box::new(move |ctx: &mut ProcCtx| {
-            if !waited {
-                waited = true;
-                return block_any(ctx, &[qa, qb], None, "either queue");
-            }
-            *out.lock() = (ctx.sim().now().0, ctx.wake());
-            Step::Done
-        }));
+        sched.spawn(
+            "client",
+            Box::new(move |ctx: &mut ProcCtx| {
+                if !waited {
+                    waited = true;
+                    return block_any(ctx, &[qa, qb], None, "either queue");
+                }
+                *out.lock() = (ctx.sim().now().0, ctx.wake());
+                Step::Done
+            }),
+        );
         sched.start("sched");
         s.spawn("signaller", move |s| {
             s.sleep(Cycles(3_000));
@@ -562,21 +592,24 @@ mod tests {
         let out = log.clone();
         let mut sched = LiteScheduler::new(&s);
         let mut phase = 0;
-        sched.spawn("client", Box::new(move |ctx: &mut ProcCtx| {
-            phase += 1;
-            match phase {
-                1 => block_any(ctx, &[q], Some(Cycles(5_000)), "reply or rto"),
-                2 => {
-                    out.lock().push((ctx.sim().now().0, ctx.wake()));
-                    // Sleep across the late signal at 8_000.
-                    Step::Block(WaitReason::Until(20_000))
+        sched.spawn(
+            "client",
+            Box::new(move |ctx: &mut ProcCtx| {
+                phase += 1;
+                match phase {
+                    1 => block_any(ctx, &[q], Some(Cycles(5_000)), "reply or rto"),
+                    2 => {
+                        out.lock().push((ctx.sim().now().0, ctx.wake()));
+                        // Sleep across the late signal at 8_000.
+                        Step::Block(WaitReason::Until(20_000))
+                    }
+                    _ => {
+                        out.lock().push((ctx.sim().now().0, ctx.wake()));
+                        Step::Done
+                    }
                 }
-                _ => {
-                    out.lock().push((ctx.sim().now().0, ctx.wake()));
-                    Step::Done
-                }
-            }
-        }));
+            }),
+        );
         sched.start("sched");
         s.spawn("late-server", move |s| {
             s.sleep(Cycles(8_000));
@@ -603,19 +636,22 @@ mod tests {
                 queues.push(q);
                 let out = outcomes.clone();
                 let mut waited = false;
-                sched.spawn(&format!("c{i}"), Box::new(move |ctx: &mut ProcCtx| {
-                    if !waited {
-                        waited = true;
-                        return block_any(
-                            ctx,
-                            &[q],
-                            Some(Cycles(2_000 + 137 * i)),
-                            "reply or rto",
-                        );
-                    }
-                    out.lock().push((i, ctx.sim().now().0, ctx.wake()));
-                    Step::Done
-                }));
+                sched.spawn(
+                    &format!("c{i}"),
+                    Box::new(move |ctx: &mut ProcCtx| {
+                        if !waited {
+                            waited = true;
+                            return block_any(
+                                ctx,
+                                &[q],
+                                Some(Cycles(2_000 + 137 * i)),
+                                "reply or rto",
+                            );
+                        }
+                        out.lock().push((i, ctx.sim().now().0, ctx.wake()));
+                        Step::Done
+                    }),
+                );
             }
             sched.start("sched");
             s.spawn("server", move |s| {
@@ -641,9 +677,10 @@ mod tests {
         let s = sim();
         let q = s.new_queue();
         let mut sched = LiteScheduler::new(&s);
-        sched.spawn("stuck", Box::new(move |_: &mut ProcCtx| {
-            block_on(q, "never signalled")
-        }));
+        sched.spawn(
+            "stuck",
+            Box::new(move |_: &mut ProcCtx| block_on(q, "never signalled")),
+        );
         sched.start("sched");
         let err = s.run().unwrap_err();
         let msg = err.to_string();
@@ -657,10 +694,13 @@ mod tests {
         let s = sim();
         let q = s.new_queue();
         let mut sched = LiteScheduler::new(&s);
-        sched.spawn("bad", Box::new(move |ctx: &mut ProcCtx| {
-            ctx.sim().wait_on(q, "illegal");
-            Step::Done
-        }));
+        sched.spawn(
+            "bad",
+            Box::new(move |ctx: &mut ProcCtx| {
+                ctx.sim().wait_on(q, "illegal");
+                Step::Done
+            }),
+        );
         sched.start("sched");
         if let Err(e) = s.run() {
             panic!("{e}");

@@ -170,7 +170,11 @@ fn mutant_dropped_doorbell_is_caught_by_the_explorer() {
         256,
         None,
     );
-    assert!(clean.passed(), "clean engine must pass: {:?}", clean.failures);
+    assert!(
+        clean.passed(),
+        "clean engine must pass: {:?}",
+        clean.failures
+    );
     let report = explore(
         |script| run_scripted(script, lite_mix_scenario(true)),
         256,
@@ -214,7 +218,11 @@ fn mutant_timer_tie_reorder_is_caught_by_pinned_outcome() {
         256,
         None,
     );
-    assert!(clean.passed(), "clean engine must pass: {:?}", clean.failures);
+    assert!(
+        clean.passed(),
+        "clean engine must pass: {:?}",
+        clean.failures
+    );
     let expected = clean.outcome.clone().expect("clean run has an outcome");
     assert_eq!(expected.payload, vec![("signalled".to_string(), 1)]);
     let report = explore(
@@ -286,7 +294,11 @@ fn mutant_stale_any_token_is_caught_by_pinned_outcome() {
         256,
         None,
     );
-    assert!(clean.passed(), "clean engine must pass: {:?}", clean.failures);
+    assert!(
+        clean.passed(),
+        "clean engine must pass: {:?}",
+        clean.failures
+    );
     let expected = clean.outcome.clone().expect("clean run has an outcome");
     assert_eq!(
         expected.payload,

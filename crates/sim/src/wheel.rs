@@ -94,9 +94,7 @@ impl<T> TimerWheel<T> {
         if at <= self.cursor {
             // Past or due-now deadline: sorted insert into the overdue
             // bin (rare — a `wakeup_*_at` aimed at the past).
-            let pos = self
-                .overdue
-                .partition_point(|e| (e.at, e.seq) <= (at, seq));
+            let pos = self.overdue.partition_point(|e| (e.at, e.seq) <= (at, seq));
             self.overdue.insert(pos, Entry { at, seq, payload });
             return;
         }
@@ -133,8 +131,7 @@ impl<T> TimerWheel<T> {
                 e.payload
             }
             Place::Far => {
-                let ((_, _), payload) =
-                    self.far.pop_first().expect("far min vanished");
+                let ((_, _), payload) = self.far.pop_first().expect("far min vanished");
                 payload
             }
             Place::Slot(idx) => {
@@ -289,7 +286,10 @@ mod tests {
 
     /// Drains wheel and reference heap side by side, asserting the
     /// wheel reproduces the heap's exact `(at, seq)` pop order.
-    fn assert_matches_heap(mut wheel: TimerWheel<u32>, mut heap: BinaryHeap<Reverse<(u64, u64, u32)>>) {
+    fn assert_matches_heap(
+        mut wheel: TimerWheel<u32>,
+        mut heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    ) {
         while let Some(Reverse((at, seq, v))) = heap.pop() {
             let (wat, wseq, wv) = wheel.pop_earliest().expect("wheel ran dry early");
             assert_eq!((wat.0, wseq, wv), (at, seq, v), "pop order diverged");
@@ -331,11 +331,11 @@ mod tests {
             (5, 0),
             (horizon + 17, 1), // far calendar
             (63, 2),
-            (64, 3),            // level 1 at insert time
-            (4096, 4),          // level 2
-            (horizon * 3, 5),   // far
+            (64, 3),          // level 1 at insert time
+            (4096, 4),        // level 2
+            (horizon * 3, 5), // far
             (6, 6),
-            (5, 7),             // ties with seq 0 at t=5
+            (5, 7), // ties with seq 0 at t=5
         ]);
         assert_matches_heap(w, h);
     }
@@ -348,7 +348,9 @@ mod tests {
         // inserts whose deadlines sometimes precede the cursor.
         let mut x: u64 = 0x243F_6A88_85A3_08D3;
         for round in 0..2000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let at = x % 300_000;
             // One arm per round, so the round number doubles as the
             // FIFO sequence.
@@ -403,7 +405,10 @@ mod tests {
         let mut w: TimerWheel<u32> = TimerWheel::new();
         w.insert(Cycles(horizon + 1), 0, 0); // far at insert time
         w.insert(Cycles(horizon + 500), 1, 1); // far at insert time
-        assert_eq!(w.pop_earliest().map(|(at, s, _)| (at.0, s)), Some((horizon + 1, 0)));
+        assert_eq!(
+            w.pop_earliest().map(|(at, s, _)| (at.0, s)),
+            Some((horizon + 1, 0))
+        );
         // Cursor now shares the top digit with horizon + 500: the same
         // deadline armed again lands in the wheel proper.
         w.insert(Cycles(horizon + 500), 2, 2);
@@ -412,7 +417,10 @@ mod tests {
             Some((horizon + 500, 1)),
             "far entry armed first pops first on the shared deadline"
         );
-        assert_eq!(w.pop_earliest().map(|(at, s, _)| (at.0, s)), Some((horizon + 500, 2)));
+        assert_eq!(
+            w.pop_earliest().map(|(at, s, _)| (at.0, s)),
+            Some((horizon + 500, 2))
+        );
     }
 
     #[test]

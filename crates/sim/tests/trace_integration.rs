@@ -9,7 +9,11 @@ use tnt_sim::{Cycles, FifoPolicy, Sim, SimConfig};
 fn workload(seed: u64, trace_capacity: Option<usize>) -> (Cycles, String, u64) {
     let sim = Sim::new(
         Box::new(FifoPolicy::new()),
-        SimConfig { seed, jitter: 0.02, ..SimConfig::default() },
+        SimConfig {
+            seed,
+            jitter: 0.02,
+            ..SimConfig::default()
+        },
     );
     if let Some(cap) = trace_capacity {
         sim.enable_tracing(cap);
@@ -75,7 +79,10 @@ fn ring_overflow_is_counted_never_silent() {
     // the raw ring, not the online accounting.
     let sim = Sim::new(
         Box::new(FifoPolicy::new()),
-        SimConfig { seed: 7, ..SimConfig::default() },
+        SimConfig {
+            seed: 7,
+            ..SimConfig::default()
+        },
     );
     sim.enable_tracing(2);
     sim.spawn("p", |s| {
@@ -88,7 +95,10 @@ fn ring_overflow_is_counted_never_silent() {
     let profile = sim.tracer().profile();
     assert_eq!(profile.attributed, end.0);
     assert_eq!(profile.class_total(Class::FsCpu), end.0);
-    assert_eq!(sim.tracer().counters().get(Counter::TraceDrops), sim.tracer().dropped());
+    assert_eq!(
+        sim.tracer().counters().get(Counter::TraceDrops),
+        sim.tracer().dropped()
+    );
 }
 
 #[test]
@@ -97,7 +107,11 @@ fn attribution_covers_the_whole_clock() {
     // moves, and each records an event: attributed == elapsed, exactly.
     let sim = Sim::new(
         Box::new(FifoPolicy::new()),
-        SimConfig { seed: 3, jitter: 0.02, ..SimConfig::default() },
+        SimConfig {
+            seed: 3,
+            jitter: 0.02,
+            ..SimConfig::default()
+        },
     );
     sim.enable_tracing(1 << 16);
     let q = sim.new_queue();

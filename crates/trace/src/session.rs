@@ -241,11 +241,7 @@ pub fn run<T>(capacity: usize, f: impl FnOnce() -> T) -> (T, SessionReport) {
     let cleanup = Deactivate;
     let out = f();
     ACTIVE.store(false, Ordering::Release);
-    let report = STATE
-        .lock()
-        .take()
-        .map(|s| s.report)
-        .unwrap_or_default();
+    let report = STATE.lock().take().map(|s| s.report).unwrap_or_default();
     std::mem::forget(cleanup);
     (out, report)
 }

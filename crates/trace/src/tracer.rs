@@ -309,8 +309,7 @@ impl Inner {
                 for (pid, stack) in &self.stacks {
                     for c in stack.iter().rev() {
                         if let Some(p) = c.idle_priority() {
-                            if best.is_none_or(|(bp, bpid, _)| p < bp || (p == bp && *pid < bpid))
-                            {
+                            if best.is_none_or(|(bp, bpid, _)| p < bp || (p == bp && *pid < bpid)) {
                                 best = Some((p, *pid, *c));
                             }
                             break;

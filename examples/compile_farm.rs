@@ -87,7 +87,11 @@ fn replay_the_compile() {
     for (label, r) in [("off", &clean), ("lossy", &lossy)] {
         println!(
             "  {:<8} {:>9} {:>8} {:>6} {:>9.2} ms",
-            label, r.commands, r.faults, r.eio, ms(r.busy_cy)
+            label,
+            r.commands,
+            r.faults,
+            r.eio,
+            ms(r.busy_cy)
         );
     }
     println!("\nthe trace is the workload: the same recorded schedule, re-run");

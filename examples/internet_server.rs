@@ -152,8 +152,8 @@ fn serve_crowd(os: Os, nclients: usize) -> (f64, u64, u64) {
     let total = nclients as u64 * CROWD_REQUESTS;
     for w in 0..CROWD_WORKERS {
         // Split the fixed request volume across the pool.
-        let quota = total / CROWD_WORKERS as u64
-            + u64::from((w as u64) < total % CROWD_WORKERS as u64);
+        let quota =
+            total / CROWD_WORKERS as u64 + u64::from((w as u64) < total % CROWD_WORKERS as u64);
         let rx = requests.clone();
         let replies = reply_qs.clone();
         kernel.spawn_user(format!("worker{w}"), move |p| async move {
@@ -227,7 +227,10 @@ fn crowd_main(nclients: usize) {
     }
     println!();
     println!("every client is a cooperative state machine in ONE engine slot:");
-    println!("  - {nclients} threaded clients would need ~{} MB of host stacks", nclients / 2);
+    println!(
+        "  - {nclients} threaded clients would need ~{} MB of host stacks",
+        nclients / 2
+    );
     println!("    (512 KB each) and an engine dispatch per client block;");
     println!("  - the lite crowd shares a run queue, so the engine only switches");
     println!("    between the scheduler slot and the worker pool.");

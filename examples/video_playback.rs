@@ -156,7 +156,11 @@ fn record_and_replay() {
             trace.len(),
             ms(recorded.0),
             ms(replay.busy_cy),
-            if replay.busy_cy == recorded.0 { "yes" } else { "NO" },
+            if replay.busy_cy == recorded.0 {
+                "yes"
+            } else {
+                "NO"
+            },
         );
     }
     println!("\nsave a capture with `reproduce replay --record <id>`, inspect it");

@@ -35,7 +35,13 @@ fn scripts() -> impl Strategy<Value = Vec<Vec<Step>>> {
 
 /// Runs an ensemble; returns (final clock, per-proc cpu, trace length).
 fn run_ensemble(scripts: &[Vec<Step>], seed: u64) -> (Cycles, Vec<Cycles>, usize) {
-    let sim = Sim::new(Box::new(FifoPolicy::new()), SimConfig { seed, ..SimConfig::default() });
+    let sim = Sim::new(
+        Box::new(FifoPolicy::new()),
+        SimConfig {
+            seed,
+            ..SimConfig::default()
+        },
+    );
     let q = sim.new_queue();
     let trace = Arc::new(Mutex::new(Vec::new()));
     let mut tids = Vec::new();
