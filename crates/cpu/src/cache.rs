@@ -30,16 +30,6 @@ impl CacheConfig {
         }
     }
 
-    /// The Pentium P54C 8 KB, 2-way, 32-byte-line L1 instruction cache.
-    pub fn p54c_l1i() -> CacheConfig {
-        CacheConfig {
-            size: 8 * 1024,
-            ways: 2,
-            line: 32,
-            write_allocate: false,
-        }
-    }
-
     /// The Intel Plato board's 256 KB direct-mapped pipeline-burst L2.
     pub fn plato_l2() -> CacheConfig {
         CacheConfig {

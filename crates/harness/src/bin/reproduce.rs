@@ -11,8 +11,8 @@
 //! With no ids, every experiment (ablations included) runs. CSV series
 //! are written to the output directory (default `results/`). With
 //! `--jobs N` the experiment matrix is sharded across N workers on the
-//! `tnt-runner` work-stealing pool; output is byte-identical to the
-//! serial run. `bless` persists the structured per-experiment records
+//! `tnt-runner` pool, costliest shard first; output is byte-identical to
+//! the serial run. `bless` persists the structured per-experiment records
 //! to `results/baselines.json`; `check` reruns the suite and fails
 //! loudly on any statistic drifting past `--tolerance` percent.
 //! `bench` times serial vs parallel and writes `BENCH_runner.json`.
@@ -666,9 +666,9 @@ fn bench_engine(cli: &Cli) -> Result<ExitCode, WriteError> {
     println!("lite/threaded handoff throughput: {ratio:.1}x");
 
     // Happens-before overhead gate: the same threaded ring with the race
-    // detector armed. Disarmed cost is zero by construction (the hooks
-    // are compiled out without the `audit` feature), so the artifact
-    // records and bounds only the *armed* slowdown.
+    // detector armed. Disarmed, each detector hook returns at its first
+    // check, so the artifact records and bounds only the *armed*
+    // slowdown.
     let hb = threaded_ring_hb(procs, rounds, seed);
     let hb_identical = hb.elapsed == threaded.elapsed && hb.total_cpu == threaded.total_cpu;
     let hb_ratio = threaded.handoffs_per_s() / hb.handoffs_per_s().max(1e-9);

@@ -35,14 +35,14 @@ fn mutex_contention(s: &Sim) -> Collector {
     for name in ["a", "b", "c"] {
         let m = m.clone();
         let counter = counter.clone();
-        s.spawn(name, move |s| {
-            s.block_on(m.lock(s));
+        s.spawn_task(name, move |s| async move {
+            m.lock(&s).await;
             s.race_write("explore.counter", 0);
             let v = *counter.lock();
             s.advance(Cycles(10));
             *counter.lock() = v + 1;
-            m.unlock(s);
-            s.yield_now();
+            m.unlock(&s);
+            s.yield_now_async().await;
         });
     }
     let sim = s.clone();
@@ -61,18 +61,18 @@ fn channel_rendezvous(s: &Sim) -> Collector {
     let ch = Arc::new(SimChannel::new(s, 1));
     for (name, base) in [("p0", 10u64), ("p1", 20u64)] {
         let tx = ch.clone();
-        s.spawn(name, move |s| {
+        s.spawn_task(name, move |s| async move {
             for i in 1..=2 {
-                s.block_on(tx.send(s, base + i));
+                tx.send(&s, base + i).await;
             }
         });
     }
     let sum = Arc::new(Mutex::new((0u64, 0u64)));
     let out = sum.clone();
     let rx = ch.clone();
-    s.spawn("consumer", move |s| {
+    s.spawn_task("consumer", move |s| async move {
         for _ in 0..4 {
-            let v: u64 = s.block_on(rx.recv(s));
+            let v: u64 = rx.recv(&s).await;
             s.advance(Cycles(25));
             let mut g = out.lock();
             g.0 += v;
@@ -90,9 +90,9 @@ fn channel_rendezvous(s: &Sim) -> Collector {
     })
 }
 
-/// A lite process parked on a wait queue is woken by a threaded waker:
-/// the mailbox-token plus doorbell path that mixes the two process
-/// models in one wakeup.
+/// A lite process parked on a wait queue is woken by a task: the
+/// mailbox-token plus doorbell path that mixes the two process models
+/// in one wakeup.
 fn lite_mix(s: &Sim) -> Collector {
     let q = s.new_queue();
     let woken_at = Arc::new(Mutex::new(0u64));
@@ -111,8 +111,8 @@ fn lite_mix(s: &Sim) -> Collector {
         }),
     );
     sched.start("sched");
-    s.spawn("waker", move |s| {
-        s.sleep(Cycles(1_000));
+    s.spawn_task("waker", move |s| async move {
+        s.sleep_async(Cycles(1_000)).await;
         s.wakeup_one(q);
     });
     Box::new(move || vec![("woken_at".to_string(), *woken_at.lock())])
@@ -126,8 +126,8 @@ fn timer_race(s: &Sim) -> Collector {
     s.wakeup_one_at(q, Cycles(1_000));
     let woken = Arc::new(Mutex::new(0u64));
     let out = woken.clone();
-    s.spawn("waiter", move |s| {
-        let signalled = s.wait_on_timeout(q, Cycles(1_000), "tie wait");
+    s.spawn_task("waiter", move |s| async move {
+        let signalled = s.wait_on_timeout_async(q, Cycles(1_000), "tie wait").await;
         *out.lock() = u64::from(signalled);
     });
     Box::new(move || vec![("signalled".to_string(), *woken.lock())])
@@ -140,16 +140,19 @@ fn retransmit(s: &Sim) -> Collector {
     let reply_q = s.new_queue();
     let done = Arc::new(Mutex::new((0u64, 0u64)));
     let out = done.clone();
-    s.spawn("client", move |s| {
+    s.spawn_task("client", move |s| async move {
         let mut retries = 0u64;
-        while !s.wait_on_timeout(reply_q, Cycles(500), "await reply") {
+        while !s
+            .wait_on_timeout_async(reply_q, Cycles(500), "await reply")
+            .await
+        {
             retries += 1;
             assert!(retries < 8, "reply never arrived");
         }
         *out.lock() = (retries, s.now().0);
     });
-    s.spawn("server", move |s| {
-        s.sleep(Cycles(800));
+    s.spawn_task("server", move |s| async move {
+        s.sleep_async(Cycles(800)).await;
         s.wakeup_one(reply_q);
     });
     let sim = s.clone();
@@ -190,8 +193,8 @@ fn any_select(s: &Sim) -> Collector {
         }),
     );
     sched.start("sched");
-    s.spawn("server", move |s| {
-        s.sleep(Cycles(4_000));
+    s.spawn_task("server", move |s| async move {
+        s.sleep_async(Cycles(4_000)).await;
         s.wakeup_one(q);
     });
     Box::new(move || {
@@ -218,7 +221,7 @@ pub fn explore_scenarios() -> Vec<ExploreScenario> {
         },
         ExploreScenario {
             name: "lite-mix",
-            about: "threaded waker wakes a lite proc (mailbox token + doorbell)",
+            about: "a task wakes a lite proc (mailbox token + doorbell)",
             build: lite_mix,
         },
         ExploreScenario {

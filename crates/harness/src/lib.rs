@@ -14,8 +14,8 @@
 //!
 //! Execution is a plan → execute → render pipeline: [`plan`] shards
 //! the experiment matrix into independent `Send` jobs, [`execute`]
-//! runs them — serially, or across host cores via the `tnt-runner`
-//! work-stealing pool (`--jobs N`) — and rendering happens on the main
+//! runs them — serially, or across host cores on the `tnt-runner`
+//! pool (`--jobs N`), costliest first — and rendering happens on the main
 //! thread in canonical order, so parallel output is byte-identical to
 //! the serial path. Every experiment also emits a structured
 //! [`tnt_runner::ExperimentRecord`] for the golden-baseline store

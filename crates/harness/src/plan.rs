@@ -3,9 +3,9 @@
 //! [`plan`] turns a list of experiment ids into [`ExperimentPlan`]s:
 //! descriptions of the work as independent, `Send` shards of the
 //! experiment-id × OS-leg × seeded-run matrix, each with a cost hint
-//! for the [`tnt_runner`] shard planner. [`execute`] runs the shards —
-//! serially for `jobs <= 1`, on the work-stealing pool otherwise — and
-//! then renders each experiment **on the main thread, in canonical
+//! for the [`tnt_runner`] pool's job order. [`execute`] runs the shards
+//! — serially for `jobs <= 1`, on the pool otherwise, costliest first —
+//! and then renders each experiment **on the main thread, in canonical
 //! order**, from nothing but the shard results. Because rendering
 //! never looks at anything schedule-dependent, `--jobs 8` output is
 //! byte-identical to `--jobs 1` output; the integration tests assert
@@ -27,7 +27,7 @@ pub struct Cell {
     /// Human-readable shard name for failure reports,
     /// e.g. `"f1/Solaris/n=32"`.
     pub label: String,
-    /// Relative cost hint for the shard planner.
+    /// Relative cost hint for the pool's job order.
     pub cost: u64,
     /// The measurement. Returns raw samples; all interpretation
     /// happens at render time.
@@ -48,7 +48,7 @@ pub enum PlanBody {
     /// Coarse-grained: the experiment runs as a single shard that
     /// produces its outputs directly (cheap ablations, static tables).
     Whole {
-        /// Relative cost hint for the shard planner.
+        /// Relative cost hint for the pool's job order.
         cost: u64,
         /// The whole experiment.
         run: Box<dyn FnOnce() -> Vec<ExperimentOutput> + Send>,

@@ -1,9 +1,9 @@
 //! Host handoffs — dispatches that wake a threaded process's host thread
 //! other than the dispatcher's — per public entry point. Every kernel
 //! process is an engine task, so every `tnt_core` benchmark, the farm
-//! rig and trace replay run on the caller's thread alone. The engine
-//! bench's threaded ring still pays handoffs, which keeps the check able
-//! to fail.
+//! rig, trace replay and the explore scenarios run on the caller's
+//! thread alone. The engine bench's threaded ring still pays handoffs,
+//! which keeps the check able to fail.
 //!
 //! The count is read from a `tnt_trace` session, which folds in every
 //! simulation built while it is open. Every simulation in this binary is
@@ -17,7 +17,9 @@ use tnt_core::{
     BW_TCP_CHUNK,
 };
 use tnt_farm::{run_farm, FarmConfig};
-use tnt_harness::{desktop_boot_trace, replay_trace, threaded_ring, ReplayOptions};
+use tnt_harness::{
+    desktop_boot_trace, explore_ids, replay_trace, run_explore, threaded_ring, ReplayOptions,
+};
 use tnt_sim::trace::{session, Counter};
 
 /// Host handoffs across every simulation `f` builds and runs.
@@ -123,6 +125,21 @@ fn process_benchmarks_run_on_the_callers_thread() {
         ),
     ];
     for (name, handoffs) in checks {
+        assert_eq!(handoffs, 0, "{name}");
+    }
+}
+
+#[test]
+fn explore_scenarios_run_on_the_callers_thread() {
+    for name in explore_ids() {
+        let handoffs = host_handoffs(|| {
+            let outcomes = run_explore(&[name.to_string()], 512).unwrap();
+            assert!(
+                outcomes[0].report.passed(),
+                "{name}: {:?}",
+                outcomes[0].report.failures
+            );
+        });
         assert_eq!(handoffs, 0, "{name}");
     }
 }

@@ -50,8 +50,6 @@ struct Ether {
     /// Wire speed in bits per second (0 = no wire, loopback only).
     bps: f64,
     busy_until: Cycles,
-    /// Probability a cross-host frame is lost (collisions, noise).
-    loss: f64,
     /// Frames dropped by the wire so far.
     dropped: u64,
 }
@@ -101,7 +99,6 @@ impl Net {
                 ether: Mutex::new(Ether {
                     bps,
                     busy_until: Cycles::ZERO,
-                    loss: 0.0,
                     dropped: 0,
                 }),
                 #[expect(clippy::disallowed_types, reason = "see NetInner::bindings")]
@@ -110,42 +107,21 @@ impl Net {
         }
     }
 
-    /// Sets the cross-host frame loss probability (failure injection;
-    /// loopback traffic is never lost). NFS clients must retransmit.
-    pub fn set_loss(&self, loss: f64) {
-        assert!((0.0..=1.0).contains(&loss));
-        self.inner.ether.lock().loss = loss;
-    }
-
     /// Frames the lossy wire has dropped so far.
     pub fn dropped_frames(&self) -> u64 {
         self.inner.ether.lock().dropped
     }
 
-    /// Rolls the loss dice for one cross-host frame (true = lost). Uses
-    /// the simulation RNG, so runs stay deterministic per seed.
+    /// Rolls the fault plane's `net_drop` for one cross-host frame (true
+    /// = lost; loopback traffic is never lost). The roll draws from the
+    /// fault plane's own salted stream, so it never perturbs the
+    /// simulation RNG, and with faults off it draws nothing at all.
     pub(crate) fn frame_lost(&self, env: &KEnv, from: u32, to: u32) -> bool {
-        if from == to {
+        if from == to || !env.sim.faults().net_drop() {
             return false;
         }
-        // Fault plane: injected frame loss draws from its own salted RNG
-        // stream, so enabling it never perturbs the simulation RNG (and
-        // with faults off it draws nothing at all).
-        if env.sim.faults().net_drop() {
-            self.inner.ether.lock().dropped += 1;
-            return true;
-        }
-        let loss = self.inner.ether.lock().loss;
-        if loss == 0.0 {
-            return false;
-        }
-        let roll: f64 = env.sim.with_rng(|rng| rand::Rng::gen_range(rng, 0.0..1.0));
-        if roll < loss {
-            self.inner.ether.lock().dropped += 1;
-            true
-        } else {
-            false
-        }
+        self.inner.ether.lock().dropped += 1;
+        true
     }
 
     /// Registers a machine on this network and returns its host id.

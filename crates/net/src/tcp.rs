@@ -240,13 +240,6 @@ impl TcpStream {
         // Unblock a peer stuck on our (now meaningless) window.
         self.env.sim.wakeup_all(self.rx.wr_wait);
     }
-
-    /// `shutdown(SHUT_WR)`: half-close — our sends end (peer sees EOF)
-    /// but we keep reading.
-    pub fn shutdown_write(&self) {
-        self.tx.state.lock().fin = true;
-        self.env.sim.wakeup_all(self.tx.rd_wait);
-    }
 }
 
 struct PendingConn {

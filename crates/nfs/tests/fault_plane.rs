@@ -1,9 +1,9 @@
 //! The deterministic fault plane against NFS: seed-driven RPC request
-//! and reply loss injected by `FaultProfile` (not the legacy
-//! `Net::set_loss` knob). The client's retransmission machinery and the
-//! server's duplicate-request cache must keep semantics exact; total
-//! loss must surface as `ETIMEDOUT` after the retries are exhausted,
-//! and the whole circus must be byte-deterministic per seed.
+//! and reply loss injected by `FaultProfile`. The client's
+//! retransmission machinery and the server's duplicate-request cache
+//! must keep semantics exact; total loss must surface as `ETIMEDOUT`
+//! after the retries are exhausted, and the whole circus must be
+//! byte-deterministic per seed.
 
 use std::future::Future;
 use std::sync::Arc;

@@ -1,6 +1,7 @@
 //! Failure injection: NFS over a lossy Ethernet. Requests and replies
-//! vanish; the client's retransmission (same xid, doubling timeout) and
-//! the server's duplicate-request cache must keep the semantics exact.
+//! vanish (the fault plane's `net_drop`); the client's retransmission
+//! (same xid, doubling timeout) and the server's duplicate-request cache
+//! must keep the semantics exact.
 
 use std::future::Future;
 use std::sync::Arc;
@@ -9,7 +10,8 @@ use parking_lot::Mutex;
 use tnt_fs::SimFs;
 use tnt_net::{Net, UdpSocket};
 use tnt_nfs::{serve, NfsCall, NfsClient, NfsReply, NfsServerConfig, RpcReply, RpcRequest};
-use tnt_os::{boot_cluster, Errno, OpenFlags, Os, UProc};
+use tnt_os::{boot_cluster_with_faults, Errno, OpenFlags, Os, UProc};
+use tnt_sim::fault::FaultProfile;
 
 struct Rig {
     sim: tnt_sim::Sim,
@@ -22,7 +24,11 @@ struct Rig {
 }
 
 fn rig(loss: f64, seed: u64) -> Rig {
-    let (sim, kernels) = boot_cluster(&[Os::FreeBsd, Os::SunOs], seed);
+    let faults = FaultProfile {
+        net_drop: loss,
+        ..FaultProfile::off()
+    };
+    let (sim, kernels) = boot_cluster_with_faults(&[Os::FreeBsd, Os::SunOs], seed, faults);
     let net = Net::ethernet_10mbit();
     let client_host = net.register_host(&kernels[0]);
     let server_host = net.register_host(&kernels[1]);
@@ -38,7 +44,6 @@ fn rig(loss: f64, seed: u64) -> Rig {
     .unwrap();
     let mount = NfsClient::mount(&net, &kernels[0], client_host, server.addr()).unwrap();
     kernels[0].mount(mount.clone());
-    net.set_loss(loss);
     Rig {
         sim,
         net,

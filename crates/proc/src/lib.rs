@@ -398,18 +398,6 @@ impl<C> Core<C> {
     pub fn cpu_by_pid(&self) -> Vec<(u32, u64)> {
         self.slots.iter().map(|s| (s.pid, s.cpu)).collect()
     }
-
-    /// Reasons of processes currently blocked on external queues, in
-    /// slot order (deadlock diagnostics).
-    pub fn waiting_reasons(&self) -> Vec<&'static str> {
-        self.slots
-            .iter()
-            .filter_map(|s| match s.state {
-                SlotState::Waiting(r) => Some(r),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

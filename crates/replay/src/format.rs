@@ -203,14 +203,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// The path a file-layer event refers to, if any.
-    pub fn path_of(&self, ev: &TraceEvent) -> Option<&str> {
-        if ev.op.is_block() {
-            return None;
-        }
-        self.paths.get(ev.arg as usize).map(String::as_str)
-    }
-
     /// The recorded span in cycles: latest minus earliest timestamp
     /// (zero for fewer than two events). Events need not be sorted.
     pub fn span(&self) -> u64 {

@@ -11,13 +11,10 @@
 //! **in submission order**, so rendered output is byte-identical to a
 //! serial run no matter how the jobs were scheduled:
 //!
-//! - [`pool`] — a work-stealing thread pool ([`run_ordered`]): each
-//!   worker owns a deque, idle workers steal from the back of busy
-//!   ones, and every job is panic-isolated ([`JobPanic`]) so one bad
-//!   experiment cannot take down the run.
-//! - [`plan`] — the shard planner ([`assign_lpt`]): longest-processing-
-//!   time assignment from per-job cost hints, which seeds the deques so
-//!   stealing starts from a balanced state.
+//! - [`pool`] — a thread pool ([`run_ordered`]): workers claim jobs
+//!   from one order, costliest first by their cost hints, and every
+//!   job is panic-isolated ([`JobPanic`]) so one bad experiment cannot
+//!   take down the run.
 //! - [`record`] — [`ExperimentRecord`]/[`StatLine`], the structured
 //!   per-experiment statistics (per-OS mean, σ, normalised ratio).
 //! - [`store`] — [`BaselineStore`]: serialises records to
@@ -27,12 +24,10 @@
 //!   workspace builds offline; there is no serde).
 
 pub mod json;
-pub mod plan;
 pub mod pool;
 pub mod record;
 pub mod store;
 
-pub use plan::assign_lpt;
 pub use pool::{run_ordered, Job, JobOutcome, JobPanic};
 pub use record::{ExperimentRecord, StatLine};
 pub use store::{BaselineStore, Drift};

@@ -1,30 +1,29 @@
-//! The work-stealing pool.
+//! The worker pool.
 //!
 //! All jobs are known up front (the experiment matrix is static), so
-//! the pool is a fork-join executor: the planner deals the jobs into
-//! per-worker deques, each worker pops from the front of its own deque
-//! and steals from the back of the others when it runs dry, and the
-//! whole set is done when every deque is empty. Because no job ever
-//! enqueues another, "every deque empty" is a monotone condition and
-//! workers can exit without a coordination round.
+//! the pool is a fork-join executor over one job order: cost
+//! descending, ties in submission order. The costliest jobs start
+//! first and the cheap ones fill in behind them, so a shard that
+//! dwarfs the rest (Figure 1's big-N context-switch legs) does not end
+//! the run alone. Workers claim the next job through an atomic cursor;
+//! no job ever enqueues another, so a worker that finds the cursor
+//! past the end is done for good.
 //!
-//! Results land in per-job slots indexed by submission order, so the
-//! returned vector is deterministic regardless of which worker ran
-//! what — the ordered merge the harness's byte-identical guarantee
-//! rests on.
+//! Results are merged back by submission index, so the returned vector
+//! is deterministic regardless of which worker ran what — the ordered
+//! merge the harness's byte-identical guarantee rests on.
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crate::plan::assign_lpt;
 
 /// A job's boxed closure: runs on an arbitrary pool thread exactly once.
 pub type Work<T> = Box<dyn FnOnce() -> T + Send + 'static>;
 
-/// One unit of work: a cost hint for the planner plus the closure.
+/// One unit of work: a cost hint for the job order plus the closure.
 pub struct Job<T> {
     /// Relative cost hint (any unit; only ordering matters).
     pub cost: u64,
@@ -90,7 +89,7 @@ fn run_job<T>(index: usize, work: Work<T>) -> JobOutcome<T> {
 ///
 /// `workers <= 1` (or a single job) runs inline on the calling thread,
 /// in order — the serial reference path. More workers run the jobs on
-/// `min(workers, jobs)` threads with work stealing; the merge back into
+/// `min(workers, jobs)` threads, costliest first; the merge back into
 /// submission order makes the two paths indistinguishable from the
 /// outside except for wall-clock time.
 pub fn run_ordered<T: Send + 'static>(jobs: Vec<Job<T>>, workers: usize) -> Vec<JobOutcome<T>> {
@@ -103,63 +102,50 @@ pub fn run_ordered<T: Send + 'static>(jobs: Vec<Job<T>>, workers: usize) -> Vec<
             .collect();
     }
     let n_workers = workers.min(n_jobs);
-    let costs: Vec<u64> = jobs.iter().map(|j| j.cost).collect();
-    let assignment = assign_lpt(&costs, n_workers);
-
-    // Job closures parked in per-index slots; a worker claims one by
-    // taking it out of its slot, so each runs exactly once.
-    let slots: Vec<Mutex<Option<Work<T>>>> =
-        jobs.into_iter().map(|j| Mutex::new(Some(j.work))).collect();
-    let deques: Vec<Mutex<VecDeque<usize>>> = assignment
+    // A stable sort: equal-cost jobs keep submission order.
+    let mut order: Vec<(usize, Job<T>)> = jobs.into_iter().enumerate().collect();
+    order.sort_by_key(|(_, job)| Reverse(job.cost));
+    // A worker claims position `k` of the order by advancing the cursor
+    // past it, then takes the closure out of its slot. The slot's mutex,
+    // not the cursor, hands the closure over, so `Relaxed` suffices.
+    let queue: Vec<_> = order
         .into_iter()
-        .map(|q| Mutex::new(q.into_iter().collect()))
+        .map(|(i, job)| Mutex::new(Some((i, job.work))))
         .collect();
-    let results: Vec<Mutex<Option<JobOutcome<T>>>> =
-        (0..n_jobs).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let mut results: Vec<Option<JobOutcome<T>>> = (0..n_jobs).map(|_| None).collect();
 
     #[expect(
         clippy::disallowed_methods,
         reason = "the worker pool's job is running whole experiments on host threads"
     )]
     std::thread::scope(|scope| {
-        for me in 0..n_workers {
-            let slots = &slots;
-            let deques = &deques;
-            let results = &results;
-            scope.spawn(move || loop {
-                // Own deque first (front = planner order), then steal
-                // from the back of the busiest-looking victim.
-                let mut next = deques[me].lock().unwrap().pop_front();
-                if next.is_none() {
-                    for offset in 1..n_workers {
-                        let victim = (me + offset) % n_workers;
-                        if let Some(idx) = deques[victim].lock().unwrap().pop_back() {
-                            next = Some(idx);
-                            break;
-                        }
+        let workers: Vec<_> = (0..n_workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some(slot) = queue.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let (idx, work) = slot
+                            .lock()
+                            .expect("a slot is never locked across a panic")
+                            .take()
+                            .expect("job claimed twice");
+                        done.push((idx, run_job(idx, work)));
                     }
-                }
-                // No job set grows after submission, so an empty sweep
-                // means this worker is done for good.
-                let Some(idx) = next else { return };
-                let work = slots[idx]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("job claimed twice");
-                let outcome = run_job(idx, work);
-                *results[idx].lock().unwrap() = Some(outcome);
-            });
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (idx, outcome) in worker.join().expect("jobs are panic-isolated") {
+                results[idx] = Some(outcome);
+            }
         }
     });
 
     results
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("worker exited with unfinished job")
-        })
+        .map(|slot| slot.expect("worker exited with unfinished job"))
         .collect()
 }
 
@@ -171,7 +157,7 @@ mod tests {
 
     #[test]
     fn results_come_back_in_submission_order() {
-        // Costs are deliberately inverted so the planner reorders
+        // Costs are deliberately inverted so the pool reorders
         // execution; the merge must undo that.
         let jobs: Vec<Job<usize>> = (0..50)
             .map(|i| Job::new(50 - i as u64, move || i * 3))
@@ -227,6 +213,13 @@ mod tests {
         let tids: std::collections::HashSet<_> =
             out.into_iter().map(|o| o.result.unwrap()).collect();
         assert!(!tids.is_empty());
+    }
+
+    #[test]
+    fn more_workers_than_jobs() {
+        let out = run_ordered(vec![Job::new(3, || 'a'), Job::new(7, || 'b')], 5);
+        let values: Vec<char> = out.into_iter().map(|o| o.result.unwrap()).collect();
+        assert_eq!(values, vec!['a', 'b']);
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //! holds one across an `.await` fails `spawn_task`'s `Send` bound.
 
 use std::cell::Cell;
+use std::cmp::Reverse;
 // BTreeMap (not a hashed map) everywhere: engine state leaks into
 // outputs — the deadlock diagnostic iterates `procs` — and iteration
 // order must not depend on the hasher.
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::{pin, Pin};
@@ -49,7 +50,6 @@ use tnt_trace::{Class, Counter, Event, EventKind, Tracer};
 
 use crate::policy::{DispatchEnv, Pick, RunPolicy, Tid};
 use crate::time::Cycles;
-use crate::wheel::TimerWheel;
 
 use tnt_race::{AccessInfo, AccessKind, Detector, Loc, SyncId, WakeSrc};
 
@@ -335,8 +335,9 @@ struct Proc {
 }
 
 /// What a timer does when it fires (all are wakeups of some kind).
-/// Ordering among pending timers is entirely the wheel's `(at, seq)`
-/// key; the action itself is never compared.
+/// Pending timers are ordered by `(at, seq)`; `seq` is unique, so the
+/// derived order on the action is never consulted.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum TimerAction {
     Proc(Tid),
     /// Wake `tid` only if it is still in block generation `gen` (a timed
@@ -361,7 +362,8 @@ struct LiteSched {
 struct State {
     now: Cycles,
     timer_seq: u64,
-    timers: TimerWheel<TimerAction>,
+    /// Pending timers, earliest `(at, seq)` on top.
+    timers: BinaryHeap<Reverse<(Cycles, u64, TimerAction)>>,
     procs: BTreeMap<Tid, Proc>,
     policy: Box<dyn RunPolicy>,
     current: Option<Tid>,
@@ -604,7 +606,7 @@ impl Sim {
         let state = State {
             now: Cycles::ZERO,
             timer_seq: 0,
-            timers: TimerWheel::new(),
+            timers: BinaryHeap::new(),
             procs: BTreeMap::new(),
             policy,
             current: None,
@@ -1035,12 +1037,13 @@ impl Sim {
             }
         }
         let target = st.now + c;
-        while let Some((at, seq, action)) = st.timers.pop_due(target) {
+        while matches!(st.timers.peek(), Some(Reverse((at, _, _))) if *at <= target) {
+            let Reverse((at, seq, action)) = st.timers.pop().expect("peeked timer vanished");
             if at > st.now {
                 st.now = at;
             }
             // Planted bug: fire an equal-instant pair in reverse arming
-            // order, breaking the wheel's (at, seq) FIFO tie-break.
+            // order, breaking the (at, seq) FIFO tie-break.
             if let Some((seq2, action2)) = self.mutant_steal_tie(st, at) {
                 self.fire_locked(st, seq2, action2);
             }
@@ -1122,7 +1125,7 @@ impl Sim {
             }
             let seq = st.timer_seq;
             st.timer_seq += 1;
-            st.timers.insert(at, seq, TimerAction::Proc(tid));
+            st.timers.push(Reverse((at, seq, TimerAction::Proc(tid))));
             begin_block(
                 st.procs.get_mut(&tid).expect("current proc missing"),
                 Status::Blocked("sleep"),
@@ -1218,7 +1221,7 @@ impl Sim {
             let seq = st.timer_seq;
             st.timer_seq += 1;
             st.timers
-                .insert(at, seq, TimerAction::ProcGen(tid, gen, q.0));
+                .push(Reverse((at, seq, TimerAction::ProcGen(tid, gen, q.0))));
             self.race_protected(
                 &mut st,
                 Loc::WaitQueue(q.0),
@@ -1285,7 +1288,7 @@ impl Sim {
                 // The timer removes us from the *first* queue; the lazy
                 // skip handles the rest.
                 st.timers
-                    .insert(at, seq, TimerAction::ProcGen(tid, gen, qs[0].0));
+                    .push(Reverse((at, seq, TimerAction::ProcGen(tid, gen, qs[0].0))));
                 self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "select.arm");
                 if let Some(d) = st.race.as_deref_mut() {
                     d.release(race_task(), SyncId::Timer(seq));
@@ -1360,7 +1363,8 @@ impl Sim {
         let mut st = self.lock_state();
         let seq = st.timer_seq;
         st.timer_seq += 1;
-        st.timers.insert(at, seq, TimerAction::QueueOne(q.0));
+        st.timers
+            .push(Reverse((at, seq, TimerAction::QueueOne(q.0))));
         self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "wakeup-at.arm");
         if let Some(d) = st.race.as_deref_mut() {
             d.release(race_task(), SyncId::Timer(seq));
@@ -1865,7 +1869,7 @@ impl Sim {
                 }
                 return Some(tid);
             }
-            if let Some((at, seq, action)) = st.timers.pop_earliest() {
+            if let Some(Reverse((at, seq, action))) = st.timers.pop() {
                 if at > st.now {
                     // The system is idle until the next timer: jump the
                     // clock and let the tracer attribute the gap to the
@@ -1915,15 +1919,15 @@ impl Sim {
     }
 
     /// Planted bug (`MUTANT_TIMER_TIE_REORDER`): when the next timer on
-    /// the wheel is due at the same instant as the one just popped, steal
+    /// the heap is due at the same instant as the one just popped, steal
     /// it so it fires first — inverting the `(at, seq)` FIFO tie-break
     /// that makes equal-instant timers deterministic.
     fn mutant_steal_tie(&self, st: &mut State, at: Cycles) -> Option<(u64, TimerAction)> {
         if !mutant_on(st, MUTANT_TIMER_TIE_REORDER) {
             return None;
         }
-        if st.timers.peek_at() == Some(at) {
-            let (_, seq, action) = st.timers.pop_earliest().expect("peeked timer vanished");
+        if matches!(st.timers.peek(), Some(Reverse((at2, _, _))) if *at2 == at) {
+            let Reverse((_, seq, action)) = st.timers.pop().expect("peeked timer vanished");
             return Some((seq, action));
         }
         None
@@ -2327,7 +2331,7 @@ mod tests {
     fn same_cycle_timers_fire_in_arm_order() {
         // Permanent regression test for the `(at, seq)` FIFO tie-break:
         // timers armed for the same deadline must fire in arm order, no
-        // matter how the timer set is implemented (heap then, wheel now).
+        // matter how the timer set is implemented.
         // The x-timer-tie mutant exists to break exactly this.
         let sim = fifo_sim(0);
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -2465,6 +2469,40 @@ mod tests {
         let _ = sim.run().unwrap();
         // The waiter was made runnable at t=100 and ran after busy's charge.
         assert_eq!(hits.load(Ordering::SeqCst), 500);
+    }
+
+    #[test]
+    fn past_deadline_timers_fire_at_the_next_pop_in_arm_order() {
+        let sim = fifo_sim(0);
+        let qs: Vec<WaitId> = (0..4).map(|_| sim.new_queue()).collect();
+        let woken = Arc::new(Mutex::new(Vec::new()));
+        for (name, q) in ["a", "b", "c", "d"].into_iter().zip(qs.clone()) {
+            let woken = woken.clone();
+            sim.spawn_task(name, move |s| async move {
+                s.wait_on_async(q, "past timer").await;
+                woken.lock().push((name, s.now().0));
+            });
+        }
+        sim.spawn_task("armer", move |s| async move {
+            s.sleep_async(Cycles(1_000)).await;
+            // Equal deadlines before `now`, each pair armed in reverse
+            // spawn order, so arm order must decide. The first pair comes
+            // due in a charge, the second in the idle dispatch loop.
+            s.wakeup_one_at(qs[1], Cycles(400));
+            s.wakeup_one_at(qs[0], Cycles(400));
+            s.advance(Cycles(1));
+            assert_eq!(
+                s.waiters(qs[0]) + s.waiters(qs[1]),
+                0,
+                "both fired in one pop"
+            );
+            s.wakeup_one_at(qs[3], Cycles(500));
+            s.wakeup_one_at(qs[2], Cycles(500));
+        });
+        // The clock never moves back: every waiter wakes at 1,001.
+        assert_eq!(sim.run().unwrap(), Cycles(1_001));
+        let order = [("b", 1_001), ("a", 1_001), ("d", 1_001), ("c", 1_001)];
+        assert_eq!(*woken.lock(), order);
     }
 
     #[test]

@@ -52,7 +52,6 @@ mod lock;
 mod policy;
 mod stats;
 mod time;
-mod wheel;
 
 pub use chan::SimChannel;
 pub use engine::{Sim, SimConfig, SimError, TraceSpan, WaitId};

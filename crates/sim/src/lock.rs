@@ -59,11 +59,6 @@ impl SimMutex {
         sim.wakeup_one(self.waiters);
     }
 
-    /// The queue contenders park on; [`SimMutex::unlock`] signals it.
-    pub fn wait_queue(&self) -> WaitId {
-        self.waiters
-    }
-
     /// Whether the lock is currently held.
     pub fn is_locked(&self) -> bool {
         self.held.load(Ordering::Relaxed)
