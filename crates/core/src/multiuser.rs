@@ -73,10 +73,10 @@ where
         let phase =
             Cycles((seed.wrapping_mul(2_654_435_761).rotate_left(i as u32 * 7)) % d.period.0);
         kernel.spawn_user(d.name, move |p| async move {
-            p.sim().sleep_async(phase).await;
+            p.sim().sleep(phase).await;
             loop {
                 p.compute(d.burst);
-                p.sim().sleep_async(d.period).await;
+                p.sim().sleep(d.period).await;
             }
         });
     }

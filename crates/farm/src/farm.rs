@@ -431,10 +431,7 @@ async fn worker_loop(p: UProc, env: Arc<Env>) {
         };
         match next {
             Next::Exit => break,
-            Next::Park => {
-                sim.wait_on_async(env.shared.work_q, "farm: worker idle")
-                    .await
-            }
+            Next::Park => sim.wait_on(env.shared.work_q, "farm: worker idle").await,
             Next::Serve(req) => {
                 p.compute(Cycles(env.costs.server_recv));
                 p.compute(Cycles(env.service_cy));
@@ -447,13 +444,13 @@ async fn worker_loop(p: UProc, env: Arc<Env>) {
                         *d = start + Cycles(env.costs.disk);
                         *d
                     };
-                    sim.sleep_until_async(until).await;
+                    sim.sleep_until(until).await;
                 }
                 p.compute(Cycles(env.costs.server_send));
                 if env.costs.stall > 0 {
                     // One-packet window: the worker sits in the delayed
                     // ack wait; the CPU is free but the worker is not.
-                    sim.sleep_async(Cycles(env.costs.stall)).await;
+                    sim.sleep(Cycles(env.costs.stall)).await;
                 }
                 match env
                     .switch

@@ -201,7 +201,7 @@ impl Disk {
             {
                 if t > Cycles::ZERO {
                     let _s = env.sim.span(class);
-                    env.sim.sleep_async(t).await;
+                    env.sim.sleep(t).await;
                 }
             }
             if !env.sim.faults().disk_transient() {

@@ -665,18 +665,32 @@ fn bench_engine(cli: &Cli) -> Result<ExitCode, WriteError> {
     println!("\ntask/threaded handoff throughput: {task_ratio:.1}x");
     println!("lite/threaded handoff throughput: {ratio:.1}x");
 
-    // Happens-before overhead gate: the same threaded ring with the race
-    // detector armed. Disarmed, each detector hook returns at its first
-    // check, so the artifact records and bounds only the *armed*
-    // slowdown.
-    let hb = threaded_ring_hb(procs, rounds, seed);
-    let hb_identical = hb.elapsed == threaded.elapsed && hb.total_cpu == threaded.total_cpu;
-    let hb_ratio = threaded.handoffs_per_s() / hb.handoffs_per_s().max(1e-9);
+    // Happens-before overhead gate: the threaded ring disarmed, then
+    // armed, in back-to-back pairs. Host noise only ever slows a run
+    // down, and one slowed run can push a single pair's ratio past the
+    // bound, so the gate divides the fastest armed run by the fastest
+    // disarmed one.
+    let mut hb_pairs = Vec::new();
+    let mut hb_identical = true;
+    let (mut plain_s, mut armed_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..HB_PAIRS {
+        let plain = threaded_ring(procs, rounds, seed);
+        let armed = threaded_ring_hb(procs, rounds, seed);
+        hb_identical &= armed.elapsed == plain.elapsed
+            && armed.total_cpu == plain.total_cpu
+            && armed.handoffs == plain.handoffs;
+        plain_s = plain_s.min(plain.wall_s);
+        armed_s = armed_s.min(armed.wall_s);
+        hb_pairs.push(Value::Obj(vec![
+            ("disarmed_wall_s".into(), Value::Num(plain.wall_s)),
+            ("armed_wall_s".into(), Value::Num(armed.wall_s)),
+        ]));
+    }
+    let hb_ratio = armed_s / plain_s.max(1e-9);
     println!(
-        "\nhb-armed ring: {:>9.0} handoffs/s  ({:.3}s) -> {hb_ratio:.2}x slowdown \
-         (gate < {HB_OVERHEAD_GATE:.1}x); simulation identical: {hb_identical}",
-        hb.handoffs_per_s(),
-        hb.wall_s,
+        "\nhb-armed ring, fastest of {HB_PAIRS}: {armed_s:.3}s against {plain_s:.3}s disarmed \
+         -> {hb_ratio:.2}x slowdown (gate < {HB_OVERHEAD_GATE:.1}x); simulation identical: \
+         {hb_identical}"
     );
 
     let doc = Value::Obj(vec![
@@ -688,7 +702,7 @@ fn bench_engine(cli: &Cli) -> Result<ExitCode, WriteError> {
         ("task".into(), ring_json(&task)),
         ("lite".into(), ring_json(&lite)),
         ("lite_crowd_10k".into(), ring_json(&crowd)),
-        ("threaded_hb".into(), ring_json(&hb)),
+        ("hb_pairs".into(), Value::Arr(hb_pairs)),
         ("task_handoff_ratio".into(), Value::Num(task_ratio)),
         ("handoff_ratio".into(), Value::Num(ratio)),
         ("hb_overhead_ratio".into(), Value::Num(hb_ratio)),
@@ -735,12 +749,13 @@ fn bench_engine(cli: &Cli) -> Result<ExitCode, WriteError> {
     })
 }
 
-/// Ceiling on the armed happens-before slowdown of the threaded ring.
+/// Ceiling on the armed happens-before slowdown of the threaded ring:
+/// fastest armed wall time over fastest disarmed one (see [`HB_PAIRS`]).
 /// Vector-clock joins and footprint appends are O(live tasks) per hook,
-/// which the ring keeps small. The ratio is armed/disarmed, and the
-/// hot-path overhaul made the *disarmed* denominator cheaper (parker
-/// fast path, batched charging), so the same armed cost now reads as a
-/// larger ratio — single-core hosts measure ~2.7-3.1x where the old
-/// engine read ~2.5x. 4x keeps that headroom while still catching an
-/// accidentally quadratic hook, which blows past 10x.
+/// which the ring keeps small; a 2-CPU host reads about 1.7-2.4x. 4x
+/// keeps that headroom while still catching an accidentally quadratic
+/// hook, which blows past 10x.
 const HB_OVERHEAD_GATE: f64 = 4.0;
+
+/// Disarmed/armed pairs of threaded rings timed for the overhead gate.
+const HB_PAIRS: usize = 3;

@@ -4,6 +4,8 @@
 //! processes that each charge 37 cycles per round, sleep 1,000 cycles
 //! every eighth round, and yield — as threaded processes, as engine
 //! tasks, and as lite processes inside a single [`LiteScheduler`] slot.
+//! The threaded and task rings run one `async fn` body; only its hosting
+//! differs.
 //! The simulated outcome (final time, total charged CPU) is
 //! byte-identical; only the host cost differs, which is exactly what the
 //! benchmark measures: events/sec, handoffs/sec and simulated
@@ -63,6 +65,17 @@ pub fn threaded_ring_hb(procs: u32, rounds: u32, seed: u64) -> RingResult {
     threaded_ring_on(procs, rounds, seed, true)
 }
 
+/// One ring member's body, shared by the threaded and task rings.
+async fn ring_member(s: Sim, rounds: u32) {
+    for r in 0..rounds {
+        s.charge(Cycles(RING_CHARGE));
+        if r % 8 == 3 {
+            s.sleep(Cycles(RING_SLEEP)).await;
+        }
+        s.yield_now().await;
+    }
+}
+
 fn threaded_ring_on(procs: u32, rounds: u32, seed: u64, race_armed: bool) -> RingResult {
     #[expect(
         clippy::disallowed_methods,
@@ -76,21 +89,15 @@ fn threaded_ring_on(procs: u32, rounds: u32, seed: u64, race_armed: bool) -> Rin
     let tids: Vec<Tid> = (0..procs)
         .map(|p| {
             sim.spawn(format!("ring{p}"), move |s| {
-                for r in 0..rounds {
-                    s.charge(Cycles(RING_CHARGE));
-                    if r % 8 == 3 {
-                        s.sleep(Cycles(RING_SLEEP));
-                    }
-                    s.yield_now();
-                }
+                s.block_on(ring_member(s.clone(), rounds))
             })
         })
         .collect();
     engine_result(&sim, &tids, procs, rounds, t0)
 }
 
-/// Runs the same ring as engine tasks: the threaded ring's code with
-/// each blocking call awaited, all of it polled on the calling thread.
+/// Runs the same ring as engine tasks, all of it polled on the calling
+/// thread.
 pub fn task_ring(procs: u32, rounds: u32, seed: u64) -> RingResult {
     #[expect(
         clippy::disallowed_methods,
@@ -99,17 +106,7 @@ pub fn task_ring(procs: u32, rounds: u32, seed: u64) -> RingResult {
     let t0 = std::time::Instant::now();
     let sim = ring_sim(seed);
     let tids: Vec<Tid> = (0..procs)
-        .map(|p| {
-            sim.spawn_task(format!("ring{p}"), move |s| async move {
-                for r in 0..rounds {
-                    s.charge(Cycles(RING_CHARGE));
-                    if r % 8 == 3 {
-                        s.sleep_async(Cycles(RING_SLEEP)).await;
-                    }
-                    s.yield_now_async().await;
-                }
-            })
-        })
+        .map(|p| sim.spawn_task(format!("ring{p}"), move |s| ring_member(s, rounds)))
         .collect();
     engine_result(&sim, &tids, procs, rounds, t0)
 }
@@ -228,9 +225,9 @@ mod tests {
         }
     }
 
-    /// The task twin is the threaded ring with each blocking call
-    /// awaited: same clock, same CPU, and the same dispatches, since
-    /// both are scheduled by the one engine dispatch path.
+    /// The task twin runs the threaded ring's body as a task: same
+    /// clock, same CPU, and the same dispatches, since both are
+    /// scheduled by the one engine dispatch path.
     #[test]
     fn task_and_threaded_rings_are_byte_identical() {
         for seed in [0, 7, 1996] {

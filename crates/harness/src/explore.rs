@@ -42,7 +42,7 @@ fn mutex_contention(s: &Sim) -> Collector {
             s.advance(Cycles(10));
             *counter.lock() = v + 1;
             m.unlock(&s);
-            s.yield_now_async().await;
+            s.yield_now().await;
         });
     }
     let sim = s.clone();
@@ -112,7 +112,7 @@ fn lite_mix(s: &Sim) -> Collector {
     );
     sched.start("sched");
     s.spawn_task("waker", move |s| async move {
-        s.sleep_async(Cycles(1_000)).await;
+        s.sleep(Cycles(1_000)).await;
         s.wakeup_one(q);
     });
     Box::new(move || vec![("woken_at".to_string(), *woken_at.lock())])
@@ -127,7 +127,7 @@ fn timer_race(s: &Sim) -> Collector {
     let woken = Arc::new(Mutex::new(0u64));
     let out = woken.clone();
     s.spawn_task("waiter", move |s| async move {
-        let signalled = s.wait_on_timeout_async(q, Cycles(1_000), "tie wait").await;
+        let signalled = s.wait_on_timeout(q, Cycles(1_000), "tie wait").await;
         *out.lock() = u64::from(signalled);
     });
     Box::new(move || vec![("signalled".to_string(), *woken.lock())])
@@ -142,17 +142,14 @@ fn retransmit(s: &Sim) -> Collector {
     let out = done.clone();
     s.spawn_task("client", move |s| async move {
         let mut retries = 0u64;
-        while !s
-            .wait_on_timeout_async(reply_q, Cycles(500), "await reply")
-            .await
-        {
+        while !s.wait_on_timeout(reply_q, Cycles(500), "await reply").await {
             retries += 1;
             assert!(retries < 8, "reply never arrived");
         }
         *out.lock() = (retries, s.now().0);
     });
     s.spawn_task("server", move |s| async move {
-        s.sleep_async(Cycles(800)).await;
+        s.sleep(Cycles(800)).await;
         s.wakeup_one(reply_q);
     });
     let sim = s.clone();
@@ -194,7 +191,7 @@ fn any_select(s: &Sim) -> Collector {
     );
     sched.start("sched");
     s.spawn_task("server", move |s| async move {
-        s.sleep_async(Cycles(4_000)).await;
+        s.sleep(Cycles(4_000)).await;
         s.wakeup_one(q);
     });
     Box::new(move || {

@@ -261,7 +261,7 @@ mod tests {
                 "uplink full"
             );
             // Once the backlog transmits, the link accepts again.
-            s.sleep_async(Cycles(4 * frame_cy())).await;
+            s.sleep(Cycles(4 * frame_cy())).await;
             assert!(matches!(
                 sw.send(s, 0, 1, SWITCH_MTU),
                 Delivery::Delivered(_)
@@ -309,7 +309,7 @@ mod tests {
                 let s = p.sim();
                 for _ in 0..200 {
                     let _ = sw2.send(s, 0, 1, SWITCH_MTU);
-                    s.sleep_async(Cycles(frame_cy())).await;
+                    s.sleep(Cycles(frame_cy())).await;
                 }
             });
             let _ = sim.run().unwrap();

@@ -114,7 +114,7 @@ impl TcpStream {
                         self.env.sim.count(Counter::TcpRetransmits, 1);
                         {
                             let _w = self.env.sim.span(Class::AckWindowWait);
-                            self.env.sim.sleep_async(TCP_RTO).await;
+                            self.env.sim.sleep(TCP_RTO).await;
                         }
                         available_at =
                             self.net
@@ -132,7 +132,7 @@ impl TcpStream {
                 let _w = self.env.sim.span(Class::AckWindowWait);
                 self.env
                     .sim
-                    .wait_on_async(self.tx.wr_wait, "tcp send window")
+                    .wait_on(self.tx.wr_wait, "tcp send window")
                     .await;
             }
             self.env.sim.count(Counter::TcpSegments, 1);
@@ -217,14 +217,11 @@ impl TcpStream {
                 StepOutcome::Eof => return Ok(0),
                 StepOutcome::WaitUntil(at) => {
                     let _w = self.env.sim.span(Class::WireTransit);
-                    self.env.sim.sleep_until_async(at).await;
+                    self.env.sim.sleep_until(at).await;
                 }
                 StepOutcome::Wait => {
                     let _w = self.env.sim.span(Class::NetRecvWait);
-                    self.env
-                        .sim
-                        .wait_on_async(self.rx.rd_wait, "tcp recv")
-                        .await;
+                    self.env.sim.wait_on(self.rx.rd_wait, "tcp recv").await;
                 }
             }
         }
@@ -327,7 +324,7 @@ impl TcpListener {
                 }
                 None => {
                     let _w = self.env.sim.span(Class::NetRecvWait);
-                    self.env.sim.wait_on_async(self.q.wait, "tcp accept").await;
+                    self.env.sim.wait_on(self.q.wait, "tcp accept").await;
                 }
             }
         }

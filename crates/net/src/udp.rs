@@ -206,7 +206,7 @@ impl UdpSocket {
             // yield so the receiver's timeslice can drain it (models the
             // scheduler preemption that interleaves ttcp's processes).
             if to.host == self.addr.host && buffered > u.rcvbuf / 2 {
-                self.env.sim.yield_now_async().await;
+                self.env.sim.yield_now().await;
             }
         }
         Ok(len)
@@ -269,11 +269,11 @@ impl UdpSocket {
                     match deadline {
                         Some(d) if d < at => {
                             if self.env.sim.now() < d {
-                                self.env.sim.sleep_until_async(d).await;
+                                self.env.sim.sleep_until(d).await;
                             }
                             return Ok(Recv::TimedOut);
                         }
-                        _ => self.env.sim.sleep_until_async(at).await,
+                        _ => self.env.sim.sleep_until(at).await,
                     }
                 }
                 StepOutcome::Wait => {
@@ -285,22 +285,13 @@ impl UdpSocket {
                                 || !self
                                     .env
                                     .sim
-                                    .wait_on_timeout_async(
-                                        self.core.rcv_wait,
-                                        left,
-                                        "udp recv (timed)",
-                                    )
+                                    .wait_on_timeout(self.core.rcv_wait, left, "udp recv (timed)")
                                     .await
                             {
                                 return Ok(Recv::TimedOut);
                             }
                         }
-                        None => {
-                            self.env
-                                .sim
-                                .wait_on_async(self.core.rcv_wait, "udp recv")
-                                .await
-                        }
+                        None => self.env.sim.wait_on(self.core.rcv_wait, "udp recv").await,
                     }
                 }
             }

@@ -124,8 +124,8 @@ struct CState {
     data_hi: BTreeMap<Fh, u64>,
     /// FIFO of files in the data cache (for budget eviction).
     data_order: Vec<Fh>,
-    /// RPCs issued, by procedure name.
-    rpc_counts: BTreeMap<&'static str, u64>,
+    /// RPCs issued.
+    rpcs: u64,
     /// Retransmissions performed (lost request or lost reply).
     retransmits: u64,
     /// RPCs abandoned after the full retry budget (ETIMEDOUT surfaced).
@@ -163,7 +163,7 @@ impl NfsClient {
                 attrs: BTreeMap::new(),
                 data_hi: BTreeMap::new(),
                 data_order: Vec::new(),
-                rpc_counts: BTreeMap::new(),
+                rpcs: 0,
                 retransmits: 0,
                 major_timeouts: 0,
             }),
@@ -176,14 +176,9 @@ impl NfsClient {
         self.params
     }
 
-    /// RPCs issued so far, by procedure name.
-    pub fn rpc_counts(&self) -> BTreeMap<&'static str, u64> {
-        self.state.lock().rpc_counts.clone()
-    }
-
     /// Total RPCs issued.
     pub fn rpc_total(&self) -> u64 {
-        self.state.lock().rpc_counts.values().sum()
+        self.state.lock().rpcs
     }
 
     /// Retransmissions performed so far (non-zero only on a lossy wire).
@@ -194,23 +189,6 @@ impl NfsClient {
     /// RPCs that exhausted their retry budget and surfaced `ETIMEDOUT`.
     pub fn major_timeouts(&self) -> u64 {
         self.state.lock().major_timeouts
-    }
-
-    fn call_name(call: &NfsCall) -> &'static str {
-        match call {
-            NfsCall::Null => "null",
-            NfsCall::Getattr { .. } => "getattr",
-            NfsCall::Lookup { .. } => "lookup",
-            NfsCall::Read { .. } => "read",
-            NfsCall::Write { .. } => "write",
-            NfsCall::Create { .. } => "create",
-            NfsCall::Remove { .. } => "remove",
-            NfsCall::Mkdir { .. } => "mkdir",
-            NfsCall::Rmdir { .. } => "rmdir",
-            NfsCall::Readdir { .. } => "readdir",
-            NfsCall::Rename { .. } => "rename",
-            NfsCall::Shutdown => "shutdown",
-        }
     }
 
     /// Issues one RPC and waits for its reply. Serialised per mount, as
@@ -226,7 +204,7 @@ impl NfsClient {
         let xid = {
             let mut st = self.state.lock();
             st.xid += 1;
-            *st.rpc_counts.entry(Self::call_name(&call)).or_insert(0) += 1;
+            st.rpcs += 1;
             st.xid
         };
         env.sim.count(Counter::RpcCalls, 1);

@@ -82,7 +82,6 @@ pub fn boot_with(costs: OsCosts, seed: u64) -> (Sim, Kernel) {
             seed,
             jitter: costs.jitter,
             faults: tnt_sim::fault::ambient(),
-            record: tnt_sim::replay::ambient(),
         },
     );
     let kernel = Kernel::attach(&sim, costs, 0, tasks);
@@ -120,7 +119,6 @@ pub fn boot_cluster_with_faults(
             seed,
             jitter: costs[0].jitter,
             faults,
-            record: tnt_sim::replay::ambient(),
         },
     );
     let kernels = costs
@@ -214,11 +212,6 @@ impl Kernel {
             }
         }
         Err(Errno::ENOSYS)
-    }
-
-    /// Number of live processes on this machine.
-    pub fn live_tasks(&self) -> usize {
-        self.inner.tasks.load(Ordering::Relaxed)
     }
 
     /// Kernel event counters accumulated so far.
@@ -416,7 +409,7 @@ impl UProc {
                 self.kernel.inner.procs.lock().remove(&child);
                 return;
             }
-            self.sim().wait_on_async(q, "waitpid").await;
+            self.sim().wait_on(q, "waitpid").await;
         }
     }
 
@@ -640,7 +633,7 @@ impl UProc {
                     Some(left)
                 }
             };
-            let woken = self.sim().wait_on_any_async(&queues, left, "select").await;
+            let woken = self.sim().wait_on_any(&queues, left, "select").await;
             if woken.is_none() && deadline.is_some() {
                 return Ok(Vec::new());
             }

@@ -99,7 +99,7 @@ impl Pipe {
             };
             if moved == 0 {
                 let _w = env.sim.span(Class::PipeWait);
-                env.sim.wait_on_async(self.wr_q, "pipe full").await;
+                env.sim.wait_on(self.wr_q, "pipe full").await;
                 continue;
             }
             self.charge_transfer(env, moved as u64);
@@ -149,7 +149,7 @@ impl Pipe {
             };
             if n == 0 {
                 let _w = env.sim.span(Class::PipeWait);
-                env.sim.wait_on_async(self.rd_q, "pipe empty").await;
+                env.sim.wait_on(self.rd_q, "pipe empty").await;
                 continue;
             }
             self.charge_transfer(env, n);
@@ -192,11 +192,6 @@ impl Pipe {
         if none_left {
             sim.wakeup_all(self.rd_q);
         }
-    }
-
-    /// Bytes currently buffered.
-    pub fn buffered(&self) -> usize {
-        self.state.lock().buf.len()
     }
 
     /// Whether a read would not block: data buffered, or EOF pending.

@@ -388,11 +388,6 @@ impl<C> Core<C> {
         self.slots[lid.0 as usize].pid
     }
 
-    /// CPU cycles charged to a process so far.
-    pub fn cpu(&self, lid: Lid) -> u64 {
-        self.slots[lid.0 as usize].cpu
-    }
-
     /// Per-process `(pid, cpu)` accounting in slot order — byte-stable
     /// across same-seed runs, so tests can checksum it.
     pub fn cpu_by_pid(&self) -> Vec<(u32, u64)> {

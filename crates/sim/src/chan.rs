@@ -1,7 +1,7 @@
 //! A bounded FIFO channel usable from every process model.
 //!
 //! Tasks await [`SimChannel::send`] / [`SimChannel::recv`] (a threaded
-//! process wraps them in `Sim::block_on`); lite processes use the
+//! process runs them through `Sim::block_on`); lite processes use the
 //! non-blocking [`SimChannel::try_send`] and block by returning
 //! `Step::Block` on [`SimChannel::write_queue`] (see
 //! [`crate::lite::block_on`]). Wakeups cross the model boundary
@@ -43,7 +43,7 @@ impl<T> SimChannel<T> {
             if self.buf.lock().len() < self.cap {
                 break;
             }
-            sim.wait_on_async(self.wr_q, "chan send").await;
+            sim.wait_on(self.wr_q, "chan send").await;
         }
         self.buf.lock().push_back(v);
         // One happens-before edge per successful op: the channel's own
@@ -64,7 +64,7 @@ impl<T> SimChannel<T> {
                 sim.wakeup_one(self.wr_q);
                 return v;
             }
-            sim.wait_on_async(self.rd_q, "chan recv").await;
+            sim.wait_on(self.rd_q, "chan recv").await;
         }
     }
 
@@ -119,20 +119,21 @@ mod tests {
     }
 
     #[test]
-    fn threaded_send_recv_respects_capacity() {
+    fn send_recv_respects_capacity() {
         let s = sim();
         let ch = Arc::new(SimChannel::new(&s, 2));
         let tx = ch.clone();
-        s.spawn("producer", move |s| {
+        s.spawn_task("producer", move |s| async move {
             for i in 0..10u32 {
-                s.block_on(tx.send(s, i));
+                tx.send(&s, i).await;
+                assert!(tx.len() <= 2, "send overfilled the channel");
                 s.advance(Cycles(10));
             }
         });
         let rx = ch.clone();
-        s.spawn("consumer", move |s| {
+        s.spawn_task("consumer", move |s| async move {
             for i in 0..10u32 {
-                assert_eq!(s.block_on(rx.recv(s)), i);
+                assert_eq!(rx.recv(&s).await, i);
                 s.advance(Cycles(25));
             }
         });
@@ -141,10 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn lite_client_talks_to_threaded_server() {
-        // A lite client sends requests through the channel to a
-        // threaded server and waits for per-request completion — the
-        // crowd-scale pattern used by the internet-server example.
+    fn lite_client_talks_to_task_server() {
+        // A lite client sends requests through the channel to a server
+        // task and waits for per-request completion — the crowd-scale
+        // pattern used by the internet-server example.
         let s = sim();
         let ch = Arc::new(SimChannel::new(&s, 4));
         let done_q = s.new_queue();
@@ -152,9 +153,9 @@ mod tests {
 
         let rx = ch.clone();
         let log = served.clone();
-        s.spawn("server", move |s| {
+        s.spawn_task("server", move |s| async move {
             for _ in 0..3 {
-                let req: u32 = s.block_on(rx.recv(s));
+                let req: u32 = rx.recv(&s).await;
                 s.advance(Cycles(100));
                 log.lock().push(req);
                 s.wakeup_all(done_q);

@@ -8,15 +8,16 @@
 //! other simulated processes, exactly like a non-preemptive uniprocessor
 //! kernel.
 //!
-//! A process is hosted one of two ways. A *threaded* process
-//! ([`Sim::spawn`]) owns a host thread that parks between dispatches. A
-//! *task* ([`Sim::spawn_task`]) is a boxed future that whoever holds the
-//! baton polls inline: the `Sim::run` caller, or a threaded process that
-//! just blocked or exited. Every blocking primitive is one future
-//! (`wait_on_async`, `sleep_until_async`, ...); the sync forms threaded
-//! processes call are [`Sim::block_on`] adapters over it. Both kinds share
-//! one dispatch path and one set of wait queues, and only handing the
-//! baton to a threaded process costs a host context switch.
+//! A process is hosted one of two ways. A *task* ([`Sim::spawn_task`]) is
+//! a boxed future that whoever holds the baton polls inline: the
+//! `Sim::run` caller, or a threaded process that just blocked or exited.
+//! A *threaded* process ([`Sim::spawn`]) owns a host thread that parks
+//! between dispatches. Every blocking primitive has one form, an `async
+//! fn` ([`Sim::wait_on`], [`Sim::sleep_until`], ...): a task awaits it,
+//! and a threaded process runs it through the one adapter,
+//! [`Sim::block_on`]. Both kinds share one dispatch path and one set of
+//! wait queues, and only handing the baton to a threaded process costs a
+//! host context switch.
 //!
 //! Simulated time only advances through explicit [`Sim::advance`] charges
 //! and through the timer queue, so the same seed always produces the same
@@ -147,12 +148,6 @@ pub struct SimConfig {
     /// disables injection with zero RNG cost, leaving the run
     /// bit-identical to a faultless build.
     pub faults: FaultProfile,
-    /// Arms the workload recorder ([`Sim::recorder`]) from birth, so
-    /// the run's disk commands and file-layer events are captured as a
-    /// `tnt_replay::Trace`. Off (the default) costs one relaxed atomic
-    /// load per event site and the run is byte-identical to a build
-    /// without the capture shim.
-    pub record: bool,
 }
 
 impl Default for SimConfig {
@@ -161,7 +156,6 @@ impl Default for SimConfig {
             seed: 0,
             jitter: 0.0,
             faults: FaultProfile::off(),
-            record: false,
         }
     }
 }
@@ -177,119 +171,39 @@ enum Wake {
 /// user code.
 struct SimKilled;
 
+/// The slot through which the dispatcher hands a parked threaded
+/// process its next wake. A `Kill` is final: a later `Run` never
+/// overwrites it.
 struct Parker {
-    /// EMPTY / PARKED / RUN / KILL. The wake travels through this atomic;
-    /// the mutex+condvar pair is only the sleeping slow path, so a wake
-    /// that is already (or about to be) delivered costs no syscalls and
-    /// `unpark` only notifies when the parker has announced it is asleep.
-    flag: std::sync::atomic::AtomicU32,
-    lock: Mutex<()>,
+    slot: Mutex<Option<Wake>>,
     cv: Condvar,
 }
 
 impl Parker {
-    const EMPTY: u32 = 0;
-    /// The parker holds (or is acquiring) `lock` and will sleep on `cv`.
-    const PARKED: u32 = 1;
-    const RUN: u32 = 2;
-    const KILL: u32 = 3;
-
     fn new() -> Arc<Parker> {
         Arc::new(Parker {
-            flag: std::sync::atomic::AtomicU32::new(Self::EMPTY),
-            lock: Mutex::new(()),
+            slot: Mutex::new(None),
             cv: Condvar::new(),
         })
     }
 
-    /// Takes a delivered wake without touching the lock, if one is there.
-    /// Only the parking thread calls this, so the flag cannot be PARKED.
-    fn try_consume(&self) -> Option<Wake> {
-        use std::sync::atomic::Ordering;
-        match self.flag.swap(Self::EMPTY, Ordering::Acquire) {
-            Self::RUN => Some(Wake::Run),
-            Self::KILL => Some(Wake::Kill),
-            _ => None,
-        }
-    }
-
+    /// Blocks the calling thread until a wake is delivered, and takes it.
     fn park(&self) -> Wake {
-        use std::sync::atomic::Ordering;
-        if let Some(w) = self.try_consume() {
-            return w;
-        }
-        // Brief spin: on a multi-core host the matching unpark is often
-        // already in flight, and a handful of pause instructions is far
-        // cheaper than a futex round trip. On a single CPU the unparker
-        // cannot be running concurrently, so spinning only delays the
-        // kernel from scheduling it — skip straight to the sleep.
-        static SPIN: std::sync::LazyLock<u32> = std::sync::LazyLock::new(|| {
-            if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-                64
-            } else {
-                0
-            }
-        });
-        for _ in 0..*SPIN {
-            std::hint::spin_loop();
-            if let Some(w) = self.try_consume() {
-                return w;
-            }
-        }
-        let mut guard = self.lock.lock();
-        // Announce the sleep; if a wake raced in instead, the loop below
-        // consumes it without waiting.
-        let _ = self.flag.compare_exchange(
-            Self::EMPTY,
-            Self::PARKED,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+        let mut slot = self.slot.lock();
         loop {
-            match self.flag.load(Ordering::Acquire) {
-                Self::RUN => {
-                    self.flag.store(Self::EMPTY, Ordering::Relaxed);
-                    return Wake::Run;
-                }
-                Self::KILL => {
-                    self.flag.store(Self::EMPTY, Ordering::Relaxed);
-                    return Wake::Kill;
-                }
-                _ => self.cv.wait(&mut guard),
+            if let Some(wake) = slot.take() {
+                return wake;
             }
+            self.cv.wait(&mut slot);
         }
     }
 
     fn unpark(&self, wake: Wake) {
-        use std::sync::atomic::Ordering;
-        let target = if wake == Wake::Kill {
-            Self::KILL
-        } else {
-            Self::RUN
-        };
-        let mut cur = self.flag.load(Ordering::Relaxed);
-        let was_parked = loop {
-            // A Kill must not be overwritten by a late Run, and vice
-            // versa a Kill overrides a pending Run. In both no-op cases
-            // the earlier unpark already did any notification needed.
-            if cur == Self::KILL || (cur == Self::RUN && wake == Wake::Run) {
-                break false;
-            }
-            match self
-                .flag
-                .compare_exchange_weak(cur, target, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(prev) => break prev == Self::PARKED,
-                Err(now) => cur = now,
-            }
-        };
-        if was_parked {
-            // The parker is in (or entering) `cv.wait`: taking the lock
-            // orders this notify after its flag check, so the wake cannot
-            // fall between the check and the wait.
-            drop(self.lock.lock());
-            self.cv.notify_one();
+        let mut slot = self.slot.lock();
+        if *slot != Some(Wake::Kill) {
+            *slot = Some(wake);
         }
+        self.cv.notify_one();
     }
 }
 
@@ -463,8 +377,9 @@ struct Inner {
     /// RNG stream, so fault rolls never perturb the jitter stream.
     faults: FaultPlan,
     /// Workload recorder (tnt-replay capture shim). Disabled by default
-    /// (one relaxed load per emit site); armed by `SimConfig::record`
-    /// or explicitly via [`Sim::recorder`].
+    /// (one relaxed load per emit site); armed at birth by the ambient
+    /// `tnt_replay::set_ambient` flag, or explicitly via
+    /// [`Sim::recorder`].
     recorder: tnt_replay::Recorder,
 }
 
@@ -481,19 +396,19 @@ thread_local! {
     /// any: trace events stamp it instead of the scheduler's tid.
     static LITE_PID: Cell<Option<u32>> = const { Cell::new(None) };
     /// Set while this thread is borrowed by a poll — a lite process's
-    /// `poll` or a task's — so it must not park: a sync blocking
-    /// primitive called there fails loudly instead of hanging the host
-    /// thread that holds the baton.
+    /// `poll` or a task's — so it must not park: `Sim::block_on` called
+    /// there fails loudly instead of hanging the host thread that holds
+    /// the baton.
     static NO_PARK: Cell<bool> = const { Cell::new(false) };
-    /// The async form of the blocking primitive that last returned
-    /// `Pending` on this thread, named by the `NO_PARK` failure.
+    /// The blocking primitive that last returned `Pending` on this
+    /// thread, named by the `NO_PARK` failure.
     static PARKED_IN: Cell<&'static str> = const { Cell::new("") };
 }
 
 /// Scope guard marking "this thread is polling lite process `pid`".
-/// While it lives, trace events carry the lite pid and any call into a
-/// parking primitive (`wait_on`, `sleep`, `yield_now`, ...) panics —
-/// lite processes block by *returning* `Step::Block` from `poll`.
+/// While it lives, trace events carry the lite pid and any
+/// `Sim::block_on` that would park panics — lite processes block by
+/// *returning* `Step::Block` from `poll`.
 /// Dropping it restores the values it replaced: a lite poll nests inside
 /// the poll of its scheduler's task, which must stay unable to park.
 pub(crate) struct LitePollGuard {
@@ -524,7 +439,7 @@ impl Drop for LitePollGuard {
 /// wait queues and timers decide who is runnable, which is why tasks are
 /// polled with a no-op `Waker`.
 struct Park {
-    /// The primitive's async form, for the `NO_PARK` failure message.
+    /// The primitive, for the `NO_PARK` failure message.
     form: &'static str,
     parked: bool,
 }
@@ -554,8 +469,8 @@ impl Future for Park {
 /// Why a future that returned `Pending` while its process still held the
 /// baton fails the run: nothing would ever dispatch the process again.
 const PENDING_WITHOUT_BLOCKING: &str = "is pending without blocking on the engine: only the \
-     engine's async primitives (Sim::wait_on_async, Sim::sleep_async, \
-     Sim::yield_now_async, ...) may suspend a simulated process";
+     engine's primitives (Sim::wait_on, Sim::sleep, Sim::yield_now, ...) may suspend a \
+     simulated process";
 
 /// Opens a new block of the calling process: it gives up the baton with
 /// `status`, and timed wakeups armed for an earlier block go stale.
@@ -640,7 +555,8 @@ impl Sim {
         if tnt_trace::session::active() {
             sim.inner.tracer.enable(tnt_trace::session::ring_capacity());
         }
-        if config.record {
+        // `reproduce replay --record` captures every simulation it builds.
+        if tnt_replay::ambient() {
             sim.inner.recorder.enable();
         }
         // Mirrors `tnt_fault::set_ambient`: `reproduce --audit` arms the
@@ -665,8 +581,8 @@ impl Sim {
     }
 
     /// The simulation's workload recorder (always present, capturing
-    /// only while enabled). Arm it with `SimConfig::record`, the
-    /// ambient `tnt_replay::set_ambient` flag at boot, or directly via
+    /// only while enabled). Arm it with the ambient
+    /// `tnt_replay::set_ambient` flag before `Sim::new`, or directly via
     /// `sim.recorder().enable()`; harvest with `take()`.
     pub fn recorder(&self) -> &tnt_replay::Recorder {
         &self.inner.recorder
@@ -737,8 +653,11 @@ impl Sim {
         (now, pid)
     }
 
-    /// Spawns a simulated process. It becomes runnable immediately but only
-    /// executes once the engine dispatches it.
+    /// Spawns a threaded simulated process: `f` runs on its own host
+    /// thread, which parks whenever the process does not hold the baton.
+    /// It becomes runnable immediately but only executes once the engine
+    /// dispatches it, and it reaches the blocking primitives through
+    /// [`Sim::block_on`].
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> Tid
     where
         F: FnOnce(&Sim) + Send + 'static,
@@ -775,9 +694,9 @@ impl Sim {
     /// Spawns a simulated process as a task: `f` receives a handle to
     /// the simulation and returns the process body as a future. The task
     /// runs on whichever thread holds the baton when it is dispatched,
-    /// so it costs no host thread; it blocks by awaiting the async
-    /// primitives ([`Sim::wait_on_async`], [`Sim::sleep_async`], ...).
-    /// Calling a sync blocking primitive from a task fails the run.
+    /// so it costs no host thread; it blocks by awaiting the engine's
+    /// primitives ([`Sim::wait_on`], [`Sim::sleep`], ...). Calling
+    /// [`Sim::block_on`] from a task fails the run.
     pub fn spawn_task<F, Fut>(&self, name: impl Into<String>, f: F) -> Tid
     where
         F: FnOnce(Sim) -> Fut,
@@ -915,11 +834,6 @@ impl Sim {
     /// Current simulated time.
     pub fn now(&self) -> Cycles {
         self.lock_state().now
-    }
-
-    /// Number of live (not exited) simulated processes.
-    pub fn live(&self) -> usize {
-        self.lock_state().live
     }
 
     /// Advances simulated time by exactly `c` cycles of CPU work, firing
@@ -1072,13 +986,13 @@ impl Sim {
     /// Runs `fut` to completion on the calling threaded process: polls
     /// it, and each time it is pending — it blocked on the engine —
     /// hands the baton on and parks the host thread until the process is
-    /// dispatched again. Every sync blocking primitive is this adapter
-    /// over its async form.
+    /// dispatched again. This is the one way a threaded process reaches
+    /// the blocking primitives: `s.block_on(s.sleep(d))`.
     ///
     /// # Panics
     ///
     /// Panics when `fut` would park a thread that must not park: inside a
-    /// task (await the async form instead) or a lite process's `poll`.
+    /// task (await the primitive instead) or a lite process's `poll`.
     pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
         let mut fut = pin!(fut);
         let mut cx = Context::from_waker(Waker::noop());
@@ -1092,12 +1006,7 @@ impl Sim {
 
     /// Yields the baton: the caller re-enters the run queue and another
     /// runnable process (possibly the caller again) is dispatched.
-    pub fn yield_now(&self) {
-        self.block_on(self.yield_now_async())
-    }
-
-    /// The async form of [`Sim::yield_now`].
-    pub async fn yield_now_async(&self) {
+    pub async fn yield_now(&self) {
         {
             let tid = current_tid();
             let mut st = self.lock_state();
@@ -1107,16 +1016,11 @@ impl Sim {
             st.policy.enqueue(tid, tag);
             self.race_protected(&mut st, Loc::RunQueue, AccessKind::Write, "yield.enqueue");
         }
-        Park::new("Sim::yield_now_async").await
+        Park::new("Sim::yield_now").await
     }
 
     /// Blocks the caller until the given simulated instant.
-    pub fn sleep_until(&self, at: Cycles) {
-        self.block_on(self.sleep_until_async(at))
-    }
-
-    /// The async form of [`Sim::sleep_until`].
-    pub async fn sleep_until_async(&self, at: Cycles) {
+    pub async fn sleep_until(&self, at: Cycles) {
         {
             let tid = current_tid();
             let mut st = self.lock_state();
@@ -1135,20 +1039,15 @@ impl Sim {
                 d.release(race_task(), SyncId::Timer(seq));
             }
         }
-        Park::new("Sim::sleep_until_async").await
+        Park::new("Sim::sleep_until").await
     }
 
     /// Blocks the caller for the given simulated duration. Unlike
     /// [`Sim::advance`] this does not consume CPU: it models waiting for a
     /// device, not computing.
-    pub fn sleep(&self, dur: Cycles) {
-        self.block_on(self.sleep_async(dur))
-    }
-
-    /// The async form of [`Sim::sleep`].
-    pub async fn sleep_async(&self, dur: Cycles) {
+    pub async fn sleep(&self, dur: Cycles) {
         let deadline = self.now() + dur;
-        self.sleep_until_async(deadline).await
+        self.sleep_until(deadline).await
     }
 
     /// Allocates a new wait queue.
@@ -1164,13 +1063,8 @@ impl Sim {
     ///
     /// `reason` appears in deadlock diagnostics. Because processes run
     /// atomically between blocking calls, the classic lost-wakeup race
-    /// cannot occur: check your condition, then call `wait_on`.
-    pub fn wait_on(&self, q: WaitId, reason: &'static str) {
-        self.block_on(self.wait_on_async(q, reason))
-    }
-
-    /// The async form of [`Sim::wait_on`].
-    pub async fn wait_on_async(&self, q: WaitId, reason: &'static str) {
+    /// cannot occur: check your condition, then await `wait_on`.
+    pub async fn wait_on(&self, q: WaitId, reason: &'static str) {
         {
             let tid = current_tid();
             let mut st = self.lock_state();
@@ -1189,23 +1083,13 @@ impl Sim {
                 "wait.enqueue",
             );
         }
-        Park::new("Sim::wait_on_async").await
+        Park::new("Sim::wait_on").await
     }
 
     /// Like [`Sim::wait_on`] but gives up after `timeout`: returns `true`
     /// if woken by [`Sim::wakeup_one`]/[`Sim::wakeup_all`], `false` on
     /// timeout (in which case the caller is no longer on the queue).
-    pub fn wait_on_timeout(&self, q: WaitId, timeout: Cycles, reason: &'static str) -> bool {
-        self.block_on(self.wait_on_timeout_async(q, timeout, reason))
-    }
-
-    /// The async form of [`Sim::wait_on_timeout`].
-    pub async fn wait_on_timeout_async(
-        &self,
-        q: WaitId,
-        timeout: Cycles,
-        reason: &'static str,
-    ) -> bool {
+    pub async fn wait_on_timeout(&self, q: WaitId, timeout: Cycles, reason: &'static str) -> bool {
         let tid = current_tid();
         {
             let mut st = self.lock_state();
@@ -1238,7 +1122,7 @@ impl Sim {
                 d.release(race_task(), SyncId::Timer(seq));
             }
         }
-        Park::new("Sim::wait_on_timeout_async").await;
+        Park::new("Sim::wait_on_timeout").await;
         // Back awake: the timer handler flags timeouts (and has already
         // removed us from the queue); a real wakeup popped us normally.
         let mut st = self.lock_state();
@@ -1251,17 +1135,7 @@ impl Sim {
     /// returns the index of the queue whose wakeup fired, or `None` on
     /// timeout. Entries left on the other queues are skipped lazily by
     /// later wakeups.
-    pub fn wait_on_any(
-        &self,
-        qs: &[WaitId],
-        timeout: Option<Cycles>,
-        reason: &'static str,
-    ) -> Option<usize> {
-        self.block_on(self.wait_on_any_async(qs, timeout, reason))
-    }
-
-    /// The async form of [`Sim::wait_on_any`].
-    pub async fn wait_on_any_async(
+    pub async fn wait_on_any(
         &self,
         qs: &[WaitId],
         timeout: Option<Cycles>,
@@ -1303,7 +1177,7 @@ impl Sim {
                 );
             }
         }
-        Park::new("Sim::wait_on_any_async").await;
+        Park::new("Sim::wait_on_any").await;
         // The waker (or the timeout handler) recorded how we were woken;
         // clean our leftover entries off every queue.
         let mut st = self.lock_state();
@@ -1719,9 +1593,9 @@ impl Sim {
         let form = PARKED_IN.get();
         assert!(
             !NO_PARK.get(),
-            "a blocking engine primitive would park a host thread that must not park: \
-             a task awaits the async form ({form}) and a lite process returns \
-             Step::Block from poll(), neither calls the sync form"
+            "a blocking engine primitive ({form}) would park a host thread that must not \
+             park: a task awaits it instead of calling Sim::block_on, and a lite process \
+             returns Step::Block from poll()"
         );
         let tid = current_tid();
         let mut st = self.lock_state();
@@ -2262,7 +2136,7 @@ mod tests {
     #[test]
     fn single_process_advances_clock() {
         let sim = fifo_sim(0);
-        sim.spawn("worker", |s| {
+        sim.spawn_task("worker", |s| async move {
             s.advance(Cycles(100));
             s.advance(Cycles(23));
         });
@@ -2272,8 +2146,8 @@ mod tests {
     #[test]
     fn sleep_jumps_idle_clock() {
         let sim = fifo_sim(0);
-        sim.spawn("sleeper", |s| {
-            s.sleep(Cycles::from_millis(14.0));
+        sim.spawn_task("sleeper", |s| async move {
+            s.sleep(Cycles::from_millis(14.0)).await;
             s.advance(Cycles(5));
         });
         assert_eq!(sim.run().unwrap(), Cycles(1_400_005));
@@ -2299,7 +2173,7 @@ mod tests {
             let total = Arc::new(AtomicU64::new(0));
             for tag in 0..3u64 {
                 let total = total.clone();
-                sim.spawn(format!("p{tag}"), move |s| {
+                sim.spawn_task(format!("p{tag}"), move |s| async move {
                     let mut lcg = seed ^ (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                     let mut local = 0u64;
                     for _ in 0..200 {
@@ -2315,7 +2189,7 @@ mod tests {
                             }
                             _ => {
                                 local += s.charge_scaled(amount).0;
-                                s.yield_now(); // flush at the handoff
+                                s.yield_now().await; // flush at the handoff
                             }
                         }
                     }
@@ -2339,8 +2213,8 @@ mod tests {
             let order = order.clone();
             // Spawn order is arm order: each proc arms its wakeup for the
             // identical instant as soon as it first runs.
-            sim.spawn(name, move |s| {
-                s.sleep_until(Cycles(10_000));
+            sim.spawn_task(name, move |s| async move {
+                s.sleep_until(Cycles(10_000)).await;
                 order.lock().push(name);
             });
         }
@@ -2352,10 +2226,10 @@ mod tests {
     fn two_processes_serialize_cpu() {
         let sim = fifo_sim(0);
         for name in ["a", "b"] {
-            sim.spawn(name, |s| {
+            sim.spawn_task(name, |s| async move {
                 for _ in 0..10 {
                     s.advance(Cycles(10));
-                    s.yield_now();
+                    s.yield_now().await;
                 }
             });
         }
@@ -2368,8 +2242,8 @@ mod tests {
         // One proc sleeps (device wait) while the other computes; the total
         // is max, not sum.
         let sim = fifo_sim(0);
-        sim.spawn("sleeper", |s| s.sleep(Cycles(1_000)));
-        sim.spawn("cruncher", |s| s.advance(Cycles(400)));
+        sim.spawn_task("sleeper", |s| async move { s.sleep(Cycles(1_000)).await });
+        sim.spawn_task("cruncher", |s| async move { s.advance(Cycles(400)) });
         assert_eq!(sim.run().unwrap(), Cycles(1_000));
     }
 
@@ -2379,13 +2253,13 @@ mod tests {
         let q = sim.new_queue();
         let order = Arc::new(Mutex::new(Vec::new()));
         let o1 = order.clone();
-        sim.spawn("waiter", move |s| {
+        sim.spawn_task("waiter", move |s| async move {
             o1.lock().push("waiting");
-            s.wait_on(q, "test");
+            s.wait_on(q, "test").await;
             o1.lock().push("woken");
         });
         let o2 = order.clone();
-        sim.spawn("waker", move |s| {
+        sim.spawn_task("waker", move |s| async move {
             s.advance(Cycles(50));
             o2.lock().push("waking");
             assert!(s.wakeup_one(q));
@@ -2401,15 +2275,15 @@ mod tests {
         let order = Arc::new(Mutex::new(Vec::new()));
         for i in 0..3 {
             let o = order.clone();
-            sim.spawn(format!("w{i}"), move |s| {
-                s.wait_on(q, "fifo");
+            sim.spawn_task(format!("w{i}"), move |s| async move {
+                s.wait_on(q, "fifo").await;
                 o.lock().push(i);
             });
         }
-        sim.spawn("waker", move |s| {
+        sim.spawn_task("waker", move |s| async move {
             for _ in 0..3 {
                 s.wakeup_one(q);
-                s.yield_now();
+                s.yield_now().await;
             }
         });
         let _ = sim.run().unwrap();
@@ -2420,7 +2294,9 @@ mod tests {
     fn deadlock_is_detected() {
         let sim = fifo_sim(0);
         let q = sim.new_queue();
-        sim.spawn("stuck", move |s| s.wait_on(q, "never-woken"));
+        sim.spawn_task("stuck", move |s| async move {
+            s.wait_on(q, "never-woken").await
+        });
         let err = sim.run().unwrap_err();
         match err {
             SimError::Deadlock(msg) => {
@@ -2444,7 +2320,7 @@ mod tests {
     fn stop_kills_remaining_processes() {
         let sim = fifo_sim(0);
         let q = sim.new_queue();
-        sim.spawn("forever", move |s| s.wait_on(q, "held"));
+        sim.spawn("forever", move |s| s.block_on(s.wait_on(q, "held")));
         sim.spawn("main", |s| {
             s.advance(Cycles(10));
             s.stop();
@@ -2458,11 +2334,11 @@ mod tests {
         let q = sim.new_queue();
         let hits = Arc::new(AtomicU64::new(0));
         let h = hits.clone();
-        sim.spawn("waiter", move |s| {
-            s.wait_on(q, "timer");
+        sim.spawn_task("waiter", move |s| async move {
+            s.wait_on(q, "timer").await;
             h.store(s.now().0, Ordering::SeqCst);
         });
-        sim.spawn("busy", move |s| {
+        sim.spawn_task("busy", move |s| async move {
             s.wakeup_one_at(q, Cycles(100));
             s.advance(Cycles(500)); // The timer fires inside this charge.
         });
@@ -2479,12 +2355,12 @@ mod tests {
         for (name, q) in ["a", "b", "c", "d"].into_iter().zip(qs.clone()) {
             let woken = woken.clone();
             sim.spawn_task(name, move |s| async move {
-                s.wait_on_async(q, "past timer").await;
+                s.wait_on(q, "past timer").await;
                 woken.lock().push((name, s.now().0));
             });
         }
         sim.spawn_task("armer", move |s| async move {
-            s.sleep_async(Cycles(1_000)).await;
+            s.sleep(Cycles(1_000)).await;
             // Equal deadlines before `now`, each pair armed in reverse
             // spawn order, so arm order must decide. The first pair comes
             // due in a charge, the second in the idle dispatch loop.
@@ -2517,10 +2393,10 @@ mod tests {
                 },
             );
             for i in 0..4 {
-                sim.spawn(format!("p{i}"), |s| {
+                sim.spawn_task(format!("p{i}"), |s| async move {
                     for _ in 0..100 {
                         s.charge(Cycles(37));
-                        s.yield_now();
+                        s.yield_now().await;
                     }
                 });
             }
@@ -2538,16 +2414,16 @@ mod tests {
     #[test]
     fn jitter_zero_is_exact() {
         let sim = fifo_sim(3);
-        sim.spawn("p", |s| s.charge(Cycles(1_000)));
+        sim.spawn_task("p", |s| async move { s.charge(Cycles(1_000)) });
         assert_eq!(sim.run().unwrap(), Cycles(1_000));
     }
 
     #[test]
     fn spawn_from_inside_process() {
         let sim = fifo_sim(0);
-        sim.spawn("parent", |s| {
+        sim.spawn_task("parent", |s| async move {
             let before = s.now();
-            s.spawn("child", |s2| s2.advance(Cycles(77)));
+            s.spawn_task("child", |s2| async move { s2.advance(Cycles(77)) });
             s.advance(Cycles(3));
             assert_eq!(s.now(), before + Cycles(3));
         });
@@ -2557,11 +2433,11 @@ mod tests {
     #[test]
     fn per_process_cpu_accounting() {
         let sim = fifo_sim(0);
-        let busy = sim.spawn("busy", |s| {
+        let busy = sim.spawn_task("busy", |s| async move {
             s.advance(Cycles(700));
-            s.sleep(Cycles(10_000)); // Waiting is not CPU.
+            s.sleep(Cycles(10_000)).await; // Waiting is not CPU.
         });
-        let lazy = sim.spawn("lazy", |s| s.advance(Cycles(42)));
+        let lazy = sim.spawn_task("lazy", |s| async move { s.advance(Cycles(42)) });
         let _ = sim.run().unwrap();
         assert_eq!(sim.proc_cpu(busy), Cycles(700));
         assert_eq!(sim.proc_cpu(lazy), Cycles(42));
@@ -2572,9 +2448,9 @@ mod tests {
     fn wait_on_timeout_times_out() {
         let sim = fifo_sim(0);
         let q = sim.new_queue();
-        sim.spawn("timed", move |s| {
+        sim.spawn_task("timed", move |s| async move {
             let t0 = s.now();
-            let woken = s.wait_on_timeout(q, Cycles(5_000), "timed wait");
+            let woken = s.wait_on_timeout(q, Cycles(5_000), "timed wait").await;
             assert!(!woken, "nobody woke us");
             assert_eq!(
                 s.now() - t0,
@@ -2590,12 +2466,12 @@ mod tests {
     fn wait_on_timeout_real_wakeup_wins() {
         let sim = fifo_sim(0);
         let q = sim.new_queue();
-        sim.spawn("timed", move |s| {
-            let woken = s.wait_on_timeout(q, Cycles(1_000_000), "timed wait");
+        sim.spawn_task("timed", move |s| async move {
+            let woken = s.wait_on_timeout(q, Cycles(1_000_000), "timed wait").await;
             assert!(woken, "the waker got there first");
             assert!(s.now() < Cycles(1_000_000));
         });
-        sim.spawn("waker", move |s| {
+        sim.spawn_task("waker", move |s| async move {
             s.advance(Cycles(100));
             s.wakeup_one(q);
         });
@@ -2609,10 +2485,10 @@ mod tests {
         let sim = fifo_sim(0);
         let q = sim.new_queue();
         let q2 = sim.new_queue();
-        sim.spawn("timed", move |s| {
-            assert!(!s.wait_on_timeout(q, Cycles(100), "first"));
+        sim.spawn_task("timed", move |s| async move {
+            assert!(!s.wait_on_timeout(q, Cycles(100), "first").await);
             // Second, longer timed wait on another queue.
-            let woken = s.wait_on_timeout(q2, Cycles(10_000), "second");
+            let woken = s.wait_on_timeout(q2, Cycles(10_000), "second").await;
             assert!(!woken);
             assert_eq!(s.now(), Cycles(10_100), "full second timeout elapsed");
         });
@@ -2624,12 +2500,12 @@ mod tests {
         let sim = fifo_sim(0);
         let a = sim.new_queue();
         let b = sim.new_queue();
-        sim.spawn("selector", move |s| {
-            let which = s.wait_on_any(&[a, b], None, "select");
+        sim.spawn_task("selector", move |s| async move {
+            let which = s.wait_on_any(&[a, b], None, "select").await;
             assert_eq!(which, Some(1), "queue b fired");
             assert_eq!(s.waiters(a), 0, "stale entry cleaned up");
         });
-        sim.spawn("waker", move |s| {
+        sim.spawn_task("waker", move |s| async move {
             s.advance(Cycles(10));
             s.wakeup_one(b);
         });
@@ -2641,8 +2517,8 @@ mod tests {
         let sim = fifo_sim(0);
         let a = sim.new_queue();
         let b = sim.new_queue();
-        sim.spawn("selector", move |s| {
-            let which = s.wait_on_any(&[a, b], Some(Cycles(2_000)), "select");
+        sim.spawn_task("selector", move |s| async move {
+            let which = s.wait_on_any(&[a, b], Some(Cycles(2_000)), "select").await;
             assert_eq!(which, None);
             assert_eq!(s.now(), Cycles(2_000));
             assert_eq!(s.waiters(a) + s.waiters(b), 0);
@@ -2659,17 +2535,17 @@ mod tests {
         let b = sim.new_queue();
         let reached = Arc::new(AtomicU64::new(0));
         let r2 = reached.clone();
-        sim.spawn("selector", move |s| {
-            assert_eq!(s.wait_on_any(&[a, b], None, "select"), Some(1));
+        sim.spawn_task("selector", move |s| async move {
+            assert_eq!(s.wait_on_any(&[a, b], None, "select").await, Some(1));
             // Keep running long enough that the stale entry on A is
             // still there when the waiter blocks.
             s.advance(Cycles(50));
         });
-        sim.spawn("waiter", move |s| {
-            s.wait_on(a, "genuine");
+        sim.spawn_task("waiter", move |s| async move {
+            s.wait_on(a, "genuine").await;
             r2.store(1, Ordering::SeqCst);
         });
-        sim.spawn("waker", move |s| {
+        sim.spawn_task("waker", move |s| async move {
             s.advance(Cycles(10));
             s.wakeup_one(b); // Wake the selector.
             s.advance(Cycles(10));
@@ -2686,13 +2562,13 @@ mod tests {
         let count = Arc::new(AtomicU64::new(0));
         for i in 0..5 {
             let c = count.clone();
-            sim.spawn(format!("w{i}"), move |s| {
-                s.wait_on(q, "broadcast");
+            sim.spawn_task(format!("w{i}"), move |s| async move {
+                s.wait_on(q, "broadcast").await;
                 c.fetch_add(1, Ordering::SeqCst);
             });
         }
-        sim.spawn("waker", move |s| {
-            s.yield_now(); // Let the waiters enqueue first (FIFO policy).
+        sim.spawn_task("waker", move |s| async move {
+            s.yield_now().await; // Let the waiters enqueue first (FIFO policy).
             assert_eq!(s.wakeup_all(q), 5);
         });
         let _ = sim.run().unwrap();
@@ -2707,17 +2583,17 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let log = seen.clone();
         sim.spawn_task("waiter", move |s| async move {
-            s.wait_on_async(q, "first").await;
-            let woken = s.wait_on_timeout_async(q, Cycles(50), "second").await;
-            let which = s.wait_on_any_async(&[q], Some(Cycles(70)), "third").await;
+            s.wait_on(q, "first").await;
+            let woken = s.wait_on_timeout(q, Cycles(50), "second").await;
+            let which = s.wait_on_any(&[q], Some(Cycles(70)), "third").await;
             log.lock()
                 .push((s.now(), woken, which, std::thread::current().id()));
         });
         sim.spawn_task("waker", move |s| async move {
             s.charge(Cycles(10));
-            s.yield_now_async().await;
+            s.yield_now().await;
             assert!(s.wakeup_one(q));
-            s.sleep_async(Cycles(5)).await;
+            s.sleep(Cycles(5)).await;
         });
         // waiter blocks at 0, is woken at 10, times out at 60, then at 130.
         assert_eq!(sim.run().unwrap(), Cycles(130));
@@ -2739,7 +2615,7 @@ mod tests {
         let escaped = Arc::new(Mutex::new(None));
         let out = escaped.clone();
         sim.spawn("host", move |s| {
-            let unwound = panic::catch_unwind(AssertUnwindSafe(|| s.yield_now()));
+            let unwound = panic::catch_unwind(AssertUnwindSafe(|| s.block_on(s.yield_now())));
             let payload = unwound.expect_err("the run ends while the host is parked");
             *out.lock() = Some(panic_message(&*payload));
             panic::resume_unwind(payload);
@@ -2763,13 +2639,16 @@ mod tests {
     fn stop_from_a_task_ends_the_run_at_its_clock() {
         let sim = fifo_sim(0);
         let q = sim.new_queue();
-        sim.spawn_task("forever", move |s| async move {
-            s.wait_on_async(q, "held").await
+        sim.spawn_task(
+            "forever",
+            move |s| async move { s.wait_on(q, "held").await },
+        );
+        sim.spawn("threaded forever", move |s| {
+            s.block_on(s.wait_on(q, "held too"))
         });
-        sim.spawn("threaded forever", move |s| s.wait_on(q, "held too"));
         sim.spawn_task("main", |s| async move {
             s.advance(Cycles(10));
-            s.yield_now_async().await;
+            s.yield_now().await;
             s.advance(Cycles(5));
             s.stop();
         });
@@ -2781,7 +2660,7 @@ mod tests {
         let sim = fifo_sim(0);
         let q = sim.new_queue();
         sim.spawn_task("stuck task", move |s| async move {
-            s.wait_on_async(q, "never signalled").await
+            s.wait_on(q, "never signalled").await
         });
         match sim.run().unwrap_err() {
             SimError::Deadlock(msg) => {
@@ -2792,15 +2671,14 @@ mod tests {
     }
 
     #[test]
-    fn a_task_calling_a_sync_primitive_is_told_the_async_form() {
+    fn a_task_calling_block_on_is_told_to_await_the_primitive() {
         let sim = fifo_sim(0);
-        let q = sim.new_queue();
-        sim.spawn_task(
-            "confused",
-            move |s| async move { s.wait_on(q, "sync wait") },
-        );
+        sim.spawn_task("confused", |s| async move { s.block_on(s.yield_now()) });
         match sim.run().unwrap_err() {
-            SimError::ProcPanic(msg) => assert!(msg.contains("Sim::wait_on_async"), "{msg}"),
+            SimError::ProcPanic(msg) => {
+                assert!(msg.contains("Sim::yield_now"), "{msg}");
+                assert!(msg.contains("a task awaits it"), "{msg}");
+            }
             other => panic!("expected a panic error, got {other:?}"),
         }
     }
@@ -2813,10 +2691,10 @@ mod tests {
         let q = sim.new_queue();
         sim.spawn_task("scheduler", move |s| async move {
             drop(LitePollGuard::new(99));
-            s.wait_on(q, "sync wait after a lite poll");
+            s.block_on(s.wait_on(q, "parking after a lite poll"));
         });
         match sim.run().unwrap_err() {
-            SimError::ProcPanic(msg) => assert!(msg.contains("Sim::wait_on_async"), "{msg}"),
+            SimError::ProcPanic(msg) => assert!(msg.contains("Sim::wait_on"), "{msg}"),
             other => panic!("expected a panic error, got {other:?}"),
         }
     }
@@ -2841,7 +2719,7 @@ mod tests {
         match sim.run().unwrap_err() {
             SimError::ProcPanic(msg) => {
                 assert!(msg.contains("foreign is pending without blocking"), "{msg}");
-                assert!(msg.contains("Sim::wait_on_async"), "{msg}");
+                assert!(msg.contains("Sim::wait_on"), "{msg}");
             }
             other => panic!("expected a panic error, got {other:?}"),
         }
@@ -2856,12 +2734,12 @@ mod tests {
             let o = order.clone();
             if i % 2 == 0 {
                 sim.spawn(format!("thread{i}"), move |s| {
-                    s.wait_on(q, "mixed");
+                    s.block_on(s.wait_on(q, "mixed"));
                     o.lock().push(i);
                 });
             } else {
                 sim.spawn_task(format!("task{i}"), move |s| async move {
-                    s.wait_on_async(q, "mixed").await;
+                    s.wait_on(q, "mixed").await;
                     o.lock().push(i);
                 });
             }
@@ -2869,7 +2747,7 @@ mod tests {
         sim.spawn_task("waker", move |s| async move {
             for _ in 0..4 {
                 assert!(s.wakeup_one(q));
-                s.yield_now_async().await;
+                s.yield_now().await;
             }
         });
         let _ = sim.run().unwrap();
@@ -2892,7 +2770,7 @@ mod tests {
         let slot = dropped_as.clone();
         let tid = sim.spawn_task("blocked", move |s| async move {
             let _witness = Witness(s.clone(), slot);
-            s.wait_on_async(q, "forever").await;
+            s.wait_on(q, "forever").await;
         });
         assert!(matches!(sim.run(), Err(SimError::Deadlock(_))));
         assert_eq!(*dropped_as.lock(), Some(tid));
@@ -2900,6 +2778,21 @@ mod tests {
 
     #[test]
     fn task_and_threaded_twins_are_byte_identical() {
+        /// One ring member: the same body hosted as a task or, through
+        /// `Sim::block_on`, on a threaded process.
+        async fn member(s: Sim, p: u64, q: WaitId) {
+            for r in 0..30u64 {
+                s.charge(Cycles(37 + p));
+                match r % 4 {
+                    0 => s.sleep(Cycles(100 * p)).await,
+                    1 => {
+                        s.wakeup_one(q);
+                        let _ = s.wait_on_timeout(q, Cycles(90), "t").await;
+                    }
+                    _ => s.yield_now().await,
+                }
+            }
+        }
         fn ring(seed: u64, tasks: bool) -> (Cycles, u64, Vec<Cycles>) {
             let sim = Sim::new(
                 Box::new(FifoPolicy::new()),
@@ -2914,33 +2807,9 @@ mod tests {
                 .map(|p| {
                     let name = format!("p{p}");
                     if tasks {
-                        sim.spawn_task(name, move |s| async move {
-                            for r in 0..30u64 {
-                                s.charge(Cycles(37 + p));
-                                match r % 4 {
-                                    0 => s.sleep_async(Cycles(100 * p)).await,
-                                    1 => {
-                                        s.wakeup_one(q);
-                                        let _ = s.wait_on_timeout_async(q, Cycles(90), "t").await;
-                                    }
-                                    _ => s.yield_now_async().await,
-                                }
-                            }
-                        })
+                        sim.spawn_task(name, move |s| member(s, p, q))
                     } else {
-                        sim.spawn(name, move |s| {
-                            for r in 0..30u64 {
-                                s.charge(Cycles(37 + p));
-                                match r % 4 {
-                                    0 => s.sleep(Cycles(100 * p)),
-                                    1 => {
-                                        s.wakeup_one(q);
-                                        let _ = s.wait_on_timeout(q, Cycles(90), "t");
-                                    }
-                                    _ => s.yield_now(),
-                                }
-                            }
-                        })
+                        sim.spawn(name, move |s| s.block_on(member(s.clone(), p, q)))
                     }
                 })
                 .collect();
@@ -2954,5 +2823,24 @@ mod tests {
         for seed in [0, 7, 1996] {
             assert_eq!(ring(seed, true), ring(seed, false), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn a_kill_is_what_park_returns_whenever_it_arrives() {
+        // Teardown rule: a `Kill` is final. `shutdown` can deliver it
+        // before the process reaches `park` (its thread was still running
+        // the dispatch loop that ended the run); no later `Run` may undo
+        // it, and it supersedes a `Run` not yet taken.
+        let run_then_kill = Parker::new();
+        run_then_kill.unpark(Wake::Run);
+        run_then_kill.unpark(Wake::Kill);
+        assert_eq!(run_then_kill.park(), Wake::Kill);
+        let kill_then_run = Parker::new();
+        kill_then_run.unpark(Wake::Kill);
+        kill_then_run.unpark(Wake::Run);
+        assert_eq!(kill_then_run.park(), Wake::Kill);
+        let run = Parker::new();
+        run.unpark(Wake::Run);
+        assert_eq!(run.park(), Wake::Run);
     }
 }

@@ -11,9 +11,11 @@
 //!   Pentium, with conversions to the paper's reporting units;
 //! - [`Sim`]: a deterministic baton-passing engine in which exactly one
 //!   simulated process runs at a time. A process is either a task — a
-//!   future that the baton holder polls inline ([`Sim::spawn_task`]),
-//!   as every kernel process is — or a threaded process on its own host
-//!   thread ([`Sim::spawn`]);
+//!   future that the baton holder polls inline ([`Sim::spawn_task`]), as
+//!   every kernel process is — or a threaded process on its own host
+//!   thread ([`Sim::spawn`]). Each blocking primitive is one `async fn`:
+//!   a task awaits it, and a threaded process runs it through
+//!   [`Sim::block_on`];
 //! - [`RunPolicy`]: the pluggable run-queue policy through which the three
 //!   modelled kernels express their scheduler designs;
 //! - [`Summary`], [`Series`] and normalisation helpers matching the
@@ -25,21 +27,21 @@
 //! use tnt_sim::{Cycles, Sim, SimConfig, FifoPolicy};
 //!
 //! let sim = Sim::new(Box::new(FifoPolicy::new()), SimConfig::default());
-//! sim.spawn("worker", |s| {
+//! sim.spawn_task("worker", |s| async move {
+//!     s.sleep(Cycles(1_000)).await; // wait for a device
 //!     s.advance(Cycles::from_micros(2.31)); // one getpid() on Linux
 //! });
-//! let elapsed = sim.run().unwrap();
-//! assert_eq!(elapsed, Cycles(231));
+//! assert_eq!(sim.run().unwrap(), Cycles(1_231));
 //! ```
 //!
-//! The same process as a task, which never leaves the `Sim::run` thread:
+//! The same process on its own host thread, which parks while it waits:
 //!
 //! ```
 //! use tnt_sim::{Cycles, Sim, SimConfig, FifoPolicy};
 //!
 //! let sim = Sim::new(Box::new(FifoPolicy::new()), SimConfig::default());
-//! sim.spawn_task("worker", |s| async move {
-//!     s.sleep_async(Cycles(1_000)).await; // wait for a device
+//! sim.spawn("worker", |s| {
+//!     s.block_on(s.sleep(Cycles(1_000)));
 //!     s.advance(Cycles::from_micros(2.31));
 //! });
 //! assert_eq!(sim.run().unwrap(), Cycles(1_231));

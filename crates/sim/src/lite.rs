@@ -38,8 +38,9 @@ pub struct ProcCtx {
 
 impl ProcCtx {
     /// The simulation engine. Non-blocking calls only — a lite process
-    /// that calls a blocking primitive from inside `poll` fails the
-    /// engine's host-park assertion; block by returning [`Step::Block`].
+    /// that runs a blocking primitive through `Sim::block_on` inside
+    /// `poll` fails the engine's host-park assertion; block by returning
+    /// [`Step::Block`].
     pub fn sim(&self) -> &Sim {
         &self.sim
     }
@@ -312,7 +313,7 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
             // queued runnable, offer the baton. A pure-lite simulation
             // never pays this (the run queue stays empty).
             if sim.runnable_procs() > 0 {
-                sim.yield_now_async().await;
+                sim.yield_now().await;
             }
             continue;
         }
@@ -328,11 +329,11 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
             Some(at) => {
                 let now = sim.now().0;
                 if at > now {
-                    sim.wait_on_timeout_async(doorbell, Cycles(at - now), "lite sleepers")
+                    sim.wait_on_timeout(doorbell, Cycles(at - now), "lite sleepers")
                         .await;
                 }
             }
-            None => sim.wait_on_async(doorbell, "lite procs waiting").await,
+            None => sim.wait_on(doorbell, "lite procs waiting").await,
         }
     }
     sim.unregister_lite_sched();
@@ -401,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn lite_queue_wait_is_woken_by_threaded_proc() {
+    fn lite_queue_wait_is_woken_by_a_task() {
         let s = sim();
         let q = s.new_queue();
         let woken_at = Arc::new(AtomicU64::new(0));
@@ -420,8 +421,8 @@ mod tests {
             }),
         );
         sched.start("sched");
-        s.spawn("waker", move |s| {
-            s.sleep(Cycles(7_000));
+        s.spawn_task("waker", move |s| async move {
+            s.sleep(Cycles(7_000)).await;
             s.wakeup_one(q);
         });
         let _ = s.run().unwrap();
@@ -460,10 +461,9 @@ mod tests {
     }
 
     #[test]
-    fn lite_and_threaded_procs_interleave_fairly() {
-        // A threaded proc and a lite crowd must both make progress: the
-        // scheduler yields the baton whenever the threaded proc is
-        // runnable.
+    fn lite_and_task_procs_interleave_fairly() {
+        // A task and a lite crowd must both make progress: the scheduler
+        // yields the baton whenever the task is runnable.
         let s = sim();
         let mut sched = LiteScheduler::new(&s);
         let mut rounds = 50;
@@ -478,10 +478,10 @@ mod tests {
             }),
         );
         sched.start("sched");
-        s.spawn("threaded", |s| {
+        s.spawn_task("task", |s| async move {
             for _ in 0..50 {
                 s.advance(Cycles(10));
-                s.yield_now();
+                s.yield_now().await;
             }
         });
         assert_eq!(s.run().unwrap(), Cycles(1_000));
@@ -517,8 +517,8 @@ mod tests {
             }),
         );
         sched.start("sched");
-        s.spawn("server", move |s| {
-            s.sleep(Cycles(4_000));
+        s.spawn_task("server", move |s| async move {
+            s.sleep(Cycles(4_000)).await;
             s.wakeup_one(q);
         });
         let _ = s.run().unwrap();
@@ -573,8 +573,8 @@ mod tests {
             }),
         );
         sched.start("sched");
-        s.spawn("signaller", move |s| {
-            s.sleep(Cycles(3_000));
+        s.spawn_task("signaller", move |s| async move {
+            s.sleep(Cycles(3_000)).await;
             s.wakeup_one(qb);
         });
         let _ = s.run().unwrap();
@@ -611,8 +611,8 @@ mod tests {
             }),
         );
         sched.start("sched");
-        s.spawn("late-server", move |s| {
-            s.sleep(Cycles(8_000));
+        s.spawn_task("late-server", move |s| async move {
+            s.sleep(Cycles(8_000)).await;
             s.wakeup_one(q); // lands after the RTO: lost, as on a real wire
         });
         let _ = s.run().unwrap();
@@ -654,10 +654,10 @@ mod tests {
                 );
             }
             sched.start("sched");
-            s.spawn("server", move |s| {
+            s.spawn_task("server", move |s| async move {
                 for (i, q) in queues.into_iter().enumerate() {
                     if i % 3 == 0 {
-                        s.sleep(Cycles(200));
+                        s.sleep(Cycles(200)).await;
                         s.wakeup_one(q);
                     }
                 }
@@ -697,7 +697,7 @@ mod tests {
         sched.spawn(
             "bad",
             Box::new(move |ctx: &mut ProcCtx| {
-                ctx.sim().wait_on(q, "illegal");
+                ctx.sim().block_on(ctx.sim().wait_on(q, "illegal"));
                 Step::Done
             }),
         );

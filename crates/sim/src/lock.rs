@@ -1,11 +1,13 @@
 //! A mutex for simulated processes.
 //!
-//! Host `Mutex`es must never be held across a baton handoff (the owning
-//! thread would park while another thread blocks on the lock at the host
-//! level, invisible to the engine — a real deadlock). When kernel code
-//! needs mutual exclusion *across* blocking operations — e.g. one RPC in
-//! flight at a time — it must use this lock instead: contenders block
-//! through the engine's wait queues, so the scheduler keeps control.
+//! Host `Mutex`es must never be held across a blocking call: a task
+//! holding a guard across an `.await` fails `spawn_task`'s `Send` bound,
+//! and a threaded process that parked with one held would leave the next
+//! process to block on it at the host level, invisible to the engine — a
+//! real deadlock. When kernel code needs mutual exclusion *across*
+//! blocking operations — e.g. one RPC in flight at a time — it awaits
+//! this lock instead: contenders block through the engine's wait queues,
+//! so the scheduler keeps control.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -28,7 +30,7 @@ impl SimMutex {
     }
 
     /// Acquires the lock, blocking the calling simulated process while
-    /// another holds it. A threaded process wraps it in `Sim::block_on`.
+    /// another holds it. A threaded process runs it through `Sim::block_on`.
     ///
     /// The acquisition is recorded in the engine's lock-order graph;
     /// establishing both `A -> B` and `B -> A` orders across the run
@@ -39,7 +41,7 @@ impl SimMutex {
         // Processes run atomically between blocking calls, so this
         // check-then-set cannot race; the atomic is only for `Sync`.
         while self.held.load(Ordering::Relaxed) {
-            sim.wait_on_async(self.waiters, "sim mutex").await;
+            sim.wait_on(self.waiters, "sim mutex").await;
         }
         self.held.store(true, Ordering::Relaxed);
         sim.audit_mutex_acquired(self.waiters);
@@ -82,13 +84,13 @@ mod tests {
         for i in 0..3 {
             let lock = lock.clone();
             let log = log.clone();
-            sim.spawn(format!("p{i}"), move |s| {
-                s.block_on(lock.lock(s));
+            sim.spawn_task(format!("p{i}"), move |s| async move {
+                lock.lock(&s).await;
                 log.lock().push((i, "in"));
-                s.sleep(Cycles(1_000)); // Blocking inside the section.
+                s.sleep(Cycles(1_000)).await; // Blocking inside the section.
                 s.advance(Cycles(10));
                 log.lock().push((i, "out"));
-                lock.unlock(s);
+                lock.unlock(&s);
             });
         }
         let _ = sim.run().unwrap();
@@ -107,7 +109,7 @@ mod tests {
         let sim = Sim::new(Box::new(FifoPolicy::new()), SimConfig::default());
         let lock = Arc::new(SimMutex::new(&sim));
         let l2 = lock.clone();
-        sim.spawn("bad", move |s| l2.unlock(s));
+        sim.spawn_task("bad", move |s| async move { l2.unlock(&s) });
         // The panic propagates through run() as an error; re-panic for
         // should_panic to observe.
         if let Err(e) = sim.run() {
@@ -121,10 +123,10 @@ mod tests {
         let lock = Arc::new(SimMutex::new(&sim));
         assert!(!lock.is_locked());
         let l2 = lock.clone();
-        sim.spawn("p", move |s| {
-            s.block_on(l2.lock(s));
+        sim.spawn_task("p", move |s| async move {
+            l2.lock(&s).await;
             assert!(l2.is_locked());
-            l2.unlock(s);
+            l2.unlock(&s);
             assert!(!l2.is_locked());
         });
         let _ = sim.run().unwrap();

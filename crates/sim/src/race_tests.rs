@@ -32,7 +32,7 @@ fn detector_is_disarmed_by_default() {
     // The hooks are free no-ops when disarmed.
     s.race_write("anything", 7);
     s.race_read("anything", 7);
-    s.spawn("w", |s| {
+    s.spawn_task("w", |s| async move {
         s.race_write("anything", 7);
         s.advance(Cycles(10));
     });
@@ -44,7 +44,7 @@ fn unordered_user_writes_race() {
     let s = sim();
     s.arm_race_detector();
     for name in ["a", "b"] {
-        s.spawn(name, |s| {
+        s.spawn_task(name, |s| async move {
             s.advance(Cycles(10));
             s.race_write("shared-counter", 0);
         });
@@ -66,11 +66,11 @@ fn mutex_ordered_user_writes_do_not_race() {
     let m = Arc::new(SimMutex::new(&s));
     for name in ["a", "b"] {
         let m = m.clone();
-        s.spawn(name, move |s| {
+        s.spawn_task(name, move |s| async move {
             s.advance(Cycles(10));
-            s.block_on(m.lock(s));
+            m.lock(&s).await;
             s.race_write("shared-counter", 0);
-            m.unlock(s);
+            m.unlock(&s);
         });
     }
     let _ = s.run().unwrap();
@@ -82,13 +82,13 @@ fn channel_ordered_user_writes_do_not_race() {
     s.arm_race_detector();
     let ch = Arc::new(crate::chan::SimChannel::new(&s, 1));
     let tx = ch.clone();
-    s.spawn("producer", move |s| {
+    s.spawn_task("producer", move |s| async move {
         s.race_write("handoff", 0);
-        s.block_on(tx.send(s, 1u32));
+        tx.send(&s, 1u32).await;
     });
     let rx = ch.clone();
-    s.spawn("consumer", move |s| {
-        let _ = s.block_on(rx.recv(s));
+    s.spawn_task("consumer", move |s| async move {
+        let _ = rx.recv(&s).await;
         s.race_write("handoff", 0);
     });
     let _ = s.run().unwrap();
@@ -111,7 +111,7 @@ fn mutant_unlocked_ring_write_is_caught_by_the_checker() {
         }
         s.arm_race_detector();
         for name in ["a", "b"] {
-            s.spawn(name, |s| {
+            s.spawn_task(name, |s| async move {
                 s.advance(Cycles(100));
             });
         }
@@ -128,8 +128,8 @@ fn mutant_unlocked_ring_write_is_caught_by_the_checker() {
     }
 }
 
-/// A lite waiter woken by a threaded waker: the scenario whose doorbell
-/// ring mutant 1 drops.
+/// A lite waiter woken by a task: the scenario whose doorbell ring
+/// mutant 1 drops.
 fn lite_mix_scenario(mutant: bool) -> impl Fn(&Sim) -> Collector {
     move |s: &Sim| {
         if mutant {
@@ -152,8 +152,8 @@ fn lite_mix_scenario(mutant: bool) -> impl Fn(&Sim) -> Collector {
             }),
         );
         sched.start("sched");
-        s.spawn("waker", move |s| {
-            s.sleep(Cycles(1_000));
+        s.spawn_task("waker", move |s| async move {
+            s.sleep(Cycles(1_000)).await;
             s.wakeup_one(q);
         });
         Box::new(move || vec![("woken_at".to_string(), *woken_at.lock())])
@@ -200,8 +200,8 @@ fn timer_tie_scenario(mutant: bool) -> impl Fn(&Sim) -> Collector {
         s.wakeup_one_at(q, Cycles(1_000));
         let woken = Arc::new(Mutex::new(0u64));
         let out = woken.clone();
-        s.spawn("waiter", move |s| {
-            let signalled = s.wait_on_timeout(q, Cycles(1_000), "tie wait");
+        s.spawn_task("waiter", move |s| async move {
+            let signalled = s.wait_on_timeout(q, Cycles(1_000), "tie wait").await;
             *out.lock() = u64::from(signalled);
         });
         Box::new(move || vec![("signalled".to_string(), *woken.lock())])
@@ -269,8 +269,8 @@ fn stale_any_scenario(mutant: bool) -> impl Fn(&Sim) -> Collector {
             }),
         );
         sched.start("sched");
-        s.spawn("late-server", move |s| {
-            s.sleep(Cycles(8_000));
+        s.spawn_task("late-server", move |s| async move {
+            s.sleep(Cycles(8_000)).await;
             s.wakeup_one(q);
         });
         let log = log.clone();

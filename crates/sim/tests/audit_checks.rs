@@ -24,19 +24,19 @@ fn lock_order_cycle_detected_without_deadlocking() {
     let a = Arc::new(SimMutex::new(&s));
     let b = Arc::new(SimMutex::new(&s));
     let (a1, b1) = (a.clone(), b.clone());
-    s.spawn("forward", move |s| {
-        s.block_on(a1.lock(s));
-        s.block_on(b1.lock(s));
-        b1.unlock(s);
-        a1.unlock(s);
+    s.spawn_task("forward", move |s| async move {
+        a1.lock(&s).await;
+        b1.lock(&s).await;
+        b1.unlock(&s);
+        a1.unlock(&s);
     });
     let (a2, b2) = (a.clone(), b.clone());
-    s.spawn("reversed", move |s| {
+    s.spawn_task("reversed", move |s| async move {
         s.advance(Cycles(10));
-        s.block_on(b2.lock(s));
-        s.block_on(a2.lock(s)); // trips: order a -> b already established
-        a2.unlock(s);
-        b2.unlock(s);
+        b2.lock(&s).await;
+        a2.lock(&s).await; // trips: order a -> b already established
+        a2.unlock(&s);
+        b2.unlock(&s);
     });
     match s.run() {
         Err(SimError::ProcPanic(msg)) => {
@@ -56,20 +56,20 @@ fn ab_ba_interleaving_trips_before_the_deadlock() {
     let a = Arc::new(SimMutex::new(&s));
     let b = Arc::new(SimMutex::new(&s));
     let (a1, b1) = (a.clone(), b.clone());
-    s.spawn("p1", move |s| {
-        s.block_on(a1.lock(s));
-        s.yield_now();
-        s.block_on(b1.lock(s));
-        b1.unlock(s);
-        a1.unlock(s);
+    s.spawn_task("p1", move |s| async move {
+        a1.lock(&s).await;
+        s.yield_now().await;
+        b1.lock(&s).await;
+        b1.unlock(&s);
+        a1.unlock(&s);
     });
     let (a2, b2) = (a.clone(), b.clone());
-    s.spawn("p2", move |s| {
-        s.block_on(b2.lock(s));
-        s.yield_now();
-        s.block_on(a2.lock(s));
-        a2.unlock(s);
-        b2.unlock(s);
+    s.spawn_task("p2", move |s| async move {
+        b2.lock(&s).await;
+        s.yield_now().await;
+        a2.lock(&s).await;
+        a2.unlock(&s);
+        b2.unlock(&s);
     });
     match s.run() {
         Err(SimError::ProcPanic(msg)) => {
@@ -86,18 +86,18 @@ fn lock_order_violation_is_loud() {
     let a = Arc::new(SimMutex::new(&s));
     let b = Arc::new(SimMutex::new(&s));
     let (a1, b1) = (a.clone(), b.clone());
-    s.spawn("fwd", move |s| {
-        s.block_on(a1.lock(s));
-        s.block_on(b1.lock(s));
-        b1.unlock(s);
-        a1.unlock(s);
+    s.spawn_task("fwd", move |s| async move {
+        a1.lock(&s).await;
+        b1.lock(&s).await;
+        b1.unlock(&s);
+        a1.unlock(&s);
     });
-    s.spawn("rev", move |s| {
+    s.spawn_task("rev", move |s| async move {
         s.advance(Cycles(1));
-        s.block_on(b.lock(s));
-        s.block_on(a.lock(s));
-        a.unlock(s);
-        b.unlock(s);
+        b.lock(&s).await;
+        a.lock(&s).await;
+        a.unlock(&s);
+        b.unlock(&s);
     });
     if let Err(e) = s.run() {
         panic!("{e}");
@@ -113,14 +113,14 @@ fn consistent_lock_order_is_fine() {
     let b = Arc::new(SimMutex::new(&s));
     for i in 0..4 {
         let (a, b) = (a.clone(), b.clone());
-        s.spawn(format!("p{i}"), move |s| {
+        s.spawn_task(format!("p{i}"), move |s| async move {
             for _ in 0..3 {
-                s.block_on(a.lock(s));
-                s.block_on(b.lock(s));
-                s.sleep(Cycles(100));
-                b.unlock(s);
-                a.unlock(s);
-                s.yield_now();
+                a.lock(&s).await;
+                b.lock(&s).await;
+                s.sleep(Cycles(100)).await;
+                b.unlock(&s);
+                a.unlock(&s);
+                s.yield_now().await;
             }
         });
     }
@@ -134,14 +134,14 @@ fn lost_wakeup_is_diagnosed_at_deadlock() {
     // report must point at the into-the-void signal.
     let s = sim();
     let q = s.new_queue();
-    s.spawn("waker", move |s| {
+    s.spawn_task("waker", move |s| async move {
         s.advance(Cycles(5));
         let woke = s.wakeup_one(q); // nobody is waiting yet
         assert!(!woke);
     });
-    s.spawn("waiter", move |s| {
+    s.spawn_task("waiter", move |s| async move {
         s.advance(Cycles(50));
-        s.wait_on(q, "condition"); // too late: the signal is gone
+        s.wait_on(q, "condition").await; // too late: the signal is gone
     });
     match s.run() {
         Err(SimError::Deadlock(msg)) => {
@@ -160,15 +160,15 @@ fn delivered_signal_clears_the_lost_wakeup_record() {
     let s = sim();
     let q = s.new_queue();
     let dead = s.new_queue();
-    s.spawn("waker", move |s| {
+    s.spawn_task("waker", move |s| async move {
         s.wakeup_one(q); // empty signal at t=0
-        s.sleep(Cycles(100));
+        s.sleep(Cycles(100)).await;
         s.wakeup_one(q); // delivered: the waiter is blocked by now
     });
-    s.spawn("waiter", move |s| {
+    s.spawn_task("waiter", move |s| async move {
         s.advance(Cycles(10));
-        s.wait_on(q, "first wait"); // woken by the delivered signal
-        s.wait_on(dead, "second wait"); // deadlocks, but q is not to blame
+        s.wait_on(q, "first wait").await; // woken by the delivered signal
+        s.wait_on(dead, "second wait").await; // deadlocks, but q is not to blame
     });
     match s.run() {
         Err(SimError::Deadlock(msg)) => {

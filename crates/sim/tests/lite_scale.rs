@@ -48,7 +48,7 @@ impl Client {
     }
 }
 
-/// Runs the 10k crowd plus a threaded server; returns the observables a
+/// Runs the 10k crowd plus a server task; returns the observables a
 /// byte-identity check needs: final time, engine dispatches, lite
 /// polls, and the full per-pid CPU accounting.
 fn run_crowd(n: u32, seed: u64) -> (Cycles, u64, u64, Vec<(u32, u64)>) {
@@ -63,13 +63,13 @@ fn run_crowd(n: u32, seed: u64) -> (Cycles, u64, u64, Vec<(u32, u64)>) {
     let ch = Arc::new(SimChannel::new(&sim, 64));
     let done = sim.new_queue();
 
-    // A threaded server drains requests until every client is finished:
+    // A server task drains requests until every client is finished:
     // each id%32==0 member sends one request per round.
     let requests = (0..n).filter(|id| id % 32 == 0).count() * 3;
     let rx = ch.clone();
-    sim.spawn("server", move |s| {
+    sim.spawn_task("server", move |s| async move {
         for _ in 0..requests {
-            let _req = s.block_on(rx.recv(s));
+            let _req = rx.recv(&s).await;
             s.advance(Cycles(200));
             s.wakeup_all(done);
         }

@@ -19,7 +19,7 @@ fn workload(seed: u64, trace_capacity: Option<usize>) -> (Cycles, String, u64) {
         sim.enable_tracing(cap);
     }
     let q = sim.new_queue();
-    sim.spawn("producer", move |s| {
+    sim.spawn_task("producer", move |s| async move {
         for _ in 0..5 {
             {
                 let _sp = s.span(Class::ProtoCpu);
@@ -30,14 +30,14 @@ fn workload(seed: u64, trace_capacity: Option<usize>) -> (Cycles, String, u64) {
                 s.charge(Cycles(250));
             }
             s.count(Counter::TcpSegments, 1);
-            s.sleep(Cycles(500));
+            s.sleep(Cycles(500)).await;
             s.wakeup_one(q);
         }
     });
-    sim.spawn("consumer", move |s| {
+    sim.spawn_task("consumer", move |s| async move {
         for _ in 0..5 {
             let _w = s.span(Class::NetRecvWait);
-            s.wait_on_timeout(q, Cycles(50_000), "data");
+            s.wait_on_timeout(q, Cycles(50_000), "data").await;
         }
     });
     let end = sim.run().unwrap();
@@ -85,7 +85,7 @@ fn ring_overflow_is_counted_never_silent() {
         },
     );
     sim.enable_tracing(2);
-    sim.spawn("p", |s| {
+    sim.spawn_task("p", |s| async move {
         for _ in 0..50 {
             let _sp = s.span(Class::FsCpu);
             s.charge(Cycles(10));
@@ -115,14 +115,14 @@ fn attribution_covers_the_whole_clock() {
     );
     sim.enable_tracing(1 << 16);
     let q = sim.new_queue();
-    sim.spawn("worker", move |s| {
+    sim.spawn_task("worker", move |s| async move {
         {
             let _sp = s.span(Class::ProtoCpu);
             s.charge(Cycles(1_234));
         }
-        s.sleep(Cycles(5_000)); // Clock jumps while nobody is runnable.
+        s.sleep(Cycles(5_000)).await; // Clock jumps while nobody is runnable.
         let _w = s.span(Class::PipeWait);
-        s.wait_on_timeout(q, Cycles(2_000), "never-woken");
+        s.wait_on_timeout(q, Cycles(2_000), "never-woken").await;
     });
     let end = sim.run().unwrap();
     let profile = sim.tracer().profile();

@@ -48,19 +48,19 @@ fn run_ensemble(scripts: &[Vec<Step>], seed: u64) -> (Cycles, Vec<Cycles>, usize
     for (i, script) in scripts.iter().enumerate() {
         let script = script.clone();
         let trace = trace.clone();
-        tids.push(sim.spawn(format!("p{i}"), move |s| {
+        tids.push(sim.spawn_task(format!("p{i}"), move |s| async move {
             let mut last = s.now();
             for step in &script {
                 match step {
                     Step::Compute(c) => s.advance(Cycles(*c as u64)),
-                    Step::Sleep(c) => s.sleep(Cycles(*c as u64)),
-                    Step::Yield => s.yield_now(),
+                    Step::Sleep(c) => s.sleep(Cycles(*c as u64)).await,
+                    Step::Yield => s.yield_now().await,
                     Step::Signal => {
                         s.wakeup_all(q);
                     }
                     Step::TimedWait(c) => {
                         // Bounded, so nothing can deadlock.
-                        let _ = s.wait_on_timeout(q, Cycles(*c as u64), "prop wait");
+                        let _ = s.wait_on_timeout(q, Cycles(*c as u64), "prop wait").await;
                     }
                 }
                 let now = s.now();
