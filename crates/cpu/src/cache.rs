@@ -125,6 +125,10 @@ pub struct Cache {
     line_shift: u32,
     clock: u64,
     stats: CacheStats,
+    /// Whether any line was filled since the cache was built or last
+    /// flushed. Only a fill makes a line valid, so while this is false
+    /// every line is still blank and a flush has nothing to do.
+    filled: bool,
 }
 
 impl Cache {
@@ -156,6 +160,7 @@ impl Cache {
             line_shift: cfg.line.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
+            filled: false,
         }
     }
 
@@ -200,9 +205,11 @@ impl Cache {
 
     /// Invalidates every line (e.g. a fresh run on a cold machine).
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
+        if !self.filled {
+            return;
         }
+        self.lines.fill(Line::default());
+        self.filled = false;
     }
 
     #[inline]
@@ -310,6 +317,7 @@ impl Cache {
         }
         self.stats.changes += 1;
         self.clock += 1;
+        self.filled = true;
         *victim = Line {
             tag,
             valid: true,
@@ -532,6 +540,43 @@ mod tests {
         c.flush();
         assert_eq!(c.valid_lines(), 0);
         assert!(!c.probe(0));
+    }
+
+    #[test]
+    fn a_used_then_flushed_cache_behaves_like_a_fresh_one() {
+        // The flush of a cache nothing was filled into skips its lines;
+        // a flush after fills must still leave a cache that no access
+        // stream can tell from a freshly built one.
+        let stream = |c: &mut Cache| -> Vec<Access> {
+            (0..64u64)
+                .map(|i| {
+                    let addr = (i * 0x2c) % 0x400;
+                    if i % 3 == 0 {
+                        c.write(addr)
+                    } else {
+                        c.read(addr)
+                    }
+                })
+                .collect()
+        };
+        let state = |c: &Cache| {
+            let mut out = Vec::new();
+            c.encode_state_rel(&mut out, 0);
+            out
+        };
+        let mut used = Cache::new(CacheConfig {
+            write_allocate: true,
+            ..tiny().config()
+        });
+        let mut fresh = Cache::new(used.config());
+        used.flush(); // nothing filled yet
+        let _ = stream(&mut used);
+        used.flush();
+        let before = used.stats();
+        assert_eq!(used.valid_lines(), 0);
+        assert_eq!(stream(&mut used), stream(&mut fresh));
+        assert_eq!(used.stats().since(&before), fresh.stats());
+        assert_eq!(state(&used), state(&fresh));
     }
 
     #[test]

@@ -32,9 +32,10 @@
 
 use std::cell::Cell;
 use std::cmp::Reverse;
-// BTreeMap (not a hashed map) everywhere: engine state leaks into
-// outputs — the deadlock diagnostic iterates `procs` — and iteration
-// order must not depend on the hasher.
+// No hashed container: engine state leaks into outputs — the deadlock
+// diagnostic walks `procs` and `queues` — so iteration order must not
+// depend on a hasher. The per-process and per-queue tables are vectors
+// indexed by id, so index order is id order.
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
@@ -246,6 +247,11 @@ struct Proc {
     timed_out: bool,
     /// The queue whose wakeup released the last block, for `wait_on_any`.
     woken_by: Option<u64>,
+    /// SimMutex queue ids currently held, in acquisition order (the
+    /// lock-order audit).
+    held_locks: Vec<u64>,
+    /// Set while this process is a lite scheduler (see `crate::lite`).
+    lite: Option<LiteSched>,
 }
 
 /// What a timer does when it fires (all are wakeups of some kind).
@@ -261,7 +267,9 @@ enum TimerAction {
 }
 
 /// Engine-side registration of one lite scheduler (see `tnt_sim::proc`):
-/// the task that multiplexes a crowd of lite processes.
+/// the task that multiplexes a crowd of lite processes. A wakeup token
+/// names one queue entry of a lite process as `lid | idx << 32`, where
+/// `idx` (0 or 1) is the queue's index in the process's wait set.
 struct LiteSched {
     /// The wait queue the scheduler waits on when no lite process is
     /// runnable; delivered wakeup tokens ring it.
@@ -269,8 +277,28 @@ struct LiteSched {
     /// Wakeup tokens delivered since the scheduler last drained them.
     mailbox: Vec<u64>,
     /// Tokens currently parked on engine queues, with their block
-    /// reasons (surfaced by deadlock diagnostics).
-    waiting: BTreeMap<u64, &'static str>,
+    /// reasons (surfaced by deadlock diagnostics), indexed by lid and
+    /// then by `idx`. Lids are dense indices into the scheduler's slots.
+    waiting: Vec<[Option<&'static str>; 2]>,
+}
+
+impl LiteSched {
+    /// The `waiting` cell of `token`, if its lid has one yet.
+    fn cell(&mut self, token: u64) -> Option<&mut Option<&'static str>> {
+        let lid = (token & 0xffff_ffff) as usize;
+        let idx = (token >> 32) as usize;
+        Some(&mut self.waiting.get_mut(lid)?[idx])
+    }
+}
+
+/// One engine wait queue.
+#[derive(Default)]
+struct WaitQueue {
+    waiters: VecDeque<Waiter>,
+    /// When the queue's most recent signal found no waiter, the
+    /// simulated time of that signal; a later signal that wakes someone
+    /// clears it. Read only by the lost-wakeup diagnosis.
+    empty_signal: Option<Cycles>,
 }
 
 struct State {
@@ -278,16 +306,20 @@ struct State {
     timer_seq: u64,
     /// Pending timers, earliest `(at, seq)` on top.
     timers: BinaryHeap<Reverse<(Cycles, u64, TimerAction)>>,
-    procs: BTreeMap<Tid, Proc>,
+    /// Every process, indexed by tid. Tids are handed out 1, 2, 3, …
+    /// and never reused, and the next one is `procs.len()`. Slot 0 (the
+    /// host) stays empty, and so does the slot of each lite pid, since
+    /// lite pids share the tid namespace. Boxed, so a crowd's empty
+    /// slots cost a pointer each and the table stays small enough that
+    /// growing it does not churn the host allocator's large blocks.
+    procs: Vec<Option<Box<Proc>>>,
     policy: Box<dyn RunPolicy>,
     current: Option<Tid>,
     live: usize,
-    queues: BTreeMap<u64, VecDeque<Waiter>>,
-    /// Registered lite schedulers, keyed by their engine tid.
-    lite: BTreeMap<Tid, LiteSched>,
+    /// Every wait queue, indexed by id. Ids are handed out 1, 2, 3, …
+    /// and never freed; slot 0 is never handed out.
+    queues: Vec<WaitQueue>,
     rng: StdRng,
-    next_tid: u32,
-    next_wait: u64,
     dispatches: u64,
     finished: bool,
     error: Option<SimError>,
@@ -301,19 +333,13 @@ struct State {
     mutants: u8,
 }
 
-/// State of the dynamic invariant checkers.
+/// The SimMutex lock-order graph. Each process's held locks live on its
+/// `Proc`, and each queue's into-the-void signal on its `WaitQueue`.
 #[derive(Default)]
 struct AuditState {
-    /// SimMutex queue ids currently held, per process, in acquisition
-    /// order.
-    held_locks: BTreeMap<Tid, Vec<u64>>,
     /// Lock-order edges `a -> b` ("b was acquired while a was held"),
     /// with the name of the process that first established each edge.
     lock_edges: BTreeMap<u64, BTreeMap<u64, String>>,
-    /// Wait queues whose *most recent* signal found zero waiters, and
-    /// the simulated time of that signal. Cleared when a later signal
-    /// on the queue wakes someone.
-    empty_signals: BTreeMap<u64, Cycles>,
 }
 
 impl AuditState {
@@ -356,6 +382,35 @@ impl AuditState {
             }
         }
         vec![from, to]
+    }
+}
+
+impl State {
+    /// Process `tid`, if one was spawned with it.
+    fn proc(&self, tid: Tid) -> Option<&Proc> {
+        self.procs.get(tid.0 as usize)?.as_deref()
+    }
+
+    fn proc_mut(&mut self, tid: Tid) -> Option<&mut Proc> {
+        self.procs.get_mut(tid.0 as usize)?.as_deref_mut()
+    }
+
+    /// Every process, in tid order.
+    fn procs(&self) -> impl Iterator<Item = (Tid, &Proc)> {
+        self.procs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| Some((Tid(i as u32), p.as_deref()?)))
+    }
+
+    /// Queue `q`, if `new_queue` handed it out.
+    fn queue_mut(&mut self, q: u64) -> Option<&mut WaitQueue> {
+        self.queues.get_mut(q as usize).filter(|_| q != 0)
+    }
+
+    /// The lite scheduler registered as process `tid`.
+    fn lite_mut(&mut self, tid: Tid) -> Option<&mut LiteSched> {
+        self.proc_mut(tid)?.lite.as_mut()
     }
 }
 
@@ -522,15 +577,12 @@ impl Sim {
             now: Cycles::ZERO,
             timer_seq: 0,
             timers: BinaryHeap::new(),
-            procs: BTreeMap::new(),
+            procs: vec![None],
             policy,
             current: None,
             live: 0,
-            queues: BTreeMap::new(),
-            lite: BTreeMap::new(),
+            queues: vec![WaitQueue::default()],
             rng,
-            next_tid: 1,
-            next_wait: 1,
             dispatches: 0,
             finished: false,
             error: None,
@@ -721,8 +773,7 @@ impl Sim {
     fn admit(&self, name: String, tag: u32, body: Body) -> Tid {
         let mut st = self.lock_state();
         assert!(!st.finished, "spawn after simulation finished");
-        let tid = Tid(st.next_tid);
-        st.next_tid += 1;
+        let tid = Tid(st.procs.len() as u32);
         if self.inner.tracer.is_enabled() {
             self.inner.tracer.record(Event {
                 t: st.now.0,
@@ -730,19 +781,18 @@ impl Sim {
                 kind: EventKind::Spawn(name.clone()),
             });
         }
-        st.procs.insert(
-            tid,
-            Proc {
-                name,
-                body,
-                status: Status::Runnable,
-                tag,
-                cpu: Cycles::ZERO,
-                block_gen: 0,
-                timed_out: false,
-                woken_by: None,
-            },
-        );
+        st.procs.push(Some(Box::new(Proc {
+            name,
+            body,
+            status: Status::Runnable,
+            tag,
+            cpu: Cycles::ZERO,
+            block_gen: 0,
+            timed_out: false,
+            woken_by: None,
+            held_locks: Vec::new(),
+            lite: None,
+        })));
         st.live += 1;
         st.policy.enqueue(tid, tag);
         if st.race.is_some() {
@@ -780,7 +830,7 @@ impl Sim {
             // Join edges: everything every proc did happens-before the
             // host's post-run reads (`proc_cpu`, a follow-up `run`).
             if st.race.is_some() {
-                let tids: Vec<u32> = st.procs.keys().map(|t| t.0).collect();
+                let tids: Vec<u32> = st.procs().map(|(t, _)| t.0).collect();
                 if let Some(d) = st.race.as_mut() {
                     for t in tids {
                         d.task_join(t, 0);
@@ -821,7 +871,7 @@ impl Sim {
         let tid = current_tid();
         {
             let mut st = self.lock_state();
-            let proc = st.procs.get_mut(&tid).expect("current proc missing");
+            let proc = st.proc_mut(tid).expect("current proc missing");
             proc.status = Status::Exited;
             st.live -= 1;
             st.current = None;
@@ -922,7 +972,7 @@ impl Sim {
         // Attribute the CPU burn to the running process, if any (host
         // code may also advance the clock during setup).
         if let Some(cur) = st.current {
-            if let Some(proc) = st.procs.get_mut(&cur) {
+            if let Some(proc) = st.proc_mut(cur) {
                 proc.cpu += c;
             }
         }
@@ -1010,7 +1060,7 @@ impl Sim {
         {
             let tid = current_tid();
             let mut st = self.lock_state();
-            let proc = st.procs.get_mut(&tid).expect("current proc missing");
+            let proc = st.proc_mut(tid).expect("current proc missing");
             begin_block(proc, Status::Runnable);
             let tag = proc.tag;
             st.policy.enqueue(tid, tag);
@@ -1021,42 +1071,49 @@ impl Sim {
 
     /// Blocks the caller until the given simulated instant.
     pub async fn sleep_until(&self, at: Cycles) {
-        {
-            let tid = current_tid();
-            let mut st = self.lock_state();
-            if at <= st.now {
-                return;
-            }
-            let seq = st.timer_seq;
-            st.timer_seq += 1;
-            st.timers.push(Reverse((at, seq, TimerAction::Proc(tid))));
-            begin_block(
-                st.procs.get_mut(&tid).expect("current proc missing"),
-                Status::Blocked("sleep"),
-            );
-            self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "sleep.arm");
-            if let Some(d) = st.race.as_deref_mut() {
-                d.release(race_task(), SyncId::Timer(seq));
-            }
+        if self.arm_sleep(|_| at) {
+            Park::new("Sim::sleep_until").await
         }
-        Park::new("Sim::sleep_until").await
     }
 
     /// Blocks the caller for the given simulated duration. Unlike
     /// [`Sim::advance`] this does not consume CPU: it models waiting for a
     /// device, not computing.
     pub async fn sleep(&self, dur: Cycles) {
-        let deadline = self.now() + dur;
-        self.sleep_until(deadline).await
+        if self.arm_sleep(|now| now + dur) {
+            Park::new("Sim::sleep").await
+        }
+    }
+
+    /// Arms the caller's wakeup at `deadline(now)`, computed under the
+    /// same lock that arms it, and blocks the caller. Returns `false`,
+    /// blocking nothing, when that instant is not in the future.
+    fn arm_sleep(&self, deadline: impl FnOnce(Cycles) -> Cycles) -> bool {
+        let tid = current_tid();
+        let mut st = self.lock_state();
+        let at = deadline(st.now);
+        if at <= st.now {
+            return false;
+        }
+        let seq = st.timer_seq;
+        st.timer_seq += 1;
+        st.timers.push(Reverse((at, seq, TimerAction::Proc(tid))));
+        begin_block(
+            st.proc_mut(tid).expect("current proc missing"),
+            Status::Blocked("sleep"),
+        );
+        self.race_protected(&mut st, Loc::TimerHeap, AccessKind::Write, "sleep.arm");
+        if let Some(d) = st.race.as_deref_mut() {
+            d.release(race_task(), SyncId::Timer(seq));
+        }
+        true
     }
 
     /// Allocates a new wait queue.
     pub fn new_queue(&self) -> WaitId {
         let mut st = self.lock_state();
-        let id = st.next_wait;
-        st.next_wait += 1;
-        st.queues.insert(id, VecDeque::new());
-        WaitId(id)
+        st.queues.push(WaitQueue::default());
+        WaitId(st.queues.len() as u64 - 1)
     }
 
     /// Blocks the caller on a wait queue until another process wakes it.
@@ -1068,12 +1125,12 @@ impl Sim {
         {
             let tid = current_tid();
             let mut st = self.lock_state();
-            st.queues
-                .get_mut(&q.0)
+            st.queue_mut(q.0)
                 .expect("wait queue does not exist")
+                .waiters
                 .push_back(Waiter::Proc(tid));
             begin_block(
-                st.procs.get_mut(&tid).expect("current proc missing"),
+                st.proc_mut(tid).expect("current proc missing"),
                 Status::Blocked(reason),
             );
             self.race_protected(
@@ -1093,12 +1150,12 @@ impl Sim {
         let tid = current_tid();
         {
             let mut st = self.lock_state();
-            st.queues
-                .get_mut(&q.0)
+            st.queue_mut(q.0)
                 .expect("wait queue does not exist")
+                .waiters
                 .push_back(Waiter::Proc(tid));
             let gen = begin_block(
-                st.procs.get_mut(&tid).expect("current proc missing"),
+                st.proc_mut(tid).expect("current proc missing"),
                 Status::Blocked(reason),
             );
             let at = st.now + timeout;
@@ -1126,7 +1183,7 @@ impl Sim {
         // Back awake: the timer handler flags timeouts (and has already
         // removed us from the queue); a real wakeup popped us normally.
         let mut st = self.lock_state();
-        let proc = st.procs.get_mut(&tid).expect("current proc missing");
+        let proc = st.proc_mut(tid).expect("current proc missing");
         let timed_out = std::mem::take(&mut proc.timed_out);
         !timed_out
     }
@@ -1146,13 +1203,13 @@ impl Sim {
         {
             let mut st = self.lock_state();
             for q in qs {
-                st.queues
-                    .get_mut(&q.0)
+                st.queue_mut(q.0)
                     .expect("wait queue does not exist")
+                    .waiters
                     .push_back(Waiter::Proc(tid));
             }
             let gen = begin_block(
-                st.procs.get_mut(&tid).expect("current proc missing"),
+                st.proc_mut(tid).expect("current proc missing"),
                 Status::Blocked(reason),
             );
             if let Some(t) = timeout {
@@ -1182,15 +1239,15 @@ impl Sim {
         // clean our leftover entries off every queue.
         let mut st = self.lock_state();
         let (timed_out, woken_q) = {
-            let proc = st.procs.get_mut(&tid).expect("current proc missing");
+            let proc = st.proc_mut(tid).expect("current proc missing");
             (
                 std::mem::take(&mut proc.timed_out),
                 std::mem::take(&mut proc.woken_by),
             )
         };
         for q in qs {
-            if let Some(queue) = st.queues.get_mut(&q.0) {
-                queue.retain(|w| *w != Waiter::Proc(tid));
+            if let Some(queue) = st.queue_mut(q.0) {
+                queue.waiters.retain(|w| *w != Waiter::Proc(tid));
             }
             self.race_protected(
                 &mut st,
@@ -1212,8 +1269,7 @@ impl Sim {
         let mut st = self.lock_state();
         let woke = self.wake_from_queue_locked(&mut st, q.0, WakeCause::Signal);
         if !woke {
-            let now = st.now;
-            st.audit.empty_signals.insert(q.0, now);
+            note_empty_signal(&mut st, q.0);
         }
         woke
     }
@@ -1226,8 +1282,7 @@ impl Sim {
             n += 1;
         }
         if n == 0 {
-            let now = st.now;
-            st.audit.empty_signals.insert(q.0, now);
+            note_empty_signal(&mut st, q.0);
         }
         n
     }
@@ -1247,7 +1302,9 @@ impl Sim {
 
     /// Number of processes currently blocked on the queue.
     pub fn waiters(&self, q: WaitId) -> usize {
-        self.lock_state().queues.get(&q.0).map_or(0, |d| d.len())
+        self.lock_state()
+            .queue_mut(q.0)
+            .map_or(0, |queue| queue.waiters.len())
     }
 
     /// The tid of the calling simulated process.
@@ -1262,10 +1319,7 @@ impl Sim {
     /// Total CPU cycles charged while `tid` held the baton (its rusage).
     /// Returns zero for unknown tids.
     pub fn proc_cpu(&self, tid: Tid) -> Cycles {
-        self.lock_state()
-            .procs
-            .get(&tid)
-            .map_or(Cycles::ZERO, |p| p.cpu)
+        self.lock_state().proc(tid).map_or(Cycles::ZERO, |p| p.cpu)
     }
 
     /// Number of dispatches (context switches) the engine has performed —
@@ -1286,21 +1340,21 @@ impl Sim {
     pub(crate) fn register_lite_sched(&self, doorbell: WaitId) {
         let tid = current_tid();
         let mut st = self.lock_state();
-        let prev = st.lite.insert(
-            tid,
-            LiteSched {
-                doorbell: doorbell.0,
-                mailbox: Vec::new(),
-                waiting: BTreeMap::new(),
-            },
-        );
+        let proc = st.proc_mut(tid).expect("current proc missing");
+        let prev = proc.lite.replace(LiteSched {
+            doorbell: doorbell.0,
+            mailbox: Vec::new(),
+            waiting: Vec::new(),
+        });
         assert!(prev.is_none(), "process is already a lite scheduler");
     }
 
     /// Unregisters the calling lite scheduler (its drive loop returned).
     pub(crate) fn unregister_lite_sched(&self) {
         let tid = current_tid();
-        self.lock_state().lite.remove(&tid);
+        if let Some(proc) = self.lock_state().proc_mut(tid) {
+            proc.lite = None;
+        }
     }
 
     /// Parks lite-process `token` of the calling scheduler on engine wait
@@ -1311,14 +1365,17 @@ impl Sim {
         let tid = current_tid();
         let mut st = self.lock_state();
         let ls = st
-            .lite
-            .get_mut(&tid)
+            .lite_mut(tid)
             .expect("lite_wait_enqueue from a non-scheduler process");
-        let prev = ls.waiting.insert(token, reason);
+        let lid = (token & 0xffff_ffff) as usize;
+        if lid >= ls.waiting.len() {
+            ls.waiting.resize(lid + 1, [None; 2]);
+        }
+        let prev = ls.cell(token).and_then(|cell| cell.replace(reason));
         assert!(prev.is_none(), "lite process is already parked on a queue");
-        st.queues
-            .get_mut(&q)
+        st.queue_mut(q)
             .expect("wait queue does not exist")
+            .waiters
             .push_back(Waiter::Lite { sched: tid, token });
     }
 
@@ -1332,28 +1389,34 @@ impl Sim {
     pub(crate) fn lite_wait_cancel(&self, token: u64) -> bool {
         let tid = current_tid();
         let mut st = self.lock_state();
-        st.lite
-            .get_mut(&tid)
-            .is_some_and(|ls| ls.waiting.remove(&token).is_some())
+        st.lite_mut(tid)
+            .and_then(|ls| ls.cell(token))
+            .is_some_and(|cell| cell.take().is_some())
     }
 
-    /// Drains the calling scheduler's mailbox: tokens whose wakeups have
-    /// been delivered since the last drain, in delivery order.
-    pub(crate) fn lite_take_mailbox(&self) -> Vec<u64> {
+    /// Drains the calling scheduler's mailbox into `tokens` (which it
+    /// clears first): the tokens whose wakeups have been delivered since
+    /// the last drain, in delivery order. Returns the clock, read under
+    /// the same lock. The two buffers swap, so neither allocates once
+    /// both have grown to the crowd's wakeup rate.
+    pub(crate) fn lite_take_mailbox(&self, tokens: &mut Vec<u64>) -> Cycles {
         let tid = current_tid();
         let mut st = self.lock_state();
-        st.lite
-            .get_mut(&tid)
-            .map_or_else(Vec::new, |ls| std::mem::take(&mut ls.mailbox))
+        tokens.clear();
+        if let Some(ls) = st.lite_mut(tid) {
+            std::mem::swap(&mut ls.mailbox, tokens);
+        }
+        st.now
     }
 
     /// Allocates a fresh pid for a lite process and emits its Spawn
     /// event. Lite pids share the engine's tid namespace so traces stay
-    /// unambiguous, but no `Proc` entry (and no host thread) backs them.
+    /// unambiguous, but no `Proc` entry (and no host thread) backs them:
+    /// their slots in the process table stay empty.
     pub(crate) fn alloc_lite_pid(&self, name: &str) -> u32 {
         let mut st = self.lock_state();
-        let pid = st.next_tid;
-        st.next_tid += 1;
+        let pid = st.procs.len() as u32;
+        st.procs.push(None);
         if self.inner.tracer.is_enabled() {
             self.inner.tracer.record(Event {
                 t: st.now.0,
@@ -1385,21 +1448,23 @@ impl Sim {
             return;
         };
         let mut st = self.lock_state();
-        let name = st.procs[&tid].name.clone();
-        let held = st.audit.held_locks.get(&tid).cloned().unwrap_or_default();
-        for h in held {
+        let State { procs, audit, .. } = &mut *st;
+        let proc = procs[tid.0 as usize]
+            .as_ref()
+            .expect("current proc missing");
+        for &h in &proc.held_locks {
             let known = h == q.0
-                || st
-                    .audit
+                || audit
                     .lock_edges
                     .get(&h)
                     .is_some_and(|m| m.contains_key(&q.0));
             if known {
                 continue;
             }
-            if st.audit.reaches(q.0, h) {
-                let path = st.audit.path(q.0, h);
+            if audit.reaches(q.0, h) {
+                let path = audit.path(q.0, h);
                 let chain: Vec<String> = path.iter().map(|id| format!("mutex#{id}")).collect();
+                let name = proc.name.clone();
                 drop(st);
                 panic!(
                     "audit: lock-order violation: process {name} acquires mutex#{} \
@@ -1409,11 +1474,11 @@ impl Sim {
                     chain.join(" -> "),
                 );
             }
-            st.audit
+            audit
                 .lock_edges
                 .entry(h)
                 .or_default()
-                .insert(q.0, name.clone());
+                .insert(q.0, proc.name.clone());
         }
     }
 
@@ -1424,7 +1489,9 @@ impl Sim {
             return;
         };
         let mut st = self.lock_state();
-        st.audit.held_locks.entry(tid).or_default().push(q.0);
+        if let Some(proc) = st.proc_mut(tid) {
+            proc.held_locks.push(q.0);
+        }
         if let Some(d) = st.race.as_deref_mut() {
             d.acquire(tid.0, SyncId::Lock(q.0));
         }
@@ -1437,9 +1504,9 @@ impl Sim {
             return;
         };
         let mut st = self.lock_state();
-        if let Some(held) = st.audit.held_locks.get_mut(&tid) {
-            if let Some(pos) = held.iter().rposition(|id| *id == q.0) {
-                held.remove(pos);
+        if let Some(proc) = st.proc_mut(tid) {
+            if let Some(pos) = proc.held_locks.iter().rposition(|id| *id == q.0) {
+                proc.held_locks.remove(pos);
             }
         }
         if let Some(d) = st.race.as_deref_mut() {
@@ -1462,9 +1529,8 @@ impl Sim {
         let mut st = self.lock_state();
         if st.race.is_none() {
             let mut d = Box::new(Detector::new());
-            let tids: Vec<u32> = st.procs.keys().map(|t| t.0).collect();
-            for t in tids {
-                d.task_start(t, 0);
+            for (tid, _) in st.procs() {
+                d.task_start(tid.0, 0);
             }
             st.race = Some(d);
         }
@@ -1599,7 +1665,7 @@ impl Sim {
         );
         let tid = current_tid();
         let mut st = self.lock_state();
-        let proc = &st.procs[&tid];
+        let proc = st.proc(tid).expect("current proc missing");
         assert!(
             proc.status != Status::Running,
             "process {} {PENDING_WITHOUT_BLOCKING}",
@@ -1630,7 +1696,7 @@ impl Sim {
             let Some(tid) = self.pick_locked(&mut st) else {
                 break false;
             };
-            match &mut st.procs.get_mut(&tid).expect("picked proc missing").body {
+            match &mut st.proc_mut(tid).expect("picked proc missing").body {
                 Body::Thread(_) if me == Some(tid) => break true,
                 Body::Thread(parker) => {
                     self.inner.tracer.count(Counter::HostHandoffs, 1);
@@ -1666,9 +1732,10 @@ impl Sim {
         // Settles the charges the task batched since its last engine call
         // while `current` still names it.
         let mut st = self.lock_state();
+        let proc = st.proc(tid).expect("polled task missing");
         let done = match polled {
-            Ok(Poll::Pending) if st.procs[&tid].status == Status::Running => {
-                let msg = format!("task {} {PENDING_WITHOUT_BLOCKING}", st.procs[&tid].name);
+            Ok(Poll::Pending) if proc.status == Status::Running => {
+                let msg = format!("task {} {PENDING_WITHOUT_BLOCKING}", proc.name);
                 self.fail_locked(&mut st, msg);
                 true
             }
@@ -1692,7 +1759,7 @@ impl Sim {
             drop_task(tid, fut);
             return self.lock_state();
         }
-        if let Body::Task(slot) = &mut st.procs.get_mut(&tid).expect("polled task missing").body {
+        if let Body::Task(slot) = &mut st.proc_mut(tid).expect("polled task missing").body {
             *slot = Some(fut);
         }
         st
@@ -1733,7 +1800,7 @@ impl Sim {
                         kind: EventKind::Dispatch { cy: cost.0 },
                     });
                 }
-                let proc = st.procs.get_mut(&tid).expect("picked proc missing");
+                let proc = st.proc_mut(tid).expect("picked proc missing");
                 debug_assert_eq!(proc.status, Status::Runnable, "picked a non-runnable proc");
                 proc.status = Status::Running;
                 st.current = Some(tid);
@@ -1766,17 +1833,16 @@ impl Sim {
             }
             st.finished = true;
             if st.live > 0 {
-                // `procs` is a BTreeMap, so this diagnostic is stable
-                // across runs (it used to vary with the hasher).
+                // Listed in tid order, so the diagnostic is stable
+                // across runs.
                 let blocked: Vec<String> = st
-                    .procs
-                    .iter()
+                    .procs()
                     .filter_map(|(tid, p)| match p.status {
                         Status::Blocked(r) => Some(format!(
                             "{} ({r}){}{}",
                             p.name,
-                            lite_wait_hint(st, *tid),
-                            lost_wakeup_hint(st, *tid)
+                            lite_wait_hint(p),
+                            lost_wakeup_hint(st, tid)
                         )),
                         _ => None,
                     })
@@ -1811,7 +1877,7 @@ impl Sim {
         self.race_protected(st, Loc::TimerHeap, AccessKind::Write, "timer.pop");
         match action {
             TimerAction::Proc(tid) => {
-                if let Some(proc) = st.procs.get_mut(&tid) {
+                if let Some(proc) = st.proc_mut(tid) {
                     if matches!(proc.status, Status::Blocked(_)) {
                         proc.status = Status::Runnable;
                         let tag = proc.tag;
@@ -1824,15 +1890,15 @@ impl Sim {
                 }
             }
             TimerAction::ProcGen(tid, gen, q) => {
-                let stale = match st.procs.get(&tid) {
+                let stale = match st.proc(tid) {
                     Some(p) => p.block_gen != gen || !matches!(p.status, Status::Blocked(_)),
                     None => true,
                 };
                 if !stale {
-                    if let Some(queue) = st.queues.get_mut(&q) {
-                        queue.retain(|w| *w != Waiter::Proc(tid));
+                    if let Some(queue) = st.queue_mut(q) {
+                        queue.waiters.retain(|w| *w != Waiter::Proc(tid));
                     }
-                    let proc = st.procs.get_mut(&tid).expect("checked above");
+                    let proc = st.proc_mut(tid).expect("checked above");
                     proc.status = Status::Runnable;
                     proc.timed_out = true;
                     let tag = proc.tag;
@@ -1851,7 +1917,7 @@ impl Sim {
             }
             TimerAction::QueueOne(q) => {
                 if !self.wake_from_queue_locked(st, q, WakeCause::Timer(seq)) {
-                    st.audit.empty_signals.insert(q, st.now);
+                    note_empty_signal(st, q);
                 }
             }
         }
@@ -1859,14 +1925,13 @@ impl Sim {
 
     fn wake_from_queue_locked(&self, st: &mut State, q: u64, cause: WakeCause) -> bool {
         loop {
-            let waiter = match st.queues.get_mut(&q).and_then(|d| d.pop_front()) {
-                Some(w) => w,
-                None => return false,
+            let Some(waiter) = st.queue_mut(q).and_then(|queue| queue.waiters.pop_front()) else {
+                return false;
             };
             self.race_protected(st, Loc::WaitQueue(q), AccessKind::Write, "wake.dequeue");
             match waiter {
                 Waiter::Proc(tid) => {
-                    let proc = st.procs.get_mut(&tid).expect("queued proc missing");
+                    let proc = st.proc_mut(tid).expect("queued proc missing");
                     // Skip stale entries: a proc that waited on several
                     // queues (`wait_on_any`) was already woken through
                     // another of them.
@@ -1881,20 +1946,17 @@ impl Sim {
                         d.wake_edge(cause.src(), tid.0);
                     }
                     self.race_protected(st, Loc::RunQueue, AccessKind::Write, "wake.enqueue");
-                    // A delivered signal supersedes any earlier
-                    // into-the-void signal on this queue.
-                    st.audit.empty_signals.remove(&q);
-                    return true;
+                    break;
                 }
                 Waiter::Lite { sched, token } => {
                     // Deliver the token to the scheduler's mailbox. A
                     // scheduler that unregistered, or a token already
                     // cancelled (lite proc woken via another path), is
                     // stale — keep popping.
-                    let Some(ls) = st.lite.get_mut(&sched) else {
+                    let Some(ls) = st.lite_mut(sched) else {
                         continue;
                     };
-                    if ls.waiting.remove(&token).is_none() {
+                    if ls.cell(token).and_then(Option::take).is_none() {
                         continue;
                     }
                     ls.mailbox.push(token);
@@ -1914,11 +1976,16 @@ impl Sim {
                     if !mutant_on(st, MUTANT_DROP_DOORBELL) {
                         self.wake_from_queue_locked(st, doorbell, cause);
                     }
-                    st.audit.empty_signals.remove(&q);
-                    return true;
+                    break;
                 }
             }
         }
+        // A delivered signal supersedes any earlier into-the-void signal
+        // on this queue.
+        if let Some(queue) = st.queue_mut(q) {
+            queue.empty_signal = None;
+        }
+        true
     }
 
     /// A threaded process returned: retire it and pass the baton on.
@@ -1929,7 +1996,7 @@ impl Sim {
     }
 
     fn exit_locked(&self, st: &mut State, tid: Tid) {
-        let proc = st.procs.get_mut(&tid).expect("exiting proc missing");
+        let proc = st.proc_mut(tid).expect("exiting proc missing");
         proc.status = Status::Exited;
         st.live -= 1;
         st.current = None;
@@ -1955,13 +2022,16 @@ impl Sim {
         let live_tasks: Vec<(Tid, TaskFuture)> = {
             let mut st = self.lock_state();
             let mut live_tasks = Vec::new();
-            for (tid, proc) in st.procs.iter_mut() {
+            for (i, proc) in st.procs.iter_mut().enumerate() {
+                let Some(proc) = proc else { continue };
                 match &mut proc.body {
                     Body::Thread(parker) if proc.status != Status::Exited => {
                         parker.unpark(Wake::Kill);
                     }
                     Body::Thread(_) => {}
-                    Body::Task(slot) => live_tasks.extend(slot.take().map(|fut| (*tid, fut))),
+                    Body::Task(slot) => {
+                        live_tasks.extend(slot.take().map(|fut| (Tid(i as u32), fut)));
+                    }
                 }
             }
             live_tasks
@@ -1994,21 +2064,21 @@ fn drop_task(tid: Tid, fut: TaskFuture) {
 /// For a blocked lite scheduler, summarises what its lite processes are
 /// waiting for — a deadlock involving lite procs would otherwise show
 /// only an opaque scheduler parked on its doorbell.
-fn lite_wait_hint(st: &State, tid: Tid) -> String {
-    let Some(ls) = st.lite.get(&tid) else {
+fn lite_wait_hint(proc: &Proc) -> String {
+    let Some(ls) = &proc.lite else {
         return String::new();
     };
-    if ls.waiting.is_empty() {
-        return String::new();
-    }
     let mut by_reason: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for reason in ls.waiting.values() {
+    for reason in ls.waiting.iter().flatten().flatten() {
         *by_reason.entry(reason).or_insert(0) += 1;
+    }
+    if by_reason.is_empty() {
+        return String::new();
     }
     let parts: Vec<String> = by_reason.iter().map(|(r, n)| format!("{r} x{n}")).collect();
     format!(
         " [{} lite proc(s) waiting: {}]",
-        ls.waiting.len(),
+        by_reason.values().sum::<usize>(),
         parts.join(", ")
     )
 }
@@ -2018,9 +2088,9 @@ fn lite_wait_hint(st: &State, tid: Tid) -> String {
 /// classic signal-before-wait race, surfaced at deadlock time.
 fn lost_wakeup_hint(st: &State, tid: Tid) -> String {
     let mut hints = Vec::new();
-    for (q, waiters) in &st.queues {
-        if waiters.iter().any(|w| *w == Waiter::Proc(tid)) {
-            if let Some(at) = st.audit.empty_signals.get(q) {
+    for (q, queue) in st.queues.iter().enumerate() {
+        if queue.waiters.iter().any(|w| *w == Waiter::Proc(tid)) {
+            if let Some(at) = queue.empty_signal {
                 hints.push(format!(
                     " [possible lost wakeup: queue {q} was last signalled at t={} with no \
                      waiters]",
@@ -2030,6 +2100,15 @@ fn lost_wakeup_hint(st: &State, tid: Tid) -> String {
         }
     }
     hints.concat()
+}
+
+/// Records that a signal on queue `q` found no waiter (the lost-wakeup
+/// diagnosis).
+fn note_empty_signal(st: &mut State, q: u64) {
+    let now = st.now;
+    if let Some(queue) = st.queue_mut(q) {
+        queue.empty_signal = Some(now);
+    }
 }
 
 fn current_tid() -> Tid {
@@ -2666,6 +2745,67 @@ mod tests {
             SimError::Deadlock(msg) => {
                 assert!(msg.contains("stuck task (never signalled)"), "{msg}")
             }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deadlock_lists_blocked_processes_in_tid_order_across_a_lite_crowd() {
+        // Lite pids share the tid namespace but own no process: the
+        // crowd's 1,000 pids sit between the first task and the
+        // scheduler, and the diagnostic still lists the processes in
+        // tid order, the scheduler with its crowd summary.
+        use crate::lite::{block_on, LiteScheduler, ProcCtx};
+        let sim = fifo_sim(0);
+        let q = sim.new_queue();
+        let first = sim.spawn_task("first", move |s| async move {
+            s.wait_on(q, "before the crowd").await
+        });
+        let mut sched = LiteScheduler::new(&sim);
+        for i in 0..1_000 {
+            sched.spawn(
+                &format!("lite{i}"),
+                Box::new(move |_: &mut ProcCtx| block_on(q, "in the crowd")),
+            );
+        }
+        sched.start("crowd");
+        let last = sim.spawn_task("last", move |s| async move {
+            s.wait_on(q, "after the crowd").await
+        });
+        assert_eq!((first, last), (Tid(1), Tid(1_003)));
+        match sim.run().unwrap_err() {
+            SimError::Deadlock(msg) => assert_eq!(
+                msg,
+                "3 live processes, none runnable: [first (before the crowd), crowd (lite \
+                 procs waiting) [1000 lite proc(s) waiting: in the crowd x1000], last (after \
+                 the crowd)]"
+            ),
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lost_wakeup_hints_name_queues_in_id_order() {
+        // Both queues were signalled while empty, the later queue first;
+        // the hints still come out in queue-id order.
+        let sim = fifo_sim(0);
+        let (qa, qb) = (sim.new_queue(), sim.new_queue());
+        sim.spawn_task("signaller", move |s| async move {
+            s.advance(Cycles(10));
+            s.wakeup_one(qb);
+            s.advance(Cycles(10));
+            s.wakeup_all(qa);
+        });
+        sim.spawn_task("selector", move |s| async move {
+            s.wait_on_any(&[qb, qa], None, "either queue").await;
+        });
+        match sim.run().unwrap_err() {
+            SimError::Deadlock(msg) => assert_eq!(
+                msg,
+                "1 live processes, none runnable: [selector (either queue) [possible lost \
+                 wakeup: queue 1 was last signalled at t=20 with no waiters] [possible lost \
+                 wakeup: queue 2 was last signalled at t=10 with no waiters]]"
+            ),
             other => panic!("expected deadlock, got {other:?}"),
         }
     }

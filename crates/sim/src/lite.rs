@@ -17,7 +17,6 @@
 //! sleep heap breaks ties by arming order, and mailbox tokens are
 //! delivered in wakeup order, so two same-seed runs are byte-identical.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -195,11 +194,15 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
         wake: Wake::None,
         spawns: Vec::new(),
     };
-    // Engine tokens armed by each live `Any` wait, keyed by lid. An Any
-    // token encodes the queue index in its high half so the mailbox can
-    // report *which* queue fired; when one path wins, the sibling tokens
-    // are cancelled here before the process can block again.
-    let mut any_parked: BTreeMap<u32, [Option<u64>; 2]> = BTreeMap::new();
+    // Engine tokens armed by each live `Any` wait, indexed by lid (lids
+    // are dense slot indices); `[None, None]` when the process has none.
+    // An Any token encodes the queue index in its high half so the
+    // mailbox can report *which* queue fired; when one path wins, the
+    // sibling tokens are cancelled here before the process can block
+    // again.
+    let mut any_parked: Vec<[Option<u64>; 2]> = Vec::new();
+    // The mailbox drained last, reused so a drain allocates nothing.
+    let mut tokens = Vec::new();
     // A process that yielded last timeslice requeues only *after* the
     // wakeups its own charges caused: in the threaded model a sleeper
     // whose deadline is crossed mid-charge enqueues before the running
@@ -207,10 +210,13 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
     // byte-identical to its threaded twin.
     let mut yielded: Option<Lid> = None;
     loop {
-        // Wakeups delivered by other processes since we last looked.
-        for token in sim.lite_take_mailbox() {
+        // Wakeups delivered by other processes since we last looked, and
+        // the clock, read under the same engine lock. Nothing below moves
+        // the clock before the next poll or wait, so `now` serves both.
+        let now = sim.lite_take_mailbox(&mut tokens).0;
+        for &token in &tokens {
             let lid = Lid((token & 0xffff_ffff) as u32);
-            if let Some(armed) = any_parked.remove(&lid.0) {
+            if let Some(armed) = take_any(&mut any_parked, lid) {
                 // An `Any` wait resolved through one of its queues:
                 // cancel the siblings, record which index fired.
                 for t in armed.into_iter().flatten() {
@@ -223,13 +229,13 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
                 core.wake(lid);
             }
         }
-        core.fire_due(sim.now().0);
+        core.fire_due(now);
         // `Any` waits whose deadline won: disarm their queue tokens so a
         // later signal cannot wake the process out of its next wait.
         // Planted bug (`MUTANT_SKIP_ANY_CANCEL`): skip the disarm and
         // leave stale tokens parked on the queues.
         for lid in core.drain_timed_out() {
-            if let Some(armed) = any_parked.remove(&lid.0) {
+            if let Some(armed) = take_any(&mut any_parked, lid) {
                 if sim.mutant_enabled(MUTANT_SKIP_ANY_CANCEL) {
                     continue;
                 }
@@ -294,7 +300,11 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
                             }
                         }
                         if armed.iter().any(Option::is_some) {
-                            any_parked.insert(lid.0, armed);
+                            let i = lid.0 as usize;
+                            if i >= any_parked.len() {
+                                any_parked.resize(i + 1, [None; 2]);
+                            }
+                            any_parked[i] = armed;
                         }
                         break;
                     }
@@ -327,7 +337,6 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
         // between the check and the wait.
         match core.next_wake() {
             Some(at) => {
-                let now = sim.now().0;
                 if at > now {
                     sim.wait_on_timeout(doorbell, Cycles(at - now), "lite sleepers")
                         .await;
@@ -337,6 +346,12 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
         }
     }
     sim.unregister_lite_sched();
+}
+
+/// Takes the queue tokens lid's live `Any` wait armed, if it has any.
+fn take_any(any_parked: &mut [[Option<u64>; 2]], lid: Lid) -> Option<[Option<u64>; 2]> {
+    let armed = std::mem::take(any_parked.get_mut(lid.0 as usize)?);
+    armed.iter().any(Option::is_some).then_some(armed)
 }
 
 #[cfg(test)]

@@ -160,18 +160,28 @@ struct Packed {
     kind: PackedKind,
 }
 
+/// What the attribution knows about one pid.
+#[derive(Default)]
+struct PidState {
+    /// Spawn-time name, as an arena index.
+    name: Option<u32>,
+    /// Open span stack.
+    stack: Vec<Class>,
+}
+
 struct Inner {
     capacity: usize,
     ring: Vec<Packed>,
     dropped: u64,
-    /// Interned spawn names; `PackedKind::Spawn` and `names` index here.
+    /// Interned spawn names; `PackedKind::Spawn` and `PidState::name`
+    /// index here.
     name_arena: Vec<String>,
     /// Reverse lookup for interning (BTreeMap: deterministic iteration).
     name_ids: BTreeMap<String, u32>,
-    /// Spawn-time name of each pid, as an arena index.
-    names: BTreeMap<u32, u32>,
-    /// Open span stacks per pid.
-    stacks: BTreeMap<u32, Vec<Class>>,
+    /// Attribution state per pid, indexed by pid. Pids are the engine's
+    /// tids and lite pids, handed out 1, 2, 3, …, so index order is pid
+    /// order.
+    pids: Vec<PidState>,
     /// Attributed cycles per (class, pid).
     cycles: BTreeMap<(Class, u32), u64>,
     /// Folded stacks: "name;span;span cycles".
@@ -188,8 +198,7 @@ impl Inner {
             dropped: 0,
             name_arena: Vec::new(),
             name_ids: BTreeMap::new(),
-            names: BTreeMap::new(),
-            stacks: BTreeMap::new(),
+            pids: Vec::new(),
             cycles: BTreeMap::new(),
             folded: BTreeMap::new(),
             attributed: 0,
@@ -238,9 +247,18 @@ impl Inner {
         }
     }
 
+    /// The state of `pid`, grown on first use.
+    fn pid_mut(&mut self, pid: u32) -> &mut PidState {
+        let i = pid as usize;
+        if i >= self.pids.len() {
+            self.pids.resize_with(i + 1, PidState::default);
+        }
+        &mut self.pids[i]
+    }
+
     fn proc_label(&self, pid: u32) -> String {
-        match self.names.get(&pid) {
-            Some(&id) => self.name_arena[id as usize].clone(),
+        match self.pids.get(pid as usize).and_then(|p| p.name) {
+            Some(id) => self.name_arena[id as usize].clone(),
             None if pid == 0 => "host".to_string(),
             None => format!("p{pid}"),
         }
@@ -248,7 +266,8 @@ impl Inner {
 
     fn fold_key(&self, pid: u32, extra: Option<Class>) -> String {
         let mut key = self.proc_label(pid);
-        for c in self.stacks.get(&pid).into_iter().flatten() {
+        let stack = self.pids.get(pid as usize).map_or(&[][..], |p| &p.stack);
+        for c in stack {
             key.push(';');
             key.push_str(c.label());
         }
@@ -257,7 +276,7 @@ impl Inner {
                 key.push(';');
                 key.push_str(c.label());
             }
-            None if self.stacks.get(&pid).is_none_or(|s| s.is_empty()) => {
+            None if stack.is_empty() => {
                 key.push(';');
                 key.push_str(Class::User.label());
             }
@@ -270,14 +289,13 @@ impl Inner {
     fn apply(&mut self, ev: Packed) {
         match ev.kind {
             PackedKind::Spawn(id) => {
-                self.names.insert(ev.pid, id);
-                self.stacks.entry(ev.pid).or_default();
+                self.pid_mut(ev.pid).name = Some(id);
             }
             PackedKind::Enter(c) => {
-                self.stacks.entry(ev.pid).or_default().push(c);
+                self.pid_mut(ev.pid).stack.push(c);
             }
             PackedKind::Exit(c) => {
-                let stack = self.stacks.entry(ev.pid).or_default();
+                let stack = &mut self.pid_mut(ev.pid).stack;
                 // Tolerate interleaved guards: pop through to the match.
                 while let Some(top) = stack.pop() {
                     if top == c {
@@ -287,9 +305,9 @@ impl Inner {
             }
             PackedKind::Charge(cy) => {
                 let class = self
-                    .stacks
-                    .get(&ev.pid)
-                    .and_then(|s| s.last().copied())
+                    .pids
+                    .get(ev.pid as usize)
+                    .and_then(|p| p.stack.last().copied())
                     .unwrap_or(Class::User);
                 *self.cycles.entry((class, ev.pid)).or_default() += cy;
                 let key = self.fold_key(ev.pid, None);
@@ -306,11 +324,12 @@ impl Inner {
                 // Attribute system idle to the best open wait span across
                 // all blocked processes (innermost occurrence per stack).
                 let mut best: Option<(u8, u32, Class)> = None;
-                for (pid, stack) in &self.stacks {
-                    for c in stack.iter().rev() {
+                for (pid, state) in self.pids.iter().enumerate() {
+                    let pid = pid as u32;
+                    for c in state.stack.iter().rev() {
                         if let Some(p) = c.idle_priority() {
-                            if best.is_none_or(|(bp, bpid, _)| p < bp || (p == bp && *pid < bpid)) {
-                                best = Some((p, *pid, *c));
+                            if best.is_none_or(|(bp, bpid, _)| p < bp || (p == bp && pid < bpid)) {
+                                best = Some((p, pid, *c));
                             }
                             break;
                         }
