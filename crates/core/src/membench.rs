@@ -13,8 +13,12 @@ use tnt_cpu::{measure, MemRoutine, MemSystem, MemTiming};
 pub const TOTAL_TRAFFIC: u64 = 8 * 1024 * 1024;
 
 /// Bandwidth of `routine` on a `buf`-byte buffer with `total` bytes of
-/// traffic. `seed` perturbs the DRAM timing slightly (refresh and DMA
-/// interference), giving the run-to-run spread of the paper's averages.
+/// traffic. A nonzero `seed` scales the event costs by a factor within
+/// 1% of one (refresh and DMA interference), but each cost rounds to
+/// whole cycles and the largest is 31, so the factor would have to move
+/// by 1.6% to change any of them: every seed measures with exactly
+/// [`MemTiming::p54c`], and the seeds of one routine and buffer size
+/// agree.
 pub fn mem_bandwidth(routine: MemRoutine, buf: u64, total: u64, seed: u64) -> f64 {
     let timing = jittered_timing(seed);
     let mut mem = MemSystem::with_timing(timing);
@@ -52,7 +56,6 @@ pub fn standard_buffer_sizes() -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tnt_cpu::LibcVariant;
 
     const T: u64 = 1 << 20; // Keep debug-mode tests quick.
 
@@ -94,11 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn jitter_gives_small_spread() {
-        let base = mem_bandwidth(MemRoutine::LibcMemset(LibcVariant::Linux), 65536, T, 0);
-        for seed in 1..5 {
-            let v = mem_bandwidth(MemRoutine::LibcMemset(LibcVariant::Linux), 65536, T, seed);
-            assert!((v - base).abs() / base < 0.03, "seed {seed}: {v} vs {base}");
+    fn every_seed_rounds_back_to_the_calibrated_timing() {
+        // The quick scale runs seeds 1-5 and the full scale 1-20; the
+        // ±1% factor rounds away, so one simulation serves every seed.
+        for seed in 0..=20 {
+            assert_eq!(jittered_timing(seed), MemTiming::p54c(), "seed {seed}");
         }
     }
 }

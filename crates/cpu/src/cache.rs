@@ -69,13 +69,16 @@ impl Access {
     }
 }
 
-#[derive(Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Higher = more recently used.
-    lru: u64,
+/// The valid bit of a line word (see `Cache::lines`).
+const VALID: u64 = 1;
+/// The dirty bit of a line word.
+const DIRTY: u64 = 2;
+
+/// The tag of line word `l`, minus `delta`, over its dirty bit: the form
+/// in which [`Cache::encode_state_rel`] reports a valid line.
+#[inline]
+fn packed(l: u64, delta: u64) -> u64 {
+    ((l >> 2).wrapping_sub(delta) << 1) | (l & DIRTY) >> 1
 }
 
 /// Hit/miss counters for assertions and diagnostics.
@@ -118,7 +121,12 @@ impl CacheStats {
 /// handful of shifts and a short linear scan with no pointer chasing.
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    /// One word per line: `tag << 2 | dirty << 1 | valid`.
+    lines: Vec<u64>,
+    /// Per-line LRU stamps, parallel to `lines` (higher = more recently
+    /// used). Empty when the cache is direct mapped: one way per set
+    /// leaves nothing to order.
+    lru: Vec<u64>,
     ways: usize,
     set_mask: usize,
     tag_shift: u32,
@@ -151,9 +159,11 @@ impl Cache {
         );
         let sets = cfg.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let stamps = if cfg.ways > 1 { sets * cfg.ways } else { 0 };
         Cache {
             cfg,
-            lines: vec![Line::default(); sets * cfg.ways],
+            lines: vec![0; sets * cfg.ways],
+            lru: vec![0; stamps],
             ways: cfg.ways,
             set_mask: sets - 1,
             tag_shift: sets.trailing_zeros(),
@@ -203,21 +213,41 @@ impl Cache {
         }
     }
 
-    /// Invalidates every line (e.g. a fresh run on a cold machine).
+    /// Invalidates every line (e.g. a fresh run on a cold machine). The
+    /// LRU stamps stay: a fill stamps its line before any comparison can
+    /// read the stamp.
     pub fn flush(&mut self) {
         if !self.filled {
             return;
         }
-        self.lines.fill(Line::default());
+        self.lines.fill(0);
         self.filled = false;
     }
 
+    /// The first line index of the set `addr` maps to, and the word a
+    /// valid, clean line holding `addr` would have.
     #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
         let line_addr = addr >> self.line_shift;
         let set = (line_addr as usize) & self.set_mask;
         let tag = line_addr >> self.tag_shift;
-        (set * self.ways, tag)
+        (set * self.ways, tag << 2 | VALID)
+    }
+
+    /// The way of the set at `base` that holds the line whose clean
+    /// word is `key`, as a line index.
+    #[inline]
+    fn find(&self, base: usize, key: u64) -> Option<usize> {
+        (base..base + self.ways).find(|&i| self.lines[i] & !DIRTY == key)
+    }
+
+    /// Marks line `i` most recently used.
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        if let Some(stamp) = self.lru.get_mut(i) {
+            self.clock += 1;
+            *stamp = self.clock;
+        }
     }
 
     /// Appends the normalised state of `count` consecutive sets from
@@ -230,10 +260,10 @@ impl Cache {
     fn encode_sets(&self, first: usize, count: usize, delta: u64, out: &mut Vec<u64>) {
         if self.ways == 1 {
             for s in first..first + count {
-                let l = &self.lines[s & self.set_mask];
-                out.push(l.valid as u64);
-                if l.valid {
-                    out.push((l.tag.wrapping_sub(delta) << 1) | l.dirty as u64);
+                let l = self.lines[s & self.set_mask];
+                out.push(l & VALID);
+                if l & VALID != 0 {
+                    out.push(packed(l, delta));
                 }
             }
             return;
@@ -242,9 +272,10 @@ impl Cache {
         for s in first..first + count {
             let base = (s & self.set_mask) * self.ways;
             set.clear();
-            for l in &self.lines[base..base + self.ways] {
-                if l.valid {
-                    set.push((l.lru, (l.tag.wrapping_sub(delta) << 1) | l.dirty as u64));
+            for i in base..base + self.ways {
+                let l = self.lines[i];
+                if l & VALID != 0 {
+                    set.push((self.lru[i], packed(l, delta)));
                 }
             }
             set.sort_unstable_by_key(|&(lru, _)| std::cmp::Reverse(lru));
@@ -289,58 +320,45 @@ impl Cache {
         debug_assert_eq!(off % self.period_bytes(), 0, "offset must preserve sets");
         let delta = off >> (self.line_shift + self.tag_shift);
         for l in &mut self.lines {
-            if l.valid {
-                l.tag = l.tag.wrapping_add(delta);
+            if *l & VALID != 0 {
+                *l = l.wrapping_add(delta << 2);
             }
         }
     }
 
+    /// Fills the line whose word is `word` into the set at `base` and
+    /// returns whether the victim was dirty.
     #[inline]
-    fn fill(&mut self, base: usize, tag: u64, dirty: bool) -> bool {
-        // Prefer an invalid way, then least recently used.
-        let mut way = 0;
-        let mut best = u64::MAX;
-        for (w, l) in self.lines[base..base + self.ways].iter().enumerate() {
-            if !l.valid {
-                way = w;
-                break;
-            }
-            if l.lru < best {
-                best = l.lru;
-                way = w;
-            }
-        }
-        let victim = &mut self.lines[base + way];
-        let evicted_dirty = victim.valid && victim.dirty;
+    fn fill(&mut self, base: usize, word: u64) -> bool {
+        // Prefer an invalid way, then the least recently used; a
+        // direct-mapped set has only its one way.
+        let ways = base..base + self.ways;
+        let way = match ways.clone().find(|&i| self.lines[i] & VALID == 0) {
+            Some(i) => i,
+            None => ways.min_by_key(|&i| self.lru.get(i)).unwrap_or(base),
+        };
+        let evicted_dirty = self.lines[way] & DIRTY != 0;
         if evicted_dirty {
             self.stats.writebacks += 1;
         }
         self.stats.changes += 1;
-        self.clock += 1;
         self.filled = true;
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty,
-            lru: self.clock,
-        };
+        self.lines[way] = word;
+        self.touch(way);
         evicted_dirty
     }
 
     /// Performs a read of the line containing `addr`. A miss allocates.
     #[inline]
     pub fn read(&mut self, addr: u64) -> Access {
-        let (base, tag) = self.index(addr);
-        for l in &mut self.lines[base..base + self.ways] {
-            if l.valid && l.tag == tag {
-                self.clock += 1;
-                l.lru = self.clock;
-                self.stats.read_hits += 1;
-                return Access::Hit;
-            }
+        let (base, key) = self.index(addr);
+        if let Some(i) = self.find(base, key) {
+            self.touch(i);
+            self.stats.read_hits += 1;
+            return Access::Hit;
         }
         self.stats.read_misses += 1;
-        let evicted_dirty = self.fill(base, tag, false);
+        let evicted_dirty = self.fill(base, key);
         Access::Miss { evicted_dirty }
     }
 
@@ -351,38 +369,33 @@ impl Cache {
     /// [`Access::MissNoAllocate`] and leaves the cache untouched.
     #[inline]
     pub fn write(&mut self, addr: u64) -> Access {
-        let (base, tag) = self.index(addr);
-        for l in &mut self.lines[base..base + self.ways] {
-            if l.valid && l.tag == tag {
-                self.clock += 1;
-                l.lru = self.clock;
-                if !l.dirty {
-                    l.dirty = true;
-                    self.stats.changes += 1;
-                }
-                self.stats.write_hits += 1;
-                return Access::Hit;
+        let (base, key) = self.index(addr);
+        if let Some(i) = self.find(base, key) {
+            self.touch(i);
+            if self.lines[i] & DIRTY == 0 {
+                self.lines[i] |= DIRTY;
+                self.stats.changes += 1;
             }
+            self.stats.write_hits += 1;
+            return Access::Hit;
         }
         self.stats.write_misses += 1;
         if !self.cfg.write_allocate {
             return Access::MissNoAllocate;
         }
-        let evicted_dirty = self.fill(base, tag, true);
+        let evicted_dirty = self.fill(base, key | DIRTY);
         Access::Miss { evicted_dirty }
     }
 
     /// Whether the line containing `addr` is present (no LRU side effect).
     pub fn probe(&self, addr: u64) -> bool {
-        let (base, tag) = self.index(addr);
-        self.lines[base..base + self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        let (base, key) = self.index(addr);
+        self.find(base, key).is_some()
     }
 
     /// Number of valid lines currently held; never exceeds capacity.
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|&&l| l & VALID != 0).count()
     }
 }
 

@@ -10,7 +10,7 @@ use crate::cache::{Access, Cache, CacheConfig, CacheStats};
 use crate::tlb::Tlb;
 
 /// Cycle costs of the memory system events.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemTiming {
     /// Filling a 32-byte line into L1 from a hitting L2.
     pub l2_fill: u64,

@@ -254,31 +254,30 @@ impl Disk {
         // the capture re-issues exactly the commands the bus saw.
         env.sim.count(counter, 1);
         env.sim.record_block(kind == IoKind::Write, addr, blocks);
-        let mut phases = {
-            let mut st = self.state.lock();
-            let phases = self.service_phases(st.head, addr, blocks);
-            st.head = addr + blocks;
-            match kind {
-                IoKind::Read => st.reads += 1,
-                IoKind::Write => st.writes += 1,
-            }
-            st.blocks_moved += blocks;
-            phases
-        };
-        if env.sim.faults().disk_remap() {
+        // The remap roll draws from the fault plan alone, so rolling it
+        // first lets the drive's state take one lock per command.
+        let remap = env.sim.faults().disk_remap();
+        if remap {
+            env.sim.count(Counter::DiskRemaps, 1);
+        }
+        let mut st = self.state.lock();
+        let mut phases = self.service_phases(st.head, addr, blocks);
+        st.head = addr + blocks;
+        match kind {
+            IoKind::Read => st.reads += 1,
+            IoKind::Write => st.writes += 1,
+        }
+        st.blocks_moved += blocks;
+        if remap {
             // The drive transparently revectors the sector: extra arm
             // travel to the spare cylinder plus one lost revolution,
             // charged to the seek phase where an observer's timing
             // would see it.
-            self.state.lock().remaps += 1;
-            env.sim.count(Counter::DiskRemaps, 1);
+            st.remaps += 1;
             phases[0] =
                 phases[0] + self.seek_time(self.params.total_blocks) + self.params.rotation();
         }
-        {
-            let mut st = self.state.lock();
-            st.busy = st.busy + phases[0] + phases[1] + phases[2];
-        }
+        st.busy = st.busy + phases[0] + phases[1] + phases[2];
         phases
     }
 }

@@ -105,7 +105,7 @@ pub struct ReplayReport {
     pub polls: u64,
 }
 
-/// Counters shared by every replay stream of one run.
+/// Counters of one replay stream, and of every stream of one run.
 #[derive(Default)]
 struct Totals {
     file_events: u64,
@@ -129,7 +129,21 @@ struct ReplayProc {
     disk: Arc<Disk>,
     env: KEnv,
     attempts: u32,
+    /// This stream's counts, added to `totals` once, when it is dropped.
+    counts: Totals,
     totals: Arc<Mutex<Totals>>,
+}
+
+impl Drop for ReplayProc {
+    /// Every way a stream ends drops it: finishing, or the scheduler's
+    /// teardown at the end of the run.
+    fn drop(&mut self) {
+        let mut t = self.totals.lock();
+        t.file_events += self.counts.file_events;
+        t.commands += self.counts.commands;
+        t.faults += self.counts.faults;
+        t.eio += self.counts.eio;
+    }
 }
 
 impl LiteProc<ProcCtx> for ReplayProc {
@@ -146,7 +160,7 @@ impl LiteProc<ProcCtx> for ReplayProc {
             }
             match ev.op {
                 Op::FileOpen | Op::FileUnlink => {
-                    self.totals.lock().file_events += 1;
+                    self.counts.file_events += 1;
                     self.idx += 1;
                 }
                 Op::BlockRead | Op::BlockWrite => {
@@ -156,20 +170,18 @@ impl LiteProc<ProcCtx> for ReplayProc {
                         IoKind::Read
                     };
                     let (phases, ok) = self.disk.command(&self.env, kind, ev.arg, ev.size.max(1));
-                    {
-                        let mut t = self.totals.lock();
-                        t.commands += 1;
-                        if ok {
+                    let t = &mut self.counts;
+                    t.commands += 1;
+                    if ok {
+                        self.idx += 1;
+                        self.attempts = 0;
+                    } else {
+                        t.faults += 1;
+                        self.attempts += 1;
+                        if self.attempts > DISK_RETRIES {
+                            t.eio += 1;
                             self.idx += 1;
                             self.attempts = 0;
-                        } else {
-                            t.faults += 1;
-                            self.attempts += 1;
-                            if self.attempts > DISK_RETRIES {
-                                t.eio += 1;
-                                self.idx += 1;
-                                self.attempts = 0;
-                            }
                         }
                     }
                     let pay = phases[0] + phases[1] + phases[2];
@@ -224,6 +236,7 @@ pub fn replay_trace(trace: &Trace, os: Os, seed: u64, opts: ReplayOptions) -> Re
                 disk: disk.clone(),
                 env: env.clone(),
                 attempts: 0,
+                counts: Totals::default(),
                 totals: totals.clone(),
             }),
         );

@@ -29,6 +29,16 @@
 //! never hold a guard across a call that can block. For task code the
 //! compiler enforces it: a host `MutexGuard` is `!Send`, so a future that
 //! holds one across an `.await` fails `spawn_task`'s `Send` bound.
+//!
+//! Only the baton holder ever takes that mutex, so the engine takes it as
+//! rarely as it can. Charges accumulate in a thread-local balance that
+//! the next acquisition settles; [`Sim::now`] reads an atomic mirror of
+//! the clock plus that balance, without the lock; and the dispatch that
+//! picks a process hands it how its last block ended (timeout, or which
+//! queue woke it) together with the baton, so a timed wait returns
+//! without locking again. A task's sleep or timed wait costs two
+//! acquisitions: one to block, one to settle after its poll, under which
+//! the next pick runs.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -40,6 +50,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::{pin, Pin};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
@@ -161,11 +172,25 @@ impl Default for SimConfig {
     }
 }
 
-/// Sent to a parked thread to resume or destroy it.
+/// Sent to a parked thread to resume or destroy it. A `Run` carries
+/// how the thread's last block ended.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Wake {
-    Run,
+    Run(Woke),
     Kill,
+}
+
+/// How a process's last block ended. The waker records it on the
+/// `Proc`; the dispatch that picks the process moves it out under the
+/// lock it already holds and hands it over with the baton (in
+/// [`Wake::Run`] or the `WOKE` thread-local), so the resumed primitive
+/// reads it without taking the engine lock again.
+#[derive(Clone, Copy, Default, PartialEq, Debug)]
+struct Woke {
+    /// A timed wait's timeout fired.
+    timed_out: bool,
+    /// The queue whose wakeup released the block, for `wait_on_any`.
+    by: Option<u64>,
 }
 
 /// Unwind payload used to destroy a simulated process; never observed by
@@ -243,10 +268,9 @@ struct Proc {
     /// generation they were armed for, so a stale timeout can never wake
     /// a later, unrelated block.
     block_gen: u64,
-    /// Set when the wake came from a timed wait's timeout.
-    timed_out: bool,
-    /// The queue whose wakeup released the last block, for `wait_on_any`.
-    woken_by: Option<u64>,
+    /// How the last block ended, until the dispatch that picks the
+    /// process hands it over.
+    woke: Woke,
     /// SimMutex queue ids currently held, in acquisition order (the
     /// lock-order audit).
     held_locks: Vec<u64>,
@@ -268,26 +292,37 @@ enum TimerAction {
 
 /// Engine-side registration of one lite scheduler (see `tnt_sim::proc`):
 /// the task that multiplexes a crowd of lite processes. A wakeup token
-/// names one queue entry of a lite process as `lid | idx << 32`, where
-/// `idx` (0 or 1) is the queue's index in the process's wait set.
+/// names one queue entry of one wait of a lite process as
+/// `lid | idx << 32 | gen << 33`, where `idx` (0 or 1) is the queue's
+/// index in the wait's queue set and `gen` tells the process's waits
+/// apart (see `crate::lite`).
 struct LiteSched {
     /// The wait queue the scheduler waits on when no lite process is
     /// runnable; delivered wakeup tokens ring it.
     doorbell: u64,
     /// Wakeup tokens delivered since the scheduler last drained them.
     mailbox: Vec<u64>,
-    /// Tokens currently parked on engine queues, with their block
+    /// The tokens currently armed on engine queues, with their block
     /// reasons (surfaced by deadlock diagnostics), indexed by lid and
     /// then by `idx`. Lids are dense indices into the scheduler's slots.
-    waiting: Vec<[Option<&'static str>; 2]>,
+    waiting: Vec<[Option<(u64, &'static str)>; 2]>,
 }
 
 impl LiteSched {
-    /// The `waiting` cell of `token`, if its lid has one yet.
-    fn cell(&mut self, token: u64) -> Option<&mut Option<&'static str>> {
+    /// The `waiting` cell of `token`'s lid and queue index, if its lid
+    /// has one yet.
+    fn cell(&mut self, token: u64) -> Option<&mut Option<(u64, &'static str)>> {
         let lid = (token & 0xffff_ffff) as usize;
-        let idx = (token >> 32) as usize;
+        let idx = (token >> 32) as usize & 1;
         Some(&mut self.waiting.get_mut(lid)?[idx])
+    }
+
+    /// Disarms `token` if it is the token armed in its cell; a token an
+    /// earlier wait left on a queue never is. Returns whether it was.
+    fn disarm(&mut self, token: u64) -> bool {
+        self.cell(token)
+            .and_then(|cell| cell.take_if(|(armed, _)| *armed == token))
+            .is_some()
     }
 }
 
@@ -416,6 +451,11 @@ impl State {
 
 struct Inner {
     state: Mutex<State>,
+    /// A copy of `State::now`, stored wherever the clock moves, so
+    /// [`Sim::now`] reads the clock without taking the state lock. Only
+    /// the baton holder moves the clock, and the baton passes through a
+    /// lock, so a relaxed load sees the latest store.
+    now: AtomicU64,
     /// Immutable copy of the run's jitter factor (fixed at `Sim::new`),
     /// so the charge fast path can scale without taking the state lock.
     run_factor: f64,
@@ -423,6 +463,10 @@ struct Inner {
     /// per-charge behaviour the mutant tests pin down (unit tests only).
     #[cfg(test)]
     mutants_armed: std::sync::atomic::AtomicBool,
+    /// State-lock acquisitions so far (unit tests only: they pin the
+    /// lock traffic of each primitive).
+    #[cfg(test)]
+    locks: AtomicU64,
     done: Condvar,
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Trace sink. Disabled by default (one relaxed load per emit site);
@@ -458,6 +502,14 @@ thread_local! {
     /// The blocking primitive that last returned `Pending` on this
     /// thread, named by the `NO_PARK` failure.
     static PARKED_IN: Cell<&'static str> = const { Cell::new("") };
+    /// How the block of the process this thread last resumed ended,
+    /// handed over by the dispatch that picked it.
+    static WOKE: Cell<Woke> = const {
+        Cell::new(Woke {
+            timed_out: false,
+            by: None,
+        })
+    };
 }
 
 /// Scope guard marking "this thread is polling lite process `pid`".
@@ -594,9 +646,12 @@ impl Sim {
         let sim = Sim {
             inner: Arc::new(Inner {
                 state: Mutex::new(state),
+                now: AtomicU64::new(0),
                 run_factor,
                 #[cfg(test)]
                 mutants_armed: std::sync::atomic::AtomicBool::new(false),
+                #[cfg(test)]
+                locks: AtomicU64::new(0),
                 done: Condvar::new(),
                 threads: Mutex::new(Vec::new()),
                 tracer: Tracer::new(),
@@ -697,7 +752,7 @@ impl Sim {
     /// lite process being polled overrides the scheduler's own tid, so
     /// attribution is per lite process, not per scheduler slot.
     fn stamp(&self) -> (u64, u32) {
-        let now = self.lock_state().now.0;
+        let now = self.now().0;
         let pid = LITE_PID
             .with(|c| c.get())
             .or_else(|| CURRENT.get().map(|t| t.0))
@@ -788,8 +843,7 @@ impl Sim {
             tag,
             cpu: Cycles::ZERO,
             block_gen: 0,
-            timed_out: false,
-            woken_by: None,
+            woke: Woke::default(),
             held_locks: Vec::new(),
             lite: None,
         })));
@@ -883,7 +937,29 @@ impl Sim {
 
     /// Current simulated time.
     pub fn now(&self) -> Cycles {
-        self.lock_state().now
+        // The clock mirror plus this thread's unsettled charges: exactly
+        // the clock the next lock settles to, since settling moves the
+        // clock by the balance and fires only timers due by then, and
+        // timers fire only under the lock, so the deferred settle
+        // reorders no event.
+        let now = self.inner.now.load(Ordering::Relaxed);
+        let (tag, pending) = PENDING_CHARGE.get();
+        if tag == self.key() {
+            Cycles(now + pending)
+        } else {
+            Cycles(now)
+        }
+    }
+
+    /// The tag of this engine's balance in `PENDING_CHARGE`.
+    fn key(&self) -> usize {
+        Arc::as_ptr(&self.inner) as usize
+    }
+
+    /// Moves the clock to `t`, keeping its lock-free mirror in step.
+    fn set_now(&self, st: &mut State, t: Cycles) {
+        st.now = t;
+        self.inner.now.store(t.0, Ordering::Relaxed);
     }
 
     /// Advances simulated time by exactly `c` cycles of CPU work, firing
@@ -918,7 +994,7 @@ impl Sim {
             c.scale(self.inner.run_factor)
         };
         if self.can_batch() {
-            let key = Arc::as_ptr(&self.inner) as usize;
+            let key = self.key();
             let (tag, pending) = PENDING_CHARGE.get();
             debug_assert!(
                 pending == 0 || tag == key,
@@ -958,8 +1034,10 @@ impl Sim {
     /// clock. Every lock acquisition in the engine goes through here.
     fn lock_state(&self) -> parking_lot::MutexGuard<'_, State> {
         let mut st = self.inner.state.lock();
+        #[cfg(test)]
+        self.inner.locks.fetch_add(1, Ordering::Relaxed);
         let (tag, pending) = PENDING_CHARGE.get();
-        if pending != 0 && tag == Arc::as_ptr(&self.inner) as usize {
+        if pending != 0 && tag == self.key() {
             PENDING_CHARGE.set((0, 0));
             self.advance_locked(&mut st, Cycles(pending));
         }
@@ -1004,7 +1082,7 @@ impl Sim {
         while matches!(st.timers.peek(), Some(Reverse((at, _, _))) if *at <= target) {
             let Reverse((at, seq, action)) = st.timers.pop().expect("peeked timer vanished");
             if at > st.now {
-                st.now = at;
+                self.set_now(st, at);
             }
             // Planted bug: fire an equal-instant pair in reverse arming
             // order, breaking the (at, seq) FIFO tie-break.
@@ -1014,7 +1092,7 @@ impl Sim {
             self.fire_locked(st, seq, action);
         }
         if target > st.now {
-            st.now = target;
+            self.set_now(st, target);
         }
         if c > Cycles::ZERO && self.inner.tracer.is_enabled() {
             let pid = LITE_PID
@@ -1147,8 +1225,8 @@ impl Sim {
     /// if woken by [`Sim::wakeup_one`]/[`Sim::wakeup_all`], `false` on
     /// timeout (in which case the caller is no longer on the queue).
     pub async fn wait_on_timeout(&self, q: WaitId, timeout: Cycles, reason: &'static str) -> bool {
-        let tid = current_tid();
         {
+            let tid = current_tid();
             let mut st = self.lock_state();
             st.queue_mut(q.0)
                 .expect("wait queue does not exist")
@@ -1182,10 +1260,7 @@ impl Sim {
         Park::new("Sim::wait_on_timeout").await;
         // Back awake: the timer handler flags timeouts (and has already
         // removed us from the queue); a real wakeup popped us normally.
-        let mut st = self.lock_state();
-        let proc = st.proc_mut(tid).expect("current proc missing");
-        let timed_out = std::mem::take(&mut proc.timed_out);
-        !timed_out
+        !WOKE.get().timed_out
     }
 
     /// Blocks on *several* queues at once (the `select(2)` primitive):
@@ -1237,14 +1312,8 @@ impl Sim {
         Park::new("Sim::wait_on_any").await;
         // The waker (or the timeout handler) recorded how we were woken;
         // clean our leftover entries off every queue.
+        let woke = WOKE.get();
         let mut st = self.lock_state();
-        let (timed_out, woken_q) = {
-            let proc = st.proc_mut(tid).expect("current proc missing");
-            (
-                std::mem::take(&mut proc.timed_out),
-                std::mem::take(&mut proc.woken_by),
-            )
-        };
         for q in qs {
             if let Some(queue) = st.queue_mut(q.0) {
                 queue.waiters.retain(|w| *w != Waiter::Proc(tid));
@@ -1256,10 +1325,10 @@ impl Sim {
                 "select.cleanup",
             );
         }
-        if timed_out {
+        if woke.timed_out {
             None
         } else {
-            qs.iter().position(|q| Some(q.0) == woken_q)
+            qs.iter().position(|q| Some(q.0) == woke.by)
         }
     }
 
@@ -1371,7 +1440,9 @@ impl Sim {
         if lid >= ls.waiting.len() {
             ls.waiting.resize(lid + 1, [None; 2]);
         }
-        let prev = ls.cell(token).and_then(|cell| cell.replace(reason));
+        let prev = ls
+            .cell(token)
+            .and_then(|cell| cell.replace((token, reason)));
         assert!(prev.is_none(), "lite process is already parked on a queue");
         st.queue_mut(q)
             .expect("wait queue does not exist")
@@ -1383,30 +1454,33 @@ impl Sim {
     /// scheduler — an `Any` waiter that was resumed through a sibling
     /// queue or its deadline no longer wants the other queues' signals.
     /// The queue entries themselves stay put; `wake_from_queue_locked`
-    /// skips cancelled tokens lazily, exactly as it skips a threaded
+    /// skips disarmed tokens lazily, exactly as it skips a threaded
     /// `wait_on_any` waiter already woken through another queue.
     /// Returns whether the token was still armed.
     pub(crate) fn lite_wait_cancel(&self, token: u64) -> bool {
         let tid = current_tid();
         let mut st = self.lock_state();
-        st.lite_mut(tid)
-            .and_then(|ls| ls.cell(token))
-            .is_some_and(|cell| cell.take().is_some())
+        st.lite_mut(tid).is_some_and(|ls| ls.disarm(token))
     }
 
-    /// Drains the calling scheduler's mailbox into `tokens` (which it
-    /// clears first): the tokens whose wakeups have been delivered since
-    /// the last drain, in delivery order. Returns the clock, read under
-    /// the same lock. The two buffers swap, so neither allocates once
-    /// both have grown to the crowd's wakeup rate.
-    pub(crate) fn lite_take_mailbox(&self, tokens: &mut Vec<u64>) -> Cycles {
+    /// Appends the calling scheduler's mailbox to `tokens`: the tokens
+    /// whose wakeups have been delivered since the last drain, in
+    /// delivery order. Returns the clock and the number of engine
+    /// processes queued runnable (the caller excluded), read under the
+    /// same lock. Draining into an empty `tokens` swaps the two
+    /// buffers, so neither allocates once both have grown to the
+    /// crowd's wakeup rate.
+    pub(crate) fn lite_take_mailbox(&self, tokens: &mut Vec<u64>) -> (Cycles, usize) {
         let tid = current_tid();
         let mut st = self.lock_state();
-        tokens.clear();
         if let Some(ls) = st.lite_mut(tid) {
-            std::mem::swap(&mut ls.mailbox, tokens);
+            if tokens.is_empty() {
+                std::mem::swap(&mut ls.mailbox, tokens);
+            } else {
+                tokens.append(&mut ls.mailbox);
+            }
         }
-        st.now
+        (st.now, st.policy.runnable())
     }
 
     /// Allocates a fresh pid for a lite process and emits its Spawn
@@ -1425,13 +1499,6 @@ impl Sim {
             });
         }
         pid
-    }
-
-    /// Number of engine processes currently queued runnable (excludes
-    /// the caller). Lite schedulers use this to decide whether yielding
-    /// the baton between polls would actually let anyone else run.
-    pub(crate) fn runnable_procs(&self) -> usize {
-        self.lock_state().policy.runnable()
     }
 
     // ------------------------------------------------------------------
@@ -1680,7 +1747,7 @@ impl Sim {
             return;
         }
         match parker.park() {
-            Wake::Run => {}
+            Wake::Run(woke) => WOKE.set(woke),
             Wake::Kill => panic::panic_any(SimKilled),
         }
     }
@@ -1693,14 +1760,17 @@ impl Sim {
     fn dispatch<'a>(&'a self, mut st: parking_lot::MutexGuard<'a, State>, me: Option<Tid>) -> bool {
         let host = CURRENT.get();
         let mine = loop {
-            let Some(tid) = self.pick_locked(&mut st) else {
+            let Some((tid, woke)) = self.pick_locked(&mut st) else {
                 break false;
             };
             match &mut st.proc_mut(tid).expect("picked proc missing").body {
-                Body::Thread(_) if me == Some(tid) => break true,
+                Body::Thread(_) if me == Some(tid) => {
+                    WOKE.set(woke);
+                    break true;
+                }
                 Body::Thread(parker) => {
                     self.inner.tracer.count(Counter::HostHandoffs, 1);
-                    parker.unpark(Wake::Run);
+                    parker.unpark(Wake::Run(woke));
                     break false;
                 }
                 Body::Task(slot) => {
@@ -1708,7 +1778,7 @@ impl Sim {
                         .take()
                         .expect("a dispatched task is already being polled");
                     drop(st);
-                    st = self.poll_task(tid, fut);
+                    st = self.poll_task(tid, woke, fut);
                 }
             }
         };
@@ -1717,13 +1787,20 @@ impl Sim {
     }
 
     /// Polls task `tid` for one timeslice on the calling thread and files
-    /// the outcome. The thread is borrowed: `CURRENT` names the task and
-    /// `NO_PARK` is raised, and a panic is caught here — it fails the run
-    /// but never unwinds the host thread. `CURRENT` still names the task
-    /// on return, so the rest of the dispatch runs on its behalf, as it
-    /// does for a threaded process that blocks.
-    fn poll_task(&self, tid: Tid, mut fut: TaskFuture) -> parking_lot::MutexGuard<'_, State> {
+    /// the outcome; `woke` is how its last block ended. The thread is
+    /// borrowed: `CURRENT` names the task and `NO_PARK` is raised, and a
+    /// panic is caught here — it fails the run but never unwinds the
+    /// host thread. `CURRENT` still names the task on return, so the
+    /// rest of the dispatch runs on its behalf, as it does for a threaded
+    /// process that blocks.
+    fn poll_task(
+        &self,
+        tid: Tid,
+        woke: Woke,
+        mut fut: TaskFuture,
+    ) -> parking_lot::MutexGuard<'_, State> {
         CURRENT.set(Some(tid));
+        WOKE.set(woke);
         let outer = NO_PARK.replace(true);
         let polled = panic::catch_unwind(AssertUnwindSafe(|| {
             fut.as_mut().poll(&mut Context::from_waker(Waker::noop()))
@@ -1767,9 +1844,10 @@ impl Sim {
 
     /// Picks the next runnable process and makes it current, advancing
     /// the clock through the timer queue while the system is idle.
-    /// Returns `None` once the run is finished: every process exited, or
-    /// a deadlock was diagnosed.
-    fn pick_locked(&self, st: &mut State) -> Option<Tid> {
+    /// Returns the process and how its last block ended, or `None` once
+    /// the run is finished: every process exited, or a deadlock was
+    /// diagnosed.
+    fn pick_locked(&self, st: &mut State) -> Option<(Tid, Woke)> {
         loop {
             if st.finished {
                 return None;
@@ -1791,7 +1869,7 @@ impl Sim {
             };
             if let Some(Pick { tid, cost }) = pick {
                 st.dispatches += 1;
-                st.now += cost;
+                self.set_now(st, st.now + cost);
                 self.inner.tracer.count(Counter::Dispatches, 1);
                 if self.inner.tracer.is_enabled() {
                     self.inner.tracer.record(Event {
@@ -1803,12 +1881,13 @@ impl Sim {
                 let proc = st.proc_mut(tid).expect("picked proc missing");
                 debug_assert_eq!(proc.status, Status::Runnable, "picked a non-runnable proc");
                 proc.status = Status::Running;
+                let woke = std::mem::take(&mut proc.woke);
                 st.current = Some(tid);
                 self.race_protected(st, Loc::RunQueue, AccessKind::Write, "dispatch.pick");
                 if let Some(d) = st.race.as_deref_mut() {
                     d.slice_begin(tid.0);
                 }
-                return Some(tid);
+                return Some((tid, woke));
             }
             if let Some(Reverse((at, seq, action))) = st.timers.pop() {
                 if at > st.now {
@@ -1816,7 +1895,7 @@ impl Sim {
                     // clock and let the tracer attribute the gap to the
                     // best open wait span (disk phase, ack delay, ...).
                     let idle = at.0 - st.now.0;
-                    st.now = at;
+                    self.set_now(st, at);
                     if self.inner.tracer.is_enabled() {
                         self.inner.tracer.record(Event {
                             t: st.now.0,
@@ -1900,7 +1979,7 @@ impl Sim {
                     }
                     let proc = st.proc_mut(tid).expect("checked above");
                     proc.status = Status::Runnable;
-                    proc.timed_out = true;
+                    proc.woke.timed_out = true;
                     let tag = proc.tag;
                     st.policy.enqueue(tid, tag);
                     if let Some(d) = st.race.as_deref_mut() {
@@ -1939,7 +2018,7 @@ impl Sim {
                         continue;
                     }
                     proc.status = Status::Runnable;
-                    proc.woken_by = Some(q);
+                    proc.woke.by = Some(q);
                     let tag = proc.tag;
                     st.policy.enqueue(tid, tag);
                     if let Some(d) = st.race.as_deref_mut() {
@@ -1950,13 +2029,13 @@ impl Sim {
                 }
                 Waiter::Lite { sched, token } => {
                     // Deliver the token to the scheduler's mailbox. A
-                    // scheduler that unregistered, or a token already
-                    // cancelled (lite proc woken via another path), is
+                    // scheduler that unregistered, or a token no longer
+                    // armed (cancelled, or left by an earlier wait), is
                     // stale — keep popping.
                     let Some(ls) = st.lite_mut(sched) else {
                         continue;
                     };
-                    if ls.cell(token).and_then(Option::take).is_none() {
+                    if !ls.disarm(token) {
                         continue;
                     }
                     ls.mailbox.push(token);
@@ -2069,7 +2148,7 @@ fn lite_wait_hint(proc: &Proc) -> String {
         return String::new();
     };
     let mut by_reason: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for reason in ls.waiting.iter().flatten().flatten() {
+    for (_, reason) in ls.waiting.iter().flatten().flatten() {
         *by_reason.entry(reason).or_insert(0) += 1;
     }
     if by_reason.is_empty() {
@@ -2965,22 +3044,164 @@ mod tests {
         }
     }
 
+    /// Engine-lock acquisitions per iteration of a process body that
+    /// `spawn` sets up to loop `n` times: the difference between runs of
+    /// 20 and 10 iterations, over 10, so set-up and teardown cancel.
+    fn locks_per_iteration(spawn: impl Fn(&Sim, u64)) -> u64 {
+        let locks = |n| {
+            let sim = fifo_sim(0);
+            spawn(&sim, n);
+            let _ = sim.run().unwrap();
+            sim.inner.locks.load(Ordering::Relaxed)
+        };
+        let extra = locks(20) - locks(10);
+        assert_eq!(extra % 10, 0, "{extra} locks over 10 iterations");
+        extra / 10
+    }
+
+    #[test]
+    fn engine_lock_traffic_per_step_is_pinned() {
+        // A task's sleep: arm, then settle after the poll (the pick
+        // rides that lock).
+        let task_sleep = locks_per_iteration(|sim, n| {
+            sim.spawn_task("sleeper", move |s| async move {
+                for _ in 0..n {
+                    s.sleep(Cycles(100)).await;
+                }
+            });
+        });
+        // A task's timed wait: the same two, since the timeout comes
+        // back with the baton.
+        let task_timed_wait = locks_per_iteration(|sim, n| {
+            let q = sim.new_queue();
+            sim.spawn_task("waiter", move |s| async move {
+                for _ in 0..n {
+                    let _ = s.wait_on_timeout(q, Cycles(100), "timed").await;
+                }
+            });
+        });
+        // A lite sleep: the step that polls and the step that finds
+        // nobody runnable take one lock each, then the scheduler's idle
+        // timed wait takes a task's two.
+        let lite_sleep = locks_per_iteration(|sim, n| {
+            let mut sched = crate::lite::LiteScheduler::new(sim);
+            let mut left = n;
+            sched.spawn(
+                "sleeper",
+                Box::new(move |_: &mut crate::lite::ProcCtx| {
+                    if left == 0 {
+                        return tnt_proc::Step::Done;
+                    }
+                    left -= 1;
+                    tnt_proc::Step::Block(tnt_proc::WaitReason::Sleep(100))
+                }),
+            );
+            sched.start("sched");
+        });
+        assert_eq!((task_sleep, task_timed_wait, lite_sleep), (2, 2, 4));
+    }
+
+    #[test]
+    fn now_reads_the_clock_the_lock_settles_to() {
+        // `Sim::now` reads the clock mirror plus the caller's unsettled
+        // charges without the lock; taking the lock settles them (the
+        // same as `advance(Cycles(0))`). Both readings must agree.
+        fn check(s: &Sim) {
+            let lockless = s.now();
+            assert_eq!(lockless, s.lock_state().now);
+        }
+        async fn body(s: Sim) {
+            for i in 0..40u64 {
+                s.charge(Cycles(13 + i % 7));
+                check(&s);
+                s.charge(Cycles(5));
+                if i % 5 == 0 {
+                    s.sleep(Cycles(11)).await;
+                    check(&s);
+                }
+            }
+        }
+        for (jitter, traced) in [(0.0, false), (0.08, false), (0.0, true)] {
+            let sim = Sim::new(
+                Box::new(FifoPolicy::new()),
+                SimConfig {
+                    seed: 7,
+                    jitter,
+                    ..SimConfig::default()
+                },
+            );
+            if traced {
+                sim.enable_tracing(1 << 12);
+            }
+            // A sleeper whose timers fire inside the charges' settles.
+            sim.spawn_task("sleeper", |s| async move {
+                for _ in 0..30 {
+                    s.sleep(Cycles(17)).await;
+                }
+            });
+            sim.spawn_task("task", body);
+            sim.spawn("threaded", |s| s.block_on(body(s.clone())));
+            let end = sim.run().unwrap();
+            assert_eq!(sim.now(), end);
+        }
+        // Two engines on one thread: one engine's balance is not the
+        // other's clock.
+        let other = fifo_sim(0);
+        other.spawn_task("before", |s| async move { s.advance(Cycles(500)) });
+        let _ = other.run().unwrap();
+        let sim = fifo_sim(0);
+        sim.spawn_task("between", move |s| async move {
+            s.charge(Cycles(100));
+            assert_eq!(other.now(), Cycles(500));
+            assert_eq!(s.now(), Cycles(100));
+            check(&s);
+        });
+        assert_eq!(sim.run().unwrap(), Cycles(100));
+    }
+
+    #[test]
+    fn a_threaded_timed_wait_gets_its_outcome_with_the_baton() {
+        // Both waits end on the other process's host thread, whose
+        // dispatch hands the outcome over in `Wake::Run`.
+        let sim = fifo_sim(0);
+        let q = sim.new_queue();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let out = log.clone();
+        sim.spawn("waiter", move |s| {
+            for timeout in [1_000, 10_000] {
+                let woken = s.block_on(s.wait_on_timeout(q, Cycles(timeout), "timed"));
+                out.lock().push((s.now(), woken));
+            }
+        });
+        sim.spawn("waker", move |s| {
+            s.block_on(s.sleep(Cycles(2_000)));
+            assert!(s.wakeup_one(q));
+        });
+        let _ = sim.run().unwrap();
+        assert_eq!(
+            *log.lock(),
+            vec![(Cycles(1_000), false), (Cycles(2_000), true)]
+        );
+        assert!(sim.tracer().counters().get(Counter::HostHandoffs) >= 2);
+    }
+
     #[test]
     fn a_kill_is_what_park_returns_whenever_it_arrives() {
         // Teardown rule: a `Kill` is final. `shutdown` can deliver it
         // before the process reaches `park` (its thread was still running
         // the dispatch loop that ended the run); no later `Run` may undo
         // it, and it supersedes a `Run` not yet taken.
+        let go = Wake::Run(Woke::default());
         let run_then_kill = Parker::new();
-        run_then_kill.unpark(Wake::Run);
+        run_then_kill.unpark(go);
         run_then_kill.unpark(Wake::Kill);
         assert_eq!(run_then_kill.park(), Wake::Kill);
         let kill_then_run = Parker::new();
         kill_then_run.unpark(Wake::Kill);
-        kill_then_run.unpark(Wake::Run);
+        kill_then_run.unpark(go);
         assert_eq!(kill_then_run.park(), Wake::Kill);
         let run = Parker::new();
-        run.unpark(Wake::Run);
-        assert_eq!(run.park(), Wake::Run);
+        run.unpark(go);
+        assert_eq!(run.park(), go);
     }
 }

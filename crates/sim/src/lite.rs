@@ -194,13 +194,12 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
         wake: Wake::None,
         spawns: Vec::new(),
     };
-    // Engine tokens armed by each live `Any` wait, indexed by lid (lids
-    // are dense slot indices); `[None, None]` when the process has none.
-    // An Any token encodes the queue index in its high half so the
+    // Each lite process's queue waits, indexed by lid (lids are dense
+    // slot indices). An `Any` token encodes the queue index so the
     // mailbox can report *which* queue fired; when one path wins, the
     // sibling tokens are cancelled here before the process can block
     // again.
-    let mut any_parked: Vec<[Option<u64>; 2]> = Vec::new();
+    let mut waits: Vec<Waits> = Vec::new();
     // The mailbox drained last, reused so a drain allocates nothing.
     let mut tokens = Vec::new();
     // A process that yielded last timeslice requeues only *after* the
@@ -209,14 +208,28 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
     // process yields, and keeping that order is what makes a lite ring
     // byte-identical to its threaded twin.
     let mut yielded: Option<Lid> = None;
+    // Whether the last step polled a lite process.
+    let mut polled = false;
     loop {
-        // Wakeups delivered by other processes since we last looked, and
-        // the clock, read under the same engine lock. Nothing below moves
-        // the clock before the next poll or wait, so `now` serves both.
-        let now = sim.lite_take_mailbox(&mut tokens).0;
+        // Wakeups delivered by other processes since we last looked, the
+        // clock, and how many engine processes are runnable, all read
+        // under one engine lock. Nothing below moves the clock before
+        // the next poll or wait, so `now` serves both.
+        tokens.clear();
+        let (mut now, runnable) = sim.lite_take_mailbox(&mut tokens);
+        // Fairness with the rest of the engine: after a poll, offer the
+        // baton if another engine process is queued runnable. A
+        // pure-lite simulation never pays this (the run queue stays
+        // empty). Wakeups delivered while the others run queue up
+        // behind the ones just drained, and the clock moves on.
+        if std::mem::take(&mut polled) && runnable > 0 {
+            sim.yield_now().await;
+            now = sim.lite_take_mailbox(&mut tokens).0;
+        }
+        let now = now.0;
         for &token in &tokens {
             let lid = Lid((token & 0xffff_ffff) as u32);
-            if let Some(armed) = take_any(&mut any_parked, lid) {
+            if let Some(armed) = take_any(&mut waits, lid) {
                 // An `Any` wait resolved through one of its queues:
                 // cancel the siblings, record which index fired.
                 for t in armed.into_iter().flatten() {
@@ -224,7 +237,7 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
                         sim.lite_wait_cancel(t);
                     }
                 }
-                core.wake_queue(lid, (token >> 32) as u8);
+                core.wake_queue(lid, (token >> 32) as u8 & 1);
             } else {
                 core.wake(lid);
             }
@@ -235,7 +248,7 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
         // Planted bug (`MUTANT_SKIP_ANY_CANCEL`): skip the disarm and
         // leave stale tokens parked on the queues.
         for lid in core.drain_timed_out() {
-            if let Some(armed) = take_any(&mut any_parked, lid) {
+            if let Some(armed) = take_any(&mut waits, lid) {
                 if sim.mutant_enabled(MUTANT_SKIP_ANY_CANCEL) {
                     continue;
                 }
@@ -282,7 +295,8 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
                         // between blocking calls, so the check the lite
                         // process made inside this poll is still valid.
                         core.wait(lid, reason);
-                        sim.lite_wait_enqueue(queue, u64::from(lid.0), reason);
+                        let gen = next_wait(&mut waits, lid).gen;
+                        sim.lite_wait_enqueue(queue, token(lid, 0, gen), reason);
                         break;
                     }
                     Step::Block(WaitReason::Any {
@@ -291,20 +305,12 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
                         reason,
                     }) => {
                         core.wait_any(lid, reason, deadline);
-                        let mut armed = [None, None];
+                        let w = next_wait(&mut waits, lid);
                         for (i, q) in queues.into_iter().enumerate() {
                             if let Some(q) = q {
-                                let token = u64::from(lid.0) | ((i as u64) << 32);
-                                sim.lite_wait_enqueue(q, token, reason);
-                                armed[i] = Some(token);
+                                sim.lite_wait_enqueue(q, token(lid, i, w.gen), reason);
+                                w.any[i] = true;
                             }
-                        }
-                        if armed.iter().any(Option::is_some) {
-                            let i = lid.0 as usize;
-                            if i >= any_parked.len() {
-                                any_parked.resize(i + 1, [None; 2]);
-                            }
-                            any_parked[i] = armed;
                         }
                         break;
                     }
@@ -319,12 +325,7 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
                 let pid = sim.alloc_lite_pid(&name);
                 core.spawn(pid, machine);
             }
-            // Fairness with the threaded world: if any engine process is
-            // queued runnable, offer the baton. A pure-lite simulation
-            // never pays this (the run queue stays empty).
-            if sim.runnable_procs() > 0 {
-                sim.yield_now().await;
-            }
+            polled = true;
             continue;
         }
 
@@ -348,10 +349,43 @@ async fn drive(sim: &Sim, core: &mut Core<ProcCtx>) {
     sim.unregister_lite_sched();
 }
 
+/// The queue waits of one lite process, as the drive loop tracks them.
+#[derive(Clone, Copy, Default)]
+struct Waits {
+    /// Counts the process's queue waits. Every token of a wait carries
+    /// it, so an entry an earlier wait left on a queue never matches the
+    /// token the engine holds armed for a later one.
+    gen: u32,
+    /// The queue indices its live `Any` wait armed.
+    any: [bool; 2],
+}
+
+/// Opens a new queue wait of `lid`: its entry in `waits` (grown on first
+/// use), with the generation bumped.
+fn next_wait(waits: &mut Vec<Waits>, lid: Lid) -> &mut Waits {
+    let i = lid.0 as usize;
+    if i >= waits.len() {
+        waits.resize(i + 1, Waits::default());
+    }
+    let w = &mut waits[i];
+    w.gen = w.gen.wrapping_add(1);
+    w
+}
+
+/// The engine token of queue index `idx` (0 or 1) of `lid`'s wait
+/// generation `gen`: `lid | idx << 32 | gen << 33`, the generation
+/// counted modulo 2^31.
+fn token(lid: Lid, idx: usize, gen: u32) -> u64 {
+    u64::from(lid.0) | (idx as u64) << 32 | u64::from(gen) << 33
+}
+
 /// Takes the queue tokens lid's live `Any` wait armed, if it has any.
-fn take_any(any_parked: &mut [[Option<u64>; 2]], lid: Lid) -> Option<[Option<u64>; 2]> {
-    let armed = std::mem::take(any_parked.get_mut(lid.0 as usize)?);
-    armed.iter().any(Option::is_some).then_some(armed)
+fn take_any(waits: &mut [Waits], lid: Lid) -> Option<[Option<u64>; 2]> {
+    let w = waits.get_mut(lid.0 as usize)?;
+    let any = std::mem::take(&mut w.any);
+    let gen = w.gen;
+    any.contains(&true)
+        .then(|| [0, 1].map(|i| any[i].then(|| token(lid, i, gen))))
 }
 
 #[cfg(test)]
@@ -634,6 +668,48 @@ mod tests {
         assert_eq!(
             log.lock().clone(),
             vec![(5_000, Wake::Timeout), (20_000, Wake::Timeout)]
+        );
+    }
+
+    #[test]
+    fn a_stale_any_entry_never_wakes_a_later_wait() {
+        // Woken out of an `Any` wait on [a, b] through b, the client
+        // leaves its entry on a; its next wait, on c alone, must not
+        // take a's signal, and c's signal must still reach it.
+        let s = sim();
+        let (a, b, c) = (s.new_queue(), s.new_queue(), s.new_queue());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let out = log.clone();
+        let mut sched = LiteScheduler::new(&s);
+        let mut phase = 0;
+        sched.spawn(
+            "client",
+            Box::new(move |ctx: &mut ProcCtx| {
+                phase += 1;
+                if phase > 1 {
+                    out.lock().push((ctx.sim().now().0, ctx.wake()));
+                }
+                match phase {
+                    1 => block_any(ctx, &[a, b], None, "a or b"),
+                    2 => block_on(c, "c alone"),
+                    _ => Step::Done,
+                }
+            }),
+        );
+        sched.start("sched");
+        let signals = Arc::new(Mutex::new(Vec::new()));
+        let sig = signals.clone();
+        s.spawn_task("signaller", move |s| async move {
+            for (at, q) in [(1_000, b), (2_000, a), (3_000, c)] {
+                s.sleep_until(Cycles(at)).await;
+                sig.lock().push(s.wakeup_one(q));
+            }
+        });
+        let _ = s.run().unwrap();
+        assert_eq!(*signals.lock(), vec![true, false, true]);
+        assert_eq!(
+            *log.lock(),
+            vec![(1_000, Wake::Queue(1)), (3_000, Wake::Queue(0))]
         );
     }
 
