@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::disk::{Disk, IoKind};
 use tnt_os::{KEnv, SysResult};
@@ -150,6 +150,10 @@ pub struct BufferCache {
     disk: Arc<Disk>,
     params: CacheParams,
     state: Mutex<CState>,
+    /// State-lock acquisitions so far (unit tests only: they pin the
+    /// lock traffic of a request).
+    #[cfg(test)]
+    locks: std::sync::atomic::AtomicU64,
 }
 
 impl BufferCache {
@@ -168,7 +172,17 @@ impl BufferCache {
                 hits: 0,
                 misses: 0,
             }),
+            #[cfg(test)]
+            locks: std::sync::atomic::AtomicU64::new(0),
         }
+    }
+
+    /// The one place the cache takes its state lock.
+    fn lock(&self) -> MutexGuard<'_, CState> {
+        #[cfg(test)]
+        self.locks
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.state.lock()
     }
 
     /// The cache parameters.
@@ -186,7 +200,7 @@ impl BufferCache {
 
     /// (hits, misses) so far.
     pub fn stats(&self) -> (u64, u64) {
-        let st = self.state.lock();
+        let st = self.lock();
         (st.hits, st.misses)
     }
 
@@ -204,17 +218,17 @@ impl BufferCache {
 
     /// Bytes of dirty data currently held.
     pub fn dirty_bytes(&self) -> u64 {
-        self.state.lock().dirty.len() as u64 * self.params.block_bytes
+        self.lock().dirty.len() as u64 * self.params.block_bytes
     }
 
     /// Whether the block at `addr` is cached (tests).
     pub fn contains(&self, addr: u64) -> bool {
-        self.state.lock().map.contains_key(&addr)
+        self.lock().map.contains_key(&addr)
     }
 
     /// Whether the block at `addr` is dirty (not yet on disk).
     pub fn is_dirty(&self, addr: u64) -> bool {
-        self.state.lock().dirty.contains(&addr)
+        self.lock().dirty.contains(&addr)
     }
 
     /// Evicts LRU entries until there is room for `need` more blocks.
@@ -235,86 +249,122 @@ impl BufferCache {
         victims
     }
 
-    /// Reads the cache block at `addr` (1 KB-block address, aligned to the
-    /// cache block size). On a miss, reads `1 + readahead` consecutive
-    /// blocks from disk in one command. Returns whether it hit, or the
+    /// Reads one request's cache blocks, in order. Each entry is a 1 KB
+    /// block address, aligned to the cache block size, and the read-ahead
+    /// a miss on it brings: the miss reads `1 + readahead` consecutive
+    /// blocks in one disk command. Returns how many blocks hit, or the
     /// disk's error if a miss's transfer failed past the retry budget.
-    pub async fn read(&self, env: &KEnv, addr: u64, readahead: u64) -> SysResult<bool> {
-        {
-            let _s = env.sim.span(Class::FsCpu);
-            env.sim.charge(Cycles(self.params.per_block_cpu_cy));
-        }
+    ///
+    /// The whole request takes the cache lock once, plus once more after
+    /// each miss; the lock is never held across a disk command.
+    pub async fn read(&self, env: &KEnv, blocks: &[(u64, u64)]) -> SysResult<u64> {
         let bs = self.bs_kb();
-        debug_assert_eq!(addr % bs, 0, "unaligned cache read");
-        let (hit, write_out) = {
-            let mut st = self.state.lock();
-            if let Some(&e) = st.map.get(&addr) {
-                st.hits += 1;
-                st.insert(addr, e.dirty);
-                (true, Vec::new())
-            } else {
-                st.misses += 1;
-                let n = 1 + readahead;
-                let victims = self.make_room(&mut st, n);
-                for i in 0..n {
-                    st.insert(addr + i * bs, false);
+        let mut hits = 0;
+        let mut next = 0;
+        while next < blocks.len() {
+            let (held_hits, miss) = {
+                let mut st = self.lock();
+                let mut held_hits = 0;
+                let mut miss = None;
+                while let Some(&(addr, readahead)) = blocks.get(next) {
+                    next += 1;
+                    self.charge_block(env);
+                    debug_assert_eq!(addr % bs, 0, "unaligned cache read");
+                    if let Some(&e) = st.map.get(&addr) {
+                        held_hits += 1;
+                        st.insert(addr, e.dirty);
+                        continue;
+                    }
+                    let n = 1 + readahead;
+                    let victims = self.make_room(&mut st, n);
+                    for i in 0..n {
+                        st.insert(addr + i * bs, false);
+                    }
+                    miss = Some((addr, n, victims));
+                    break;
                 }
-                (false, victims)
+                st.hits += held_hits;
+                st.misses += u64::from(miss.is_some());
+                (held_hits, miss)
+            };
+            hits += held_hits;
+            if held_hits > 0 {
+                env.sim.count(Counter::CacheHits, held_hits);
             }
-        };
-        env.sim.count(
-            if hit {
-                Counter::CacheHits
-            } else {
-                Counter::CacheMisses
-            },
-            1,
-        );
-        if !hit {
-            self.write_runs(env, &write_out).await?;
-            self.disk
-                .io(env, IoKind::Read, addr, (1 + readahead) * bs)
-                .await?;
+            if let Some((addr, n, victims)) = miss {
+                env.sim.count(Counter::CacheMisses, 1);
+                self.write_runs(env, &victims).await?;
+                self.disk.io(env, IoKind::Read, addr, n * bs).await?;
+            }
         }
-        Ok(hit)
+        Ok(hits)
     }
 
-    /// Writes the cache block at `addr`.
+    /// Writes one request's cache blocks, in order.
     ///
-    /// `sync` forces the block to disk before returning (FFS metadata).
-    /// Delayed writes accumulate; once the dirty high-water mark is hit,
-    /// the caller flushes down to half the mark, paying the disk time —
+    /// `sync` forces each block to disk before the next is cached (FFS
+    /// metadata). Delayed writes accumulate; once a block takes the dirty
+    /// count past the high-water mark, the caller flushes down to half
+    /// the mark before caching the next block, paying the disk time —
     /// this is where sequential-write benchmarks become disk bound.
     ///
     /// Errors surface only from the disk commands a write triggers (sync
-    /// writes, evictions, high-water flushes); the block itself is cached
-    /// before any of those run.
-    pub async fn write(&self, env: &KEnv, addr: u64, sync: bool) -> SysResult<()> {
-        {
-            let _s = env.sim.span(Class::FsCpu);
-            env.sim.charge(Cycles(self.params.per_block_cpu_cy));
-        }
-        if sync {
-            env.sim.count(Counter::SyncMetaWrites, 1);
-        }
+    /// writes, evictions, high-water flushes); each block is cached
+    /// before any of its own commands run. The cache lock is taken once
+    /// for a run of blocks that needs no disk command.
+    pub async fn write(&self, env: &KEnv, addrs: &[u64], sync: bool) -> SysResult<()> {
         let bs = self.bs_kb();
-        debug_assert_eq!(addr % bs, 0, "unaligned cache write");
-        let write_out = {
-            let mut st = self.state.lock();
-            let victims = self.make_room(&mut st, 1);
-            st.insert(addr, !sync);
-            victims
-        };
-        self.write_runs(env, &write_out).await?;
-        if sync {
-            return self.disk.io(env, IoKind::Write, addr, bs).await;
-        }
         let hiwater_blocks = self.params.dirty_hiwater_bytes / self.params.block_bytes;
-        let need_flush = self.state.lock().dirty.len() as u64 > hiwater_blocks;
-        if need_flush {
-            self.flush_down_to(env, hiwater_blocks / 2).await?;
+        let mut next = 0;
+        // A delayed write's high-water check runs after its victims are
+        // written back, so it can be left to the next lock hold.
+        let mut check = false;
+        while next < addrs.len() || check {
+            let (victims, sync_addr, flush) = {
+                let mut st = self.lock();
+                let mut out = (Vec::new(), None, false);
+                loop {
+                    if check {
+                        check = false;
+                        if st.dirty.len() as u64 > hiwater_blocks {
+                            out.2 = true;
+                            break;
+                        }
+                    }
+                    let Some(&addr) = addrs.get(next) else {
+                        break;
+                    };
+                    next += 1;
+                    self.charge_block(env);
+                    if sync {
+                        env.sim.count(Counter::SyncMetaWrites, 1);
+                    }
+                    debug_assert_eq!(addr % bs, 0, "unaligned cache write");
+                    let victims = self.make_room(&mut st, 1);
+                    st.insert(addr, !sync);
+                    check = !sync;
+                    if sync || !victims.is_empty() {
+                        out = (victims, sync.then_some(addr), false);
+                        break;
+                    }
+                }
+                out
+            };
+            self.write_runs(env, &victims).await?;
+            if let Some(addr) = sync_addr {
+                self.disk.io(env, IoKind::Write, addr, bs).await?;
+            }
+            if flush {
+                self.flush_down_to(env, hiwater_blocks / 2).await?;
+            }
         }
         Ok(())
+    }
+
+    /// The CPU cost of one cache block operation, as its own span.
+    fn charge_block(&self, env: &KEnv) {
+        let _s = env.sim.span(Class::FsCpu);
+        env.sim.charge(Cycles(self.params.per_block_cpu_cy));
     }
 
     /// Flushes dirty blocks (ascending disk order, clustered) until at
@@ -322,7 +372,7 @@ impl BufferCache {
     async fn flush_down_to(&self, env: &KEnv, target_blocks: u64) -> SysResult<()> {
         loop {
             let run = {
-                let mut st = self.state.lock();
+                let mut st = self.lock();
                 if st.dirty.len() as u64 <= target_blocks {
                     return Ok(());
                 }
@@ -390,7 +440,7 @@ impl BufferCache {
     /// deleted file's delayed writes (ext2's asynchronous win: a compiler
     /// temporary can live and die without ever touching the disk).
     pub fn discard(&self, addrs: &[u64]) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         for &addr in addrs {
             if st.remove(addr).is_some() {
                 st.dirty.remove(&addr);
@@ -400,7 +450,7 @@ impl BufferCache {
 
     /// Drops every entry without writing (mkfs of a scratch partition).
     pub fn invalidate_all(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         st.map.clear();
         st.oldest = NIL;
         st.newest = NIL;
@@ -510,11 +560,11 @@ mod tests {
                 let addr = (r % SPAN) * bs;
                 match (r >> 32) % 1000 {
                     0..=479 => {
-                        let hit = c.read(&env, addr, (r >> 48) % 8).await.unwrap();
-                        obs.lock().word(u64::from(hit));
+                        let hits = c.read(&env, &[(addr, (r >> 48) % 8)]).await.unwrap();
+                        obs.lock().word(hits);
                     }
-                    480..=699 => c.write(&env, addr, false).await.unwrap(),
-                    700..=799 => c.write(&env, addr, true).await.unwrap(),
+                    480..=699 => c.write(&env, &[addr], false).await.unwrap(),
+                    700..=799 => c.write(&env, &[addr], true).await.unwrap(),
                     800..=974 => {
                         let n = 1 + (r >> 48) % 6;
                         let set: Vec<u64> =
@@ -569,7 +619,7 @@ mod tests {
         let mut order = Vec::new();
         let mut next = fresh;
         while order.len() < watched.len() {
-            c.read(env, next, 0).await.unwrap();
+            c.read(env, &[(next, 0)]).await.unwrap();
             next += 8;
             for &a in watched {
                 if !c.contains(a) && !order.contains(&a) {
@@ -584,10 +634,10 @@ mod tests {
     fn discard_then_reinsert_makes_a_block_newest() {
         let (_, _, _) = run_with_cache(|env, c| async move {
             for i in 0..8u64 {
-                c.read(&env, i * 8, 0).await.unwrap();
+                c.read(&env, &[(i * 8, 0)]).await.unwrap();
             }
             c.discard(&[0]);
-            c.write(&env, 0, false).await.unwrap();
+            c.write(&env, &[0], false).await.unwrap();
             let watched: Vec<u64> = (0..8).map(|i| i * 8).collect();
             let order = eviction_order(&env, &c, &watched, 800).await;
             assert_eq!(order, [8, 16, 24, 32, 40, 48, 56, 0]);
@@ -598,10 +648,10 @@ mod tests {
     fn readahead_relinks_resident_blocks_newest_in_address_order() {
         let (_, _, _) = run_with_cache(|env, c| async move {
             for i in [2u64, 10, 11, 12] {
-                c.read(&env, i * 8, 0).await.unwrap();
+                c.read(&env, &[(i * 8, 0)]).await.unwrap();
             }
             // Misses at 0 and brings 0..=3; block 2 was already resident.
-            assert!(!c.read(&env, 0, 3).await.unwrap());
+            assert_eq!(c.read(&env, &[(0, 3)]).await.unwrap(), 0);
             let watched: Vec<u64> = [10u64, 11, 12, 0, 1, 2, 3].map(|i| i * 8).to_vec();
             let order = eviction_order(&env, &c, &watched, 800).await;
             assert_eq!(order, watched);
@@ -611,9 +661,9 @@ mod tests {
     #[test]
     fn read_miss_writes_dirty_victims_before_its_read() {
         let (_, _, events) = run_recorded(Os::Linux, params(), |env, c| async move {
-            c.write(&env, 0, false).await.unwrap();
+            c.write(&env, &[0], false).await.unwrap();
             for i in 1..=8u64 {
-                c.read(&env, i * 8, 0).await.unwrap();
+                c.read(&env, &[(i * 8, 0)]).await.unwrap();
             }
             assert!(!c.contains(0));
         });
@@ -627,8 +677,8 @@ mod tests {
     #[test]
     fn read_miss_then_hit() {
         let (_, (hits, misses), (reads, _, _)) = run_with_cache(|env, c| async move {
-            assert!(!c.read(&env, 0, 0).await.unwrap(), "cold miss");
-            assert!(c.read(&env, 0, 0).await.unwrap(), "now cached");
+            assert_eq!(c.read(&env, &[(0, 0)]).await.unwrap(), 0, "cold miss");
+            assert_eq!(c.read(&env, &[(0, 0)]).await.unwrap(), 1, "now cached");
         });
         assert_eq!((hits, misses), (1, 1));
         assert_eq!(reads, 1);
@@ -637,10 +687,10 @@ mod tests {
     #[test]
     fn readahead_fills_following_blocks() {
         let (_, (hits, misses), (reads, _, _)) = run_with_cache(|env, c| async move {
-            assert!(!c.read(&env, 0, 3).await.unwrap()); // brings 0, 8, 16, 24 (KB)
-            assert!(c.read(&env, 8, 0).await.unwrap());
-            assert!(c.read(&env, 16, 0).await.unwrap());
-            assert!(c.read(&env, 24, 0).await.unwrap());
+            assert_eq!(c.read(&env, &[(0, 3)]).await.unwrap(), 0); // brings 0, 8, 16, 24 (KB)
+            assert_eq!(c.read(&env, &[(8, 0)]).await.unwrap(), 1);
+            assert_eq!(c.read(&env, &[(16, 0)]).await.unwrap(), 1);
+            assert_eq!(c.read(&env, &[(24, 0)]).await.unwrap(), 1);
         });
         assert_eq!((hits, misses), (3, 1));
         assert_eq!(reads, 1, "one clustered disk read");
@@ -649,8 +699,8 @@ mod tests {
     #[test]
     fn delayed_write_touches_no_disk() {
         let (_, _, (reads, writes, _)) = run_with_cache(|env, c| async move {
-            c.write(&env, 0, false).await.unwrap();
-            c.write(&env, 8, false).await.unwrap();
+            c.write(&env, &[0], false).await.unwrap();
+            c.write(&env, &[8], false).await.unwrap();
             assert_eq!(c.dirty_bytes(), 16 * 1024);
         });
         assert_eq!((reads, writes), (0, 0), "delayed writes stay in cache");
@@ -659,7 +709,7 @@ mod tests {
     #[test]
     fn sync_write_hits_disk_immediately() {
         let (t, _, (_, writes, _)) = run_with_cache(|env, c| async move {
-            c.write(&env, 700_000 * 8, true).await.unwrap();
+            c.write(&env, &[700_000 * 8], true).await.unwrap();
         });
         assert_eq!(writes, 1);
         assert!(t.as_millis() > 5.0, "a sync metadata write costs a disk op");
@@ -671,7 +721,7 @@ mod tests {
         // flush that should need very few disk commands.
         let (_, _, (_, writes, blocks)) = run_with_cache(|env, c| async move {
             for i in 0..6u64 {
-                c.write(&env, i * 8, false).await.unwrap();
+                c.write(&env, &[i * 8], false).await.unwrap();
             }
         });
         assert!(writes <= 2, "clustered flush, got {writes} commands");
@@ -682,7 +732,7 @@ mod tests {
     fn eviction_never_exceeds_capacity() {
         let (_, _, _) = run_with_cache(|env, c| async move {
             for i in 0..100u64 {
-                c.read(&env, i * 8, 0).await.unwrap();
+                c.read(&env, &[(i * 8, 0)]).await.unwrap();
             }
             // Capacity is 8 blocks of 8 KB.
             let mut resident = 0;
@@ -699,9 +749,9 @@ mod tests {
     #[test]
     fn dirty_eviction_writes_back() {
         let (_, _, (_, writes, _)) = run_with_cache(|env, c| async move {
-            c.write(&env, 0, false).await.unwrap(); // one dirty block
+            c.write(&env, &[0], false).await.unwrap(); // one dirty block
             for i in 1..20u64 {
-                c.read(&env, i * 8, 0).await.unwrap(); // push it out
+                c.read(&env, &[(i * 8, 0)]).await.unwrap(); // push it out
             }
             assert!(!c.contains(0));
         });
@@ -712,7 +762,7 @@ mod tests {
     fn flush_all_cleans_everything() {
         let (_, _, _) = run_with_cache(|env, c| async move {
             for i in 0..4u64 {
-                c.write(&env, i * 8, false).await.unwrap();
+                c.write(&env, &[i * 8], false).await.unwrap();
             }
             c.flush_all(&env).await.unwrap();
             assert_eq!(c.dirty_bytes(), 0);
@@ -722,7 +772,7 @@ mod tests {
     #[test]
     fn invalidate_drops_without_io() {
         let (_, _, (_, writes, _)) = run_with_cache(|env, c| async move {
-            c.write(&env, 0, false).await.unwrap();
+            c.write(&env, &[0], false).await.unwrap();
             c.invalidate_all();
             assert_eq!(c.dirty_bytes(), 0);
             assert!(!c.contains(0));

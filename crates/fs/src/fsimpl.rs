@@ -237,10 +237,9 @@ impl SimFs {
     /// Writes the metadata blocks of an operation: the first `sync_count`
     /// go synchronously to the disk, the rest are delayed writes.
     async fn meta_writes(&self, env: &KEnv, addrs: &[u64], sync_count: u32) -> SysResult<()> {
-        for (i, &addr) in addrs.iter().enumerate() {
-            self.cache.write(env, addr, (i as u32) < sync_count).await?;
-        }
-        Ok(())
+        let (sync, delayed) = addrs.split_at(addrs.len().min(sync_count as usize));
+        self.cache.write(env, sync, true).await?;
+        self.cache.write(env, delayed, false).await
     }
 }
 
@@ -304,7 +303,7 @@ impl SimFs {
         let hit = self.meta.lock().touch(ino);
         if !hit {
             env.sim.charge(Cycles(self.params.getattr_miss_cy));
-            self.cache.read(env, self.inode_block(ino), 0).await?;
+            self.cache.read(env, &[(self.inode_block(ino), 0)]).await?;
         }
         Ok(())
     }
@@ -456,12 +455,10 @@ impl Filesystem for SimFs {
                 env.sim.charge(Cycles(self.params.per_op_cy));
             }
             let nblocks = plan.len() as u64;
-            for (addr, cluster) in plan {
-                // A miss reads the rest of the run in one clustered disk
-                // command, so the following blocks of this request hit; a hit
-                // ignores the read-ahead.
-                self.cache.read(env, addr, cluster).await?;
-            }
+            // A miss reads the rest of the run in one clustered disk
+            // command, so the following blocks of this request hit; a hit
+            // ignores the read-ahead.
+            self.cache.read(env, &plan).await?;
             {
                 let _s = env.sim.span(Class::DataCopy);
                 env.sim.charge(copyin_out(n));
@@ -526,9 +523,7 @@ impl Filesystem for SimFs {
                         + Cycles(self.params.overwrite_block_cy * rewrites),
                 );
             }
-            for addr in plan {
-                self.cache.write(env, addr, false).await?;
-            }
+            self.cache.write(env, &plan, false).await?;
             Ok(len)
         })
     }
@@ -665,7 +660,7 @@ impl Filesystem for SimFs {
                 (names, blk, depth)
             };
             self.charge_namei(env, depth);
-            self.cache.read(env, dir_blk, 0).await?;
+            self.cache.read(env, &[(dir_blk, 0)]).await?;
             env.sim
                 .charge(Cycles(self.params.readdir_entry_cy * names.len() as u64));
             Ok(names)
@@ -739,7 +734,9 @@ impl Filesystem for SimFs {
             // fsync(2) also commits the inode (size, timestamps): one far
             // synchronous metadata write — this is what makes each NFS WRITE
             // against a spec-compliant server so expensive.
-            self.cache.write(env, self.inode_block(vnode), true).await?;
+            self.cache
+                .write(env, &[self.inode_block(vnode)], true)
+                .await?;
             Ok(())
         })
     }
