@@ -16,6 +16,7 @@
 //! dirty set stays ordered, because the flush writes in ascending
 //! address order and takes its runs off the front of it.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -43,16 +44,17 @@ pub struct CacheParams {
     pub per_block_cpu_cy: u64,
 }
 
-/// The end of the LRU list. Never a block address: those count 1 KB
-/// blocks on a disk far smaller than 2^64 KB.
-const NIL: u64 = u64::MAX;
+/// The end of the LRU list and of the free list.
+const NIL: u32 = u32::MAX;
 
-/// A resident block: its neighbours in LRU order and whether it holds
-/// a delayed write.
+/// A buffer slot: the block it holds, its neighbours in LRU order and
+/// whether it holds a delayed write. A free slot is linked through
+/// `newer` on the free list.
 #[derive(Clone, Copy)]
-struct Entry {
-    older: u64,
-    newer: u64,
+struct Buf {
+    addr: u64,
+    older: u32,
+    newer: u32,
     dirty: bool,
 }
 
@@ -81,67 +83,134 @@ impl Hasher for AddrHasher {
     clippy::disallowed_types,
     reason = "keyed lookup/insert/remove only, never iterated"
 )]
-type BlockIndex = std::collections::HashMap<u64, Entry, BuildHasherDefault<AddrHasher>>;
+type BlockIndex = std::collections::HashMap<u64, u32, BuildHasherDefault<AddrHasher>>;
 
 struct CState {
-    /// addr (in 1 KB disk blocks, block-aligned) -> entry, linked from
-    /// `oldest` to `newest`.
-    map: BlockIndex,
-    oldest: u64,
-    newest: u64,
+    /// addr (in 1 KB disk blocks, block-aligned) -> its slot in `bufs`.
+    index: BlockIndex,
+    /// Resident slots are linked from `oldest` to `newest`.
+    bufs: Vec<Buf>,
+    oldest: u32,
+    newest: u32,
+    /// Head of the free slots.
+    free: u32,
     dirty: BTreeSet<u64>,
     hits: u64,
     misses: u64,
 }
 
 impl CState {
-    fn entry_mut(&mut self, addr: u64) -> &mut Entry {
-        self.map.get_mut(&addr).expect("neighbour is resident")
+    fn buf(&mut self, slot: u32) -> &mut Buf {
+        &mut self.bufs[slot as usize]
     }
 
-    /// Closes the gap `e` leaves in the LRU list.
-    fn unlink(&mut self, e: Entry) {
-        match e.older {
-            NIL => self.oldest = e.newer,
-            older => self.entry_mut(older).newer = e.newer,
+    /// Closes the gap `slot` leaves in the LRU list.
+    fn unlink(&mut self, slot: u32) {
+        let Buf { older, newer, .. } = *self.buf(slot);
+        match older {
+            NIL => self.oldest = newer,
+            older => self.buf(older).newer = newer,
         }
-        match e.newer {
-            NIL => self.newest = e.older,
-            newer => self.entry_mut(newer).older = e.older,
+        match newer {
+            NIL => self.newest = older,
+            newer => self.buf(newer).older = older,
         }
+    }
+
+    /// Links `slot` in as the newest block.
+    fn link_newest(&mut self, slot: u32) {
+        let older = self.newest;
+        let b = self.buf(slot);
+        b.older = older;
+        b.newer = NIL;
+        match older {
+            NIL => self.oldest = slot,
+            older => self.buf(older).newer = slot,
+        }
+        self.newest = slot;
+    }
+
+    /// Makes a resident block the newest; whether `addr` was resident.
+    fn touch(&mut self, addr: u64) -> bool {
+        let Some(&slot) = self.index.get(&addr) else {
+            return false;
+        };
+        self.unlink(slot);
+        self.link_newest(slot);
+        true
     }
 
     /// Caches `addr` as the newest block; a resident block moves there
     /// and takes the new dirty flag.
     fn insert(&mut self, addr: u64, dirty: bool) {
-        if self.remove(addr).is_some_and(|old| old.dirty && !dirty) {
-            self.dirty.remove(&addr);
+        let (slot, was_dirty) = match self.index.entry(addr) {
+            Entry::Occupied(e) => {
+                let slot = *e.get();
+                (slot, Some(self.bufs[slot as usize].dirty))
+            }
+            Entry::Vacant(e) => {
+                let slot = match self.free {
+                    NIL => {
+                        self.bufs.push(Buf {
+                            addr,
+                            older: NIL,
+                            newer: NIL,
+                            dirty,
+                        });
+                        (self.bufs.len() - 1) as u32
+                    }
+                    slot => {
+                        self.free = self.bufs[slot as usize].newer;
+                        slot
+                    }
+                };
+                e.insert(slot);
+                (slot, None)
+            }
+        };
+        if was_dirty.is_some() {
+            self.unlink(slot);
         }
-        let older = self.newest;
-        self.map.insert(
-            addr,
-            Entry {
-                older,
-                newer: NIL,
-                dirty,
-            },
-        );
-        match older {
-            NIL => self.oldest = addr,
-            older => self.entry_mut(older).newer = addr,
-        }
-        self.newest = addr;
-        if dirty {
-            self.dirty.insert(addr);
+        let b = self.buf(slot);
+        b.addr = addr;
+        b.dirty = dirty;
+        self.link_newest(slot);
+        match (was_dirty == Some(true), dirty) {
+            (true, false) => {
+                self.dirty.remove(&addr);
+            }
+            (false, true) => {
+                self.dirty.insert(addr);
+            }
+            _ => {}
         }
     }
 
-    /// Drops a resident block from the index and the list (not from the
-    /// dirty set) and returns its entry.
-    fn remove(&mut self, addr: u64) -> Option<Entry> {
-        let e = self.map.remove(&addr)?;
-        self.unlink(e);
-        Some(e)
+    /// Drops the least recently used block; its address and whether it
+    /// held a delayed write.
+    fn evict_oldest(&mut self) -> Option<(u64, bool)> {
+        let slot = self.oldest;
+        if slot == NIL {
+            return None;
+        }
+        let addr = self.buf(slot).addr;
+        self.index.remove(&addr);
+        Some((addr, self.release(slot)))
+    }
+
+    /// Frees the slot of a block the index no longer maps, dropping the
+    /// block from the LRU list and the dirty set; whether it was dirty.
+    fn release(&mut self, slot: u32) -> bool {
+        self.unlink(slot);
+        let free = self.free;
+        let b = self.buf(slot);
+        b.newer = free;
+        let Buf { addr, dirty, .. } = *b;
+        self.free = slot;
+        if dirty {
+            self.dirty.remove(&addr);
+        }
+        dirty
     }
 }
 
@@ -165,9 +234,11 @@ impl BufferCache {
             disk,
             params,
             state: Mutex::new(CState {
-                map: BlockIndex::default(),
+                index: BlockIndex::default(),
+                bufs: Vec::new(),
                 oldest: NIL,
                 newest: NIL,
+                free: NIL,
                 dirty: BTreeSet::new(),
                 hits: 0,
                 misses: 0,
@@ -223,7 +294,7 @@ impl BufferCache {
 
     /// Whether the block at `addr` is cached (tests).
     pub fn contains(&self, addr: u64) -> bool {
-        self.lock().map.contains_key(&addr)
+        self.lock().index.contains_key(&addr)
     }
 
     /// Whether the block at `addr` is dirty (not yet on disk).
@@ -236,13 +307,11 @@ impl BufferCache {
     fn make_room(&self, st: &mut CState, need: u64) -> Vec<u64> {
         let cap = self.capacity_blocks();
         let mut victims = Vec::new();
-        while st.map.len() as u64 + need > cap {
-            let addr = st.oldest;
-            let Some(e) = st.remove(addr) else {
+        while st.index.len() as u64 + need > cap {
+            let Some((addr, dirty)) = st.evict_oldest() else {
                 break;
             };
-            if e.dirty {
-                st.dirty.remove(&addr);
+            if dirty {
                 victims.push(addr);
             }
         }
@@ -270,9 +339,8 @@ impl BufferCache {
                     next += 1;
                     self.charge_block(env);
                     debug_assert_eq!(addr % bs, 0, "unaligned cache read");
-                    if let Some(&e) = st.map.get(&addr) {
+                    if st.touch(addr) {
                         held_hits += 1;
-                        st.insert(addr, e.dirty);
                         continue;
                     }
                     let n = 1 + readahead;
@@ -400,8 +468,8 @@ impl BufferCache {
             n += 1;
         }
         for i in 0..n {
-            if let Some(e) = st.map.get_mut(&(first + i * bs)) {
-                e.dirty = false;
+            if let Some(&slot) = st.index.get(&(first + i * bs)) {
+                st.buf(slot).dirty = false;
             }
         }
         Some((first, n))
@@ -441,9 +509,9 @@ impl BufferCache {
     /// temporary can live and die without ever touching the disk).
     pub fn discard(&self, addrs: &[u64]) {
         let mut st = self.lock();
-        for &addr in addrs {
-            if st.remove(addr).is_some() {
-                st.dirty.remove(&addr);
+        for addr in addrs {
+            if let Some(slot) = st.index.remove(addr) {
+                st.release(slot);
             }
         }
     }
@@ -451,9 +519,11 @@ impl BufferCache {
     /// Drops every entry without writing (mkfs of a scratch partition).
     pub fn invalidate_all(&self) {
         let mut st = self.lock();
-        st.map.clear();
+        st.index.clear();
+        st.bufs.clear();
         st.oldest = NIL;
         st.newest = NIL;
+        st.free = NIL;
         st.dirty.clear();
     }
 }
