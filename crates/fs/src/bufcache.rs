@@ -17,7 +17,7 @@
 //! address order and takes its runs off the front of it.
 
 use std::collections::hash_map::Entry;
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -94,7 +94,12 @@ struct CState {
     newest: u32,
     /// Head of the free slots.
     free: u32,
-    dirty: BTreeSet<u64>,
+    /// Dirty block addresses, ascending. Sequential writes append at the
+    /// back and flush runs pop from the front; anything else
+    /// binary-searches. It holds at most the high-water mark plus one
+    /// block (8,193 on ext2, 1,025 on FFS/UFS), so a middle insert or
+    /// remove moves at most 32 KB.
+    dirty: VecDeque<u64>,
     hits: u64,
     misses: u64,
 }
@@ -176,13 +181,24 @@ impl CState {
         b.dirty = dirty;
         self.link_newest(slot);
         match (was_dirty == Some(true), dirty) {
-            (true, false) => {
-                self.dirty.remove(&addr);
-            }
-            (false, true) => {
-                self.dirty.insert(addr);
-            }
+            (true, false) => self.unmark_dirty(addr),
+            (false, true) => match self.dirty.back() {
+                Some(&back) if back > addr => {
+                    let at = self.dirty.partition_point(|&a| a < addr);
+                    self.dirty.insert(at, addr);
+                }
+                _ => self.dirty.push_back(addr),
+            },
             _ => {}
+        }
+    }
+
+    /// Drops a dirty block's address from the dirty list.
+    fn unmark_dirty(&mut self, addr: u64) {
+        if self.dirty.front() == Some(&addr) {
+            self.dirty.pop_front();
+        } else if let Ok(at) = self.dirty.binary_search(&addr) {
+            self.dirty.remove(at);
         }
     }
 
@@ -208,7 +224,7 @@ impl CState {
         let Buf { addr, dirty, .. } = *b;
         self.free = slot;
         if dirty {
-            self.dirty.remove(&addr);
+            self.unmark_dirty(addr);
         }
         dirty
     }
@@ -239,7 +255,7 @@ impl BufferCache {
                 oldest: NIL,
                 newest: NIL,
                 free: NIL,
-                dirty: BTreeSet::new(),
+                dirty: VecDeque::new(),
                 hits: 0,
                 misses: 0,
             }),
@@ -299,7 +315,7 @@ impl BufferCache {
 
     /// Whether the block at `addr` is dirty (not yet on disk).
     pub fn is_dirty(&self, addr: u64) -> bool {
-        self.lock().dirty.contains(&addr)
+        self.lock().dirty.binary_search(&addr).is_ok()
     }
 
     /// Evicts LRU entries until there is room for `need` more blocks.
@@ -461,10 +477,10 @@ impl BufferCache {
     /// and marks it clean; returns (start addr, blocks).
     fn take_run(&self, st: &mut CState) -> Option<(u64, u64)> {
         let bs = self.bs_kb();
-        let first = st.dirty.pop_first()?;
+        let first = st.dirty.pop_front()?;
         let mut n = 1;
-        while n < self.params.write_cluster_blocks && st.dirty.first() == Some(&(first + n * bs)) {
-            st.dirty.pop_first();
+        while n < self.params.write_cluster_blocks && st.dirty.front() == Some(&(first + n * bs)) {
+            st.dirty.pop_front();
             n += 1;
         }
         for i in 0..n {
