@@ -548,8 +548,11 @@ impl BufferCache {
 mod tests {
     use super::*;
     use crate::disk::DiskParams;
-    use tnt_os::{boot, Os};
+    use std::sync::atomic::Ordering;
+    use tnt_os::{boot, boot_cluster_with_faults, Errno, Kernel, Os};
+    use tnt_sim::fault::FaultProfile;
     use tnt_sim::replay::{Op, TraceEvent};
+    use tnt_sim::Sim;
 
     fn params() -> CacheParams {
         CacheParams {
@@ -561,18 +564,17 @@ mod tests {
         }
     }
 
-    /// Runs `f` as one user process over a fresh cache with the workload
-    /// recorder armed; returns the final clock, the cache and the block
-    /// commands the disk saw, in issue order.
+    /// Runs `f` as one user process of a booted machine over a fresh
+    /// cache with the workload recorder armed; returns the final clock,
+    /// the cache and the block commands the disk saw, in issue order.
     fn run_recorded<Fut>(
-        os: Os,
+        (sim, kernel): (Sim, Kernel),
         params: CacheParams,
         f: impl FnOnce(KEnv, Arc<BufferCache>) -> Fut + Send + 'static,
     ) -> (Cycles, Arc<BufferCache>, Vec<TraceEvent>)
     where
         Fut: std::future::Future<Output = ()> + Send + 'static,
     {
-        let (sim, kernel) = boot(os, 0);
         sim.recorder().enable();
         let disk = Arc::new(Disk::new(DiskParams::hp3725()));
         let cache = Arc::new(BufferCache::new(disk, params));
@@ -589,7 +591,7 @@ mod tests {
     where
         Fut: std::future::Future<Output = ()> + Send + 'static,
     {
-        let (t, cache, _) = run_recorded(Os::Linux, params(), f);
+        let (t, cache, _) = run_recorded(boot(Os::Linux, 0), params(), f);
         (t, cache.stats(), cache.disk_stats())
     }
 
@@ -632,7 +634,7 @@ mod tests {
         };
         let observed = Arc::new(Mutex::new(Fnv::new()));
         let obs = observed.clone();
-        let (t, cache, events) = run_recorded(os, p, move |env, c| async move {
+        let (t, cache, events) = run_recorded(boot(os, 0), p, move |env, c| async move {
             let bs = block_bytes / 1024;
             let mut rng = seed;
             for i in 0..OPS {
@@ -699,6 +701,173 @@ mod tests {
         );
     }
 
+    /// Reads `blocks` in calls of at most `per_call` blocks; the hits.
+    async fn read_in(
+        env: &KEnv,
+        c: &BufferCache,
+        blocks: &[(u64, u64)],
+        per_call: usize,
+    ) -> SysResult<u64> {
+        let mut hits = 0;
+        for part in blocks.chunks(per_call) {
+            hits += c.read(env, part).await?;
+        }
+        Ok(hits)
+    }
+
+    /// Writes `addrs` in calls of at most `per_call` blocks.
+    async fn write_in(
+        env: &KEnv,
+        c: &BufferCache,
+        addrs: &[u64],
+        sync: bool,
+        per_call: usize,
+    ) -> SysResult<()> {
+        for part in addrs.chunks(per_call) {
+            c.write(env, part, sync).await?;
+        }
+        Ok(())
+    }
+
+    /// Drives a seeded stream of requests of 1-16 blocks over a cache of
+    /// 40 `block_bytes` blocks and an address range of 96: reads with
+    /// mixed read-ahead, delayed and sync writes, discards and flushes.
+    /// Reads and writes go to the cache in calls of at most `per_call`
+    /// blocks. Folds into one digest each request's hits, every block's
+    /// residency and dirt after every request, every disk command with
+    /// its issue time, the hit and miss counters and the final clock.
+    /// The first failed request ends the stream; its errno comes back.
+    fn request_stream_digest(
+        machine: (Sim, Kernel),
+        block_bytes: u64,
+        seed: u64,
+        per_call: usize,
+    ) -> (u64, Option<Errno>) {
+        const REQUESTS: u64 = 2_000;
+        const SPAN: u64 = 96;
+        let p = CacheParams {
+            capacity_bytes: 40 * block_bytes,
+            block_bytes,
+            dirty_hiwater_bytes: 8 * block_bytes,
+            write_cluster_blocks: 4,
+            per_block_cpu_cy: 100,
+        };
+        let observed = Arc::new(Mutex::new((Fnv::new(), None)));
+        let obs = observed.clone();
+        let (t, cache, events) = run_recorded(machine, p, move |env, c| async move {
+            let bs = block_bytes / 1024;
+            let mut rng = seed;
+            let stream = async {
+                for _ in 0..REQUESTS {
+                    let r = splitmix(&mut rng);
+                    // Mostly consecutive blocks, as a file's layout gives.
+                    let mut b = r % SPAN;
+                    let addrs: Vec<u64> = (0..1 + (r >> 8) % 16)
+                        .map(|_| {
+                            let a = b * bs;
+                            let jump = splitmix(&mut rng);
+                            b = if jump.is_multiple_of(4) {
+                                (jump >> 8) % SPAN
+                            } else {
+                                (b + 1) % SPAN
+                            };
+                            a
+                        })
+                        .collect();
+                    match (r >> 32) % 100 {
+                        0..=44 => {
+                            let blocks: Vec<(u64, u64)> = addrs
+                                .iter()
+                                .map(|&a| (a, (splitmix(&mut rng) % 12).saturating_sub(4)))
+                                .collect();
+                            let hits = read_in(&env, &c, &blocks, per_call).await?;
+                            obs.lock().0.word(hits);
+                        }
+                        45..=69 => write_in(&env, &c, &addrs, false, per_call).await?,
+                        70..=79 => write_in(&env, &c, &addrs, true, per_call).await?,
+                        80..=94 => c.discard(&addrs),
+                        95..=98 => c.flush_all(&env).await?,
+                        _ => c.invalidate_all(),
+                    }
+                    let mut h = obs.lock();
+                    for b in 0..SPAN {
+                        h.0.word(
+                            u64::from(c.contains(b * bs)) | u64::from(c.is_dirty(b * bs)) << 1,
+                        );
+                    }
+                }
+                Ok(())
+            };
+            let outcome: SysResult<()> = stream.await;
+            obs.lock().1 = outcome.err();
+        });
+        let (mut h, errno) = {
+            let o = observed.lock();
+            (Fnv(o.0 .0), o.1)
+        };
+        for e in &events {
+            h.word(e.t);
+            h.word(u64::from(e.op.code()));
+            h.word(e.arg);
+            h.word(e.size);
+        }
+        let (hits, misses) = cache.stats();
+        for w in [hits, misses, errno.map_or(0, |e| e as u64 + 1), t.0] {
+            h.word(w);
+        }
+        (h.0, errno)
+    }
+
+    /// A request does exactly what its blocks do one call at a time:
+    /// the same hits, cache states and disk commands at the same times,
+    /// and on a disk that fails past its retry budget the same errno
+    /// after the same commands.
+    #[test]
+    fn a_request_equals_its_blocks_one_at_a_time() {
+        for (os, block_bytes) in [(Os::Linux, 1024), (Os::FreeBsd, 8192)] {
+            let whole = request_stream_digest(boot(os, 0), block_bytes, 26, 16);
+            let single = request_stream_digest(boot(os, 0), block_bytes, 26, 1);
+            assert_eq!(whole, single, "{os:?}");
+            assert_eq!(whole.1, None);
+        }
+        let failing = FaultProfile {
+            disk_transient: 0.3,
+            ..FaultProfile::off()
+        };
+        for fault_seed in 1..=6 {
+            let boot = || boot_cluster_with_faults(&[Os::Linux], fault_seed, failing);
+            let machine = |(sim, kernels): (Sim, Vec<Kernel>)| (sim, kernels[0].clone());
+            let whole = request_stream_digest(machine(boot()), 1024, fault_seed, 16);
+            let single = request_stream_digest(machine(boot()), 1024, fault_seed, 1);
+            assert_eq!(whole, single, "fault seed {fault_seed}");
+            assert_eq!(whole.1, Some(Errno::EIO), "fault seed {fault_seed}");
+        }
+    }
+
+    /// A request takes the cache lock once while no block of it needs
+    /// the disk.
+    #[test]
+    fn a_request_takes_one_cache_lock() {
+        let p = CacheParams {
+            capacity_bytes: 32 * 8192,
+            dirty_hiwater_bytes: 16 * 8192,
+            ..params()
+        };
+        let (_, _, _) = run_recorded(boot(Os::Linux, 0), p, |env, c| async move {
+            let locks = || c.locks.load(Ordering::Relaxed);
+            let resident: Vec<(u64, u64)> = (0..8).map(|i| (i * 8, 7 - i)).collect();
+            c.read(&env, &resident).await.unwrap();
+            let before = locks();
+            assert_eq!(c.read(&env, &resident).await.unwrap(), 8);
+            let read = locks() - before;
+            let fresh: Vec<u64> = (8..16).map(|i| i * 8).collect();
+            let before = locks();
+            c.write(&env, &fresh, false).await.unwrap();
+            let write = locks() - before;
+            assert_eq!((read, write), (1, 1));
+        });
+    }
+
     /// Addresses among `watched` that each successive read of a fresh
     /// block evicts, in eviction order.
     async fn eviction_order(env: &KEnv, c: &BufferCache, watched: &[u64], fresh: u64) -> Vec<u64> {
@@ -746,7 +915,7 @@ mod tests {
 
     #[test]
     fn read_miss_writes_dirty_victims_before_its_read() {
-        let (_, _, events) = run_recorded(Os::Linux, params(), |env, c| async move {
+        let (_, _, events) = run_recorded(boot(Os::Linux, 0), params(), |env, c| async move {
             c.write(&env, &[0], false).await.unwrap();
             for i in 1..=8u64 {
                 c.read(&env, &[(i * 8, 0)]).await.unwrap();
