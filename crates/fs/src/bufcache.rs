@@ -10,11 +10,17 @@
 //!
 //! A block is found the way Linux 1.2's `getblk` and 4.4BSD's `bufhash`
 //! find one: an index hashed by block address leads straight to the
-//! buffer, and the buffers are threaded on one doubly linked LRU list,
-//! so a touch, insert, eviction or discard costs a few hash operations.
-//! The index is never iterated, so its hash order decides nothing. The
-//! dirty set stays ordered, because the flush writes in ascending
-//! address order and takes its runs off the front of it.
+//! buffer, and the buffers are threaded on one doubly linked LRU list.
+//! The buffers are slots of one vector, linked by slot number, so a hit
+//! costs one hash lookup and relinks without touching the index, and an
+//! eviction takes the oldest slot directly. The index is never iterated,
+//! so its hash order decides nothing. The dirty blocks stay in ascending
+//! address order, because the flush writes in that order and takes its
+//! runs off the front.
+//!
+//! [`BufferCache::read`] and [`BufferCache::write`] take one file
+//! request's blocks, so a request takes the cache lock once, and once
+//! more after each disk command one of its blocks causes.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
