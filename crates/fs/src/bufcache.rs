@@ -151,42 +151,46 @@ impl CState {
         true
     }
 
-    /// Caches `addr` as the newest block; a resident block moves there
-    /// and takes the new dirty flag.
-    fn insert(&mut self, addr: u64, dirty: bool) {
-        let (slot, was_dirty) = match self.index.entry(addr) {
+    /// Makes `addr` the newest block, caching it clean if it was not
+    /// resident; returns its slot and whether it is dirty.
+    fn make_newest(&mut self, addr: u64) -> (u32, bool) {
+        let (slot, dirty) = match self.index.entry(addr) {
             Entry::Occupied(e) => {
                 let slot = *e.get();
-                (slot, Some(self.bufs[slot as usize].dirty))
+                self.unlink(slot);
+                (slot, self.bufs[slot as usize].dirty)
             }
             Entry::Vacant(e) => {
+                let buf = Buf {
+                    addr,
+                    older: NIL,
+                    newer: NIL,
+                    dirty: false,
+                };
                 let slot = match self.free {
                     NIL => {
-                        self.bufs.push(Buf {
-                            addr,
-                            older: NIL,
-                            newer: NIL,
-                            dirty,
-                        });
+                        self.bufs.push(buf);
                         (self.bufs.len() - 1) as u32
                     }
                     slot => {
                         self.free = self.bufs[slot as usize].newer;
+                        self.bufs[slot as usize] = buf;
                         slot
                     }
                 };
                 e.insert(slot);
-                (slot, None)
+                (slot, false)
             }
         };
-        if was_dirty.is_some() {
-            self.unlink(slot);
-        }
-        let b = self.buf(slot);
-        b.addr = addr;
-        b.dirty = dirty;
         self.link_newest(slot);
-        match (was_dirty == Some(true), dirty) {
+        (slot, dirty)
+    }
+
+    /// Caches `addr` as the newest block with the given dirty flag.
+    fn insert(&mut self, addr: u64, dirty: bool) {
+        let (slot, was_dirty) = self.make_newest(addr);
+        self.buf(slot).dirty = dirty;
+        match (was_dirty, dirty) {
             (true, false) => self.unmark_dirty(addr),
             (false, true) => match self.dirty.back() {
                 Some(&back) if back > addr => {
@@ -367,8 +371,10 @@ impl BufferCache {
                     }
                     let n = 1 + readahead;
                     let victims = self.make_room(&mut st, n);
+                    // A resident block of the run keeps its dirty flag: its
+                    // cached contents are newer than the disk's.
                     for i in 0..n {
-                        st.insert(addr + i * bs, false);
+                        st.make_newest(addr + i * bs);
                     }
                     miss = Some((addr, n, victims));
                     break;
@@ -703,7 +709,7 @@ mod tests {
         let bsd_8k = op_stream_digest(Os::FreeBsd, 8192, 7);
         assert_eq!(
             (linux_1k, bsd_8k),
-            (0xb4e3_ed49_af8d_4da4, 0x2fe5_995f_f2cf_6266)
+            (0x8a13_bb23_f153_255a, 0x93c3_96db_ce35_f6df)
         );
     }
 
@@ -917,6 +923,19 @@ mod tests {
             let order = eviction_order(&env, &c, &watched, 800).await;
             assert_eq!(order, watched);
         });
+    }
+
+    #[test]
+    fn readahead_keeps_a_resident_block_dirty() {
+        let (_, _, events) = run_recorded(boot(Os::Linux, 0), params(), |env, c| async move {
+            c.write(&env, &[16], false).await.unwrap();
+            // Misses at 8 and reads 8..=24, over the delayed write at 16.
+            assert_eq!(c.read(&env, &[(8, 2)]).await.unwrap(), 0);
+            assert!(c.is_dirty(16), "the read-ahead dropped a delayed write");
+            c.flush_all(&env).await.unwrap();
+        });
+        let commands: Vec<(Op, u64, u64)> = events.iter().map(|e| (e.op, e.arg, e.size)).collect();
+        assert_eq!(commands, [(Op::BlockRead, 8, 24), (Op::BlockWrite, 16, 8)]);
     }
 
     #[test]
