@@ -228,11 +228,9 @@ impl CState {
     /// block from the LRU list and the dirty set; whether it was dirty.
     fn release(&mut self, slot: u32) -> bool {
         self.unlink(slot);
-        let free = self.free;
-        let b = self.buf(slot);
-        b.newer = free;
-        let Buf { addr, dirty, .. } = *b;
+        self.buf(slot).newer = self.free;
         self.free = slot;
+        let Buf { addr, dirty, .. } = *self.buf(slot);
         if dirty {
             self.unmark_dirty(addr);
         }
@@ -412,23 +410,22 @@ impl BufferCache {
         let bs = self.bs_kb();
         let hiwater_blocks = self.params.dirty_hiwater_bytes / self.params.block_bytes;
         let mut next = 0;
-        // A delayed write's high-water check runs after its victims are
-        // written back, so it can be left to the next lock hold.
+        // Whether the last block cached is a delayed write whose
+        // high-water check is still due: it runs after the block's victims
+        // are on disk, at the start of the next lock hold.
         let mut check = false;
         while next < addrs.len() || check {
             let (victims, sync_addr, flush) = {
                 let mut st = self.lock();
-                let mut out = (Vec::new(), None, false);
                 loop {
                     if check {
                         check = false;
                         if st.dirty.len() as u64 > hiwater_blocks {
-                            out.2 = true;
-                            break;
+                            break (Vec::new(), None, true);
                         }
                     }
                     let Some(&addr) = addrs.get(next) else {
-                        break;
+                        break (Vec::new(), None, false);
                     };
                     next += 1;
                     self.charge_block(env);
@@ -440,11 +437,9 @@ impl BufferCache {
                     st.insert(addr, !sync);
                     check = !sync;
                     if sync || !victims.is_empty() {
-                        out = (victims, sync.then_some(addr), false);
-                        break;
+                        break (victims, sync.then_some(addr), false);
                     }
                 }
-                out
             };
             self.write_runs(env, &victims).await?;
             if let Some(addr) = sync_addr {
