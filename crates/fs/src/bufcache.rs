@@ -102,9 +102,11 @@ struct CState {
     free: u32,
     /// Dirty block addresses, ascending. Sequential writes append at the
     /// back and flush runs pop from the front; anything else
-    /// binary-searches. It holds at most the high-water mark plus one
-    /// block (8,193 on ext2, 1,025 on FFS/UFS), so a middle insert or
-    /// remove moves at most 32 KB.
+    /// binary-searches. A delayed write that takes it past the
+    /// high-water mark flushes it down to half, so it stays within the
+    /// mark plus one block per writer (8,193 on ext2, 1,025 on FFS/UFS
+    /// for one writer), and a middle insert or remove moves about 32 KB
+    /// at most.
     dirty: VecDeque<u64>,
     hits: u64,
     misses: u64,
