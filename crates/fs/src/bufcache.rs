@@ -8,13 +8,18 @@
 //! them in ascending disk order as clustered sequential transfers (the
 //! classic self-throttling write-behind of 1990s kernels).
 //!
-//! A block is found the way Linux 1.2's `getblk` and 4.4BSD's `bufhash`
-//! find one: an index hashed by block address leads straight to the
-//! buffer, and the buffers are threaded on one doubly linked LRU list.
-//! The buffers are slots of one vector, linked by slot number, so a hit
-//! costs one hash lookup and relinks without touching the index, and an
-//! eviction takes the oldest slot directly. The index is never iterated,
-//! so its hash order decides nothing. The dirty blocks stay in ascending
+//! A block is found through a two-level table indexed by block number:
+//! the top level holds one leaf per 1,024 block numbers, allocated when
+//! the first block in its range is cached, and a leaf's cell holds the
+//! block's slot. Linux 1.2's `getblk` and 4.4BSD's `bufhash` hash the
+//! address instead; Linux 2.5 made this trade when it replaced the
+//! global page-cache hash with per-file radix trees. The filesystem's
+//! blocks lie in three zones, so the table stays small: a 100 MB ext2
+//! file spreads over 368 leaves (1.5 MB), an FFS or UFS one over 16.
+//! The buffers are slots of one vector, threaded on one doubly linked
+//! LRU list by slot number, so a hit costs two loads and relinks without
+//! touching the index, and an eviction takes the oldest slot directly.
+//! The index is never iterated. The dirty blocks stay in ascending
 //! address order, because the flush writes in that order and takes its
 //! runs off the front.
 //!
@@ -22,9 +27,7 @@
 //! request's blocks, so a request takes the cache lock once, and once
 //! more after each disk command one of its blocks causes.
 
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -64,32 +67,84 @@ struct Buf {
     dirty: bool,
 }
 
-/// Hashes a block address with one multiply. The keys come from the
-/// filesystem's own allocator, never from outside the program.
-#[derive(Default)]
-struct AddrHasher(u64);
+/// Block numbers per leaf of the block index.
+const LEAF: usize = 1024;
 
-impl Hasher for AddrHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("block addresses hash as one u64");
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        // Buckets come from the low bits, which aligned addresses share:
-        // rotate the well-mixed high half of the product down.
-        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Maps a resident block's address to its slot: a table of leaves
+/// indexed by block number, so a lookup is two loads and no hash. A leaf
+/// covers `LEAF` consecutive block numbers and is allocated by the first
+/// block inserted in its range; it lives until [`BlockIndex::clear`].
+/// The filesystem's three zones (data, cylinder groups, inodes) touch a
+/// few hundred leaves at most.
+struct BlockIndex {
+    /// log2 of the block size in 1 KB disk blocks.
+    shift: u32,
+    /// Leaf `i` holds the slots of block numbers `i * LEAF ..`, `NIL`
+    /// where no block is resident.
+    top: Vec<Option<Box<[u32; LEAF]>>>,
+    /// Resident blocks.
+    len: u64,
 }
 
-#[expect(
-    clippy::disallowed_types,
-    reason = "keyed lookup/insert/remove only, never iterated"
-)]
-type BlockIndex = std::collections::HashMap<u64, u32, BuildHasherDefault<AddrHasher>>;
+impl BlockIndex {
+    fn new(block_kb: u64) -> BlockIndex {
+        BlockIndex {
+            shift: block_kb.trailing_zeros(),
+            top: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// The leaf and cell of block address `addr`.
+    fn split(&self, addr: u64) -> (usize, usize) {
+        let block = (addr >> self.shift) as usize;
+        (block / LEAF, block % LEAF)
+    }
+
+    /// The slot of `addr`, if it is resident.
+    fn get(&self, addr: u64) -> Option<u32> {
+        let (leaf, cell) = self.split(addr);
+        match self.top.get(leaf)?.as_ref()?[cell] {
+            NIL => None,
+            slot => Some(slot),
+        }
+    }
+
+    /// The slot of `addr` and `false` if it is resident; otherwise
+    /// stores `new()` as its slot and returns it with `true`.
+    fn get_or_insert_with(&mut self, addr: u64, new: impl FnOnce() -> u32) -> (u32, bool) {
+        let (leaf, cell) = self.split(addr);
+        if leaf >= self.top.len() {
+            self.top.resize_with(leaf + 1, || None);
+        }
+        let cell = &mut self.top[leaf].get_or_insert_with(|| Box::new([NIL; LEAF]))[cell];
+        if *cell != NIL {
+            return (*cell, false);
+        }
+        *cell = new();
+        self.len += 1;
+        (*cell, true)
+    }
+
+    /// Unmaps `addr`; the slot it had, if it was resident.
+    fn remove(&mut self, addr: u64) -> Option<u32> {
+        let (leaf, cell) = self.split(addr);
+        let cell = &mut self.top.get_mut(leaf)?.as_mut()?[cell];
+        match std::mem::replace(cell, NIL) {
+            NIL => None,
+            slot => {
+                self.len -= 1;
+                Some(slot)
+            }
+        }
+    }
+
+    /// Unmaps every block and frees every leaf.
+    fn clear(&mut self) {
+        self.top.clear();
+        self.len = 0;
+    }
+}
 
 struct CState {
     /// addr (in 1 KB disk blocks, block-aligned) -> its slot in `bufs`.
@@ -145,7 +200,7 @@ impl CState {
 
     /// Makes a resident block the newest; whether `addr` was resident.
     fn touch(&mut self, addr: u64) -> bool {
-        let Some(&slot) = self.index.get(&addr) else {
+        let Some(slot) = self.index.get(addr) else {
             return false;
         };
         self.unlink(slot);
@@ -156,33 +211,31 @@ impl CState {
     /// Makes `addr` the newest block, caching it clean if it was not
     /// resident; returns its slot and whether it is dirty.
     fn make_newest(&mut self, addr: u64) -> (u32, bool) {
-        let (slot, dirty) = match self.index.entry(addr) {
-            Entry::Occupied(e) => {
-                let slot = *e.get();
-                self.unlink(slot);
-                (slot, self.bufs[slot as usize].dirty)
+        let (bufs, free) = (&mut self.bufs, &mut self.free);
+        let (slot, fresh) = self.index.get_or_insert_with(addr, || {
+            let buf = Buf {
+                addr,
+                older: NIL,
+                newer: NIL,
+                dirty: false,
+            };
+            match *free {
+                NIL => {
+                    bufs.push(buf);
+                    (bufs.len() - 1) as u32
+                }
+                slot => {
+                    *free = bufs[slot as usize].newer;
+                    bufs[slot as usize] = buf;
+                    slot
+                }
             }
-            Entry::Vacant(e) => {
-                let buf = Buf {
-                    addr,
-                    older: NIL,
-                    newer: NIL,
-                    dirty: false,
-                };
-                let slot = match self.free {
-                    NIL => {
-                        self.bufs.push(buf);
-                        (self.bufs.len() - 1) as u32
-                    }
-                    slot => {
-                        self.free = self.bufs[slot as usize].newer;
-                        self.bufs[slot as usize] = buf;
-                        slot
-                    }
-                };
-                e.insert(slot);
-                (slot, false)
-            }
+        });
+        let dirty = if fresh {
+            false
+        } else {
+            self.unlink(slot);
+            self.bufs[slot as usize].dirty
         };
         self.link_newest(slot);
         (slot, dirty)
@@ -222,7 +275,7 @@ impl CState {
             return None;
         }
         let addr = self.buf(slot).addr;
-        self.index.remove(&addr);
+        self.index.remove(addr);
         Some((addr, self.release(slot)))
     }
 
@@ -254,13 +307,13 @@ pub struct BufferCache {
 impl BufferCache {
     /// An empty cache over `disk`.
     pub fn new(disk: Arc<Disk>, params: CacheParams) -> BufferCache {
-        assert!(params.block_bytes >= 1024 && params.block_bytes.is_multiple_of(1024));
+        assert!(params.block_bytes >= 1024 && params.block_bytes.is_power_of_two());
         assert!(params.capacity_bytes >= params.block_bytes);
         BufferCache {
             disk,
             params,
             state: Mutex::new(CState {
-                index: BlockIndex::default(),
+                index: BlockIndex::new(params.block_bytes / 1024),
                 bufs: Vec::new(),
                 oldest: NIL,
                 newest: NIL,
@@ -320,7 +373,15 @@ impl BufferCache {
 
     /// Whether the block at `addr` is cached (tests).
     pub fn contains(&self, addr: u64) -> bool {
-        self.lock().index.contains_key(&addr)
+        self.lock().index.get(addr).is_some()
+    }
+
+    /// The block index's allocated leaves and top-table entries (tests).
+    #[cfg(test)]
+    pub(crate) fn index_shape(&self) -> (usize, usize) {
+        let st = self.lock();
+        let leaves = st.index.top.iter().filter(|leaf| leaf.is_some()).count();
+        (leaves, st.index.top.len())
     }
 
     /// Whether the block at `addr` is dirty (not yet on disk).
@@ -333,7 +394,7 @@ impl BufferCache {
     fn make_room(&self, st: &mut CState, need: u64) -> Vec<u64> {
         let cap = self.capacity_blocks();
         let mut victims = Vec::new();
-        while st.index.len() as u64 + need > cap {
+        while st.index.len + need > cap {
             let Some((addr, dirty)) = st.evict_oldest() else {
                 break;
             };
@@ -493,7 +554,7 @@ impl BufferCache {
             n += 1;
         }
         for i in 0..n {
-            if let Some(&slot) = st.index.get(&(first + i * bs)) {
+            if let Some(slot) = st.index.get(first + i * bs) {
                 st.buf(slot).dirty = false;
             }
         }
@@ -535,7 +596,7 @@ impl BufferCache {
     pub fn discard(&self, addrs: &[u64]) {
         let mut st = self.lock();
         for addr in addrs {
-            if let Some(slot) = st.index.remove(addr) {
+            if let Some(slot) = st.index.remove(*addr) {
                 st.release(slot);
             }
         }
@@ -708,6 +769,48 @@ mod tests {
             (linux_1k, bsd_8k),
             (0x8a13_bb23_f153_255a, 0x93c3_96db_ce35_f6df)
         );
+    }
+
+    /// The block index answers as a `BTreeMap` does, for 1 KB and 8 KB
+    /// blocks, under a seeded stream of inserts, lookups, removals and
+    /// clears over addresses at 0, around the first leaf edge, in the
+    /// filesystem's three zones and at the disk's last block.
+    #[test]
+    fn block_index_matches_a_btreemap() {
+        use std::collections::btree_map::Entry;
+        use std::collections::BTreeMap;
+        let disk_kb = DiskParams::hp3725().total_blocks;
+        for bs in [1, 8] {
+            let mut addrs = vec![0, bs, 1023 * bs, 1024 * bs, 1025 * bs, disk_kb - bs];
+            for zone in [disk_kb / 8, disk_kb / 4, disk_kb / 8 * 5] {
+                addrs.extend((0..4).map(|i| zone + i * bs));
+            }
+            let mut index = BlockIndex::new(bs);
+            let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+            let mut rng = bs;
+            for op in 0..20_000u32 {
+                let r = splitmix(&mut rng);
+                let addr = addrs[(r % addrs.len() as u64) as usize];
+                match (r >> 32) % 100 {
+                    0..=44 => {
+                        let want = match model.entry(addr) {
+                            Entry::Occupied(e) => (*e.get(), false),
+                            Entry::Vacant(e) => (*e.insert(op), true),
+                        };
+                        assert_eq!(index.get_or_insert_with(addr, || op), want);
+                    }
+                    45..=98 => assert_eq!(index.remove(addr), model.remove(&addr)),
+                    _ => {
+                        index.clear();
+                        model.clear();
+                    }
+                }
+                assert_eq!(index.len, model.len() as u64, "op {op}");
+                for &a in &addrs {
+                    assert_eq!(index.get(a), model.get(&a).copied(), "op {op} addr {a}");
+                }
+            }
+        }
     }
 
     /// Reads `blocks` in calls of at most `per_call` blocks; the hits.

@@ -767,6 +767,36 @@ mod tests {
         sim.run().unwrap()
     }
 
+    /// Writes a `mb` MB file sequentially on a fresh `os` filesystem; the
+    /// cache's block-index leaves and top-table entries afterwards.
+    fn index_shape_after_sequential_file(os: Os, mb: u64) -> (usize, usize) {
+        let fs = SimFs::fresh_for_os(os);
+        let (sim, kernel) = boot(os, 0);
+        kernel.mount(fs.clone());
+        kernel.spawn_user("writer", move |p| async move {
+            let fd = p.creat("/f").await.unwrap();
+            for _ in 0..mb {
+                assert_eq!(p.write(fd, 1 << 20).await.unwrap(), 1 << 20);
+            }
+            p.close(fd).await.unwrap();
+        });
+        let _ = sim.run().unwrap();
+        fs.cache().index_shape()
+    }
+
+    /// ext2's 64 KB gap after every 24 blocks spreads a 100 MB file over
+    /// about 375k block numbers, 367 leaves of the block index, plus one
+    /// for the inode zone at 5/8 of the disk, which sets the top table's
+    /// length. An FFS file of the same size, in 8 KB blocks with 128 KB
+    /// gaps, spans 16 leaves.
+    #[test]
+    fn a_100_mb_file_bounds_the_block_index() {
+        let linux = index_shape_after_sequential_file(Os::Linux, 100);
+        let freebsd = index_shape_after_sequential_file(Os::FreeBsd, 100);
+        assert!(linux.0 <= 368 && linux.1 <= 1_281, "{linux:?}");
+        assert!(freebsd.0 <= 16 && freebsd.1 <= 161, "{freebsd:?}");
+    }
+
     #[test]
     fn create_write_read_roundtrip() {
         let _ = run_fs(Os::Linux, |p| async move {
