@@ -496,7 +496,11 @@ impl BufferCache {
                         env.sim.count(Counter::SyncMetaWrites, 1);
                     }
                     debug_assert_eq!(addr % bs, 0, "unaligned cache write");
-                    let victims = self.make_room(&mut st, 1);
+                    // Rewriting a resident block does not grow the cache.
+                    let victims = match st.index.get(addr) {
+                        Some(_) => Vec::new(),
+                        None => self.make_room(&mut st, 1),
+                    };
                     st.insert(addr, !sync);
                     check = !sync;
                     if sync || !victims.is_empty() {
@@ -767,7 +771,7 @@ mod tests {
         let bsd_8k = op_stream_digest(Os::FreeBsd, 8192, 7);
         assert_eq!(
             (linux_1k, bsd_8k),
-            (0x8a13_bb23_f153_255a, 0x93c3_96db_ce35_f6df)
+            (0xe870_9a72_671a_a4fa, 0x7d18_fecd_f568_3ce9)
         );
     }
 
@@ -1036,6 +1040,22 @@ mod tests {
         });
         let commands: Vec<(Op, u64, u64)> = events.iter().map(|e| (e.op, e.arg, e.size)).collect();
         assert_eq!(commands, [(Op::BlockRead, 8, 24), (Op::BlockWrite, 16, 8)]);
+    }
+
+    #[test]
+    fn rewriting_a_resident_block_evicts_nothing() {
+        let (_, _, events) = run_recorded(boot(Os::Linux, 0), params(), |env, c| async move {
+            c.write(&env, &[0], false).await.unwrap();
+            for i in 1..8u64 {
+                c.read(&env, &[(i * 8, 0)]).await.unwrap();
+            }
+            // The cache is full, with the delayed write at 0 oldest.
+            c.write(&env, &[56], false).await.unwrap();
+            assert!((0..8u64).all(|i| c.contains(i * 8)), "a block was evicted");
+            assert!(c.is_dirty(0));
+        });
+        let writes = events.iter().filter(|e| e.op == Op::BlockWrite).count();
+        assert_eq!((events.len(), writes), (7, 0));
     }
 
     #[test]
