@@ -2,6 +2,15 @@
 use tnt_core::*;
 use tnt_os::Os;
 
+/// `p` rounded to two decimals, for display.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a display rounding, not a simulated cost"
+)]
+fn two_decimals(p: f64) -> f64 {
+    (p * 100.0).round() / 100.0
+}
+
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
     if which == "mab" || which == "all" {
@@ -10,7 +19,7 @@ fn main() {
             println!(
                 "T3 {os:?}: total {:.2}s phases {:?}",
                 r.total_s,
-                r.phase_s.map(|p| (p * 100.0).round() / 100.0)
+                r.phase_s.map(two_decimals)
             );
         }
     }
@@ -21,7 +30,7 @@ fn main() {
                 println!(
                     "NFS server={server:?} client={client:?}: {:.2}s phases {:?}",
                     r.total_s,
-                    r.phase_s.map(|p| (p * 100.0).round() / 100.0)
+                    r.phase_s.map(two_decimals)
                 );
             }
         }

@@ -6,7 +6,7 @@
 //! the steady-state rates this module exposes rather than re-simulating
 //! the caches access by access.
 
-use tnt_sim::Cycles;
+use tnt_sim::{round_u64, Cycles};
 
 /// Steady-state cost of the non-prefetching copy loop when the destination
 /// misses the cache: `COPY_ITER_CY + 4 * dram_write_word` cycles per 16
@@ -30,23 +30,23 @@ pub const CHECKSUM_CY_PER_BYTE: f64 = 0.55;
 /// per-chunk syscall costs are added.
 pub fn copyin_out(bytes: u64) -> Cycles {
     let per_byte = (2.0 * UNCACHED_COPY_CY_PER_BYTE + CACHED_COPY_CY_PER_BYTE) / 3.0;
-    Cycles((bytes as f64 * per_byte).round() as u64)
+    Cycles(round_u64(bytes as f64 * per_byte))
 }
 
 /// Cycles for an entirely cache-warm copy of `bytes` (e.g. buffer-cache
 /// hit feeding a small read).
 pub fn cached_copy(bytes: u64) -> Cycles {
-    Cycles((bytes as f64 * CACHED_COPY_CY_PER_BYTE).round() as u64)
+    Cycles(round_u64(bytes as f64 * CACHED_COPY_CY_PER_BYTE))
 }
 
 /// Cycles for an entirely cache-cold copy of `bytes`.
 pub fn uncached_copy(bytes: u64) -> Cycles {
-    Cycles((bytes as f64 * UNCACHED_COPY_CY_PER_BYTE).round() as u64)
+    Cycles(round_u64(bytes as f64 * UNCACHED_COPY_CY_PER_BYTE))
 }
 
 /// Cycles for an Internet checksum over `bytes`.
 pub fn checksum(bytes: u64) -> Cycles {
-    Cycles((bytes as f64 * CHECKSUM_CY_PER_BYTE).round() as u64)
+    Cycles(round_u64(bytes as f64 * CHECKSUM_CY_PER_BYTE))
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 
 use crate::cache::{Access, Cache, CacheConfig, CacheStats};
 use crate::tlb::Tlb;
+use tnt_sim::round_u64;
 
 /// Cycle costs of the memory system events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +43,7 @@ impl MemTiming {
     /// Returns a copy with every cost scaled by `factor` (used by the
     /// harness to model run-to-run DRAM/refresh jitter).
     pub fn scaled(&self, factor: f64) -> MemTiming {
-        let s = |c: u64| ((c as f64) * factor).round().max(1.0) as u64;
+        let s = |c: u64| round_u64(c as f64 * factor).max(1);
         MemTiming {
             l2_fill: s(self.l2_fill),
             dram_fill: s(self.dram_fill),
@@ -565,5 +566,41 @@ mod tests {
         assert_eq!(t.l2_write_word, 4);
         let tiny = MemTiming::p54c().scaled(0.0001);
         assert!(tiny.l2_write_word >= 1, "costs never collapse to zero");
+    }
+
+    /// `scaled` rounds each cost exactly as its libm form did, at the
+    /// edges and on a fine sweep over the memory seeds' ±1% and beyond.
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the libm form `scaled` had before the exact helper, as its reference"
+    )]
+    fn scaled_equals_its_libm_form() {
+        let costs = |t: MemTiming| {
+            [
+                t.l2_fill,
+                t.dram_fill,
+                t.l2_write_word,
+                t.dram_write_word,
+                t.writeback_l2,
+                t.writeback_dram,
+            ]
+        };
+        let edges = [
+            -1.0,
+            0.0,
+            0.0001,
+            0.5,
+            1.5,
+            2.0,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let sweep = (0..=20_000).map(|i| 0.9 + f64::from(i) * 1e-5);
+        for f in edges.into_iter().chain(sweep) {
+            let libm = costs(MemTiming::p54c()).map(|c| ((c as f64) * f).round().max(1.0) as u64);
+            assert_eq!(costs(MemTiming::p54c().scaled(f)), libm, "factor {f}");
+        }
     }
 }

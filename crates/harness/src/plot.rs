@@ -1,7 +1,7 @@
 //! ASCII renderings of the paper's figures, plus CSV export.
 
 use tnt_runner::StatLine;
-use tnt_sim::{Series, Summary};
+use tnt_sim::{round_u64, Series, Summary};
 
 /// Axis scaling for the plot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,7 +39,7 @@ impl Figure {
         if b <= a {
             return 0;
         }
-        (((v - a) / (b - a)) * (WIDTH - 1) as f64).round() as usize
+        round_u64(((v - a) / (b - a)) * (WIDTH - 1) as f64) as usize
     }
 
     /// Renders the figure as an ASCII chart with one glyph per series.
@@ -67,7 +67,7 @@ impl Figure {
             let g = glyphs[si % glyphs.len()];
             for &(x, y) in &s.points {
                 let col = self.x_pos(x, xmin, xmax).min(WIDTH - 1);
-                let row = ((y / ymax) * (HEIGHT - 1) as f64).round() as usize;
+                let row = round_u64((y / ymax) * (HEIGHT - 1) as f64) as usize;
                 let row = HEIGHT - 1 - row.min(HEIGHT - 1);
                 grid[row][col] = g;
             }

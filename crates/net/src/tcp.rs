@@ -18,7 +18,7 @@ use crate::net::{Addr, Net, PortSink, Proto};
 use crate::udp::Packet;
 use tnt_os::{Errno, KEnv, Kernel, SysResult};
 use tnt_sim::trace::{Class, Counter};
-use tnt_sim::{Cycles, Sim, WaitId};
+use tnt_sim::{round_u64, Cycles, Sim, WaitId};
 
 struct Seg {
     len: u64,
@@ -139,8 +139,7 @@ impl TcpStream {
             {
                 let _s = self.env.sim.span(Class::ProtoCpu);
                 self.env.sim.charge(Cycles(
-                    self.costs.send_seg_cy
-                        + (self.costs.send_per_byte_cy * chunk as f64).round() as u64,
+                    self.costs.send_seg_cy + round_u64(self.costs.send_per_byte_cy * chunk as f64),
                 ));
             }
             self.env.sim.wakeup_one(self.tx.rd_wait);
@@ -202,7 +201,7 @@ impl TcpStream {
                         self.env.sim.charge(Cycles(
                             self.costs.recv_seg_cy * nsegs
                                 + self.costs.ack_cy * nsegs
-                                + (self.costs.recv_per_byte_cy * bytes as f64).round() as u64,
+                                + round_u64(self.costs.recv_per_byte_cy * bytes as f64),
                         ));
                     }
                     if self.costs.ack_delay_cy == 0 {

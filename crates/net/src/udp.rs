@@ -16,7 +16,7 @@ use crate::costs::NetCosts;
 use crate::net::{Addr, Net, PortSink, Proto};
 use tnt_os::{KEnv, Kernel, SysResult};
 use tnt_sim::trace::{Class, Counter};
-use tnt_sim::{Cycles, Sim, WaitId};
+use tnt_sim::{round_u64, Cycles, Sim, WaitId};
 
 /// Outcome of a timed receive.
 pub enum Recv {
@@ -159,7 +159,7 @@ impl UdpSocket {
             self.env.sim.charge(Cycles(
                 u.send_fixed_cy
                     + u.per_frag_cy * frags
-                    + (u.send_per_byte_cy * len as f64).round() as u64,
+                    + round_u64(u.send_per_byte_cy * len as f64),
             ));
         }
         // Failure injection: a lost frame still consumed wire time.
@@ -259,7 +259,7 @@ impl UdpSocket {
                     let u = &self.costs.udp;
                     let _s = self.env.sim.span(Class::ProtoCpu);
                     self.env.sim.charge(Cycles(
-                        u.recv_fixed_cy + (u.recv_per_byte_cy * pkt.len as f64).round() as u64,
+                        u.recv_fixed_cy + round_u64(u.recv_per_byte_cy * pkt.len as f64),
                     ));
                     return Ok(Recv::Packet(pkt));
                 }

@@ -18,7 +18,7 @@ use crate::costs::PipeCosts;
 use crate::errno::{Errno, SysResult};
 use crate::vfs::KEnv;
 use tnt_sim::trace::Class;
-use tnt_sim::{Cycles, Sim, WaitId};
+use tnt_sim::{round_u64, Cycles, Sim, WaitId};
 
 struct PipeState {
     buf: VecDeque<u8>,
@@ -51,12 +51,11 @@ impl Pipe {
 
     fn seg_cost(&self, bytes: u64) -> Cycles {
         let frac = bytes as f64 / self.costs.seg_unit as f64;
-        Cycles((self.costs.per_seg_cy as f64 * frac).round() as u64)
+        Cycles(round_u64(self.costs.per_seg_cy as f64 * frac))
     }
 
     fn copy_cost(&self, bytes: u64) -> Cycles {
-        tnt_cpu::copyin_out(bytes)
-            + Cycles((self.costs.per_byte_extra * bytes as f64).round() as u64)
+        tnt_cpu::copyin_out(bytes) + Cycles(round_u64(self.costs.per_byte_extra * bytes as f64))
     }
 
     /// Writes all of `data`, blocking as the buffer fills and the reader

@@ -56,6 +56,10 @@ pub fn from_blkparse(text: &str) -> Result<Trace, TraceError> {
         if sectors == 0 || !ts.is_finite() || ts < 0.0 {
             continue;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "tnt-sim's exact rounding helper is out of reach: tnt-sim depends on tnt-replay"
+        )]
         let ev = TraceEvent {
             t: (ts * CYCLES_PER_SEC).round() as u64,
             pid,

@@ -951,6 +951,12 @@ impl Sim {
         }
     }
 
+    /// The factor every charge of this run is scaled by (unit tests).
+    #[cfg(test)]
+    pub(crate) fn run_factor(&self) -> f64 {
+        self.inner.run_factor
+    }
+
     /// The tag of this engine's balance in `PENDING_CHARGE`.
     fn key(&self) -> usize {
         Arc::as_ptr(&self.inner) as usize

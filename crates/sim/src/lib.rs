@@ -136,5 +136,5 @@ pub use tnt_fault as fault;
 // The workload capture/replay plane the engine hosts (`.tntrace`
 // format, per-sim recorder, ambient capture sink), re-exported so the
 // disk/fs models and the harness share one set of trace types.
-pub use time::{mb_per_sec, mbit_per_sec, Cycles, CPU_HZ, MEGABIT, MEGABYTE};
+pub use time::{mb_per_sec, mbit_per_sec, round_u64, Cycles, CPU_HZ, MEGABIT, MEGABYTE};
 pub use tnt_replay as replay;

@@ -18,6 +18,29 @@ pub const MEGABYTE: f64 = 1024.0 * 1024.0;
 /// One megabit, as used by the paper's network bandwidth tables.
 pub const MEGABIT: f64 = 1_000_000.0;
 
+/// `x` rounded to the nearest integer, halves away from zero, as a `u64`:
+/// exactly `x.round() as u64` for every `f64`, including the saturation
+/// of NaN and negatives to 0 and of huge values to `u64::MAX`.
+///
+/// `f64::round` is a libm call on baseline x86-64, which lacks SSE4.1's
+/// `roundsd`; this takes two integer conversions, which are single
+/// instructions there. Every jittered charge and per-byte cost rounds
+/// through it.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    // 2^53: from here up every f64 is an integer.
+    const EXACT: f64 = 9_007_199_254_740_992.0;
+    if (0.5..EXACT).contains(&x) {
+        // `t` is exact and `x - t` is the exact fraction (Sterbenz).
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        // Below a half (NaN included) this is 0; from 2^53 up `x` is
+        // already an integer, and the conversion saturates.
+        x as u64
+    }
+}
+
 /// A duration (or instant, measured from simulation start) in CPU cycles.
 ///
 /// `#[must_use]`: a dropped `Cycles` is a silently lost charge, which
@@ -34,23 +57,27 @@ impl Cycles {
     pub const MAX: Cycles = Cycles(u64::MAX);
 
     /// Converts a duration in microseconds to cycles, rounding to nearest.
+    #[inline]
     pub fn from_micros(us: f64) -> Cycles {
-        Cycles((us * CPU_HZ as f64 / 1e6).round() as u64)
+        Cycles(round_u64(us * CPU_HZ as f64 / 1e6))
     }
 
     /// Converts a duration in milliseconds to cycles, rounding to nearest.
+    #[inline]
     pub fn from_millis(ms: f64) -> Cycles {
         Cycles::from_micros(ms * 1e3)
     }
 
     /// Converts a duration in seconds to cycles, rounding to nearest.
+    #[inline]
     pub fn from_secs(s: f64) -> Cycles {
         Cycles::from_micros(s * 1e6)
     }
 
     /// Converts a duration in nanoseconds to cycles, rounding to nearest.
+    #[inline]
     pub fn from_nanos(ns: f64) -> Cycles {
-        Cycles((ns * CPU_HZ as f64 / 1e9).round() as u64)
+        Cycles(round_u64(ns * CPU_HZ as f64 / 1e9))
     }
 
     /// This duration expressed in microseconds.
@@ -78,9 +105,11 @@ impl Cycles {
         Cycles(self.0.saturating_add(rhs.0))
     }
 
-    /// Scales this duration by a floating point factor, rounding to nearest.
+    /// Scales this duration by a floating point factor, rounding to
+    /// nearest; a negative or NaN product is zero.
+    #[inline]
     pub fn scale(self, factor: f64) -> Cycles {
-        Cycles((self.0 as f64 * factor).round().max(0.0) as u64)
+        Cycles(round_u64(self.0 as f64 * factor))
     }
 }
 
@@ -203,6 +232,96 @@ mod tests {
         assert_eq!(Cycles(100).scale(1.5), Cycles(150));
         assert_eq!(Cycles(100).scale(0.004), Cycles(0));
         assert_eq!(Cycles(3).scale(0.5), Cycles(2)); // round-to-nearest-even is fine
+    }
+
+    /// The libm forms `round_u64` replaced, as its reference.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the libm rounding the exact helper replaces, as its reference"
+    )]
+    mod libm {
+        pub fn round(x: f64) -> u64 {
+            x.round() as u64
+        }
+
+        /// `Cycles::scale` before the exact helper.
+        pub fn scale(c: u64, f: f64) -> u64 {
+            (c as f64 * f).round().max(0.0) as u64
+        }
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn round_u64_equals_libm_round_at_the_edges() {
+        let p = |e: i32| 2f64.powi(e);
+        let edges = [
+            0.0,
+            -0.0,
+            0.499_999_999_999_999_94,
+            0.5,
+            1.5,
+            2.5,
+            p(52) - 0.5,
+            p(52) + 1.0,
+            p(53),
+            p(53) + 2.0,
+            p(63) - 1024.0,
+            p(63),
+            p(64),
+            1e300,
+            f64::from_bits(1),
+            -0.5,
+            -1e9,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            assert_eq!(round_u64(x), libm::round(x), "{x:e}");
+        }
+        assert_eq!(round_u64(2.5), 3, "halves round away from zero");
+    }
+
+    #[test]
+    fn round_u64_equals_libm_round_on_random_values() {
+        let mut rng = 1996;
+        for _ in 0..1_000_000 {
+            let r = splitmix(&mut rng);
+            // Every bit pattern, and values whose fraction matters.
+            for x in [
+                f64::from_bits(r),
+                (r >> 11) as f64 / (1u64 << (r % 53)) as f64,
+            ] {
+                assert_eq!(round_u64(x), libm::round(x), "{x:e} ({:#x})", x.to_bits());
+            }
+        }
+    }
+
+    /// `Cycles::scale` rounds every charge of the run factors the kernels'
+    /// jitters (0.012, 0.015 and 0.028 in tnt-os) give seeds 0-20 exactly
+    /// as its libm form `(c * f).round().max(0.0)` did.
+    #[test]
+    fn scale_equals_its_libm_form_at_every_run_factor() {
+        for jitter in [0.012, 0.015, 0.028] {
+            for seed in 0..=20 {
+                let config = crate::SimConfig {
+                    seed,
+                    jitter,
+                    ..crate::SimConfig::default()
+                };
+                let f = crate::Sim::new(Box::new(crate::FifoPolicy::new()), config).run_factor();
+                for c in 0..=100_000u64 {
+                    assert_eq!(Cycles(c).scale(f).0, libm::scale(c, f), "{c} x {f}");
+                }
+            }
+        }
     }
 
     #[test]
