@@ -723,6 +723,7 @@ impl Sim {
     }
 
     /// Bumps an always-on trace counter.
+    #[inline]
     pub fn count(&self, c: Counter, n: u64) {
         self.inner.tracer.count(c, n);
     }
@@ -731,6 +732,7 @@ impl Sim {
     /// host counts as pid 0); the span closes when the guard drops.
     /// Recording never moves the simulated clock, and with tracing
     /// disabled this is a single atomic load.
+    #[inline]
     pub fn span(&self, class: Class) -> TraceSpan<'_> {
         let armed = self.inner.tracer.is_enabled();
         if armed {
@@ -936,6 +938,7 @@ impl Sim {
     }
 
     /// Current simulated time.
+    #[inline]
     pub fn now(&self) -> Cycles {
         // The clock mirror plus this thread's unsettled charges: exactly
         // the clock the next lock settles to, since settling moves the
@@ -958,6 +961,7 @@ impl Sim {
     }
 
     /// The tag of this engine's balance in `PENDING_CHARGE`.
+    #[inline]
     fn key(&self) -> usize {
         Arc::as_ptr(&self.inner) as usize
     }
@@ -978,6 +982,7 @@ impl Sim {
     /// Like [`Sim::advance`], but scales the charge by the configured
     /// jitter factor. Use for modelled CPU costs so that repeated runs with
     /// different seeds exhibit a realistic standard deviation.
+    #[inline]
     pub fn charge(&self, c: Cycles) {
         let _ = self.charge_scaled(c);
     }
@@ -985,6 +990,7 @@ impl Sim {
     /// Like [`Sim::charge`] but returns the scaled amount actually
     /// advanced — the lite scheduler mirrors it into its per-process
     /// accounts so threaded and lite accounting stay byte-identical.
+    #[inline]
     pub(crate) fn charge_scaled(&self, c: Cycles) -> Cycles {
         // The hottest call in the engine — every modelled cost goes
         // through it. When nothing can observe individual charges (no
@@ -2253,6 +2259,7 @@ pub struct TraceSpan<'a> {
 }
 
 impl Drop for TraceSpan<'_> {
+    #[inline]
     fn drop(&mut self) {
         if self.armed {
             let (t, pid) = self.sim.stamp();

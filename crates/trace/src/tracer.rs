@@ -75,6 +75,7 @@ impl CounterSet {
     }
 
     /// Adds `n` to `c`.
+    #[inline]
     pub fn add(&self, c: Counter, n: u64) {
         self.vals[c as usize].fetch_add(n, Ordering::Relaxed);
     }
@@ -403,6 +404,7 @@ impl Tracer {
 
     /// Whether events are being recorded. The disabled fast path of
     /// [`Tracer::record`] is exactly this load.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Acquire)
     }
@@ -413,6 +415,7 @@ impl Tracer {
     }
 
     /// Shorthand for `counters().add(c, n)`.
+    #[inline]
     pub fn count(&self, c: Counter, n: u64) {
         self.counters.add(c, n);
     }
