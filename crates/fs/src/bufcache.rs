@@ -305,7 +305,8 @@ pub struct BufferCache {
 }
 
 impl BufferCache {
-    /// An empty cache over `disk`.
+    /// An empty cache over `disk`. Panics unless the block size is a
+    /// power of two of at least 1 KB and the capacity holds a block.
     pub fn new(disk: Arc<Disk>, params: CacheParams) -> BufferCache {
         assert!(params.block_bytes >= 1024 && params.block_bytes.is_power_of_two());
         assert!(params.capacity_bytes >= params.block_bytes);
