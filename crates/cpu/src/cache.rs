@@ -6,6 +6,8 @@
 //! same line keep missing and drain through the write buffer at memory
 //! speed.
 
+use std::ops::Range;
+
 /// Geometry and policy of one cache level.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
@@ -74,13 +76,6 @@ const VALID: u64 = 1;
 /// The dirty bit of a line word.
 const DIRTY: u64 = 2;
 
-/// The tag of line word `l`, minus `delta`, over its dirty bit: the form
-/// in which [`Cache::encode_state_rel`] reports a valid line.
-#[inline]
-fn packed(l: u64, delta: u64) -> u64 {
-    ((l >> 2).wrapping_sub(delta) << 1) | (l & DIRTY) >> 1
-}
-
 /// Hit/miss counters for assertions and diagnostics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -119,19 +114,19 @@ impl CacheStats {
 /// Lines are stored in one flat array (`set * ways + way`) so the per
 /// access path — the hottest loop of the memory-bandwidth figures — is a
 /// handful of shifts and a short linear scan with no pointer chasing.
+/// Each set keeps its ways in recency order, most recently used first,
+/// so the valid lines form a prefix and the last way is the victim. Two
+/// caches whose words are equal therefore behave identically under
+/// identical accesses, which is what the shortcuts in `measure` compare.
 pub struct Cache {
     cfg: CacheConfig,
-    /// One word per line: `tag << 2 | dirty << 1 | valid`.
+    /// One word per line: `tag << 2 | dirty << 1 | valid`; an invalid
+    /// line is 0.
     lines: Vec<u64>,
-    /// Per-line LRU stamps, parallel to `lines` (higher = more recently
-    /// used). Empty when the cache is direct mapped: one way per set
-    /// leaves nothing to order.
-    lru: Vec<u64>,
     ways: usize,
     set_mask: usize,
     tag_shift: u32,
     line_shift: u32,
-    clock: u64,
     stats: CacheStats,
     /// Whether any line was filled since the cache was built or last
     /// flushed. Only a fill makes a line valid, so while this is false
@@ -159,16 +154,13 @@ impl Cache {
         );
         let sets = cfg.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        let stamps = if cfg.ways > 1 { sets * cfg.ways } else { 0 };
         Cache {
             cfg,
             lines: vec![0; sets * cfg.ways],
-            lru: vec![0; stamps],
             ways: cfg.ways,
             set_mask: sets - 1,
             tag_shift: sets.trailing_zeros(),
             line_shift: cfg.line.trailing_zeros(),
-            clock: 0,
             stats: CacheStats::default(),
             filled: false,
         }
@@ -213,9 +205,7 @@ impl Cache {
         }
     }
 
-    /// Invalidates every line (e.g. a fresh run on a cold machine). The
-    /// LRU stamps stay: a fill stamps its line before any comparison can
-    /// read the stamp.
+    /// Invalidates every line (e.g. a fresh run on a cold machine).
     pub fn flush(&mut self) {
         if !self.filled {
             return;
@@ -241,69 +231,80 @@ impl Cache {
         (base..base + self.ways).find(|&i| self.lines[i] & !DIRTY == key)
     }
 
-    /// Marks line `i` most recently used.
+    /// Marks line `i` of the set at `base` most recently used: moves it
+    /// to the front of its set.
     #[inline]
-    fn touch(&mut self, i: usize) {
-        if let Some(stamp) = self.lru.get_mut(i) {
-            self.clock += 1;
-            *stamp = self.clock;
+    fn touch(&mut self, base: usize, i: usize) {
+        let line = self.lines[i];
+        for j in (base..i).rev() {
+            self.lines[j + 1] = self.lines[j];
+        }
+        self.lines[base] = line;
+    }
+
+    /// The ranges of `lines` that hold the sets `[start, start + len)`
+    /// maps to: from the range's first set up to the last set, then the
+    /// sets it wraps round to. Once the range spans a full period they
+    /// hold every set once.
+    fn runs(&self, start: u64, len: u64) -> [Range<usize>; 2] {
+        let sets = self.set_mask + 1;
+        let first_line = start >> self.line_shift;
+        let lines = ((start + len - 1) >> self.line_shift) - first_line + 1;
+        let first = first_line as usize & self.set_mask;
+        let end = first + lines.min(sets as u64) as usize;
+        [
+            first * self.ways..end.min(sets) * self.ways,
+            0..end.saturating_sub(sets) * self.ways,
+        ]
+    }
+
+    /// The tag change of shifting every address by `shift` bytes, in
+    /// line-word units (`shift` must be a multiple of
+    /// [`Cache::period_bytes`], so set indices are unaffected).
+    fn word_delta(&self, shift: u64) -> u64 {
+        debug_assert_eq!(shift % self.period_bytes(), 0, "shift must preserve sets");
+        (shift >> (self.line_shift + self.tag_shift)) << 2
+    }
+
+    /// Appends the words of every set that `[start, start + len)` maps
+    /// to. Accesses confined to that range change no other set.
+    pub(crate) fn save_sets(&self, out: &mut Vec<u64>, start: u64, len: u64) {
+        for run in self.runs(start, len) {
+            out.extend_from_slice(&self.lines[run]);
         }
     }
 
-    /// Appends the normalised state of `count` consecutive sets from
-    /// `first` (wrapping) to `out`: per set, the valid lines in
-    /// most-to-least-recently-used order, each as its tag minus `delta`
-    /// and its dirty bit. The absolute LRU clock values and the physical
-    /// way an invalid slot occupies cannot affect any future access, so
-    /// they are omitted: two caches whose encodings of a set are equal
-    /// behave identically in that set forever under identical accesses.
-    fn encode_sets(&self, first: usize, count: usize, delta: u64, out: &mut Vec<u64>) {
-        if self.ways == 1 {
-            for s in first..first + count {
-                let l = self.lines[s & self.set_mask];
-                out.push(l & VALID);
-                if l & VALID != 0 {
-                    out.push(packed(l, delta));
-                }
+    /// Whether the sets that `[start, start + len)` maps to hold the
+    /// words at the front of `saved` (as [`Cache::save_sets`] wrote
+    /// them) with every tag advanced by `shift` bytes; moves `saved`
+    /// past those words. Equal words mean the two states behave
+    /// identically in those sets forever under identical accesses, the
+    /// second `shift` bytes further on.
+    pub(crate) fn sets_match(&self, saved: &mut &[u64], start: u64, len: u64, shift: u64) -> bool {
+        let delta = self.word_delta(shift);
+        self.runs(start, len).into_iter().all(|run| {
+            let (then, rest) = saved.split_at(run.len());
+            *saved = rest;
+            let now = &self.lines[run];
+            if delta == 0 {
+                return now == then;
             }
-            return;
-        }
-        let mut set: Vec<(u64, u64)> = Vec::with_capacity(self.ways);
-        for s in first..first + count {
-            let base = (s & self.set_mask) * self.ways;
-            set.clear();
-            for i in base..base + self.ways {
-                let l = self.lines[i];
-                if l & VALID != 0 {
-                    set.push((self.lru[i], packed(l, delta)));
-                }
-            }
-            set.sort_unstable_by_key(|&(lru, _)| std::cmp::Reverse(lru));
-            out.push(set.len() as u64);
-            out.extend(set.iter().map(|&(_, packed)| packed));
-        }
+            now.iter()
+                .zip(then)
+                .all(|(&n, &t)| n == if t & VALID != 0 { t + delta } else { t })
+        })
     }
 
-    /// Appends the whole cache's state to `out`, with every tag expressed
-    /// relative to byte offset `off` (which must be a multiple of
-    /// [`Cache::period_bytes`], so set indices are unaffected). Two
-    /// relative encodings at different offsets are equal exactly when one
-    /// state is the other translated by the offset difference — the
-    /// invariant behind the streaming extrapolation in `routines`.
-    pub(crate) fn encode_state_rel(&self, out: &mut Vec<u64>, off: u64) {
-        debug_assert_eq!(off % self.period_bytes(), 0, "offset must preserve sets");
-        let delta = off >> (self.line_shift + self.tag_shift);
-        self.encode_sets(0, self.set_mask + 1, delta, out);
-    }
-
-    /// Appends the state of just the sets that `[start, start + len)`
-    /// maps to (every set once the range spans a full period). Accesses
-    /// confined to that range cannot change any other set.
-    pub(crate) fn encode_range(&self, out: &mut Vec<u64>, start: u64, len: u64) {
-        let first = start >> self.line_shift;
-        let lines = ((start + len - 1) >> self.line_shift) - first + 1;
-        let count = lines.min(self.set_mask as u64 + 1) as usize;
-        self.encode_sets(first as usize & self.set_mask, count, 0, out);
+    /// Writes back the words [`Cache::save_sets`] saved for the sets
+    /// that `[start, start + len)` maps to, from the front of `saved`;
+    /// moves `saved` past them.
+    pub(crate) fn restore_sets(&mut self, saved: &mut &[u64], start: u64, len: u64) {
+        for run in self.runs(start, len) {
+            let (then, rest) = saved.split_at(run.len());
+            *saved = rest;
+            self.lines[run].copy_from_slice(then);
+        }
+        self.filled = true;
     }
 
     /// The address span of one full trip around the sets (`size / ways`).
@@ -317,34 +318,29 @@ impl Cache {
     /// valid line's tag advances as if it had been filled from an address
     /// `off` higher. `off` must be a multiple of [`Cache::period_bytes`].
     pub(crate) fn shift_tags(&mut self, off: u64) {
-        debug_assert_eq!(off % self.period_bytes(), 0, "offset must preserve sets");
-        let delta = off >> (self.line_shift + self.tag_shift);
+        let delta = self.word_delta(off);
         for l in &mut self.lines {
             if *l & VALID != 0 {
-                *l = l.wrapping_add(delta << 2);
+                *l = l.wrapping_add(delta);
             }
         }
     }
 
     /// Fills the line whose word is `word` into the set at `base` and
-    /// returns whether the victim was dirty.
+    /// returns whether the victim was dirty. The victim is the set's last
+    /// way: an invalid one while the set has any, else the least recently
+    /// used.
     #[inline]
     fn fill(&mut self, base: usize, word: u64) -> bool {
-        // Prefer an invalid way, then the least recently used; a
-        // direct-mapped set has only its one way.
-        let ways = base..base + self.ways;
-        let way = match ways.clone().find(|&i| self.lines[i] & VALID == 0) {
-            Some(i) => i,
-            None => ways.min_by_key(|&i| self.lru.get(i)).unwrap_or(base),
-        };
-        let evicted_dirty = self.lines[way] & DIRTY != 0;
+        let last = base + self.ways - 1;
+        let evicted_dirty = self.lines[last] & DIRTY != 0;
         if evicted_dirty {
             self.stats.writebacks += 1;
         }
         self.stats.changes += 1;
         self.filled = true;
-        self.lines[way] = word;
-        self.touch(way);
+        self.lines[last] = word;
+        self.touch(base, last);
         evicted_dirty
     }
 
@@ -353,7 +349,7 @@ impl Cache {
     pub fn read(&mut self, addr: u64) -> Access {
         let (base, key) = self.index(addr);
         if let Some(i) = self.find(base, key) {
-            self.touch(i);
+            self.touch(base, i);
             self.stats.read_hits += 1;
             return Access::Hit;
         }
@@ -371,11 +367,11 @@ impl Cache {
     pub fn write(&mut self, addr: u64) -> Access {
         let (base, key) = self.index(addr);
         if let Some(i) = self.find(base, key) {
-            self.touch(i);
             if self.lines[i] & DIRTY == 0 {
                 self.lines[i] |= DIRTY;
                 self.stats.changes += 1;
             }
+            self.touch(base, i);
             self.stats.write_hits += 1;
             return Access::Hit;
         }
@@ -522,7 +518,7 @@ mod tests {
                 }
             }
             let mut out = Vec::new();
-            c.encode_range(&mut out, 0, 256);
+            c.save_sets(&mut out, 0, 256);
             out
         };
         for ways in [1, 2] {
@@ -542,7 +538,7 @@ mod tests {
         assert_eq!(
             state(2, &[(false, 0), (false, 0x80), (false, 0)]),
             state(2, &[(false, 0x80), (false, 0)]),
-            "only the order of the LRU stamps is kept"
+            "only the recency order is kept"
         );
     }
 
@@ -574,7 +570,7 @@ mod tests {
         };
         let state = |c: &Cache| {
             let mut out = Vec::new();
-            c.encode_state_rel(&mut out, 0);
+            c.save_sets(&mut out, 0, c.period_bytes());
             out
         };
         let mut used = Cache::new(CacheConfig {

@@ -34,7 +34,7 @@ pub use kcopy::{
 };
 pub use memsys::{Level, MemSystem, MemTiming};
 pub use routines::{
-    measure, run_pass, BandwidthPoint, LibcVariant, MemRoutine, CHUNK, COPY_ITER_CY, READ_ITER_CY,
+    measure, BandwidthPoint, LibcVariant, MemRoutine, CHUNK, COPY_ITER_CY, READ_ITER_CY,
     REMAINDER_BYTE_CY, WORD, WRITE_ITER_CY,
 };
 pub use tlb::{Tlb, PAGE_BYTES, WALK_CY};

@@ -122,7 +122,8 @@ impl MemSystem {
         [&self.dtlb.entries, &self.l1d, &self.l2]
     }
 
-    fn levels_mut(&mut self) -> [&mut Cache; 3] {
+    /// The TLB's entry cache, L1 and L2, to change.
+    pub(crate) fn levels_mut(&mut self) -> [&mut Cache; 3] {
         [&mut self.dtlb.entries, &mut self.l1d, &mut self.l2]
     }
 
@@ -139,15 +140,37 @@ impl MemSystem {
         }
     }
 
-    /// Appends the state of every set that the byte ranges `(start, len)`
-    /// map to, in every level (see [`Cache::encode_range`]). After two
-    /// passes confined to those ranges, equal encodings mean equal
-    /// states.
-    pub(crate) fn encode_footprint(&self, out: &mut Vec<u64>, ranges: &[(u64, u64)]) {
+    /// Copies into `snap` the state of every set that the byte range
+    /// `[start, start + len)` maps to, in every level. Accesses confined
+    /// to that range change no other set, and once the range spans
+    /// [`MemSystem::stream_period_bytes`] it covers every set.
+    pub(crate) fn save(&self, snap: &mut Snapshot, start: u64, len: u64) {
+        snap.span = (start, len);
+        snap.words.clear();
         for c in self.levels() {
-            for &(start, len) in ranges {
-                c.encode_range(out, start, len);
-            }
+            c.save_sets(&mut snap.words, start, len);
+        }
+    }
+
+    /// Whether every set of `snap`'s range holds what it held when saved,
+    /// with every tag `shift` bytes further on (a multiple of
+    /// [`MemSystem::stream_period_bytes`]). If so, accesses from here on
+    /// behave exactly as the same accesses `shift` bytes lower did from
+    /// the snapshot.
+    pub(crate) fn matches(&self, snap: &Snapshot, shift: u64) -> bool {
+        let (start, len) = snap.span;
+        let mut saved = &snap.words[..];
+        self.levels()
+            .into_iter()
+            .all(|c| c.sets_match(&mut saved, start, len, shift))
+    }
+
+    /// Puts back the state `snap` saved.
+    pub(crate) fn restore(&mut self, snap: &Snapshot) {
+        let (start, len) = snap.span;
+        let mut saved = &snap.words[..];
+        for c in self.levels_mut() {
+            c.restore_sets(&mut saved, start, len);
         }
     }
 
@@ -157,15 +180,6 @@ impl MemSystem {
     /// All three periods are powers of two, so the lcm is the max.
     pub(crate) fn stream_period_bytes(&self) -> u64 {
         self.levels().iter().fold(0, |p, c| p.max(c.period_bytes()))
-    }
-
-    /// Appends the hierarchy's state to `out` with tags expressed
-    /// relative to stream offset `off` (a multiple of
-    /// [`MemSystem::stream_period_bytes`]).
-    pub(crate) fn encode_stream_state(&self, out: &mut Vec<u64>, off: u64) {
-        for c in self.levels() {
-            c.encode_state_rel(out, off);
-        }
     }
 
     /// Accounts for `reps` more stream segments of `seg` bytes whose
@@ -379,6 +393,16 @@ pub(crate) struct LineStep {
     pub(crate) same_pages: bool,
 }
 
+/// The saved state of the sets a byte range maps to, in every level
+/// (see [`MemSystem::save`]). Saving again reuses its buffer.
+#[derive(Default)]
+pub(crate) struct Snapshot {
+    /// The byte range, as `(start, len)`.
+    span: (u64, u64),
+    /// Each level's line words for the range, TLB first.
+    words: Vec<u64>,
+}
+
 /// Per-pass counter totals (or deltas between two snapshots), used by the
 /// extrapolating shortcuts in `routines`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -537,26 +561,27 @@ mod tests {
 
     #[test]
     fn footprint_covers_both_ranges_and_nothing_else() {
-        // Three lines of page 0x100 and two of page 0x102, in TLB, L1
-        // and L2 sets the other range does not map to.
-        let ranges = [(0x10_0000, 64 + 15), (0x10_2200, 40)];
-        let encode = |m: &MemSystem| {
-            let mut out = Vec::new();
-            m.encode_footprint(&mut out, &ranges);
-            out
-        };
-        let cold = encode(&MemSystem::p54c());
+        // A copy's source (three lines of page 0x100) and, 256 bytes on,
+        // its destination (two lines), saved as the one range from the
+        // first byte to the last: TLB, L1 and L2 sets nothing else maps
+        // to.
+        let ranges = [(0x10_0000, 64 + 15), (0x10_0160, 40)];
+        let (start, end) = (ranges[0].0, ranges[1].0 + ranges[1].1);
+        let mut cold = Snapshot::default();
+        MemSystem::p54c().save(&mut cold, start, end - start);
         for (start, len) in ranges {
             for addr in [start, start + len - 1] {
                 let mut m = MemSystem::p54c();
                 m.read_word(addr);
-                assert_ne!(encode(&m), cold, "{addr:#x} is in the footprint");
+                assert!(!m.matches(&cold, 0), "{addr:#x} is in the footprint");
+                m.restore(&cold);
+                assert!(m.matches(&cold, 0), "{addr:#x}: restored");
             }
         }
-        // TLB set 5, L1 set 64 and L2 set 704: none a range maps to.
+        // TLB set 5, L1 set 64 and L2 set 704: none the range maps to.
         let mut m = MemSystem::p54c();
         m.read_word(0x10_5800);
-        assert_eq!(encode(&m), cold);
+        assert!(m.matches(&cold, 0));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! All loop-cost constants are in CPU cycles and are calibrated against
 //! the plateaus of Figures 2-8 (see `DESIGN.md`).
 
-use crate::memsys::{LineStep, MemSystem, LINE};
+use std::cell::RefCell;
+use std::ops::ControlFlow;
+
+use crate::memsys::{LineStep, MemSystem, PassDelta, Snapshot, LINE};
 use crate::tlb::PAGE_BYTES;
 use tnt_sim::trace::{session, Counter};
 
@@ -101,122 +104,207 @@ impl MemRoutine {
 
 /// One pass of the routine over a `len`-byte buffer at `src` (and, for
 /// copies, a destination at `dst`). Buffers are 32-byte aligned, as the
-/// benchmark's allocator guarantees.
-pub fn run_pass(mem: &mut MemSystem, routine: MemRoutine, src: u64, dst: u64, len: u64) {
+/// benchmark's allocator guarantees. `bounds` holds what the previous
+/// pass left at its first stream-segment boundary, and takes what this
+/// one leaves there; the pass stops at that boundary with
+/// `Break(Rejoined)` when it rejoins the previous pass (see
+/// [`stream_main`]).
+pub(crate) fn run_pass(
+    mem: &mut MemSystem,
+    routine: MemRoutine,
+    src: u64,
+    dst: u64,
+    len: u64,
+    bounds: &mut Boundaries,
+) -> ControlFlow<Rejoined> {
     debug_assert_eq!(src % 32, 0, "source must be line aligned");
     debug_assert_eq!(dst % 32, 0, "destination must be line aligned");
+    bounds.cur.reached = false;
     match routine {
-        MemRoutine::CustomRead => custom_read(mem, src, len),
-        MemRoutine::CustomWriteNaive => custom_write(mem, src, len, false),
-        MemRoutine::CustomWritePrefetch => custom_write(mem, src, len, true),
-        MemRoutine::CustomCopyNaive => custom_copy(mem, src, dst, len, false),
-        MemRoutine::CustomCopyPrefetch => custom_copy(mem, src, dst, len, true),
-        MemRoutine::LibcMemset(v) => libc_memset(mem, src, len, v),
-        MemRoutine::LibcMemcpy(v) => libc_memcpy(mem, src, dst, len, v),
+        MemRoutine::CustomRead => custom_read(mem, src, len, bounds),
+        MemRoutine::CustomWriteNaive => custom_write(mem, src, len, false, bounds),
+        MemRoutine::CustomWritePrefetch => custom_write(mem, src, len, true, bounds),
+        MemRoutine::CustomCopyNaive => custom_copy(mem, src, dst, len, false, bounds),
+        MemRoutine::CustomCopyPrefetch => custom_copy(mem, src, dst, len, true, bounds),
+        MemRoutine::LibcMemset(v) => libc_memset(mem, src, len, v, bounds),
+        MemRoutine::LibcMemcpy(v) => libc_memcpy(mem, src, dst, len, v, bounds),
     }
+}
+
+/// A pass that stopped at its first stream-segment boundary because the
+/// hierarchy's state there equalled the previous pass's state at the
+/// same offset: from there on it would replay the previous pass access
+/// for access.
+pub(crate) struct Rejoined;
+
+/// What one pass left at its first stream-segment boundary.
+#[derive(Default)]
+struct Boundary {
+    /// Whether the pass got there and recorded the fields below.
+    reached: bool,
+    /// The whole hierarchy's state there.
+    state: Snapshot,
+    /// The counters there.
+    at: PassDelta,
+    /// The counters from there to the end of the pass.
+    rest: PassDelta,
+}
+
+/// The boundary records of two consecutive passes: the one a pass
+/// compares with and the one it writes.
+#[derive(Default)]
+pub(crate) struct Boundaries {
+    prev: Boundary,
+    cur: Boundary,
+}
+
+impl Boundaries {
+    /// Closes the pass that wrote `cur` and makes its record the one the
+    /// next pass compares with.
+    fn end_pass(&mut self, end: &PassDelta) {
+        if self.cur.reached {
+            self.cur.rest = end.since(&self.cur.at);
+        }
+        std::mem::swap(&mut self.prev, &mut self.cur);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Line steps `stream_main` has run on this thread, so tests can pin
+    /// what the shortcuts leave to simulate.
+    static LINE_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Runs `body(mem, off, step)` for every line-aligned `off` in
 /// `0, LINE, .. < main`, where `step` says how many of the line's 16-byte
 /// chunks lie below `main` and whether the streams starting at `bases`
-/// stay on the pages the previous step touched, detecting when the
-/// streaming access pattern has become periodic and accounting the
-/// remaining whole periods by multiplication.
+/// stay on the pages the previous step touched. Two exact shortcuts cut
+/// the steps it runs; both rest on the loop body being a pure function
+/// of `off` with uniform per-line structure, so the same state at the
+/// same point of the stream gives the same future.
 ///
-/// While a routine streams a buffer far larger than the hierarchy, the
-/// cache/TLB state is *shift-periodic*: after one full period (the lcm of
-/// the set-mapping periods, a power of two for every level), the state is
-/// the previous state with every resident tag advanced by one period.
-/// The loop body is a pure function of `off` with uniform per-line
-/// structure, so once the offset-relative state at a period boundary
-/// matches the previous boundary, every further period must repeat the
-/// same hits, misses and cycles. The skipped periods are accounted by
-/// multiplying the measured per-period delta and advancing resident tags
-/// with `shift_tags` — an exact shortcut, bit-identical to simulating
+/// *Rejoining the previous pass.* When the stream runs past the first
+/// segment boundary, at `stream_period_bytes()`, the whole hierarchy's
+/// state there is compared with the state the previous pass of the same
+/// routine and buffer had at that offset (`bounds.prev`). Equal means
+/// the rest of this pass replays the rest of that one access for access,
+/// so the pass stops there with `Break(Rejoined)` and `measure` accounts
+/// for the rest. Otherwise the state and counters there are recorded in
+/// `bounds.cur` for the next pass.
+///
+/// *Periodic segments.* While a routine streams a buffer far larger than
+/// the hierarchy, the cache/TLB state is *shift-periodic*: after one full
+/// period (the lcm of the set-mapping periods, a power of two for every
+/// level), the state is the previous state with every resident tag
+/// advanced by one period. When the state at the second boundary matches
+/// the first boundary's record shifted by a period, every further period
+/// must repeat the second one's hits, misses and cycles. The skipped
+/// periods are accounted by multiplying that segment's delta and
+/// advancing resident tags with `shift_tags`, bit-identical to simulating
 /// every chunk (same guarantee as the pass-level shortcuts in `measure`).
+/// Every routine and size of the quick and full grids repeats at the
+/// second boundary; a stream that did not would run to its end.
 fn stream_main(
     mem: &mut MemSystem,
     main: u64,
     bases: &[u64],
+    bounds: &mut Boundaries,
     mut body: impl FnMut(&mut MemSystem, u64, LineStep),
-) {
-    let step = |off: u64| LineStep {
-        chunks: (main - off).min(LINE) / CHUNK,
-        same_pages: off > 0
-            && bases
-                .iter()
-                .all(|b| !(b + off).is_multiple_of(PAGE_BYTES as u64)),
+) -> ControlFlow<Rejoined> {
+    let mut run_to = |mem: &mut MemSystem, off: &mut u64, end: u64| {
+        while *off < end {
+            #[cfg(test)]
+            LINE_STEPS.set(LINE_STEPS.get() + 1);
+            let step = LineStep {
+                chunks: (main - *off).min(LINE) / CHUNK,
+                same_pages: *off > 0
+                    && bases
+                        .iter()
+                        .all(|b| !(b + *off).is_multiple_of(PAGE_BYTES as u64)),
+            };
+            body(mem, *off, step);
+            *off += LINE;
+        }
     };
     let seg = mem.stream_period_bytes();
     let mut off = 0u64;
-    // Only engage once there is room for a warm-up segment, a measured
-    // segment, and at least one segment to skip.
-    if main >= 3 * seg {
-        let mut sig_prev: Vec<u64> = Vec::new();
-        let mut sig_cur: Vec<u64> = Vec::new();
-        while off < seg {
-            body(mem, off, step(off));
-            off += LINE;
+    if main > seg {
+        run_to(mem, &mut off, seg);
+        if bounds.prev.reached && mem.matches(&bounds.prev.state, 0) {
+            return ControlFlow::Break(Rejoined);
         }
-        mem.encode_stream_state(&mut sig_prev, off);
-        while main - off >= seg {
-            let before = mem.counters();
-            let end = off + seg;
-            while off < end {
-                body(mem, off, step(off));
-                off += LINE;
-            }
-            sig_cur.clear();
-            mem.encode_stream_state(&mut sig_cur, off);
-            if sig_cur == sig_prev {
+        let cur = &mut bounds.cur;
+        mem.save(&mut cur.state, 0, seg);
+        cur.at = mem.counters();
+        cur.reached = true;
+        // Skip only with room for a measured segment and at least one
+        // segment to skip after it.
+        if main >= 3 * seg {
+            run_to(mem, &mut off, 2 * seg);
+            if mem.matches(&cur.state, seg) {
                 let reps = (main - off) / seg;
-                if reps > 0 {
-                    let delta = mem.counters().since(&before);
-                    mem.skip_stream_segments(reps, &delta, seg);
-                    off += reps * seg;
-                }
-                break;
+                let delta = mem.counters().since(&cur.at);
+                mem.skip_stream_segments(reps, &delta, seg);
+                off += reps * seg;
             }
-            std::mem::swap(&mut sig_prev, &mut sig_cur);
         }
     }
-    while off < main {
-        body(mem, off, step(off));
-        off += LINE;
-    }
+    run_to(mem, &mut off, main);
+    ControlFlow::Continue(())
 }
 
-fn custom_read(mem: &mut MemSystem, base: u64, len: u64) {
+fn custom_read(
+    mem: &mut MemSystem,
+    base: u64,
+    len: u64,
+    bounds: &mut Boundaries,
+) -> ControlFlow<Rejoined> {
     let main = len - len % CHUNK;
-    stream_main(mem, main, &[base], |mem, off, step| {
+    stream_main(mem, main, &[base], bounds, |mem, off, step| {
         mem.charge(step.chunks * READ_ITER_CY);
         mem.read_chunks(base + off, step);
-    });
+    })?;
     remainder_read(mem, base + main, len - main);
+    ControlFlow::Continue(())
 }
 
-fn custom_write(mem: &mut MemSystem, base: u64, len: u64, prefetch: bool) {
+fn custom_write(
+    mem: &mut MemSystem,
+    base: u64,
+    len: u64,
+    prefetch: bool,
+    bounds: &mut Boundaries,
+) -> ControlFlow<Rejoined> {
     let main = len - len % CHUNK;
-    stream_main(mem, main, &[base], |mem, off, step| {
+    stream_main(mem, main, &[base], bounds, |mem, off, step| {
         mem.charge(step.chunks * WRITE_ITER_CY);
         if prefetch {
             mem.prefetch_chunk(base + off, step);
         }
         mem.write_chunks(base + off, step);
-    });
+    })?;
     remainder_write(mem, base + main, len - main);
+    ControlFlow::Continue(())
 }
 
-fn custom_copy(mem: &mut MemSystem, src: u64, dst: u64, len: u64, prefetch: bool) {
+fn custom_copy(
+    mem: &mut MemSystem,
+    src: u64,
+    dst: u64,
+    len: u64,
+    prefetch: bool,
+    bounds: &mut Boundaries,
+) -> ControlFlow<Rejoined> {
     let main = len - len % CHUNK;
-    stream_main(mem, main, &[src, dst], |mem, off, step| {
+    stream_main(mem, main, &[src, dst], bounds, |mem, off, step| {
         mem.charge(step.chunks * COPY_ITER_CY);
         if prefetch {
             mem.prefetch_chunk(dst + off, step);
         }
         mem.read_chunks(src + off, step);
         mem.write_chunks(dst + off, step);
-    });
+    })?;
     // Remainder: read a byte, write a byte.
     let rem_base = main;
     for b in 0..(len - main) {
@@ -224,38 +312,54 @@ fn custom_copy(mem: &mut MemSystem, src: u64, dst: u64, len: u64, prefetch: bool
         mem.read_words(src + rem_base + b, 1);
         mem.write_words(dst + rem_base + b, 1);
     }
+    ControlFlow::Continue(())
 }
 
-fn libc_memset(mem: &mut MemSystem, base: u64, len: u64, variant: LibcVariant) {
+fn libc_memset(
+    mem: &mut MemSystem,
+    base: u64,
+    len: u64,
+    variant: LibcVariant,
+    bounds: &mut Boundaries,
+) -> ControlFlow<Rejoined> {
     mem.charge(variant.call_overhead_cy());
     // `rep stosl`-style fill: slightly tighter than the custom loop, and
     // the tail is handled at word speed (no slow byte loop).
     let main = len - len % CHUNK;
-    stream_main(mem, main, &[base], |mem, off, step| {
+    stream_main(mem, main, &[base], bounds, |mem, off, step| {
         mem.charge(step.chunks * 4);
         mem.write_chunks(base + off, step);
-    });
+    })?;
     let rem = len - main;
     if rem > 0 {
         mem.charge(rem);
         mem.write_words(base + main, rem.div_ceil(WORD) as u32);
     }
+    ControlFlow::Continue(())
 }
 
-fn libc_memcpy(mem: &mut MemSystem, src: u64, dst: u64, len: u64, variant: LibcVariant) {
+fn libc_memcpy(
+    mem: &mut MemSystem,
+    src: u64,
+    dst: u64,
+    len: u64,
+    variant: LibcVariant,
+    bounds: &mut Boundaries,
+) -> ControlFlow<Rejoined> {
     mem.charge(variant.call_overhead_cy());
     let main = len - len % CHUNK;
-    stream_main(mem, main, &[src, dst], |mem, off, step| {
+    stream_main(mem, main, &[src, dst], bounds, |mem, off, step| {
         mem.charge(step.chunks * COPY_ITER_CY);
         mem.read_chunks(src + off, step);
         mem.write_chunks(dst + off, step);
-    });
+    })?;
     let rem = len - main;
     if rem > 0 {
         mem.charge(2 * rem);
         mem.read_words(src + main, rem.div_ceil(WORD) as u32);
         mem.write_words(dst + main, rem.div_ceil(WORD) as u32);
     }
+    ControlFlow::Continue(())
 }
 
 fn remainder_read(mem: &mut MemSystem, base: u64, rem: u64) {
@@ -294,6 +398,19 @@ fn buffer_layout(buf: u64) -> (u64, u64) {
     (src, dst)
 }
 
+/// The buffers `measure` saves states into, kept from sweep to sweep on
+/// each thread so that its comparisons allocate nothing once warm.
+#[derive(Default)]
+struct Scratch {
+    /// The state the previous pass left, on the sets the buffers map to.
+    last_end: Snapshot,
+    bounds: Boundaries,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// Measures the bandwidth of `routine` on a `buf`-byte buffer, reusing the
 /// buffer until at least `total` bytes have been transferred — exactly the
 /// methodology of Section 6 (8 MB of traffic per measurement).
@@ -303,49 +420,7 @@ pub fn measure(mem: &mut MemSystem, routine: MemRoutine, buf: u64, total: u64) -
     mem.reset_cycles();
     let (l1_before, l2_before) = (mem.l1d().stats(), mem.l2().stats());
     let passes = total.div_ceil(buf).max(1);
-    let (src, dst) = buffer_layout(buf);
-    let ranges = [(src, buf), (dst, buf)];
-    let footprint = &ranges[..if routine.is_copy() { 2 } else { 1 }];
-    // Every pass runs the same access sequence, so the cache/TLB state
-    // converges to a fixed point after a pass or two. Once a pass leaves
-    // the state (LRU order normalised) exactly as the previous pass left
-    // it, every further pass must repeat the same hits, misses and
-    // cycles, so the remaining passes are accounted for by
-    // multiplication instead of simulation. Two checks find that pass,
-    // both exact, so totals and final state are bit-identical to running
-    // every pass:
-    // - A pass that counts no fill and no clean-to-dirty transition is a
-    //   fixed point with no comparison at all: the resident lines and
-    //   dirty bits are unchanged, and every line it touched was last
-    //   touched at the same point of the previous pass, so the TLB's
-    //   and L1's LRU order is too. (L2 sees a different sequence once L1
-    //   stops missing, but it is direct mapped, so it has no order.)
-    // - Otherwise compare the sets the buffers map to with their state
-    //   after the previous pass; no pass touches any other set. The
-    //   first pass is never compared: it fills, so it cannot leave the
-    //   empty state it started from.
-    let mut sig_prev: Vec<u64> = Vec::new();
-    let mut sig_cur: Vec<u64> = Vec::new();
-    let mut done = 0u64;
-    while done < passes {
-        let before = mem.counters();
-        run_pass(mem, routine, src, dst, buf);
-        done += 1;
-        if done == passes {
-            break;
-        }
-        let delta = mem.counters().since(&before);
-        let steady = delta.changes() == 0 || {
-            sig_cur.clear();
-            mem.encode_footprint(&mut sig_cur, footprint);
-            std::mem::swap(&mut sig_prev, &mut sig_cur);
-            done > 1 && sig_prev == sig_cur
-        };
-        if steady {
-            mem.skip_reps(passes - done, &delta);
-            break;
-        }
-    }
+    SCRATCH.with_borrow_mut(|scratch| run_passes(mem, routine, buf, passes, scratch));
     let bytes = passes * buf;
     let cycles = mem.cycles() + mem.loop_cycles();
     // This crate has no Sim — the bandwidth loops run outside simulated
@@ -369,12 +444,81 @@ pub fn measure(mem: &mut MemSystem, routine: MemRoutine, buf: u64, total: u64) -
     }
 }
 
+/// Runs `passes` passes of `routine` over the `buf`-byte buffers.
+///
+/// Every pass runs the same access sequence, so the cache/TLB state
+/// converges to a fixed point after a pass or two. Once a pass leaves the
+/// state exactly as the previous pass left it, every further pass must
+/// repeat the same hits, misses and cycles, so the remaining passes are
+/// accounted for by multiplication instead of simulation. Three checks
+/// find that pass, all exact, so totals and final state are bit-identical
+/// to running every pass:
+/// - A pass that rejoins the previous one at its first stream-segment
+///   boundary (see [`stream_main`]) would replay the rest of it access for
+///   access. Its delta is its own first segment plus the rest of the
+///   previous pass, recorded at that pass's boundary, and it ends in the
+///   state the previous pass ended in, saved before it and put back.
+/// - A pass that counts no fill and no clean-to-dirty transition is a
+///   fixed point with no comparison at all: the resident lines and dirty
+///   bits are unchanged, and every line it touched was last touched at
+///   the same point of the previous pass, so the TLB's and L1's LRU order
+///   is too. (L2 sees a different sequence once L1 stops missing, but it
+///   is direct mapped, so it has no order.)
+/// - Otherwise compare the sets the buffers map to with their state
+///   after the previous pass; no pass touches any other set. The first
+///   pass is never compared: it fills, so it cannot leave the empty state
+///   it started from.
+fn run_passes(mem: &mut MemSystem, routine: MemRoutine, buf: u64, passes: u64, s: &mut Scratch) {
+    let (src, dst) = buffer_layout(buf);
+    // The buffers as one range, which for a copy takes in the 256 bytes
+    // between them: no pass changes the sets only those map to.
+    let span = if routine.is_copy() {
+        dst + buf - src
+    } else {
+        buf
+    };
+    s.bounds.prev.reached = false;
+    let mut done = 0u64;
+    while done < passes {
+        let before = mem.counters();
+        if done > 0 {
+            mem.save(&mut s.last_end, src, span);
+        }
+        let rejoined = run_pass(mem, routine, src, dst, buf, &mut s.bounds).is_break();
+        if rejoined {
+            mem.skip_reps(1, &s.bounds.prev.rest);
+            mem.restore(&s.last_end);
+        }
+        done += 1;
+        if done == passes {
+            break;
+        }
+        let delta = mem.counters().since(&before);
+        if rejoined || delta.changes() == 0 || (done > 1 && mem.matches(&s.last_end, 0)) {
+            mem.skip_reps(passes - done, &delta);
+            break;
+        }
+        s.bounds.end_pass(&mem.counters());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memsys::MemSystem;
+    use crate::cache::Access;
 
     const TEST_TOTAL: u64 = 1 << 20; // 1 MB of traffic keeps tests fast.
+
+    /// Every routine kind.
+    const ROUTINES: [MemRoutine; 7] = [
+        MemRoutine::CustomRead,
+        MemRoutine::CustomWriteNaive,
+        MemRoutine::CustomWritePrefetch,
+        MemRoutine::CustomCopyNaive,
+        MemRoutine::CustomCopyPrefetch,
+        MemRoutine::LibcMemset(LibcVariant::Linux),
+        MemRoutine::LibcMemcpy(LibcVariant::Solaris),
+    ];
 
     fn bw(routine: MemRoutine, buf: u64) -> f64 {
         let mut mem = MemSystem::p54c();
@@ -580,30 +724,22 @@ mod tests {
         mem
     }
 
-    /// The whole hierarchy's normalised state.
-    fn state(mem: &MemSystem) -> Vec<u64> {
-        let mut out = Vec::new();
-        mem.encode_stream_state(&mut out, 0);
-        out
+    /// Whether two hierarchies are in the same state.
+    fn same_state(a: &MemSystem, b: &MemSystem) -> bool {
+        let mut snap = Snapshot::default();
+        a.save(&mut snap, 0, a.stream_period_bytes());
+        b.matches(&snap, 0)
     }
 
     /// Checks `measure` against [`oracle`] on every routine kind, on
     /// sizes either side of each threshold (the 16-byte chunk, the line,
-    /// L1, the TLB's reach, L2, the 3-period stream skip) and on totals
-    /// of one pass, two passes and many.
+    /// L1, the TLB's reach, L2 and the first segment boundary, the
+    /// 3-period stream skip) and on totals of one pass, two passes and
+    /// many.
     fn check_against_oracle(sizes: &[u64]) {
-        let routines = [
-            MemRoutine::CustomRead,
-            MemRoutine::CustomWriteNaive,
-            MemRoutine::CustomWritePrefetch,
-            MemRoutine::CustomCopyNaive,
-            MemRoutine::CustomCopyPrefetch,
-            MemRoutine::LibcMemset(LibcVariant::Linux),
-            MemRoutine::LibcMemcpy(LibcVariant::Solaris),
-        ];
         for &buf in sizes {
             for total in [buf, 2 * buf - 1, (6 * buf).max(64 << 10)] {
-                for routine in routines {
+                for routine in ROUTINES {
                     let ctx = format!("{routine:?}, {buf} B buffer, {total} B total");
                     let mut mem = MemSystem::p54c();
                     let p = measure(&mut mem, routine, buf, total);
@@ -613,7 +749,7 @@ mod tests {
                     assert_eq!(mem.l1d().stats(), want.l1d().stats(), "{ctx}: L1");
                     assert_eq!(mem.l2().stats(), want.l2().stats(), "{ctx}: L2");
                     assert_eq!(mem.dtlb().stats(), want.dtlb().stats(), "{ctx}: TLB");
-                    assert!(state(&mem) == state(&want), "{ctx}: final state");
+                    assert!(same_state(&mem, &want), "{ctx}: final state");
                 }
             }
         }
@@ -632,6 +768,102 @@ mod tests {
     #[test]
     fn streaming_sweeps_match_the_oracle() {
         check_against_oracle(&[768 << 10, (1 << 20) + 15, 5 << 19]);
+    }
+
+    /// 384 KB passes the first segment boundary but is not a whole
+    /// number of segments; 512 KB spans two and is too short for a
+    /// segment skip, so only the rejoin shortens its passes.
+    #[test]
+    fn rejoining_sweeps_match_the_oracle() {
+        check_against_oracle(&[384 << 10, 512 << 10]);
+    }
+
+    /// The line steps `stream_main` runs for a sweep of `buf` bytes over
+    /// the quick scale's 2 MB.
+    fn line_steps(routine: MemRoutine, buf: u64) -> u64 {
+        let before = LINE_STEPS.get();
+        measure(&mut MemSystem::p54c(), routine, buf, 2 << 20);
+        LINE_STEPS.get() - before
+    }
+
+    /// Pins what the shortcuts leave to simulate: a second pass over a
+    /// buffer past the first segment boundary stops at that boundary, and
+    /// no other sweep pays for it.
+    #[test]
+    fn line_steps_are_pinned() {
+        for routine in ROUTINES {
+            // Two passes: the first runs a warm-up and a measured segment
+            // and skips two, the second stops after its first segment.
+            assert_eq!(line_steps(routine, 1 << 20), 24_576, "{routine:?}, 1 MB");
+            // Six passes: the first whole, the second stopped.
+            assert_eq!(
+                line_steps(routine, 384 << 10),
+                20_480,
+                "{routine:?}, 384 KB"
+            );
+            // Eight passes with no boundary inside: two whole ones.
+            assert_eq!(
+                line_steps(routine, 256 << 10),
+                16_384,
+                "{routine:?}, 256 KB"
+            );
+            // One pass: a warm-up and a measured segment.
+            assert_eq!(line_steps(routine, 2 << 20), 16_384, "{routine:?}, 2 MB");
+        }
+    }
+
+    /// The rejoin decision itself. The oracle cannot see a rejoin that
+    /// comes too readily, because every routine and size reaches the same
+    /// boundary state on its second pass, so a second pass here runs
+    /// against records of its boundary state with one thing changed: one
+    /// L2 tag, one dirty bit, or the LRU order of one L1 or TLB set. It
+    /// must rejoin the unchanged record and none of the others.
+    #[test]
+    fn a_pass_rejoins_only_the_state_it_reached() {
+        let buf = 384 << 10;
+        let (src, dst) = buffer_layout(buf);
+        let seg = MemSystem::p54c().stream_period_bytes();
+        // Pass 1 on a cold system, and its record of the boundary.
+        let first_pass = || {
+            let mut mem = MemSystem::p54c();
+            let mut bounds = Boundaries::default();
+            let pass = run_pass(&mut mem, MemRoutine::CustomRead, src, dst, buf, &mut bounds);
+            assert!(pass.is_continue() && bounds.cur.reached);
+            bounds.end_pass(&mem.counters());
+            (mem, bounds)
+        };
+        let (_, reached) = first_pass();
+        type Change = fn(&mut MemSystem, u64);
+        let changes: [(&str, Change); 5] = [
+            ("nothing", |_, _| {}),
+            ("one L2 tag", |m, _| {
+                // 64 MB maps to L2 set 0 with a tag no buffer has.
+                assert!(!m.levels_mut()[2].read(64 << 20).is_hit());
+            }),
+            ("one L2 dirty bit", |m, src| {
+                // The first segment's last line, clean in L2.
+                let last = src + (256 << 10) - 32;
+                assert_eq!(m.levels_mut()[2].write(last), Access::Hit);
+            }),
+            ("one L1 set's order", |m, src| {
+                // The older of the two lines in L1 set 0.
+                let older = src + (256 << 10) - 8192;
+                assert_eq!(m.levels_mut()[1].read(older), Access::Hit);
+            }),
+            ("one TLB set's order", |m, src| {
+                // The buffer's first page is the oldest in TLB set 0.
+                assert_eq!(m.levels_mut()[0].read(src), Access::Hit);
+            }),
+        ];
+        for (what, change) in changes {
+            let mut at = MemSystem::p54c();
+            at.restore(&reached.prev.state);
+            change(&mut at, src);
+            let (mut mem, mut bounds) = first_pass();
+            at.save(&mut bounds.prev.state, 0, seg);
+            let pass = run_pass(&mut mem, MemRoutine::CustomRead, src, dst, buf, &mut bounds);
+            assert_eq!(pass.is_break(), what == "nothing", "changed {what}");
+        }
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //!
 //! A block is found through a two-level table indexed by block number:
 //! the top level holds one leaf per 1,024 block numbers, allocated when
-//! the first block in its range is cached, and a leaf's cell holds the
-//! block's slot. Linux 1.2's `getblk` and 4.4BSD's `bufhash` hash the
-//! address instead; Linux 2.5 made this trade when it replaced the
-//! global page-cache hash with per-file radix trees. The filesystem's
-//! blocks lie in three zones, so the table stays small: a 100 MB ext2
-//! file spreads over 368 leaves (1.5 MB), an FFS or UFS one over 16.
+//! the first block in its range is cached and freed when the last one
+//! leaves, and a leaf's cell holds the block's slot. Linux 1.2's
+//! `getblk` and 4.4BSD's `bufhash` hash the address instead; Linux 2.5
+//! made this trade when it replaced the global page-cache hash with
+//! per-file radix trees. The filesystem's blocks lie in three zones, so
+//! the table stays small: a 100 MB ext2 file spreads over 368 leaves, of
+//! which the 21 MB cache keeps 78 (312 KB) allocated once the file is
+//! written; an FFS or UFS one spreads over 16 and keeps 4.
 //! The buffers are slots of one vector, threaded on one doubly linked
 //! LRU list by slot number, so a hit costs two loads and relinks without
 //! touching the index, and an eviction takes the oldest slot directly.
@@ -70,18 +72,26 @@ struct Buf {
 /// Block numbers per leaf of the block index.
 const LEAF: usize = 1024;
 
+/// A leaf of the block index: the slots of `LEAF` consecutive block
+/// numbers, `NIL` where no block is resident, and how many are.
+struct Leaf {
+    slots: [u32; LEAF],
+    resident: u32,
+}
+
 /// Maps a resident block's address to its slot: a table of leaves
 /// indexed by block number, so a lookup is two loads and no hash. A leaf
-/// covers `LEAF` consecutive block numbers and is allocated by the first
-/// block inserted in its range; it lives until [`BlockIndex::clear`].
-/// The filesystem's three zones (data, cylinder groups, inodes) touch a
-/// few hundred leaves at most.
+/// covers `LEAF` consecutive block numbers; the first block inserted in
+/// its range allocates it and the last one removed frees it, so the
+/// leaves are those of the resident blocks. The filesystem's three zones
+/// (data, cylinder groups, inodes) keep the top table to a few thousand
+/// entries at most.
 struct BlockIndex {
     /// log2 of the block size in 1 KB disk blocks.
     shift: u32,
-    /// Leaf `i` holds the slots of block numbers `i * LEAF ..`, `NIL`
-    /// where no block is resident.
-    top: Vec<Option<Box<[u32; LEAF]>>>,
+    /// Leaf `i` covers block numbers `i * LEAF ..`; `None` where none of
+    /// them is resident.
+    top: Vec<Option<Box<Leaf>>>,
     /// Resident blocks.
     len: u64,
 }
@@ -104,7 +114,7 @@ impl BlockIndex {
     /// The slot of `addr`, if it is resident.
     fn get(&self, addr: u64) -> Option<u32> {
         let (leaf, cell) = self.split(addr);
-        match self.top.get(leaf)?.as_ref()?[cell] {
+        match self.top.get(leaf)?.as_ref()?.slots[cell] {
             NIL => None,
             slot => Some(slot),
         }
@@ -117,26 +127,38 @@ impl BlockIndex {
         if leaf >= self.top.len() {
             self.top.resize_with(leaf + 1, || None);
         }
-        let cell = &mut self.top[leaf].get_or_insert_with(|| Box::new([NIL; LEAF]))[cell];
+        let leaf = self.top[leaf].get_or_insert_with(|| {
+            Box::new(Leaf {
+                slots: [NIL; LEAF],
+                resident: 0,
+            })
+        });
+        let cell = &mut leaf.slots[cell];
         if *cell != NIL {
             return (*cell, false);
         }
         *cell = new();
+        leaf.resident += 1;
         self.len += 1;
         (*cell, true)
     }
 
-    /// Unmaps `addr`; the slot it had, if it was resident.
+    /// Unmaps `addr`, and frees its leaf if no other block of the leaf is
+    /// resident; the slot it had, if it was resident.
     fn remove(&mut self, addr: u64) -> Option<u32> {
-        let (leaf, cell) = self.split(addr);
-        let cell = &mut self.top.get_mut(leaf)?.as_mut()?[cell];
-        match std::mem::replace(cell, NIL) {
-            NIL => None,
-            slot => {
-                self.len -= 1;
-                Some(slot)
-            }
+        let (i, cell) = self.split(addr);
+        let entry = self.top.get_mut(i)?;
+        let leaf = entry.as_mut()?;
+        let slot = std::mem::replace(&mut leaf.slots[cell], NIL);
+        if slot == NIL {
+            return None;
         }
+        leaf.resident -= 1;
+        if leaf.resident == 0 {
+            *entry = None;
+        }
+        self.len -= 1;
+        Some(slot)
     }
 
     /// Unmaps every block and frees every leaf.
@@ -779,11 +801,12 @@ mod tests {
     /// The block index answers as a `BTreeMap` does, for 1 KB and 8 KB
     /// blocks, under a seeded stream of inserts, lookups, removals and
     /// clears over addresses at 0, around the first leaf edge, in the
-    /// filesystem's three zones and at the disk's last block.
+    /// filesystem's three zones and at the disk's last block; and its
+    /// allocated leaves are exactly those holding a resident block.
     #[test]
     fn block_index_matches_a_btreemap() {
         use std::collections::btree_map::Entry;
-        use std::collections::BTreeMap;
+        use std::collections::{BTreeMap, BTreeSet};
         let disk_kb = DiskParams::hp3725().total_blocks;
         for bs in [1, 8] {
             let mut addrs = vec![0, bs, 1023 * bs, 1024 * bs, 1025 * bs, disk_kb - bs];
@@ -814,6 +837,11 @@ mod tests {
                 for &a in &addrs {
                     assert_eq!(index.get(a), model.get(&a).copied(), "op {op} addr {a}");
                 }
+                let allocated: BTreeSet<usize> = (0..index.top.len())
+                    .filter(|&i| index.top[i].is_some())
+                    .collect();
+                let holding: BTreeSet<usize> = model.keys().map(|&a| index.split(a).0).collect();
+                assert_eq!(allocated, holding, "op {op}: leaves");
             }
         }
     }

@@ -365,14 +365,14 @@ impl Trace {
                 continue;
             }
             if let Some(rest) = s.strip_prefix("ev ") {
-                let fields: Vec<&str> = rest.split_whitespace().collect();
-                if fields.len() != 5 {
+                let mut words = rest.split_whitespace();
+                let fields: [&str; 5] = std::array::from_fn(|_| words.next().unwrap_or(""));
+                // A field is never empty, so the empty ones are missing.
+                let count = fields.iter().filter(|f| !f.is_empty()).count() + words.count();
+                if count != 5 {
                     return Err(TraceError::Text {
                         line,
-                        msg: format!(
-                            "ev needs 5 fields (t pid op arg size), got {}",
-                            fields.len()
-                        ),
+                        msg: format!("ev needs 5 fields (t pid op arg size), got {count}"),
                     });
                 }
                 let num = |f: &str, what: &str| {
@@ -581,6 +581,22 @@ mod tests {
             TraceError::Text {
                 line: 2,
                 msg: "unknown op \"zz\"".into()
+            }
+        );
+        for (ev, got) in [("ev 1 2 open", 3), ("ev 1 2 open 3 4 5", 6)] {
+            assert_eq!(
+                Trace::from_text(&format!("tntrace v1\npath /x\n{ev}\n")).unwrap_err(),
+                TraceError::Text {
+                    line: 3,
+                    msg: format!("ev needs 5 fields (t pid op arg size), got {got}")
+                }
+            );
+        }
+        assert_eq!(
+            Trace::from_text("tntrace v1\npath /x\nev 1 x open 0 0\n").unwrap_err(),
+            TraceError::Text {
+                line: 3,
+                msg: "bad pid \"x\"".into()
             }
         );
         assert!(matches!(
