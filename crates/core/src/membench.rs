@@ -2,35 +2,22 @@
 //!
 //! These run on the bare machine model — the OS only contributes its
 //! libc variant — using the paper's methodology: reuse one buffer until
-//! 8 MB of data have been transferred, then report MB/s.
+//! 8 MB of data have been transferred, then report MB/s. The P54C model
+//! is deterministic, so a routine and buffer size have one bandwidth:
+//! the harness measures each once and reports it for every run.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use tnt_cpu::{measure, MemRoutine, MemSystem, MemTiming};
+use tnt_cpu::{measure, MemRoutine, MemSystem};
 
 /// Total traffic per measurement, as in the paper.
 pub const TOTAL_TRAFFIC: u64 = 8 * 1024 * 1024;
 
 /// Bandwidth of `routine` on a `buf`-byte buffer with `total` bytes of
-/// traffic. A nonzero `seed` scales the event costs by a factor within
-/// 1% of one (refresh and DMA interference), but each cost rounds to
-/// whole cycles and the largest is 31, so the factor would have to move
-/// by 1.6% to change any of them: every seed measures with exactly
-/// [`MemTiming::p54c`], and the seeds of one routine and buffer size
-/// agree.
-pub fn mem_bandwidth(routine: MemRoutine, buf: u64, total: u64, seed: u64) -> f64 {
-    let timing = jittered_timing(seed);
-    let mut mem = MemSystem::with_timing(timing);
+/// traffic. The seed does not affect the result: the memory model has no
+/// run-to-run variation, so every seed of one routine and buffer size
+/// measures the same bandwidth. Each call simulates afresh.
+pub fn mem_bandwidth(routine: MemRoutine, buf: u64, total: u64, _seed: u64) -> f64 {
+    let mut mem = MemSystem::p54c();
     measure(&mut mem, routine, buf, total).mb_per_sec
-}
-
-fn jittered_timing(seed: u64) -> MemTiming {
-    if seed == 0 {
-        return MemTiming::p54c();
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    MemTiming::p54c().scaled(rng.gen_range(0.99..=1.01))
 }
 
 /// The buffer-size sweep of the figures: powers of two from 256 bytes to
@@ -97,11 +84,14 @@ mod tests {
     }
 
     #[test]
-    fn every_seed_rounds_back_to_the_calibrated_timing() {
-        // The quick scale runs seeds 1-5 and the full scale 1-20; the
-        // ±1% factor rounds away, so one simulation serves every seed.
-        for seed in 0..=20 {
-            assert_eq!(jittered_timing(seed), MemTiming::p54c(), "seed {seed}");
+    fn every_seed_measures_the_same_bandwidth() {
+        // The harness measures each routine and size once and reports
+        // that bandwidth for every seed.
+        for routine in [MemRoutine::CustomRead, MemRoutine::CustomCopyPrefetch] {
+            let at_zero = mem_bandwidth(routine, 8192 + 15, T, 0);
+            for seed in [1, 5, 20] {
+                assert_eq!(mem_bandwidth(routine, 8192 + 15, T, seed), at_zero);
+            }
         }
     }
 }

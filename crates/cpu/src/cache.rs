@@ -1,14 +1,14 @@
 //! Generic set-associative cache model with true LRU replacement.
 //!
 //! The Pentium P54C property that drives the paper's Section 6 results is
-//! configured here per cache: **write-allocate off** means a write miss
+//! the one write policy here: **no write-allocate** means a write miss
 //! does not bring the line into the cache, so subsequent writes to the
 //! same line keep missing and drain through the write buffer at memory
-//! speed.
+//! speed. Only a read fills.
 
 use std::ops::Range;
 
-/// Geometry and policy of one cache level.
+/// Geometry of one cache level.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -17,8 +17,6 @@ pub struct CacheConfig {
     pub ways: usize,
     /// Line size in bytes (power of two).
     pub line: usize,
-    /// Whether a write miss allocates the line (the Pentium's L1 does not).
-    pub write_allocate: bool,
 }
 
 impl CacheConfig {
@@ -28,7 +26,6 @@ impl CacheConfig {
             size: 8 * 1024,
             ways: 2,
             line: 32,
-            write_allocate: false,
         }
     }
 
@@ -38,7 +35,6 @@ impl CacheConfig {
             size: 256 * 1024,
             ways: 1,
             line: 32,
-            write_allocate: false,
         }
     }
 
@@ -53,14 +49,15 @@ impl CacheConfig {
 pub enum Access {
     /// The line was present.
     Hit,
-    /// The line was absent and (for allocating accesses) has been brought
-    /// in; `evicted_dirty` reports whether a dirty victim was written back.
+    /// A read found the line absent and brought it in; `evicted_dirty`
+    /// reports whether a dirty victim was written back.
     Miss {
         /// A dirty line was evicted to make room.
         evicted_dirty: bool,
     },
-    /// The line was absent and, per the no-write-allocate policy, was NOT
-    /// brought in; the data goes straight to the next level.
+    /// A write found the line absent and, per the no-write-allocate
+    /// policy, did NOT bring it in; the data goes straight to the next
+    /// level.
     MissNoAllocate,
 }
 
@@ -360,9 +357,8 @@ impl Cache {
 
     /// Performs a write to the line containing `addr`.
     ///
-    /// On a hit the line is marked dirty. On a miss the behaviour depends
-    /// on `write_allocate`: the Pentium-style configuration returns
-    /// [`Access::MissNoAllocate`] and leaves the cache untouched.
+    /// On a hit the line is marked dirty. A miss returns
+    /// [`Access::MissNoAllocate`] and leaves the lines untouched.
     #[inline]
     pub fn write(&mut self, addr: u64) -> Access {
         let (base, key) = self.index(addr);
@@ -376,11 +372,7 @@ impl Cache {
             return Access::Hit;
         }
         self.stats.write_misses += 1;
-        if !self.cfg.write_allocate {
-            return Access::MissNoAllocate;
-        }
-        let evicted_dirty = self.fill(base, key | DIRTY);
-        Access::Miss { evicted_dirty }
+        Access::MissNoAllocate
     }
 
     /// Whether the line containing `addr` is present (no LRU side effect).
@@ -405,7 +397,6 @@ mod tests {
             size: 256,
             ways: 2,
             line: 32,
-            write_allocate: false,
         })
     }
 
@@ -444,23 +435,6 @@ mod tests {
         assert!(!c.probe(0x100));
         // After a read brings the line in, writes hit.
         assert!(!c.read(0x100).is_hit());
-        assert_eq!(c.write(0x100), Access::Hit);
-    }
-
-    #[test]
-    fn write_allocate_variant_allocates() {
-        let mut c = Cache::new(CacheConfig {
-            size: 256,
-            ways: 2,
-            line: 32,
-            write_allocate: true,
-        });
-        assert_eq!(
-            c.write(0x100),
-            Access::Miss {
-                evicted_dirty: false
-            }
-        );
         assert_eq!(c.write(0x100), Access::Hit);
     }
 
@@ -508,7 +482,6 @@ mod tests {
                 size: 256,
                 ways,
                 line: 32,
-                write_allocate: false,
             });
             for &(write, addr) in ops {
                 if write {
@@ -555,29 +528,26 @@ mod tests {
     fn a_used_then_flushed_cache_behaves_like_a_fresh_one() {
         // The flush of a cache nothing was filled into skips its lines;
         // a flush after fills must still leave a cache that no access
-        // stream can tell from a freshly built one.
+        // stream can tell from a freshly built one. Every third line read
+        // is written too, so some victims are dirty.
         let stream = |c: &mut Cache| -> Vec<Access> {
-            (0..64u64)
-                .map(|i| {
-                    let addr = (i * 0x2c) % 0x400;
-                    if i % 3 == 0 {
-                        c.write(addr)
-                    } else {
-                        c.read(addr)
-                    }
-                })
-                .collect()
+            let mut out = Vec::new();
+            for i in 0..64u64 {
+                let addr = (i * 0x2c) % 0x400;
+                out.push(c.read(addr));
+                if i % 3 == 0 {
+                    out.push(c.write(addr));
+                }
+            }
+            out
         };
         let state = |c: &Cache| {
             let mut out = Vec::new();
             c.save_sets(&mut out, 0, c.period_bytes());
             out
         };
-        let mut used = Cache::new(CacheConfig {
-            write_allocate: true,
-            ..tiny().config()
-        });
-        let mut fresh = Cache::new(used.config());
+        let mut used = tiny();
+        let mut fresh = tiny();
         used.flush(); // nothing filled yet
         let _ = stream(&mut used);
         used.flush();
@@ -586,6 +556,7 @@ mod tests {
         assert_eq!(stream(&mut used), stream(&mut fresh));
         assert_eq!(used.stats().since(&before), fresh.stats());
         assert_eq!(state(&used), state(&fresh));
+        assert!(fresh.stats().writebacks > 0);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use crate::cache::{Access, Cache, CacheConfig, CacheStats};
 use crate::tlb::Tlb;
-use tnt_sim::round_u64;
 
 /// Cycle costs of the memory system events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,8 +27,8 @@ pub struct MemTiming {
 }
 
 impl MemTiming {
-    /// Calibrated defaults for the 100 MHz P54C with the Plato L2.
-    pub fn p54c() -> MemTiming {
+    /// Calibrated costs for the 100 MHz P54C with the Plato L2.
+    pub const fn p54c() -> MemTiming {
         MemTiming {
             l2_fill: 18,
             dram_fill: 31,
@@ -39,21 +38,10 @@ impl MemTiming {
             writeback_dram: 16,
         }
     }
-
-    /// Returns a copy with every cost scaled by `factor` (used by the
-    /// harness to model run-to-run DRAM/refresh jitter).
-    pub fn scaled(&self, factor: f64) -> MemTiming {
-        let s = |c: u64| round_u64(c as f64 * factor).max(1);
-        MemTiming {
-            l2_fill: s(self.l2_fill),
-            dram_fill: s(self.dram_fill),
-            l2_write_word: s(self.l2_write_word),
-            dram_write_word: s(self.dram_write_word),
-            writeback_l2: s(self.writeback_l2),
-            writeback_dram: s(self.writeback_dram),
-        }
-    }
 }
+
+/// The event costs every [`MemSystem`] charges.
+const TIMING: MemTiming = MemTiming::p54c();
 
 /// Line size of both P54C cache levels. The memory routines step their
 /// 16-byte chunks in pairs of one line each.
@@ -62,31 +50,24 @@ pub(crate) const LINE: u64 = 32;
 /// The modelled CPU-side memory system: data TLB, L1 data cache,
 /// unified L2, DRAM.
 ///
-/// The geometry is the P54C's and only the timing varies: the routines'
-/// shortcuts rely on 32-byte lines, a non-allocating L1 and L2, and a
-/// direct-mapped L2 (see `measure`).
+/// The geometry and the event costs are the P54C's ([`MemTiming::p54c`]):
+/// the routines' shortcuts rely on 32-byte lines, a non-allocating L1
+/// and L2, and a direct-mapped L2 (see `measure`).
 pub struct MemSystem {
     dtlb: Tlb,
     l1d: Cache,
     l2: Cache,
-    timing: MemTiming,
     cycles: u64,
     loop_cycles: u64,
 }
 
 impl MemSystem {
-    /// Builds the P54C/Plato memory system with calibrated timing.
+    /// Builds the P54C/Plato memory system.
     pub fn p54c() -> MemSystem {
-        MemSystem::with_timing(MemTiming::p54c())
-    }
-
-    /// Builds the P54C/Plato memory system with explicit event costs.
-    pub fn with_timing(timing: MemTiming) -> MemSystem {
         MemSystem {
             dtlb: Tlb::p54c_dtlb(),
             l1d: Cache::new(CacheConfig::p54c_l1d()),
             l2: Cache::new(CacheConfig::plato_l2()),
-            timing,
             cycles: 0,
             loop_cycles: 0,
         }
@@ -239,20 +220,20 @@ impl MemSystem {
                 if evicted_dirty {
                     // The victim's line is (almost always) still in L2 in
                     // this mostly-inclusive hierarchy.
-                    self.cycles += self.timing.writeback_l2;
+                    self.cycles += TIMING.writeback_l2;
                 }
                 match self.l2.read(addr) {
                     Access::Hit => {
-                        self.cycles += self.timing.l2_fill;
+                        self.cycles += TIMING.l2_fill;
                         Level::L2
                     }
                     Access::Miss {
                         evicted_dirty: l2_dirty,
                     } => {
                         if l2_dirty {
-                            self.cycles += self.timing.writeback_dram;
+                            self.cycles += TIMING.writeback_dram;
                         }
-                        self.cycles += self.timing.dram_fill;
+                        self.cycles += TIMING.dram_fill;
                         Level::Dram
                     }
                     Access::MissNoAllocate => unreachable!("reads always allocate"),
@@ -278,11 +259,11 @@ impl MemSystem {
             Access::Hit => Level::L1,
             Access::MissNoAllocate => match self.l2.write(addr) {
                 Access::Hit => {
-                    self.cycles += self.timing.l2_write_word;
+                    self.cycles += TIMING.l2_write_word;
                     Level::L2
                 }
                 Access::MissNoAllocate => {
-                    self.cycles += self.timing.dram_write_word;
+                    self.cycles += TIMING.dram_write_word;
                     Level::Dram
                 }
                 Access::Miss { .. } => unreachable!("L2 does not write-allocate"),
@@ -311,8 +292,8 @@ impl MemSystem {
     fn drain_words(&mut self, level: Level, words: u64) {
         match level {
             Level::L1 => {}
-            Level::L2 => self.cycles += words * self.timing.l2_write_word,
-            Level::Dram => self.cycles += words * self.timing.dram_write_word,
+            Level::L2 => self.cycles += words * TIMING.l2_write_word,
+            Level::Dram => self.cycles += words * TIMING.dram_write_word,
         }
     }
 
@@ -582,50 +563,5 @@ mod tests {
         let mut m = MemSystem::p54c();
         m.read_word(0x10_5800);
         assert!(m.matches(&cold, 0));
-    }
-
-    #[test]
-    fn scaled_timing() {
-        let t = MemTiming::p54c().scaled(2.0);
-        assert_eq!(t.dram_fill, 62);
-        assert_eq!(t.l2_write_word, 4);
-        let tiny = MemTiming::p54c().scaled(0.0001);
-        assert!(tiny.l2_write_word >= 1, "costs never collapse to zero");
-    }
-
-    /// `scaled` rounds each cost exactly as its libm form did, at the
-    /// edges and on a fine sweep over the memory seeds' ±1% and beyond.
-    #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the libm form `scaled` had before the exact helper, as its reference"
-    )]
-    fn scaled_equals_its_libm_form() {
-        let costs = |t: MemTiming| {
-            [
-                t.l2_fill,
-                t.dram_fill,
-                t.l2_write_word,
-                t.dram_write_word,
-                t.writeback_l2,
-                t.writeback_dram,
-            ]
-        };
-        let edges = [
-            -1.0,
-            0.0,
-            0.0001,
-            0.5,
-            1.5,
-            2.0,
-            1e300,
-            f64::INFINITY,
-            f64::NAN,
-        ];
-        let sweep = (0..=20_000).map(|i| 0.9 + f64::from(i) * 1e-5);
-        for f in edges.into_iter().chain(sweep) {
-            let libm = costs(MemTiming::p54c()).map(|c| ((c as f64) * f).round().max(1.0) as u64);
-            assert_eq!(costs(MemTiming::p54c().scaled(f)), libm, "factor {f}");
-        }
     }
 }

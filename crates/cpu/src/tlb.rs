@@ -30,7 +30,6 @@ impl Tlb {
                 size: 64 * PAGE_BYTES,
                 ways: 4,
                 line: PAGE_BYTES,
-                write_allocate: true, // Translations load on any access.
             }),
         }
     }

@@ -15,7 +15,8 @@
 //! the serial run. `bless` persists the structured per-experiment records
 //! to `results/baselines.json`; `check` reruns the suite and fails
 //! loudly on any statistic drifting past `--tolerance` percent.
-//! `bench` times serial vs parallel and writes `BENCH_runner.json`.
+//! `bench` times serial vs parallel and writes `BENCH_runner.json`, with
+//! each experiment's wall time in both runs.
 //! With `--profile`, each experiment is followed by its
 //! cycle-attribution breakdown and folded-stack exports land next to
 //! the CSVs.
@@ -573,6 +574,18 @@ fn bench(cli: &Cli) -> Result<ExitCode, WriteError> {
         .collect();
     let identical = serial_text == parallel_text;
     let speedup = serial_s / parallel_s.max(1e-9);
+    // Each plan's shard time, summed over its shards, in both runs.
+    let wall_ms = serial
+        .iter()
+        .zip(&parallel)
+        .map(|(s, p)| {
+            Value::Obj(vec![
+                ("id".into(), Value::Str(s.id.into())),
+                ("serial".into(), Value::Num(s.wall_ms)),
+                ("parallel".into(), Value::Num(p.wall_ms)),
+            ])
+        })
+        .collect();
 
     let doc = Value::Obj(vec![
         ("bench".into(), Value::Str("runner".into())),
@@ -583,6 +596,7 @@ fn bench(cli: &Cli) -> Result<ExitCode, WriteError> {
         ("parallel_s".into(), Value::Num(parallel_s)),
         ("speedup".into(), Value::Num(speedup)),
         ("byte_identical".into(), Value::Bool(identical)),
+        ("wall_ms".into(), Value::Arr(wall_ms)),
     ]);
     let path = cli.out_dir.join("BENCH_runner.json");
     write(&path, doc.render())?;

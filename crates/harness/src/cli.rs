@@ -19,7 +19,8 @@ pub enum Mode {
     Bless,
     /// Run the suite and gate it against the blessed `baselines.json`.
     Check,
-    /// Time the suite serially and in parallel; write `BENCH_runner.json`.
+    /// Time the suite serially and in parallel; write `BENCH_runner.json`
+    /// with the totals and each experiment's wall time.
     Bench,
     /// Benchmark the threaded vs lite process models; write
     /// `BENCH_engine.json`.

@@ -155,8 +155,13 @@ fn os_label(os: Os) -> String {
 
 /// Per-seed sampler for one table row.
 type RowSampler = Arc<dyn Fn(u64) -> f64 + Send + Sync>;
-/// Per-(x, seed) sampler for one figure curve.
-type CurveSampler = Arc<dyn Fn(f64, u64) -> f64 + Send + Sync>;
+/// Sampler for one point of a figure curve: one sample per seed.
+type CurveSampler = Arc<dyn Fn(f64, &[u64]) -> Vec<f64> + Send + Sync>;
+
+/// A curve sampler that measures every seed with `sample(x, seed)`.
+fn each_seed(sample: impl Fn(f64, u64) -> f64 + Send + Sync + 'static) -> CurveSampler {
+    Arc::new(move |x, seeds| seeds.iter().map(|&seed| sample(x, seed)).collect())
+}
 
 /// A table experiment: one cell per (row × seed), rendered into a
 /// paper-style table with an extracted record.
@@ -254,7 +259,7 @@ fn figure_plan(
             cells.push(Cell {
                 label: format!("{id}/{label}/x={x}"),
                 cost: cost_of_x(x),
-                work: Box::new(move || seeds.iter().map(|&seed| sampler(x, seed)).collect()),
+                work: Box::new(move || sampler(x, &seeds)),
             });
         }
     }
@@ -370,8 +375,7 @@ fn plan_f1(scale: &Scale) -> ExperimentPlan {
     let curves = specs
         .into_iter()
         .map(|(label, os, pattern)| {
-            let sampler: CurveSampler =
-                Arc::new(move |x, seed| ctx_us(os, x as usize, switches, pattern, seed));
+            let sampler = each_seed(move |x, seed| ctx_us(os, x as usize, switches, pattern, seed));
             (label, sampler)
         })
         .collect();
@@ -412,8 +416,11 @@ fn plan_mem(
     let curves = curves
         .into_iter()
         .map(|(label, routine)| {
-            let sampler: CurveSampler =
-                Arc::new(move |x, seed| mem_bandwidth(routine, x as u64, total, seed));
+            // The memory model is deterministic: no seed moves a
+            // bandwidth, so one measurement serves every seed.
+            let sampler: CurveSampler = Arc::new(move |x, seeds| {
+                vec![mem_bandwidth(routine, x as u64, total, 0); seeds.len()]
+            });
             (label.to_string(), sampler)
         })
         .collect();
@@ -534,8 +541,7 @@ fn plan_f12(scale: &Scale) -> ExperimentPlan {
     let curves = Os::benchmarked()
         .into_iter()
         .map(|os| {
-            let sampler: CurveSampler =
-                Arc::new(move |x, seed| crtdel_ms(os, x as u64, iters, seed));
+            let sampler = each_seed(move |x, seed| crtdel_ms(os, x as u64, iters, seed));
             (os_label(os), sampler)
         })
         .collect();
@@ -671,8 +677,7 @@ fn plan_f13(scale: &Scale) -> ExperimentPlan {
     let curves = Os::benchmarked()
         .into_iter()
         .map(|os| {
-            let sampler: CurveSampler =
-                Arc::new(move |x, seed| udp_bandwidth_mbit(os, x as u64, total, seed));
+            let sampler = each_seed(move |x, seed| udp_bandwidth_mbit(os, x as u64, total, seed));
             (os_label(os), sampler)
         })
         .collect();

@@ -231,6 +231,48 @@ fn bless_then_check_roundtrip_passes_and_perturbation_fails() {
 }
 
 #[test]
+fn bench_writes_each_experiments_wall_time() {
+    let dir = temp_dir("bench");
+    let res = dir.join("res");
+    let out = reproduce(
+        &[
+            "--quick",
+            "bench",
+            "--jobs",
+            "2",
+            "--out",
+            res.to_str().unwrap(),
+            "t1",
+            "t2",
+        ],
+        &dir,
+    );
+    assert!(
+        out.status.success(),
+        "bench failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(res.join("BENCH_runner.json")).unwrap();
+    let doc = tnt_runner::json::Value::parse(&text).unwrap();
+    let rows = doc
+        .get("wall_ms")
+        .and_then(|v| v.as_arr())
+        .expect("wall_ms array");
+    let ids: Vec<&str> = rows
+        .iter()
+        .map(|r| r.get("id").and_then(|v| v.as_str()).expect("id"))
+        .collect();
+    assert_eq!(ids, ["t1", "t2"], "{text}");
+    for row in rows {
+        for run in ["serial", "parallel"] {
+            let ms = row.get(run).and_then(|v| v.as_f64()).expect(run);
+            assert!(ms >= 0.0, "{run} wall_ms {ms} in {text}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn check_without_baselines_explains_itself() {
     let dir = temp_dir("nobase");
     let res = dir.join("res");

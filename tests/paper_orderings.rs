@@ -4,7 +4,8 @@
 
 use tnt_core::{
     bonnie, crtdel_ms, ctx_us, mab_local, mab_over_nfs, mem_bandwidth, pipe_bandwidth_mbit,
-    syscall_us, tcp_bandwidth_mbit, udp_bandwidth_mbit, CtxPattern, LibcVariant, MemRoutine,
+    standard_buffer_sizes, syscall_us, tcp_bandwidth_mbit, udp_bandwidth_mbit, CtxPattern,
+    LibcVariant, MemRoutine, TOTAL_TRAFFIC,
 };
 use tnt_os::Os;
 
@@ -39,19 +40,66 @@ fn figure1_contextswitch_story() {
     assert!(s48 > s24 + 40.0, "Solaris jumps past 32 processes");
 }
 
+/// Section 6 at the paper's scale: every curve of Figures 2-8, each
+/// simulated once per buffer size of the sweep at 8 MB of traffic.
 #[test]
 fn section6_memory_story() {
-    let total = 1 << 20;
-    // No libc write routine reaches 50 MB/s...
-    for v in LibcVariant::all() {
-        for buf in [4096u64, 1 << 20] {
-            assert!(mem_bandwidth(MemRoutine::LibcMemset(v), buf, total, SEED) < 50.0);
+    let sizes = standard_buffer_sizes();
+    let curve = |routine| -> Vec<f64> {
+        sizes
+            .iter()
+            .map(|&buf| mem_bandwidth(routine, buf, TOTAL_TRAFFIC, SEED))
+            .collect()
+    };
+    let at = |bw: &[f64], buf: u64| bw[sizes.iter().position(|&s| s == buf).unwrap()];
+    let peak = |bw: &[f64]| bw.iter().copied().fold(0.0, f64::max);
+    let memsets = LibcVariant::all().map(|v| curve(MemRoutine::LibcMemset(v)));
+    let memcpys = LibcVariant::all().map(|v| curve(MemRoutine::LibcMemcpy(v)));
+
+    // Figure 2: the three read plateaus, L1, L2 and DRAM.
+    let read = curve(MemRoutine::CustomRead);
+    let (l1, l2, dram) = (at(&read, 4096), at(&read, 65536), at(&read, 2 << 20));
+    assert!(l1 > 280.0, "L1 ~300+, got {l1:.1}");
+    assert!((l2 - 110.0).abs() < 15.0, "L2 ~110, got {l2:.1}");
+    assert!((dram - 75.0).abs() < 10.0, "DRAM ~75, got {dram:.1}");
+
+    // Figures 3-4: no write without prefetching reaches 50 MB/s...
+    let naive_write = curve(MemRoutine::CustomWriteNaive);
+    for bw in memsets.iter().chain([&naive_write]) {
+        assert!(peak(bw) < 50.0, "a write peaks at {:.1}", peak(bw));
+    }
+    // ...Figure 5: prefetching writes reach ~6x that...
+    let write_pf = peak(&curve(MemRoutine::CustomWritePrefetch));
+    assert!(write_pf > 250.0, "prefetch write peaks at {write_pf:.1}");
+    // ...and Figure 8: prefetching copies ~160 MB/s.
+    let copy_pf = peak(&curve(MemRoutine::CustomCopyPrefetch));
+    assert!(
+        copy_pf > 140.0 && copy_pf < 190.0,
+        "prefetch copy peaks at {copy_pf:.1}"
+    );
+
+    // Figures 6-7: from 4 KB up, every libc memcpy runs within 2% of a
+    // naive copy.
+    let naive_copy = curve(MemRoutine::CustomCopyNaive);
+    for (v, bw) in LibcVariant::all().iter().zip(&memcpys) {
+        for (i, &buf) in sizes.iter().enumerate().filter(|&(_, &b)| b >= 4096) {
+            let gap = (bw[i] / naive_copy[i] - 1.0).abs();
+            assert!(gap < 0.02, "{v:?} memcpy at {buf}: {:.1}% off", gap * 100.0);
         }
     }
-    // ...but prefetching writes reach ~6x that, and copies ~160 MB/s.
-    assert!(mem_bandwidth(MemRoutine::CustomWritePrefetch, 4096, total, SEED) > 250.0);
-    let copy_pf = mem_bandwidth(MemRoutine::CustomCopyPrefetch, 4096, total, SEED);
-    assert!(copy_pf > 140.0 && copy_pf < 190.0);
+
+    // Figures 3 and 6: the libcs keep one order at every size.
+    for (figure, [linux, freebsd, solaris]) in [("memset", &memsets), ("memcpy", &memcpys)] {
+        for (i, &buf) in sizes.iter().enumerate() {
+            assert!(
+                linux[i] > freebsd[i] && freebsd[i] > solaris[i],
+                "{figure} at {buf}: {:.3} > {:.3} > {:.3}",
+                linux[i],
+                freebsd[i],
+                solaris[i]
+            );
+        }
+    }
 }
 
 #[test]

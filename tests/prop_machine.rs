@@ -28,7 +28,7 @@ proptest! {
 
     #[test]
     fn cache_capacity_never_exceeded(seq in ops()) {
-        let mut c = Cache::new(CacheConfig { size: 2048, ways: 2, line: 32, write_allocate: false });
+        let mut c = Cache::new(CacheConfig { size: 2048, ways: 2, line: 32 });
         for op in &seq {
             match op {
                 Op::Read(a) => { c.read(*a); }
