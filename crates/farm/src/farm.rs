@@ -1,5 +1,5 @@
-//! The farm itself: N client hosts driving one server host through a
-//! switched topology, under an open-loop arrival process.
+//! The farm itself: eight client hosts driving one server host through
+//! a switched topology, under an open-loop Poisson arrival process.
 //!
 //! One simulation = one OS personality at one offered rate. The crowd
 //! of per-request clients runs as lite processes (one engine slot, so
@@ -33,7 +33,7 @@ use tnt_sim::proc::{block_any, LiteProc, LiteScheduler, ProcCtx, Step, WaitReaso
 use tnt_sim::{Cycles, Sim, WaitId, CPU_HZ};
 
 use crate::hist::LatHist;
-use crate::load::Arrivals;
+use crate::load::poisson_instants;
 
 /// One synchronous FFS metadata write: short seek plus rotation and the
 /// transfer, on the server's single disk.
@@ -43,16 +43,33 @@ const SYNC_WRITE_CY: u64 = 400_000; // 4 ms at 100 MHz
 /// plane salt, so composing them never correlates the draws).
 const ARRIVAL_SALT: u64 = 0xFA12;
 
+/// Client hosts sharing the offered load round-robin; host
+/// `CLIENT_HOSTS` is the server.
+const CLIENT_HOSTS: usize = 8;
+const SERVER_HOST: u32 = CLIENT_HOSTS as u32;
+/// Server worker tasks.
+const WORKERS: usize = 8;
+/// Server accept-backlog bound; overflow drops the request (the
+/// client's RTO is the only signal).
+const BACKLOG: usize = 64;
+/// Access-link speed, bits/second (every host gets one).
+const LINK_BPS: f64 = 100e6;
+/// Drop-tail queue bound per link direction, frames.
+const QUEUE_FRAMES: usize = 64;
+/// Total transmission attempts before the client gives up.
+const MAX_TRIES: u32 = 4;
+
 /// What the clients ask the server to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
-    /// TCP request/reply: small request, bulk reply — where Linux
-    /// 1.2.8's one-packet send window stalls a delayed-ack round per
-    /// window of reply.
+    /// TCP request/reply: 512-byte requests, 4 KB replies, 500 ms
+    /// initial RTO — where Linux 1.2.8's one-packet send window stalls
+    /// a delayed-ack round per window of reply.
     Tcp,
-    /// NFS-style write RPC over UDP: bulk request, tiny reply, plus the
-    /// OS's synchronous metadata writes serialising on the server disk —
-    /// where FFS's sync creates invert the TCP ranking.
+    /// NFS-style write RPC over UDP: 8 KB writes, 128-byte replies,
+    /// the NFS client's 700 ms initial RTO, plus the OS's synchronous
+    /// metadata writes serialising on the server disk — where FFS's
+    /// sync creates invert the TCP ranking.
     Nfs,
 }
 
@@ -64,9 +81,44 @@ impl Workload {
             Workload::Nfs => "nfs",
         }
     }
+
+    /// Request payload bytes.
+    fn req_bytes(self) -> u64 {
+        match self {
+            Workload::Tcp => 512,
+            Workload::Nfs => 8192,
+        }
+    }
+
+    /// Reply payload bytes.
+    fn reply_bytes(self) -> u64 {
+        match self {
+            Workload::Tcp => 4096,
+            Workload::Nfs => 128,
+        }
+    }
+
+    /// Application service CPU per request, cycles.
+    fn service_cy(self) -> u64 {
+        match self {
+            Workload::Tcp => 30_000,
+            Workload::Nfs => 20_000,
+        }
+    }
+
+    /// Initial retransmission timeout, cycles (doubles per retry).
+    fn rto_cy(self) -> u64 {
+        match self {
+            Workload::Tcp => 50_000_000, // 500 ms
+            Workload::Nfs => 70_000_000, // 700 ms
+        }
+    }
 }
 
-/// Full description of one farm run.
+/// One farm run: which OS, which traffic, how much of it. The rig
+/// itself (8 client hosts on 100 Mb/s switched links with 64-frame
+/// queues, 8 server workers behind a 64-request backlog, 4 tries per
+/// request) is fixed.
 #[derive(Clone, Debug)]
 pub struct FarmConfig {
     /// OS personality of every machine in the farm (homogeneous rig,
@@ -74,67 +126,31 @@ pub struct FarmConfig {
     pub os: Os,
     /// Traffic type.
     pub workload: Workload,
-    /// Arrival process driving the open-loop generator.
-    pub arrivals: Arrivals,
+    /// Mean offered rate of the Poisson arrival process,
+    /// requests/second.
+    pub rps: f64,
     /// Total requests in the run.
     pub requests: usize,
-    /// Client hosts sharing the offered load round-robin.
-    pub client_hosts: usize,
-    /// Server worker processes.
-    pub workers: usize,
-    /// Server accept-backlog bound; overflow drops the request (the
-    /// client's RTO is the only signal).
-    pub backlog: usize,
-    /// Request payload bytes.
-    pub req_bytes: u64,
-    /// Reply payload bytes.
-    pub reply_bytes: u64,
-    /// Application service CPU per request, cycles.
-    pub service_cy: u64,
-    /// Access-link speed, bits/second (every host gets one).
-    pub link_bps: f64,
-    /// Drop-tail queue bound per link direction, frames.
-    pub queue_frames: usize,
-    /// Initial retransmission timeout, cycles (doubles per retry).
-    pub rto_cy: u64,
-    /// Total transmission attempts before the client gives up.
-    pub max_tries: u32,
     /// Simulation seed.
     pub seed: u64,
 }
 
 impl FarmConfig {
-    /// The TCP request/reply rig: 512-byte requests, 4 KB replies over
-    /// switched 100 Mb/s links, 500 ms initial RTO.
+    /// The TCP request/reply rig.
     pub fn tcp(os: Os, rps: f64, requests: usize, seed: u64) -> FarmConfig {
         FarmConfig {
             os,
             workload: Workload::Tcp,
-            arrivals: Arrivals::Poisson { rps },
+            rps,
             requests,
-            client_hosts: 8,
-            workers: 8,
-            backlog: 64,
-            req_bytes: 512,
-            reply_bytes: 4096,
-            service_cy: 30_000,
-            link_bps: 100e6,
-            queue_frames: 64,
-            rto_cy: 50_000_000, // 500 ms
-            max_tries: 4,
             seed,
         }
     }
 
-    /// The NFS write-RPC rig: 8 KB writes, 128-byte replies, 700 ms
-    /// initial RTO (the NFS client's), sync metadata per the OS's FFS.
+    /// The NFS write-RPC rig, with sync metadata per the OS's FFS.
     pub fn nfs(os: Os, rps: f64, requests: usize, seed: u64) -> FarmConfig {
         FarmConfig {
             workload: Workload::Nfs,
-            req_bytes: 8192,
-            reply_bytes: 128,
-            service_cy: 20_000,
-            rto_cy: 70_000_000, // 700 ms
             ..FarmConfig::tcp(os, rps, requests, seed)
         }
     }
@@ -186,29 +202,31 @@ fn path_costs(cfg: &FarmConfig) -> PathCosts {
     let oc = OsCosts::for_os(cfg.os);
     let nc = NetCosts::for_os(cfg.os);
     let base = oc.trap_cy + oc.syscall_overhead_cy;
+    let req_bytes = cfg.workload.req_bytes();
+    let reply_bytes = cfg.workload.reply_bytes();
     match cfg.workload {
         Workload::Tcp => {
             let t = nc.tcp;
-            let req_segs = cfg.req_bytes.div_ceil(t.mss).max(1);
-            let reply_segs = cfg.reply_bytes.div_ceil(t.mss).max(1);
+            let req_segs = req_bytes.div_ceil(t.mss).max(1);
+            let reply_segs = reply_bytes.div_ceil(t.mss).max(1);
             // One ack round per window of reply: with Linux's window ==
             // mss that is one per segment; the big-window systems see
             // one per reply.
-            let windows = cfg.reply_bytes.div_ceil(t.window).max(1);
+            let windows = reply_bytes.div_ceil(t.window).max(1);
             PathCosts {
                 client_send: base
                     + req_segs * t.send_seg_cy
-                    + (cfg.req_bytes as f64 * t.send_per_byte_cy) as u64,
+                    + (req_bytes as f64 * t.send_per_byte_cy) as u64,
                 client_recv: base
                     + reply_segs * t.recv_seg_cy
-                    + (cfg.reply_bytes as f64 * t.recv_per_byte_cy) as u64
+                    + (reply_bytes as f64 * t.recv_per_byte_cy) as u64
                     + windows * t.ack_cy,
                 server_recv: base
                     + req_segs * t.recv_seg_cy
-                    + (cfg.req_bytes as f64 * t.recv_per_byte_cy) as u64,
+                    + (req_bytes as f64 * t.recv_per_byte_cy) as u64,
                 server_send: base
                     + reply_segs * t.send_seg_cy
-                    + (cfg.reply_bytes as f64 * t.send_per_byte_cy) as u64
+                    + (reply_bytes as f64 * t.send_per_byte_cy) as u64
                     + windows * t.ack_cy,
                 stall: (windows - 1) * t.ack_delay_cy,
                 disk: 0,
@@ -216,24 +234,24 @@ fn path_costs(cfg: &FarmConfig) -> PathCosts {
         }
         Workload::Nfs => {
             let u = nc.udp;
-            let req_frags = cfg.req_bytes.div_ceil(u.mtu).max(1);
-            let reply_frags = cfg.reply_bytes.div_ceil(u.mtu).max(1);
+            let req_frags = req_bytes.div_ceil(u.mtu).max(1);
+            let reply_frags = reply_bytes.div_ceil(u.mtu).max(1);
             let sync_writes = u64::from(FsParams::for_os(cfg.os).sync_create);
             PathCosts {
                 client_send: base
                     + u.send_fixed_cy
                     + req_frags * u.per_frag_cy
-                    + (cfg.req_bytes as f64 * u.send_per_byte_cy) as u64,
+                    + (req_bytes as f64 * u.send_per_byte_cy) as u64,
                 client_recv: base
                     + u.recv_fixed_cy
-                    + (cfg.reply_bytes as f64 * u.recv_per_byte_cy) as u64,
+                    + (reply_bytes as f64 * u.recv_per_byte_cy) as u64,
                 server_recv: base
                     + u.recv_fixed_cy
-                    + (cfg.req_bytes as f64 * u.recv_per_byte_cy) as u64,
+                    + (req_bytes as f64 * u.recv_per_byte_cy) as u64,
                 server_send: base
                     + u.send_fixed_cy
                     + reply_frags * u.per_frag_cy
-                    + (cfg.reply_bytes as f64 * u.send_per_byte_cy) as u64,
+                    + (reply_bytes as f64 * u.send_per_byte_cy) as u64,
                 stall: 0,
                 disk: sync_writes * SYNC_WRITE_CY,
             }
@@ -278,13 +296,7 @@ struct Env {
     switch: Switch,
     shared: Arc<Shared>,
     costs: PathCosts,
-    server_host: u32,
-    backlog: usize,
-    req_bytes: u64,
-    reply_bytes: u64,
-    service_cy: u64,
-    rto_cy: u64,
-    max_tries: u32,
+    workload: Workload,
 }
 
 enum CState {
@@ -348,12 +360,12 @@ impl LiteProc<ProcCtx> for Client {
                     let sent = self.env.switch.send(
                         sim,
                         self.host,
-                        self.env.server_host,
-                        self.env.req_bytes,
+                        SERVER_HOST,
+                        self.env.workload.req_bytes(),
                     );
                     if let Delivery::Delivered(at) = sent {
                         let mut st = self.env.shared.state.lock();
-                        if st.pending.len() >= self.env.backlog {
+                        if st.pending.len() >= BACKLOG {
                             // Overloaded accept queue: silently dropped,
                             // like a SYN that missed the listen backlog.
                             st.backlog_drops += 1;
@@ -374,7 +386,7 @@ impl LiteProc<ProcCtx> for Client {
                     // Whether or not the frame survived, the client can
                     // only wait: reply, or exponential-backoff RTO.
                     self.state = CState::Await;
-                    let rto = Cycles(self.env.rto_cy << self.tries);
+                    let rto = Cycles(self.env.workload.rto_cy() << self.tries);
                     return block_any(ctx, &[self.reply_q], Some(rto), "farm: reply or rto");
                 }
                 CState::Await => match ctx.wake() {
@@ -384,7 +396,7 @@ impl LiteProc<ProcCtx> for Client {
                     }
                     _ => {
                         self.tries += 1;
-                        if self.tries >= self.env.max_tries {
+                        if self.tries >= MAX_TRIES {
                             self.retire(ctx, None);
                             return Step::Done;
                         }
@@ -434,7 +446,7 @@ async fn worker_loop(p: UProc, env: Arc<Env>) {
             Next::Park => sim.wait_on(env.shared.work_q, "farm: worker idle").await,
             Next::Serve(req) => {
                 p.compute(Cycles(env.costs.server_recv));
-                p.compute(Cycles(env.service_cy));
+                p.compute(Cycles(env.workload.service_cy()));
                 if env.costs.disk > 0 {
                     // Synchronous metadata: reserve the single disk and
                     // block until our writes have settled.
@@ -454,7 +466,7 @@ async fn worker_loop(p: UProc, env: Arc<Env>) {
                 }
                 match env
                     .switch
-                    .send(sim, env.server_host, req.host, env.reply_bytes)
+                    .send(sim, SERVER_HOST, req.host, env.workload.reply_bytes())
                 {
                     Delivery::Delivered(at) => sim.wakeup_one_at(req.reply_q, at),
                     Delivery::Dropped => {} // client RTO heals it
@@ -479,11 +491,9 @@ pub fn run_farm_with_faults(cfg: &FarmConfig, profile: FaultProfile) -> FarmRepo
 }
 
 fn run_on(cfg: &FarmConfig, sim: Sim, kernels: Vec<Kernel>) -> FarmReport {
-    assert!(cfg.requests > 0 && cfg.client_hosts > 0 && cfg.workers > 0);
-    assert!(cfg.max_tries > 0 && cfg.backlog > 0);
+    assert!(cfg.requests > 0);
     let costs = path_costs(cfg);
-    // Hosts 0..N are clients, host N is the server.
-    let switch = Switch::new(cfg.client_hosts + 1, cfg.link_bps, cfg.queue_frames);
+    let switch = Switch::new(CLIENT_HOSTS + 1, LINK_BPS, QUEUE_FRAMES);
     let shared = Arc::new(Shared {
         work_q: sim.new_queue(),
         state: Mutex::new(ServerState {
@@ -504,18 +514,12 @@ fn run_on(cfg: &FarmConfig, sim: Sim, kernels: Vec<Kernel>) -> FarmReport {
         switch: switch.clone(),
         shared: shared.clone(),
         costs,
-        server_host: cfg.client_hosts as u32,
-        backlog: cfg.backlog,
-        req_bytes: cfg.req_bytes,
-        reply_bytes: cfg.reply_bytes,
-        service_cy: cfg.service_cy,
-        rto_cy: cfg.rto_cy,
-        max_tries: cfg.max_tries,
+        workload: cfg.workload,
     });
 
     // The client crowd: machine 0's lite scheduler, one state machine
     // per request, round-robin across the client hosts.
-    let arrivals = cfg.arrivals.instants(cfg.requests, cfg.seed, ARRIVAL_SALT);
+    let arrivals = poisson_instants(cfg.rps, cfg.requests, cfg.seed, ARRIVAL_SALT);
     let mut sched = LiteScheduler::new(&sim);
     for (i, at) in arrivals.iter().enumerate() {
         let reply_q = sim.new_queue();
@@ -523,7 +527,7 @@ fn run_on(cfg: &FarmConfig, sim: Sim, kernels: Vec<Kernel>) -> FarmReport {
             &format!("rq{i}"),
             Box::new(Client {
                 env: env.clone(),
-                host: (i % cfg.client_hosts) as u32,
+                host: (i % CLIENT_HOSTS) as u32,
                 arrival: *at,
                 reply_q,
                 tries: 0,
@@ -534,7 +538,7 @@ fn run_on(cfg: &FarmConfig, sim: Sim, kernels: Vec<Kernel>) -> FarmReport {
     let handle = sched.start("farm-clients");
 
     // The server pool: tasks on machine 1.
-    for w in 0..cfg.workers {
+    for w in 0..WORKERS {
         let env = env.clone();
         kernels[1].spawn_user(format!("worker{w}"), move |p| worker_loop(p, env));
     }
@@ -551,7 +555,7 @@ fn run_on(cfg: &FarmConfig, sim: Sim, kernels: Vec<Kernel>) -> FarmReport {
         0.0
     };
     FarmReport {
-        offered_rps: cfg.arrivals.nominal_rps(),
+        offered_rps: cfg.rps,
         completed: st.completed,
         failed: st.failed,
         retries: st.retries,

@@ -7,10 +7,8 @@
 //! sub-buckets, bounding the relative quantile error at 12.5% while the
 //! whole histogram stays a flat array of `u64` counters.
 //!
-//! Everything here is integer arithmetic on a fixed layout, so merging
-//! per-worker histograms is element-wise addition (exact count
-//! conservation, any merge order) and reports are byte-identical across
-//! `--jobs` levels.
+//! Recording is integer arithmetic on a fixed layout, so reports are
+//! byte-identical across `--jobs` levels.
 
 /// Sub-buckets per octave (2^3): the quantile resolution knob.
 const SUB_BITS: u32 = 3;
@@ -81,19 +79,9 @@ impl LatHist {
         self.total += 1;
     }
 
-    /// Total samples recorded (merges included).
+    /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.total
-    }
-
-    /// Adds every sample of `other` into `self` — element-wise, so the
-    /// result is independent of merge order and conserves counts
-    /// exactly.
-    pub fn merge(&mut self, other: &LatHist) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`) as the upper bound of the bucket
@@ -199,43 +187,6 @@ mod tests {
                 assert!(got <= bound, "seed {seed} q {q}: {got} > bound {bound}");
             }
         }
-    }
-
-    #[test]
-    fn merge_conserves_counts_exactly_in_any_order() {
-        let parts: Vec<Vec<u64>> = (0..5)
-            .map(|i| stream(i, 1_000 + 137 * i as usize))
-            .collect();
-        let mut forward = LatHist::new();
-        let mut backward = LatHist::new();
-        for p in &parts {
-            let mut h = LatHist::new();
-            for v in p {
-                h.record(*v);
-            }
-            forward.merge(&h);
-        }
-        for p in parts.iter().rev() {
-            let mut h = LatHist::new();
-            for v in p {
-                h.record(*v);
-            }
-            backward.merge(&h);
-        }
-        let want: usize = parts.iter().map(Vec::len).sum();
-        assert_eq!(forward.count(), want as u64);
-        assert_eq!(backward.count(), want as u64);
-        for q in [0.5, 0.95, 0.99, 0.999] {
-            assert_eq!(forward.quantile(q), backward.quantile(q), "q {q}");
-        }
-        // And merging equals recording everything into one histogram.
-        let mut flat = LatHist::new();
-        for p in &parts {
-            for v in p {
-                flat.record(*v);
-            }
-        }
-        assert_eq!(flat.quantile(0.99), forward.quantile(0.99));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Open-loop arrival processes: deterministic, seed-salted request
-//! schedules.
+//! The open-loop arrival process: a deterministic, seed-salted Poisson
+//! request schedule.
 //!
 //! The load generator is *open-loop* (wrk2-style): arrival instants are
-//! computed up front from the process definition and a salted seed, so
+//! computed up front from the offered rate and a salted seed, so
 //! they do not depend on server progress. A saturated server therefore
 //! keeps receiving work at the offered rate — queues grow, tails
 //! explode — instead of the closed-loop coordination that hides
@@ -40,70 +40,21 @@ impl Rng64 {
     }
 }
 
-/// An arrival process: how request instants are laid out in time.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Arrivals {
-    /// Evenly spaced arrivals at `rps` requests/second.
-    Fixed {
-        /// Offered rate, requests per second.
-        rps: f64,
-    },
-    /// Poisson arrivals (exponential gaps) at mean `rps`.
-    Poisson {
-        /// Mean offered rate, requests per second.
-        rps: f64,
-    },
-    /// Rate ramping linearly from `from_rps` to `to_rps` across the run
-    /// — sweeps the knee inside a single simulation.
-    Ramp {
-        /// Offered rate at the first request.
-        from_rps: f64,
-        /// Offered rate at the last request.
-        to_rps: f64,
-    },
-}
-
-impl Arrivals {
-    /// The nominal offered rate (mean over the run), requests/second.
-    pub fn nominal_rps(&self) -> f64 {
-        match *self {
-            Arrivals::Fixed { rps } | Arrivals::Poisson { rps } => rps,
-            Arrivals::Ramp { from_rps, to_rps } => (from_rps + to_rps) / 2.0,
-        }
+/// The first `n` absolute instants, in cycles, of a Poisson arrival
+/// process (exponential gaps) at mean rate `rps` requests/second,
+/// sorted non-decreasing. Deterministic in `(rps, n, seed, salt)` and
+/// independent of everything the simulation does with them.
+pub(crate) fn poisson_instants(rps: f64, n: usize, seed: u64, salt: u64) -> Vec<u64> {
+    assert!(rps > 0.0, "arrival rate must be positive");
+    let mut rng = Rng64::new(seed, salt);
+    let mut out = Vec::with_capacity(n);
+    let mut t = 0.0f64;
+    for _ in 0..n {
+        // Exponential inter-arrival; 1 - u is in (0, 1].
+        t += -(1.0 - rng.next_f64()).ln() / rps;
+        out.push((t * CPU_HZ as f64) as u64);
     }
-
-    /// The first `n` absolute arrival instants in cycles, sorted
-    /// non-decreasing. Deterministic in `(self, n, seed, salt)` and
-    /// independent of everything the simulation does with them.
-    pub fn instants(&self, n: usize, seed: u64, salt: u64) -> Vec<u64> {
-        let mut rng = Rng64::new(seed, salt);
-        let mut out = Vec::with_capacity(n);
-        let mut t = 0.0f64;
-        for i in 0..n {
-            let rps = match *self {
-                Arrivals::Fixed { rps } | Arrivals::Poisson { rps } => rps,
-                Arrivals::Ramp { from_rps, to_rps } => {
-                    let frac = if n > 1 {
-                        i as f64 / (n - 1) as f64
-                    } else {
-                        0.0
-                    };
-                    from_rps + (to_rps - from_rps) * frac
-                }
-            };
-            assert!(rps > 0.0, "arrival rate must be positive");
-            let gap_secs = match *self {
-                Arrivals::Poisson { .. } => {
-                    // Exponential inter-arrival; 1 - u is in (0, 1].
-                    -(1.0 - rng.next_f64()).ln() / rps
-                }
-                _ => 1.0 / rps,
-            };
-            t += gap_secs;
-            out.push((t * CPU_HZ as f64) as u64);
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
@@ -111,40 +62,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_arrivals_are_evenly_spaced() {
-        let a = Arrivals::Fixed { rps: 1_000.0 };
-        let ts = a.instants(5, 42, 0);
-        // 1000 rps at 100 MHz = one arrival per 100_000 cycles.
-        assert_eq!(ts, vec![100_000, 200_000, 300_000, 400_000, 500_000]);
-    }
-
-    #[test]
     fn poisson_arrivals_are_seeded_and_salted() {
-        let a = Arrivals::Poisson { rps: 500.0 };
-        let x = a.instants(200, 7, 1);
-        assert_eq!(x, a.instants(200, 7, 1), "same seed, same schedule");
-        assert_ne!(x, a.instants(200, 8, 1), "seed matters");
-        assert_ne!(x, a.instants(200, 7, 2), "salt matters");
+        let x = poisson_instants(500.0, 200, 7, 1);
+        assert_eq!(
+            x,
+            poisson_instants(500.0, 200, 7, 1),
+            "same seed, same schedule"
+        );
+        assert_ne!(x, poisson_instants(500.0, 200, 8, 1), "seed matters");
+        assert_ne!(x, poisson_instants(500.0, 200, 7, 2), "salt matters");
         assert!(x.windows(2).all(|w| w[0] <= w[1]), "sorted");
         // Mean gap within 15% of nominal over 200 draws.
         let mean_gap = *x.last().unwrap() as f64 / x.len() as f64;
         let want = CPU_HZ as f64 / 500.0;
         assert!((mean_gap - want).abs() / want < 0.15, "mean gap {mean_gap}");
-    }
-
-    #[test]
-    fn ramp_speeds_up_over_the_run() {
-        let a = Arrivals::Ramp {
-            from_rps: 100.0,
-            to_rps: 1_000.0,
-        };
-        let ts = a.instants(100, 0, 0);
-        let first_gap = ts[1] - ts[0];
-        let last_gap = ts[99] - ts[98];
-        assert!(
-            first_gap > 5 * last_gap,
-            "ramp must tighten gaps: {first_gap} vs {last_gap}"
-        );
-        assert!((a.nominal_rps() - 550.0).abs() < 1e-9);
     }
 }

@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! reproduce [bless|check|bench] [--quick|--full] [--jobs N] [--tolerance PCT]
+//! reproduce [bless|check|bench] [--quick|--full] [--jobs N]
 //!           [--profile] [--out DIR] [--markdown FILE] [ids...|all]
 //! reproduce --list
 //! ```
@@ -14,7 +14,7 @@
 //! `tnt-runner` pool, costliest shard first; output is byte-identical to
 //! the serial run. `bless` persists the structured per-experiment records
 //! to `results/baselines.json`; `check` reruns the suite and fails
-//! loudly on any statistic drifting past `--tolerance` percent.
+//! loudly unless every statistic equals its blessed value exactly.
 //! `bench` times serial vs parallel and writes `BENCH_runner.json`, with
 //! each experiment's wall time in both runs.
 //! With `--profile`, each experiment is followed by its
@@ -284,17 +284,11 @@ fn replay_cmd(cli: &Cli) -> Result<ExitCode, WriteError> {
 /// produce the identical outcome, with no deadlocks or lost wakeups.
 fn explore_cmd(cli: &Cli) -> Result<ExitCode, WriteError> {
     println!("tnt explore — exhaustive schedule exploration (happens-before armed)\n");
-    // `--all` and an empty selection both mean "every canned scenario";
-    // the flag exists so CI invocations read as intent, not omission.
-    let names = if cli.explore_all {
-        Vec::new()
-    } else {
-        cli.ids.clone()
-    };
-    // Generous per-scenario cap: the canned scenarios close out in tens
-    // to hundreds of schedules; hitting this means state-space blowup,
+    // An empty selection means every canned scenario. Generous
+    // per-scenario cap: the canned scenarios close out in tens to
+    // hundreds of schedules; hitting this means state-space blowup,
     // which run_explore reports as a failure rather than truncating.
-    let outcomes = match run_explore(&names, 4096) {
+    let outcomes = match run_explore(&cli.ids, 4096) {
         Ok(o) => o,
         Err(err) => {
             eprintln!("reproduce explore: {err}");
@@ -513,13 +507,12 @@ fn check(cli: &Cli) -> ExitCode {
         scale: scale.label.to_string(),
         records: records_of(&results),
     };
-    let drifts = blessed.compare(&fresh, cli.tolerance_pct);
+    let drifts = blessed.compare(&fresh, 0.0);
     println!(
-        "checked {} fresh record(s) against {} blessed ({}, tolerance {}%)",
+        "checked {} fresh record(s) against {} blessed ({}, exact)",
         fresh.records.len(),
         blessed.records.len(),
-        path.display(),
-        cli.tolerance_pct
+        path.display()
     );
     if cli.audit {
         let audit = conservation_audit(&scale);
@@ -530,7 +523,7 @@ fn check(cli: &Cli) -> ExitCode {
         }
     }
     if drifts.is_empty() && !failed {
-        println!("regression gate PASSED: no statistic drifted past tolerance");
+        println!("regression gate PASSED: every statistic equals its blessed value");
         ExitCode::SUCCESS
     } else {
         eprintln!("regression gate FAILED: {} drift(s)", drifts.len());

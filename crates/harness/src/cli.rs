@@ -60,8 +60,6 @@ pub struct Cli {
     /// Worker threads for the experiment pool; 0 means "one per host
     /// core".
     pub jobs: usize,
-    /// Regression-gate tolerance in percent (see `BaselineStore::compare`).
-    pub tolerance_pct: f64,
     /// Attach cycle-attribution profiles to each experiment.
     pub profile: bool,
     /// Ambient fault-injection profile (`--faults off|smoke|lossy`).
@@ -73,9 +71,6 @@ pub struct Cli {
     /// activity to `.tntrace` files instead of (or before) replaying.
     /// Only meaningful with the `replay` subcommand.
     pub record: Option<String>,
-    /// `explore --all`: run every canned scenario (equivalent to naming
-    /// none, spelled out for scripts).
-    pub explore_all: bool,
     /// Output directory for CSVs, baselines and bench artifacts.
     pub out_dir: PathBuf,
     /// Optional markdown report path.
@@ -89,14 +84,14 @@ pub struct Cli {
 pub fn usage() -> String {
     format!(
         "usage: reproduce [bless|check|bench|bench-engine|farm|explore|replay] \
-         [--quick|--full] [--jobs N] [--tolerance PCT] [--profile] [--audit] [--all] \
+         [--quick|--full] [--jobs N] [--profile] [--audit] \
          [--faults off|smoke|lossy] [--record ID] [--out DIR] [--markdown FILE] \
          [ids...|all]\n\
          \n\
          subcommands:\n\
          \x20 (none)   run the experiments and print each table/figure\n\
          \x20 bless    run, then write results/baselines.json (the golden baselines)\n\
-         \x20 check    run, then fail loudly if any statistic drifted past --tolerance\n\
+         \x20 check    run, then fail loudly unless every statistic equals its blessed value\n\
          \x20 bench    time the suite serially vs --jobs N; write BENCH_runner.json\n\
          \x20 bench-engine  run one ring workload three ways (threaded processes,\n\
          \x20          engine tasks, lite processes) and compare them (events/s,\n\
@@ -110,7 +105,7 @@ pub fn usage() -> String {
          \x20          interleaving of contended dispatches (sleep-set pruned)\n\
          \x20          and fail unless each scenario's outcome is identical on\n\
          \x20          every schedule, with no deadlocks or lost wakeups; write\n\
-         \x20          EXPLORE.json. Name scenarios or pass --all\n\
+         \x20          EXPLORE.json. Runs every scenario unless some are named\n\
          \x20 replay   drive recorded workload traces (docs/TRACE_FORMAT.md)\n\
          \x20          through the disk model on every OS: name vendored\n\
          \x20          fixtures ({}) or paths to .tntrace/.txt/blkparse files;\n\
@@ -156,12 +151,10 @@ pub fn parse(args: Vec<String>) -> Result<Cli, String> {
         mode: Mode::Run,
         scale: ScaleKind::Quick,
         jobs: 1,
-        tolerance_pct: 2.0,
         profile: false,
         faults: FaultProfile::off(),
         audit: false,
         record: None,
-        explore_all: false,
         out_dir: PathBuf::from("results"),
         markdown: None,
         ids: Vec::new(),
@@ -176,7 +169,6 @@ pub fn parse(args: Vec<String>) -> Result<Cli, String> {
             "farm" => cli.mode = Mode::Farm,
             "explore" => cli.mode = Mode::Explore,
             "replay" => cli.mode = Mode::Replay,
-            "--all" => cli.explore_all = true,
             "--list" => cli.mode = Mode::List,
             "--help" | "-h" => cli.mode = Mode::Help,
             "--quick" => cli.scale = ScaleKind::Quick,
@@ -198,7 +190,6 @@ pub fn parse(args: Vec<String>) -> Result<Cli, String> {
                 );
             }
             "--jobs" | "-j" => cli.jobs = parse_number("--jobs", iter.next())?,
-            "--tolerance" => cli.tolerance_pct = parse_number("--tolerance", iter.next())?,
             "--out" => {
                 cli.out_dir = PathBuf::from(
                     iter.next()
@@ -216,9 +207,6 @@ pub fn parse(args: Vec<String>) -> Result<Cli, String> {
             }
             other => cli.ids.push(other.to_string()),
         }
-    }
-    if cli.tolerance_pct < 0.0 {
-        return Err(format!("--tolerance must be >= 0\n{}", usage()));
     }
     if cli.record.is_some() && cli.mode != Mode::Replay {
         return Err(format!(
@@ -298,21 +286,12 @@ mod tests {
     #[test]
     fn subcommands_and_flags_parse() {
         let cli = parse(args(&[
-            "check",
-            "--full",
-            "--jobs",
-            "8",
-            "--tolerance",
-            "1.5",
-            "--audit",
-            "t2",
-            "t5",
+            "check", "--full", "--jobs", "8", "--audit", "t2", "t5",
         ]))
         .unwrap();
         assert_eq!(cli.mode, Mode::Check);
         assert_eq!(cli.scale, ScaleKind::Full);
         assert_eq!(cli.jobs, 8);
-        assert_eq!(cli.tolerance_pct, 1.5);
         assert!(cli.audit);
         assert_eq!(cli.ids, vec!["t2", "t5"]);
         assert_eq!(cli.resolved_ids(), vec!["t2", "t5"]);
@@ -347,7 +326,6 @@ mod tests {
     fn numeric_flags_validate() {
         assert!(parse(args(&["--jobs"])).is_err());
         assert!(parse(args(&["--jobs", "many"])).is_err());
-        assert!(parse(args(&["--tolerance", "-3"])).is_err());
     }
 
     #[test]
@@ -378,14 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn explore_parses_with_all_flag_and_named_scenarios() {
-        let cli = parse(args(&["explore", "--all"])).unwrap();
+    fn explore_parses_named_scenarios() {
+        let cli = parse(args(&["explore"])).unwrap();
         assert_eq!(cli.mode, Mode::Explore);
-        assert!(cli.explore_all);
         assert!(cli.ids.is_empty());
         let cli = parse(args(&["explore", "mutex-contention", "timer-race"])).unwrap();
         assert_eq!(cli.mode, Mode::Explore);
-        assert!(!cli.explore_all);
         assert_eq!(cli.ids, vec!["mutex-contention", "timer-race"]);
         // The scenario namespace is advertised alongside the experiments.
         let u = usage();
@@ -437,7 +413,7 @@ mod tests {
     fn explore_still_rejects_unknown_flags() {
         // Strictness survives the new subcommand: a typo'd flag next to
         // `explore` is an error, never a silently ignored scenario name.
-        for bad in ["--al", "--explore-all", "-a"] {
+        for bad in ["--all", "--al", "--explore-all", "-a"] {
             let err = parse(args(&["explore", bad])).unwrap_err();
             assert!(err.contains(bad), "error names the flag: {err}");
             assert!(err.contains("usage:"), "error shows usage: {err}");

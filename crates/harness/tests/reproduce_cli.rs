@@ -127,7 +127,7 @@ fn replay_record_captures_and_replays_an_experiment() {
 fn explore_all_passes_and_writes_the_artifact() {
     let dir = temp_dir("explore");
     let res = dir.join("res");
-    let out = reproduce(&["explore", "--all", "--out", res.to_str().unwrap()], &dir);
+    let out = reproduce(&["explore", "--out", res.to_str().unwrap()], &dir);
     assert!(
         out.status.success(),
         "explore failed:\n{}",
@@ -202,7 +202,7 @@ fn bless_then_check_roundtrip_passes_and_perturbation_fails() {
     let stdout = String::from_utf8(check.stdout).unwrap();
     assert!(stdout.contains("regression gate PASSED"), "{stdout}");
 
-    // Perturb one blessed mean by 20% — far past the 2% tolerance.
+    // Perturb one blessed mean by 0.1%: the gate is exact.
     let text = std::fs::read_to_string(&baselines).unwrap();
     let mut store = tnt_runner::BaselineStore::from_json(&text).unwrap();
     let stat = store
@@ -213,7 +213,7 @@ fn bless_then_check_roundtrip_passes_and_perturbation_fails() {
         .stats
         .first_mut()
         .expect("t2 has stats");
-    stat.mean *= 1.2;
+    stat.mean *= 1.001;
     std::fs::write(&baselines, store.to_json()).unwrap();
 
     let drifted = reproduce(&["check", "--out", out_arg, "t1", "t2", "t4"], &dir);

@@ -12,12 +12,15 @@
 //!
 //! Engine-internal shared structures (run queue, timer heap, trace
 //! ring, wait queues, per-proc accounts) are accessed through
-//! [`Detector::protected_access`], which brackets the access in an
-//! acquire/release of a per-structure internal sync var — the model of
-//! "this structure has a lock discipline". Code that touches the
-//! structure *without* the bracket (a planted mutant, a future refactor
-//! that forgets it) produces a genuine unordered pair and trips the
-//! checker.
+//! [`Detector::protected_access`]: the engine lock orders those
+//! accesses, so two protected accesses never race, but that lock is
+//! taken by whichever task holds the baton and so creates no
+//! happens-before edge either — were it one, every task that touches
+//! the run queue would be ordered after every other, and the baton
+//! handoff would be an edge after all. Code that touches the structure
+//! *without* the lock discipline (a planted mutant, a future refactor
+//! that forgets it) makes a raw access, and a raw access unordered with
+//! any other access to its location trips the checker.
 //!
 //! The detector also records, per `(task, nth-slice-of-task)`, the
 //! footprint of locations and sync vars touched — the independence
@@ -41,9 +44,6 @@ pub enum SyncId {
     /// A timer arming, keyed by the engine's timer sequence number:
     /// the armer releases at arm time, the wakee acquires at fire time.
     Timer(u64),
-    /// An engine-internal structure's lock discipline (see
-    /// [`Detector::protected_access`]).
-    Internal(&'static str, u64),
     /// A test-defined sync var.
     Named(&'static str, u64),
 }
@@ -63,21 +63,6 @@ pub enum Loc {
     ProcAccount(u32),
     /// A test- or scenario-defined location.
     Named(&'static str, u64),
-}
-
-impl Loc {
-    /// The internal sync var guarding this location under the engine's
-    /// by-design lock discipline.
-    pub fn internal_sync(&self) -> SyncId {
-        match *self {
-            Loc::RunQueue => SyncId::Internal("run-queue", 0),
-            Loc::TimerHeap => SyncId::Internal("timer-heap", 0),
-            Loc::TraceRing => SyncId::Internal("trace-ring", 0),
-            Loc::WaitQueue(q) => SyncId::Internal("wait-queue", q),
-            Loc::ProcAccount(t) => SyncId::Internal("proc-account", t as u64),
-            Loc::Named(name, k) => SyncId::Internal(name, k),
-        }
-    }
 }
 
 /// Read or write.
@@ -177,12 +162,25 @@ pub enum WakeSrc {
     Timer(u64),
 }
 
+/// One recorded access: the task, its own clock component at the
+/// access, and the stack of record.
+type Epoch = (u32, u64, AccessInfo);
+
 #[derive(Clone, Default, Debug)]
 struct LocState {
-    /// Last write: `(task, its clock component at the write, info)`.
-    write: Option<(u32, u64, AccessInfo)>,
-    /// Last read per task since the last ordered write.
-    reads: BTreeMap<u32, (u64, AccessInfo)>,
+    /// Last raw write.
+    write: Option<Epoch>,
+    /// Last raw read per task since the last raw write.
+    reads: BTreeMap<u32, Epoch>,
+    /// Each task's last protected write and last protected read. Only a
+    /// raw access is checked against these, so none is ever dropped.
+    protected_writes: BTreeMap<u32, Epoch>,
+    protected_reads: BTreeMap<u32, Epoch>,
+}
+
+/// The epochs of `map` if `wanted`, else none.
+fn epochs(map: &BTreeMap<u32, Epoch>, wanted: bool) -> impl Iterator<Item = &Epoch> {
+    wanted.then_some(map).into_iter().flat_map(BTreeMap::values)
 }
 
 /// The happens-before detector. One per armed simulation; every call
@@ -259,9 +257,8 @@ impl Detector {
     /// `sync`.
     pub fn acquire(&mut self, task: u32, sync: SyncId) {
         self.footprint_mut(task).syncs.insert(sync);
-        // Disjoint field borrows: `syncs` read, `clocks` written. No
-        // snapshot needed — this runs on every protected access, so it
-        // must not allocate.
+        // Disjoint field borrows: `syncs` read, `clocks` written, so no
+        // snapshot clone.
         if let Some(sc) = self.syncs.get(&sync) {
             self.clocks.entry(task).or_default().join(sc);
         }
@@ -301,81 +298,81 @@ impl Detector {
     }
 
     /// A raw access with no implied synchronization. Returns the race
-    /// it completes, if any (also recorded internally).
+    /// it completes, if any (also recorded internally): any access to
+    /// the location it is unordered with, one of the two a write.
     pub fn access(&mut self, loc: Loc, kind: AccessKind, info: AccessInfo) -> Option<Race> {
-        let task = info.task;
-        {
-            let fp = self.footprint_mut(task);
-            let wrote = fp.locs.entry(loc).or_insert(false);
-            *wrote |= kind == AccessKind::Write;
-        }
-        // Disjoint field borrows (`clocks` then `locs`): the clock is
-        // only read here, so no snapshot clone on the access fast path.
-        let clock = &*self.clocks.entry(task).or_default();
-        let state = self.locs.entry(loc).or_default();
-        let mut race = None;
-        if let Some((wt, wv, winfo)) = state.write {
-            if wt != task && wv > clock.get(wt) {
-                race = Some(Race {
-                    loc,
-                    first: winfo,
-                    second: info,
-                });
-            }
-        }
-        if kind == AccessKind::Write && race.is_none() {
-            for (&rt, &(rv, rinfo)) in &state.reads {
-                if rt != task && rv > clock.get(rt) {
-                    race = Some(Race {
-                        loc,
-                        first: rinfo,
-                        second: info,
-                    });
-                    break;
-                }
-            }
-        }
-        match kind {
-            AccessKind::Read => {
-                state.reads.insert(task, (clock.get(task), info));
-            }
-            AccessKind::Write => {
-                state.write = Some((task, clock.get(task), info));
-                // Every prior read either raced (reported) or
-                // happens-before this write; only the write epoch needs
-                // to survive.
-                state.reads.clear();
-            }
-        }
-        if let Some(r) = race.clone() {
-            self.races.push(r);
-        }
-        race
+        self.record(loc, kind, info, false)
     }
 
-    /// An access under the engine's by-design lock discipline: bracket
-    /// it in an acquire/release of the location's internal sync var so
-    /// disciplined accesses are always ordered. Returns the race only a
-    /// mutant (or a refactor that forgot the discipline) can produce.
+    /// An access under the engine's lock discipline. It joins and
+    /// releases no clock, since the engine lock is no happens-before
+    /// edge, and it never races another protected access; it races only
+    /// an unordered raw access, which only a mutant (or a refactor that
+    /// forgot the discipline) can make.
     pub fn protected_access(
         &mut self,
         loc: Loc,
         kind: AccessKind,
         info: AccessInfo,
     ) -> Option<Race> {
-        let sync = loc.internal_sync();
-        self.acquire(info.task, sync);
-        let race = self.access(loc, kind, info);
-        // Inlined release: the acquire above already joined the sync
-        // var into the task's clock (and nothing else ran in between —
-        // the detector is called under the engine's state lock), so the
-        // task clock dominates and the release join collapses to a
-        // copy. `clone_from` reuses the sync clock's buffer, keeping
-        // this bracket allocation-free in steady state; the footprint
-        // already carries `sync` from the acquire.
-        let c = self.clocks.entry(info.task).or_default();
-        self.syncs.entry(sync).or_default().clone_from(c);
-        c.bump(info.task);
+        self.record(loc, kind, info, true)
+    }
+
+    fn record(
+        &mut self,
+        loc: Loc,
+        kind: AccessKind,
+        info: AccessInfo,
+        protected: bool,
+    ) -> Option<Race> {
+        let task = info.task;
+        let write = kind == AccessKind::Write;
+        {
+            let fp = self.footprint_mut(task);
+            let wrote = fp.locs.entry(loc).or_insert(false);
+            *wrote |= write;
+        }
+        // Disjoint field borrows (`clocks` then `locs`): the clock is
+        // only read here, so no snapshot clone on the access fast path.
+        let clock = &*self.clocks.entry(task).or_default();
+        let state = self.locs.entry(loc).or_default();
+        // The earlier accesses that conflict with this one: writes, and
+        // reads too if this is a write; protected ones only if this one
+        // is raw.
+        let race = state
+            .write
+            .iter()
+            .chain(epochs(&state.reads, write))
+            .chain(epochs(&state.protected_writes, !protected))
+            .chain(epochs(&state.protected_reads, write && !protected))
+            .find(|&&(t, v, _)| t != task && v > clock.get(t))
+            .map(|&(_, _, first)| Race {
+                loc,
+                first,
+                second: info,
+            });
+        let epoch = (task, clock.get(task), info);
+        match (protected, kind) {
+            (false, AccessKind::Read) => {
+                state.reads.insert(task, epoch);
+            }
+            (false, AccessKind::Write) => {
+                state.write = Some(epoch);
+                // Every prior raw read either raced (reported) or
+                // happens-before this write; only the write epoch needs
+                // to survive.
+                state.reads.clear();
+            }
+            (true, AccessKind::Read) => {
+                state.protected_reads.insert(task, epoch);
+            }
+            (true, AccessKind::Write) => {
+                state.protected_writes.insert(task, epoch);
+            }
+        }
+        if let Some(r) = race.clone() {
+            self.races.push(r);
+        }
         race
     }
 
@@ -513,6 +510,41 @@ mod tests {
         let race = race.expect("raw write races the disciplined one");
         assert_eq!(race.first.site, "charge");
         assert_eq!(race.second.site, "mutant");
+    }
+
+    #[test]
+    fn protected_accesses_create_no_edge() {
+        let mut d = Detector::new();
+        d.task_start(1, 0);
+        d.task_start(2, 0);
+        assert!(d.access(LOC, AccessKind::Write, info(1, "w1")).is_none());
+        for task in [1, 2] {
+            let enqueue = info(task, "enqueue");
+            assert!(d
+                .protected_access(Loc::RunQueue, AccessKind::Write, enqueue)
+                .is_none());
+        }
+        let race = d.access(LOC, AccessKind::Write, info(2, "w2"));
+        let race = race.expect("the run queue orders nothing");
+        assert_eq!(race.first.site, "w1");
+    }
+
+    #[test]
+    fn a_raw_access_meets_every_tasks_protected_access() {
+        let mut d = Detector::new();
+        d.task_start(1, 0);
+        d.task_start(2, 0);
+        let ring = Loc::TraceRing;
+        for task in [1, 2] {
+            assert!(d
+                .protected_access(ring, AccessKind::Write, info(task, "charge"))
+                .is_none());
+        }
+        // Task 2's own protected write is the latest, but task 1's is
+        // still unordered with task 2's raw one.
+        let race = d.access(ring, AccessKind::Read, info(2, "mutant"));
+        let race = race.expect("raw read races task 1's protected write");
+        assert_eq!(race.first.task, 1);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   per-experiment statistics (per-OS mean, σ, normalised ratio).
 //! - [`store`] — [`BaselineStore`]: serialises records to
 //!   `results/baselines.json` (`reproduce bless`) and diffs a fresh run
-//!   against them with a tolerance gate (`reproduce check`).
+//!   against them with a tolerance gate (`reproduce check` runs it
+//!   at tolerance 0, so every statistic must match exactly).
 //! - [`json`] — the minimal JSON codec backing the store (the
 //!   workspace builds offline; there is no serde).
 

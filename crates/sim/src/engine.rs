@@ -1675,10 +1675,11 @@ impl Sim {
         }
     }
 
-    /// A disciplined access to an engine-internal structure: bracketed
-    /// in the structure's internal sync var so by-design accesses never
-    /// race. Panics on the races only a discipline-skipping mutant (or
-    /// regression) can produce.
+    /// A disciplined access to an engine-internal structure: the engine
+    /// lock orders it with every other disciplined access, so those
+    /// never race, but it creates no happens-before edge. Panics on the
+    /// races only a discipline-skipping mutant (or regression) can
+    /// produce.
     fn race_protected(&self, st: &mut State, loc: Loc, kind: AccessKind, site: &'static str) {
         if st.race.is_none() {
             return;

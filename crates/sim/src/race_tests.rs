@@ -4,7 +4,10 @@
 //! the user-facing `race_read`/`race_write` hooks. Every mutant is a
 //! real bug class the deterministic engine is designed out of: a lost
 //! doorbell wakeup, a broken timer tie-break, an unlocked trace-ring
-//! write, and a stale `WaitReason::Any` queue token.
+//! write, and a stale `WaitReason::Any` queue token. The engine's own
+//! structure accesses (run queue, trace ring, timer heap) are ordered
+//! by the engine lock and create no happens-before edge, so a yield, a
+//! charge or a sleep between two user writes orders nothing.
 
 use std::sync::Arc;
 
@@ -57,6 +60,48 @@ fn unordered_user_writes_race() {
         }
         other => panic!("expected a proc panic, got {other:?}"),
     }
+}
+
+/// Runs two tasks that write one location with nothing ordering them:
+/// the first does `between` after its write, the second before its
+/// write. The engine structures `between` touches are no edge, so the
+/// run must fail with the race.
+fn assert_unordered_writes_race<F>(between: fn(Sim) -> F)
+where
+    F: std::future::Future<Output = ()> + Send + 'static,
+{
+    let s = sim();
+    s.arm_race_detector();
+    s.spawn_task("first", move |s| async move {
+        s.race_write("shared-counter", 0);
+        between(s).await;
+    });
+    s.spawn_task("second", move |s| async move {
+        between(s.clone()).await;
+        s.race_write("shared-counter", 0);
+    });
+    match s.run().unwrap_err() {
+        SimError::ProcPanic(msg) => {
+            assert!(msg.contains("data race"), "panic message: {msg}");
+            assert!(msg.contains("shared-counter"), "panic message: {msg}");
+        }
+        other => panic!("expected a proc panic, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_yield_between_unordered_writes_orders_nothing() {
+    assert_unordered_writes_race(|s| async move { s.yield_now().await });
+}
+
+#[test]
+fn a_charge_between_unordered_writes_orders_nothing() {
+    assert_unordered_writes_race(|s| async move { s.advance(Cycles(10)) });
+}
+
+#[test]
+fn a_sleep_between_unordered_writes_orders_nothing() {
+    assert_unordered_writes_race(|s| async move { s.sleep(Cycles(10)).await });
 }
 
 #[test]
